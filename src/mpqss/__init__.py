@@ -1,7 +1,8 @@
 """Desk-scale simulator for multi-sender/multi-receiver quantum secret sharing.
 
 The qubit layer is an exact symbolic algebra on the four conjugate-basis
-states; the protocol layer runs the full sender-chain/receiver-split state
+states, which the bit-plane engine applies to whole blocks as array
+operations; the protocol layer runs the full sender-chain/receiver-split state
 machine with announcement-ordering enforcement; the channel layer adds loss,
 Pauli noise, and adversaries; post-processing distills noisy raw keys through
 nested GF(2) codes into one-time-pad material; the harness runs seeded Monte
@@ -44,6 +45,7 @@ from .harness import (
     replay,
     run_experiment,
 )
+from .planes import QubitBlock
 from .postprocessing import (
     CssPair,
     KeyMaterial,
@@ -67,7 +69,6 @@ from .postprocessing import (
 from .protocol import (
     PartySecrets,
     ProtocolConfig,
-    QubitBlock,
     Variant,
     announce_bases,
     block_of,
@@ -95,4 +96,4 @@ from .qubits import (
 )
 from .transcript import AdversaryRecord, Event, Transcript, parse
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

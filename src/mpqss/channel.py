@@ -20,8 +20,14 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import ConfigError
-from .qubits import Pauli, Qubit, apply_pauli, encode, measure
+from .planes import QubitBlock, as_plane, random_bits, random_floats
+
+# The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
+# counts calls at these names.
+from .qubits import apply_pauli, encode, measure  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -123,155 +129,119 @@ IDEAL = ChannelModel()
 
 @dataclass
 class AttackResult:
-    """Per-position record of an interception."""
+    """Per-position record of an interception, one array entry per touched position."""
 
     kind: str
-    positions: tuple[int, ...]
-    bases: tuple[int, ...]
-    bits: tuple[int, ...]
-    certain: tuple[bool, ...]
-
-    def guess_accuracy(self, truth: Sequence[int]) -> float:
-        """Fraction of inferred bits equal to the truth (lucky guesses count)."""
-        if not self.positions:
-            return 0.0
-        hits = sum(1 for p, b in zip(self.positions, self.bits) if b == truth[p])
-        return hits / len(self.positions)
-
-    def certain_accuracy(self, truth: Sequence[int]) -> float:
-        """Fraction of positions decoded in a valid basis and equal to the truth."""
-        if not self.positions:
-            return 0.0
-        hits = sum(
-            1
-            for p, b, ok in zip(self.positions, self.bits, self.certain)
-            if ok and b == truth[p]
-        )
-        return hits / len(self.positions)
-
-    def certain_fraction(self) -> float:
-        if not self.certain:
-            return 0.0
-        return sum(self.certain) / len(self.certain)
+    positions: np.ndarray  # 0-based positions
+    bases: np.ndarray  # basis each position was measured in
+    bits: np.ndarray  # inferred bit per position
+    certain: np.ndarray  # True where the measurement basis matched the state's
 
 
 @dataclass
 class TransmitResult:
-    qubits: list  # Qubit | None per position; None marks a deleted (lost) qubit
-    lost: tuple[int, ...] = ()
+    block: QubitBlock
+    lost: np.ndarray  # positions lost on this hop
     intercept: AttackResult | None = None
 
 
-def _random_state(rng: random.Random) -> Qubit:
-    return encode(rng.getrandbits(1), rng.getrandbits(1))
-
-
-def transmit(qubits: Sequence[Qubit | None], ch: ChannelModel, rng: random.Random) -> TransmitResult:
-    """Push a qubit sequence through one hop of the channel.
+def transmit(block: QubitBlock, ch: ChannelModel, rng: random.Random) -> TransmitResult:
+    """Push a block through one hop of the channel.
 
     Each position independently: lost with ``loss_prob`` (then deleted or
     substituted per the loss strategy); survivors suffer X/Y/Z noise with the
     configured probabilities and are finally exposed to an attached
-    intercept-resend adversary. Already-deleted positions pass through as None.
+    intercept-resend adversary. Positions lost on an earlier hop stay lost.
     """
-    out: list[Qubit | None] = []
-    lost: list[int] = []
-    for k, q in enumerate(qubits):
-        if q is None:
-            out.append(None)
-            continue
-        if ch.loss_prob > 0.0 and rng.random() < ch.loss_prob:
-            lost.append(k)
-            if ch.loss_strategy is LossStrategy.SUBSTITUTE:
-                out.append(_random_state(rng))
-            else:
-                out.append(None)
-            continue
-        u = rng.random()
-        if u < ch.p_x:
-            q = apply_pauli(q, Pauli.X)
-        elif u < ch.p_x + ch.p_y:
-            q = apply_pauli(q, Pauli.Y)
-        elif u < ch.p_x + ch.p_y + ch.p_z:
-            q = apply_pauli(q, Pauli.Z)
-        out.append(q)
+    size = len(block)
+    fresh = ~block.lost
+    lost = np.zeros(size, dtype=bool)
+    if ch.loss_prob > 0.0 or ch.p_x + ch.p_y + ch.p_z > 0.0:
+        # One uniform draw per position: below loss_prob the qubit is lost;
+        # the rest of [0, 1) splits into X, Y, Z and no error in the ratio
+        # p_x : p_y : p_z : rest. X and Y carry an x bit, Y and Z a z bit.
+        u = random_floats(rng, size)
+        kept = 1.0 - ch.loss_prob
+        to_x = ch.loss_prob + kept * ch.p_x
+        to_y = to_x + kept * ch.p_y
+        to_z = to_y + kept * ch.p_z
+        lost = fresh & (u < ch.loss_prob)
+        if ch.loss_strategy is LossStrategy.SUBSTITUTE:
+            block = block.substitute(lost, random_bits(rng, size), random_bits(rng, size))
+        else:
+            block = block.drop(lost)
+        survived = fresh & ~lost
+        block = block.pauli(survived & (u < to_y), survived & (u >= to_x) & (u < to_z))
     intercept = None
     if isinstance(ch.adversary, InterceptResend):
-        out, intercept = intercept_resend(out, rng, fraction=ch.adversary.fraction)
-    return TransmitResult(out, tuple(lost), intercept)
+        block, intercept = intercept_resend(block, rng, fraction=ch.adversary.fraction)
+    return TransmitResult(block, np.flatnonzero(lost), intercept)
+
+
+def _intercept(
+    kind: str,
+    block: QubitBlock,
+    hit: np.ndarray,
+    plan: np.ndarray,
+    strip,
+    rng: random.Random,
+) -> tuple[AttackResult, QubitBlock]:
+    """Measure the ``hit`` positions in the planned bases, resend the collapsed
+    states, and XOR a known ``strip`` off the readings."""
+    outcome, resent = block.collapse(hit, plan, random_bits(rng, len(block)))
+    positions = np.flatnonzero(hit)
+    result = AttackResult(
+        kind,
+        positions,
+        plan[positions],
+        (outcome ^ strip)[positions],
+        (plan == block.basis)[positions],
+    )
+    return result, resent
+
+
+def _xor_all(planes, size: int) -> np.ndarray:
+    out = np.zeros(size, dtype=np.uint8)
+    for bits in planes:
+        out ^= as_plane(bits)
+    return out
 
 
 def intercept_resend(
-    qubits: Sequence[Qubit | None], rng: random.Random, fraction: float = 1.0
-) -> tuple[list, AttackResult]:
+    block: QubitBlock, rng: random.Random, fraction: float = 1.0
+) -> tuple[QubitBlock, AttackResult]:
     """Standard intercept-resend: random basis per qubit, forward the collapsed state."""
-    out: list[Qubit | None] = []
-    positions: list[int] = []
-    bases: list[int] = []
-    bits: list[int] = []
-    certain: list[bool] = []
-    for k, q in enumerate(qubits):
-        if q is None or (fraction < 1.0 and rng.random() >= fraction):
-            out.append(q)
-            continue
-        basis = rng.getrandbits(1)
-        matched = basis == q.basis
-        outcome = measure(q, basis, rng)
-        out.append(encode(outcome, basis))
-        positions.append(k)
-        bases.append(basis)
-        bits.append(outcome)
-        certain.append(matched)
-    result = AttackResult("intercept-resend", tuple(positions), tuple(bases), tuple(bits), tuple(certain))
-    return out, result
-
-
-def _measure_and_strip(
-    kind: str,
-    qubits: Sequence[Qubit | None],
-    basis_plan: Sequence[int],
-    mask: Sequence[int],
-    rng: random.Random,
-) -> tuple[AttackResult, list]:
-    """Measure every position in a planned basis and XOR off a known mask."""
-    out: list[Qubit | None] = []
-    positions, bases, bits, certain = [], [], [], []
-    for k, q in enumerate(qubits):
-        if q is None:
-            out.append(None)
-            continue
-        basis = basis_plan[k]
-        matched = basis == q.basis
-        outcome = measure(q, basis, rng)
-        out.append(encode(outcome, basis))
-        positions.append(k)
-        bases.append(basis)
-        bits.append(outcome ^ mask[k])
-        certain.append(matched)
-    return AttackResult(kind, tuple(positions), tuple(bases), tuple(bits), tuple(certain)), out
+    size = len(block)
+    hit = ~block.lost
+    if fraction < 1.0:
+        hit &= random_floats(rng, size) < fraction
+    result, resent = _intercept("intercept-resend", block, hit, random_bits(rng, size), 0, rng)
+    return resent, result
 
 
 def preparer_attack(
     prep_values: Sequence[int],
     prep_bases: Sequence[int],
-    qubits: Sequence[Qubit | None],
+    block: QubitBlock,
     rng: random.Random,
-) -> tuple[AttackResult, list]:
+) -> tuple[AttackResult, QubitBlock]:
     """First sender reads the second sender's bits out of the intercepted block.
 
     She measures position k in the basis she prepared it in and XORs off her
     own value bit. Exact whenever the second sender applied no basis mixing;
     otherwise only the half of the positions left in her basis decode.
     """
-    return _measure_and_strip("preparer-insider", qubits, prep_bases, prep_values, rng)
+    return _intercept(
+        "preparer-insider", block, ~block.lost, as_plane(prep_bases), as_plane(prep_values), rng
+    )
 
 
 def collusion_attack(
     known_values: dict[int, Sequence[int]],
     known_bases: dict[int, Sequence[int]],
-    qubits: Sequence[Qubit | None],
+    block: QubitBlock,
     rng: random.Random,
-) -> tuple[AttackResult, list]:
+) -> tuple[AttackResult, QubitBlock]:
     """Pooled-knowledge interception of the block leaving the targeted sender.
 
     ``known_values``/``known_bases`` map sender index to that sender's
@@ -279,35 +249,28 @@ def collusion_attack(
     are treated as all zeros (the interceptor's best standing guess), which
     degrades accuracy exactly as the missing randomness dictates.
     """
-    length = len(qubits)
-    basis_plan = [0] * length
-    for bits in known_bases.values():
-        basis_plan = [b ^ int(x) for b, x in zip(basis_plan, bits)]
-    mask = [0] * length
-    for bits in known_values.values():
-        mask = [m ^ int(x) for m, x in zip(mask, bits)]
-    return _measure_and_strip("colluder-insider", qubits, basis_plan, mask, rng)
+    size = len(block)
+    plan = _xor_all(known_bases.values(), size)
+    strip = _xor_all(known_values.values(), size)
+    return _intercept("colluder-insider", block, ~block.lost, plan, strip, rng)
 
 
 def ordering_attack(
     announced_bases: Sequence[Sequence[int]] | None,
-    qubits: Sequence[Qubit | None],
+    block: QubitBlock,
     rng: random.Random,
-) -> tuple[AttackResult, list]:
+) -> tuple[AttackResult, QubitBlock]:
     """Read the fully encoded block once every basis string is public.
 
     With all announcements in hand the interceptor measures each position in
     the combined basis and recovers the joint encoding bit everywhere, hence
     the whole raw key; with the strings withheld she can only guess bases.
     """
-    length = len(qubits)
+    size = len(block)
     if announced_bases is not None:
-        basis_plan = [0] * length
-        for bits in announced_bases:
-            basis_plan = [b ^ int(x) for b, x in zip(basis_plan, bits)]
+        plan = _xor_all(announced_bases, size)
         kind = "ordering-violation"
     else:
-        basis_plan = [rng.getrandbits(1) for _ in range(length)]
+        plan = random_bits(rng, size)
         kind = "ordering-violation-blind"
-    result, out = _measure_and_strip(kind, qubits, basis_plan, [0] * length, rng)
-    return result, out
+    return _intercept(kind, block, ~block.lost, plan, 0, rng)

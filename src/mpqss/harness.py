@@ -13,6 +13,8 @@ import random
 import statistics
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .channel import (
     IDEAL,
     ChannelModel,
@@ -186,19 +188,17 @@ def _adversary_accuracy(tr: Transcript, cfg: ProtocolConfig, adversary) -> float
         return None
     values, _ = expanded_bit_vectors(tr._secrets, cfg)
     if isinstance(adversary, InterceptResend):
-        truth = [0] * cfg.total_qubits
-        for sender_bits in values:
-            truth = [t ^ b for t, b in zip(truth, sender_bits)]
+        truth = np.bitwise_xor.reduce(values, axis=0).tolist()
         hits = sum(1 for p, b in zip(rec.positions, rec.bits) if b == truth[p])
         return hits / len(rec.positions)
     if isinstance(adversary, PreparerInsider):
-        truth = values[1]
+        truth = values[1].tolist()
         hits = sum(
             1 for p, b, ok in zip(rec.positions, rec.bits, rec.certain) if ok and b == truth[p]
         )
         return hits / len(rec.positions)
     if isinstance(adversary, ColluderInsider):
-        truth = values[adversary.target - 1]
+        truth = values[adversary.target - 1].tolist()
         hits = sum(
             1 for p, b, ok in zip(rec.positions, rec.bits, rec.certain) if ok and b == truth[p]
         )
@@ -427,10 +427,13 @@ def replay(text: str) -> Verdict:
 
     if raw_key_events:
         raw_key = str_to_bits(raw_key_events[0].payload)
+        checked = set(check_blocks)
+        unmeasured = [False] * blocks
+        receiver_masks = [usable.get(l, unmeasured) for l in range(1, n + 1)]
         key_blocks = [
             j
             for j in range(blocks)
-            if j not in set(check_blocks) and all(usable.get(l, [False] * blocks)[j] for l in range(1, n + 1))
+            if j not in checked and all(mask[j] for mask in receiver_masks)
         ]
         if len(raw_key) != len(key_blocks):
             issues.append(

@@ -1,0 +1,132 @@
+"""Bit-plane engine: blocks of four-state qubits as whole arrays.
+
+Every operation of the protocol maps |0>, |1>, |+>, |-> onto themselves (see
+``qubits``), so a block of qubits is exactly two uint8 planes, value and
+basis, plus a mask of lost positions. Each kernel below is one array
+expression doing at every position what the named ``qubits`` function does to
+one qubit. Kernels take their randomness as arrays (masks, bases, coins), so
+they are pure functions; the tests compare them with ``qubits`` position by
+position.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .qubits import Qubit
+
+# Plane code of a position that carries no usable outcome; payloads show '?'.
+UNUSABLE = 2
+
+# Each whole-array draw unpacks one ``getrandbits`` call of the run's
+# ``random.Random``, so numpy.random, which ``import numpy`` leaves unloaded,
+# is never loaded. Bytes are read little-endian, so the planes are the same on
+# every platform.
+
+
+def random_bits(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` independent fair bits as a uint8 plane."""
+    size = -(-count // 8)
+    raw = np.frombuffer(rng.getrandbits(8 * size).to_bytes(size, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little")
+
+
+def random_words(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` independent uniform 64-bit integers."""
+    return np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u8")
+
+
+def random_floats(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` uniform draws from [0, 1) with the 53-bit resolution of ``random()``."""
+    return (random_words(rng, count) >> 11) * 2.0**-53
+
+
+def as_plane(bits) -> np.ndarray:
+    """A sequence of 0/1 (tuple, list, bytes or array) as a uint8 plane."""
+    if isinstance(bits, np.ndarray):
+        plane = bits.astype(np.uint8)
+    else:
+        plane = np.frombuffer(bytes(bits), dtype=np.uint8)
+    if plane.size and plane.max() > 1:
+        raise ValueError("bits must be 0 or 1")
+    return plane
+
+
+@dataclass(eq=False)
+class QubitBlock:
+    """Position k holds the state with value[k] in basis[k], unless lost[k].
+
+    Basis 0 is Z and 1 is X, as in ``qubits``. Planes are never written in
+    place, so blocks may share them (``split_for_receivers`` hands out views).
+    """
+
+    value: np.ndarray  # uint8
+    basis: np.ndarray  # uint8
+    lost: np.ndarray  # bool: deleted in transit
+
+    @classmethod
+    def encode(cls, values: np.ndarray, bases: np.ndarray) -> "QubitBlock":
+        """Fresh states carrying ``values`` in ``bases`` (``qubits.encode``)."""
+        return cls(values, bases, np.zeros(len(values), dtype=bool))
+
+    @classmethod
+    def from_qubits(cls, qubits: Sequence[Qubit | None]) -> "QubitBlock":
+        """Planes of a per-position list, None marking a lost position."""
+        live = [Qubit(0, 0) if q is None else q for q in qubits]
+        return cls(
+            np.array([q.value for q in live], dtype=np.uint8),
+            np.array([q.basis for q in live], dtype=np.uint8),
+            np.array([q is None for q in qubits], dtype=bool),
+        )
+
+    @property
+    def qubits(self) -> list[Qubit | None]:
+        """The block in the symbolic algebra, one entry per position."""
+        return [
+            None if gone else Qubit(v, b)
+            for v, b, gone in zip(self.value.tolist(), self.basis.tolist(), self.lost.tolist())
+        ]
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __iter__(self):
+        """The block read as a sequence of ``Qubit | None``, as 0.1.0 blocks were."""
+        return iter(self.qubits)
+
+    def xor(self, values: np.ndarray, bases: np.ndarray) -> "QubitBlock":
+        """``apply_value_flip`` where ``values`` is 1, then ``apply_hadamard`` where ``bases`` is 1."""
+        return QubitBlock(self.value ^ values, self.basis ^ bases, self.lost)
+
+    def pauli(self, x: np.ndarray, z: np.ndarray) -> "QubitBlock":
+        """``apply_pauli`` with the Pauli whose (x, z) bits are given per position."""
+        return QubitBlock(self.value ^ np.where(self.basis == 0, x, z), self.basis, self.lost)
+
+    def drop(self, mask: np.ndarray) -> "QubitBlock":
+        """Delete the masked positions."""
+        return QubitBlock(self.value, self.basis, self.lost | mask)
+
+    def substitute(self, mask: np.ndarray, values: np.ndarray, bases: np.ndarray) -> "QubitBlock":
+        """Replace the masked positions by the states (values, bases)."""
+        return QubitBlock(
+            np.where(mask, values, self.value), np.where(mask, bases, self.basis), self.lost
+        )
+
+    def measure(self, bases: np.ndarray, coins: np.ndarray) -> np.ndarray:
+        """``qubits.measure`` everywhere: the value where ``bases`` matches, else the coin."""
+        return np.where(self.basis == bases, self.value, coins)
+
+    def collapse(
+        self, mask: np.ndarray, bases: np.ndarray, coins: np.ndarray
+    ) -> tuple[np.ndarray, "QubitBlock"]:
+        """Measure in ``bases`` and leave the masked positions in the collapsed states.
+
+        Returns the outcome at every position and the block with each masked
+        position re-encoded as ``encode(outcome, basis)``.
+        """
+        outcome = self.measure(bases, coins)
+        return outcome, self.substitute(mask, outcome, bases)

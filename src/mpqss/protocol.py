@@ -16,7 +16,10 @@ import enum
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .channel import (
     IDEAL,
@@ -33,7 +36,11 @@ from .channel import (
     transmit,
 )
 from .errors import ConfigError, OrderingError, ProtocolStateError
-from .qubits import Qubit, apply_hadamard, apply_value_flip, encode, measure
+from .planes import UNUSABLE, QubitBlock, as_plane, random_bits, random_words
+
+# The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
+# counts calls at these names.
+from .qubits import apply_hadamard, apply_value_flip, encode, measure  # noqa: F401
 from .transcript import (
     KIND_ABORT,
     KIND_ACK,
@@ -180,26 +187,46 @@ class PartySecrets:
     basis_bits: tuple[int, ...]
     value_shares: tuple[int, ...] | None = None  # first sender, shared-block variant
 
+    @classmethod
+    def from_planes(
+        cls, party: str, value: np.ndarray, basis: np.ndarray, shares: np.ndarray | None = None
+    ) -> "PartySecrets":
+        """Secrets drawn as planes; the planes are kept rather than rebuilt from the tuples."""
+        secrets = cls(
+            party,
+            _bits_tuple(value),
+            _bits_tuple(basis),
+            None if shares is None else _bits_tuple(shares),
+        )
+        secrets.__dict__["planes"] = (value, basis, shares)  # seeds the cached property
+        return secrets
 
-def _rand_bits(rng: random.Random, count: int) -> tuple[int, ...]:
-    return tuple(rng.getrandbits(1) for _ in range(count))
+    @cached_property
+    def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(value, basis, shares) strings as uint8 planes, converted once."""
+        shares = None if self.value_shares is None else as_plane(self.value_shares)
+        return as_plane(self.value_bits), as_plane(self.basis_bits), shares
 
 
-def _expand_shares(value_bits: Sequence[int], receivers: int, rng: random.Random) -> tuple[int, ...]:
+def _bits_tuple(plane: np.ndarray) -> tuple[int, ...]:
+    """A uint8 plane as the tuple of ints the public records hold."""
+    return tuple(plane.tobytes())
+
+
+def _payload(plane: np.ndarray) -> str:
+    """Transcript payload of a uint8 or bool plane (UNUSABLE renders as '?')."""
+    return bits_to_str(plane.tobytes())
+
+
+def _expand_shares(value_bits: np.ndarray, receivers: int, rng: random.Random) -> np.ndarray:
     """Split each bit into ``receivers`` single-qubit shares with matching XOR.
 
     Uniform over the 2^(n-1) satisfying assignments per block: the first n-1
     shares are free and the last absorbs the parity.
     """
-    shares: list[int] = []
-    for bit in value_bits:
-        free = [rng.getrandbits(1) for _ in range(receivers - 1)]
-        parity = bit
-        for f in free:
-            parity ^= f
-        shares.extend(free)
-        shares.append(parity)
-    return tuple(shares)
+    free = random_bits(rng, len(value_bits) * (receivers - 1)).reshape(-1, receivers - 1)
+    parity = value_bits ^ np.bitwise_xor.reduce(free, axis=1)
+    return np.column_stack([free, parity]).ravel()
 
 
 def secret_lengths(cfg: ProtocolConfig) -> tuple[int, int]:
@@ -220,15 +247,15 @@ def generate_secrets(cfg: ProtocolConfig, rng: random.Random) -> list[PartySecre
     out = []
     n_value, n_basis = secret_lengths(cfg)
     for i in range(1, cfg.senders + 1):
-        value_bits = _rand_bits(rng, n_value)
+        value_bits = random_bits(rng, n_value)
         if i in cfg.omit_hadamard:
-            basis_bits = (0,) * n_basis
+            basis_bits = np.zeros(n_basis, dtype=np.uint8)
         else:
-            basis_bits = _rand_bits(rng, n_basis)
+            basis_bits = random_bits(rng, n_basis)
         shares = None
         if cfg.variant is Variant.BLOCK_SHARED and i == 1:
             shares = _expand_shares(value_bits, cfg.receivers, rng)
-        out.append(PartySecrets(f"alice{i}", value_bits, basis_bits, shares))
+        out.append(PartySecrets.from_planes(f"alice{i}", value_bits, basis_bits, shares))
     return out
 
 
@@ -247,51 +274,33 @@ def _check_secret_sizes(secrets: PartySecrets, cfg: ProtocolConfig, first: bool)
 
 def expanded_bit_vectors(
     secrets: Sequence[PartySecrets], cfg: ProtocolConfig
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Per-position value and basis bit vectors for every sender.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position value and basis planes for every sender, shape (senders, n*N).
 
     Expands block-granular strings so position arithmetic is uniform across
     variants: the bit governing qubit k of sender i lands at [i-1][k].
     """
-    values: list[list[int]] = []
-    bases: list[list[int]] = []
     n = cfg.receivers
+    values = []
+    bases = []
     for s in secrets:
-        if cfg.variant is Variant.MAIN:
-            v = list(s.value_bits)
-            b = list(s.basis_bits)
-        elif cfg.variant is Variant.BLOCK_BASIS:
-            v = list(s.value_bits)
-            b = [s.basis_bits[block_of(k, n)] for k in range(cfg.total_qubits)]
-        else:
+        v, b, shares = s.planes
+        if cfg.variant is Variant.BLOCK_BASIS:
+            b = np.repeat(b, n)
+        elif cfg.variant is Variant.BLOCK_SHARED:
             # Only the first sender carries per-position shares of her bits.
-            if s.value_shares is not None:
-                v = list(s.value_shares)
-            else:
-                v = [s.value_bits[block_of(k, n)] for k in range(cfg.total_qubits)]
-            b = [s.basis_bits[block_of(k, n)] for k in range(cfg.total_qubits)]
+            v = shares if shares is not None else np.repeat(v, n)
+            b = np.repeat(b, n)
         values.append(v)
         bases.append(b)
-    return values, bases
-
-
-@dataclass
-class QubitBlock:
-    """The n*N-qubit product state as it travels the sender chain."""
-
-    qubits: list  # Qubit | None per position
-    origin: int  # 1-based index of the sender it last left
-
-    def __len__(self) -> int:
-        return len(self.qubits)
+    return np.array(values), np.array(bases)
 
 
 def prepare_block(secrets: PartySecrets, cfg: ProtocolConfig) -> QubitBlock:
     """First sender turns her strings into the initial qubit block."""
     _check_secret_sizes(secrets, cfg, first=True)
     values, bases = expanded_bit_vectors([secrets], cfg)
-    qubits = [encode(v, b) for v, b in zip(values[0], bases[0])]
-    return QubitBlock(qubits, origin=1)
+    return QubitBlock.encode(values[0], bases[0])
 
 
 def encode_block(
@@ -305,32 +314,19 @@ def encode_block(
     """
     if sender_index < 2 or sender_index > cfg.senders:
         raise ConfigError("secrets", f"sender index {sender_index} out of range")
-    if len(block.qubits) != cfg.total_qubits:
-        raise ConfigError("secrets", f"block has {len(block.qubits)} qubits, expected {cfg.total_qubits}")
+    if len(block) != cfg.total_qubits:
+        raise ConfigError("secrets", f"block has {len(block)} qubits, expected {cfg.total_qubits}")
     _check_secret_sizes(secrets, cfg, first=False)
     values, bases = expanded_bit_vectors([secrets], cfg)
-    out = []
-    for k, q in enumerate(block.qubits):
-        if q is None:
-            out.append(None)
-            continue
-        if values[0][k]:
-            q = apply_value_flip(q)
-        if bases[0][k]:
-            q = apply_hadamard(q)
-        out.append(q)
-    return QubitBlock(out, origin=sender_index)
+    return block.xor(values[0], bases[0])
 
 
-def split_for_receivers(block: QubitBlock, cfg: ProtocolConfig) -> list[list]:
+def split_for_receivers(block: QubitBlock, cfg: ProtocolConfig) -> list[QubitBlock]:
     """Round-robin deal: receiver l takes positions n*j + l, order preserved."""
-    if len(block.qubits) != cfg.total_qubits:
-        raise ConfigError("secrets", f"block has {len(block.qubits)} qubits, expected {cfg.total_qubits}")
+    if len(block) != cfg.total_qubits:
+        raise ConfigError("secrets", f"block has {len(block)} qubits, expected {cfg.total_qubits}")
     n = cfg.receivers
-    return [
-        [block.qubits[position(j, l, n)] for j in range(cfg.blocks)]
-        for l in range(1, n + 1)
-    ]
+    return [QubitBlock(block.value[l::n], block.basis[l::n], block.lost[l::n]) for l in range(n)]
 
 
 def announce_bases(
@@ -348,77 +344,83 @@ def announce_bases(
             f"sender {sender_index} tried to announce bases before receivers "
             f"{missing} acknowledged reception"
         )
-    ev = tr.record(KIND_BASES, f"alice{sender_index}", bits_to_str(basis_bits))
-    tr.announced_bases[sender_index] = tuple(int(b) for b in basis_bits)
+    plane = as_plane(basis_bits)
+    ev = tr.record(KIND_BASES, f"alice{sender_index}", _payload(plane))
+    tr.announced_bases[sender_index] = _bits_tuple(plane)
     tr.bases_seqs[sender_index] = ev.seq
 
 
-def combined_bases(tr: Transcript, cfg: ProtocolConfig) -> list[int]:
+def combined_bases(tr: Transcript, cfg: ProtocolConfig) -> np.ndarray:
     """Per-position XOR of all announced basis strings (the decoding basis)."""
     if len(tr.announced_bases) < cfg.senders:
         raise ProtocolStateError("not every sender has announced a basis string")
-    combined = [0] * cfg.total_qubits
-    n = cfg.receivers
+    combined = np.zeros(cfg.total_qubits, dtype=np.uint8)
     for bits in tr.announced_bases.values():
-        if len(bits) == cfg.total_qubits:
-            per_position = bits
-        else:
-            per_position = [bits[block_of(k, n)] for k in range(cfg.total_qubits)]
-        combined = [c ^ int(b) for c, b in zip(combined, per_position)]
+        plane = as_plane(bits)
+        if len(plane) != cfg.total_qubits:
+            plane = np.repeat(plane, cfg.receivers)
+        combined ^= plane
     return combined
 
 
-def checked_positions(blocks: Sequence[int], cfg: ProtocolConfig) -> list[int]:
-    """Canonical reveal order: checked blocks ascending, receivers ascending."""
-    return [position(j, l, cfg.receivers) for j in sorted(blocks) for l in range(1, cfg.receivers + 1)]
+@dataclass(eq=False)
+class Readout:
+    """Every receiver's record as (N, n) planes: row j is block j, column l-1 receiver l."""
+
+    outcome: np.ndarray  # uint8 measurement outcome; meaningless where lost
+    lost: np.ndarray  # bool: no qubit arrived
+    usable: np.ndarray  # bool: arrived and measured in the combined basis
+
+
+def _unchecked_blocks(tr: Transcript, cfg: ProtocolConfig) -> np.ndarray:
+    unchecked = np.ones(cfg.blocks, dtype=bool)
+    unchecked[np.array(tr.check_blocks, dtype=np.intp)] = False
+    return unchecked
 
 
 def run_check(
     tr: Transcript,
     cfg: ProtocolConfig,
-    values: Sequence[Sequence[int]],
+    values: np.ndarray,
+    readout: Readout,
     rng: random.Random,
     check_blocks: Sequence[int] | None = None,
 ) -> bool:
     """Reveal a random subset of blocks and compare outcomes against the XOR.
 
-    Aborts the run when the disagreement rate among comparable revealed
-    positions exceeds the configured threshold. Returns True on pass.
+    ``values`` holds every sender's per-position value plane. Aborts the run
+    when the disagreement rate among comparable revealed positions exceeds
+    the configured threshold. Returns True on pass.
     """
     want = cfg.checked_block_count
     if check_blocks is None:
-        blocks = tuple(sorted(rng.sample(range(cfg.blocks), want)))
+        # The blocks holding the ``want`` smallest of N independent uniform
+        # keys form a uniformly random subset.
+        keys = random_words(rng, cfg.blocks)
+        checked = np.zeros(cfg.blocks, dtype=bool)
+        checked[np.argpartition(keys, want - 1)[:want]] = True
+        rows = np.flatnonzero(checked)
+        blocks = tuple(rows.tolist())
     else:
         blocks = tuple(sorted(int(j) for j in check_blocks))
         if len(set(blocks)) != want or any(not 0 <= j < cfg.blocks for j in blocks):
             raise ConfigError("check_blocks", f"need {want} distinct block indices in [0, {cfg.blocks})")
+        rows = np.array(blocks, dtype=np.intp)
     tr.check_blocks = blocks
-    tr.record(KIND_CHECK_SELECT, "all", ",".join(str(j) for j in blocks) or "-")
+    tr.record(KIND_CHECK_SELECT, "all", ",".join(map(str, blocks)) or "-")
 
-    positions = checked_positions(blocks, cfg)
-    for i in range(1, cfg.senders + 1):
-        revealed = [values[i - 1][k] for k in positions]
-        tr.record(KIND_CHECK_SENDER, f"alice{i}", bits_to_str(revealed))
-    compared = 0
-    disagree = 0
+    # Reveal order: checked blocks ascending, receivers ascending within each.
+    sent = values.reshape(len(values), cfg.blocks, cfg.receivers)[:, rows]
+    for i, bits in enumerate(sent, start=1):
+        tr.record(KIND_CHECK_SENDER, f"alice{i}", _payload(bits))
+    usable = readout.usable[rows]
+    outcome = readout.outcome[rows]
+    revealed = np.where(usable, outcome, UNUSABLE)
     for l in range(1, cfg.receivers + 1):
-        revealed = []
-        for j in sorted(blocks):
-            if tr.usable[l][j]:
-                revealed.append(tr.outcomes[l][j])
-            else:
-                revealed.append(None)
-        tr.record(KIND_CHECK_RECV, f"bob{l}", bits_to_str(revealed))
-        for j, outcome in zip(sorted(blocks), revealed):
-            if outcome is None:
-                continue
-            k = position(j, l, cfg.receivers)
-            expected = 0
-            for sender_bits in values:
-                expected ^= sender_bits[k]
-            compared += 1
-            if outcome != expected:
-                disagree += 1
+        tr.record(KIND_CHECK_RECV, f"bob{l}", _payload(revealed[:, l - 1]))
+    expected = np.bitwise_xor.reduce(sent, axis=0)
+    compared = int(np.count_nonzero(usable))
+    disagree = int(np.count_nonzero(usable & (outcome != expected)))
     rate = disagree / compared if compared else 0.0
     tr.compared = compared
     tr.disagreements = disagree
@@ -436,7 +438,9 @@ def run_check(
     return passed
 
 
-def extract_raw_key(tr: Transcript, cfg: ProtocolConfig, values: Sequence[Sequence[int]]) -> None:
+def extract_raw_key(
+    tr: Transcript, cfg: ProtocolConfig, values: np.ndarray, readout: Readout
+) -> None:
     """XOR each surviving unchecked block across receivers into one key bit.
 
     A block survives when every receiver holds a usable outcome for it. Each
@@ -447,58 +451,62 @@ def extract_raw_key(tr: Transcript, cfg: ProtocolConfig, values: Sequence[Sequen
         raise ProtocolStateError("raw key requested before the check ran")
     if tr.abort_reason is not None:
         raise ProtocolStateError("raw key requested after an abort")
-    checked = set(tr.check_blocks)
-    key_blocks = [
-        j
-        for j in range(cfg.blocks)
-        if j not in checked and all(tr.usable[l][j] for l in range(1, cfg.receivers + 1))
-    ]
-    tr.key_blocks = tuple(key_blocks)
-    key = []
-    for j in key_blocks:
-        bit = 0
-        for l in range(1, cfg.receivers + 1):
-            bit ^= tr.outcomes[l][j]
-        key.append(bit)
+    key_blocks = np.flatnonzero(_unchecked_blocks(tr, cfg) & readout.usable.all(axis=1))
+    tr.key_blocks = tuple(key_blocks.tolist())
+    contrib = readout.outcome[key_blocks]
     for l in range(1, cfg.receivers + 1):
-        contrib = [tr.outcomes[l][j] for j in key_blocks]
-        tr.record(KIND_KEY_CONTRIB, f"bob{l}", bits_to_str(contrib))
-    tr.raw_key = tuple(key)
-    tr.record(KIND_RAW_KEY, "all", bits_to_str(key))
+        tr.record(KIND_KEY_CONTRIB, f"bob{l}", _payload(contrib[:, l - 1]))
+    key = np.bitwise_xor.reduce(contrib, axis=1)
+    tr.raw_key = _bits_tuple(key)
+    tr.record(KIND_RAW_KEY, "all", _payload(key))
 
-    reference = []
-    for j in key_blocks:
-        bit = 0
-        for l in range(1, cfg.receivers + 1):
-            k = position(j, l, cfg.receivers)
-            for sender_bits in values:
-                bit ^= sender_bits[k]
-        reference.append(bit)
-    tr.reference_key = tuple(reference)
+    truth = np.bitwise_xor.reduce(values, axis=0).reshape(cfg.blocks, cfg.receivers)
+    tr.reference_key = _bits_tuple(np.bitwise_xor.reduce(truth[key_blocks], axis=1))
 
 
-def _finalize_rates(tr: Transcript, cfg: ProtocolConfig) -> None:
-    n = cfg.receivers
-    received = usable = 0
-    for l in range(1, n + 1):
-        for j in range(cfg.blocks):
-            if tr.outcomes.get(l) is not None and tr.outcomes[l][j] is not None:
-                received += 1
-                if tr.usable[l][j]:
-                    usable += 1
+def _finalize_rates(tr: Transcript, cfg: ProtocolConfig, readout: Readout | None) -> None:
+    if readout is None:  # aborted before any qubit was measured
+        tr.sift_rate = tr.efficiency = 0.0
+        return
+    received = readout.lost.size - int(np.count_nonzero(readout.lost))
+    usable = int(np.count_nonzero(readout.usable))
     tr.sift_rate = usable / received if received else 0.0
-    checked = set(tr.check_blocks)
-    non_check = [j for j in range(cfg.blocks) if j not in checked]
-    total = len(non_check) * n
-    if total and tr.usable:
-        good = sum(1 for j in non_check for l in range(1, n + 1) if tr.usable[l][j])
-        tr.efficiency = good / total
-    else:
-        tr.efficiency = 0.0
+    unchecked = _unchecked_blocks(tr, cfg)
+    total = int(np.count_nonzero(unchecked)) * cfg.receivers
+    tr.efficiency = int(np.count_nonzero(readout.usable[unchecked])) / total if total else 0.0
 
 
 def _attack_record(result: AttackResult) -> AdversaryRecord:
-    return AdversaryRecord(result.kind, result.positions, result.bases, result.bits, result.certain)
+    return AdversaryRecord(
+        result.kind,
+        tuple(result.positions.tolist()),
+        _bits_tuple(result.bases),
+        _bits_tuple(result.bits),
+        tuple(result.certain.tolist()),
+    )
+
+
+def _record_readout(
+    tr: Transcript, cfg: ProtocolConfig, readout: Readout, chosen: np.ndarray
+) -> None:
+    """Publish each receiver's records and fill the transcript's typed mirrors."""
+    shown = np.where(readout.lost, UNUSABLE, readout.outcome)
+    outcomes = readout.outcome.T.tolist()
+    rows, columns = np.nonzero(readout.lost)
+    for j, c in zip(rows.tolist(), columns.tolist()):
+        outcomes[c][j] = None
+    usable = readout.usable.T.tolist()
+    chosen_bases = chosen.T.tolist()
+    for l in range(1, cfg.receivers + 1):
+        c = l - 1
+        tr.outcomes[l] = outcomes[c]
+        tr.usable[l] = usable[c]
+        tr.chosen_bases[l] = tuple(chosen_bases[c])
+        if not cfg.quantum_memory:
+            tr.guesses[l] = tr.chosen_bases[l]
+            tr.record(KIND_GUESS, f"bob{l}", _payload(chosen[:, c]))
+            tr.record(KIND_SIFT, f"bob{l}", _payload(readout.usable[:, c]))
+        tr.record(KIND_MEASURED, f"bob{l}", _payload(shown[:, c]))
 
 
 def run_protocol(
@@ -510,9 +518,10 @@ def run_protocol(
 ) -> Transcript:
     """Execute one full run and return its transcript.
 
-    Deterministic given (cfg.seed, channel). ``secrets`` and ``check_blocks``
-    inject fixed strings and a fixed check selection for reproducing known
-    vectors; normally both are drawn from the run's seeded generator.
+    Deterministic given (cfg.seed, channel): every draw comes from one
+    ``random.Random`` seeded with cfg.seed, a whole array at a time. ``secrets`` and
+    ``check_blocks`` inject fixed strings and a fixed check selection for
+    reproducing known vectors; normally both are drawn from that generator.
     """
     channel = channel if channel is not None else IDEAL
     channel.validate()
@@ -523,28 +532,32 @@ def run_protocol(
         )
     rng = random.Random(cfg.seed)
     tr = Transcript(cfg.snapshot())
-    m, n = cfg.senders, cfg.receivers
+    m, n, size = cfg.senders, cfg.receivers, cfg.total_qubits
 
     alices = list(secrets) if secrets is not None else generate_secrets(cfg, rng)
     if len(alices) != m:
         raise ConfigError("secrets", f"need {m} senders' secrets, got {len(alices)}")
+    for i, s in enumerate(alices):
+        _check_secret_sizes(s, cfg, first=i == 0)
     tr._secrets = alices
     values, basis_vectors = expanded_bit_vectors(alices, cfg)
+    basis_strings = [s.planes[1] for s in alices]  # as announced, not expanded per position
     adv = channel.adversary
+    # An intercept-resend adversary sits on the last hop only.
+    inner_hop = channel if adv is None else replace(channel, adversary=None)
+    last_hop = channel if isinstance(adv, InterceptResend) else inner_hop
 
-    def hop(qubits: list, leaving: int) -> list:
-        eve = adv if isinstance(adv, InterceptResend) and leaving == m else None
-        res = transmit(qubits, replace(channel, adversary=eve), rng)
-        qubits = res.qubits
-        if res.lost and channel.loss_strategy is LossStrategy.REMOVE and leaving < m:
-            bitmap = ["0"] * cfg.total_qubits
-            for k in res.lost:
-                bitmap[k] = "1"
-            tr.record(KIND_LOSS, f"alice{leaving + 1}", "".join(bitmap))
+    def hop(block: QubitBlock, leaving: int) -> QubitBlock:
+        res = transmit(block, last_hop if leaving == m else inner_hop, rng)
+        block = res.block
+        if len(res.lost) and channel.loss_strategy is LossStrategy.REMOVE and leaving < m:
+            bitmap = np.zeros(size, dtype=np.uint8)
+            bitmap[res.lost] = 1
+            tr.record(KIND_LOSS, f"alice{leaving + 1}", _payload(bitmap))
         if res.intercept is not None:
             tr.adversary = _attack_record(res.intercept)
         if isinstance(adv, PreparerInsider) and leaving == 2:
-            result, qubits = preparer_attack(values[0], basis_vectors[0], qubits, rng)
+            result, block = preparer_attack(values[0], basis_vectors[0], block, rng)
             tr.adversary = _attack_record(result)
         elif isinstance(adv, ColluderInsider) and leaving == adv.target:
             colluders = adv.colluders if adv.colluders is not None else frozenset(range(1, adv.target))
@@ -552,97 +565,64 @@ def run_protocol(
             known_bases = {
                 i: basis_vectors[i - 1] for i in colluders if i not in adv.withheld_bases
             }
-            result, qubits = collusion_attack(known_values, known_bases, qubits, rng)
+            result, block = collusion_attack(known_values, known_bases, block, rng)
             tr.adversary = _attack_record(result)
         elif isinstance(adv, OrderingAttack) and leaving == m:
             if adv.use_announced_bases and len(tr.announced_bases) == m:
                 announced = basis_vectors  # announced strings, expanded per position
-                result, qubits = ordering_attack(announced, qubits, rng)
+                result, block = ordering_attack(announced, block, rng)
             else:
-                result, qubits = ordering_attack(None, qubits, rng)
+                result, block = ordering_attack(None, block, rng)
             tr.adversary = _attack_record(result)
-        return qubits
+        return block
 
     block = prepare_block(alices[0], cfg)
-    qubits = block.qubits
     for i in range(2, m + 1):
-        qubits = hop(qubits, leaving=i - 1)
-        block = encode_block(QubitBlock(qubits, origin=i - 1), alices[i - 1], i, cfg)
-        qubits = block.qubits
+        block = encode_block(hop(block, leaving=i - 1), alices[i - 1], i, cfg)
 
     # An ordering attack relies on the senders broadcasting before reception.
     announce_early = isinstance(adv, OrderingAttack) and adv.use_announced_bases
     if announce_early:
         try:
             for i in range(1, m + 1):
-                announce_bases(tr, i, alices[i - 1].basis_bits, cfg)
+                announce_bases(tr, i, basis_strings[i - 1], cfg)
         except OrderingError as err:
             tr.abort_reason = f"ordering violation: {err}"
             tr.record(KIND_ABORT, "all", "ordering-violation")
-            _finalize_rates(tr, cfg)
+            _finalize_rates(tr, cfg, None)
             return tr
 
-    qubits = hop(qubits, leaving=m)
-    per_receiver = split_for_receivers(QubitBlock(qubits, origin=m), cfg)
-
-    for l in range(1, n + 1):
-        received = per_receiver[l - 1]
-        if channel.loss_strategy is LossStrategy.REMOVE and any(q is None for q in received):
-            bitmap = "".join("1" if q is None else "0" for q in received)
-            tr.record(KIND_LOSS, f"bob{l}", bitmap)
+    block = hop(block, leaving=m)
+    for l, received in enumerate(split_for_receivers(block, cfg), start=1):
+        if channel.loss_strategy is LossStrategy.REMOVE and received.lost.any():
+            tr.record(KIND_LOSS, f"bob{l}", _payload(received.lost))
         ev = tr.record(KIND_ACK, f"bob{l}")
         tr.ack_seqs[l] = ev.seq
 
     if not cfg.quantum_memory:
         # No storage: measure in guessed bases before any announcement.
+        guesses = random_bits(rng, size)
+        outcome = block.measure(guesses, random_bits(rng, size))
         for l in range(1, n + 1):
-            guesses = tuple(rng.getrandbits(1) for _ in range(cfg.blocks))
-            tr.guesses[l] = guesses
-            tr.chosen_bases[l] = guesses
-            outcomes = []
-            for j, q in enumerate(per_receiver[l - 1]):
-                outcomes.append(None if q is None else measure(q, guesses[j], rng))
-            tr.outcomes[l] = outcomes
             tr.record(KIND_EARLY_MEASURE, f"bob{l}")
 
     if not announce_early:
         for i in range(1, m + 1):
-            announce_bases(tr, i, alices[i - 1].basis_bits, cfg)
+            announce_bases(tr, i, basis_strings[i - 1], cfg)
 
     required = combined_bases(tr, cfg)
     if cfg.quantum_memory:
-        for l in range(1, n + 1):
-            outcomes = []
-            usable = []
-            chosen = []
-            for j, q in enumerate(per_receiver[l - 1]):
-                basis = required[position(j, l, n)]
-                chosen.append(basis)
-                if q is None:
-                    outcomes.append(None)
-                    usable.append(False)
-                else:
-                    outcomes.append(measure(q, basis, rng))
-                    usable.append(True)
-            tr.outcomes[l] = outcomes
-            tr.usable[l] = usable
-            tr.chosen_bases[l] = tuple(chosen)
-            tr.record(KIND_MEASURED, f"bob{l}", bits_to_str(outcomes))
+        chosen = required
+        outcome = block.measure(required, random_bits(rng, size))
+        usable = ~block.lost
     else:
-        for l in range(1, n + 1):
-            tr.record(KIND_GUESS, f"bob{l}", bits_to_str(tr.guesses[l]))
-            usable = []
-            for j in range(cfg.blocks):
-                ok = (
-                    tr.outcomes[l][j] is not None
-                    and tr.guesses[l][j] == required[position(j, l, n)]
-                )
-                usable.append(ok)
-            tr.usable[l] = usable
-            tr.record(KIND_SIFT, f"bob{l}", "".join("1" if u else "0" for u in usable))
-            tr.record(KIND_MEASURED, f"bob{l}", bits_to_str(tr.outcomes[l]))
+        chosen = guesses
+        usable = ~block.lost & (guesses == required)
+    shape = (cfg.blocks, n)
+    readout = Readout(outcome.reshape(shape), block.lost.reshape(shape), usable.reshape(shape))
+    _record_readout(tr, cfg, readout, chosen.reshape(shape))
 
-    if run_check(tr, cfg, values, rng, check_blocks=check_blocks):
-        extract_raw_key(tr, cfg, values)
-    _finalize_rates(tr, cfg)
+    if run_check(tr, cfg, values, readout, rng, check_blocks=check_blocks):
+        extract_raw_key(tr, cfg, values, readout)
+    _finalize_rates(tr, cfg, readout)
     return tr

@@ -40,8 +40,16 @@ KIND_RAW_KEY = "raw-key"          # combined key (joint computation, no mechanis
 KIND_ABORT = "abort"
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01\x02", b"01?")
+
+
 def bits_to_str(bits) -> str:
-    return "".join("?" if b is None else str(int(b)) for b in bits)
+    """Payload of a sequence of 0, 1 and None, or of bytes holding 0, 1 and 2 for None."""
+    try:
+        codes = bytes(bits)
+    except TypeError:  # None entries
+        codes = bytes(2 if b is None else b for b in bits)
+    return codes.translate(_BIT_CHARS).decode("ascii")
 
 
 def str_to_bits(s: str) -> tuple:

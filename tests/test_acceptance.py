@@ -137,11 +137,11 @@ def test_criterion_3_interception_statistics():
     assert 0.23 <= tr.qber <= 0.27
 
     details = [f"qber {tr.qber:.4f} over {compared} positions"]
-    for c, blocks in ((5, 2), (10, 4), (20, 8)):
+    for c, blocks, trials in ((5, 2, 10_000), (10, 4, 10_000), (20, 8, 1000)):
         spec = ExperimentSpec(
             protocol=ProtocolConfig(senders=2, receivers=5, blocks=blocks, seed=0),
             channel=eve,
-            trials=1000,
+            trials=trials,
             metrics=("detection_prob",),
             seed=4001,
         )

@@ -18,6 +18,7 @@ from mpqss import (
     PreparerInsider,
     ProtocolConfig,
     Qubit,
+    QubitBlock,
     encode,
     intercept_resend,
     measure,
@@ -32,7 +33,7 @@ from mpqss import (
 def random_block(rng, count):
     values = [rng.getrandbits(1) for _ in range(count)]
     bases = [rng.getrandbits(1) for _ in range(count)]
-    return values, bases, [encode(v, b) for v, b in zip(values, bases)]
+    return values, bases, QubitBlock.from_qubits([encode(v, b) for v, b in zip(values, bases)])
 
 
 class TestChannelModel:
@@ -45,30 +46,56 @@ class TestChannelModel:
 
     def test_ideal_channel_is_identity(self):
         rng = random.Random(0)
-        _, _, qubits = random_block(rng, 500)
-        res = transmit(qubits, ChannelModel(), rng)
-        assert res.qubits == qubits
-        assert res.lost == ()
+        _, _, block = random_block(rng, 500)
+        res = transmit(block, ChannelModel(), rng)
+        assert res.block.qubits == block.qubits
+        assert len(res.lost) == 0
         assert res.intercept is None
 
     def test_certain_x_noise_flips_every_z_basis_value(self):
         rng = random.Random(1)
         qubits = [Qubit(k % 2, 0) for k in range(100)]
-        res = transmit(qubits, ChannelModel(p_x=1.0), rng)
-        assert all(out.value == q.value ^ 1 for out, q in zip(res.qubits, qubits))
+        res = transmit(QubitBlock.from_qubits(qubits), ChannelModel(p_x=1.0), rng)
+        assert all(out.value == q.value ^ 1 for out, q in zip(res.block.qubits, qubits))
         # In the swapped basis the flip is pure phase and drops out.
         plus = [Qubit(k % 2, 1) for k in range(100)]
-        res = transmit(plus, ChannelModel(p_x=1.0), rng)
-        assert res.qubits == plus
+        res = transmit(QubitBlock.from_qubits(plus), ChannelModel(p_x=1.0), rng)
+        assert res.block.qubits == plus
+
+    def test_certain_y_and_z_noise_and_noise_on_survivors_only(self):
+        rng = random.Random(9)
+        qubits = [Qubit(k % 2, (k // 2) % 2) for k in range(100)]
+        block = QubitBlock.from_qubits(qubits)
+        # Y flips the value in both bases; Z only in the X basis.
+        res = transmit(block, ChannelModel(p_y=1.0), rng)
+        assert res.block.qubits == [Qubit(q.value ^ 1, q.basis) for q in qubits]
+        res = transmit(block, ChannelModel(p_z=1.0), rng)
+        assert res.block.qubits == [Qubit(q.value ^ q.basis, q.basis) for q in qubits]
+        # With loss and certain X noise, every survivor is flipped in the Z basis.
+        res = transmit(block, ChannelModel(loss_prob=0.5, p_x=1.0), rng)
+        out = res.block.qubits
+        assert 0 < len(res.lost) < 100
+        for k, (q, after) in enumerate(zip(qubits, out)):
+            if k in res.lost:
+                assert after is None
+            else:
+                assert after == Qubit(q.value ^ (1 - q.basis), q.basis)
+        # Noise rates hold among survivors: half of them flip at p_x = 0.5.
+        zeros = QubitBlock.from_qubits([Qubit(0, 0)] * 10_000)
+        res = transmit(zeros, ChannelModel(loss_prob=0.5, p_x=0.5), rng)
+        survivors = [q for q in res.block.qubits if q is not None]
+        assert abs(sum(q.value for q in survivors) / len(survivors) - 0.5) <= 0.03
 
     def test_removal_loss_fraction_matches_binomial_oracle(self):
         rng = random.Random(2)
-        _, _, qubits = random_block(rng, 10_000)
-        res = transmit(qubits, ChannelModel(loss_prob=0.1), rng)
+        _, _, block = random_block(rng, 10_000)
+        res = transmit(block, ChannelModel(loss_prob=0.1), rng)
         lost = len(res.lost)
         assert abs(lost / 10_000 - 0.1) <= 0.01
         assert binomtest(lost, 10_000, 0.1).pvalue >= 0.001
-        assert all(res.qubits[k] is None for k in res.lost)
+        out = res.block.qubits
+        assert all(out[k] is None for k in res.lost)
+        assert sum(q is None for q in out) == lost
 
     def test_substitution_disagrees_half_the_time_it_fires(self):
         # A substituted random state agrees with the original value on a
@@ -76,22 +103,26 @@ class TestChannelModel:
         # rate is loss_prob / 2.
         rng = random.Random(3)
         loss = 0.2
-        values, bases, qubits = random_block(rng, 10_000)
+        values, bases, block = random_block(rng, 10_000)
         res = transmit(
-            qubits, ChannelModel(loss_prob=loss, loss_strategy=LossStrategy.SUBSTITUTE), rng
+            block, ChannelModel(loss_prob=loss, loss_strategy=LossStrategy.SUBSTITUTE), rng
         )
-        assert all(q is not None for q in res.qubits)
+        assert all(q is not None for q in res.block.qubits)
         disagree = sum(
             1
-            for v, b, q in zip(values, bases, res.qubits)
+            for v, b, q in zip(values, bases, res.block.qubits)
             if measure(q, b, rng) != v
         )
         assert abs(disagree / 10_000 - loss / 2) <= 0.02
 
     def test_dead_positions_pass_through(self):
         rng = random.Random(4)
-        res = transmit([None, Qubit(0, 0)], ChannelModel(), rng)
-        assert res.qubits[0] is None and res.qubits[1] == Qubit(0, 0)
+        block = QubitBlock.from_qubits([None, Qubit(0, 0)])
+        res = transmit(block, ChannelModel(), rng)
+        assert res.block.qubits == [None, Qubit(0, 0)]
+        # A dead position is not lost a second time.
+        res = transmit(block, ChannelModel(loss_prob=0.5, p_x=1.0), rng)
+        assert res.block.qubits[0] is None and 0 not in res.lost
 
 
 class TestInterceptResend:
@@ -99,21 +130,21 @@ class TestInterceptResend:
         rng = random.Random(5)
         q = Qubit(1, 0)
         for _ in range(200):
-            out, rec = intercept_resend([q], rng)
+            out, rec = intercept_resend(QubitBlock.from_qubits([q]), rng)
             (pos,) = rec.positions
             if rec.bases[0] == q.basis:
-                assert out[0] == q
+                assert out.qubits[0] == q
                 assert rec.bits[0] == q.value
                 assert rec.certain[0]
 
     def test_disturbance_rate_in_the_honest_basis_is_one_quarter(self):
         # Oracle: wrong basis guess (1/2) times a flip on the honest readout (1/2).
         rng = random.Random(6)
-        values, bases, qubits = random_block(rng, 10_000)
-        out, _ = intercept_resend(qubits, rng)
+        values, bases, block = random_block(rng, 10_000)
+        out, _ = intercept_resend(block, rng)
         flipped = sum(
             1
-            for v, b, q in zip(values, bases, out)
+            for v, b, q in zip(values, bases, out.qubits)
             if measure(q, b, rng) != v
         )
         assert abs(flipped / 10_000 - 0.25) <= 0.02
@@ -121,11 +152,11 @@ class TestInterceptResend:
     @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
     def test_partial_interception_scales_disturbance_by_f(self, fraction):
         rng = random.Random(int(fraction * 100))
-        values, bases, qubits = random_block(rng, 10_000)
-        out, rec = intercept_resend(qubits, rng, fraction=fraction)
+        values, bases, block = random_block(rng, 10_000)
+        out, rec = intercept_resend(block, rng, fraction=fraction)
         flipped = sum(
             1
-            for v, b, q in zip(values, bases, out)
+            for v, b, q in zip(values, bases, out.qubits)
             if measure(q, b, rng) != v
         )
         assert abs(flipped / 10_000 - fraction / 4) <= 0.02
@@ -138,9 +169,9 @@ class TestInterceptResend:
         detected = 0
         trials = 1000
         for _ in range(trials):
-            values, bases, qubits = random_block(rng, c)
-            out, _ = intercept_resend(qubits, rng)
-            if any(measure(q, b, rng) != v for v, b, q in zip(values, bases, out)):
+            values, bases, block = random_block(rng, c)
+            out, _ = intercept_resend(block, rng)
+            if any(measure(q, b, rng) != v for v, b, q in zip(values, bases, out.qubits)):
                 detected += 1
         assert abs(detected / trials - (1 - 0.75**c)) <= 0.02
 
@@ -222,10 +253,10 @@ class TestPreparerInsider:
         from mpqss import encode_block, prepare_block
 
         block = encode_block(prepare_block(s1, cfg), s2, 2, cfg)
-        result, resent = preparer_attack(kv.VALUES_1, kv.BASES_1, block.qubits, rng)
-        assert result.bits == kv.VALUES_2
+        result, resent = preparer_attack(kv.VALUES_1, kv.BASES_1, block, rng)
+        assert tuple(result.bits.tolist()) == kv.VALUES_2
         assert all(result.certain)
-        assert resent == block.qubits  # interception left no trace
+        assert resent.qubits == block.qubits  # interception left no trace
 
 
 class TestColluderInsider:
@@ -354,8 +385,8 @@ class TestOrderingAttack:
 
     def test_standalone_attack_function(self):
         rng = random.Random(12)
-        values, bases, qubits = random_block(rng, 600)
-        result, resent = ordering_attack([bases], qubits, rng)
-        assert result.bits == tuple(values)
+        values, bases, block = random_block(rng, 600)
+        result, resent = ordering_attack([bases], block, rng)
+        assert result.bits.tolist() == values
         assert all(result.certain)
-        assert resent == qubits
+        assert resent.qubits == block.qubits

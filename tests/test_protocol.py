@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import known_vectors as kv
@@ -124,9 +125,9 @@ class TestKnownVectors:
         # Six qubits, three receivers: the second receiver takes 1-based
         # positions 2 and 5, i.e. 0-based 1 and 4.
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=2)
-        block = QubitBlock([Qubit(k % 2, 0) for k in range(6)], origin=2)
+        block = QubitBlock.from_qubits([Qubit(k % 2, 0) for k in range(6)])
         seqs = split_for_receivers(block, cfg)
-        assert seqs[1] == [block.qubits[1], block.qubits[4]]
+        assert seqs[1].qubits == [block.qubits[1], block.qubits[4]]
         assert position(0, 2, 3) == 1 and position(1, 2, 3) == 4
         for k in range(6):
             assert position(block_of(k, 3), receiver_of(k, 3), 3) == k
@@ -411,10 +412,14 @@ class TestChannelIntegration:
 
 class TestStateErrors:
     def test_raw_key_before_check_is_a_state_error(self):
+        from mpqss.protocol import Readout
+
         cfg = ProtocolConfig(senders=2, receivers=2, blocks=4)
         tr = Transcript(cfg.snapshot())
+        nothing = np.zeros((cfg.blocks, cfg.receivers), dtype=bool)
+        readout = Readout(nothing.astype(np.uint8), nothing, nothing)
         with pytest.raises(ProtocolStateError):
-            extract_raw_key(tr, cfg, [[0] * 8, [0] * 8])
+            extract_raw_key(tr, cfg, np.zeros((2, 8), dtype=np.uint8), readout)
 
     def test_encode_rejects_bad_sender_index(self):
         cfg = kv.config()
