@@ -410,20 +410,25 @@ def replay(text: str) -> Verdict:
                     disagree += 1
         results = parsed.events_of(KIND_CHECK_RESULT)
         if results:
-            fields = dict(item.split("=") for item in results[0].payload.split(";"))
-            if int(fields["compared"]) != compared or int(fields["disagree"]) != disagree:
-                issues.append(
-                    f"check-result: recorded {fields['compared']}/{fields['disagree']} "
-                    f"but reveals give {compared}/{disagree}"
-                )
-            rate = disagree / compared if compared else 0.0
-            recorded_pass = fields["pass"] == "1"
-            if recorded_pass != (rate <= threshold):
-                issues.append("check-result: pass flag contradicts the recomputed rate")
-            if not recorded_pass and not aborts:
-                issues.append("check-result: failed check without an abort event")
-            if recorded_pass and not raw_key_events and not aborts:
-                issues.append("raw-key: passing run recorded no key")
+            fields = dict(item.partition("=")[::2] for item in results[0].payload.split(";"))
+            try:
+                recorded = (int(fields["compared"]), int(fields["disagree"]))
+                recorded_pass = fields["pass"] == "1"
+            except (KeyError, ValueError):
+                issues.append(f"check-result: malformed payload {results[0].payload!r}")
+            else:
+                if recorded != (compared, disagree):
+                    issues.append(
+                        f"check-result: recorded {recorded[0]}/{recorded[1]} "
+                        f"but reveals give {compared}/{disagree}"
+                    )
+                rate = disagree / compared if compared else 0.0
+                if recorded_pass != (rate <= threshold):
+                    issues.append("check-result: pass flag contradicts the recomputed rate")
+                if not recorded_pass and not aborts:
+                    issues.append("check-result: failed check without an abort event")
+                if recorded_pass and not raw_key_events and not aborts:
+                    issues.append("raw-key: passing run recorded no key")
 
     if raw_key_events:
         raw_key = str_to_bits(raw_key_events[0].payload)

@@ -40,6 +40,17 @@ def random_words(rng: random.Random, count: int) -> np.ndarray:
     return np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u8")
 
 
+def random_coins(rng: random.Random, count: int) -> np.ndarray:
+    """The bits of ``count`` successive ``rng.getrandbits(1)`` calls, drawn in one call.
+
+    CPython answers ``getrandbits(1)`` with the top bit of one 32-bit output and
+    ``getrandbits(32 * count)`` with ``count`` whole outputs, the first one
+    lowest, so both give the same bits and leave the generator in the same state.
+    """
+    words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return (np.frombuffer(words, dtype="<u4") >> 31).astype(np.uint8)
+
+
 def random_floats(rng: random.Random, count: int) -> np.ndarray:
     """``count`` uniform draws from [0, 1) with the 53-bit resolution of ``random()``."""
     return (random_words(rng, count) >> 11) * 2.0**-53

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DecodeFailure, KeyMaterialError
+from .planes import random_coins
 
 Bits = tuple[int, ...]
 
@@ -112,12 +113,31 @@ def dump_matrix(mat: np.ndarray) -> str:
     return "\n".join("".join(str(int(x)) for x in row) for row in mat) + "\n"
 
 
+def _place_values(width: int) -> np.ndarray:
+    """Weights that read a row of ``width`` bits as a big-endian integer.
+
+    Big-endian keeps integer order equal to the lexicographic order of the bit
+    tuples, which is what coset labels are numbered by.
+    """
+    return 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _all_words(width: int) -> np.ndarray:
+    """Every ``width``-bit row in counting order (the order of ``itertools.product``)."""
+    return ((np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # Linear codes
 
 
 class LinearCode:
-    """Binary linear code with a syndrome table covering its designed radius."""
+    """Binary linear code with a syndrome table covering its designed radius.
+
+    The table has one row per syndrome, 2^(length - dimension) in all, holding
+    the lightest error pattern with that syndrome and whether any pattern
+    within the radius has it; it is meant for desk-scale codes.
+    """
 
     def __init__(self, generator: np.ndarray, parity_check: np.ndarray, radius: int):
         self.generator = generator.astype(np.uint8) % 2
@@ -133,7 +153,8 @@ class LinearCode:
             raise ValueError("generator rows are linearly dependent")
         if gf2_rank(self.parity_check) != self.length - self.dimension:
             raise ValueError("parity check rank must equal length - dimension")
-        self.syndrome_table = self._build_syndrome_table(radius)
+        self._syndrome_values = _place_values(self.length - self.dimension)
+        self._errors, self._decodable = self._build_syndrome_table(radius)
 
     @classmethod
     def from_parity_check(cls, parity_check: np.ndarray, radius: int) -> "LinearCode":
@@ -143,36 +164,56 @@ class LinearCode:
     def from_generator(cls, generator: np.ndarray, radius: int) -> "LinearCode":
         return cls(generator, gf2_nullspace(generator), radius)
 
-    def _build_syndrome_table(self, radius: int) -> dict[bytes, np.ndarray]:
-        table: dict[bytes, np.ndarray] = {}
-        for weight in range(radius + 1):
-            for support in itertools.combinations(range(self.length), weight):
-                err = np.zeros(self.length, dtype=np.uint8)
-                err[list(support)] = 1
-                key = self.syndrome(err)
-                if key not in table:  # lighter patterns claim a syndrome first
-                    table[key] = err
-        return table
+    def _build_syndrome_table(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        patterns = np.array(
+            [
+                [int(i in support) for i in range(self.length)]
+                for weight in range(radius + 1)
+                for support in itertools.combinations(range(self.length), weight)
+            ],
+            dtype=np.uint8,
+        )
+        errors = np.zeros((2 ** (self.length - self.dimension), self.length), dtype=np.uint8)
+        decodable = np.zeros(len(errors), dtype=bool)
+        # Patterns run from light to heavy, so the first one with a syndrome claims it.
+        for pattern, index in zip(patterns, self._syndrome_index(patterns).tolist()):
+            if not decodable[index]:
+                errors[index] = pattern
+                decodable[index] = True
+        return errors, decodable
 
     def syndrome(self, word: Sequence[int]) -> bytes:
         w = np.asarray(word, dtype=np.uint8) % 2
         return gf2_matmul(self.parity_check, w).tobytes()
 
+    def _syndrome_index(self, words: np.ndarray) -> np.ndarray:
+        """Syndromes of the rows of ``words`` (shape (..., length)) as table indices."""
+        return gf2_matmul(words, self.parity_check.T) @ self._syndrome_values
+
+    def decode(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Correct every row of ``words`` through the syndrome table.
+
+        Returns the corrected rows and a mask of the rows whose syndrome an
+        error within the radius explains; the other rows come back unchanged.
+        """
+        index = self._syndrome_index(words)
+        return words ^ self._errors[index], self._decodable[index]
+
     def contains(self, word: Sequence[int]) -> bool:
         return not any(self.syndrome(word))
+
+    def encode(self, messages: np.ndarray) -> np.ndarray:
+        """Codewords of the rows of ``messages`` (shape (..., dimension))."""
+        return gf2_matmul(messages, self.generator)
 
     def codewords(self) -> list[np.ndarray]:
         """All 2^k codewords; intended for the small code sizes used here."""
         if self.dimension > 20:
             raise ValueError("codeword enumeration is for desk-scale codes only")
-        out = []
-        for msg in itertools.product((0, 1), repeat=self.dimension):
-            out.append(gf2_matmul(np.array(msg, dtype=np.uint8), self.generator))
-        return out
+        return list(self.encode(_all_words(self.dimension)))
 
     def random_codeword(self, rng: random.Random) -> np.ndarray:
-        msg = np.array([rng.getrandbits(1) for _ in range(self.dimension)], dtype=np.uint8)
-        return gf2_matmul(msg, self.generator)
+        return self.encode(random_coins(rng, self.dimension))
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.length},{self.dimension}] t={self.radius}"
@@ -183,11 +224,12 @@ def syndrome_decode(code: LinearCode, word: Sequence[int]) -> np.ndarray:
     w = np.asarray(word, dtype=np.uint8) % 2
     if w.shape != (code.length,):
         raise ValueError(f"word length {w.shape} does not match code length {code.length}")
-    key = code.syndrome(w)
-    err = code.syndrome_table.get(key)
-    if err is None:
-        raise DecodeFailure(f"syndrome {key.hex()} exceeds the designed radius {code.radius}")
-    return (w ^ err).astype(np.uint8)
+    decoded, decodable = code.decode(w)
+    if not decodable:
+        raise DecodeFailure(
+            f"syndrome {code.syndrome(w).hex()} exceeds the designed radius {code.radius}"
+        )
+    return decoded
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +241,8 @@ class CssPair:
 
     Key bits per block = dim(big) - dim(small). Coset labels are fixed by
     sorting the lexicographically smallest member of each coset and numbering
-    in order, so both sides derive identical labels with no negotiation.
+    in order, so both sides derive identical labels with no negotiation. The
+    labels sit in a table over all 2^length words, built once here.
     """
 
     def __init__(self, c1: LinearCode, c2: LinearCode):
@@ -213,27 +256,37 @@ class CssPair:
         self.key_bits = c1.dimension - c2.dimension
         if self.key_bits < 1:
             raise ValueError("the nesting yields no key bits")
-        self._c2_words = [tuple(int(x) for x in w) for w in c2.codewords()]
-        reps = sorted({self._coset_rep(w) for w in c1.codewords()})
-        if len(reps) != 2 ** self.key_bits:
+        self._word_values = _place_values(c1.length)
+        big = np.array(c1.codewords()) @ self._word_values
+        small = np.array(c2.codewords()) @ self._word_values
+        # A coset's lexicographically smallest member is its least integer.
+        least = (big[:, None] ^ small[None, :]).min(axis=1).tolist()
+        self._reps = sorted(set(least))
+        if len(self._reps) != 2**self.key_bits:
             raise ValueError("coset count does not match 2^(k1 - k2)")
-        self._labels = {
-            rep: tuple(int(b) for b in format(i, f"0{self.key_bits}b"))
-            for i, rep in enumerate(reps)
-        }
+        label_of = {rep: label for label, rep in enumerate(self._reps)}
+        self._label_table = np.full(2**c1.length, -1, dtype=np.int64)
+        self._label_table[big] = [label_of[rep] for rep in least]
+        self._keys = _all_words(self.key_bits)  # row i: the bits of label i
 
-    def _coset_rep(self, word: Sequence[int]) -> Bits:
-        w = tuple(int(x) for x in word)
-        return min(tuple(a ^ b for a, b in zip(w, c)) for c in self._c2_words)
+    def labels(self, words: np.ndarray) -> np.ndarray:
+        """Coset label of every row of ``words`` (shape (..., length)); -1 off the big code."""
+        return self._label_table[words @ self._word_values]
 
     def coset_key(self, u: Sequence[int]) -> Bits:
         """Label of u's coset; equal for inputs differing by a small-code word."""
-        if not self.c1.contains(u):
+        w = np.asarray(u, dtype=np.uint8) % 2
+        label = self.labels(w) if w.shape == (self.c1.length,) else -1
+        if label < 0:
             raise ValueError("coset keys are defined on codewords of the big code only")
-        return self._labels[self._coset_rep(u)]
+        return tuple(self._keys[label].tolist())
 
     def cosets(self) -> dict[Bits, Bits]:
-        return dict(self._labels)
+        """Each coset's representative (its smallest member) and its key bits."""
+        return {
+            tuple(int(b) for b in format(rep, f"0{self.c1.length}b")): tuple(key.tolist())
+            for rep, key in zip(self._reps, self._keys)
+        }
 
 
 HAMMING_PARITY_CHECK = as_bit_matrix(
@@ -256,10 +309,17 @@ def draw_group_codeword(code: LinearCode, parties: int, rng: random.Random) -> n
     """XOR of one random codeword per party; still uniform over the code."""
     if parties < 1:
         raise ValueError("need at least one party")
-    u = np.zeros(code.length, dtype=np.uint8)
-    for _ in range(parties):
-        u ^= code.random_codeword(rng)
-    return u
+    coins = random_coins(rng, parties * code.dimension)
+    return _group_codewords(code, coins.reshape(1, parties, code.dimension))[0]
+
+
+def _group_codewords(code: LinearCode, messages: np.ndarray) -> np.ndarray:
+    """One codeword per block from messages of shape (blocks, parties, dimension).
+
+    The XOR of the parties' codewords is the codeword of the XOR of their
+    messages, so each block costs one product with the generator.
+    """
+    return code.encode(np.bitwise_xor.reduce(messages, axis=1))
 
 
 @dataclass
@@ -296,10 +356,8 @@ def reconcile(
     try:
         decoded = syndrome_decode(pair.c1, received)
     except DecodeFailure:
-        return ReconcileResult(key_alice, None, tuple(int(x) for x in public), True)
-    return ReconcileResult(
-        key_alice, pair.coset_key(decoded), tuple(int(x) for x in public), False
-    )
+        return ReconcileResult(key_alice, None, tuple(public.tolist()), True)
+    return ReconcileResult(key_alice, pair.coset_key(decoded), tuple(public.tolist()), False)
 
 
 @dataclass
@@ -333,35 +391,39 @@ def reconcile_stream(
     ``blocks_ok`` counts blocks whose two keys actually agree, which an error
     beyond the code radius can silently break; the parties would confirm this
     with a hash in deployment, the simulator just compares.
+
+    All blocks are handled at once as rows of arrays, with the result
+    :func:`reconcile` gives block by block for the codewords
+    :func:`draw_group_codeword` would draw from the same ``rng``.
     """
     if len(held) != len(noisy):
         raise ValueError("both strings must have equal length")
-    n = pair.c1.length
-    padding: list[int] = []
-    held_list = [int(b) for b in held]
-    noisy_list = [int(b) for b in noisy]
-    if len(held_list) % n:
-        padding = [rng.getrandbits(1) for _ in range(n - len(held_list) % n)]
-        held_list.extend(padding)
-        noisy_list.extend(padding)
-    final_alice: list[int] = []
-    final_bob: list[int] = []
-    total = ok = dropped = 0
-    for start in range(0, len(held_list), n):
-        u = draw_group_codeword(pair.c1, group_size, rng)
-        res = reconcile(pair, held_list[start : start + n], noisy_list[start : start + n], u)
-        total += 1
-        padded_block = bool(padding) and start + n >= len(held_list)
-        if res.discarded:
-            dropped += 1
-            continue
-        if res.agreed:
-            ok += 1
-        if not padded_block:
-            final_alice.extend(res.key_alice)
-            final_bob.extend(res.key_bob)
+    if group_size < 1:
+        raise ValueError("need at least one party")
+    code = pair.c1
+    pad = -len(held) % code.length
+    blocks = (len(held) + pad) // code.length
+    # The padding first, then every block's messages party by party: the
+    # order in which one getrandbits(1) call per coin would draw them.
+    coins = random_coins(rng, pad + blocks * group_size * code.dimension)
+    padding = coins[:pad]
+    v, w = (
+        np.concatenate([np.asarray(bits, dtype=np.uint8) % 2, padding]).reshape(blocks, code.length)
+        for bits in (held, noisy)
+    )
+    u = _group_codewords(code, coins[pad:].reshape(blocks, group_size, code.dimension))
+    decoded, decodable = code.decode(w ^ u ^ v)  # u xor error
+    key_alice, key_bob = pair.labels(u), pair.labels(decoded)
+    kept = decodable.copy()
+    if pad:
+        kept[-1] = False  # part of the padded block is public
     return StreamResult(
-        tuple(final_alice), tuple(final_bob), total, ok, dropped, tuple(padding)
+        tuple(pair._keys[key_alice[kept]].ravel().tolist()),
+        tuple(pair._keys[key_bob[kept]].ravel().tolist()),
+        blocks,
+        int(np.count_nonzero(decodable & (key_alice == key_bob))),
+        int(blocks - np.count_nonzero(decodable)),
+        tuple(padding.tolist()),
     )
 
 

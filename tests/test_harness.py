@@ -1,5 +1,6 @@
 """Experiment runner determinism, metric aggregation, report formats, CLI."""
 
+import hashlib
 import json
 import pathlib
 
@@ -141,6 +142,28 @@ class TestRunExperiment:
                 ExperimentSpec(protocol=base_protocol(), metrics=("qber",)),
                 otp_message=message,
             )
+
+    def test_distilled_report_is_pinned(self):
+        """Seeded report through key distillation and the pad, as version 0.2.0 wrote it."""
+        from mpqss import hex_to_bits
+
+        spec = ExperimentSpec(
+            protocol=ProtocolConfig(senders=3, receivers=2, blocks=400),
+            channel=ChannelModel(p_x=0.04),
+            trials=5,
+            metrics=("qber", "block_yield"),
+            seed=2024,
+        )
+        report = run_experiment(spec, otp_message=list(hex_to_bits("beef")))
+        assert report.extras == {
+            "ciphertext_hex": "0d12",
+            "final_key_bits": 28,
+            "final_key_hex": "b3fd697",
+            "message_bits": 16,
+        }
+        assert report.metrics["block_yield"].mean == 0.8896551724137931
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "3932e5957b282cdd56eece446095c6b4742414f04b2430811bf48f9ec0795de1"
 
     def test_spec_validation_paths(self):
         unvalidated = ProtocolConfig(

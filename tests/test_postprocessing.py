@@ -1,14 +1,16 @@
 """Entropy/rate formulas, nested-code distillation, and one-time-pad discipline."""
 
+import itertools
 import random
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpqss import (
+    CssPair,
     DecodeFailure,
     KeyMaterialError,
     KeyMaterial,
@@ -25,7 +27,13 @@ from mpqss import (
     syndrome_decode,
     xor_bits,
 )
-from mpqss.postprocessing import HAMMING_PARITY_CHECK, bits_to_hex, dump_matrix, gf2_matmul
+from mpqss.postprocessing import (
+    HAMMING_PARITY_CHECK,
+    StreamResult,
+    bits_to_hex,
+    dump_matrix,
+    gf2_matmul,
+)
 
 
 def entropy_oracle(delta: str) -> float:
@@ -332,3 +340,149 @@ class TestEndToEnd:
         # The disagreeing residue is exactly the beyond-radius blocks.
         mismatched = sum(a != b for a, b in zip(stream.final_alice, stream.final_bob))
         assert mismatched == stream.blocks_total - stream.blocks_ok - stream.blocks_discarded
+
+
+# ---------------------------------------------------------------------------
+# Per-block reference for the whole-array distillation: the block loop of
+# version 0.2.0, one getrandbits(1) call per coin, syndrome decoding through a
+# dict of error patterns, and coset labels by brute force over the small code.
+
+
+def _span(generator):
+    rows = [np.array(row, dtype=np.uint8) for row in generator]
+    words = set()
+    for coeffs in itertools.product((0, 1), repeat=len(rows)):
+        word = np.zeros(len(rows[0]), dtype=np.uint8)
+        for c, row in zip(coeffs, rows):
+            if c:
+                word ^= row
+        words.add(tuple(int(x) for x in word))
+    return sorted(words)
+
+
+class ReferencePair:
+    def __init__(self, pair):
+        self.pair = pair
+        self.n = pair.c1.length
+        self.small = _span(pair.c2.generator)
+        reps = sorted({self.rep(w) for w in _span(pair.c1.generator)})
+        self.labels = {
+            rep: tuple(int(b) for b in format(i, f"0{pair.key_bits}b")) for i, rep in enumerate(reps)
+        }
+        self.errors = {}
+        for weight in range(pair.c1.radius + 1):
+            for support in itertools.combinations(range(self.n), weight):
+                err = tuple(int(i in support) for i in range(self.n))
+                self.errors.setdefault(self.syndrome(err), err)
+
+    def syndrome(self, word):
+        return tuple(int(x) for x in (self.pair.c1.parity_check @ np.array(word)) % 2)
+
+    def rep(self, word):
+        return min(tuple(a ^ b for a, b in zip(word, c)) for c in self.small)
+
+    def key(self, word):
+        return self.labels[self.rep(word)]
+
+    def decode(self, word):
+        err = self.errors.get(self.syndrome(word))
+        return None if err is None else tuple(a ^ b for a, b in zip(word, err))
+
+    def group_codeword(self, rng, parties):
+        gen = self.pair.c1.generator
+        u = np.zeros(self.n, dtype=np.int64)
+        for _ in range(parties):
+            msg = [rng.getrandbits(1) for _ in range(len(gen))]
+            u ^= np.array(msg) @ gen % 2
+        return tuple(int(x) for x in u)
+
+    def stream(self, held, noisy, rng, group_size):
+        n = self.n
+        held, noisy = [int(b) for b in held], [int(b) for b in noisy]
+        padding = []
+        if len(held) % n:
+            padding = [rng.getrandbits(1) for _ in range(n - len(held) % n)]
+            held += padding
+            noisy += padding
+        alice, bob = [], []
+        total = ok = dropped = 0
+        for start in range(0, len(held), n):
+            u = self.group_codeword(rng, group_size)
+            v, w = held[start : start + n], noisy[start : start + n]
+            decoded = self.decode(tuple(a ^ b ^ c for a, b, c in zip(w, u, v)))
+            total += 1
+            if decoded is None:
+                dropped += 1
+                continue
+            key_a, key_b = self.key(u), self.key(decoded)
+            ok += key_a == key_b
+            if not (padding and start + n >= len(held)):
+                alice.extend(key_a)
+                bob.extend(key_b)
+        return StreamResult(tuple(alice), tuple(bob), total, ok, dropped, tuple(padding))
+
+
+def _extended_hamming_pair():
+    """[8,4,4] over a [8,2] subcode: two key bits per block, and at radius 1
+    seven of the sixteen syndromes stay uncovered, so blocks get discarded."""
+    gen = load_matrix("10000111\n01001011\n00101101\n00011110\n")
+    return CssPair(LinearCode.from_generator(gen, radius=1), LinearCode.from_generator(gen[:2], radius=1))
+
+
+def _distance_two_pair():
+    """[4,2] of distance 2 over the repetition code: weight-one errors tie on a
+    syndrome, so the first pattern must claim it, and one syndrome stays uncovered."""
+    gen = load_matrix("1100\n0011\n")
+    return CssPair(LinearCode.from_generator(gen, radius=1), LinearCode.from_generator(gen[:1] ^ gen[1:], radius=1))
+
+
+REFERENCES = {
+    "canonical": ReferencePair(build_canonical_css()),
+    "uncovered": ReferencePair(_extended_hamming_pair()),
+    "ties": ReferencePair(_distance_two_pair()),
+}
+
+
+class TestAgainstPerBlockReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_single_block_functions_exhaustive(self, name):
+        ref = REFERENCES[name]
+        pair, n = ref.pair, ref.n
+        assert pair.cosets() == {rep: key for rep, key in ref.labels.items()}
+        codewords = set(_span(pair.c1.generator))
+        for index in range(2**n):
+            word = tuple(int(b) for b in format(index, f"0{n}b"))
+            if word in codewords:
+                assert pair.coset_key(word) == ref.key(word)
+            else:
+                with pytest.raises(ValueError):
+                    pair.coset_key(word)
+            expected = ref.decode(word)
+            if expected is None:
+                with pytest.raises(DecodeFailure):
+                    syndrome_decode(pair.c1, word)
+            else:
+                assert tuple(syndrome_decode(pair.c1, word).tolist()) == expected
+        for parties in (1, 2, 5):
+            rng, again = random.Random(parties), random.Random(parties)
+            drawn = draw_group_codeword(pair.c1, parties, rng)
+            assert tuple(drawn.tolist()) == ref.group_codeword(again, parties)
+            assert rng.random() == again.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(REFERENCES)),
+        length=st.integers(0, 300),
+        group_size=st.integers(1, 4),
+        error_rate=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stream_matches_reference(self, name, length, group_size, error_rate, seed):
+        ref = REFERENCES[name]
+        data = random.Random(seed)
+        held = [data.getrandbits(1) for _ in range(length)]
+        noisy = [b ^ (data.random() < error_rate) for b in held]
+        rng, again = random.Random(seed + 1), random.Random(seed + 1)
+        got = reconcile_stream(ref.pair, held, noisy, rng, group_size=group_size)
+        assert got == ref.stream(held, noisy, again, group_size)
+        assert rng.random() == again.random()

@@ -110,6 +110,22 @@ class TestReplay:
         verdict = replay((DATA / "worked_example.transcript").read_text())
         assert verdict.ok, verdict.issues
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("compared=", "compared"),  # no '='
+            ("disagree=0;", ""),  # missing field
+            (";pass=1", ""),  # missing pass flag
+            ("compared=6", "compared=six"),  # non-integer count
+        ],
+    )
+    def test_malformed_check_result_is_an_issue_not_a_crash(self, edit):
+        text = (DATA / "worked_example.transcript").read_text()
+        assert edit[0] in text
+        verdict = replay(text.replace(edit[0], edit[1]))
+        assert not verdict.ok
+        assert [issue for issue in verdict.issues if issue.startswith("check-result: malformed")]
+
     @pytest.mark.parametrize("memory", [True, False])
     @pytest.mark.parametrize("variant", list(Variant))
     def test_random_honest_runs_verify(self, memory, variant):
