@@ -8,8 +8,10 @@ isolation and identical experiment specs produce byte-identical reports.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+import re
 import statistics
 from dataclasses import dataclass, field, replace
 
@@ -25,9 +27,10 @@ from .channel import (
 )
 from .errors import ConfigError
 from .postprocessing import bits_to_hex, build_canonical_css, key_rate, otp_send, reconcile_stream
+from .planes import UNUSABLE
 from .protocol import (
     ProtocolConfig,
-    block_of,
+    checked_block_count,
     expanded_bit_vectors,
     position,
     run_protocol,
@@ -42,12 +45,14 @@ from .transcript import (
     KIND_CHECK_SENDER,
     KIND_GUESS,
     KIND_KEY_CONTRIB,
+    KIND_LOSS,
     KIND_MEASURED,
     KIND_RAW_KEY,
     KIND_SIFT,
+    Event,
     Transcript,
     parse,
-    str_to_bits,
+    str_to_plane,
 )
 
 METRICS = (
@@ -311,13 +316,31 @@ class Verdict:
         return self.ok
 
 
+# A check-select payload: 0-based block indices, comma separated. Compiled on
+# first use (re caches it): compiling it at import raised the peak memory of
+# runs that never replay by about 0.2 MiB.
+_INDEX_LIST = r"[0-9]{1,18}(?:,[0-9]{1,18})*"
+
+
+def _party_index(party: str, prefix: str, count: int) -> int:
+    """i of a party named ``<prefix><i>`` with 1 <= i <= count, else 0."""
+    digits = party[len(prefix):]
+    if not party.startswith(prefix) or not digits.isdecimal() or len(digits) > len(str(count)):
+        return 0
+    i = int(digits)
+    return i if 1 <= i <= count and party == f"{prefix}{i}" else 0
+
+
 def replay(text: str) -> Verdict:
     """Re-derive every deterministic consequence of a transcript and diff it.
 
-    Checks announcement ordering, sift masks against announced bases, check
-    reveals against the measurement records, the recomputed disagreement rate
-    against the recorded one, abort consistency, and the raw key against the
-    receivers' contributions. Any mismatch is reported with its location.
+    Checks announcement ordering, sift masks against announced bases, '?'
+    outcomes against the loss records, the check selection, check reveals
+    against the measurement records, the recomputed disagreement rate against
+    the recorded one, abort consistency, and the raw key against the
+    receivers' contributions. Any mismatch, and any payload of the wrong
+    length or alphabet, is reported with its location. Time and memory are
+    linear in the length of ``text``: no array is sized from the config alone.
     """
     parsed = parse(text)
     issues: list[str] = []
@@ -326,139 +349,221 @@ def replay(text: str) -> Verdict:
         blocks = int(parsed.config["blocks"])
         senders = int(parsed.config["senders"])
         threshold = float(parsed.config["qber_abort_threshold"])
-    except (KeyError, ValueError) as err:
+        fraction = float(parsed.config["check_fraction"])
+        want = checked_block_count(fraction, blocks)
+        if min(n, blocks, senders) < 1:
+            raise ValueError("receivers, blocks and senders must be positive")
+    except (KeyError, ValueError, OverflowError) as err:
         return Verdict(False, [f"config: missing or malformed field ({err})"])
 
-    acks = {ev.party: ev.seq for ev in parsed.events_of(KIND_ACK)}
-    bases = {ev.party: ev for ev in parsed.events_of(KIND_BASES)}
-    measured = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_MEASURED)}
-    sift = {ev.party: ev.payload for ev in parsed.events_of(KIND_SIFT)}
-    guesses = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_GUESS)}
-    contribs = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_KEY_CONTRIB)}
-    raw_key_events = parsed.events_of(KIND_RAW_KEY)
-    aborts = parsed.events_of(KIND_ABORT)
+    def decode(ev: Event, codes: int, length: int | None = None) -> np.ndarray | None:
+        """The payload of ``ev`` as a plane of codes below ``codes``, or None and an issue."""
+        plane = str_to_plane(ev.payload)
+        if plane.size and plane.max() >= codes:
+            issues.append(f"{ev.party}: {ev.kind} payload has a character outside {'01?'[:codes]!r}")
+        elif length is not None and len(plane) != length:
+            issues.append(f"{ev.party}: {ev.kind} payload has {len(plane)} positions, expected {length}")
+        else:
+            return plane
+        return None
 
-    if bases and acks and min(ev.seq for ev in bases.values()) <= max(acks.values()):
+    def records(kind: str, codes: int, length: int | None = None) -> dict[str, np.ndarray]:
+        """Each party's last well-formed ``kind`` payload, unless a malformed one came later."""
+        out = {}
+        for ev in parsed.events_of(kind):
+            out.pop(ev.party, None)
+            plane = decode(ev, codes, length)
+            if plane is not None:
+                out[ev.party] = plane
+        return out
+
+    acks = {ev.party: ev.seq for ev in parsed.events_of(KIND_ACK)}
+    bases_seqs = [ev.seq for ev in parsed.events_of(KIND_BASES)]
+    bases = records(KIND_BASES, 2)
+    measured = records(KIND_MEASURED, 3, blocks)
+    sift = records(KIND_SIFT, 2, blocks)
+    guesses = records(KIND_GUESS, 2, blocks)
+    raw_key_events = parsed.events_of(KIND_RAW_KEY)
+    receivers = sorted(filter(None, (_party_index(party, "bob", n) for party in measured)))
+
+    if bases_seqs and acks and min(bases_seqs) <= max(acks.values()):
         issues.append("ordering: a basis announcement precedes a reception acknowledgment")
-    if bases and len(acks) < n:
+    if bases_seqs and len(acks) < n:
         issues.append(f"ordering: only {len(acks)} of {n} receivers acknowledged before announcements")
 
-    # Combined per-position basis from the announced strings.
+    # Combined basis as (blocks, n), or (blocks, 1) while every string has one
+    # basis per block: XOR broadcasts a block's basis over its n positions.
     combined = None
-    if len(bases) == senders:
-        combined = [0] * (n * blocks)
-        for ev in bases.values():
-            bits = str_to_bits(ev.payload)
-            if len(bits) == n * blocks:
-                per_pos = bits
-            elif len(bits) == blocks:
-                per_pos = [bits[block_of(k, n)] for k in range(n * blocks)]
-            else:
-                issues.append(f"{ev.party}: basis string has unexpected length {len(bits)}")
+    if (bases_seqs or measured) and len(bases) != senders:
+        issues.append(f"bases: {len(bases)} of {senders} senders announced a well-formed basis string")
+    elif len(bases) == senders:
+        for party, plane in bases.items():
+            if len(plane) not in (n * blocks, blocks):
+                issues.append(f"{party}: basis string has unexpected length {len(plane)}")
                 combined = None
                 break
-            combined = [c ^ int(b) for c, b in zip(combined, per_pos)]
+            plane = plane.reshape(blocks, -1)
+            combined = plane if combined is None else combined ^ plane
 
-    usable: dict[int, list[bool]] = {}
-    for l in range(1, n + 1):
+    usable: dict[int, np.ndarray] = {}
+    for l in receivers:
         party = f"bob{l}"
-        outcomes = measured.get(party)
-        if outcomes is None:
+        known = measured[party] != UNUSABLE
+        usable[l] = known
+        if party not in sift:
             continue
-        mask = []
-        for j in range(blocks):
-            ok = outcomes[j] is not None
-            if party in sift:
-                ok = ok and sift[party][j] == "1"
-            mask.append(ok)
-        usable[l] = mask
-        if party in sift and party in guesses and combined is not None:
-            for j in range(blocks):
-                if outcomes[j] is None:
-                    continue
-                expect = guesses[party][j] == combined[j * n + (l - 1)]
-                if (sift[party][j] == "1") != expect:
-                    issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
+        kept = sift[party] == 1
+        usable[l] = known & kept
+        if party in guesses and combined is not None:
+            agree = guesses[party] == np.broadcast_to(combined, (blocks, n))[:, l - 1]
+            for j in np.flatnonzero(known & (kept != agree)).tolist():
+                issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
+
+    # A receiver's loss bitmap marks exactly its '?' outcomes, and what a
+    # sender hop lost at position n*j + l-1 stays lost for receiver l.
+    receiver_lost: dict[int, np.ndarray] = {}
+    hop_lost: dict[str, np.ndarray] = {}
+    for ev in parsed.events_of(KIND_LOSS):
+        l = _party_index(ev.party, "bob", n)
+        if not l and not _party_index(ev.party, "alice", senders):
+            issues.append(f"{ev.party}: loss record from a party on no hop")
+            continue
+        lost = decode(ev, 2, blocks if l else n * blocks)
+        if lost is not None and l:
+            receiver_lost[l] = lost == 1
+        elif lost is not None:
+            hop_lost[ev.party] = lost.reshape(blocks, n) == 1
+    for l in receivers:
+        contradicts = (measured[f"bob{l}"] == UNUSABLE) != receiver_lost.get(l, False)
+        for j in np.flatnonzero(contradicts).tolist():
+            issues.append(f"bob{l}: measurement record at block {j} contradicts its loss record")
+    if hop_lost:
+        none = np.zeros(blocks, dtype=bool)
+        arrived = ~np.column_stack([receiver_lost.get(l, none) for l in range(1, n + 1)])
+        for party, lost in hop_lost.items():
+            for j, c in np.argwhere(lost & arrived).tolist():
+                issues.append(f"{party}: loss at block {j} is missing from bob{c + 1}'s loss record")
 
     select = parsed.events_of(KIND_CHECK_SELECT)
-    check_blocks: list[int] = []
-    if select and select[0].payload != "-":
-        check_blocks = sorted(int(x) for x in select[0].payload.split(","))
-
-    sender_reveals = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_CHECK_SENDER)}
-    recv_reveals = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_CHECK_RECV)}
-    compared = disagree = 0
-    if check_blocks and len(sender_reveals) == senders:
-        for l in range(1, n + 1):
-            party = f"bob{l}"
-            revealed = recv_reveals.get(party)
-            if revealed is None:
-                issues.append(f"{party}: no check reveal recorded")
-                continue
-            for idx, j in enumerate(check_blocks):
-                outcome = revealed[idx]
-                if outcome is None:
-                    continue  # withheld reveal (lost or sifted-out position)
-                if party in measured and measured[party][j] != outcome:
-                    issues.append(f"{party}: check reveal at block {j} contradicts its measurement record")
-                pos_in_reveal = idx * n + (l - 1)
-                expected = 0
-                for i in range(1, senders + 1):
-                    expected ^= sender_reveals[f"alice{i}"][pos_in_reveal]
-                compared += 1
-                if outcome != expected:
-                    disagree += 1
-        results = parsed.events_of(KIND_CHECK_RESULT)
-        if results:
-            fields = dict(item.partition("=")[::2] for item in results[0].payload.split(";"))
-            try:
-                recorded = (int(fields["compared"]), int(fields["disagree"]))
-                recorded_pass = fields["pass"] == "1"
-            except (KeyError, ValueError):
-                issues.append(f"check-result: malformed payload {results[0].payload!r}")
+    rows = np.zeros(0, dtype=np.int64)  # checked blocks, ascending
+    if select:
+        payload = select[0].payload
+        if payload != "-" and not re.fullmatch(_INDEX_LIST, payload):
+            issues.append("check-select: payload is not a comma list of block indices")
+        else:
+            chosen = rows if payload == "-" else np.sort(np.fromstring(payload, np.int64, sep=","))
+            repeated = chosen[1:][chosen[1:] == chosen[:-1]]
+            if len(chosen) and chosen[-1] >= blocks:
+                issues.append(f"check-select: block {chosen[-1]} is outside [0, {blocks})")
+            elif len(repeated):
+                issues.append(f"check-select: block {repeated[0]} is selected more than once")
             else:
-                if recorded != (compared, disagree):
-                    issues.append(
-                        f"check-result: recorded {recorded[0]}/{recorded[1]} "
-                        f"but reveals give {compared}/{disagree}"
-                    )
-                rate = disagree / compared if compared else 0.0
-                if recorded_pass != (rate <= threshold):
-                    issues.append("check-result: pass flag contradicts the recomputed rate")
-                if not recorded_pass and not aborts:
-                    issues.append("check-result: failed check without an abort event")
-                if recorded_pass and not raw_key_events and not aborts:
-                    issues.append("raw-key: passing run recorded no key")
+                rows = chosen
+            if len(chosen) != want:
+                issues.append(
+                    f"check-select: {len(chosen)} blocks selected, "
+                    f"but ceil({fraction!r} * {blocks}) = {want}"
+                )
 
-    if raw_key_events:
-        raw_key = str_to_bits(raw_key_events[0].payload)
-        checked = set(check_blocks)
-        unmeasured = [False] * blocks
-        receiver_masks = [usable.get(l, unmeasured) for l in range(1, n + 1)]
-        key_blocks = [
-            j
-            for j in range(blocks)
-            if j not in checked and all(mask[j] for mask in receiver_masks)
-        ]
+    if len(rows):
+        sender_reveals = records(KIND_CHECK_SENDER, 2, len(rows) * n)
+        recv_reveals = records(KIND_CHECK_RECV, 3, len(rows))
+        if len(sender_reveals) < senders:
+            issues.append(f"check-sender: {len(sender_reveals)} of {senders} senders revealed their bits")
+            sent = None
+        else:
+            sent = [sender_reveals.get(f"alice{i}") for i in range(1, senders + 1)]
+            for i, bits in enumerate(sent, start=1):
+                if bits is None:
+                    issues.append(f"alice{i}: no check reveal recorded")
+        if sent is not None and all(bits is not None for bits in sent):
+            _check_reveals(issues, parsed, rows, sent, recv_reveals, measured, n, threshold)
+
+    raw_key = decode(raw_key_events[0], 2) if raw_key_events else None
+    if raw_key is not None:
+        key_blocks = np.zeros(0, dtype=np.intp)
+        if len(usable) == n:
+            qualify = np.logical_and.reduce([usable[l] for l in receivers])
+            qualify[rows] = False
+            key_blocks = np.flatnonzero(qualify)
         if len(raw_key) != len(key_blocks):
             issues.append(
                 f"raw-key: {len(raw_key)} bits recorded but {len(key_blocks)} blocks qualify"
             )
         else:
-            for idx, j in enumerate(key_blocks):
-                bit = 0
-                for l in range(1, n + 1):
-                    party = f"bob{l}"
-                    contrib = contribs.get(party)
-                    if contrib is None or idx >= len(contrib):
-                        issues.append(f"{party}: missing key contribution for block {j}")
-                        bit = None
-                        break
-                    if measured.get(party) is not None and measured[party][j] != contrib[idx]:
-                        issues.append(
-                            f"{party}: key contribution at block {j} contradicts its measurement record"
-                        )
-                    bit ^= contrib[idx]
-                if bit is not None and bit != raw_key[idx]:
-                    issues.append(f"raw-key: bit {idx} (block {j}) is not the XOR of the contributions")
+            contribs = records(KIND_KEY_CONTRIB, 2, len(key_blocks))
+            if len(key_blocks):
+                _check_key(issues, key_blocks, raw_key, contribs, measured, n)
     return Verdict(not issues, issues)
+
+
+def _check_reveals(issues, parsed, rows, sent, recv_reveals, measured, n, threshold) -> None:
+    """Receivers' reveals against their measurements and the senders' XOR, then the tally."""
+    expected = np.bitwise_xor.reduce([bits.reshape(len(rows), n) for bits in sent])
+    compared = disagree = 0
+    for l in range(1, n + 1):
+        party = f"bob{l}"
+        revealed = recv_reveals.get(party)
+        if revealed is None:
+            issues.append(f"{party}: no check reveal recorded")
+            continue
+        shown = revealed != UNUSABLE
+        if party in measured:
+            contradicts = shown & (measured[party][rows] != revealed)
+            for j in rows[contradicts].tolist():
+                issues.append(f"{party}: check reveal at block {j} contradicts its measurement record")
+        compared += int(np.count_nonzero(shown))
+        disagree += int(np.count_nonzero(shown & (revealed != expected[:, l - 1])))
+    results = parsed.events_of(KIND_CHECK_RESULT)
+    if not results:
+        issues.append("check-result: no result recorded for the check")
+        return
+    fields = dict(item.partition("=")[::2] for item in results[0].payload.split(";"))
+    try:
+        recorded = (int(fields["compared"]), int(fields["disagree"]))
+        recorded_pass = fields["pass"] == "1"
+    except (KeyError, ValueError):
+        issues.append(f"check-result: malformed payload {results[0].payload!r}")
+        return
+    if recorded != (compared, disagree):
+        issues.append(
+            f"check-result: recorded {recorded[0]}/{recorded[1]} "
+            f"but reveals give {compared}/{disagree}"
+        )
+    rate = disagree / compared if compared else 0.0
+    if recorded_pass != (rate <= threshold):
+        issues.append("check-result: pass flag contradicts the recomputed rate")
+    aborted = bool(parsed.events_of(KIND_ABORT))
+    if not recorded_pass and not aborted:
+        issues.append("check-result: failed check without an abort event")
+    if recorded_pass and not parsed.events_of(KIND_RAW_KEY) and not aborted:
+        issues.append("raw-key: passing run recorded no key")
+
+
+def _check_key(issues, key_blocks, raw_key, contribs, measured, n) -> None:
+    """Contributions against the measurement records, and the raw key against their XOR.
+
+    Receivers are taken in order at each key block and the first without a
+    contribution ends that block's checks, so the XOR is checked only when
+    every receiver contributed.
+    """
+    parties = [f"bob{l}" for l in range(1, n + 1)]
+    given = list(itertools.takewhile(contribs.__contains__, parties))
+    missing = parties[len(given)] if len(given) < n else None
+    shape = (len(given), len(key_blocks))
+    shares = np.array([contribs[p] for p in given], dtype=np.uint8).reshape(shape)
+    held = np.array([measured[p][key_blocks] for p in given], dtype=np.uint8).reshape(shape)
+    contradicts = held != shares
+    if missing is None:
+        wrong_bit = np.bitwise_xor.reduce(shares, axis=0) != raw_key
+        flagged = np.flatnonzero(contradicts.any(axis=0) | wrong_bit).tolist()
+    else:
+        flagged = range(len(key_blocks))
+    for idx in flagged:
+        j = int(key_blocks[idx])
+        for c in np.flatnonzero(contradicts[:, idx]).tolist():
+            issues.append(f"{given[c]}: key contribution at block {j} contradicts its measurement record")
+        if missing is not None:
+            issues.append(f"{missing}: missing key contribution for block {j}")
+        elif wrong_bit[idx]:
+            issues.append(f"raw-key: bit {idx} (block {j}) is not the XOR of the contributions")

@@ -146,8 +146,7 @@ class ProtocolConfig:
 
     @property
     def checked_block_count(self) -> int:
-        # round() guards against 0.3 * 10 = 3.0000000000000004 style float dust
-        return math.ceil(round(self.check_fraction * self.blocks, 9))
+        return checked_block_count(self.check_fraction, self.blocks)
 
     def snapshot(self) -> dict[str, str]:
         omit = ",".join(str(i) for i in sorted(self.omit_hadamard)) or "-"
@@ -163,6 +162,12 @@ class ProtocolConfig:
             "enforce_ordering": "1" if self.enforce_ordering else "0",
             "omit_hadamard": omit,
         }
+
+
+def checked_block_count(check_fraction: float, blocks: int) -> int:
+    """How many of ``blocks`` blocks the check reveals: ceil(check_fraction * blocks)."""
+    # round() guards against 0.3 * 10 = 3.0000000000000004 style float dust
+    return math.ceil(round(check_fraction * blocks, 9))
 
 
 def position(block: int, receiver: int, receivers: int) -> int:

@@ -19,6 +19,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .errors import TranscriptParseError
 
 FORMAT_HEADER = "mpqss-transcript v1"
@@ -41,6 +43,9 @@ KIND_ABORT = "abort"
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01\x02", b"01?")
+# Its inverse: '0', '1' and '?' to codes 0, 1 and 2, every other byte to 255.
+_BIT_CODES = bytearray(b"\xff" * 256)
+_BIT_CODES[ord("0")], _BIT_CODES[ord("1")], _BIT_CODES[ord("?")] = 0, 1, 2
 
 
 def bits_to_str(bits) -> str:
@@ -52,10 +57,16 @@ def bits_to_str(bits) -> str:
     return codes.translate(_BIT_CHARS).decode("ascii")
 
 
-def str_to_bits(s: str) -> tuple:
+def str_to_plane(s: str) -> np.ndarray:
+    """A payload as a uint8 plane of codes, the inverse of ``bits_to_str``.
+
+    '0', '1' and '?' decode to 0, 1 and 2 and '-' to the empty plane. Any other
+    character decodes to 255 (a non-ASCII one to one 255 per UTF-8 byte), so
+    ``plane.max()`` tells whether a payload kept to the alphabet.
+    """
     if s == "-":
-        return ()
-    return tuple(None if c == "?" else int(c) for c in s)
+        return np.zeros(0, dtype=np.uint8)
+    return np.frombuffer(s.encode("utf-8", "surrogatepass").translate(_BIT_CODES), dtype=np.uint8)
 
 
 @dataclass(frozen=True)

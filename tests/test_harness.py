@@ -323,6 +323,15 @@ class TestCli:
         assert main(["replay", str(bad)]) == 1
         assert "inconsistent" in capsys.readouterr().out
 
+    def test_replay_of_a_truncated_payload_exits_one_without_a_traceback(self, tmp_path, capsys):
+        text = (DATA / "worked_example.transcript").read_text()
+        bad = tmp_path / "short.transcript"
+        bad.write_text(text.replace("measured bob2 100001", "measured bob2 100"))
+        assert main(["replay", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "inconsistent: bob2: measured payload has 3 positions, expected 6" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_replay_parse_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "garbage.transcript"
         bad.write_text("not a transcript\n")

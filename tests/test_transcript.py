@@ -2,21 +2,42 @@
 
 import pathlib
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import known_vectors as kv
 from mpqss import (
     ChannelModel,
     InterceptResend,
+    OrderingAttack,
     ProtocolConfig,
     TranscriptParseError,
     Variant,
+    Verdict,
+    block_of,
     replay,
     run_protocol,
 )
-from mpqss.transcript import parse, str_to_bits
+from mpqss.channel import LossStrategy
+from mpqss.transcript import (
+    KIND_ABORT,
+    KIND_ACK,
+    KIND_BASES,
+    KIND_CHECK_RECV,
+    KIND_CHECK_RESULT,
+    KIND_CHECK_SELECT,
+    KIND_CHECK_SENDER,
+    KIND_GUESS,
+    KIND_KEY_CONTRIB,
+    KIND_MEASURED,
+    KIND_RAW_KEY,
+    KIND_SIFT,
+    bits_to_str,
+    parse,
+    str_to_plane,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -104,7 +125,7 @@ class TestReplay:
         assert verdict.ok, verdict.issues
         parsed = parse(tr.serialize())
         raw = [ev for ev in parsed.events if ev.kind == "raw-key"][0]
-        assert str_to_bits(raw.payload) == kv.RAW_KEY
+        assert tuple(str_to_plane(raw.payload).tolist()) == kv.RAW_KEY
 
     def test_golden_fixture_verifies(self):
         verdict = replay((DATA / "worked_example.transcript").read_text())
@@ -197,3 +218,392 @@ class TestReplay:
         verdict = replay("\n".join([header, config, *events]) + "\n")
         assert not verdict.ok
         assert any("ordering" in issue for issue in verdict.issues)
+
+
+# ---------------------------------------------------------------------------
+# The per-position replay of version 0.2.0, kept as the reference that the
+# whole-array replay is compared against. It assumes well-formed payloads.
+
+
+def str_to_bits(s: str) -> tuple:
+    if s == "-":
+        return ()
+    return tuple(None if c == "?" else int(c) for c in s)
+
+
+def reference_replay(text: str) -> Verdict:
+    parsed = parse(text)
+    issues: list[str] = []
+    try:
+        n = int(parsed.config["receivers"])
+        blocks = int(parsed.config["blocks"])
+        senders = int(parsed.config["senders"])
+        threshold = float(parsed.config["qber_abort_threshold"])
+    except (KeyError, ValueError) as err:
+        return Verdict(False, [f"config: missing or malformed field ({err})"])
+
+    acks = {ev.party: ev.seq for ev in parsed.events_of(KIND_ACK)}
+    bases = {ev.party: ev for ev in parsed.events_of(KIND_BASES)}
+    measured = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_MEASURED)}
+    sift = {ev.party: ev.payload for ev in parsed.events_of(KIND_SIFT)}
+    guesses = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_GUESS)}
+    contribs = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_KEY_CONTRIB)}
+    raw_key_events = parsed.events_of(KIND_RAW_KEY)
+    aborts = parsed.events_of(KIND_ABORT)
+
+    if bases and acks and min(ev.seq for ev in bases.values()) <= max(acks.values()):
+        issues.append("ordering: a basis announcement precedes a reception acknowledgment")
+    if bases and len(acks) < n:
+        issues.append(f"ordering: only {len(acks)} of {n} receivers acknowledged before announcements")
+
+    combined = None
+    if len(bases) == senders:
+        combined = [0] * (n * blocks)
+        for ev in bases.values():
+            bits = str_to_bits(ev.payload)
+            if len(bits) == n * blocks:
+                per_pos = bits
+            elif len(bits) == blocks:
+                per_pos = [bits[block_of(k, n)] for k in range(n * blocks)]
+            else:
+                issues.append(f"{ev.party}: basis string has unexpected length {len(bits)}")
+                combined = None
+                break
+            combined = [c ^ int(b) for c, b in zip(combined, per_pos)]
+
+    usable: dict[int, list[bool]] = {}
+    for l in range(1, n + 1):
+        party = f"bob{l}"
+        outcomes = measured.get(party)
+        if outcomes is None:
+            continue
+        mask = []
+        for j in range(blocks):
+            ok = outcomes[j] is not None
+            if party in sift:
+                ok = ok and sift[party][j] == "1"
+            mask.append(ok)
+        usable[l] = mask
+        if party in sift and party in guesses and combined is not None:
+            for j in range(blocks):
+                if outcomes[j] is None:
+                    continue
+                expect = guesses[party][j] == combined[j * n + (l - 1)]
+                if (sift[party][j] == "1") != expect:
+                    issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
+
+    select = parsed.events_of(KIND_CHECK_SELECT)
+    check_blocks: list[int] = []
+    if select and select[0].payload != "-":
+        check_blocks = sorted(int(x) for x in select[0].payload.split(","))
+
+    sender_reveals = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_CHECK_SENDER)}
+    recv_reveals = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_CHECK_RECV)}
+    compared = disagree = 0
+    if check_blocks and len(sender_reveals) == senders:
+        for l in range(1, n + 1):
+            party = f"bob{l}"
+            revealed = recv_reveals.get(party)
+            if revealed is None:
+                issues.append(f"{party}: no check reveal recorded")
+                continue
+            for idx, j in enumerate(check_blocks):
+                outcome = revealed[idx]
+                if outcome is None:
+                    continue
+                if party in measured and measured[party][j] != outcome:
+                    issues.append(f"{party}: check reveal at block {j} contradicts its measurement record")
+                pos_in_reveal = idx * n + (l - 1)
+                expected = 0
+                for i in range(1, senders + 1):
+                    expected ^= sender_reveals[f"alice{i}"][pos_in_reveal]
+                compared += 1
+                if outcome != expected:
+                    disagree += 1
+        results = parsed.events_of(KIND_CHECK_RESULT)
+        if results:
+            fields = dict(item.partition("=")[::2] for item in results[0].payload.split(";"))
+            try:
+                recorded = (int(fields["compared"]), int(fields["disagree"]))
+                recorded_pass = fields["pass"] == "1"
+            except (KeyError, ValueError):
+                issues.append(f"check-result: malformed payload {results[0].payload!r}")
+            else:
+                if recorded != (compared, disagree):
+                    issues.append(
+                        f"check-result: recorded {recorded[0]}/{recorded[1]} "
+                        f"but reveals give {compared}/{disagree}"
+                    )
+                rate = disagree / compared if compared else 0.0
+                if recorded_pass != (rate <= threshold):
+                    issues.append("check-result: pass flag contradicts the recomputed rate")
+                if not recorded_pass and not aborts:
+                    issues.append("check-result: failed check without an abort event")
+                if recorded_pass and not raw_key_events and not aborts:
+                    issues.append("raw-key: passing run recorded no key")
+
+    if raw_key_events:
+        raw_key = str_to_bits(raw_key_events[0].payload)
+        checked = set(check_blocks)
+        unmeasured = [False] * blocks
+        receiver_masks = [usable.get(l, unmeasured) for l in range(1, n + 1)]
+        key_blocks = [
+            j
+            for j in range(blocks)
+            if j not in checked and all(mask[j] for mask in receiver_masks)
+        ]
+        if len(raw_key) != len(key_blocks):
+            issues.append(
+                f"raw-key: {len(raw_key)} bits recorded but {len(key_blocks)} blocks qualify"
+            )
+        else:
+            for idx, j in enumerate(key_blocks):
+                bit = 0
+                for l in range(1, n + 1):
+                    party = f"bob{l}"
+                    contrib = contribs.get(party)
+                    if contrib is None or idx >= len(contrib):
+                        issues.append(f"{party}: missing key contribution for block {j}")
+                        bit = None
+                        break
+                    if measured.get(party) is not None and measured[party][j] != contrib[idx]:
+                        issues.append(
+                            f"{party}: key contribution at block {j} contradicts its measurement record"
+                        )
+                    bit ^= contrib[idx]
+                if bit is not None and bit != raw_key[idx]:
+                    issues.append(f"raw-key: bit {idx} (block {j}) is not the XOR of the contributions")
+    return Verdict(not issues, issues)
+
+
+CHANNELS = {
+    "ideal": ChannelModel(),
+    "remove-loss": ChannelModel(loss_prob=0.15, p_x=0.03),
+    "substitute-loss": ChannelModel(
+        loss_prob=0.15, p_z=0.03, loss_strategy=LossStrategy.SUBSTITUTE
+    ),
+    "intercept-resend": ChannelModel(loss_prob=0.05, adversary=InterceptResend(fraction=0.2)),
+}
+
+# Kinds whose 0/1 characters the equivalence property flips.
+FLIPPABLE = (KIND_MEASURED, KIND_SIFT, KIND_KEY_CONTRIB, KIND_RAW_KEY, KIND_CHECK_SENDER, KIND_CHECK_RECV)
+
+
+@st.composite
+def honest_transcripts(draw):
+    variant = draw(st.sampled_from(list(Variant)))
+    cfg = ProtocolConfig(
+        senders=draw(st.integers(2, 4)),
+        receivers=draw(st.sampled_from([3, 5] if variant is Variant.BLOCK_SHARED else [2, 3, 4])),
+        blocks=draw(st.integers(4, 40)),
+        variant=variant,
+        quantum_memory=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return run_protocol(cfg, CHANNELS[draw(st.sampled_from(sorted(CHANNELS)))]).serialize()
+
+
+def flip_bits(text: str, picks, reverse_select: bool = False) -> str:
+    """Flip one 0/1 character of a FLIPPABLE payload per (line, position) pick.
+
+    ``reverse_select`` also lists the checked blocks in descending order,
+    which names the same blocks.
+    """
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if reverse_select and " check-select " in line:
+            head, payload = line.rsplit(" ", 1)
+            lines[i] = f"{head} {','.join(reversed(payload.split(',')))}"
+    targets = [
+        i for i, line in enumerate(lines) if line.startswith("event ") and line.split(" ")[2] in FLIPPABLE
+    ]
+    for line_pick, pos_pick in picks:
+        if not targets:
+            break
+        i = targets[line_pick % len(targets)]
+        head, payload = lines[i].rsplit(" ", 1)
+        spots = [k for k, c in enumerate(payload) if c in "01"]
+        if spots:
+            k = spots[pos_pick % len(spots)]
+            payload = payload[:k] + "10"[int(payload[k])] + payload[k + 1:]
+            lines[i] = f"{head} {payload}"
+    return "\n".join(lines)
+
+
+class TestAgainstPerPositionReference:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        honest_transcripts(),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4),
+        st.booleans(),
+    )
+    def test_same_verdict_and_issues_as_the_per_position_replay(self, text, picks, reverse_select):
+        tampered = flip_bits(text, picks, reverse_select)
+        expected = reference_replay(tampered)
+        assert replay(tampered) == expected
+
+    @pytest.mark.parametrize("memory", [True, False])
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_every_config_family_agrees_when_honest(self, variant, channel, memory):
+        cfg = ProtocolConfig(
+            senders=3, receivers=3, blocks=60, variant=variant, quantum_memory=memory, seed=99
+        )
+        text = run_protocol(cfg, CHANNELS[channel]).serialize()
+        assert replay(text) == reference_replay(text)
+        flipped = flip_bits(text, [(i, 7 * i) for i in range(6)])
+        assert replay(flipped) == reference_replay(flipped)
+
+    def test_ordering_attack_transcripts_agree(self):
+        for enforce in (True, False):
+            cfg = ProtocolConfig(senders=2, receivers=3, blocks=20, enforce_ordering=enforce, seed=4)
+            text = run_protocol(cfg, ChannelModel(adversary=OrderingAttack())).serialize()
+            assert replay(text) == reference_replay(text)
+
+
+# ---------------------------------------------------------------------------
+# Totality: any text gives a Verdict or a TranscriptParseError.
+
+MUTATION_CHARS = "01?-,;=x9 \n"
+
+
+class TestReplayIsTotal:
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        honest_transcripts(),
+        st.sampled_from(["substitute", "delete", "insert"]),
+        st.integers(0, 10**6),
+        st.sampled_from(MUTATION_CHARS),
+    )
+    def test_one_character_mutations_give_a_verdict_or_a_parse_error(self, text, how, at, char):
+        at %= len(text)
+        if how == "substitute":
+            mutated = text[:at] + char + text[at + 1:]
+        elif how == "delete":
+            mutated = text[:at] + text[at + 1:]
+        else:
+            mutated = text[:at] + char + text[at:]
+        try:
+            verdict = replay(mutated)
+        except TranscriptParseError:
+            return
+        assert isinstance(verdict, Verdict)
+        assert verdict.ok == (not verdict.issues)
+
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("bases alice1 0", "bases alice1 -", "alice1: bases payload has a character outside '01'"),
+            ("bases alice1 0", "bases alice1 ;", "alice1: bases payload has a character outside '01'"),
+            ("bases alice1 0", "bases alice1 ?", "alice1: bases payload has a character outside '01'"),
+            ("bob2 100001", "bob2 10000", "bob2: measured payload has 5 positions, expected 6"),
+            ("all 0,4", "all 0,4,317", "check-select: block 317 is outside [0, 6)"),
+            ("all 0,4", "all 0,x", "check-select: payload is not a comma list of block indices"),
+            ("all 0,4", "all 4,4", "check-select: block 4 is selected more than once"),
+            ("all 0,4", "all 0,4,5", "check-select: 3 blocks selected, but ceil(0.3333333333333333 * 6) = 2"),
+            ("sender alice2", "sender alicf2", "alice2: no check reveal recorded"),
+            ("bob1 01\n", "bob1 0\n", "bob1: check-receiver payload has 1 positions, expected 2"),
+            ("bob3 0111", "bob3 01?1", "bob3: key-contrib payload has a character outside '01'"),
+            ("all 1010", "all 1x10", "all: raw-key payload has a character outside '01'"),
+            ("senders=2", "senders=0", "config: missing or malformed field (receivers, blocks and"),
+            ("fraction=0.3333333333333333", "fraction=nan", "config: missing or malformed field"),
+        ],
+    )
+    def test_malformed_payloads_are_issues(self, old, new, expected):
+        text = (DATA / "worked_example.transcript").read_text()
+        assert text.count(old) == 1
+        verdict = replay(text.replace(old, new))
+        assert not verdict.ok
+        assert any(issue.startswith(expected) for issue in verdict.issues), verdict.issues
+
+    @pytest.mark.parametrize(
+        "dropped, expected",
+        [
+            (" bases alice3 ", "bases: 2 of 3 senders announced a well-formed basis string"),
+            (" check-result ", "check-result: no result recorded for the check"),
+            (" check-sender alice1 ", "check-sender: 2 of 3 senders revealed their bits"),
+        ],
+    )
+    def test_deleted_records_are_issues(self, dropped, expected):
+        cfg = ProtocolConfig(senders=3, receivers=3, blocks=20, quantum_memory=False, seed=3)
+        lines = run_protocol(cfg).serialize().split("\n")
+        kept = [line for line in lines if dropped not in line]
+        assert len(kept) == len(lines) - 1
+        verdict = replay("\n".join(kept))
+        assert not verdict.ok
+        assert expected in verdict.issues
+
+    def test_config_sizes_are_not_trusted_before_a_payload_has_them(self):
+        text = (DATA / "worked_example.transcript").read_text()
+        huge = text.replace("receivers=3 blocks=6", f"receivers={10**12} blocks={10**12}")
+        verdict = replay(huge)
+        assert not verdict.ok
+
+
+# ---------------------------------------------------------------------------
+# Loss records against the measurement records.
+
+
+def lossy_run() -> str:
+    cfg = ProtocolConfig(senders=3, receivers=3, blocks=60, seed=7)
+    return run_protocol(cfg, ChannelModel(loss_prob=0.1)).serialize()
+
+
+def edit_payload(text: str, marker: str, edit) -> str:
+    lines = text.split("\n")
+    i = next(i for i, line in enumerate(lines) if marker in line)
+    head, payload = lines[i].rsplit(" ", 1)
+    lines[i] = f"{head} {edit(payload)}"
+    return "\n".join(lines)
+
+
+class TestLossRecords:
+    def test_lossy_runs_verify_under_both_strategies(self):
+        text = lossy_run()
+        assert " loss bob1 " in text and " loss alice2 " in text
+        assert replay(text).ok, replay(text).issues
+        cfg = ProtocolConfig(senders=3, receivers=3, blocks=60, seed=7)
+        sub = run_protocol(cfg, ChannelModel(loss_prob=0.1, loss_strategy=LossStrategy.SUBSTITUTE))
+        assert " loss " not in sub.serialize() and "?" not in sub.serialize()
+        assert replay(sub.serialize()).ok
+
+    def test_deleted_receiver_loss_event_is_flagged(self):
+        text = lossy_run()
+        lines = [line for line in text.split("\n") if " loss bob2 " not in line]
+        verdict = replay("\n".join(lines))
+        assert not verdict.ok
+        lost = str_to_plane(next(l for l in text.split("\n") if " loss bob2 " in l).rsplit(" ", 1)[1])
+        first = int(np.flatnonzero(lost)[0])
+        assert f"bob2: measurement record at block {first} contradicts its loss record" in verdict.issues
+
+    def test_moved_question_mark_is_flagged(self):
+        text = lossy_run()
+        payload = next(l for l in text.split("\n") if " measured bob1 " in l).rsplit(" ", 1)[1]
+        j = payload.index("?")
+        k = next(k for k in range(j + 1, len(payload)) if payload[k] != "?")
+        moved = payload[:j] + payload[k] + payload[j + 1:k] + "?" + payload[k + 1:]
+        verdict = replay(edit_payload(text, " measured bob1 ", lambda _: moved))
+        assert not verdict.ok
+        assert f"bob1: measurement record at block {j} contradicts its loss record" in verdict.issues
+        assert f"bob1: measurement record at block {k} contradicts its loss record" in verdict.issues
+
+    def test_hop_loss_missing_from_the_receiver_record_is_flagged(self):
+        text = lossy_run()
+        bob = str_to_plane(next(l for l in text.split("\n") if " loss bob1 " in l).rsplit(" ", 1)[1])
+        j = int(np.flatnonzero(bob == 0)[0])  # a block bob1 received
+        k = 3 * j  # its position, n*j + l-1 with l = 1
+        verdict = replay(edit_payload(text, " loss alice2 ", lambda p: p[:k] + "1" + p[k + 1:]))
+        assert not verdict.ok
+        assert f"alice2: loss at block {j} is missing from bob1's loss record" in verdict.issues
+
+
+class TestPayloadPlanes:
+    @given(st.lists(st.integers(0, 2), max_size=200))
+    def test_str_to_plane_inverts_bits_to_str(self, codes):
+        text = bits_to_str(bytes(codes)) or "-"
+        assert str_to_plane(text).tolist() == codes
+        if codes:
+            assert bits_to_str(str_to_plane(text).tobytes()) == text
+
+    def test_other_characters_decode_above_every_code(self):
+        assert str_to_plane("01?x\x00\x01é").tolist() == [0, 1, 2, 255, 255, 255, 255, 255]
