@@ -25,6 +25,7 @@ from .channel import (
     preparer_attack,
     transmit,
 )
+from .config import ProtocolConfig, Variant, block_of, position, receiver_of
 from .errors import (
     ConfigError,
     DecodeFailure,
@@ -68,20 +69,17 @@ from .postprocessing import (
 )
 from .protocol import (
     PartySecrets,
-    ProtocolConfig,
-    Variant,
+    SenderPlanes,
     announce_bases,
-    block_of,
     combined_bases,
     encode_block,
     expanded_bit_vectors,
     extract_raw_key,
     generate_secrets,
-    position,
     prepare_block,
-    receiver_of,
     run_check,
     run_protocol,
+    run_trials,
     split_for_receivers,
 )
 from .qubits import (

@@ -16,14 +16,13 @@ Attack results carry two honest accuracy notions per touched position:
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError
-from .planes import QubitBlock, as_plane, random_bits, random_floats
+from .planes import QubitBlock, Rng, as_plane, random_bits, random_floats
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
 # counts calls at these names.
@@ -129,7 +128,11 @@ IDEAL = ChannelModel()
 
 @dataclass
 class AttackResult:
-    """Per-position record of an interception, one array entry per touched position."""
+    """Per-position record of an interception, one array entry per touched position.
+
+    On a batch of trials, positions index the stacked planes row by row: trial
+    t's position k is t * len(block) + k.
+    """
 
     kind: str
     positions: np.ndarray  # 0-based positions
@@ -141,12 +144,12 @@ class AttackResult:
 @dataclass
 class TransmitResult:
     block: QubitBlock
-    lost: np.ndarray  # positions lost on this hop
+    lost: np.ndarray  # positions lost on this hop, indexed as AttackResult.positions
     intercept: AttackResult | None = None
 
 
-def transmit(block: QubitBlock, ch: ChannelModel, rng: random.Random) -> TransmitResult:
-    """Push a block through one hop of the channel.
+def transmit(block: QubitBlock, ch: ChannelModel, rng: Rng) -> TransmitResult:
+    """Push a block, or a batch of them with one generator each, through one hop.
 
     Each position independently: lost with ``loss_prob`` (then deleted or
     substituted per the loss strategy); survivors suffer X/Y/Z noise with the
@@ -155,7 +158,7 @@ def transmit(block: QubitBlock, ch: ChannelModel, rng: random.Random) -> Transmi
     """
     size = len(block)
     fresh = ~block.lost
-    lost = np.zeros(size, dtype=bool)
+    lost = np.zeros_like(fresh)
     if ch.loss_prob > 0.0 or ch.p_x + ch.p_y + ch.p_z > 0.0:
         # One uniform draw per position: below loss_prob the qubit is lost;
         # the rest of [0, 1) splits into X, Y, Z and no error in the ratio
@@ -184,31 +187,32 @@ def _intercept(
     hit: np.ndarray,
     plan: np.ndarray,
     strip,
-    rng: random.Random,
+    rng: Rng,
 ) -> tuple[AttackResult, QubitBlock]:
     """Measure the ``hit`` positions in the planned bases, resend the collapsed
     states, and XOR a known ``strip`` off the readings."""
+    plan = np.broadcast_to(np.asarray(plan, dtype=np.uint8), hit.shape)
     outcome, resent = block.collapse(hit, plan, random_bits(rng, len(block)))
-    positions = np.flatnonzero(hit)
     result = AttackResult(
         kind,
-        positions,
-        plan[positions],
-        (outcome ^ strip)[positions],
-        (plan == block.basis)[positions],
+        np.flatnonzero(hit),
+        plan[hit],
+        (outcome ^ strip)[hit],
+        (plan == block.basis)[hit],
     )
     return result, resent
 
 
-def _xor_all(planes, size: int) -> np.ndarray:
-    out = np.zeros(size, dtype=np.uint8)
+def _xor_all(planes):
+    """XOR of the planes; 0 when there are none."""
+    out = 0
     for bits in planes:
-        out ^= as_plane(bits)
+        out = out ^ as_plane(bits)
     return out
 
 
 def intercept_resend(
-    block: QubitBlock, rng: random.Random, fraction: float = 1.0
+    block: QubitBlock, rng: Rng, fraction: float = 1.0
 ) -> tuple[QubitBlock, AttackResult]:
     """Standard intercept-resend: random basis per qubit, forward the collapsed state."""
     size = len(block)
@@ -223,7 +227,7 @@ def preparer_attack(
     prep_values: Sequence[int],
     prep_bases: Sequence[int],
     block: QubitBlock,
-    rng: random.Random,
+    rng: Rng,
 ) -> tuple[AttackResult, QubitBlock]:
     """First sender reads the second sender's bits out of the intercepted block.
 
@@ -240,7 +244,7 @@ def collusion_attack(
     known_values: dict[int, Sequence[int]],
     known_bases: dict[int, Sequence[int]],
     block: QubitBlock,
-    rng: random.Random,
+    rng: Rng,
 ) -> tuple[AttackResult, QubitBlock]:
     """Pooled-knowledge interception of the block leaving the targeted sender.
 
@@ -249,16 +253,15 @@ def collusion_attack(
     are treated as all zeros (the interceptor's best standing guess), which
     degrades accuracy exactly as the missing randomness dictates.
     """
-    size = len(block)
-    plan = _xor_all(known_bases.values(), size)
-    strip = _xor_all(known_values.values(), size)
+    plan = _xor_all(known_bases.values())
+    strip = _xor_all(known_values.values())
     return _intercept("colluder-insider", block, ~block.lost, plan, strip, rng)
 
 
 def ordering_attack(
     announced_bases: Sequence[Sequence[int]] | None,
     block: QubitBlock,
-    rng: random.Random,
+    rng: Rng,
 ) -> tuple[AttackResult, QubitBlock]:
     """Read the fully encoded block once every basis string is public.
 
@@ -266,11 +269,10 @@ def ordering_attack(
     the combined basis and recovers the joint encoding bit everywhere, hence
     the whole raw key; with the strings withheld she can only guess bases.
     """
-    size = len(block)
     if announced_bases is not None:
-        plan = _xor_all(announced_bases, size)
+        plan = _xor_all(announced_bases)
         kind = "ordering-violation"
     else:
-        plan = random_bits(rng, size)
+        plan = random_bits(rng, len(block))
         kind = "ordering-violation-blind"
     return _intercept(kind, block, ~block.lost, plan, 0, rng)

@@ -20,10 +20,10 @@ from .channel import (
     OrderingAttack,
     PreparerInsider,
 )
+from .config import ProtocolConfig, Variant
 from .errors import ConfigError, MpqssError, TranscriptParseError
 from .harness import METRICS, ExperimentSpec, replay, run_experiment
 from .postprocessing import hex_to_bits
-from .protocol import ProtocolConfig, Variant
 
 SCENARIOS = (
     "honest",

@@ -13,7 +13,7 @@ import json
 import random
 import re
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,15 +26,14 @@ from .channel import (
     PreparerInsider,
 )
 from .errors import ConfigError
+from .config import ProtocolConfig, checked_block_count, position
 from .postprocessing import bits_to_hex, build_canonical_css, key_rate, otp_send, reconcile_stream
 from .planes import UNUSABLE
-from .protocol import (
-    ProtocolConfig,
-    checked_block_count,
-    expanded_bit_vectors,
-    position,
-    run_protocol,
-)
+from .protocol import expanded_bit_vectors, run_trials
+
+# One trial per call, which run_experiment no longer makes; perfbench/tracing.py
+# spans calls at this name.
+from .protocol import run_protocol  # noqa: F401
 from .transcript import (
     KIND_ABORT,
     KIND_ACK,
@@ -43,6 +42,7 @@ from .transcript import (
     KIND_CHECK_RESULT,
     KIND_CHECK_SELECT,
     KIND_CHECK_SENDER,
+    KIND_EARLY_MEASURE,
     KIND_GUESS,
     KIND_KEY_CONTRIB,
     KIND_LOSS,
@@ -251,9 +251,8 @@ def run_experiment(
     if otp_message is not None and pair is None:
         raise ConfigError("metrics", "an outgoing message needs the block_yield metric")
 
-    for trial in range(spec.trials):
-        cfg = replace(spec.protocol, seed=derive_trial_seed(spec.seed, trial))
-        tr = run_protocol(cfg, spec.channel)
+    seeds = (derive_trial_seed(spec.seed, trial) for trial in range(spec.trials))
+    for trial, tr in enumerate(run_trials(spec.protocol, spec.channel, seeds)):
         digests.append(tr.digest())
         if first_transcript is None:
             first_transcript = tr
@@ -272,7 +271,7 @@ def run_experiment(
             elif name == "sift_rate" and measured:
                 samples[name].append(tr.sift_rate)
             elif name == "adversary_accuracy":
-                acc = _adversary_accuracy(tr, cfg, spec.channel.adversary)
+                acc = _adversary_accuracy(tr, spec.protocol, spec.channel.adversary)
                 if acc is not None:
                     samples[name].append(acc)
             elif name == "block_yield" and tr.raw_key and tr.reference_key:
@@ -334,13 +333,15 @@ def _party_index(party: str, prefix: str, count: int) -> int:
 def replay(text: str) -> Verdict:
     """Re-derive every deterministic consequence of a transcript and diff it.
 
-    Checks announcement ordering, sift masks against announced bases, '?'
-    outcomes against the loss records, the check selection, check reveals
-    against the measurement records, the recomputed disagreement rate against
-    the recorded one, abort consistency, and the raw key against the
-    receivers' contributions. Any mismatch, and any payload of the wrong
-    length or alphabet, is reported with its location. Time and memory are
-    linear in the length of ``text``: no array is sized from the config alone.
+    Checks announcement ordering, that without quantum memory each receiver
+    measured after its ack and before any basis announcement, sift masks
+    against announced bases, '?' outcomes against the loss records, the check
+    selection, check reveals against the measurement records, the recomputed
+    disagreement rate against the recorded one, abort consistency, the raw key
+    against the receivers' contributions, and the shape of the adversary
+    section. Any mismatch, and any payload of the wrong length or alphabet, is
+    reported with its location. Time and memory are linear in the length of
+    ``text``: no array is sized from the config alone.
     """
     parsed = parse(text)
     issues: list[str] = []
@@ -390,6 +391,20 @@ def replay(text: str) -> Verdict:
         issues.append("ordering: a basis announcement precedes a reception acknowledgment")
     if bases_seqs and len(acks) < n:
         issues.append(f"ordering: only {len(acks)} of {n} receivers acknowledged before announcements")
+    if parsed.config.get("quantum_memory") == "0":
+        # Without storage a receiver measures in guessed bases, once, between
+        # its ack and the first announcement; the no-memory sift assumes it.
+        premeasured: dict[str, list[int]] = {}
+        for ev in parsed.events_of(KIND_EARLY_MEASURE):
+            premeasured.setdefault(ev.party, []).append(ev.seq)
+        for party in (f"bob{l}" for l in receivers):
+            seqs = premeasured.get(party, [])
+            if len(seqs) != 1:
+                issues.append(f"{party}: {len(seqs)} premeasure records, expected one")
+            elif seqs[0] < acks.get(party, seqs[0] + 1):
+                issues.append(f"{party}: premeasure record does not follow its ack")
+            elif bases_seqs and seqs[0] > min(bases_seqs):
+                issues.append(f"{party}: premeasure record follows a basis announcement")
 
     # Combined basis as (blocks, n), or (blocks, 1) while every string has one
     # basis per block: XOR broadcasts a block's basis over its n positions.
@@ -494,7 +509,34 @@ def replay(text: str) -> Verdict:
             contribs = records(KIND_KEY_CONTRIB, 2, len(key_blocks))
             if len(key_blocks):
                 _check_key(issues, key_blocks, raw_key, contribs, measured, n)
+    if parsed.adversary:
+        _check_adversary(issues, parsed.adversary, n * blocks)
     return Verdict(not issues, issues)
+
+
+def _check_adversary(issues, section: dict[str, str], size: int) -> None:
+    """A kind, strictly increasing positions in [0, size), and a 0/1 entry per position."""
+    if not section.get("kind"):
+        issues.append("adversary: no kind recorded")
+    positions = section.get("positions", "")
+    if positions == "-":
+        count = 0
+    elif not re.fullmatch(_INDEX_LIST, positions):
+        issues.append("adversary: positions is not a comma list of qubit positions")
+        return
+    else:
+        touched = np.fromstring(positions, np.int64, sep=",")
+        count = len(touched)
+        if np.any(touched[1:] <= touched[:-1]):
+            issues.append("adversary: positions are not strictly increasing")
+        elif int(touched[-1]) >= size:
+            issues.append(f"adversary: position {touched[-1]} is outside [0, {size})")
+    for key in ("bases", "bits", "certain"):
+        plane = str_to_plane(section.get(key, ""))
+        if key not in section or (plane.size and plane.max() > 1):
+            issues.append(f"adversary: {key} is missing or has a character outside '01'")
+        elif len(plane) != count:
+            issues.append(f"adversary: {key} has {len(plane)} entries, expected {count}")
 
 
 def _check_reveals(issues, parsed, rows, sent, recv_reveals, measured, n, threshold) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -25,33 +25,43 @@ UNUSABLE = 2
 # Each whole-array draw unpacks one ``getrandbits`` call of the run's
 # ``random.Random``, so numpy.random, which ``import numpy`` leaves unloaded,
 # is never loaded. Bytes are read little-endian, so the planes are the same on
-# every platform.
+# every platform. ``rng`` is either one generator or a sequence of them, one
+# per trial; a sequence draws one row per generator, each exactly what that
+# generator alone would give, so a batch of trials leaves every trial's
+# stream as it is.
+Rng = Union[random.Random, Sequence[random.Random]]
 
 
-def random_bits(rng: random.Random, count: int) -> np.ndarray:
+def _random_bytes(rng: Rng, count: int) -> np.ndarray:
+    """``count`` random bytes per generator: shape (count,), or (trials, count) for a sequence."""
+    if isinstance(rng, random.Random):
+        return np.frombuffer(rng.getrandbits(8 * count).to_bytes(count, "little"), dtype=np.uint8)
+    raw = b"".join([r.getrandbits(8 * count).to_bytes(count, "little") for r in rng])
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rng), count)
+
+
+def random_bits(rng: Rng, count: int) -> np.ndarray:
     """``count`` independent fair bits as a uint8 plane."""
-    size = -(-count // 8)
-    raw = np.frombuffer(rng.getrandbits(8 * size).to_bytes(size, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=count, bitorder="little")
+    raw = _random_bytes(rng, -(-count // 8))
+    return np.unpackbits(raw, axis=-1, count=count, bitorder="little")
 
 
-def random_words(rng: random.Random, count: int) -> np.ndarray:
+def random_words(rng: Rng, count: int) -> np.ndarray:
     """``count`` independent uniform 64-bit integers."""
-    return np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u8")
+    return _random_bytes(rng, 8 * count).view("<u8")
 
 
-def random_coins(rng: random.Random, count: int) -> np.ndarray:
+def random_coins(rng: Rng, count: int) -> np.ndarray:
     """The bits of ``count`` successive ``rng.getrandbits(1)`` calls, drawn in one call.
 
     CPython answers ``getrandbits(1)`` with the top bit of one 32-bit output and
     ``getrandbits(32 * count)`` with ``count`` whole outputs, the first one
     lowest, so both give the same bits and leave the generator in the same state.
     """
-    words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-    return (np.frombuffer(words, dtype="<u4") >> 31).astype(np.uint8)
+    return (_random_bytes(rng, 4 * count).view("<u4") >> 31).astype(np.uint8)
 
 
-def random_floats(rng: random.Random, count: int) -> np.ndarray:
+def random_floats(rng: Rng, count: int) -> np.ndarray:
     """``count`` uniform draws from [0, 1) with the 53-bit resolution of ``random()``."""
     return (random_words(rng, count) >> 11) * 2.0**-53
 
@@ -73,6 +83,8 @@ class QubitBlock:
 
     Basis 0 is Z and 1 is X, as in ``qubits``. Planes are never written in
     place, so blocks may share them (``split_for_receivers`` hands out views).
+    A batch of trials stacks their planes on a leading axis; every kernel works
+    position by position, so it runs on the stack as it does on one block.
     """
 
     value: np.ndarray  # uint8
@@ -82,7 +94,7 @@ class QubitBlock:
     @classmethod
     def encode(cls, values: np.ndarray, bases: np.ndarray) -> "QubitBlock":
         """Fresh states carrying ``values`` in ``bases`` (``qubits.encode``)."""
-        return cls(values, bases, np.zeros(len(values), dtype=bool))
+        return cls(values, bases, np.zeros(values.shape, dtype=bool))
 
     @classmethod
     def from_qubits(cls, qubits: Sequence[Qubit | None]) -> "QubitBlock":
@@ -103,7 +115,8 @@ class QubitBlock:
         ]
 
     def __len__(self) -> int:
-        return len(self.value)
+        """Positions per trial."""
+        return self.value.shape[-1]
 
     def __iter__(self):
         """The block read as a sequence of ``Qubit | None``, as 0.1.0 blocks were."""

@@ -8,16 +8,19 @@ earlier), receivers measure in the combined basis, everyone compares a random
 subset of blocks, and the surviving blocks' XOR-across-receivers becomes the
 raw key. Every inter-party hop goes through a channel model that may lose
 qubits, add Pauli noise, or host an adversary.
+
+``run_trials`` runs many seeded runs as chunks of trials whose planes are
+stacked on a leading axis, each phase once per chunk; ``run_protocol`` is its
+one-trial case.
 """
 
 from __future__ import annotations
 
-import enum
-import math
+import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +38,9 @@ from .channel import (
     preparer_attack,
     transmit,
 )
+from .config import ProtocolConfig, Variant
 from .errors import ConfigError, OrderingError, ProtocolStateError
-from .planes import UNUSABLE, QubitBlock, as_plane, random_bits, random_words
+from .planes import UNUSABLE, QubitBlock, Rng, as_plane, random_bits, random_words
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
 # counts calls at these names.
@@ -59,158 +63,58 @@ from .transcript import (
     AdversaryRecord,
     Transcript,
     bits_to_str,
+    record_rows,
 )
-
-
-class Variant(enum.Enum):
-    """How value and basis bits are laid out across the block.
-
-    MAIN: every sender draws n*N value bits and n*N basis bits, one of each
-    per qubit. BLOCK_BASIS: n*N value bits but only N basis bits, one basis
-    per n-qubit block. BLOCK_SHARED: N bits of each kind per sender; the
-    first sender splits each value bit into n single-qubit shares whose XOR
-    reproduces it (receivers must be odd in number or later senders' bits
-    cancel out of the key).
-    """
-
-    MAIN = "main"
-    BLOCK_BASIS = "block_basis"
-    BLOCK_SHARED = "block_shared"
-
-    @classmethod
-    def parse(cls, text: str) -> "Variant":
-        aliases = {
-            "main": cls.MAIN,
-            "block_basis": cls.BLOCK_BASIS,
-            "block-basis": cls.BLOCK_BASIS,
-            "a": cls.BLOCK_BASIS,
-            "block_shared": cls.BLOCK_SHARED,
-            "block-shared": cls.BLOCK_SHARED,
-            "b": cls.BLOCK_SHARED,
-        }
-        try:
-            return aliases[text.strip().lower()]
-        except KeyError:
-            raise ConfigError("variant", f"unknown variant {text!r}") from None
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    senders: int
-    receivers: int
-    blocks: int
-    variant: Variant = Variant.MAIN
-    check_fraction: float = 0.5
-    qber_abort_threshold: float = 0.11
-    quantum_memory: bool = True
-    seed: int = 0
-    enforce_ordering: bool = True
-    omit_hadamard: frozenset[int] = frozenset()
-    unsafe_skip_validation: bool = False  # diagnostics only; documented failure modes apply
-
-    def __post_init__(self):
-        if not self.unsafe_skip_validation:
-            self.validate()
-
-    def validate(self, path: str = "") -> None:
-        p = f"{path}." if path else ""
-        if self.senders < 2:
-            raise ConfigError(f"{p}senders", "need at least two senders")
-        if self.receivers < 2:
-            raise ConfigError(f"{p}receivers", "need at least two receivers")
-        if self.blocks < 1:
-            raise ConfigError(f"{p}blocks", "need at least one block")
-        if not 0.0 < self.check_fraction < 1.0:
-            raise ConfigError(f"{p}check_fraction", "must be in (0, 1)")
-        if not 0.0 < self.qber_abort_threshold < 1.0:
-            raise ConfigError(f"{p}qber_abort_threshold", "must be in (0, 1)")
-        if self.variant is Variant.BLOCK_SHARED and self.receivers % 2 == 0:
-            raise ConfigError(
-                f"{p}receivers",
-                "the shared-block variant needs an odd receiver count or the key "
-                "collapses to the first sender's bits",
-            )
-        if self.checked_block_count >= self.blocks:
-            raise ConfigError(
-                f"{p}check_fraction",
-                f"checking ceil({self.check_fraction} * {self.blocks}) blocks leaves "
-                "no unchecked block to carry key bits",
-            )
-        for i in self.omit_hadamard:
-            if not 2 <= i <= self.senders:
-                raise ConfigError(f"{p}omit_hadamard", f"sender {i} cannot skip basis mixing")
-
-    @property
-    def total_qubits(self) -> int:
-        return self.receivers * self.blocks
-
-    @property
-    def checked_block_count(self) -> int:
-        return checked_block_count(self.check_fraction, self.blocks)
-
-    def snapshot(self) -> dict[str, str]:
-        omit = ",".join(str(i) for i in sorted(self.omit_hadamard)) or "-"
-        return {
-            "senders": str(self.senders),
-            "receivers": str(self.receivers),
-            "blocks": str(self.blocks),
-            "variant": self.variant.value,
-            "check_fraction": repr(self.check_fraction),
-            "qber_abort_threshold": repr(self.qber_abort_threshold),
-            "quantum_memory": "1" if self.quantum_memory else "0",
-            "seed": str(self.seed),
-            "enforce_ordering": "1" if self.enforce_ordering else "0",
-            "omit_hadamard": omit,
-        }
-
-
-def checked_block_count(check_fraction: float, blocks: int) -> int:
-    """How many of ``blocks`` blocks the check reveals: ceil(check_fraction * blocks)."""
-    # round() guards against 0.3 * 10 = 3.0000000000000004 style float dust
-    return math.ceil(round(check_fraction * blocks, 9))
-
-
-def position(block: int, receiver: int, receivers: int) -> int:
-    """0-based qubit index of 0-based ``block`` and 1-based ``receiver``."""
-    return block * receivers + (receiver - 1)
-
-
-def block_of(k: int, receivers: int) -> int:
-    return k // receivers
-
-
-def receiver_of(k: int, receivers: int) -> int:
-    return k % receivers + 1
 
 
 @dataclass(frozen=True)
 class PartySecrets:
-    """One sender's random strings for a run; sizes depend on the variant."""
+    """One sender's random strings for a run, given as tuples; sizes depend on the variant."""
 
     party: str
     value_bits: tuple[int, ...]
     basis_bits: tuple[int, ...]
     value_shares: tuple[int, ...] | None = None  # first sender, shared-block variant
 
-    @classmethod
-    def from_planes(
-        cls, party: str, value: np.ndarray, basis: np.ndarray, shares: np.ndarray | None = None
-    ) -> "PartySecrets":
-        """Secrets drawn as planes; the planes are kept rather than rebuilt from the tuples."""
-        secrets = cls(
-            party,
-            _bits_tuple(value),
-            _bits_tuple(basis),
-            None if shares is None else _bits_tuple(shares),
-        )
-        secrets.__dict__["planes"] = (value, basis, shares)  # seeds the cached property
-        return secrets
-
     @cached_property
     def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """(value, basis, shares) strings as uint8 planes, converted once."""
         shares = None if self.value_shares is None else as_plane(self.value_shares)
         return as_plane(self.value_bits), as_plane(self.basis_bits), shares
+
+
+class SenderPlanes(NamedTuple):
+    """One sender's strings as drawn: uint8 planes, for a batch one row per trial.
+
+    A single trial's planes read like ``PartySecrets``; the tuples are built
+    only when asked for.
+    """
+
+    party: str
+    value: np.ndarray
+    basis: np.ndarray
+    shares: np.ndarray | None
+
+    @property
+    def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        return self.value, self.basis, self.shares
+
+    @property
+    def value_bits(self) -> tuple[int, ...]:
+        return _bits_tuple(self.value)
+
+    @property
+    def basis_bits(self) -> tuple[int, ...]:
+        return _bits_tuple(self.basis)
+
+    @property
+    def value_shares(self) -> tuple[int, ...] | None:
+        return None if self.shares is None else _bits_tuple(self.shares)
+
+    def trial(self, t: int) -> "SenderPlanes":
+        """Trial ``t``'s row of a batch."""
+        shares = None if self.shares is None else self.shares[t]
+        return SenderPlanes(self.party, self.value[t], self.basis[t], shares)
 
 
 def _bits_tuple(plane: np.ndarray) -> tuple[int, ...]:
@@ -223,15 +127,21 @@ def _payload(plane: np.ndarray) -> str:
     return bits_to_str(plane.tobytes())
 
 
-def _expand_shares(value_bits: np.ndarray, receivers: int, rng: random.Random) -> np.ndarray:
+def _trials(tr: Transcript | Sequence[Transcript]) -> list[Transcript]:
+    """The transcripts of a batch; one transcript is a batch of one."""
+    return [tr] if isinstance(tr, Transcript) else list(tr)
+
+
+def _expand_shares(value_bits: np.ndarray, receivers: int, rng: Rng) -> np.ndarray:
     """Split each bit into ``receivers`` single-qubit shares with matching XOR.
 
     Uniform over the 2^(n-1) satisfying assignments per block: the first n-1
     shares are free and the last absorbs the parity.
     """
-    free = random_bits(rng, len(value_bits) * (receivers - 1)).reshape(-1, receivers - 1)
-    parity = value_bits ^ np.bitwise_xor.reduce(free, axis=1)
-    return np.column_stack([free, parity]).ravel()
+    shape = value_bits.shape
+    free = random_bits(rng, shape[-1] * (receivers - 1)).reshape(*shape, receivers - 1)
+    parity = value_bits ^ np.bitwise_xor.reduce(free, axis=-1)
+    return np.concatenate([free, parity[..., None]], axis=-1).reshape(*shape[:-1], -1)
 
 
 def secret_lengths(cfg: ProtocolConfig) -> tuple[int, int]:
@@ -243,47 +153,52 @@ def secret_lengths(cfg: ProtocolConfig) -> tuple[int, int]:
     return cfg.blocks, cfg.blocks
 
 
-def generate_secrets(cfg: ProtocolConfig, rng: random.Random) -> list[PartySecrets]:
+def generate_secrets(cfg: ProtocolConfig, rng: Rng) -> list[SenderPlanes]:
     """Fresh random strings for every sender, never reused across runs.
 
     A sender listed in ``omit_hadamard`` skips the basis-mixing step, which is
-    the same as using (and later publishing) an all-zero basis string.
+    the same as using (and later publishing) an all-zero basis string. Given a
+    sequence of generators, one per trial, the planes have one row per trial.
     """
+    single = isinstance(rng, random.Random)
+    rngs = [rng] if single else rng
     out = []
     n_value, n_basis = secret_lengths(cfg)
     for i in range(1, cfg.senders + 1):
-        value_bits = random_bits(rng, n_value)
+        value_bits = random_bits(rngs, n_value)
         if i in cfg.omit_hadamard:
-            basis_bits = np.zeros(n_basis, dtype=np.uint8)
+            basis_bits = np.zeros((len(rngs), n_basis), dtype=np.uint8)
         else:
-            basis_bits = random_bits(rng, n_basis)
+            basis_bits = random_bits(rngs, n_basis)
         shares = None
         if cfg.variant is Variant.BLOCK_SHARED and i == 1:
-            shares = _expand_shares(value_bits, cfg.receivers, rng)
-        out.append(PartySecrets.from_planes(f"alice{i}", value_bits, basis_bits, shares))
-    return out
+            shares = _expand_shares(value_bits, cfg.receivers, rngs)
+        out.append(SenderPlanes(f"alice{i}", value_bits, basis_bits, shares))
+    return [s.trial(0) for s in out] if single else out
 
 
-def _check_secret_sizes(secrets: PartySecrets, cfg: ProtocolConfig, first: bool) -> None:
+def _check_secret_sizes(secrets: PartySecrets | SenderPlanes, cfg: ProtocolConfig, first: bool) -> None:
     n_value, n_basis = secret_lengths(cfg)
-    if len(secrets.value_bits) != n_value or len(secrets.basis_bits) != n_basis:
+    value, basis, shares = secrets.planes
+    if value.shape[-1] != n_value or basis.shape[-1] != n_basis:
         raise ConfigError(
             "secrets",
             f"{secrets.party}: expected {n_value} value bits and {n_basis} basis bits, "
-            f"got {len(secrets.value_bits)} and {len(secrets.basis_bits)}",
+            f"got {value.shape[-1]} and {basis.shape[-1]}",
         )
     if cfg.variant is Variant.BLOCK_SHARED and first:
-        if secrets.value_shares is None or len(secrets.value_shares) != cfg.total_qubits:
+        if shares is None or shares.shape[-1] != cfg.total_qubits:
             raise ConfigError("secrets", f"{secrets.party}: needs {cfg.total_qubits} value shares")
 
 
 def expanded_bit_vectors(
-    secrets: Sequence[PartySecrets], cfg: ProtocolConfig
+    secrets: Sequence[PartySecrets | SenderPlanes], cfg: ProtocolConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-position value and basis planes for every sender, shape (senders, n*N).
 
     Expands block-granular strings so position arithmetic is uniform across
-    variants: the bit governing qubit k of sender i lands at [i-1][k].
+    variants: the bit governing qubit k of sender i lands at [i-1][k]. Batched
+    strings give shape (senders, trials, n*N).
     """
     n = cfg.receivers
     values = []
@@ -291,25 +206,25 @@ def expanded_bit_vectors(
     for s in secrets:
         v, b, shares = s.planes
         if cfg.variant is Variant.BLOCK_BASIS:
-            b = np.repeat(b, n)
+            b = np.repeat(b, n, axis=-1)
         elif cfg.variant is Variant.BLOCK_SHARED:
             # Only the first sender carries per-position shares of her bits.
-            v = shares if shares is not None else np.repeat(v, n)
-            b = np.repeat(b, n)
+            v = shares if shares is not None else np.repeat(v, n, axis=-1)
+            b = np.repeat(b, n, axis=-1)
         values.append(v)
         bases.append(b)
     return np.array(values), np.array(bases)
 
 
-def prepare_block(secrets: PartySecrets, cfg: ProtocolConfig) -> QubitBlock:
-    """First sender turns her strings into the initial qubit block."""
+def prepare_block(secrets: PartySecrets | SenderPlanes, cfg: ProtocolConfig) -> QubitBlock:
+    """First sender turns her strings into the initial qubit block (one per trial for a batch)."""
     _check_secret_sizes(secrets, cfg, first=True)
     values, bases = expanded_bit_vectors([secrets], cfg)
     return QubitBlock.encode(values[0], bases[0])
 
 
 def encode_block(
-    block: QubitBlock, secrets: PartySecrets, sender_index: int, cfg: ProtocolConfig
+    block: QubitBlock, secrets: PartySecrets | SenderPlanes, sender_index: int, cfg: ProtocolConfig
 ) -> QubitBlock:
     """Sender ``sender_index`` chains her value flips, then her basis swaps.
 
@@ -331,187 +246,255 @@ def split_for_receivers(block: QubitBlock, cfg: ProtocolConfig) -> list[QubitBlo
     if len(block) != cfg.total_qubits:
         raise ConfigError("secrets", f"block has {len(block)} qubits, expected {cfg.total_qubits}")
     n = cfg.receivers
-    return [QubitBlock(block.value[l::n], block.basis[l::n], block.lost[l::n]) for l in range(n)]
+    return [
+        QubitBlock(block.value[..., l::n], block.basis[..., l::n], block.lost[..., l::n])
+        for l in range(n)
+    ]
 
 
 def announce_bases(
-    tr: Transcript, sender_index: int, basis_bits: Sequence[int], cfg: ProtocolConfig
+    tr: Transcript | Sequence[Transcript],
+    sender_index: int,
+    basis_bits: Sequence[int] | np.ndarray,
+    cfg: ProtocolConfig,
 ) -> None:
-    """Publish one sender's basis string.
+    """Publish one sender's basis string (for a batch, one row per transcript).
 
     With ordering enforcement on, this refuses to run until every receiver has
     acknowledged reception; announcing earlier hands the whole encoding to
     anyone holding the transiting qubits.
     """
-    if cfg.enforce_ordering and len(tr.ack_seqs) < cfg.receivers:
-        missing = [l for l in range(1, cfg.receivers + 1) if l not in tr.ack_seqs]
+    trs = _trials(tr)
+    acks = trs[0].ack_seqs
+    if cfg.enforce_ordering and len(acks) < cfg.receivers:
+        missing = [l for l in range(1, cfg.receivers + 1) if l not in acks]
         raise OrderingError(
             f"sender {sender_index} tried to announce bases before receivers "
             f"{missing} acknowledged reception"
         )
-    plane = as_plane(basis_bits)
-    ev = tr.record(KIND_BASES, f"alice{sender_index}", _payload(plane))
-    tr.announced_bases[sender_index] = _bits_tuple(plane)
-    tr.bases_seqs[sender_index] = ev.seq
+    planes = as_plane(basis_bits).reshape(len(trs), -1)
+    for t, ev, bits in zip(trs, record_rows(trs, KIND_BASES, f"alice{sender_index}", planes), planes):
+        t.announced_bases[sender_index] = _bits_tuple(bits)
+        t.bases_seqs[sender_index] = ev.seq
 
 
-def combined_bases(tr: Transcript, cfg: ProtocolConfig) -> np.ndarray:
-    """Per-position XOR of all announced basis strings (the decoding basis)."""
-    if len(tr.announced_bases) < cfg.senders:
+def combined_bases(tr: Transcript | Sequence[Transcript], cfg: ProtocolConfig) -> np.ndarray:
+    """Per-position XOR of all announced basis strings (the decoding basis).
+
+    For a batch of transcripts, one row per transcript.
+    """
+    trs = _trials(tr)
+    if any(len(t.announced_bases) < cfg.senders for t in trs):
         raise ProtocolStateError("not every sender has announced a basis string")
-    combined = np.zeros(cfg.total_qubits, dtype=np.uint8)
-    for bits in tr.announced_bases.values():
-        plane = as_plane(bits)
-        if len(plane) != cfg.total_qubits:
-            plane = np.repeat(plane, cfg.receivers)
+    combined = np.zeros((len(trs), cfg.total_qubits), dtype=np.uint8)
+    for i in trs[0].announced_bases:
+        plane = as_plane(b"".join([bytes(t.announced_bases[i]) for t in trs])).reshape(len(trs), -1)
+        if plane.shape[1] != cfg.total_qubits:
+            plane = np.repeat(plane, cfg.receivers, axis=1)
         combined ^= plane
-    return combined
+    return combined[0] if isinstance(tr, Transcript) else combined
 
 
 @dataclass(eq=False)
 class Readout:
-    """Every receiver's record as (N, n) planes: row j is block j, column l-1 receiver l."""
+    """Every receiver's record as (N, n) planes: row j is block j, column l-1 receiver l.
+
+    A batch of trials stacks them as (trials, N, n).
+    """
 
     outcome: np.ndarray  # uint8 measurement outcome; meaningless where lost
     lost: np.ndarray  # bool: no qubit arrived
     usable: np.ndarray  # bool: arrived and measured in the combined basis
 
 
-def _unchecked_blocks(tr: Transcript, cfg: ProtocolConfig) -> np.ndarray:
-    unchecked = np.ones(cfg.blocks, dtype=bool)
-    unchecked[np.array(tr.check_blocks, dtype=np.intp)] = False
+def _unchecked_blocks(trs: list[Transcript], cfg: ProtocolConfig) -> np.ndarray:
+    """(trials, N) mask of the blocks each trial's check left unrevealed."""
+    unchecked = np.ones((len(trs), cfg.blocks), dtype=bool)
+    rows = np.array([t.check_blocks for t in trs], dtype=np.intp).reshape(len(trs), -1)
+    np.put_along_axis(unchecked, rows, False, axis=1)
     return unchecked
 
 
 def run_check(
-    tr: Transcript,
+    tr: Transcript | Sequence[Transcript],
     cfg: ProtocolConfig,
     values: np.ndarray,
     readout: Readout,
-    rng: random.Random,
+    rng: Rng,
     check_blocks: Sequence[int] | None = None,
-) -> bool:
+) -> bool | np.ndarray:
     """Reveal a random subset of blocks and compare outcomes against the XOR.
 
     ``values`` holds every sender's per-position value plane. Aborts the run
     when the disagreement rate among comparable revealed positions exceeds
-    the configured threshold. Returns True on pass.
+    the configured threshold. Returns True on pass. A batch takes one
+    transcript and generator per trial, values as (senders, trials, n*N) and
+    the readout as (trials, N, n), and returns a bool per trial.
     """
+    trs = _trials(tr)
+    count, blocks, n = len(trs), cfg.blocks, cfg.receivers
     want = cfg.checked_block_count
+    checked = np.zeros((count, blocks), dtype=bool)
     if check_blocks is None:
         # The blocks holding the ``want`` smallest of N independent uniform
         # keys form a uniformly random subset.
-        keys = random_words(rng, cfg.blocks)
-        checked = np.zeros(cfg.blocks, dtype=bool)
-        checked[np.argpartition(keys, want - 1)[:want]] = True
-        rows = np.flatnonzero(checked)
-        blocks = tuple(rows.tolist())
+        keys = random_words(rng, blocks).reshape(count, blocks)
+        np.put_along_axis(checked, np.argpartition(keys, want - 1, axis=1)[:, :want], True, axis=1)
     else:
-        blocks = tuple(sorted(int(j) for j in check_blocks))
-        if len(set(blocks)) != want or any(not 0 <= j < cfg.blocks for j in blocks):
-            raise ConfigError("check_blocks", f"need {want} distinct block indices in [0, {cfg.blocks})")
-        rows = np.array(blocks, dtype=np.intp)
-    tr.check_blocks = blocks
-    tr.record(KIND_CHECK_SELECT, "all", ",".join(map(str, blocks)) or "-")
+        chosen = sorted(int(j) for j in check_blocks)
+        if len(set(chosen)) != want or any(not 0 <= j < blocks for j in chosen):
+            raise ConfigError("check_blocks", f"need {want} distinct block indices in [0, {blocks})")
+        checked[:, chosen] = True
+    flat = np.flatnonzero(checked)  # trial t's block j is row t*N + j
+    for t, selected in zip(trs, (flat.reshape(count, want) % blocks).tolist()):
+        t.check_blocks = tuple(selected)
+        t.record(KIND_CHECK_SELECT, "all", ",".join(map(str, selected)) or "-")
 
     # Reveal order: checked blocks ascending, receivers ascending within each.
-    sent = values.reshape(len(values), cfg.blocks, cfg.receivers)[:, rows]
+    shape = (count, want, n)
+    sent = values.reshape(len(values), count * blocks, n)[:, flat].reshape(len(values), *shape)
     for i, bits in enumerate(sent, start=1):
-        tr.record(KIND_CHECK_SENDER, f"alice{i}", _payload(bits))
-    usable = readout.usable[rows]
-    outcome = readout.outcome[rows]
+        record_rows(trs, KIND_CHECK_SENDER, f"alice{i}", bits.reshape(count, -1))
+    usable = readout.usable.reshape(-1, n)[flat].reshape(shape)
+    outcome = readout.outcome.reshape(-1, n)[flat].reshape(shape)
     revealed = np.where(usable, outcome, UNUSABLE)
-    for l in range(1, cfg.receivers + 1):
-        tr.record(KIND_CHECK_RECV, f"bob{l}", _payload(revealed[:, l - 1]))
+    for l in range(1, n + 1):
+        record_rows(trs, KIND_CHECK_RECV, f"bob{l}", revealed[:, :, l - 1])
     expected = np.bitwise_xor.reduce(sent, axis=0)
-    compared = int(np.count_nonzero(usable))
-    disagree = int(np.count_nonzero(usable & (outcome != expected)))
-    rate = disagree / compared if compared else 0.0
-    tr.compared = compared
-    tr.disagreements = disagree
-    tr.qber = rate
-    passed = rate <= cfg.qber_abort_threshold
-    tr.record(
-        KIND_CHECK_RESULT,
-        "all",
-        f"compared={compared};disagree={disagree};rate={rate:.6f};"
-        f"threshold={cfg.qber_abort_threshold:.6f};pass={1 if passed else 0}",
-    )
-    if not passed:
-        tr.abort_reason = f"error rate {rate:.6f} above threshold {cfg.qber_abort_threshold:.6f}"
-        tr.record(KIND_ABORT, "all", "error-rate")
-    return passed
+    compared = np.count_nonzero(usable, axis=(1, 2)).tolist()
+    disagree = np.count_nonzero(usable & (outcome != expected), axis=(1, 2)).tolist()
+    threshold = cfg.qber_abort_threshold
+    passed = []
+    for t, compared_t, disagree_t in zip(trs, compared, disagree):
+        rate = disagree_t / compared_t if compared_t else 0.0
+        t.compared = compared_t
+        t.disagreements = disagree_t
+        t.qber = rate
+        passed.append(rate <= threshold)
+        t.record(
+            KIND_CHECK_RESULT,
+            "all",
+            f"compared={compared_t};disagree={disagree_t};rate={rate:.6f};"
+            f"threshold={threshold:.6f};pass={1 if passed[-1] else 0}",
+        )
+        if not passed[-1]:
+            t.abort_reason = f"error rate {rate:.6f} above threshold {threshold:.6f}"
+            t.record(KIND_ABORT, "all", "error-rate")
+    return passed[0] if isinstance(tr, Transcript) else np.array(passed)
 
 
 def extract_raw_key(
-    tr: Transcript, cfg: ProtocolConfig, values: np.ndarray, readout: Readout
+    tr: Transcript | Sequence[Transcript], cfg: ProtocolConfig, values: np.ndarray, readout: Readout
 ) -> None:
     """XOR each surviving unchecked block across receivers into one key bit.
 
     A block survives when every receiver holds a usable outcome for it. Each
     receiver's contribution and the combined key are both recorded; combining
     them is a joint computation, with no aggregation mechanism prescribed.
+    Takes a batch as ``run_check`` does.
     """
-    if tr.qber is None:
-        raise ProtocolStateError("raw key requested before the check ran")
-    if tr.abort_reason is not None:
-        raise ProtocolStateError("raw key requested after an abort")
-    key_blocks = np.flatnonzero(_unchecked_blocks(tr, cfg) & readout.usable.all(axis=1))
-    tr.key_blocks = tuple(key_blocks.tolist())
-    contrib = readout.outcome[key_blocks]
-    for l in range(1, cfg.receivers + 1):
-        tr.record(KIND_KEY_CONTRIB, f"bob{l}", _payload(contrib[:, l - 1]))
+    trs = _trials(tr)
+    for t in trs:
+        if t.qber is None:
+            raise ProtocolStateError("raw key requested before the check ran")
+        if t.abort_reason is not None:
+            raise ProtocolStateError("raw key requested after an abort")
+    count, blocks, n = len(trs), cfg.blocks, cfg.receivers
+    usable = readout.usable.reshape(count, blocks, n).all(axis=2)
+    flat = np.flatnonzero(_unchecked_blocks(trs, cfg) & usable)  # trial t's block j is t*N + j
+    bounds = np.searchsorted(flat, np.arange(count + 1) * blocks).tolist()
+    contrib = readout.outcome.reshape(-1, n)[flat]  # (key bits of every trial, n)
     key = np.bitwise_xor.reduce(contrib, axis=1)
-    tr.raw_key = _bits_tuple(key)
-    tr.record(KIND_RAW_KEY, "all", _payload(key))
+    truth = np.bitwise_xor.reduce(values, axis=0).reshape(-1, n)
+    reference = np.bitwise_xor.reduce(truth[flat], axis=1)
+    shares = [_payload(contrib[:, c]) for c in range(n)]
+    key_text = _payload(key)
+    key_blocks = (flat % blocks).tolist()
+    key_bits, reference_bits = key.tobytes(), reference.tobytes()
+    for t, a, b in zip(trs, bounds, bounds[1:]):
+        t.key_blocks = tuple(key_blocks[a:b])
+        for c in range(n):
+            t.record(KIND_KEY_CONTRIB, f"bob{c + 1}", shares[c][a:b])
+        t.raw_key = tuple(key_bits[a:b])
+        t.record(KIND_RAW_KEY, "all", key_text[a:b])
+        t.reference_key = tuple(reference_bits[a:b])
 
-    truth = np.bitwise_xor.reduce(values, axis=0).reshape(cfg.blocks, cfg.receivers)
-    tr.reference_key = _bits_tuple(np.bitwise_xor.reduce(truth[key_blocks], axis=1))
 
-
-def _finalize_rates(tr: Transcript, cfg: ProtocolConfig, readout: Readout | None) -> None:
+def _finalize_rates(trs: list[Transcript], cfg: ProtocolConfig, readout: Readout | None) -> None:
     if readout is None:  # aborted before any qubit was measured
-        tr.sift_rate = tr.efficiency = 0.0
+        for t in trs:
+            t.sift_rate = t.efficiency = 0.0
         return
-    received = readout.lost.size - int(np.count_nonzero(readout.lost))
-    usable = int(np.count_nonzero(readout.usable))
-    tr.sift_rate = usable / received if received else 0.0
-    unchecked = _unchecked_blocks(tr, cfg)
-    total = int(np.count_nonzero(unchecked)) * cfg.receivers
-    tr.efficiency = int(np.count_nonzero(readout.usable[unchecked])) / total if total else 0.0
+    received = (cfg.total_qubits - np.count_nonzero(readout.lost, axis=(1, 2))).tolist()
+    usable = np.count_nonzero(readout.usable, axis=(1, 2)).tolist()
+    unchecked = _unchecked_blocks(trs, cfg)
+    total = (np.count_nonzero(unchecked, axis=1) * cfg.receivers).tolist()
+    kept = np.count_nonzero(readout.usable & unchecked[:, :, None], axis=(1, 2)).tolist()
+    for t, r, u, k, all_ in zip(trs, received, usable, kept, total):
+        t.sift_rate = u / r if r else 0.0
+        t.efficiency = k / all_ if all_ else 0.0
 
 
-def _attack_record(result: AttackResult) -> AdversaryRecord:
-    return AdversaryRecord(
-        result.kind,
-        tuple(result.positions.tolist()),
-        _bits_tuple(result.bases),
-        _bits_tuple(result.bits),
-        tuple(result.certain.tolist()),
-    )
+def _record_attack(trs: list[Transcript], result: AttackResult, size: int) -> None:
+    """Each trial's share of a batch's attack, as its transcript's adversary record."""
+    trial, positions = np.divmod(result.positions, size)
+    bounds = np.searchsorted(trial, np.arange(len(trs) + 1)).tolist()
+    positions, bases = positions.tolist(), result.bases.tobytes()
+    bits, certain = result.bits.tobytes(), result.certain.tolist()
+    for t, a, b in zip(trs, bounds, bounds[1:]):
+        t.adversary = AdversaryRecord(
+            result.kind, tuple(positions[a:b]), tuple(bases[a:b]), tuple(bits[a:b]), tuple(certain[a:b])
+        )
 
 
 def _record_readout(
-    tr: Transcript, cfg: ProtocolConfig, readout: Readout, chosen: np.ndarray
+    trs: list[Transcript], cfg: ProtocolConfig, readout: Readout, chosen: np.ndarray
 ) -> None:
-    """Publish each receiver's records and fill the transcript's typed mirrors."""
+    """Publish each receiver's records and fill the transcripts' typed mirrors."""
     shown = np.where(readout.lost, UNUSABLE, readout.outcome)
-    outcomes = readout.outcome.T.tolist()
-    rows, columns = np.nonzero(readout.lost)
-    for j, c in zip(rows.tolist(), columns.tolist()):
-        outcomes[c][j] = None
-    usable = readout.usable.T.tolist()
-    chosen_bases = chosen.T.tolist()
     for l in range(1, cfg.receivers + 1):
-        c = l - 1
-        tr.outcomes[l] = outcomes[c]
-        tr.usable[l] = usable[c]
-        tr.chosen_bases[l] = tuple(chosen_bases[c])
         if not cfg.quantum_memory:
-            tr.guesses[l] = tr.chosen_bases[l]
-            tr.record(KIND_GUESS, f"bob{l}", _payload(chosen[:, c]))
-            tr.record(KIND_SIFT, f"bob{l}", _payload(readout.usable[:, c]))
-        tr.record(KIND_MEASURED, f"bob{l}", _payload(shown[:, c]))
+            record_rows(trs, KIND_GUESS, f"bob{l}", chosen[:, :, l - 1])
+            record_rows(trs, KIND_SIFT, f"bob{l}", readout.usable[:, :, l - 1])
+        record_rows(trs, KIND_MEASURED, f"bob{l}", shown[:, :, l - 1])
+    # Receiver-major lists: [t][l-1] is receiver l's record in trial t.
+    outcomes = readout.outcome.transpose(0, 2, 1).tolist()
+    for t, j, c in zip(*(axis.tolist() for axis in np.nonzero(readout.lost))):
+        outcomes[t][c][j] = None
+    usable = readout.usable.transpose(0, 2, 1).tolist()
+    chosen = chosen.transpose(0, 2, 1).tolist()
+    for tr, outs, use, bases in zip(trs, outcomes, usable, chosen):
+        tr.outcomes.update(enumerate(outs, start=1))
+        tr.usable.update(enumerate(use, start=1))
+        tr.chosen_bases.update(enumerate(map(tuple, bases), start=1))
+        if not cfg.quantum_memory:
+            tr.guesses.update(tr.chosen_bases)
+
+
+def _record_losses(trs: list[Transcript], party: str, lost: np.ndarray) -> None:
+    """A loss bitmap (one row per trial) in every transcript whose row marks a loss."""
+    marked = lost.any(axis=1)
+    record_rows([t for t, x in zip(trs, marked.tolist()) if x], KIND_LOSS, party, lost[marked])
+
+
+# Trials run together as one stack of planes: as many as fit in this many
+# qubit positions, and at least one. Each numpy call then covers thousands of
+# positions, which amortises its fixed cost. Every transcript of a chunk is
+# alive at its end, about 16 KiB each for a 120-position run, so the budget
+# also bounds that memory: 34 such trials per chunk ran a 1000-trial sweep
+# about 5% slower than 68, with half the added peak.
+CHUNK_POSITIONS = 1 << 12
+
+
+def _validated(cfg: ProtocolConfig, channel: ChannelModel | None) -> ChannelModel:
+    channel = channel if channel is not None else IDEAL
+    channel.validate()
+    if isinstance(channel.adversary, ColluderInsider) and channel.adversary.target > cfg.senders:
+        raise ConfigError(
+            "channel.adversary.target",
+            f"sender {channel.adversary.target} does not exist in a {cfg.senders}-sender run",
+        )
+    return channel
 
 
 def run_protocol(
@@ -521,113 +504,147 @@ def run_protocol(
     secrets: Sequence[PartySecrets] | None = None,
     check_blocks: Sequence[int] | None = None,
 ) -> Transcript:
-    """Execute one full run and return its transcript.
+    """Execute one full run and return its transcript: ``run_trials`` for one seed.
 
     Deterministic given (cfg.seed, channel): every draw comes from one
     ``random.Random`` seeded with cfg.seed, a whole array at a time. ``secrets`` and
     ``check_blocks`` inject fixed strings and a fixed check selection for
     reproducing known vectors; normally both are drawn from that generator.
     """
-    channel = channel if channel is not None else IDEAL
-    channel.validate()
-    if isinstance(channel.adversary, ColluderInsider) and channel.adversary.target > cfg.senders:
-        raise ConfigError(
-            "channel.adversary.target",
-            f"sender {channel.adversary.target} does not exist in a {cfg.senders}-sender run",
-        )
-    rng = random.Random(cfg.seed)
-    tr = Transcript(cfg.snapshot())
-    m, n, size = cfg.senders, cfg.receivers, cfg.total_qubits
+    channel = _validated(cfg, channel)
+    if secrets is not None:
+        secrets = list(secrets)
+        if len(secrets) != cfg.senders:
+            raise ConfigError("secrets", f"need {cfg.senders} senders' secrets, got {len(secrets)}")
+        for i, s in enumerate(secrets):
+            _check_secret_sizes(s, cfg, first=i == 0)
+    return _run_chunk(cfg, channel, [cfg.seed], secrets, check_blocks)[0]
 
-    alices = list(secrets) if secrets is not None else generate_secrets(cfg, rng)
-    if len(alices) != m:
-        raise ConfigError("secrets", f"need {m} senders' secrets, got {len(alices)}")
-    for i, s in enumerate(alices):
-        _check_secret_sizes(s, cfg, first=i == 0)
-    tr._secrets = alices
-    values, basis_vectors = expanded_bit_vectors(alices, cfg)
-    basis_strings = [s.planes[1] for s in alices]  # as announced, not expanded per position
+
+def run_trials(
+    cfg: ProtocolConfig, channel: ChannelModel | None, seeds: Iterable[int]
+) -> Iterator[Transcript]:
+    """One transcript per seed, in order; each is what ``run_protocol`` gives for that seed.
+
+    ``cfg.seed`` is ignored. Trials run in chunks of ``CHUNK_POSITIONS``
+    positions: every phase runs once per chunk on a stack of planes with a
+    row per trial, each row drawing from its trial's own generator.
+    """
+    channel = _validated(cfg, channel)
+    per_chunk = max(1, CHUNK_POSITIONS // cfg.total_qubits)
+    seeds = iter(seeds)
+    # Lists of up to per_chunk seeds, until the seeds run out.
+    chunks = iter(lambda: list(itertools.islice(seeds, per_chunk)), [])
+    return (tr for chunk in chunks for tr in _run_chunk(cfg, channel, chunk))
+
+
+def _run_chunk(
+    cfg: ProtocolConfig,
+    channel: ChannelModel,
+    seeds: list[int],
+    secrets: list[PartySecrets] | None = None,
+    check_blocks: Sequence[int] | None = None,
+) -> list[Transcript]:
+    """Run one trial per seed as a stack of planes and return their transcripts."""
+    rngs = [random.Random(seed) for seed in seeds]
+    config = cfg.snapshot()
+    trs = [Transcript({**config, "seed": str(seed)}) for seed in seeds]
+    m, size = cfg.senders, cfg.total_qubits
+
+    if secrets is None:
+        senders = generate_secrets(cfg, rngs)
+        for t, tr in enumerate(trs):
+            tr._secrets = [s.trial(t) for s in senders]
+    else:  # one trial
+        senders = [SenderPlanes(s.party, *(p if p is None else p[None] for p in s.planes)) for s in secrets]
+        trs[0]._secrets = secrets
+    values, basis_vectors = expanded_bit_vectors(senders, cfg)
     adv = channel.adversary
     # An intercept-resend adversary sits on the last hop only.
     inner_hop = channel if adv is None else replace(channel, adversary=None)
     last_hop = channel if isinstance(adv, InterceptResend) else inner_hop
 
     def hop(block: QubitBlock, leaving: int) -> QubitBlock:
-        res = transmit(block, last_hop if leaving == m else inner_hop, rng)
+        res = transmit(block, last_hop if leaving == m else inner_hop, rngs)
         block = res.block
         if len(res.lost) and channel.loss_strategy is LossStrategy.REMOVE and leaving < m:
-            bitmap = np.zeros(size, dtype=np.uint8)
-            bitmap[res.lost] = 1
-            tr.record(KIND_LOSS, f"alice{leaving + 1}", _payload(bitmap))
-        if res.intercept is not None:
-            tr.adversary = _attack_record(res.intercept)
+            bitmap = np.zeros(block.lost.shape, dtype=np.uint8)
+            bitmap.flat[res.lost] = 1
+            _record_losses(trs, f"alice{leaving + 1}", bitmap)
+        attack = res.intercept
         if isinstance(adv, PreparerInsider) and leaving == 2:
-            result, block = preparer_attack(values[0], basis_vectors[0], block, rng)
-            tr.adversary = _attack_record(result)
+            attack, block = preparer_attack(values[0], basis_vectors[0], block, rngs)
         elif isinstance(adv, ColluderInsider) and leaving == adv.target:
             colluders = adv.colluders if adv.colluders is not None else frozenset(range(1, adv.target))
             known_values = {i: values[i - 1] for i in colluders}
             known_bases = {
                 i: basis_vectors[i - 1] for i in colluders if i not in adv.withheld_bases
             }
-            result, block = collusion_attack(known_values, known_bases, block, rng)
-            tr.adversary = _attack_record(result)
+            attack, block = collusion_attack(known_values, known_bases, block, rngs)
         elif isinstance(adv, OrderingAttack) and leaving == m:
-            if adv.use_announced_bases and len(tr.announced_bases) == m:
+            if adv.use_announced_bases and len(trs[0].announced_bases) == m:
                 announced = basis_vectors  # announced strings, expanded per position
-                result, block = ordering_attack(announced, block, rng)
+                attack, block = ordering_attack(announced, block, rngs)
             else:
-                result, block = ordering_attack(None, block, rng)
-            tr.adversary = _attack_record(result)
+                attack, block = ordering_attack(None, block, rngs)
+        if attack is not None:
+            _record_attack(trs, attack, size)
         return block
 
-    block = prepare_block(alices[0], cfg)
+    block = prepare_block(senders[0], cfg)
     for i in range(2, m + 1):
-        block = encode_block(hop(block, leaving=i - 1), alices[i - 1], i, cfg)
+        block = encode_block(hop(block, leaving=i - 1), senders[i - 1], i, cfg)
 
     # An ordering attack relies on the senders broadcasting before reception.
     announce_early = isinstance(adv, OrderingAttack) and adv.use_announced_bases
     if announce_early:
         try:
             for i in range(1, m + 1):
-                announce_bases(tr, i, basis_strings[i - 1], cfg)
+                announce_bases(trs, i, senders[i - 1].basis, cfg)
         except OrderingError as err:
-            tr.abort_reason = f"ordering violation: {err}"
-            tr.record(KIND_ABORT, "all", "ordering-violation")
-            _finalize_rates(tr, cfg, None)
-            return tr
+            for tr in trs:
+                tr.abort_reason = f"ordering violation: {err}"
+                tr.record(KIND_ABORT, "all", "ordering-violation")
+            _finalize_rates(trs, cfg, None)
+            return trs
 
     block = hop(block, leaving=m)
     for l, received in enumerate(split_for_receivers(block, cfg), start=1):
-        if channel.loss_strategy is LossStrategy.REMOVE and received.lost.any():
-            tr.record(KIND_LOSS, f"bob{l}", _payload(received.lost))
-        ev = tr.record(KIND_ACK, f"bob{l}")
-        tr.ack_seqs[l] = ev.seq
+        if channel.loss_strategy is LossStrategy.REMOVE:
+            _record_losses(trs, f"bob{l}", received.lost)
+        for tr in trs:
+            tr.ack_seqs[l] = tr.record(KIND_ACK, f"bob{l}").seq
 
     if not cfg.quantum_memory:
         # No storage: measure in guessed bases before any announcement.
-        guesses = random_bits(rng, size)
-        outcome = block.measure(guesses, random_bits(rng, size))
-        for l in range(1, n + 1):
-            tr.record(KIND_EARLY_MEASURE, f"bob{l}")
+        guesses = random_bits(rngs, size)
+        outcome = block.measure(guesses, random_bits(rngs, size))
+        for tr in trs:
+            for l in range(1, cfg.receivers + 1):
+                tr.record(KIND_EARLY_MEASURE, f"bob{l}")
 
     if not announce_early:
         for i in range(1, m + 1):
-            announce_bases(tr, i, basis_strings[i - 1], cfg)
+            announce_bases(trs, i, senders[i - 1].basis, cfg)
 
-    required = combined_bases(tr, cfg)
+    required = combined_bases(trs, cfg)
     if cfg.quantum_memory:
         chosen = required
-        outcome = block.measure(required, random_bits(rng, size))
+        outcome = block.measure(required, random_bits(rngs, size))
         usable = ~block.lost
     else:
         chosen = guesses
         usable = ~block.lost & (guesses == required)
-    shape = (cfg.blocks, n)
+    shape = (len(trs), cfg.blocks, cfg.receivers)
     readout = Readout(outcome.reshape(shape), block.lost.reshape(shape), usable.reshape(shape))
-    _record_readout(tr, cfg, readout, chosen.reshape(shape))
+    _record_readout(trs, cfg, readout, chosen.reshape(shape))
 
-    if run_check(tr, cfg, values, readout, rng, check_blocks=check_blocks):
-        extract_raw_key(tr, cfg, values, readout)
-    _finalize_rates(tr, cfg, readout)
-    return tr
+    passed = run_check(trs, cfg, values, readout, rngs, check_blocks=check_blocks)
+    if passed.all():
+        extract_raw_key(trs, cfg, values, readout)
+    elif passed.any():
+        keep = np.flatnonzero(passed)
+        subset = Readout(readout.outcome[keep], readout.lost[keep], readout.usable[keep])
+        extract_raw_key([trs[t] for t in keep.tolist()], cfg, values[:, keep], subset)
+    _finalize_rates(trs, cfg, readout)
+    return trs

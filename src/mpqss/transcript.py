@@ -16,8 +16,9 @@ payload. Receiver indices and qubit positions are 1-based, block indices
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +58,13 @@ def bits_to_str(bits) -> str:
     return codes.translate(_BIT_CHARS).decode("ascii")
 
 
+def row_payloads(plane: np.ndarray) -> list[str]:
+    """The payload of every row (last axis) of a uint8 or bool plane, rendered in one pass."""
+    width = plane.shape[-1]
+    text = bits_to_str(plane.tobytes())
+    return [text[k * width:(k + 1) * width] for k in range(math.prod(plane.shape[:-1]))]
+
+
 def str_to_plane(s: str) -> np.ndarray:
     """A payload as a uint8 plane of codes, the inverse of ``bits_to_str``.
 
@@ -69,8 +77,7 @@ def str_to_plane(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("utf-8", "surrogatepass").translate(_BIT_CODES), dtype=np.uint8)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     seq: int
     kind: str
     party: str
@@ -167,6 +174,11 @@ class Transcript:
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.serialize())
+
+
+def record_rows(transcripts: Sequence[Transcript], kind: str, party: str, plane: np.ndarray) -> list[Event]:
+    """Record row t of ``plane`` as ``party``'s ``kind`` payload in transcript t."""
+    return [tr.record(kind, party, payload) for tr, payload in zip(transcripts, row_payloads(plane))]
 
 
 @dataclass

@@ -4,14 +4,16 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import known_vectors as kv
 from mpqss import (
     ChannelModel,
+    ColluderInsider,
     InterceptResend,
     OrderingAttack,
+    PreparerInsider,
     ProtocolConfig,
     TranscriptParseError,
     Variant,
@@ -34,6 +36,7 @@ from mpqss.transcript import (
     KIND_MEASURED,
     KIND_RAW_KEY,
     KIND_SIFT,
+    Event,
     bits_to_str,
     parse,
     str_to_plane,
@@ -55,6 +58,13 @@ class TestSerialization:
 
     def test_serialization_is_deterministic(self):
         assert reference_run().serialize() == reference_run().serialize()
+
+    def test_events_are_immutable_records_with_their_line(self):
+        ev = reference_run().events[0]
+        assert ev.line() == f"event {ev.seq} {ev.kind} {ev.party} {ev.payload}"
+        assert Event(ev.seq, ev.kind, ev.party).payload == "-"
+        with pytest.raises(AttributeError):
+            ev.payload = "1"
 
     def test_golden_file_matches_current_output(self):
         golden = (DATA / "worked_example.transcript").read_text()
@@ -466,6 +476,46 @@ class TestAgainstPerPositionReference:
 
 MUTATION_CHARS = "01?-,;=x9 \n"
 
+# Channels whose transcripts carry an adversary section, one per attack kind.
+ATTACKS = {
+    "intercept-resend": ChannelModel(loss_prob=0.05, adversary=InterceptResend(fraction=0.3)),
+    "preparer": ChannelModel(adversary=PreparerInsider()),
+    "colluder": ChannelModel(loss_prob=0.05, adversary=ColluderInsider(target=3)),
+    "ordering": ChannelModel(adversary=OrderingAttack()),
+    "ordering-blind": ChannelModel(adversary=OrderingAttack(use_announced_bases=False)),
+}
+
+
+@st.composite
+def attacked_transcripts(draw):
+    cfg = ProtocolConfig(
+        senders=draw(st.integers(3, 4)),
+        receivers=3,
+        blocks=draw(st.integers(4, 30)),
+        quantum_memory=draw(st.booleans()),
+        enforce_ordering=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return run_protocol(cfg, ATTACKS[draw(st.sampled_from(sorted(ATTACKS)))]).serialize()
+
+
+def mutate(text: str, how: str, at: int, char: str) -> str:
+    if how == "substitute":
+        return text[:at] + char + text[at + 1:]
+    if how == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + char + text[at:]
+
+
+def assert_total(text: str) -> None:
+    """``replay`` gives a Verdict, ok exactly when it has no issues, or a parse error."""
+    try:
+        verdict = replay(text)
+    except TranscriptParseError:
+        return
+    assert isinstance(verdict, Verdict)
+    assert verdict.ok == (not verdict.issues)
+
 
 class TestReplayIsTotal:
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -476,19 +526,22 @@ class TestReplayIsTotal:
         st.sampled_from(MUTATION_CHARS),
     )
     def test_one_character_mutations_give_a_verdict_or_a_parse_error(self, text, how, at, char):
-        at %= len(text)
-        if how == "substitute":
-            mutated = text[:at] + char + text[at + 1:]
-        elif how == "delete":
-            mutated = text[:at] + text[at + 1:]
-        else:
-            mutated = text[:at] + char + text[at:]
-        try:
-            verdict = replay(mutated)
-        except TranscriptParseError:
-            return
-        assert isinstance(verdict, Verdict)
-        assert verdict.ok == (not verdict.issues)
+        assert_total(mutate(text, how, at % len(text), char))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        attacked_transcripts(),
+        st.sampled_from(["substitute", "delete", "insert"]),
+        st.integers(0, 10**6),
+        st.sampled_from(MUTATION_CHARS),
+    )
+    def test_mutations_of_the_adversary_section_give_a_verdict_or_a_parse_error(
+        self, text, how, at, char
+    ):
+        assume("\nadversary " in text)  # an enforced ordering attack aborts before it
+        assert not any(issue.startswith("adversary:") for issue in replay(text).issues)
+        start = text.index("\nadversary ") + 1
+        assert_total(mutate(text, how, start + at % (len(text) - start), char))
 
     @pytest.mark.parametrize(
         "old, new, expected",
@@ -607,3 +660,115 @@ class TestPayloadPlanes:
 
     def test_other_characters_decode_above_every_code(self):
         assert str_to_plane("01?x\x00\x01é").tolist() == [0, 1, 2, 255, 255, 255, 255, 255]
+
+
+# ---------------------------------------------------------------------------
+# Premeasure records of runs without quantum memory.
+
+
+def no_memory_lines() -> list[str]:
+    cfg = ProtocolConfig(senders=3, receivers=3, blocks=20, quantum_memory=False, seed=3)
+    return run_protocol(cfg).serialize().split("\n")
+
+
+def renumbered(lines: list[str]) -> str:
+    """The lines with event sequence numbers 1, 2, ... in their new order."""
+    seq = 0
+    out = []
+    for line in lines:
+        if line.startswith("event "):
+            seq += 1
+            _, _, rest = line.split(" ", 2)
+            line = f"event {seq} {rest}"
+        out.append(line)
+    return "\n".join(out)
+
+
+class TestPremeasureRecords:
+    def test_honest_no_memory_run_verifies(self):
+        assert replay("\n".join(no_memory_lines())).ok
+
+    def test_deleted_premeasure_is_flagged(self):
+        lines = [line for line in no_memory_lines() if " premeasure bob2 " not in line + " "]
+        verdict = replay(renumbered(lines))
+        assert verdict.issues == ["bob2: 0 premeasure records, expected one"]
+
+    def test_premeasure_moved_after_an_announcement_is_flagged(self):
+        lines = no_memory_lines()
+        moved = next(line for line in lines if line.endswith(" premeasure bob2 -"))
+        lines.remove(moved)
+        lines.insert(next(i for i, line in enumerate(lines) if " bases alice1 " in line) + 1, moved)
+        verdict = replay(renumbered(lines))
+        assert verdict.issues == ["bob2: premeasure record follows a basis announcement"]
+
+    def test_premeasure_moved_before_its_ack_is_flagged(self):
+        lines = no_memory_lines()
+        moved = next(line for line in lines if line.endswith(" premeasure bob3 -"))
+        lines.remove(moved)
+        lines.insert(next(i for i, line in enumerate(lines) if line.endswith(" ack bob3 -")), moved)
+        verdict = replay(renumbered(lines))
+        assert verdict.issues == ["bob3: premeasure record does not follow its ack"]
+
+    def test_duplicated_premeasure_is_flagged(self):
+        lines = no_memory_lines()
+        i = next(i for i, line in enumerate(lines) if line.endswith(" premeasure bob1 -"))
+        lines.insert(i, lines[i])
+        verdict = replay(renumbered(lines))
+        assert verdict.issues == ["bob1: 2 premeasure records, expected one"]
+
+
+# ---------------------------------------------------------------------------
+# The adversary section.
+
+
+def intercepted_run() -> str:
+    cfg = ProtocolConfig(senders=3, receivers=3, blocks=10, seed=1)
+    text = run_protocol(cfg, ChannelModel(adversary=InterceptResend(fraction=0.3))).serialize()
+    assert replay(text).ok
+    return text
+
+
+def edit_adversary(text: str, key: str, edit) -> str:
+    lines = text.split("\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"adversary {key}="))
+    lines[i] = f"adversary {key}={edit(lines[i].partition('=')[2])}"
+    return "\n".join(lines)
+
+
+class TestAdversarySection:
+    def test_position_outside_the_block_is_flagged(self):
+        text = edit_adversary(intercepted_run(), "positions", lambda p: p + ",999")
+        verdict = replay(text)
+        assert not verdict.ok
+        assert "adversary: position 999 is outside [0, 30)" in verdict.issues
+        assert "adversary: bits has 6 entries, expected 7" in verdict.issues
+
+    def test_bits_outside_the_alphabet_are_flagged(self):
+        text = edit_adversary(intercepted_run(), "bits", lambda b: "zz" + b[2:])
+        assert replay(text).issues == ["adversary: bits is missing or has a character outside '01'"]
+
+    @pytest.mark.parametrize(
+        "key, edit, expected",
+        [
+            ("positions", lambda p: ",".join(reversed(p.split(","))), "adversary: positions are not strictly increasing"),
+            ("positions", lambda p: p.replace(",", ";", 1), "adversary: positions is not a comma list of qubit positions"),
+            ("certain", lambda c: c[1:], "adversary: certain has 5 entries, expected 6"),
+            ("kind", lambda k: "", "adversary: no kind recorded"),
+        ],
+    )
+    def test_malformed_fields_are_flagged(self, key, edit, expected):
+        verdict = replay(edit_adversary(intercepted_run(), key, edit))
+        assert expected in verdict.issues
+
+    def test_missing_field_is_flagged(self):
+        lines = [line for line in intercepted_run().split("\n") if not line.startswith("adversary bases=")]
+        assert replay("\n".join(lines)).issues == [
+            "adversary: bases is missing or has a character outside '01'"
+        ]
+
+    @pytest.mark.parametrize("attack", sorted(ATTACKS))
+    def test_every_attack_kind_writes_a_well_formed_section(self, attack):
+        cfg = ProtocolConfig(senders=3, receivers=3, blocks=12, enforce_ordering=False, seed=2)
+        text = run_protocol(cfg, ATTACKS[attack]).serialize()
+        assert "\nadversary kind=" in text
+        assert not any(issue.startswith("adversary:") for issue in replay(text).issues)
