@@ -69,7 +69,6 @@ from .postprocessing import (
 )
 from .protocol import (
     PartySecrets,
-    SenderPlanes,
     announce_bases,
     combined_bases,
     encode_block,

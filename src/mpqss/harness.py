@@ -26,7 +26,7 @@ from .channel import (
     PreparerInsider,
 )
 from .errors import ConfigError
-from .config import ProtocolConfig, checked_block_count, position
+from .config import ProtocolConfig, checked_block_count
 from .postprocessing import bits_to_hex, build_canonical_css, key_rate, otp_send, reconcile_stream
 from .planes import UNUSABLE
 from .protocol import expanded_bit_vectors, run_trials
@@ -191,42 +191,30 @@ def _adversary_accuracy(tr: Transcript, cfg: ProtocolConfig, adversary) -> float
     rec = tr.adversary
     if rec is None or not rec.positions or tr._secrets is None:
         return None
-    values, _ = expanded_bit_vectors(tr._secrets, cfg)
-    if isinstance(adversary, InterceptResend):
-        truth = np.bitwise_xor.reduce(values, axis=0).tolist()
-        hits = sum(1 for p, b in zip(rec.positions, rec.bits) if b == truth[p])
-        return hits / len(rec.positions)
-    if isinstance(adversary, PreparerInsider):
-        truth = values[1].tolist()
-        hits = sum(
-            1 for p, b, ok in zip(rec.positions, rec.bits, rec.certain) if ok and b == truth[p]
-        )
-        return hits / len(rec.positions)
-    if isinstance(adversary, ColluderInsider):
-        truth = values[adversary.target - 1].tolist()
-        hits = sum(
-            1 for p, b, ok in zip(rec.positions, rec.bits, rec.certain) if ok and b == truth[p]
-        )
-        return hits / len(rec.positions)
     if isinstance(adversary, OrderingAttack):
         if tr.raw_key is None or not tr.key_blocks:
             return None
         recovered = recovered_raw_key(rec.bits, rec.positions, tr.key_blocks, cfg)
-        hits = sum(1 for a, b in zip(recovered, tr.raw_key) if a == b)
-        return hits / len(tr.raw_key)
-    return None
+        return np.count_nonzero(np.array(recovered) == tr.raw_key) / len(tr.raw_key)
+    # Each attack's target bit per position; insiders score only where their basis provably matched.
+    values, _ = expanded_bit_vectors(tr._secrets, cfg)
+    if isinstance(adversary, InterceptResend):
+        truth, scored = np.bitwise_xor.reduce(values, axis=0), True
+    elif isinstance(adversary, (PreparerInsider, ColluderInsider)):
+        target = 2 if isinstance(adversary, PreparerInsider) else adversary.target
+        truth, scored = values[target - 1], np.array(rec.certain)
+    else:
+        return None
+    hits = scored & (truth[list(rec.positions)] == rec.bits)
+    return np.count_nonzero(hits) / len(rec.positions)
 
 
 def recovered_raw_key(bits, positions, key_blocks, cfg: ProtocolConfig) -> tuple[int, ...]:
-    """Assemble an interceptor's per-position readings into key-block bits."""
-    by_pos = dict(zip(positions, bits))
-    key = []
-    for j in key_blocks:
-        bit = 0
-        for l in range(1, cfg.receivers + 1):
-            bit ^= by_pos.get(position(j, l, cfg.receivers), 0)
-        key.append(bit)
-    return tuple(key)
+    """Key-block bits of an interceptor's readings: their XOR across receivers, 0 where unread."""
+    read = np.zeros(cfg.total_qubits, dtype=np.uint8)
+    read[list(positions)] = bits
+    key = np.bitwise_xor.reduce(read.reshape(cfg.blocks, cfg.receivers), axis=1)
+    return tuple(key[list(key_blocks)].tolist())
 
 
 def run_experiment(

@@ -19,8 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,59 +66,37 @@ from .transcript import (
 )
 
 
-@dataclass(frozen=True)
+_STRINGS = ("value_bits", "basis_bits", "value_shares")  # the planes of PartySecrets
+
+
+@dataclass(frozen=True, eq=False)
 class PartySecrets:
-    """One sender's random strings for a run, given as tuples; sizes depend on the variant."""
+    """One sender's random strings as uint8 planes; sizes depend on the variant.
 
-    party: str
-    value_bits: tuple[int, ...]
-    basis_bits: tuple[int, ...]
-    value_shares: tuple[int, ...] | None = None  # first sender, shared-block variant
-
-    @cached_property
-    def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(value, basis, shares) strings as uint8 planes, converted once."""
-        shares = None if self.value_shares is None else as_plane(self.value_shares)
-        return as_plane(self.value_bits), as_plane(self.basis_bits), shares
-
-
-class SenderPlanes(NamedTuple):
-    """One sender's strings as drawn: uint8 planes, for a batch one row per trial.
-
-    A single trial's planes read like ``PartySecrets``; the tuples are built
-    only when asked for.
+    A batch of trials holds one row per trial. Strings given as sequences of
+    0/1 (tuples, lists, bytes or arrays) are converted once, by ``as_plane``,
+    when the object is built.
     """
 
     party: str
-    value: np.ndarray
-    basis: np.ndarray
-    shares: np.ndarray | None
+    value_bits: np.ndarray
+    basis_bits: np.ndarray
+    value_shares: np.ndarray | None = None  # first sender, shared-block variant
 
-    @property
-    def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        return self.value, self.basis, self.shares
+    def __post_init__(self):
+        for name in _STRINGS:
+            bits = getattr(self, name)
+            if bits is not None:
+                object.__setattr__(self, name, as_plane(bits))
 
-    @property
-    def value_bits(self) -> tuple[int, ...]:
-        return _bits_tuple(self.value)
-
-    @property
-    def basis_bits(self) -> tuple[int, ...]:
-        return _bits_tuple(self.basis)
-
-    @property
-    def value_shares(self) -> tuple[int, ...] | None:
-        return None if self.shares is None else _bits_tuple(self.shares)
-
-    def trial(self, t: int) -> "SenderPlanes":
-        """Trial ``t``'s row of a batch."""
-        shares = None if self.shares is None else self.shares[t]
-        return SenderPlanes(self.party, self.value[t], self.basis[t], shares)
-
-
-def _bits_tuple(plane: np.ndarray) -> tuple[int, ...]:
-    """A uint8 plane as the tuple of ints the public records hold."""
-    return tuple(plane.tobytes())
+    def trial(self, t: int) -> "PartySecrets":
+        """Trial ``t``'s row of a batch, as views of planes that were checked when built."""
+        row = object.__new__(PartySecrets)
+        object.__setattr__(row, "party", self.party)
+        for name in _STRINGS:
+            plane = getattr(self, name)
+            object.__setattr__(row, name, None if plane is None else plane[t])
+        return row
 
 
 def _payload(plane: np.ndarray) -> str:
@@ -153,12 +130,13 @@ def secret_lengths(cfg: ProtocolConfig) -> tuple[int, int]:
     return cfg.blocks, cfg.blocks
 
 
-def generate_secrets(cfg: ProtocolConfig, rng: Rng) -> list[SenderPlanes]:
+def generate_secrets(cfg: ProtocolConfig, rng: Rng) -> list[PartySecrets]:
     """Fresh random strings for every sender, never reused across runs.
 
     A sender listed in ``omit_hadamard`` skips the basis-mixing step, which is
-    the same as using (and later publishing) an all-zero basis string. Given a
-    sequence of generators, one per trial, the planes have one row per trial.
+    the same as using (and later publishing) an all-zero basis string. One
+    generator gives one trial's planes; a sequence of generators, one per
+    trial, gives planes with one row per trial.
     """
     single = isinstance(rng, random.Random)
     rngs = [rng] if single else rng
@@ -173,13 +151,13 @@ def generate_secrets(cfg: ProtocolConfig, rng: Rng) -> list[SenderPlanes]:
         shares = None
         if cfg.variant is Variant.BLOCK_SHARED and i == 1:
             shares = _expand_shares(value_bits, cfg.receivers, rngs)
-        out.append(SenderPlanes(f"alice{i}", value_bits, basis_bits, shares))
+        out.append(PartySecrets(f"alice{i}", value_bits, basis_bits, shares))
     return [s.trial(0) for s in out] if single else out
 
 
-def _check_secret_sizes(secrets: PartySecrets | SenderPlanes, cfg: ProtocolConfig, first: bool) -> None:
+def _check_secret_sizes(secrets: PartySecrets, cfg: ProtocolConfig, first: bool) -> None:
     n_value, n_basis = secret_lengths(cfg)
-    value, basis, shares = secrets.planes
+    value, basis, shares = secrets.value_bits, secrets.basis_bits, secrets.value_shares
     if value.shape[-1] != n_value or basis.shape[-1] != n_basis:
         raise ConfigError(
             "secrets",
@@ -192,7 +170,7 @@ def _check_secret_sizes(secrets: PartySecrets | SenderPlanes, cfg: ProtocolConfi
 
 
 def expanded_bit_vectors(
-    secrets: Sequence[PartySecrets | SenderPlanes], cfg: ProtocolConfig
+    secrets: Sequence[PartySecrets], cfg: ProtocolConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-position value and basis planes for every sender, shape (senders, n*N).
 
@@ -204,7 +182,7 @@ def expanded_bit_vectors(
     values = []
     bases = []
     for s in secrets:
-        v, b, shares = s.planes
+        v, b, shares = s.value_bits, s.basis_bits, s.value_shares
         if cfg.variant is Variant.BLOCK_BASIS:
             b = np.repeat(b, n, axis=-1)
         elif cfg.variant is Variant.BLOCK_SHARED:
@@ -216,7 +194,7 @@ def expanded_bit_vectors(
     return np.array(values), np.array(bases)
 
 
-def prepare_block(secrets: PartySecrets | SenderPlanes, cfg: ProtocolConfig) -> QubitBlock:
+def prepare_block(secrets: PartySecrets, cfg: ProtocolConfig) -> QubitBlock:
     """First sender turns her strings into the initial qubit block (one per trial for a batch)."""
     _check_secret_sizes(secrets, cfg, first=True)
     values, bases = expanded_bit_vectors([secrets], cfg)
@@ -224,7 +202,7 @@ def prepare_block(secrets: PartySecrets | SenderPlanes, cfg: ProtocolConfig) -> 
 
 
 def encode_block(
-    block: QubitBlock, secrets: PartySecrets | SenderPlanes, sender_index: int, cfg: ProtocolConfig
+    block: QubitBlock, secrets: PartySecrets, sender_index: int, cfg: ProtocolConfig
 ) -> QubitBlock:
     """Sender ``sender_index`` chains her value flips, then her basis swaps.
 
@@ -274,25 +252,20 @@ def announce_bases(
         )
     planes = as_plane(basis_bits).reshape(len(trs), -1)
     for t, ev, bits in zip(trs, record_rows(trs, KIND_BASES, f"alice{sender_index}", planes), planes):
-        t.announced_bases[sender_index] = _bits_tuple(bits)
+        t.announced_bases[sender_index] = bits
         t.bases_seqs[sender_index] = ev.seq
 
 
-def combined_bases(tr: Transcript | Sequence[Transcript], cfg: ProtocolConfig) -> np.ndarray:
-    """Per-position XOR of all announced basis strings (the decoding basis).
-
-    For a batch of transcripts, one row per transcript.
-    """
-    trs = _trials(tr)
+def combined_bases(trs: Sequence[Transcript], cfg: ProtocolConfig) -> np.ndarray:
+    """Per-position XOR of all announced basis strings (the decoding basis), one row per transcript."""
     if any(len(t.announced_bases) < cfg.senders for t in trs):
         raise ProtocolStateError("not every sender has announced a basis string")
-    combined = np.zeros((len(trs), cfg.total_qubits), dtype=np.uint8)
+    # As (trials, N, n): a string of one basis per block is a (trials, N, 1)
+    # plane, which the XOR broadcasts over the block's n positions.
+    combined = np.zeros((len(trs), cfg.blocks, cfg.receivers), dtype=np.uint8)
     for i in trs[0].announced_bases:
-        plane = as_plane(b"".join([bytes(t.announced_bases[i]) for t in trs])).reshape(len(trs), -1)
-        if plane.shape[1] != cfg.total_qubits:
-            plane = np.repeat(plane, cfg.receivers, axis=1)
-        combined ^= plane
-    return combined[0] if isinstance(tr, Transcript) else combined
+        combined ^= np.array([t.announced_bases[i] for t in trs]).reshape(len(trs), cfg.blocks, -1)
+    return combined.reshape(len(trs), -1)
 
 
 @dataclass(eq=False)
@@ -316,22 +289,21 @@ def _unchecked_blocks(trs: list[Transcript], cfg: ProtocolConfig) -> np.ndarray:
 
 
 def run_check(
-    tr: Transcript | Sequence[Transcript],
+    trs: Sequence[Transcript],
     cfg: ProtocolConfig,
     values: np.ndarray,
     readout: Readout,
     rng: Rng,
     check_blocks: Sequence[int] | None = None,
-) -> bool | np.ndarray:
+) -> np.ndarray:
     """Reveal a random subset of blocks and compare outcomes against the XOR.
 
-    ``values`` holds every sender's per-position value plane. Aborts the run
-    when the disagreement rate among comparable revealed positions exceeds
-    the configured threshold. Returns True on pass. A batch takes one
-    transcript and generator per trial, values as (senders, trials, n*N) and
-    the readout as (trials, N, n), and returns a bool per trial.
+    Takes one transcript and generator per trial, every sender's per-position
+    value plane as (senders, trials, n*N) and the readout as (trials, N, n).
+    Aborts a trial when the disagreement rate among its comparable revealed
+    positions exceeds the configured threshold. Returns a bool per trial,
+    True on pass.
     """
-    trs = _trials(tr)
     count, blocks, n = len(trs), cfg.blocks, cfg.receivers
     want = cfg.checked_block_count
     checked = np.zeros((count, blocks), dtype=bool)
@@ -380,7 +352,7 @@ def run_check(
         if not passed[-1]:
             t.abort_reason = f"error rate {rate:.6f} above threshold {threshold:.6f}"
             t.record(KIND_ABORT, "all", "error-rate")
-    return passed[0] if isinstance(tr, Transcript) else np.array(passed)
+    return np.array(passed)
 
 
 def extract_raw_key(
@@ -448,13 +420,13 @@ def _record_attack(trs: list[Transcript], result: AttackResult, size: int) -> No
 
 
 def _record_readout(
-    trs: list[Transcript], cfg: ProtocolConfig, readout: Readout, chosen: np.ndarray
+    trs: list[Transcript], cfg: ProtocolConfig, readout: Readout, guesses: np.ndarray | None
 ) -> None:
-    """Publish each receiver's records and fill the transcripts' typed mirrors."""
+    """Publish the receivers' records and fill ``outcomes``/``usable``; ``guesses`` is None with memory."""
     shown = np.where(readout.lost, UNUSABLE, readout.outcome)
     for l in range(1, cfg.receivers + 1):
-        if not cfg.quantum_memory:
-            record_rows(trs, KIND_GUESS, f"bob{l}", chosen[:, :, l - 1])
+        if guesses is not None:
+            record_rows(trs, KIND_GUESS, f"bob{l}", guesses[:, :, l - 1])
             record_rows(trs, KIND_SIFT, f"bob{l}", readout.usable[:, :, l - 1])
         record_rows(trs, KIND_MEASURED, f"bob{l}", shown[:, :, l - 1])
     # Receiver-major lists: [t][l-1] is receiver l's record in trial t.
@@ -462,13 +434,9 @@ def _record_readout(
     for t, j, c in zip(*(axis.tolist() for axis in np.nonzero(readout.lost))):
         outcomes[t][c][j] = None
     usable = readout.usable.transpose(0, 2, 1).tolist()
-    chosen = chosen.transpose(0, 2, 1).tolist()
-    for tr, outs, use, bases in zip(trs, outcomes, usable, chosen):
+    for tr, outs, use in zip(trs, outcomes, usable):
         tr.outcomes.update(enumerate(outs, start=1))
         tr.usable.update(enumerate(use, start=1))
-        tr.chosen_bases.update(enumerate(map(tuple, bases), start=1))
-        if not cfg.quantum_memory:
-            tr.guesses.update(tr.chosen_bases)
 
 
 def _record_losses(trs: list[Transcript], party: str, lost: np.ndarray) -> None:
@@ -518,6 +486,12 @@ def run_protocol(
             raise ConfigError("secrets", f"need {cfg.senders} senders' secrets, got {len(secrets)}")
         for i, s in enumerate(secrets):
             _check_secret_sizes(s, cfg, first=i == 0)
+        # One trial's strings as a batch of one row.
+        secrets = [
+            replace(s, value_bits=s.value_bits[None], basis_bits=s.basis_bits[None],
+                    value_shares=None if s.value_shares is None else s.value_shares[None])
+            for s in secrets
+        ]
     return _run_chunk(cfg, channel, [cfg.seed], secrets, check_blocks)[0]
 
 
@@ -545,19 +519,15 @@ def _run_chunk(
     secrets: list[PartySecrets] | None = None,
     check_blocks: Sequence[int] | None = None,
 ) -> list[Transcript]:
-    """Run one trial per seed as a stack of planes and return their transcripts."""
+    """Run one trial per seed as a stack of planes; injected ``secrets`` hold a row per seed."""
     rngs = [random.Random(seed) for seed in seeds]
     config = cfg.snapshot()
     trs = [Transcript({**config, "seed": str(seed)}) for seed in seeds]
     m, size = cfg.senders, cfg.total_qubits
 
-    if secrets is None:
-        senders = generate_secrets(cfg, rngs)
-        for t, tr in enumerate(trs):
-            tr._secrets = [s.trial(t) for s in senders]
-    else:  # one trial
-        senders = [SenderPlanes(s.party, *(p if p is None else p[None] for p in s.planes)) for s in secrets]
-        trs[0]._secrets = secrets
+    senders = generate_secrets(cfg, rngs) if secrets is None else secrets
+    for t, tr in enumerate(trs):
+        tr._secrets = [s.trial(t) for s in senders]
     values, basis_vectors = expanded_bit_vectors(senders, cfg)
     adv = channel.adversary
     # An intercept-resend adversary sits on the last hop only.
@@ -600,7 +570,7 @@ def _run_chunk(
     if announce_early:
         try:
             for i in range(1, m + 1):
-                announce_bases(trs, i, senders[i - 1].basis, cfg)
+                announce_bases(trs, i, senders[i - 1].basis_bits, cfg)
         except OrderingError as err:
             for tr in trs:
                 tr.abort_reason = f"ordering violation: {err}"
@@ -625,19 +595,17 @@ def _run_chunk(
 
     if not announce_early:
         for i in range(1, m + 1):
-            announce_bases(trs, i, senders[i - 1].basis, cfg)
+            announce_bases(trs, i, senders[i - 1].basis_bits, cfg)
 
     required = combined_bases(trs, cfg)
     if cfg.quantum_memory:
-        chosen = required
         outcome = block.measure(required, random_bits(rngs, size))
         usable = ~block.lost
     else:
-        chosen = guesses
         usable = ~block.lost & (guesses == required)
     shape = (len(trs), cfg.blocks, cfg.receivers)
     readout = Readout(outcome.reshape(shape), block.lost.reshape(shape), usable.reshape(shape))
-    _record_readout(trs, cfg, readout, chosen.reshape(shape))
+    _record_readout(trs, cfg, readout, None if cfg.quantum_memory else guesses.reshape(shape))
 
     passed = run_check(trs, cfg, values, readout, rngs, check_blocks=check_blocks)
     if passed.all():

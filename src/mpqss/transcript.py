@@ -50,12 +50,8 @@ _BIT_CODES[ord("0")], _BIT_CODES[ord("1")], _BIT_CODES[ord("?")] = 0, 1, 2
 
 
 def bits_to_str(bits) -> str:
-    """Payload of a sequence of 0, 1 and None, or of bytes holding 0, 1 and 2 for None."""
-    try:
-        codes = bytes(bits)
-    except TypeError:  # None entries
-        codes = bytes(2 if b is None else b for b in bits)
-    return codes.translate(_BIT_CHARS).decode("ascii")
+    """Payload of bytes, or of a sequence of ints, holding codes 0, 1 and 2 (rendered '?')."""
+    return bytes(bits).translate(_BIT_CHARS).decode("ascii")
 
 
 def row_payloads(plane: np.ndarray) -> list[str]:
@@ -115,12 +111,11 @@ class Transcript:
         self.events: list[Event] = []
         self._seq = 0
 
-        # Typed mirrors of the event log, filled in by the protocol driver.
-        self.announced_bases: dict[int, tuple[int, ...]] = {}
+        # Derived by the protocol driver while it records events: announced_bases
+        # holds uint8 planes, outcomes lists with None where a qubit was lost.
+        self.announced_bases: dict[int, np.ndarray] = {}
         self.ack_seqs: dict[int, int] = {}
         self.bases_seqs: dict[int, int] = {}
-        self.guesses: dict[int, tuple[int, ...]] = {}
-        self.chosen_bases: dict[int, tuple[int, ...]] = {}
         self.outcomes: dict[int, list] = {}
         self.usable: dict[int, list] = {}
         self.check_blocks: tuple[int, ...] = ()
@@ -146,10 +141,6 @@ class Transcript:
     def detected(self) -> bool:
         """At least one revealed check position disagreed."""
         return self.disagreements > 0
-
-    @property
-    def completed(self) -> bool:
-        return self.abort_reason is None and self.raw_key is not None
 
     def ordering_respected(self) -> bool:
         """Every basis announcement came after every reception acknowledgment."""

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 import known_vectors as kv
@@ -23,6 +25,7 @@ from mpqss import (
     intercept_resend,
     measure,
     ordering_attack,
+    position,
     preparer_attack,
     recovered_raw_key,
     run_protocol,
@@ -368,6 +371,23 @@ class TestOrderingAttack:
             assert all(rec.certain)
             recovered = recovered_raw_key(rec.bits, rec.positions, tr.key_blocks, cfg)
             assert recovered == tr.raw_key
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 12), st.data())
+    def test_recovered_key_matches_the_per_block_reference(self, receivers, blocks, data):
+        cfg = ProtocolConfig(senders=2, receivers=receivers, blocks=blocks)
+        positions = sorted(data.draw(st.sets(st.integers(0, cfg.total_qubits - 1))))
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=len(positions), max_size=len(positions)))
+        key_blocks = sorted(data.draw(st.sets(st.integers(0, blocks - 1))))
+        # Reference: each key block's readings XOR-ed one receiver at a time, 0 where unread.
+        by_pos = dict(zip(positions, bits))
+        want = []
+        for j in key_blocks:
+            bit = 0
+            for l in range(1, receivers + 1):
+                bit ^= by_pos.get(position(j, l, receivers), 0)
+            want.append(bit)
+        assert recovered_raw_key(tuple(bits), tuple(positions), tuple(key_blocks), cfg) == tuple(want)
 
     def test_withholding_the_strings_blinds_the_interceptor(self):
         certain = total = 0

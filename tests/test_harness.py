@@ -12,8 +12,10 @@ from mpqss import (
     ConfigError,
     ExperimentSpec,
     InterceptResend,
+    OrderingAttack,
     PreparerInsider,
     ProtocolConfig,
+    Variant,
     derive_trial_seed,
     run_experiment,
 )
@@ -164,6 +166,42 @@ class TestRunExperiment:
         assert report.metrics["block_yield"].mean == 0.8896551724137931
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == "3932e5957b282cdd56eece446095c6b4742414f04b2430811bf48f9ec0795de1"
+
+    # One sweep per attack through adversary_accuracy: spec, then the sha256 of
+    # its to_json() report as version 0.2.0 wrote it (seed 40 + the case index).
+    ATTACK_REPORTS = [
+        (ProtocolConfig(3, 3, 40, omit_hadamard=frozenset({3})),
+         ChannelModel(loss_prob=0.05, adversary=ColluderInsider(3, frozenset({1}))),
+         "4c6519c93a7cb95751038fa24da42704ffb43254cba38c792d81907c0558f9f3"),
+        (ProtocolConfig(3, 3, 40, enforce_ordering=False),
+         ChannelModel(loss_prob=0.05, p_x=0.01, adversary=OrderingAttack()),
+         "1f78d7041b1029bef47449393f9756577717e511720881f8c588badccf96e022"),
+        # A blind interceptor errs on a quarter of what it reads; the raised
+        # threshold keeps the runs alive, so its key accuracy is sampled.
+        (ProtocolConfig(3, 3, 40, qber_abort_threshold=0.4),
+         ChannelModel(loss_prob=0.05, adversary=OrderingAttack(use_announced_bases=False)),
+         "709677a2bd5251a72d52d9ff2b717f7728fe20b4788a11a766831d6db322f886"),
+        (ProtocolConfig(3, 3, 40, quantum_memory=False),
+         ChannelModel(loss_prob=0.05, adversary=InterceptResend(fraction=0.2)),
+         "e45f17b671ec5d14692298e3cfbdbb1ca08c12cfdbbe800a87519956d2944674"),
+        (ProtocolConfig(3, 3, 40, variant=Variant.BLOCK_SHARED),
+         ChannelModel(loss_prob=0.05, adversary=PreparerInsider()),
+         "975e786f5802c2b57a62203a981fcc8cfaa936162c57ea091fb730d90761863a"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(ATTACK_REPORTS)))
+    def test_attack_accuracy_report_is_pinned(self, case):
+        cfg, channel, digest = self.ATTACK_REPORTS[case]
+        spec = ExperimentSpec(
+            protocol=cfg,
+            channel=channel,
+            trials=60,
+            metrics=("qber", "efficiency", "adversary_accuracy"),
+            seed=40 + case,
+        )
+        report = run_experiment(spec)
+        assert report.metrics["adversary_accuracy"].samples == 60
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     def test_spec_validation_paths(self):
         unvalidated = ProtocolConfig(

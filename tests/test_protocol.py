@@ -19,6 +19,7 @@ from mpqss import (
     Variant,
     announce_bases,
     block_of,
+    combined_bases,
     encode_block,
     expanded_bit_vectors,
     extract_raw_key,
@@ -94,6 +95,24 @@ class TestKnownVectors:
     def test_prepare_rejects_size_mismatch(self):
         with pytest.raises(ConfigError, match="secrets"):
             prepare_block(PartySecrets("alice1", (0, 1), (1, 0)), kv.config())
+
+    def test_injected_secrets_must_be_bits(self):
+        cfg = kv.config()
+        bad_values = kv.VALUES_2[:-1] + (2,)
+        for bad in (bad_values, np.array(bad_values, dtype=np.uint8)):
+            with pytest.raises(ValueError):
+                secrets = [kv.secrets()[0], PartySecrets("alice2", bad, kv.BASES_2)]
+                run_protocol(cfg, secrets=secrets, check_blocks=kv.CHECK_BLOCKS)
+
+    def test_injected_arrays_run_as_injected_tuples(self):
+        cfg = kv.config()
+        arrays = [
+            PartySecrets(f"alice{i}", np.array(v, dtype=np.uint8), np.array(b, dtype=np.uint8))
+            for i, (v, b) in enumerate(((kv.VALUES_1, kv.BASES_1), (kv.VALUES_2, kv.BASES_2)), start=1)
+        ]
+        from_arrays = run_protocol(cfg, secrets=arrays, check_blocks=kv.CHECK_BLOCKS)
+        from_tuples = run_protocol(cfg, secrets=kv.secrets(), check_blocks=kv.CHECK_BLOCKS)
+        assert from_arrays.serialize() == from_tuples.serialize()
 
     def test_second_encoding_pass(self):
         cfg = kv.config()
@@ -222,7 +241,7 @@ class TestHonestRuns:
                 want = 0
                 for b in bits:
                     want ^= b
-                assert tr.chosen_bases[1][0] == want
+                assert combined_bases([tr], cfg)[0, 0] == want
                 assert tr.ordering_respected()
 
     def test_no_memory_mode_sifts_about_half(self):
@@ -273,7 +292,7 @@ class TestOrdering:
             ev = tr.record("ack", f"bob{l}")
             tr.ack_seqs[l] = ev.seq
         announce_bases(tr, 1, (0, 1) * 6, cfg)
-        assert tr.announced_bases[1] == (0, 1) * 6
+        assert tr.announced_bases[1].tolist() == [0, 1] * 6
         assert tr.ordering_respected()
 
     def test_enforcement_disabled_records_the_violation(self):

@@ -26,9 +26,17 @@ SUB = LossStrategy.SUBSTITUTE
 
 
 def state(tr) -> dict:
-    """Everything a transcript holds: events, typed mirrors, adversary record, rates, keys, secrets."""
+    """Everything a transcript holds: events, derived fields, adversary record, rates, keys, secrets.
+
+    Planes are compared as lists.
+    """
     out = {name: value for name, value in vars(tr).items() if name != "_secrets"}
-    out["secrets"] = [(s.party, s.value_bits, s.basis_bits, s.value_shares) for s in tr._secrets]
+    out["announced_bases"] = {i: bits.tolist() for i, bits in tr.announced_bases.items()}
+    out["secrets"] = [
+        (s.party, s.value_bits.tolist(), s.basis_bits.tolist(),
+         None if s.value_shares is None else s.value_shares.tolist())
+        for s in tr._secrets
+    ]
     out["text"] = tr.serialize()
     return out
 
