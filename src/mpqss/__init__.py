@@ -11,7 +11,6 @@ Carlo experiments and verifies saved transcripts.
 
 from .channel import (
     IDEAL,
-    AttackResult,
     ChannelModel,
     ColluderInsider,
     InterceptResend,

@@ -5,7 +5,7 @@ the position, or substituting a random state), Pauli noise, intercept-resend
 eavesdropping, insider interception of a partially encoded block, and the
 interception enabled by announcing basis strings too early.
 
-Attack results carry two honest accuracy notions per touched position:
+Attack records carry two honest accuracy notions per touched position:
 
 * best guess   -- fraction of inferred bits that happen to equal the truth,
 * certain      -- fraction measured in a provably matching basis (knowable
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .planes import QubitBlock, Rng, as_plane, random_bits, random_floats
+from .transcript import AdversaryRecord
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
 # counts calls at these names.
@@ -127,25 +128,10 @@ IDEAL = ChannelModel()
 
 
 @dataclass
-class AttackResult:
-    """Per-position record of an interception, one array entry per touched position.
-
-    On a batch of trials, positions index the stacked planes row by row: trial
-    t's position k is t * len(block) + k.
-    """
-
-    kind: str
-    positions: np.ndarray  # 0-based positions
-    bases: np.ndarray  # basis each position was measured in
-    bits: np.ndarray  # inferred bit per position
-    certain: np.ndarray  # True where the measurement basis matched the state's
-
-
-@dataclass
 class TransmitResult:
     block: QubitBlock
-    lost: np.ndarray  # positions lost on this hop, indexed as AttackResult.positions
-    intercept: AttackResult | None = None
+    lost: np.ndarray  # positions lost on this hop, indexed as AdversaryRecord.positions
+    intercept: AdversaryRecord | None = None
 
 
 def transmit(block: QubitBlock, ch: ChannelModel, rng: Rng) -> TransmitResult:
@@ -188,12 +174,12 @@ def _intercept(
     plan: np.ndarray,
     strip,
     rng: Rng,
-) -> tuple[AttackResult, QubitBlock]:
+) -> tuple[AdversaryRecord, QubitBlock]:
     """Measure the ``hit`` positions in the planned bases, resend the collapsed
     states, and XOR a known ``strip`` off the readings."""
     plan = np.broadcast_to(np.asarray(plan, dtype=np.uint8), hit.shape)
     outcome, resent = block.collapse(hit, plan, random_bits(rng, len(block)))
-    result = AttackResult(
+    result = AdversaryRecord(
         kind,
         np.flatnonzero(hit),
         plan[hit],
@@ -213,7 +199,7 @@ def _xor_all(planes):
 
 def intercept_resend(
     block: QubitBlock, rng: Rng, fraction: float = 1.0
-) -> tuple[QubitBlock, AttackResult]:
+) -> tuple[QubitBlock, AdversaryRecord]:
     """Standard intercept-resend: random basis per qubit, forward the collapsed state."""
     size = len(block)
     hit = ~block.lost
@@ -228,7 +214,7 @@ def preparer_attack(
     prep_bases: Sequence[int],
     block: QubitBlock,
     rng: Rng,
-) -> tuple[AttackResult, QubitBlock]:
+) -> tuple[AdversaryRecord, QubitBlock]:
     """First sender reads the second sender's bits out of the intercepted block.
 
     She measures position k in the basis she prepared it in and XORs off her
@@ -245,7 +231,7 @@ def collusion_attack(
     known_bases: dict[int, Sequence[int]],
     block: QubitBlock,
     rng: Rng,
-) -> tuple[AttackResult, QubitBlock]:
+) -> tuple[AdversaryRecord, QubitBlock]:
     """Pooled-knowledge interception of the block leaving the targeted sender.
 
     ``known_values``/``known_bases`` map sender index to that sender's
@@ -262,7 +248,7 @@ def ordering_attack(
     announced_bases: Sequence[Sequence[int]] | None,
     block: QubitBlock,
     rng: Rng,
-) -> tuple[AttackResult, QubitBlock]:
+) -> tuple[AdversaryRecord, QubitBlock]:
     """Read the fully encoded block once every basis string is public.
 
     With all announcements in hand the interceptor measures each position in

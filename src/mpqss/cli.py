@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+from typing import NamedTuple
 
 from .channel import (
     ChannelModel,
@@ -22,48 +24,88 @@ from .channel import (
 )
 from .config import ProtocolConfig, Variant
 from .errors import ConfigError, MpqssError, TranscriptParseError
-from .harness import METRICS, ExperimentSpec, replay, run_experiment
+from .harness import METRICS, ExperimentSpec, derive_trial_seed, replay, run_experiment
 from .postprocessing import hex_to_bits
+from .protocol import run_protocol
 
-SCENARIOS = (
-    "honest",
-    "intercept-resend",
-    "ordering-attack",
-    "ordering-attack-blind",
-    "insider-preparer",
-    "insider-colluders",
-)
 
-_DEFAULTS = {
-    "scenario": "honest",
-    "senders": 2,
-    "receivers": 3,
-    "blocks": 6,
-    "variant": "main",
-    "check_fraction": 0.5,
-    "abort_threshold": 0.11,
-    "quantum_memory": True,
-    "enforce_ordering": True,
-    "omit_hadamard": "",
-    "loss_prob": 0.0,
-    "loss_strategy": "remove",
-    "px": 0.0,
-    "py": 0.0,
-    "pz": 0.0,
-    "fraction": 1.0,
-    "target": 3,
-    "colluders": "",
-    "withhold_bases": "",
-    "trials": 1,
-    "seed": 0,
-    "metrics": "qber,efficiency",
-    "otp_message": "",
-    "output": "json",
+def _index_set(text: str, field: str) -> frozenset[int]:
+    if not text.strip():
+        return frozenset()
+    try:
+        return frozenset(int(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(field, f"expected comma-separated integers, got {text!r}") from None
+
+
+# Each scenario's adversary, built from the run options.
+SCENARIOS = {
+    "honest": lambda opt: None,
+    "intercept-resend": lambda opt: InterceptResend(fraction=opt["fraction"]),
+    "ordering-attack": lambda opt: OrderingAttack(),
+    "ordering-attack-blind": lambda opt: OrderingAttack(use_announced_bases=False),
+    "insider-preparer": lambda opt: PreparerInsider(),
+    "insider-colluders": lambda opt: ColluderInsider(
+        opt["target"],
+        _index_set(opt["colluders"], "colluders") or None,
+        _index_set(opt["withhold_bases"], "withhold_bases"),
+    ),
 }
 
-_BOOL_KEYS = ("quantum_memory", "enforce_ordering")
-_INT_KEYS = ("senders", "receivers", "blocks", "target", "trials", "seed")
-_FLOAT_KEYS = ("check_fraction", "abort_threshold", "loss_prob", "px", "py", "pz", "fraction")
+
+class Option(NamedTuple):
+    short: str  # short flag, or ""
+    kind: type | tuple[str, ...]  # bool, int, float or str, or the allowed values
+    default: object
+    help: str = ""
+
+
+# Every run option. Its flag is --<name> with dashes, or --no-<name> for a
+# bool (which defaults on), and its config-file key is <name>.
+OPTIONS = {
+    "scenario": Option("", tuple(SCENARIOS), "honest"),
+    "senders": Option("-m", int, 2),
+    "receivers": Option("-n", int, 3),
+    "blocks": Option("-N", int, 6, "qubits per receiver"),
+    "variant": Option("", str, "main", "main, block-basis (a), or block-shared (b)"),
+    "check_fraction": Option("", float, 0.5),
+    "abort_threshold": Option("", float, 0.11),
+    "quantum_memory": Option("", bool, True),
+    "enforce_ordering": Option("", bool, True),
+    "omit_hadamard": Option("", str, "", "senders skipping basis mixing, e.g. '2'"),
+    "loss_prob": Option("", float, 0.0),
+    "loss_strategy": Option("", tuple(s.value for s in LossStrategy), "remove"),
+    "px": Option("", float, 0.0),
+    "py": Option("", float, 0.0),
+    "pz": Option("", float, 0.0),
+    "fraction": Option("", float, 1.0, "intercepted fraction for intercept-resend"),
+    "target": Option("", int, 3, "targeted sender for insider-colluders"),
+    "colluders": Option("", str, "", "cooperating senders, e.g. '1,2'"),
+    "withhold_bases": Option("", str, "", "colluders keeping their basis strings private"),
+    "trials": Option("", int, 1),
+    "seed": Option("", int, 0),
+    "metrics": Option("", str, "qber,efficiency", f"comma list from: {', '.join(METRICS)}"),
+    "otp_message": Option(
+        "", str, "", "hex message to one-time-pad with the distilled key (needs the block_yield metric)"
+    ),
+    "output": Option("", ("json", "csv", "text"), "json"),
+}
+
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+
+
+def _config_value(name: str, text: str):
+    """``text`` as the value of option ``name``, checked as its flag's value is."""
+    kind = OPTIONS[name].kind
+    if kind is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {text!r}")
+        return _BOOLS[text.lower()]
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"expected one of {', '.join(kind)}, got {text!r}")
+        return text
+    return kind(text)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -77,52 +119,21 @@ def _parse_config_file(path: str) -> dict:
                 raise ConfigError(f"config:{no}", f"expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in _DEFAULTS:
+            if key not in OPTIONS:
                 raise ConfigError(f"config:{no}", f"unknown option {key!r}")
-            if key in _BOOL_KEYS:
-                options[key] = value.lower() in ("1", "true", "yes", "on")
-            elif key in _INT_KEYS:
-                options[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                options[key] = float(value)
-            else:
-                options[key] = value
+            try:
+                options[key] = _config_value(key, value.strip())
+            except ValueError as err:
+                raise ConfigError(f"config:{no}", f"{key}: {err}") from None
     return options
 
 
-def _index_set(text: str, field: str) -> frozenset[int]:
-    if not text.strip():
-        return frozenset()
-    try:
-        return frozenset(int(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(field, f"expected comma-separated integers, got {text!r}") from None
-
-
 def _build_spec(opt: dict) -> ExperimentSpec:
-    scenario = opt["scenario"]
-    if scenario not in SCENARIOS:
-        raise ConfigError("scenario", f"unknown scenario {scenario!r}; known: {', '.join(SCENARIOS)}")
     omit = _index_set(opt["omit_hadamard"], "omit_hadamard")
-    enforce = opt["enforce_ordering"]
-
-    adversary = None
-    if scenario == "intercept-resend":
-        adversary = InterceptResend(fraction=opt["fraction"])
-    elif scenario == "ordering-attack":
-        adversary = OrderingAttack()
-    elif scenario == "ordering-attack-blind":
-        adversary = OrderingAttack(use_announced_bases=False)
-    elif scenario == "insider-preparer":
-        adversary = PreparerInsider()
-        omit = omit or frozenset({2})
-    elif scenario == "insider-colluders":
-        colluders = _index_set(opt["colluders"], "colluders") or None
-        withheld = _index_set(opt["withhold_bases"], "withhold_bases")
-        adversary = ColluderInsider(opt["target"], colluders, withheld)
-        omit = omit or frozenset({opt["target"]})
-
+    adversary = SCENARIOS[opt["scenario"]](opt)
+    if not omit and isinstance(adversary, (PreparerInsider, ColluderInsider)):
+        # The insider reads a sender who skips basis mixing unless told otherwise.
+        omit = frozenset({getattr(adversary, "target", 2)})
     protocol = ProtocolConfig(
         senders=opt["senders"],
         receivers=opt["receivers"],
@@ -131,76 +142,49 @@ def _build_spec(opt: dict) -> ExperimentSpec:
         check_fraction=opt["check_fraction"],
         qber_abort_threshold=opt["abort_threshold"],
         quantum_memory=opt["quantum_memory"],
-        enforce_ordering=enforce,
+        enforce_ordering=opt["enforce_ordering"],
         omit_hadamard=omit,
     )
-    try:
-        loss_strategy = LossStrategy(opt["loss_strategy"])
-    except ValueError:
-        raise ConfigError("loss_strategy", "must be 'remove' or 'substitute'") from None
     channel = ChannelModel(
         loss_prob=opt["loss_prob"],
         p_x=opt["px"],
         p_y=opt["py"],
         p_z=opt["pz"],
-        loss_strategy=loss_strategy,
+        loss_strategy=LossStrategy(opt["loss_strategy"]),
         adversary=adversary,
     )
     metrics = tuple(m.strip() for m in opt["metrics"].split(",") if m.strip())
     return ExperimentSpec(
-        protocol=protocol,
-        channel=channel,
-        trials=opt["trials"],
-        metrics=metrics,
-        output=opt["output"],
-        seed=opt["seed"],
+        protocol=protocol, channel=channel, trials=opt["trials"], metrics=metrics, seed=opt["seed"]
     )
 
 
 def _add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value options file; flags override it")
-    p.add_argument("--scenario", choices=SCENARIOS)
-    p.add_argument("-m", "--senders", type=int)
-    p.add_argument("-n", "--receivers", type=int)
-    p.add_argument("-N", "--blocks", type=int, help="qubits per receiver")
-    p.add_argument("--variant", help="main, block-basis (a), or block-shared (b)")
-    p.add_argument("--check-fraction", type=float, dest="check_fraction")
-    p.add_argument("--abort-threshold", type=float, dest="abort_threshold")
-    p.add_argument("--no-quantum-memory", action="store_false", dest="quantum_memory", default=None)
-    p.add_argument("--no-enforce-ordering", action="store_false", dest="enforce_ordering", default=None)
-    p.add_argument("--omit-hadamard", dest="omit_hadamard", help="senders skipping basis mixing, e.g. '2'")
-    p.add_argument("--loss-prob", type=float, dest="loss_prob")
-    p.add_argument("--loss-strategy", choices=("remove", "substitute"), dest="loss_strategy")
-    p.add_argument("--px", type=float)
-    p.add_argument("--py", type=float)
-    p.add_argument("--pz", type=float)
-    p.add_argument("--fraction", type=float, help="intercepted fraction for intercept-resend")
-    p.add_argument("--target", type=int, help="targeted sender for insider-colluders")
-    p.add_argument("--colluders", help="cooperating senders, e.g. '1,2'")
-    p.add_argument("--withhold-bases", dest="withhold_bases", help="colluders keeping their basis strings private")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--metrics", help=f"comma list from: {', '.join(METRICS)}")
-    p.add_argument("--otp-message", dest="otp_message", help="hex message to one-time-pad with the distilled key (needs the block_yield metric)")
-    p.add_argument("--output", choices=("json", "csv", "text"))
+    for name, opt in OPTIONS.items():
+        flag = name.replace("_", "-")
+        if opt.kind is bool:
+            p.add_argument(f"--no-{flag}", action="store_false", dest=name, default=None, help=opt.help)
+            continue
+        check = {"choices": opt.kind} if isinstance(opt.kind, tuple) else {"type": opt.kind}
+        p.add_argument(*filter(None, (opt.short, f"--{flag}")), dest=name, help=opt.help, **check)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--save-transcript", dest="save_transcript", help="write the first trial's transcript here")
 
 
 def _run(args: argparse.Namespace) -> int:
-    options = dict(_DEFAULTS)
+    options = {name: opt.default for name, opt in OPTIONS.items()}
     if args.config:
         options.update(_parse_config_file(args.config))
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
+    options.update((name, value) for name in OPTIONS if (value := getattr(args, name)) is not None)
     spec = _build_spec(options)
     message = list(hex_to_bits(options["otp_message"])) if options["otp_message"] else None
-    report, transcript = run_experiment(spec, keep_first_transcript=True, otp_message=message)
-    if args.save_transcript and transcript is not None:
-        transcript.save(args.save_transcript)
-    rendered = report.render(spec.output)
+    report = run_experiment(spec, otp_message=message)
+    if args.save_transcript:
+        # Trial 0 run on its own: the same transcript as the sweep's first.
+        first = replace(spec.protocol, seed=derive_trial_seed(spec.seed, 0))
+        run_protocol(first, spec.channel).save(args.save_transcript)
+    rendered = report.render(options["output"])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rendered)

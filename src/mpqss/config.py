@@ -26,15 +26,9 @@ class Variant(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Variant":
-        aliases = {
-            "main": cls.MAIN,
-            "block_basis": cls.BLOCK_BASIS,
-            "block-basis": cls.BLOCK_BASIS,
-            "a": cls.BLOCK_BASIS,
-            "block_shared": cls.BLOCK_SHARED,
-            "block-shared": cls.BLOCK_SHARED,
-            "b": cls.BLOCK_SHARED,
-        }
+        """A value, in any case and with '-' for '_', or the short names 'a' and 'b'."""
+        aliases = {v.value: v for v in cls} | {v.value.replace("_", "-"): v for v in cls}
+        aliases.update(a=cls.BLOCK_BASIS, b=cls.BLOCK_SHARED)
         try:
             return aliases[text.strip().lower()]
         except KeyError:

@@ -78,7 +78,6 @@ class ExperimentSpec:
     channel: ChannelModel = IDEAL
     trials: int = 1
     metrics: tuple[str, ...] = ("qber", "efficiency")
-    output: str = "json"
     seed: int = 0
 
     def validate(self) -> None:
@@ -89,8 +88,6 @@ class ExperimentSpec:
         for name in self.metrics:
             if name not in METRICS:
                 raise ConfigError("metrics", f"unknown metric {name!r}; known: {', '.join(METRICS)}")
-        if self.output not in ("json", "csv", "text"):
-            raise ConfigError("output", "must be one of json, csv, text")
 
     def describe(self) -> dict:
         adv = self.channel.adversary
@@ -189,7 +186,7 @@ def _summary(samples: list[float]) -> MetricSummary:
 def _adversary_accuracy(tr: Transcript, cfg: ProtocolConfig, adversary) -> float | None:
     """Strategy-appropriate accuracy of the recorded attack, against the run's truth."""
     rec = tr.adversary
-    if rec is None or not rec.positions or tr._secrets is None:
+    if rec is None or not len(rec.positions) or tr._secrets is None:
         return None
     if isinstance(adversary, OrderingAttack):
         if tr.raw_key is None or not tr.key_blocks:
@@ -202,10 +199,10 @@ def _adversary_accuracy(tr: Transcript, cfg: ProtocolConfig, adversary) -> float
         truth, scored = np.bitwise_xor.reduce(values, axis=0), True
     elif isinstance(adversary, (PreparerInsider, ColluderInsider)):
         target = 2 if isinstance(adversary, PreparerInsider) else adversary.target
-        truth, scored = values[target - 1], np.array(rec.certain)
+        truth, scored = values[target - 1], rec.certain
     else:
         return None
-    hits = scored & (truth[list(rec.positions)] == rec.bits)
+    hits = scored & (truth[rec.positions] == rec.bits)
     return np.count_nonzero(hits) / len(rec.positions)
 
 
@@ -217,23 +214,17 @@ def recovered_raw_key(bits, positions, key_blocks, cfg: ProtocolConfig) -> tuple
     return tuple(key[list(key_blocks)].tolist())
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    keep_first_transcript: bool = False,
-    otp_message: list | None = None,
-):
+def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> RunReport:
     """Run ``spec.trials`` independent seeded runs and aggregate the requested metrics.
 
-    Returns the report, or ``(report, first_transcript)`` when asked to keep
-    it. ``otp_message`` (bits) is encrypted against the first trial's
-    distilled key and reported as ciphertext_hex; it needs the block_yield
-    metric and refuses when the key runs short.
+    ``otp_message`` (bits) is encrypted against the first trial's distilled
+    key and reported as ciphertext_hex; it needs the block_yield metric and
+    refuses when the key runs short.
     """
     spec.validate()
     samples: dict[str, list[float]] = {name: [] for name in spec.metrics}
     aborted = 0
     digests: list[str] = []
-    first_transcript: Transcript | None = None
     pair = build_canonical_css() if "block_yield" in spec.metrics else None
     extras: dict = {}
     if otp_message is not None and pair is None:
@@ -242,8 +233,6 @@ def run_experiment(
     seeds = (derive_trial_seed(spec.seed, trial) for trial in range(spec.trials))
     for trial, tr in enumerate(run_trials(spec.protocol, spec.channel, seeds)):
         digests.append(tr.digest())
-        if first_transcript is None:
-            first_transcript = tr
         if tr.abort_reason is not None:
             aborted += 1
         measured = bool(tr.outcomes)
@@ -276,7 +265,7 @@ def run_experiment(
                         extras["message_bits"] = len(otp_message)
 
     combined = hashlib.sha256("".join(digests).encode()).hexdigest()
-    report = RunReport(
+    return RunReport(
         spec=spec.describe(),
         trials=spec.trials,
         abort_rate=aborted / spec.trials,
@@ -285,9 +274,6 @@ def run_experiment(
         combined_digest=combined,
         extras=extras,
     )
-    if keep_first_transcript:
-        return report, first_transcript
-    return report
 
 
 # ---------------------------------------------------------------------------

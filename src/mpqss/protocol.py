@@ -25,7 +25,6 @@ import numpy as np
 
 from .channel import (
     IDEAL,
-    AttackResult,
     ChannelModel,
     ColluderInsider,
     InterceptResend,
@@ -407,15 +406,13 @@ def _finalize_rates(trs: list[Transcript], cfg: ProtocolConfig, readout: Readout
         t.efficiency = k / all_ if all_ else 0.0
 
 
-def _record_attack(trs: list[Transcript], result: AttackResult, size: int) -> None:
-    """Each trial's share of a batch's attack, as its transcript's adversary record."""
+def _record_attack(trs: list[Transcript], result: AdversaryRecord, size: int) -> None:
+    """Each trial's slice of a batch's attack, as its transcript's adversary record."""
     trial, positions = np.divmod(result.positions, size)
     bounds = np.searchsorted(trial, np.arange(len(trs) + 1)).tolist()
-    positions, bases = positions.tolist(), result.bases.tobytes()
-    bits, certain = result.bits.tobytes(), result.certain.tolist()
     for t, a, b in zip(trs, bounds, bounds[1:]):
         t.adversary = AdversaryRecord(
-            result.kind, tuple(positions[a:b]), tuple(bases[a:b]), tuple(bits[a:b]), tuple(certain[a:b])
+            result.kind, positions[a:b], result.bases[a:b], result.bits[a:b], result.certain[a:b]
         )
 
 
@@ -485,6 +482,8 @@ def run_protocol(
         if len(secrets) != cfg.senders:
             raise ConfigError("secrets", f"need {cfg.senders} senders' secrets, got {len(secrets)}")
         for i, s in enumerate(secrets):
+            if any(getattr(s, name) is not None and getattr(s, name).ndim != 1 for name in _STRINGS):
+                raise ConfigError("secrets", f"{s.party}: expected one trial's strings, got a batch")
             _check_secret_sizes(s, cfg, first=i == 0)
         # One trial's strings as a batch of one row.
         secrets = [
@@ -552,11 +551,9 @@ def _run_chunk(
             }
             attack, block = collusion_attack(known_values, known_bases, block, rngs)
         elif isinstance(adv, OrderingAttack) and leaving == m:
-            if adv.use_announced_bases and len(trs[0].announced_bases) == m:
-                announced = basis_vectors  # announced strings, expanded per position
-                attack, block = ordering_attack(announced, block, rngs)
-            else:
-                attack, block = ordering_attack(None, block, rngs)
+            # Using announced bases, hop m follows a successful early announcement.
+            announced = basis_vectors if adv.use_announced_bases else None  # expanded per position
+            attack, block = ordering_attack(announced, block, rngs)
         if attack is not None:
             _record_attack(trs, attack, size)
         return block

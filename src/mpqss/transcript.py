@@ -83,23 +83,27 @@ class Event(NamedTuple):
         return f"event {self.seq} {self.kind} {self.party} {self.payload}"
 
 
-@dataclass
+@dataclass(eq=False)
 class AdversaryRecord:
-    """What an attached adversary measured and inferred, for post-hoc analysis."""
+    """What an attached adversary measured and inferred, one plane entry per touched position.
+
+    On a batch of trials, positions index the stacked planes row by row: trial
+    t's position k is t * len(block) + k.
+    """
 
     kind: str
-    positions: tuple[int, ...]      # 0-based qubit positions it touched
-    bases: tuple[int, ...]          # basis it measured each position in
-    bits: tuple[int, ...]           # best-guess inferred bit per position
-    certain: tuple[bool, ...]       # True where the measurement basis provably matched
+    positions: np.ndarray  # intp: 0-based qubit positions it touched
+    bases: np.ndarray  # uint8: basis it measured each position in
+    bits: np.ndarray  # uint8: best-guess inferred bit per position
+    certain: np.ndarray  # bool: True where the measurement basis provably matched
 
     def lines(self) -> list[str]:
         return [
             f"adversary kind={self.kind}",
-            f"adversary positions={','.join(str(p) for p in self.positions) or '-'}",
+            f"adversary positions={','.join(map(str, self.positions.tolist())) or '-'}",
             f"adversary bases={bits_to_str(self.bases) or '-'}",
             f"adversary bits={bits_to_str(self.bits) or '-'}",
-            f"adversary certain={''.join('1' if c else '0' for c in self.certain) or '-'}",
+            f"adversary certain={bits_to_str(self.certain) or '-'}",
         ]
 
 

@@ -19,7 +19,7 @@ from mpqss import (
     derive_trial_seed,
     run_experiment,
 )
-from mpqss.cli import main
+from mpqss.cli import OPTIONS, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -43,9 +43,9 @@ class TestTrialSeeds:
         from mpqss import run_protocol
 
         spec = ExperimentSpec(protocol=base_protocol(), trials=3, seed=7)
-        _, first = run_experiment(spec, keep_first_transcript=True)
+        report = run_experiment(spec)
         solo = run_protocol(replace(spec.protocol, seed=derive_trial_seed(7, 0)))
-        assert solo.serialize() == first.serialize()
+        assert solo.digest() == report.transcript_digest
 
 
 class TestRunExperiment:
@@ -215,8 +215,6 @@ class TestRunExperiment:
             ExperimentSpec(protocol=base_protocol(), trials=0).validate()
         with pytest.raises(ConfigError, match="metrics"):
             ExperimentSpec(protocol=base_protocol(), metrics=("nope",)).validate()
-        with pytest.raises(ConfigError, match="output"):
-            ExperimentSpec(protocol=base_protocol(), output="xml").validate()
         with pytest.raises(ConfigError, match="channel.adversary.fraction"):
             ExperimentSpec(
                 protocol=base_protocol(),
@@ -326,6 +324,64 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "trials: 2" in out  # flag beat the file
+
+    @pytest.mark.parametrize(
+        "line", ["quantum_memory = nope", "loss_strategy = lost", "scenario = x", "output = xml", "blocks = 6x"]
+    )
+    def test_config_values_get_the_checks_of_their_flags(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"trials = 1\n{line}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"config:2: {line.split()[0]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, on", [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                     ("0", False), ("False", False), ("NO", False), ("Off", False)]
+    )
+    def test_config_booleans_in_any_case(self, tmp_path, text, on):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "r.json"
+        cfg.write_text(f"quantum_memory = {text}\nenforce-ordering = {text}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        protocol = json.loads(out.read_text())["spec"]["protocol"]
+        assert protocol["quantum_memory"] == protocol["enforce_ordering"] == ("1" if on else "0")
+
+    def test_every_option_file_runs_as_its_flags(self, tmp_path):
+        entries = [
+            line.split("=", 1) for line in (DATA / "every_option.cfg").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        options = {key.strip(): value.strip() for key, value in entries}
+        assert list(options) == list(OPTIONS)
+        # Its booleans are on, as they are without a flag.
+        flags = [
+            f"--{name.replace('_', '-')}={value}" for name, value in options.items() if OPTIONS[name].kind is not bool
+        ]
+        from_file, from_flags = tmp_path / "file.txt", tmp_path / "flags.txt"
+        assert main(["run", "--config", str(DATA / "every_option.cfg"), "--out", str(from_file)]) == 0
+        assert main(["run", *flags, "--out", str(from_flags)]) == 0
+        assert from_file.read_text() == from_flags.read_text()
+
+    @pytest.mark.parametrize(
+        "flags, code, adversary, accuracy",
+        [
+            (["--scenario", "ordering-attack", "--no-enforce-ordering"], 0,
+             {"kind": "OrderingAttack", "use_announced_bases": True}, 1.0),
+            (["--scenario", "ordering-attack-blind"], 1,
+             {"kind": "OrderingAttack", "use_announced_bases": False}, 0.0),
+            (["--scenario", "insider-colluders", "-m", "3", "--colluders", "1,2"], 0,
+             {"kind": "ColluderInsider", "target": 3, "colluders": [1, 2], "withheld_bases": []}, 1.0),
+        ],
+    )
+    def test_attack_scenarios(self, tmp_path, flags, code, adversary, accuracy):
+        out = tmp_path / "r.json"
+        argv = ["run", *flags, "-N", "20", "--trials", "3", "--metrics", "qber,adversary_accuracy", "--seed", "2"]
+        assert main([*argv, "--out", str(out)]) == code
+        payload = json.loads(out.read_text())
+        assert payload["spec"]["channel"]["adversary"] == adversary
+        assert payload["metrics"]["adversary_accuracy"]["mean"] == accuracy
+        assert (payload["metrics"]["qber"]["mean"] > 0.11) == (code == 1)
+        if adversary["kind"] == "ColluderInsider":  # the target skips basis mixing by default
+            assert payload["spec"]["protocol"]["omit_hadamard"] == "3"
 
     def test_config_file_rejects_unknown_keys(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

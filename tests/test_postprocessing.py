@@ -443,6 +443,15 @@ REFERENCES = {
 }
 
 
+def test_reconcile_discards_a_block_outside_the_decoding_radius():
+    pair, noisy = _extended_hamming_pair(), (1, 1, 0, 0, 0, 0, 0, 0)
+    assert REFERENCES["uncovered"].decode(noisy) is None  # two errors, radius one
+    result = reconcile(pair, (0,) * 8, noisy, (0,) * 8)
+    assert result.discarded and result.key_bob is None and not result.agreed
+    assert result.key_alice == pair.coset_key((0,) * 8)
+    assert result.public == (0,) * 8
+
+
 class TestAgainstPerBlockReference:
     @pytest.mark.parametrize("name", sorted(REFERENCES))
     def test_single_block_functions_exhaustive(self, name):

@@ -8,7 +8,9 @@ import pytest
 
 import known_vectors as kv
 from mpqss import (
+    ChannelModel,
     ConfigError,
+    InterceptResend,
     OrderingError,
     PartySecrets,
     ProtocolConfig,
@@ -57,6 +59,11 @@ class TestConfig:
         # A single block can never split into checked and unchecked halves.
         with pytest.raises(ConfigError, match="check_fraction"):
             ProtocolConfig(senders=2, receivers=2, blocks=1, check_fraction=0.5)
+
+    def test_abort_threshold_range(self):
+        for bad in (0.0, 1.0, -0.1, 1.5):
+            with pytest.raises(ConfigError, match="qber_abort_threshold"):
+                ProtocolConfig(senders=2, receivers=2, blocks=4, qber_abort_threshold=bad)
 
     def test_checked_block_count_is_float_safe(self):
         cfg = ProtocolConfig(senders=2, receivers=2, blocks=10, check_fraction=0.3)
@@ -304,9 +311,56 @@ class TestOrdering:
             tr.ack_seqs[l] = ev.seq
         assert not tr.ordering_respected()
 
+    def test_ordering_before_any_announcement_or_ack(self):
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=4, enforce_ordering=False)
+        tr = Transcript(cfg.snapshot())
+        assert tr.ordering_respected()  # nothing announced yet
+        announce_bases(tr, 1, (0, 1) * 6, cfg)
+        assert not tr.ordering_respected()  # announced before any receiver acknowledged
+
     def test_honest_runs_respect_ordering(self):
         tr = run_protocol(ProtocolConfig(senders=2, receivers=2, blocks=4, seed=9))
         assert tr.ordering_respected()
+
+
+class TestRefusals:
+    def test_batched_secrets_are_refused(self):
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=6)
+        batch = generate_secrets(cfg, [random.Random(1), random.Random(2)])
+        with pytest.raises(ConfigError, match="secrets: alice1: expected one trial's strings"):
+            run_protocol(cfg, secrets=batch)
+
+    def test_shared_block_first_sender_needs_value_shares(self):
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=4, variant=Variant.BLOCK_SHARED)
+        secrets = [PartySecrets(f"alice{i}", (0,) * 4, (0,) * 4) for i in (1, 2)]
+        with pytest.raises(ConfigError, match="alice1: needs 12 value shares"):
+            run_protocol(cfg, secrets=secrets)
+
+    def test_blocks_of_the_wrong_size_are_refused(self):
+        block = QubitBlock.encode(np.zeros(5, dtype=np.uint8), np.zeros(5, dtype=np.uint8))
+        with pytest.raises(ConfigError, match="block has 5 qubits, expected 18"):
+            encode_block(block, kv.secrets()[1], 2, kv.config())
+        with pytest.raises(ConfigError, match="block has 5 qubits, expected 18"):
+            split_for_receivers(block, kv.config())
+
+    def test_combined_bases_needs_every_announcement(self):
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=4, enforce_ordering=False)
+        tr = Transcript(cfg.snapshot())
+        announce_bases(tr, 1, (0, 1) * 6, cfg)
+        with pytest.raises(ProtocolStateError, match="not every sender"):
+            combined_bases([tr], cfg)
+
+    @pytest.mark.parametrize("check_blocks", [(0, 0), (0, 6), (0,)])
+    def test_injected_check_blocks_are_validated(self, check_blocks):
+        with pytest.raises(ConfigError, match="check_blocks"):
+            run_protocol(kv.config(), secrets=kv.secrets(), check_blocks=check_blocks)
+
+    def test_no_raw_key_after_an_abort(self):
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=30, seed=5)
+        tr = run_protocol(cfg, ChannelModel(adversary=InterceptResend()))
+        assert tr.abort_reason is not None
+        with pytest.raises(ProtocolStateError, match="after an abort"):
+            extract_raw_key(tr, cfg, None, None)
 
 
 class TestVariants:

@@ -1,6 +1,8 @@
 """Transcript serialization, parsing, and replay verification."""
 
+import os
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mpqss import (
     run_protocol,
 )
 from mpqss.channel import LossStrategy
+from mpqss.cli import main
 from mpqss.transcript import (
     KIND_ABORT,
     KIND_ACK,
@@ -177,6 +180,13 @@ class TestReplay:
         assert tr.abort_reason is not None
         verdict = replay(tr.serialize())
         assert verdict.ok, verdict.issues
+
+    def test_failed_check_without_an_abort_event_is_flagged(self):
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=30, seed=5)
+        lines = run_protocol(cfg, ChannelModel(adversary=InterceptResend())).serialize().split("\n")
+        kept = [line for line in lines if " abort all error-rate" not in line]
+        assert len(kept) == len(lines) - 1
+        assert replay("\n".join(kept)).issues == ["check-result: failed check without an abort event"]
 
     def test_tampered_measurement_is_flagged_at_its_position(self):
         tr = reference_run()
@@ -591,6 +601,25 @@ class TestReplayIsTotal:
         huge = text.replace("receivers=3 blocks=6", f"receivers={10**12} blocks={10**12}")
         verdict = replay(huge)
         assert not verdict.ok
+
+
+# A run configuration that sets every option in a few hundred characters.
+EVERY_OPTION = (DATA / "every_option.cfg").read_text()
+
+
+class TestRunIsTotal:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(["substitute", "delete", "insert"]),
+        st.integers(0, 10**6),
+        st.sampled_from(MUTATION_CHARS + "#._aenoT"),
+    )
+    def test_one_character_edits_of_a_config_file_give_an_exit_code(self, how, at, char):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(mutate(EVERY_OPTION, how, at % len(EVERY_OPTION), char))
+            assert main(["run", "--config", path]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

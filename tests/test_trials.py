@@ -32,6 +32,9 @@ def state(tr) -> dict:
     """
     out = {name: value for name, value in vars(tr).items() if name != "_secrets"}
     out["announced_bases"] = {i: bits.tolist() for i, bits in tr.announced_bases.items()}
+    if (rec := tr.adversary) is not None:
+        planes = (rec.positions, rec.bases, rec.bits, rec.certain)
+        out["adversary"] = (rec.kind, *(plane.tolist() for plane in planes))
     out["secrets"] = [
         (s.party, s.value_bits.tolist(), s.basis_bits.tolist(),
          None if s.value_shares is None else s.value_shares.tolist())
