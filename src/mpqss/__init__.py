@@ -63,6 +63,7 @@ from .postprocessing import (
     otp_send,
     reconcile,
     reconcile_stream,
+    reconcile_streams,
     syndrome_decode,
     xor_bits,
 )

@@ -27,12 +27,13 @@ from .channel import (
 )
 from .errors import ConfigError
 from .config import ProtocolConfig, checked_block_count
-from .postprocessing import bits_to_hex, build_canonical_css, key_rate, otp_send, reconcile_stream
+from .postprocessing import bits_to_hex, build_canonical_css, key_rate, otp_send, reconcile_streams
 from .planes import UNUSABLE
-from .protocol import expanded_bit_vectors, run_trials
+from .protocol import expanded_bit_vectors, run_trials, trials_per_chunk
 
-# One trial per call, which run_experiment no longer makes; perfbench/tracing.py
-# spans calls at this name.
+# The one-trial forms, which run_experiment no longer calls; perfbench/tracing.py
+# spans calls at these names.
+from .postprocessing import reconcile_stream  # noqa: F401
 from .protocol import run_protocol  # noqa: F401
 from .transcript import (
     KIND_ABORT,
@@ -217,9 +218,11 @@ def recovered_raw_key(bits, positions, key_blocks, cfg: ProtocolConfig) -> tuple
 def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> RunReport:
     """Run ``spec.trials`` independent seeded runs and aggregate the requested metrics.
 
-    ``otp_message`` (bits) is encrypted against the first trial's distilled
-    key and reported as ciphertext_hex; it needs the block_yield metric and
-    refuses when the key runs short.
+    ``otp_message`` (bits) is encrypted against the first keyed trial's
+    distilled key and reported as ciphertext_hex; it needs the block_yield
+    metric and refuses when the key runs short. For block_yield the raw keys
+    of a chunk's worth of keyed trials are reconciled in one pass, each with
+    the generator seeded from ``"<seed>:<trial>:pp"``.
     """
     spec.validate()
     samples: dict[str, list[float]] = {name: [] for name in spec.metrics}
@@ -229,6 +232,25 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
     extras: dict = {}
     if otp_message is not None and pair is None:
         raise ConfigError("metrics", "an outgoing message needs the block_yield metric")
+    keyed: list[tuple[int, tuple, tuple]] = []  # (trial, reference key, raw key) awaiting reconciliation
+    batch = trials_per_chunk(spec.protocol)
+
+    def reconcile_keyed() -> None:
+        trials, held, noisy = zip(*keyed)
+        rngs = []
+        for trial in trials:
+            pp_seed = hashlib.sha256(f"{spec.seed}:{trial}:pp".encode()).digest()
+            rngs.append(random.Random(int.from_bytes(pp_seed[:8], "big")))
+        for stream in reconcile_streams(pair, held, noisy, rngs):
+            samples["block_yield"].append(stream.block_yield)
+            if "final_key_hex" not in extras:
+                extras["final_key_hex"] = bits_to_hex(stream.final_alice)
+                extras["final_key_bits"] = len(stream.final_alice)
+                if otp_message is not None:
+                    ciphertext = otp_send(otp_message, [stream.final_alice])
+                    extras["ciphertext_hex"] = bits_to_hex(ciphertext)
+                    extras["message_bits"] = len(otp_message)
+        keyed.clear()
 
     seeds = (derive_trial_seed(spec.seed, trial) for trial in range(spec.trials))
     for trial, tr in enumerate(run_trials(spec.protocol, spec.channel, seeds)):
@@ -252,17 +274,11 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
                 if acc is not None:
                     samples[name].append(acc)
             elif name == "block_yield" and tr.raw_key and tr.reference_key:
-                pp_seed = hashlib.sha256(f"{spec.seed}:{trial}:pp".encode()).digest()
-                pp_rng = random.Random(int.from_bytes(pp_seed[:8], "big"))
-                stream = reconcile_stream(pair, tr.reference_key, tr.raw_key, pp_rng)
-                samples[name].append(stream.block_yield)
-                if "final_key_hex" not in extras:
-                    extras["final_key_hex"] = bits_to_hex(stream.final_alice)
-                    extras["final_key_bits"] = len(stream.final_alice)
-                    if otp_message is not None:
-                        ciphertext = otp_send(otp_message, [stream.final_alice])
-                        extras["ciphertext_hex"] = bits_to_hex(ciphertext)
-                        extras["message_bits"] = len(otp_message)
+                keyed.append((trial, tr.reference_key, tr.raw_key))
+                if len(keyed) == batch:
+                    reconcile_keyed()
+    if keyed:
+        reconcile_keyed()
 
     combined = hashlib.sha256("".join(digests).encode()).hexdigest()
     return RunReport(

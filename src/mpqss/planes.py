@@ -58,7 +58,18 @@ def random_coins(rng: Rng, count: int) -> np.ndarray:
     ``getrandbits(32 * count)`` with ``count`` whole outputs, the first one
     lowest, so both give the same bits and leave the generator in the same state.
     """
-    return (_random_bytes(rng, 4 * count).view("<u4") >> 31).astype(np.uint8)
+    if isinstance(rng, random.Random):
+        return random_coin_rows([rng], [count])
+    return random_coin_rows(rng, [count] * len(rng)).reshape(len(rng), count)
+
+
+def random_coin_rows(rngs: Sequence[random.Random], counts: Sequence[int]) -> np.ndarray:
+    """``counts[r]`` coins from ``rngs[r]`` for every r, drawn as ``random_coins`` draws them.
+
+    The rows may differ in length and come back concatenated in order.
+    """
+    raw = b"".join([r.getrandbits(32 * c).to_bytes(4 * c, "little") for r, c in zip(rngs, counts)])
+    return (np.frombuffer(raw, dtype="<u4") >> 31).astype(np.uint8)
 
 
 def random_floats(rng: Rng, count: int) -> np.ndarray:

@@ -10,6 +10,7 @@ Hamming code over its [7,3] dual, giving one key bit per seven-bit block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DecodeFailure, KeyMaterialError
-from .planes import random_coins
+from .planes import random_coin_rows, random_coins
 
 Bits = tuple[int, ...]
 
@@ -122,6 +123,11 @@ def _place_values(width: int) -> np.ndarray:
     return 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
+def _read_only(*tables: np.ndarray) -> None:
+    for table in tables:
+        table.setflags(write=False)
+
+
 def _all_words(width: int) -> np.ndarray:
     """Every ``width``-bit row in counting order (the order of ``itertools.product``)."""
     return ((np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
@@ -136,7 +142,8 @@ class LinearCode:
 
     The table has one row per syndrome, 2^(length - dimension) in all, holding
     the lightest error pattern with that syndrome and whether any pattern
-    within the radius has it; it is meant for desk-scale codes.
+    within the radius has it; it is meant for desk-scale codes. The matrices
+    and tables are read-only, so one code can be shared.
     """
 
     def __init__(self, generator: np.ndarray, parity_check: np.ndarray, radius: int):
@@ -155,6 +162,9 @@ class LinearCode:
             raise ValueError("parity check rank must equal length - dimension")
         self._syndrome_values = _place_values(self.length - self.dimension)
         self._errors, self._decodable = self._build_syndrome_table(radius)
+        _read_only(
+            self.generator, self.parity_check, self._syndrome_values, self._errors, self._decodable
+        )
 
     @classmethod
     def from_parity_check(cls, parity_check: np.ndarray, radius: int) -> "LinearCode":
@@ -242,7 +252,7 @@ class CssPair:
     Key bits per block = dim(big) - dim(small). Coset labels are fixed by
     sorting the lexicographically smallest member of each coset and numbering
     in order, so both sides derive identical labels with no negotiation. The
-    labels sit in a table over all 2^length words, built once here.
+    labels sit in a read-only table over all 2^length words, built once here.
     """
 
     def __init__(self, c1: LinearCode, c2: LinearCode):
@@ -268,6 +278,7 @@ class CssPair:
         self._label_table = np.full(2**c1.length, -1, dtype=np.int64)
         self._label_table[big] = [label_of[rep] for rep in least]
         self._keys = _all_words(self.key_bits)  # row i: the bits of label i
+        _read_only(self._word_values, self._label_table, self._keys)
 
     def labels(self, words: np.ndarray) -> np.ndarray:
         """Coset label of every row of ``words`` (shape (..., length)); -1 off the big code."""
@@ -296,10 +307,15 @@ HAMMING_PARITY_CHECK = as_bit_matrix(
         [0, 0, 0, 1, 1, 1, 1],
     ]
 )
+HAMMING_PARITY_CHECK.setflags(write=False)
 
 
+@functools.cache
 def build_canonical_css() -> CssPair:
-    """[7,4] Hamming over its [7,3] dual: one key bit per block, radius 1."""
+    """[7,4] Hamming over its [7,3] dual: one key bit per block, radius 1.
+
+    Built on the first call; every later call returns the same read-only pair.
+    """
     c1 = LinearCode.from_parity_check(HAMMING_PARITY_CHECK, radius=1)
     c2 = LinearCode.from_generator(HAMMING_PARITY_CHECK, radius=1)
     return CssPair(c1, c2)
@@ -394,37 +410,88 @@ def reconcile_stream(
 
     All blocks are handled at once as rows of arrays, with the result
     :func:`reconcile` gives block by block for the codewords
-    :func:`draw_group_codeword` would draw from the same ``rng``.
+    :func:`draw_group_codeword` would draw from the same ``rng``. This is the
+    one-row case of :func:`reconcile_streams`.
     """
-    if len(held) != len(noisy):
-        raise ValueError("both strings must have equal length")
+    return reconcile_streams(pair, [held], [noisy], [rng], group_size)[0]
+
+
+def _row_bytes(bits) -> bytes:
+    """A row of bits as bytes: ``astype`` for an array, ``bytes()`` for a list or tuple.
+
+    ``bytes()`` takes about half the time ``np.asarray`` takes on a list.
+    """
+    return bits.astype(np.uint8).tobytes() if isinstance(bits, np.ndarray) else bytes(bits)
+
+
+def reconcile_streams(
+    pair: CssPair,
+    held_rows: Sequence[Sequence[int]],
+    noisy_rows: Sequence[Sequence[int]],
+    rngs: Sequence[random.Random],
+    group_size: int = 1,
+) -> list[StreamResult]:
+    """:func:`reconcile_stream` of every row, each with its own generator.
+
+    The blocks of all rows, padding included, are stacked as one
+    (blocks, length) matrix that is decoded and labelled once. Row r draws its
+    coins with one ``getrandbits`` call on ``rngs[r]``, in the order a lone
+    call draws them, so each result, and the state each generator is left in,
+    is that of :func:`reconcile_stream` on the row.
+    """
+    if not len(held_rows) == len(noisy_rows) == len(rngs):
+        raise ValueError("need one held string, one noisy string and one generator per row")
     if group_size < 1:
         raise ValueError("need at least one party")
+    lengths = [len(bits) for bits in held_rows]
+    if lengths != [len(bits) for bits in noisy_rows]:
+        raise ValueError("both strings must have equal length")
     code = pair.c1
-    pad = -len(held) % code.length
-    blocks = (len(held) + pad) // code.length
-    # The padding first, then every block's messages party by party: the
-    # order in which one getrandbits(1) call per coin would draw them.
-    coins = random_coins(rng, pad + blocks * group_size * code.dimension)
-    padding = coins[:pad]
-    v, w = (
-        np.concatenate([np.asarray(bits, dtype=np.uint8) % 2, padding]).reshape(blocks, code.length)
-        for bits in (held, noisy)
+    pads = np.array([-size % code.length for size in lengths], dtype=np.intp)
+    blocks = (np.array(lengths, dtype=np.intp) + pads) // code.length
+    # Row by row: the padding first, then every block's messages party by
+    # party, the order in which one getrandbits(1) call per coin would draw them.
+    counts = (pads + blocks * (group_size * code.dimension)).tolist()
+    coins = random_coin_rows(rngs, counts).tobytes()
+    padding, messages, start = [], [], 0
+    for pad, count in zip(pads.tolist(), counts):
+        padding.append(coins[start:start + pad])
+        messages.append(coins[start + pad:start + count])
+        start += count
+
+    def stacked(rows) -> np.ndarray:
+        """Every row followed by its padding, as (blocks, length)."""
+        parts = [part for bits, pad in zip(rows, padding) for part in (_row_bytes(bits), pad)]
+        return np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(-1, code.length) % 2
+
+    u = _group_codewords(
+        code, np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, group_size, code.dimension)
     )
-    u = _group_codewords(code, coins[pad:].reshape(blocks, group_size, code.dimension))
-    decoded, decodable = code.decode(w ^ u ^ v)  # u xor error
+    decoded, decodable = code.decode(stacked(noisy_rows) ^ u ^ stacked(held_rows))  # u xor error
     key_alice, key_bob = pair.labels(u), pair.labels(decoded)
     kept = decodable.copy()
-    if pad:
-        kept[-1] = False  # part of the padded block is public
-    return StreamResult(
-        tuple(pair._keys[key_alice[kept]].ravel().tolist()),
-        tuple(pair._keys[key_bob[kept]].ravel().tolist()),
-        blocks,
-        int(np.count_nonzero(decodable & (key_alice == key_bob))),
-        int(blocks - np.count_nonzero(decodable)),
-        tuple(padding.tolist()),
+    kept[(np.cumsum(blocks) - 1)[pads > 0]] = False  # part of a padded row's last block is public
+    row = np.repeat(np.arange(len(rngs)), blocks)  # the row of each block
+
+    def per_row(mask: np.ndarray) -> list[int]:
+        """How many of each row's blocks ``mask`` holds."""
+        return np.bincount(row[mask], minlength=len(rngs)).tolist()
+
+    ok, decodable_count, kept_count = (
+        per_row(mask) for mask in (decodable & (key_alice == key_bob), decodable, kept)
     )
+    alice, bob = (pair._keys[key[kept]].tobytes() for key in (key_alice, key_bob))
+    results, start = [], 0
+    for r, total in enumerate(blocks.tolist()):
+        end = start + kept_count[r] * pair.key_bits
+        results.append(
+            StreamResult(
+                tuple(alice[start:end]), tuple(bob[start:end]), total, ok[r],
+                total - decodable_count[r], tuple(padding[r]),
+            )
+        )
+        start = end
+    return results
 
 
 @dataclass

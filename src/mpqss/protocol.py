@@ -250,9 +250,9 @@ def announce_bases(
             f"{missing} acknowledged reception"
         )
     planes = as_plane(basis_bits).reshape(len(trs), -1)
-    for t, ev, bits in zip(trs, record_rows(trs, KIND_BASES, f"alice{sender_index}", planes), planes):
+    for t, seq, bits in zip(trs, record_rows(trs, KIND_BASES, f"alice{sender_index}", planes), planes):
         t.announced_bases[sender_index] = bits
-        t.bases_seqs[sender_index] = ev.seq
+        t.bases_seqs[sender_index] = seq
 
 
 def combined_bases(trs: Sequence[Transcript], cfg: ProtocolConfig) -> np.ndarray:
@@ -451,6 +451,11 @@ def _record_losses(trs: list[Transcript], party: str, lost: np.ndarray) -> None:
 CHUNK_POSITIONS = 1 << 12
 
 
+def trials_per_chunk(cfg: ProtocolConfig) -> int:
+    """How many of ``cfg``'s trials ``run_trials`` stacks into one chunk."""
+    return max(1, CHUNK_POSITIONS // cfg.total_qubits)
+
+
 def _validated(cfg: ProtocolConfig, channel: ChannelModel | None) -> ChannelModel:
     channel = channel if channel is not None else IDEAL
     channel.validate()
@@ -504,7 +509,7 @@ def run_trials(
     row per trial, each row drawing from its trial's own generator.
     """
     channel = _validated(cfg, channel)
-    per_chunk = max(1, CHUNK_POSITIONS // cfg.total_qubits)
+    per_chunk = trials_per_chunk(cfg)
     seeds = iter(seeds)
     # Lists of up to per_chunk seeds, until the seeds run out.
     chunks = iter(lambda: list(itertools.islice(seeds, per_chunk)), [])
@@ -580,7 +585,7 @@ def _run_chunk(
         if channel.loss_strategy is LossStrategy.REMOVE:
             _record_losses(trs, f"bob{l}", received.lost)
         for tr in trs:
-            tr.ack_seqs[l] = tr.record(KIND_ACK, f"bob{l}").seq
+            tr.ack_seqs[l] = tr.record(KIND_ACK, f"bob{l}")
 
     if not cfg.quantum_memory:
         # No storage: measure in guessed bases before any announcement.

@@ -112,8 +112,7 @@ class Transcript:
 
     def __init__(self, config: Mapping[str, str]):
         self.config = dict(config)
-        self.events: list[Event] = []
-        self._seq = 0
+        self._lines: list[str] = []  # one rendered event line per record, in order
 
         # Derived by the protocol driver while it records events: announced_bases
         # holds uint8 planes, outcomes lists with None where a qubit was lost.
@@ -135,11 +134,17 @@ class Transcript:
         self.adversary: AdversaryRecord | None = None
         self._secrets = None  # simulator-side introspection, never serialized
 
-    def record(self, kind: str, party: str, payload: str = "-") -> Event:
-        self._seq += 1
-        ev = Event(self._seq, kind, party, payload if payload else "-")
-        self.events.append(ev)
-        return ev
+    def record(self, kind: str, party: str, payload: str = "-") -> int:
+        """Append an event as its serialized line; returns its sequence number."""
+        seq = len(self._lines) + 1
+        self._lines.append(f"event {seq} {kind} {party} {payload or '-'}")
+        return seq
+
+    @property
+    def events(self) -> list[Event]:
+        """The recorded events, read back from their lines."""
+        fields = (line.split(" ", 4) for line in self._lines)
+        return [Event(int(seq), kind, party, payload) for _, seq, kind, party, payload in fields]
 
     @property
     def detected(self) -> bool:
@@ -155,10 +160,8 @@ class Transcript:
         return min(self.bases_seqs.values()) > max(self.ack_seqs.values())
 
     def serialize(self) -> str:
-        lines = [FORMAT_HEADER]
         cfg = " ".join(f"{k}={v}" for k, v in self.config.items())
-        lines.append(f"config {cfg}")
-        lines.extend(ev.line() for ev in self.events)
+        lines = [FORMAT_HEADER, f"config {cfg}", *self._lines]
         if self.adversary is not None:
             lines.extend(self.adversary.lines())
         return "\n".join(lines) + "\n"
@@ -171,8 +174,8 @@ class Transcript:
             fh.write(self.serialize())
 
 
-def record_rows(transcripts: Sequence[Transcript], kind: str, party: str, plane: np.ndarray) -> list[Event]:
-    """Record row t of ``plane`` as ``party``'s ``kind`` payload in transcript t."""
+def record_rows(transcripts: Sequence[Transcript], kind: str, party: str, plane: np.ndarray) -> list[int]:
+    """Record row t of ``plane`` as ``party``'s ``kind`` payload in transcript t; returns the seq numbers."""
     return [tr.record(kind, party, payload) for tr, payload in zip(transcripts, row_payloads(plane))]
 
 

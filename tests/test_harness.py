@@ -167,6 +167,28 @@ class TestRunExperiment:
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == "3932e5957b282cdd56eece446095c6b4742414f04b2430811bf48f9ec0795de1"
 
+    def test_batched_distillation_report_is_pinned(self):
+        """A sweep whose trial 0 aborts, so the message goes out under a later
+        trial's key, and whose keyed trials fill several reconciliation batches;
+        the sha256 is that of the report before reconciliation was batched."""
+        from dataclasses import replace
+
+        from mpqss import protocol, run_protocol
+
+        cfg, channel = ProtocolConfig(3, 3, 80), ChannelModel(p_x=0.06)
+        spec = ExperimentSpec(cfg, channel, trials=60, metrics=("qber", "block_yield"), seed=3)
+        assert run_protocol(replace(cfg, seed=derive_trial_seed(3, 0)), channel).raw_key is None
+        report = run_experiment(spec, otp_message=[1, 0, 1, 1])
+        assert report.metrics["block_yield"].samples == 53 > 3 * protocol.trials_per_chunk(cfg)
+        assert report.extras == {
+            "ciphertext_hex": "5",
+            "final_key_bits": 5,
+            "final_key_hex": "e8",
+            "message_bits": 4,
+        }
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "3329f8066c304b8ec5423262e544be97d6912f74f403841d2c34a7309ad50812"
+
     # One sweep per attack through adversary_accuracy: spec, then the sha256 of
     # its to_json() report as version 0.2.0 wrote it (seed 40 + the case index).
     ATTACK_REPORTS = [

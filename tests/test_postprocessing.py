@@ -24,6 +24,7 @@ from mpqss import (
     otp_send,
     reconcile,
     reconcile_stream,
+    reconcile_streams,
     syndrome_decode,
     xor_bits,
 )
@@ -251,6 +252,20 @@ class TestReconcile:
     def test_stream_requires_equal_lengths(self, pair):
         with pytest.raises(ValueError):
             reconcile_stream(pair, [0, 1], [0], random.Random(0))
+        with pytest.raises(ValueError, match="equal length"):
+            reconcile_streams(pair, [[0], [0, 1]], [[1], [0]], [random.Random(0)] * 2)
+        with pytest.raises(ValueError, match="one generator per row"):
+            reconcile_streams(pair, [[0]], [[1]], [])
+
+    def test_canonical_pair_is_built_once_and_read_only(self, pair):
+        assert build_canonical_css() is pair
+        tables = (
+            pair.c1.generator, pair.c1.parity_check, pair.c1._errors, pair.c1._decodable,
+            pair.c2.generator, pair._label_table, pair._keys, HAMMING_PARITY_CHECK,
+        )
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     def test_key_material_invariants(self):
         with pytest.raises(ValueError):
@@ -495,3 +510,30 @@ class TestAgainstPerBlockReference:
         got = reconcile_stream(ref.pair, held, noisy, rng, group_size=group_size)
         assert got == ref.stream(held, noisy, again, group_size)
         assert rng.random() == again.random()
+
+
+@st.composite
+def stream_rows(draw):
+    """Rows of (held, noisy, generator seed) as list, tuple or array, with a group size."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        held = draw(st.lists(st.integers(0, 1), max_size=30))
+        flips = draw(st.lists(st.booleans(), min_size=len(held), max_size=len(held)))
+        noisy = [b ^ f for b, f in zip(held, flips)]
+        kind = draw(st.sampled_from([list, tuple, np.array]))
+        rows.append((kind(held), kind(noisy), draw(st.integers(0, 2**32 - 1))))
+    return rows, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(REFERENCES)), batch=stream_rows())
+def test_batched_streams_equal_one_stream_per_row(name, batch):
+    pair = REFERENCES[name].pair
+    rows, group_size = batch
+    rngs = [random.Random(seed) for _, _, seed in rows]
+    got = reconcile_streams(pair, [r[0] for r in rows], [r[1] for r in rows], rngs, group_size)
+    assert len(got) == len(rows)
+    for (held, noisy, seed), result, rng in zip(rows, got, rngs):
+        again = random.Random(seed)
+        assert result == reconcile_stream(pair, held, noisy, again, group_size)
+        assert rng.getrandbits(64) == again.getrandbits(64)

@@ -287,8 +287,7 @@ class TestOrdering:
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4)
         tr = Transcript(cfg.snapshot())
         for l in (1, 2):  # third receiver never confirms
-            ev = tr.record("ack", f"bob{l}")
-            tr.ack_seqs[l] = ev.seq
+            tr.ack_seqs[l] = tr.record("ack", f"bob{l}")
         with pytest.raises(OrderingError, match=r"\[3\]"):
             announce_bases(tr, 1, (0, 1) * 6, cfg)
 
@@ -296,8 +295,7 @@ class TestOrdering:
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4)
         tr = Transcript(cfg.snapshot())
         for l in (1, 2, 3):
-            ev = tr.record("ack", f"bob{l}")
-            tr.ack_seqs[l] = ev.seq
+            tr.ack_seqs[l] = tr.record("ack", f"bob{l}")
         announce_bases(tr, 1, (0, 1) * 6, cfg)
         assert tr.announced_bases[1].tolist() == [0, 1] * 6
         assert tr.ordering_respected()
@@ -307,8 +305,7 @@ class TestOrdering:
         tr = Transcript(cfg.snapshot())
         announce_bases(tr, 1, (0, 1) * 6, cfg)  # no acks yet, tolerated
         for l in (1, 2, 3):
-            ev = tr.record("ack", f"bob{l}")
-            tr.ack_seqs[l] = ev.seq
+            tr.ack_seqs[l] = tr.record("ack", f"bob{l}")
         assert not tr.ordering_respected()
 
     def test_ordering_before_any_announcement_or_ack(self):

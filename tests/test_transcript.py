@@ -40,8 +40,10 @@ from mpqss.transcript import (
     KIND_RAW_KEY,
     KIND_SIFT,
     Event,
+    Transcript,
     bits_to_str,
     parse,
+    record_rows,
     str_to_plane,
 )
 
@@ -68,6 +70,21 @@ class TestSerialization:
         assert Event(ev.seq, ev.kind, ev.party).payload == "-"
         with pytest.raises(AttributeError):
             ev.payload = "1"
+
+    def test_record_returns_the_sequence_number_and_events_read_back_the_lines(self):
+        tr = Transcript({"senders": "2"})
+        assert tr.record(KIND_ACK, "bob1") == 1
+        assert tr.record(KIND_BASES, "alice1", "0110") == 2
+        plane = np.array([[0, 1, 2], [1, 1, 0]], dtype=np.uint8)
+        assert record_rows([tr, Transcript({})], KIND_MEASURED, "bob1", plane) == [3, 1]
+        assert tr.events == [
+            Event(1, KIND_ACK, "bob1", "-"),
+            Event(2, KIND_BASES, "alice1", "0110"),
+            Event(3, KIND_MEASURED, "bob1", "01?"),
+        ]
+        assert tr.serialize().splitlines()[2:] == [ev.line() for ev in tr.events]
+        with pytest.raises(AttributeError):
+            tr.events = []
 
     def test_golden_file_matches_current_output(self):
         golden = (DATA / "worked_example.transcript").read_text()
@@ -219,14 +236,7 @@ class TestReplay:
     def test_reordered_announcement_is_flagged(self):
         tr = reference_run()
         lines = tr.serialize().splitlines()
-        # Renumber the first announcement below every acknowledgment.
-        out = []
-        for line in lines:
-            if " bases alice1 " in line:
-                parts = line.split(" ")
-                parts[1] = "0"
-                line = " ".join(parts)
-        # seq 0 breaks monotonicity; rebuild by swapping an ack and an announcement
+        # Swap the sequence numbers of an ack and an announcement.
         header, config, *events = lines
         ack = next(e for e in events if " ack bob3 " in e)
         bases = next(e for e in events if " bases alice1 " in e)
