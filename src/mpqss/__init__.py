@@ -48,7 +48,6 @@ from .harness import (
 from .planes import QubitBlock
 from .postprocessing import (
     CssPair,
-    KeyMaterial,
     LinearCode,
     OneTimePad,
     ReconcileResult,
@@ -88,7 +87,6 @@ from .qubits import (
     apply_pauli,
     apply_value_flip,
     encode,
-    from_ket,
     measure,
 )
 from .transcript import AdversaryRecord, Event, Transcript, parse

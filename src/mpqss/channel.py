@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Collection, Sequence, Union
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class PreparerInsider:
     second sender skipped the basis-mixing step.
     """
 
+    target: ClassVar[int] = 2  # the sender whose block is intercepted
+
     def validate(self, path: str = "adversary") -> None:
         return
 
@@ -82,16 +84,19 @@ class ColluderInsider:
     colluders: frozenset[int] | None = None
     withheld_bases: frozenset[int] = frozenset()
 
+    @property
+    def pool(self) -> Collection[int]:
+        """The senders pooling their strings: ``colluders``, or the range of those below the target."""
+        return range(1, self.target) if self.colluders is None else self.colluders
+
     def validate(self, path: str = "adversary") -> None:
         if self.target < 3:
             raise ConfigError(f"{path}.target", "collusion targets the third sender or later")
-        if self.colluders is not None:
-            bad = [c for c in self.colluders if not 1 <= c < self.target]
-            if bad:
-                raise ConfigError(f"{path}.colluders", f"must lie below the target, got {sorted(bad)}")
-        if self.withheld_bases and self.colluders is not None:
-            if not self.withheld_bases <= self.colluders:
-                raise ConfigError(f"{path}.withheld_bases", "must be a subset of the colluders")
+        bad = [c for c in self.colluders or () if not 1 <= c < self.target]
+        if bad:
+            raise ConfigError(f"{path}.colluders", f"must lie below the target, got {sorted(bad)}")
+        if any(i not in self.pool for i in self.withheld_bases):
+            raise ConfigError(f"{path}.withheld_bases", "must be a subset of the colluders")
 
 
 Adversary = Union[InterceptResend, OrderingAttack, PreparerInsider, ColluderInsider]

@@ -133,7 +133,7 @@ def _build_spec(opt: dict) -> ExperimentSpec:
     adversary = SCENARIOS[opt["scenario"]](opt)
     if not omit and isinstance(adversary, (PreparerInsider, ColluderInsider)):
         # The insider reads a sender who skips basis mixing unless told otherwise.
-        omit = frozenset({getattr(adversary, "target", 2)})
+        omit = frozenset({adversary.target})
     protocol = ProtocolConfig(
         senders=opt["senders"],
         receivers=opt["receivers"],

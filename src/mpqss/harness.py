@@ -13,7 +13,7 @@ import json
 import random
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .channel import (
 from .errors import ConfigError
 from .config import ProtocolConfig, checked_block_count
 from .postprocessing import bits_to_hex, build_canonical_css, key_rate, otp_send, reconcile_streams
-from .planes import UNUSABLE
+from .planes import UNUSABLE, check_tally, combined_basis, key_block_mask
 from .protocol import expanded_bit_vectors, run_trials, trials_per_chunk
 
 # The one-trial forms, which run_experiment no longer calls; perfbench/tracing.py
@@ -56,15 +56,17 @@ from .transcript import (
     str_to_plane,
 )
 
-METRICS = (
-    "qber",
-    "detection_prob",
-    "key_rate",
-    "efficiency",
-    "sift_rate",
-    "adversary_accuracy",
-    "block_yield",
-)
+# Every metric's per-trial sampler, which gives None when a trial has no
+# sample; block_yield maps to None, as it is sampled per reconciliation batch.
+METRICS = {
+    "qber": lambda tr, spec: tr.qber,
+    "detection_prob": lambda tr, spec: None if tr.qber is None else float(tr.detected),
+    "key_rate": lambda tr, spec: None if tr.qber is None else key_rate(tr.qber),
+    "efficiency": lambda tr, spec: tr.efficiency if tr.outcomes else None,
+    "sift_rate": lambda tr, spec: tr.sift_rate if tr.outcomes else None,
+    "adversary_accuracy": lambda tr, spec: _adversary_accuracy(tr, spec.protocol, spec.channel.adversary),
+    "block_yield": None,
+}
 
 
 def derive_trial_seed(master_seed: int, trial: int) -> int:
@@ -95,11 +97,9 @@ class ExperimentSpec:
         adversary = None
         if adv is not None:
             adversary = {"kind": type(adv).__name__}
-            for name in getattr(adv, "__dataclass_fields__", {}):
-                value = getattr(adv, name)
-                if isinstance(value, frozenset):
-                    value = sorted(value)
-                adversary[name] = value
+            for f in fields(adv):  # not ClassVars such as PreparerInsider.target
+                value = getattr(adv, f.name)
+                adversary[f.name] = sorted(value) if isinstance(value, frozenset) else value
         return {
             "protocol": self.protocol.snapshot(),
             "channel": {
@@ -199,8 +199,7 @@ def _adversary_accuracy(tr: Transcript, cfg: ProtocolConfig, adversary) -> float
     if isinstance(adversary, InterceptResend):
         truth, scored = np.bitwise_xor.reduce(values, axis=0), True
     elif isinstance(adversary, (PreparerInsider, ColluderInsider)):
-        target = 2 if isinstance(adversary, PreparerInsider) else adversary.target
-        truth, scored = values[target - 1], rec.certain
+        truth, scored = values[adversary.target - 1], rec.certain
     else:
         return None
     hits = scored & (truth[rec.positions] == rec.bits)
@@ -257,23 +256,13 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
         digests.append(tr.digest())
         if tr.abort_reason is not None:
             aborted += 1
-        measured = bool(tr.outcomes)
         for name in spec.metrics:
-            if name == "qber" and tr.qber is not None:
-                samples[name].append(tr.qber)
-            elif name == "detection_prob" and tr.qber is not None:
-                samples[name].append(1.0 if tr.detected else 0.0)
-            elif name == "key_rate" and tr.qber is not None:
-                samples[name].append(key_rate(tr.qber))
-            elif name == "efficiency" and measured:
-                samples[name].append(tr.efficiency)
-            elif name == "sift_rate" and measured:
-                samples[name].append(tr.sift_rate)
-            elif name == "adversary_accuracy":
-                acc = _adversary_accuracy(tr, spec.protocol, spec.channel.adversary)
-                if acc is not None:
-                    samples[name].append(acc)
-            elif name == "block_yield" and tr.raw_key and tr.reference_key:
+            sampler = METRICS[name]
+            if sampler is not None:
+                value = sampler(tr, spec)
+                if value is not None:
+                    samples[name].append(value)
+            elif tr.raw_key and tr.reference_key:
                 keyed.append((trial, tr.reference_key, tr.raw_key))
                 if len(keyed) == batch:
                     reconcile_keyed()
@@ -396,19 +385,15 @@ def replay(text: str) -> Verdict:
             elif bases_seqs and seqs[0] > min(bases_seqs):
                 issues.append(f"{party}: premeasure record follows a basis announcement")
 
-    # Combined basis as (blocks, n), or (blocks, 1) while every string has one
-    # basis per block: XOR broadcasts a block's basis over its n positions.
     combined = None
     if (bases_seqs or measured) and len(bases) != senders:
         issues.append(f"bases: {len(bases)} of {senders} senders announced a well-formed basis string")
     elif len(bases) == senders:
-        for party, plane in bases.items():
-            if len(plane) not in (n * blocks, blocks):
-                issues.append(f"{party}: basis string has unexpected length {len(plane)}")
-                combined = None
-                break
-            plane = plane.reshape(blocks, -1)
-            combined = plane if combined is None else combined ^ plane
+        wrong = [party for party, plane in bases.items() if len(plane) not in (n * blocks, blocks)]
+        if wrong:
+            issues.append(f"{wrong[0]}: basis string has unexpected length {len(bases[wrong[0]])}")
+        else:
+            combined = combined_basis(list(bases.values()), blocks)
 
     usable: dict[int, np.ndarray] = {}
     for l in receivers:
@@ -487,10 +472,10 @@ def replay(text: str) -> Verdict:
     raw_key = decode(raw_key_events[0], 2) if raw_key_events else None
     if raw_key is not None:
         key_blocks = np.zeros(0, dtype=np.intp)
-        if len(usable) == n:
-            qualify = np.logical_and.reduce([usable[l] for l in receivers])
-            qualify[rows] = False
-            key_blocks = np.flatnonzero(qualify)
+        if len(usable) == n:  # every receiver's mask has ``blocks`` entries
+            checked = np.zeros(blocks, dtype=bool)
+            checked[rows] = True
+            key_blocks = np.flatnonzero(key_block_mask([usable[l] for l in receivers], checked))
         if len(raw_key) != len(key_blocks):
             issues.append(
                 f"raw-key: {len(raw_key)} bits recorded but {len(key_blocks)} blocks qualify"
@@ -539,13 +524,13 @@ def _check_reveals(issues, parsed, rows, sent, recv_reveals, measured, n, thresh
         if revealed is None:
             issues.append(f"{party}: no check reveal recorded")
             continue
-        shown = revealed != UNUSABLE
         if party in measured:
-            contradicts = shown & (measured[party][rows] != revealed)
+            contradicts = (revealed != UNUSABLE) & (measured[party][rows] != revealed)
             for j in rows[contradicts].tolist():
                 issues.append(f"{party}: check reveal at block {j} contradicts its measurement record")
-        compared += int(np.count_nonzero(shown))
-        disagree += int(np.count_nonzero(shown & (revealed != expected[:, l - 1])))
+        shown, differ = check_tally(revealed, expected[:, l - 1])
+        compared += shown
+        disagree += differ
     results = parsed.events_of(KIND_CHECK_RESULT)
     if not results:
         issues.append("check-result: no result recorded for the check")

@@ -6,11 +6,14 @@ basis, plus a mask of lost positions. Each kernel below is one array
 expression doing at every position what the named ``qubits`` function does to
 one qubit. Kernels take their randomness as arrays (masks, bases, coins), so
 they are pure functions; the tests compare them with ``qubits`` position by
-position.
+position. The protocol's public rules (combined basis, check tally, key
+blocks) are stated here too, once: the engine applies them to its own planes
+and replay to those it decodes, so replay still checks a run independently.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -51,22 +54,13 @@ def random_words(rng: Rng, count: int) -> np.ndarray:
     return _random_bytes(rng, 8 * count).view("<u8")
 
 
-def random_coins(rng: Rng, count: int) -> np.ndarray:
-    """The bits of ``count`` successive ``rng.getrandbits(1)`` calls, drawn in one call.
+def random_coins(rngs: Sequence[random.Random], counts: Sequence[int]) -> np.ndarray:
+    """``counts[r]`` successive ``rngs[r].getrandbits(1)`` bits for every r, one call per generator.
 
     CPython answers ``getrandbits(1)`` with the top bit of one 32-bit output and
     ``getrandbits(32 * count)`` with ``count`` whole outputs, the first one
-    lowest, so both give the same bits and leave the generator in the same state.
-    """
-    if isinstance(rng, random.Random):
-        return random_coin_rows([rng], [count])
-    return random_coin_rows(rng, [count] * len(rng)).reshape(len(rng), count)
-
-
-def random_coin_rows(rngs: Sequence[random.Random], counts: Sequence[int]) -> np.ndarray:
-    """``counts[r]`` coins from ``rngs[r]`` for every r, drawn as ``random_coins`` draws them.
-
-    The rows may differ in length and come back concatenated in order.
+    lowest, so both give the same bits and leave the generator in the same
+    state. The rows may differ in length and come back concatenated in order.
     """
     raw = b"".join([r.getrandbits(32 * c).to_bytes(4 * c, "little") for r, c in zip(rngs, counts)])
     return (np.frombuffer(raw, dtype="<u4") >> 31).astype(np.uint8)
@@ -106,16 +100,6 @@ class QubitBlock:
     def encode(cls, values: np.ndarray, bases: np.ndarray) -> "QubitBlock":
         """Fresh states carrying ``values`` in ``bases`` (``qubits.encode``)."""
         return cls(values, bases, np.zeros(values.shape, dtype=bool))
-
-    @classmethod
-    def from_qubits(cls, qubits: Sequence[Qubit | None]) -> "QubitBlock":
-        """Planes of a per-position list, None marking a lost position."""
-        live = [Qubit(0, 0) if q is None else q for q in qubits]
-        return cls(
-            np.array([q.value for q in live], dtype=np.uint8),
-            np.array([q.basis for q in live], dtype=np.uint8),
-            np.array([q is None for q in qubits], dtype=bool),
-        )
 
     @property
     def qubits(self) -> list[Qubit | None]:
@@ -165,3 +149,32 @@ class QubitBlock:
         """
         outcome = self.measure(bases, coins)
         return outcome, self.substitute(mask, outcome, bases)
+
+
+def combined_basis(strings: Sequence[np.ndarray], blocks: int) -> np.ndarray:
+    """The decoding basis: the XOR of every sender's announced basis string.
+
+    A string (with any leading batch axes) holds one basis per position n*j + l-1
+    or one per block j. The result is (..., blocks, n), or (..., blocks, 1) while
+    every string is per block: nothing is sized by n until a string has n per block.
+    """
+    planes = [s.reshape(*s.shape[:-1], blocks, -1) for s in strings]
+    return functools.reduce(np.bitwise_xor, planes)
+
+
+def check_tally(revealed: np.ndarray, expected: np.ndarray, axis=None):
+    """(compared, disagreements) of a check, counted over ``axis``.
+
+    Compared are the revealed outcomes that are not UNUSABLE; a disagreement
+    is a compared outcome that differs from ``expected``, the senders' XOR.
+    """
+    shown = revealed != UNUSABLE
+    return np.count_nonzero(shown, axis=axis), np.count_nonzero(shown & (revealed != expected), axis=axis)
+
+
+def key_block_mask(usable_by_receiver: Sequence[np.ndarray], checked: np.ndarray) -> np.ndarray:
+    """Blocks giving one key bit each: unchecked, and usable in every receiver's (..., blocks) mask.
+
+    A list, not one (..., blocks, n) plane: ``.all`` over that short last axis is 20x slower.
+    """
+    return np.logical_and.reduce(usable_by_receiver) & ~checked

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DecodeFailure, KeyMaterialError
-from .planes import random_coin_rows, random_coins
+from .planes import random_coins
 
 Bits = tuple[int, ...]
 
@@ -223,7 +223,7 @@ class LinearCode:
         return list(self.encode(_all_words(self.dimension)))
 
     def random_codeword(self, rng: random.Random) -> np.ndarray:
-        return self.encode(random_coins(rng, self.dimension))
+        return self.encode(random_coins([rng], [self.dimension]))
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.length},{self.dimension}] t={self.radius}"
@@ -325,7 +325,7 @@ def draw_group_codeword(code: LinearCode, parties: int, rng: random.Random) -> n
     """XOR of one random codeword per party; still uniform over the code."""
     if parties < 1:
         raise ValueError("need at least one party")
-    coins = random_coins(rng, parties * code.dimension)
+    coins = random_coins([rng], [parties * code.dimension])
     return _group_codewords(code, coins.reshape(1, parties, code.dimension))[0]
 
 
@@ -452,7 +452,7 @@ def reconcile_streams(
     # Row by row: the padding first, then every block's messages party by
     # party, the order in which one getrandbits(1) call per coin would draw them.
     counts = (pads + blocks * (group_size * code.dimension)).tolist()
-    coins = random_coin_rows(rngs, counts).tobytes()
+    coins = random_coins(rngs, counts).tobytes()
     padding, messages, start = [], [], 0
     for pad, count in zip(pads.tolist(), counts):
         padding.append(coins[start:start + pad])
@@ -494,22 +494,6 @@ def reconcile_streams(
     return results
 
 
-@dataclass
-class KeyMaterial:
-    """Both sides' sifted strings, the estimated error rate, and the distilled key."""
-
-    held: Bits
-    noisy: Bits
-    delta: float
-    final_key: Bits | None = None
-
-    def __post_init__(self):
-        if len(self.held) != len(self.noisy):
-            raise ValueError("held and noisy strings must have equal length")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must be in [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # One-time pad
 
@@ -527,12 +511,7 @@ def otp_send(message: Sequence[int], keys: Sequence[Sequence[int]]) -> Bits:
     the same XOR. Use :class:`OneTimePad` when the same material serves several
     messages, so reuse is refused too.
     """
-    stream = [int(b) for block in keys for b in block]
-    if len(stream) < len(message):
-        raise KeyMaterialError(
-            f"message needs {len(message)} key bits but only {len(stream)} are available"
-        )
-    return xor_bits(message, stream[: len(message)])
+    return OneTimePad.from_block_keys(keys).encrypt(message)
 
 
 class OneTimePad:
@@ -553,7 +532,7 @@ class OneTimePad:
     def _take(self, count: int) -> list[int]:
         if count > self.remaining:
             raise KeyMaterialError(
-                f"refusing to reuse pad bits: {count} requested, {self.remaining} unused"
+                f"need {count} key bits but only {self.remaining} are unused; pad bits are never reused"
             )
         chunk = self._bits[self._used : self._used + count]
         self._used += count

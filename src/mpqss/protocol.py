@@ -39,6 +39,7 @@ from .channel import (
 from .config import ProtocolConfig, Variant
 from .errors import ConfigError, OrderingError, ProtocolStateError
 from .planes import UNUSABLE, QubitBlock, Rng, as_plane, random_bits, random_words
+from .planes import check_tally, combined_basis, key_block_mask
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
 # counts calls at these names.
@@ -96,11 +97,6 @@ class PartySecrets:
             plane = getattr(self, name)
             object.__setattr__(row, name, None if plane is None else plane[t])
         return row
-
-
-def _payload(plane: np.ndarray) -> str:
-    """Transcript payload of a uint8 or bool plane (UNUSABLE renders as '?')."""
-    return bits_to_str(plane.tobytes())
 
 
 def _trials(tr: Transcript | Sequence[Transcript]) -> list[Transcript]:
@@ -259,12 +255,9 @@ def combined_bases(trs: Sequence[Transcript], cfg: ProtocolConfig) -> np.ndarray
     """Per-position XOR of all announced basis strings (the decoding basis), one row per transcript."""
     if any(len(t.announced_bases) < cfg.senders for t in trs):
         raise ProtocolStateError("not every sender has announced a basis string")
-    # As (trials, N, n): a string of one basis per block is a (trials, N, 1)
-    # plane, which the XOR broadcasts over the block's n positions.
-    combined = np.zeros((len(trs), cfg.blocks, cfg.receivers), dtype=np.uint8)
-    for i in trs[0].announced_bases:
-        combined ^= np.array([t.announced_bases[i] for t in trs]).reshape(len(trs), cfg.blocks, -1)
-    return combined.reshape(len(trs), -1)
+    strings = [np.array([t.announced_bases[i] for t in trs]) for i in trs[0].announced_bases]
+    shape = (len(trs), cfg.blocks, cfg.receivers)
+    return np.broadcast_to(combined_basis(strings, cfg.blocks), shape).reshape(len(trs), -1)
 
 
 @dataclass(eq=False)
@@ -277,14 +270,7 @@ class Readout:
     outcome: np.ndarray  # uint8 measurement outcome; meaningless where lost
     lost: np.ndarray  # bool: no qubit arrived
     usable: np.ndarray  # bool: arrived and measured in the combined basis
-
-
-def _unchecked_blocks(trs: list[Transcript], cfg: ProtocolConfig) -> np.ndarray:
-    """(trials, N) mask of the blocks each trial's check left unrevealed."""
-    unchecked = np.ones((len(trs), cfg.blocks), dtype=bool)
-    rows = np.array([t.check_blocks for t in trs], dtype=np.intp).reshape(len(trs), -1)
-    np.put_along_axis(unchecked, rows, False, axis=1)
-    return unchecked
+    checked: np.ndarray | None = None  # bool (trials, N): revealed by the check, set by run_check
 
 
 def run_check(
@@ -298,10 +284,10 @@ def run_check(
     """Reveal a random subset of blocks and compare outcomes against the XOR.
 
     Takes one transcript and generator per trial, every sender's per-position
-    value plane as (senders, trials, n*N) and the readout as (trials, N, n).
-    Aborts a trial when the disagreement rate among its comparable revealed
-    positions exceeds the configured threshold. Returns a bool per trial,
-    True on pass.
+    value plane as (senders, trials, n*N) and the readout as (trials, N, n),
+    whose ``checked`` mask it sets. Aborts a trial when the disagreement rate
+    among its comparable revealed positions exceeds the configured threshold.
+    Returns a bool per trial, True on pass.
     """
     count, blocks, n = len(trs), cfg.blocks, cfg.receivers
     want = cfg.checked_block_count
@@ -316,6 +302,7 @@ def run_check(
         if len(set(chosen)) != want or any(not 0 <= j < blocks for j in chosen):
             raise ConfigError("check_blocks", f"need {want} distinct block indices in [0, {blocks})")
         checked[:, chosen] = True
+    readout.checked = checked
     flat = np.flatnonzero(checked)  # trial t's block j is row t*N + j
     for t, selected in zip(trs, (flat.reshape(count, want) % blocks).tolist()):
         t.check_blocks = tuple(selected)
@@ -331,9 +318,8 @@ def run_check(
     revealed = np.where(usable, outcome, UNUSABLE)
     for l in range(1, n + 1):
         record_rows(trs, KIND_CHECK_RECV, f"bob{l}", revealed[:, :, l - 1])
-    expected = np.bitwise_xor.reduce(sent, axis=0)
-    compared = np.count_nonzero(usable, axis=(1, 2)).tolist()
-    disagree = np.count_nonzero(usable & (outcome != expected), axis=(1, 2)).tolist()
+    tally = check_tally(revealed, np.bitwise_xor.reduce(sent, axis=0), axis=(1, 2))
+    compared, disagree = (counts.tolist() for counts in tally)
     threshold = cfg.qber_abort_threshold
     passed = []
     for t, compared_t, disagree_t in zip(trs, compared, disagree):
@@ -371,15 +357,16 @@ def extract_raw_key(
         if t.abort_reason is not None:
             raise ProtocolStateError("raw key requested after an abort")
     count, blocks, n = len(trs), cfg.blocks, cfg.receivers
-    usable = readout.usable.reshape(count, blocks, n).all(axis=2)
-    flat = np.flatnonzero(_unchecked_blocks(trs, cfg) & usable)  # trial t's block j is t*N + j
+    usable = readout.usable.reshape(count, blocks, n)
+    # Trial t's block j is t*N + j.
+    flat = np.flatnonzero(key_block_mask([usable[..., c] for c in range(n)], readout.checked))
     bounds = np.searchsorted(flat, np.arange(count + 1) * blocks).tolist()
     contrib = readout.outcome.reshape(-1, n)[flat]  # (key bits of every trial, n)
     key = np.bitwise_xor.reduce(contrib, axis=1)
     truth = np.bitwise_xor.reduce(values, axis=0).reshape(-1, n)
     reference = np.bitwise_xor.reduce(truth[flat], axis=1)
-    shares = [_payload(contrib[:, c]) for c in range(n)]
-    key_text = _payload(key)
+    shares = [bits_to_str(contrib[:, c]) for c in range(n)]
+    key_text = bits_to_str(key)
     key_blocks = (flat % blocks).tolist()
     key_bits, reference_bits = key.tobytes(), reference.tobytes()
     for t, a, b in zip(trs, bounds, bounds[1:]):
@@ -398,7 +385,7 @@ def _finalize_rates(trs: list[Transcript], cfg: ProtocolConfig, readout: Readout
         return
     received = (cfg.total_qubits - np.count_nonzero(readout.lost, axis=(1, 2))).tolist()
     usable = np.count_nonzero(readout.usable, axis=(1, 2)).tolist()
-    unchecked = _unchecked_blocks(trs, cfg)
+    unchecked = ~readout.checked
     total = (np.count_nonzero(unchecked, axis=1) * cfg.receivers).tolist()
     kept = np.count_nonzero(readout.usable & unchecked[:, :, None], axis=(1, 2)).tolist()
     for t, r, u, k, all_ in zip(trs, received, usable, kept, total):
@@ -546,14 +533,11 @@ def _run_chunk(
             bitmap.flat[res.lost] = 1
             _record_losses(trs, f"alice{leaving + 1}", bitmap)
         attack = res.intercept
-        if isinstance(adv, PreparerInsider) and leaving == 2:
+        if isinstance(adv, PreparerInsider) and leaving == adv.target:
             attack, block = preparer_attack(values[0], basis_vectors[0], block, rngs)
         elif isinstance(adv, ColluderInsider) and leaving == adv.target:
-            colluders = adv.colluders if adv.colluders is not None else frozenset(range(1, adv.target))
-            known_values = {i: values[i - 1] for i in colluders}
-            known_bases = {
-                i: basis_vectors[i - 1] for i in colluders if i not in adv.withheld_bases
-            }
+            known_values = {i: values[i - 1] for i in adv.pool}
+            known_bases = {i: basis_vectors[i - 1] for i in adv.pool if i not in adv.withheld_bases}
             attack, block = collusion_attack(known_values, known_bases, block, rngs)
         elif isinstance(adv, OrderingAttack) and leaving == m:
             # Using announced bases, hop m follows a successful early announcement.
@@ -614,7 +598,9 @@ def _run_chunk(
         extract_raw_key(trs, cfg, values, readout)
     elif passed.any():
         keep = np.flatnonzero(passed)
-        subset = Readout(readout.outcome[keep], readout.lost[keep], readout.usable[keep])
+        subset = Readout(
+            readout.outcome[keep], readout.lost[keep], readout.usable[keep], readout.checked[keep]
+        )
         extract_raw_key([trs[t] for t in keep.tolist()], cfg, values[:, keep], subset)
     _finalize_rates(trs, cfg, readout)
     return trs

@@ -17,7 +17,6 @@ Z_BASIS = 0
 X_BASIS = 1
 
 _KETS = {(0, 0): "|0>", (1, 0): "|1>", (0, 1): "|+>", (1, 1): "|->"}
-_FROM_KET = {v: k for k, v in _KETS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,11 +37,6 @@ class Qubit:
 def encode(value: int, basis: int) -> Qubit:
     """Prepare the state carrying ``value`` in the given basis."""
     return Qubit(value, basis)
-
-
-def from_ket(label: str) -> Qubit:
-    """Inverse of :meth:`Qubit.ket`, handy for hand-written state strings."""
-    return Qubit(*_FROM_KET[label])
 
 
 def apply_value_flip(q: Qubit) -> Qubit:

@@ -7,7 +7,9 @@ measurement returns the XOR of the two value bits, and the raw key XORs the
 three receivers' bits on the unchecked blocks.
 """
 
-from mpqss import PartySecrets, ProtocolConfig
+import numpy as np
+
+from mpqss import PartySecrets, ProtocolConfig, Qubit, QubitBlock
 
 VALUES_1 = (1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0)
 BASES_1 = (0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1)
@@ -44,3 +46,13 @@ def secrets() -> list[PartySecrets]:
         PartySecrets("alice1", VALUES_1, BASES_1),
         PartySecrets("alice2", VALUES_2, BASES_2),
     ]
+
+
+def from_qubits(qubits) -> QubitBlock:
+    """Planes of a per-position list of ``Qubit``, None marking a lost position."""
+    live = [Qubit(0, 0) if q is None else q for q in qubits]
+    return QubitBlock(
+        np.array([q.value for q in live], dtype=np.uint8),
+        np.array([q.basis for q in live], dtype=np.uint8),
+        np.array([q is None for q in qubits], dtype=bool),
+    )

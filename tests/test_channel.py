@@ -20,7 +20,6 @@ from mpqss import (
     PreparerInsider,
     ProtocolConfig,
     Qubit,
-    QubitBlock,
     encode,
     intercept_resend,
     measure,
@@ -36,7 +35,7 @@ from mpqss import (
 def random_block(rng, count):
     values = [rng.getrandbits(1) for _ in range(count)]
     bases = [rng.getrandbits(1) for _ in range(count)]
-    return values, bases, QubitBlock.from_qubits([encode(v, b) for v, b in zip(values, bases)])
+    return values, bases, kv.from_qubits([encode(v, b) for v, b in zip(values, bases)])
 
 
 class TestChannelModel:
@@ -58,17 +57,17 @@ class TestChannelModel:
     def test_certain_x_noise_flips_every_z_basis_value(self):
         rng = random.Random(1)
         qubits = [Qubit(k % 2, 0) for k in range(100)]
-        res = transmit(QubitBlock.from_qubits(qubits), ChannelModel(p_x=1.0), rng)
+        res = transmit(kv.from_qubits(qubits), ChannelModel(p_x=1.0), rng)
         assert all(out.value == q.value ^ 1 for out, q in zip(res.block.qubits, qubits))
         # In the swapped basis the flip is pure phase and drops out.
         plus = [Qubit(k % 2, 1) for k in range(100)]
-        res = transmit(QubitBlock.from_qubits(plus), ChannelModel(p_x=1.0), rng)
+        res = transmit(kv.from_qubits(plus), ChannelModel(p_x=1.0), rng)
         assert res.block.qubits == plus
 
     def test_certain_y_and_z_noise_and_noise_on_survivors_only(self):
         rng = random.Random(9)
         qubits = [Qubit(k % 2, (k // 2) % 2) for k in range(100)]
-        block = QubitBlock.from_qubits(qubits)
+        block = kv.from_qubits(qubits)
         # Y flips the value in both bases; Z only in the X basis.
         res = transmit(block, ChannelModel(p_y=1.0), rng)
         assert res.block.qubits == [Qubit(q.value ^ 1, q.basis) for q in qubits]
@@ -84,7 +83,7 @@ class TestChannelModel:
             else:
                 assert after == Qubit(q.value ^ (1 - q.basis), q.basis)
         # Noise rates hold among survivors: half of them flip at p_x = 0.5.
-        zeros = QubitBlock.from_qubits([Qubit(0, 0)] * 10_000)
+        zeros = kv.from_qubits([Qubit(0, 0)] * 10_000)
         res = transmit(zeros, ChannelModel(loss_prob=0.5, p_x=0.5), rng)
         survivors = [q for q in res.block.qubits if q is not None]
         assert abs(sum(q.value for q in survivors) / len(survivors) - 0.5) <= 0.03
@@ -120,7 +119,7 @@ class TestChannelModel:
 
     def test_dead_positions_pass_through(self):
         rng = random.Random(4)
-        block = QubitBlock.from_qubits([None, Qubit(0, 0)])
+        block = kv.from_qubits([None, Qubit(0, 0)])
         res = transmit(block, ChannelModel(), rng)
         assert res.block.qubits == [None, Qubit(0, 0)]
         # A dead position is not lost a second time.
@@ -133,7 +132,7 @@ class TestInterceptResend:
         rng = random.Random(5)
         q = Qubit(1, 0)
         for _ in range(200):
-            out, rec = intercept_resend(QubitBlock.from_qubits([q]), rng)
+            out, rec = intercept_resend(kv.from_qubits([q]), rng)
             (pos,) = rec.positions
             if rec.bases[0] == q.basis:
                 assert out.qubits[0] == q
@@ -343,6 +342,12 @@ class TestColluderInsider:
             ColluderInsider(
                 target=4, colluders=frozenset({1}), withheld_bases=frozenset({2})
             ).validate()
+        # Without colluders given, every sender below the target colludes.
+        assert ColluderInsider(target=4).pool == range(1, 4)
+        ColluderInsider(target=4, withheld_bases=frozenset({1, 3})).validate()
+        for outside in (0, 4, 7):
+            with pytest.raises(ConfigError, match="withheld_bases"):
+                ColluderInsider(target=4, withheld_bases=frozenset({outside})).validate()
         with pytest.raises(ConfigError, match="target"):
             run_protocol(
                 ProtocolConfig(senders=3, receivers=3, blocks=4),

@@ -333,6 +333,12 @@ class TestCli:
     def test_unknown_metric_exits_two(self, capsys):
         assert main(["run", "--metrics", "bogus"]) == 2
 
+    def test_withheld_basis_outside_the_default_colluders_exits_two(self, capsys):
+        flags = ["run", "--scenario", "insider-colluders", "-m", "3", "--target", "3"]
+        assert main(flags + ["--withhold-bases", "9"]) == 2
+        assert "withheld_bases" in capsys.readouterr().err
+        assert main(flags + ["--withhold-bases", "2"]) in (0, 1)
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -6,6 +6,7 @@ generator that returns it, so matched and mismatched readouts compare exactly.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import known_vectors as kv
 from mpqss import (
     ChannelModel,
     ColluderInsider,
@@ -20,7 +22,6 @@ from mpqss import (
     PreparerInsider,
     ProtocolConfig,
     Qubit,
-    QubitBlock,
     Variant,
     apply_hadamard,
     apply_pauli,
@@ -35,7 +36,7 @@ from mpqss import (
     run_protocol,
     split_for_receivers,
 )
-from mpqss.planes import as_plane, random_bits
+from mpqss.planes import UNUSABLE, as_plane, check_tally, combined_basis, key_block_mask, random_bits
 
 bit = st.integers(0, 1)
 qubit_or_lost = st.one_of(st.none(), st.builds(Qubit, bit, bit))
@@ -68,7 +69,7 @@ def test_xor_is_value_flip_then_hadamard(qubits, data):
             if h:
                 q = apply_hadamard(q)
         want.append(q)
-    assert QubitBlock.from_qubits(qubits).xor(flips, swaps).qubits == want
+    assert kv.from_qubits(qubits).xor(flips, swaps).qubits == want
 
 
 @given(blocks, st.data())
@@ -77,7 +78,7 @@ def test_pauli_is_apply_pauli(qubits, data):
     x = np.array([p.value[0] for p in paulis], dtype=bool)
     z = np.array([p.value[1] for p in paulis], dtype=bool)
     want = [None if q is None else apply_pauli(q, p) for q, p in zip(qubits, paulis)]
-    assert QubitBlock.from_qubits(qubits).pauli(x, z).qubits == want
+    assert kv.from_qubits(qubits).pauli(x, z).qubits == want
 
 
 @given(blocks, st.data())
@@ -86,7 +87,7 @@ def test_loss_by_removal_and_by_substitution(qubits, data):
     mask = draw_plane(data, size, bool)
     values = draw_plane(data, size)
     bases = draw_plane(data, size)
-    block = QubitBlock.from_qubits(qubits)
+    block = kv.from_qubits(qubits)
 
     removed = [None if q is None or gone else q for q, gone in zip(qubits, mask)]
     assert block.drop(mask).qubits == removed
@@ -102,7 +103,7 @@ def test_loss_by_removal_and_by_substitution(qubits, data):
 def test_measure_is_qubits_measure(qubits, data):
     bases = draw_plane(data, len(qubits))
     coins = draw_plane(data, len(qubits))
-    got = QubitBlock.from_qubits(qubits).measure(bases, coins)
+    got = kv.from_qubits(qubits).measure(bases, coins)
     for k, q in enumerate(qubits):
         if q is not None:
             assert got[k] == measure(q, int(bases[k]), FixedCoin(coins[k]))
@@ -113,7 +114,7 @@ def test_measure_is_qubits_measure(qubits, data):
     itertools.product([Qubit(v, b) for v in (0, 1) for b in (0, 1)], (0, 1), (0, 1)),
 )
 def test_matched_and_mismatched_measurement_exhaustive(q, basis, coin):
-    got = QubitBlock.from_qubits([q]).measure(np.array([basis]), np.array([coin]))[0]
+    got = kv.from_qubits([q]).measure(np.array([basis]), np.array([coin]))[0]
     assert got == measure(q, basis, FixedCoin(coin))
     assert got == (q.value if basis == q.basis else coin)
 
@@ -124,7 +125,7 @@ def test_collapse_is_measure_then_reencode(qubits, data):
     mask = draw_plane(data, size, bool)
     bases = draw_plane(data, size)
     coins = draw_plane(data, size)
-    outcome, resent = QubitBlock.from_qubits(qubits).collapse(mask, bases, coins)
+    outcome, resent = kv.from_qubits(qubits).collapse(mask, bases, coins)
     after = resent.qubits
     for k, q in enumerate(qubits):
         if q is None:
@@ -152,7 +153,7 @@ def insider_reference(qubits, plan, strip, coins):
 @given(blocks, st.data(), st.integers(0, 2**32))
 def test_insider_collapses_match_per_qubit_readout(qubits, data, seed):
     size = len(qubits)
-    block = QubitBlock.from_qubits(qubits)
+    block = kv.from_qubits(qubits)
     # An insider draws exactly one coin per position from the generator.
     coins = random_bits(random.Random(seed), size)
     live = [k for k, q in enumerate(qubits) if q is not None]
@@ -237,3 +238,53 @@ def test_planes_reject_non_bits():
         as_plane((0, 2))
     with pytest.raises(ValueError):
         as_plane(np.array([1, -1]))
+
+
+# ---------------------------------------------------------------------------
+# The protocol's rules against their per-position definitions, on one trial's
+# planes and on a batch of three.
+
+batch_shapes = st.sampled_from([(), (3,)])
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), batch_shapes, st.data())
+def test_combined_basis_is_the_xor_of_every_governing_basis(senders, n, blocks_, batch, data):
+    per_block = data.draw(st.lists(st.booleans(), min_size=senders, max_size=senders))
+    strings = [
+        draw_plane(data, math.prod(batch) * (blocks_ if one else n * blocks_)).reshape(*batch, -1)
+        for one in per_block
+    ]
+    got = combined_basis(strings, blocks_)
+    assert got.shape == (*batch, blocks_, 1 if all(per_block) else n)
+    got = np.broadcast_to(got, (*batch, blocks_, n)).reshape(*batch, n * blocks_)
+    for row in np.ndindex(*batch):
+        for j, l in itertools.product(range(blocks_), range(1, n + 1)):
+            k = n * j + l - 1
+            want = 0
+            for s, one in zip(strings, per_block):
+                want ^= int(s[row][j if one else k])
+            assert got[row][k] == want
+
+
+@given(batch_shapes, st.integers(0, 12), st.data())
+def test_check_tally_counts_usable_reveals_and_their_disagreements(batch, size, data):
+    count = math.prod(batch) * size
+    codes = data.draw(st.lists(st.integers(0, UNUSABLE), min_size=count, max_size=count))
+    revealed = np.array(codes, dtype=np.uint8).reshape(*batch, size)
+    expected = draw_plane(data, count).reshape(*batch, size)
+    compared, disagree = check_tally(revealed, expected, axis=-1 if batch else None)
+    for row in np.ndindex(*batch):
+        pairs = list(zip(revealed[row].tolist(), expected[row].tolist()))
+        assert np.asarray(compared)[row] == sum(r != UNUSABLE for r, _ in pairs)
+        assert np.asarray(disagree)[row] == sum(r != UNUSABLE and r != e for r, e in pairs)
+
+
+@given(batch_shapes, st.integers(1, 4), st.integers(0, 8), st.data())
+def test_key_blocks_are_unchecked_and_usable_at_every_receiver(batch, n, blocks_, data):
+    size = math.prod(batch) * blocks_
+    usable = [draw_plane(data, size, bool).reshape(*batch, blocks_) for _ in range(n)]
+    checked = draw_plane(data, size, bool).reshape(*batch, blocks_)
+    got = key_block_mask(usable, checked)
+    assert got.shape == checked.shape
+    for at in np.ndindex(*batch, blocks_):
+        assert got[at] == (not checked[at] and all(u[at] for u in usable))

@@ -13,7 +13,6 @@ from mpqss import (
     CssPair,
     DecodeFailure,
     KeyMaterialError,
-    KeyMaterial,
     LinearCode,
     OneTimePad,
     binary_entropy,
@@ -266,14 +265,6 @@ class TestReconcile:
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
-
-    def test_key_material_invariants(self):
-        with pytest.raises(ValueError):
-            KeyMaterial(held=(0, 1), noisy=(0,), delta=0.0)
-        with pytest.raises(ValueError):
-            KeyMaterial(held=(0,), noisy=(1,), delta=1.5)
-        km = KeyMaterial(held=(0, 1), noisy=(0, 1), delta=0.02)
-        assert km.final_key is None
 
 
 class TestOneTimePad:

@@ -151,7 +151,7 @@ class TestKnownVectors:
         # Six qubits, three receivers: the second receiver takes 1-based
         # positions 2 and 5, i.e. 0-based 1 and 4.
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=2)
-        block = QubitBlock.from_qubits([Qubit(k % 2, 0) for k in range(6)])
+        block = kv.from_qubits([Qubit(k % 2, 0) for k in range(6)])
         seqs = split_for_receivers(block, cfg)
         assert seqs[1].qubits == [block.qubits[1], block.qubits[4]]
         assert position(0, 2, 3) == 1 and position(1, 2, 3) == 4
@@ -478,6 +478,34 @@ class TestChannelIntegration:
         # Two hops at 20% loss, each substitution agreeing half the time:
         # disagreement = (1 - 0.8^2) / 2 = 0.18.
         assert abs(tr.qber - 0.18) <= 0.02
+
+
+class TestCheckedMask:
+    def test_checked_mask_is_every_transcripts_check_selection(self, monkeypatch):
+        from mpqss import protocol
+        from mpqss.planes import key_block_mask
+
+        seen = []
+        finalize = protocol._finalize_rates
+
+        def spy(trs, cfg, readout):
+            seen.append((trs, readout))
+            finalize(trs, cfg, readout)
+
+        monkeypatch.setattr(protocol, "_finalize_rates", spy)
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=20, seed=0)
+        channel = ChannelModel(adversary=InterceptResend(fraction=0.3))
+        list(protocol.run_trials(cfg, channel, range(40)))
+        [(trs, readout)] = seen  # one chunk of 40 trials
+        aborted = [t.abort_reason is not None for t in trs]
+        assert any(aborted) and not all(aborted)
+        assert readout.checked.shape == (40, cfg.blocks)
+        for t, tr in enumerate(trs):
+            [select] = [ev.payload for ev in tr.events if ev.kind == "check-select"]
+            assert np.flatnonzero(readout.checked[t]).tolist() == [int(j) for j in select.split(",")]
+            if not aborted[t]:
+                usable = [readout.usable[t, :, c] for c in range(cfg.receivers)]
+                assert tr.key_blocks == tuple(np.flatnonzero(key_block_mask(usable, readout.checked[t])))
 
 
 class TestStateErrors:

@@ -606,11 +606,22 @@ class TestReplayIsTotal:
         assert not verdict.ok
         assert expected in verdict.issues
 
-    def test_config_sizes_are_not_trusted_before_a_payload_has_them(self):
-        text = (DATA / "worked_example.transcript").read_text()
-        huge = text.replace("receivers=3 blocks=6", f"receivers={10**12} blocks={10**12}")
-        verdict = replay(huge)
-        assert not verdict.ok
+    @pytest.mark.parametrize(
+        "variant, memory", [(None, True), (Variant.BLOCK_BASIS, True), (Variant.BLOCK_SHARED, False)]
+    )
+    def test_config_sizes_are_not_trusted_before_a_payload_has_them(self, variant, memory):
+        if variant is None:
+            text = (DATA / "worked_example.transcript").read_text()
+            old, new = "receivers=3 blocks=6", f"receivers={10**12} blocks={10**12}"
+        else:
+            # Every basis string has one entry per block, so the combined
+            # basis must stay (blocks, 1) and never be sized by the receivers.
+            cfg = ProtocolConfig(2, 3, 6, variant=variant, quantum_memory=memory, seed=1)
+            text = run_protocol(cfg).serialize()
+            old, new = "receivers=3 ", f"receivers={10**12} "
+        assert text.count(old) == 1
+        verdict = replay(text.replace(old, new))
+        assert isinstance(verdict, Verdict) and not verdict.ok
 
 
 # A run configuration that sets every option in a few hundred characters.
