@@ -131,7 +131,8 @@ def _parse_config_file(path: str) -> dict:
 def _build_spec(opt: dict) -> ExperimentSpec:
     omit = _index_set(opt["omit_hadamard"], "omit_hadamard")
     adversary = SCENARIOS[opt["scenario"]](opt)
-    if not omit and isinstance(adversary, (PreparerInsider, ColluderInsider)):
+    insider = isinstance(adversary, (PreparerInsider, ColluderInsider))
+    if not omit and insider and adversary.target <= opt["senders"]:
         # The insider reads a sender who skips basis mixing unless told otherwise.
         omit = frozenset({adversary.target})
     protocol = ProtocolConfig(

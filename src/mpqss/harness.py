@@ -62,8 +62,8 @@ METRICS = {
     "qber": lambda tr, spec: tr.qber,
     "detection_prob": lambda tr, spec: None if tr.qber is None else float(tr.detected),
     "key_rate": lambda tr, spec: None if tr.qber is None else key_rate(tr.qber),
-    "efficiency": lambda tr, spec: tr.efficiency if tr.outcomes else None,
-    "sift_rate": lambda tr, spec: tr.sift_rate if tr.outcomes else None,
+    "efficiency": lambda tr, spec: tr.efficiency,
+    "sift_rate": lambda tr, spec: tr.sift_rate,
     "adversary_accuracy": lambda tr, spec: _adversary_accuracy(tr, spec.protocol, spec.channel.adversary),
     "block_yield": None,
 }
@@ -88,9 +88,11 @@ class ExperimentSpec:
         self.channel.validate(path="channel")
         if self.trials < 1:
             raise ConfigError("trials", "need at least one trial")
-        for name in self.metrics:
+        for k, name in enumerate(self.metrics):
             if name not in METRICS:
                 raise ConfigError("metrics", f"unknown metric {name!r}; known: {', '.join(METRICS)}")
+            if name in self.metrics[:k]:
+                raise ConfigError("metrics", f"metric {name!r} is named more than once")
 
     def describe(self) -> dict:
         adv = self.channel.adversary
@@ -358,7 +360,7 @@ def replay(text: str) -> Verdict:
         return out
 
     acks = {ev.party: ev.seq for ev in parsed.events_of(KIND_ACK)}
-    bases_seqs = [ev.seq for ev in parsed.events_of(KIND_BASES)]
+    announce_seqs = [ev.seq for ev in parsed.events_of(KIND_BASES)]
     bases = records(KIND_BASES, 2)
     measured = records(KIND_MEASURED, 3, blocks)
     sift = records(KIND_SIFT, 2, blocks)
@@ -366,9 +368,9 @@ def replay(text: str) -> Verdict:
     raw_key_events = parsed.events_of(KIND_RAW_KEY)
     receivers = sorted(filter(None, (_party_index(party, "bob", n) for party in measured)))
 
-    if bases_seqs and acks and min(bases_seqs) <= max(acks.values()):
+    if announce_seqs and acks and min(announce_seqs) <= max(acks.values()):
         issues.append("ordering: a basis announcement precedes a reception acknowledgment")
-    if bases_seqs and len(acks) < n:
+    if announce_seqs and len(acks) < n:
         issues.append(f"ordering: only {len(acks)} of {n} receivers acknowledged before announcements")
     if parsed.config.get("quantum_memory") == "0":
         # Without storage a receiver measures in guessed bases, once, between
@@ -382,11 +384,11 @@ def replay(text: str) -> Verdict:
                 issues.append(f"{party}: {len(seqs)} premeasure records, expected one")
             elif seqs[0] < acks.get(party, seqs[0] + 1):
                 issues.append(f"{party}: premeasure record does not follow its ack")
-            elif bases_seqs and seqs[0] > min(bases_seqs):
+            elif announce_seqs and seqs[0] > min(announce_seqs):
                 issues.append(f"{party}: premeasure record follows a basis announcement")
 
     combined = None
-    if (bases_seqs or measured) and len(bases) != senders:
+    if (announce_seqs or measured) and len(bases) != senders:
         issues.append(f"bases: {len(bases)} of {senders} senders announced a well-formed basis string")
     elif len(bases) == senders:
         wrong = [party for party, plane in bases.items() if len(plane) not in (n * blocks, blocks)]

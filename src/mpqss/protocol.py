@@ -28,7 +28,6 @@ from .channel import (
     ChannelModel,
     ColluderInsider,
     InterceptResend,
-    LossStrategy,
     OrderingAttack,
     PreparerInsider,
     collusion_attack,
@@ -169,24 +168,20 @@ def expanded_bit_vectors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-position value and basis planes for every sender, shape (senders, n*N).
 
-    Expands block-granular strings so position arithmetic is uniform across
-    variants: the bit governing qubit k of sender i lands at [i-1][k]. Batched
-    strings give shape (senders, trials, n*N).
+    A string of N bits holds one bit per block and is repeated over the block's
+    n positions, so the bit governing qubit k of sender i lands at [i-1][k].
+    Batched strings give shape (senders, trials, n*N).
     """
-    n = cfg.receivers
+
+    def per_position(bits: np.ndarray) -> np.ndarray:
+        return np.repeat(bits, cfg.receivers, axis=-1) if bits.shape[-1] == cfg.blocks else bits
+
     values = []
-    bases = []
     for s in secrets:
-        v, b, shares = s.value_bits, s.basis_bits, s.value_shares
-        if cfg.variant is Variant.BLOCK_BASIS:
-            b = np.repeat(b, n, axis=-1)
-        elif cfg.variant is Variant.BLOCK_SHARED:
-            # Only the first sender carries per-position shares of her bits.
-            v = shares if shares is not None else np.repeat(v, n, axis=-1)
-            b = np.repeat(b, n, axis=-1)
-        values.append(v)
-        bases.append(b)
-    return np.array(values), np.array(bases)
+        # Only the first sender of the shared-block variant carries per-position shares.
+        shared = cfg.variant is Variant.BLOCK_SHARED and s.value_shares is not None
+        values.append(per_position(s.value_shares if shared else s.value_bits))
+    return np.array(values), np.array([per_position(s.basis_bits) for s in secrets])
 
 
 def prepare_block(secrets: PartySecrets, cfg: ProtocolConfig) -> QubitBlock:
@@ -233,22 +228,23 @@ def announce_bases(
 ) -> None:
     """Publish one sender's basis string (for a batch, one row per transcript).
 
-    With ordering enforcement on, this refuses to run until every receiver has
-    acknowledged reception; announcing earlier hands the whole encoding to
-    anyone holding the transiting qubits.
+    With ordering enforcement on, this refuses to run until the (first)
+    transcript holds every receiver's ``ack`` event; announcing earlier hands
+    the whole encoding to anyone holding the transiting qubits.
     """
     trs = _trials(tr)
-    acks = trs[0].ack_seqs
-    if cfg.enforce_ordering and len(acks) < cfg.receivers:
-        missing = [l for l in range(1, cfg.receivers + 1) if l not in acks]
-        raise OrderingError(
-            f"sender {sender_index} tried to announce bases before receivers "
-            f"{missing} acknowledged reception"
-        )
+    if cfg.enforce_ordering:
+        acked = {ev.party for ev in trs[0].events if ev.kind == KIND_ACK}
+        missing = [l for l in range(1, cfg.receivers + 1) if f"bob{l}" not in acked]
+        if missing:
+            raise OrderingError(
+                f"sender {sender_index} tried to announce bases before receivers "
+                f"{missing} acknowledged reception"
+            )
     planes = as_plane(basis_bits).reshape(len(trs), -1)
-    for t, seq, bits in zip(trs, record_rows(trs, KIND_BASES, f"alice{sender_index}", planes), planes):
+    record_rows(trs, KIND_BASES, f"alice{sender_index}", planes)
+    for t, bits in zip(trs, planes):
         t.announced_bases[sender_index] = bits
-        t.bases_seqs[sender_index] = seq
 
 
 def combined_bases(trs: Sequence[Transcript], cfg: ProtocolConfig) -> np.ndarray:
@@ -378,11 +374,7 @@ def extract_raw_key(
         t.reference_key = tuple(reference_bits[a:b])
 
 
-def _finalize_rates(trs: list[Transcript], cfg: ProtocolConfig, readout: Readout | None) -> None:
-    if readout is None:  # aborted before any qubit was measured
-        for t in trs:
-            t.sift_rate = t.efficiency = 0.0
-        return
+def _finalize_rates(trs: list[Transcript], cfg: ProtocolConfig, readout: Readout) -> None:
     received = (cfg.total_qubits - np.count_nonzero(readout.lost, axis=(1, 2))).tolist()
     usable = np.count_nonzero(readout.usable, axis=(1, 2)).tolist()
     unchecked = ~readout.checked
@@ -522,16 +514,13 @@ def _run_chunk(
     values, basis_vectors = expanded_bit_vectors(senders, cfg)
     adv = channel.adversary
     # An intercept-resend adversary sits on the last hop only.
-    inner_hop = channel if adv is None else replace(channel, adversary=None)
-    last_hop = channel if isinstance(adv, InterceptResend) else inner_hop
+    inner_hop = replace(channel, adversary=None) if isinstance(adv, InterceptResend) else channel
 
     def hop(block: QubitBlock, leaving: int) -> QubitBlock:
-        res = transmit(block, last_hop if leaving == m else inner_hop, rngs)
+        res = transmit(block, channel if leaving == m else inner_hop, rngs)
+        if len(res.lost) and leaving < m:
+            _record_losses(trs, f"alice{leaving + 1}", res.block.lost & ~block.lost)
         block = res.block
-        if len(res.lost) and channel.loss_strategy is LossStrategy.REMOVE and leaving < m:
-            bitmap = np.zeros(block.lost.shape, dtype=np.uint8)
-            bitmap.flat[res.lost] = 1
-            _record_losses(trs, f"alice{leaving + 1}", bitmap)
         attack = res.intercept
         if isinstance(adv, PreparerInsider) and leaving == adv.target:
             attack, block = preparer_attack(values[0], basis_vectors[0], block, rngs)
@@ -561,15 +550,13 @@ def _run_chunk(
             for tr in trs:
                 tr.abort_reason = f"ordering violation: {err}"
                 tr.record(KIND_ABORT, "all", "ordering-violation")
-            _finalize_rates(trs, cfg, None)
             return trs
 
     block = hop(block, leaving=m)
     for l, received in enumerate(split_for_receivers(block, cfg), start=1):
-        if channel.loss_strategy is LossStrategy.REMOVE:
-            _record_losses(trs, f"bob{l}", received.lost)
+        _record_losses(trs, f"bob{l}", received.lost)
         for tr in trs:
-            tr.ack_seqs[l] = tr.record(KIND_ACK, f"bob{l}")
+            tr.record(KIND_ACK, f"bob{l}")
 
     if not cfg.quantum_memory:
         # No storage: measure in guessed bases before any announcement.

@@ -83,9 +83,6 @@ class Event(NamedTuple):
     party: str
     payload: str = "-"
 
-    def line(self) -> str:
-        return f"event {self.seq} {self.kind} {self.party} {self.payload}"
-
 
 @dataclass(eq=False)
 class AdversaryRecord:
@@ -121,8 +118,6 @@ class Transcript:
         # Derived by the protocol driver while it records events: announced_bases
         # holds uint8 planes, outcomes lists with None where a qubit was lost.
         self.announced_bases: dict[int, np.ndarray] = {}
-        self.ack_seqs: dict[int, int] = {}
-        self.bases_seqs: dict[int, int] = {}
         self.outcomes: dict[int, list] = {}
         self.usable: dict[int, list] = {}
         self.check_blocks: tuple[int, ...] = ()
@@ -133,7 +128,7 @@ class Transcript:
         self.raw_key: tuple[int, ...] | None = None
         self.reference_key: tuple[int, ...] | None = None
         self.efficiency: float | None = None
-        self.sift_rate: float | None = None
+        self.sift_rate: float | None = None  # both rates stay None if nothing was measured
         self.abort_reason: str | None = None
         self.adversary: AdversaryRecord | None = None
         self._secrets = None  # simulator-side introspection, never serialized
@@ -154,14 +149,6 @@ class Transcript:
     def detected(self) -> bool:
         """At least one revealed check position disagreed."""
         return self.disagreements > 0
-
-    def ordering_respected(self) -> bool:
-        """Every basis announcement came after every reception acknowledgment."""
-        if not self.bases_seqs:
-            return True
-        if not self.ack_seqs:
-            return False
-        return min(self.bases_seqs.values()) > max(self.ack_seqs.values())
 
     def serialize(self) -> str:
         cfg = " ".join(f"{k}={v}" for k, v in self.config.items())

@@ -27,6 +27,7 @@ from mpqss import (
     position,
     preparer_attack,
     recovered_raw_key,
+    replay,
     run_protocol,
     transmit,
 )
@@ -363,6 +364,13 @@ class TestOrderingAttack:
         assert tr.raw_key is None
         assert tr.adversary is None  # interception never became reachable
 
+    def test_an_ordering_abort_measures_nothing_and_leaves_its_rates_unset(self):
+        cfg = ProtocolConfig(senders=3, receivers=3, blocks=6, seed=12)
+        tr = run_protocol(cfg, ChannelModel(loss_prob=0.2, adversary=OrderingAttack()))
+        assert tr.abort_reason.startswith("ordering violation")
+        assert not [ev for ev in tr.events if ev.kind in ("ack", "bases", "measured")]
+        assert tr.efficiency is None and tr.sift_rate is None
+
     def test_enforcement_off_hands_over_the_full_raw_key(self):
         for seed in range(25):
             cfg = ProtocolConfig(
@@ -370,7 +378,8 @@ class TestOrderingAttack:
             )
             tr = run_protocol(cfg, ChannelModel(adversary=OrderingAttack()))
             assert tr.abort_reason is None
-            assert not tr.ordering_respected()
+            issues = replay(tr.serialize()).issues
+            assert "ordering: a basis announcement precedes a reception acknowledgment" in issues
             assert tr.qber == 0.0  # matched-basis interception is invisible
             rec = tr.adversary
             assert all(rec.certain)

@@ -225,6 +225,23 @@ class TestRunExperiment:
         assert report.metrics["adversary_accuracy"].samples == 60
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
+    def test_ordering_aborted_report_is_pinned(self):
+        """Every trial aborts on the early announcement, before anything is
+        measured, so no metric takes a sample; the sha256 is that of the report
+        before the ordering gate read the acks from the record."""
+        spec = ExperimentSpec(
+            protocol=ProtocolConfig(3, 3, 40),
+            channel=ChannelModel(loss_prob=0.05, adversary=OrderingAttack()),
+            trials=40,
+            metrics=("qber", "efficiency", "sift_rate", "adversary_accuracy"),
+            seed=50,
+        )
+        report = run_experiment(spec)
+        assert report.abort_rate == 1.0
+        assert {name: s.samples for name, s in report.metrics.items()} == dict.fromkeys(spec.metrics, 0)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "b8590b31d079795bb2344e21e4e8af2f4ed191f384052aa94f62cef53e2719c3"
+
     def test_spec_validation_paths(self):
         unvalidated = ProtocolConfig(
             senders=2, receivers=1, blocks=4, unsafe_skip_validation=True
@@ -237,6 +254,8 @@ class TestRunExperiment:
             ExperimentSpec(protocol=base_protocol(), trials=0).validate()
         with pytest.raises(ConfigError, match="metrics"):
             ExperimentSpec(protocol=base_protocol(), metrics=("nope",)).validate()
+        with pytest.raises(ConfigError, match="metrics: metric 'qber' is named more than once"):
+            ExperimentSpec(protocol=base_protocol(), metrics=("qber", "efficiency", "qber")).validate()
         with pytest.raises(ConfigError, match="channel.adversary.fraction"):
             ExperimentSpec(
                 protocol=base_protocol(),
@@ -332,6 +351,15 @@ class TestCli:
 
     def test_unknown_metric_exits_two(self, capsys):
         assert main(["run", "--metrics", "bogus"]) == 2
+
+    def test_repeated_metric_exits_two(self, capsys):
+        assert main(["run", "--metrics", "qber,qber", "--trials", "3"]) == 2
+        assert "named more than once" in capsys.readouterr().err
+
+    def test_colluder_target_beyond_the_senders_blames_the_target(self, capsys):
+        assert main(["run", "--scenario", "insider-colluders", "-m", "3", "--target", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "channel.adversary.target" in err and "omit_hadamard" not in err
 
     def test_withheld_basis_outside_the_default_colluders_exits_two(self, capsys):
         flags = ["run", "--scenario", "insider-colluders", "-m", "3", "--target", "3"]

@@ -29,6 +29,7 @@ from mpqss import (
     position,
     prepare_block,
     receiver_of,
+    replay,
     run_protocol,
     split_for_receivers,
 )
@@ -36,6 +37,11 @@ from mpqss import (
 
 def kets(qubits):
     return " ".join(q.ket() for q in qubits)
+
+
+def ordering_issues(tr):
+    """The ordering issues ``replay`` finds in a transcript."""
+    return [issue for issue in replay(tr.serialize()).issues if issue.startswith("ordering:")]
 
 
 class TestConfig:
@@ -249,7 +255,7 @@ class TestHonestRuns:
                 for b in bits:
                     want ^= b
                 assert combined_bases([tr], cfg)[0, 0] == want
-                assert tr.ordering_respected()
+                assert ordering_issues(tr) == []
 
     def test_no_memory_mode_sifts_about_half(self):
         cfg = ProtocolConfig(
@@ -287,7 +293,7 @@ class TestOrdering:
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4)
         tr = Transcript(cfg.snapshot())
         for l in (1, 2):  # third receiver never confirms
-            tr.ack_seqs[l] = tr.record("ack", f"bob{l}")
+            tr.record("ack", f"bob{l}")
         with pytest.raises(OrderingError, match=r"\[3\]"):
             announce_bases(tr, 1, (0, 1) * 6, cfg)
 
@@ -295,29 +301,30 @@ class TestOrdering:
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4)
         tr = Transcript(cfg.snapshot())
         for l in (1, 2, 3):
-            tr.ack_seqs[l] = tr.record("ack", f"bob{l}")
+            tr.record("ack", f"bob{l}")
         announce_bases(tr, 1, (0, 1) * 6, cfg)
         assert tr.announced_bases[1].tolist() == [0, 1] * 6
-        assert tr.ordering_respected()
+        assert ordering_issues(tr) == []
 
     def test_enforcement_disabled_records_the_violation(self):
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4, enforce_ordering=False)
         tr = Transcript(cfg.snapshot())
         announce_bases(tr, 1, (0, 1) * 6, cfg)  # no acks yet, tolerated
         for l in (1, 2, 3):
-            tr.ack_seqs[l] = tr.record("ack", f"bob{l}")
-        assert not tr.ordering_respected()
+            tr.record("ack", f"bob{l}")
+        assert ordering_issues(tr) == ["ordering: a basis announcement precedes a reception acknowledgment"]
 
     def test_ordering_before_any_announcement_or_ack(self):
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4, enforce_ordering=False)
         tr = Transcript(cfg.snapshot())
-        assert tr.ordering_respected()  # nothing announced yet
+        assert ordering_issues(tr) == []  # nothing announced yet
         announce_bases(tr, 1, (0, 1) * 6, cfg)
-        assert not tr.ordering_respected()  # announced before any receiver acknowledged
+        # Announced before any receiver acknowledged.
+        assert ordering_issues(tr) == ["ordering: only 0 of 3 receivers acknowledged before announcements"]
 
     def test_honest_runs_respect_ordering(self):
         tr = run_protocol(ProtocolConfig(senders=2, receivers=2, blocks=4, seed=9))
-        assert tr.ordering_respected()
+        assert ordering_issues(tr) == []
 
 
 class TestRefusals:
@@ -461,7 +468,7 @@ class TestChannelIntegration:
         loss_events = [ev for ev in tr.events if ev.kind == "loss"]
         assert loss_events, "removal losses must be announced"
         # Deletions are public before any basis announcement.
-        first_bases = min(tr.bases_seqs.values())
+        first_bases = min(ev.seq for ev in tr.events if ev.kind == "bases")
         assert all(ev.seq < first_bases for ev in loss_events)
         assert tr.efficiency < 1.0
 

@@ -65,8 +65,9 @@ class TestSerialization:
         assert reference_run().serialize() == reference_run().serialize()
 
     def test_events_are_immutable_records_with_their_line(self):
-        ev = reference_run().events[0]
-        assert ev.line() == f"event {ev.seq} {ev.kind} {ev.party} {ev.payload}"
+        tr = reference_run()
+        ev = tr.events[0]
+        assert tr.serialize().splitlines()[2] == f"event {ev.seq} {ev.kind} {ev.party} {ev.payload}"
         assert Event(ev.seq, ev.kind, ev.party).payload == "-"
         with pytest.raises(AttributeError):
             ev.payload = "1"
@@ -82,7 +83,9 @@ class TestSerialization:
             Event(2, KIND_BASES, "alice1", "0110"),
             Event(3, KIND_MEASURED, "bob1", "01?"),
         ]
-        assert tr.serialize().splitlines()[2:] == [ev.line() for ev in tr.events]
+        assert tr.serialize().splitlines()[2:] == [
+            f"event {ev.seq} {ev.kind} {ev.party} {ev.payload}" for ev in tr.events
+        ]
         with pytest.raises(AttributeError):
             tr.events = []
 
