@@ -76,6 +76,7 @@ from .protocol import (
     generate_secrets,
     prepare_block,
     run_check,
+    run_chunks,
     run_protocol,
     run_trials,
     split_for_receivers,

@@ -7,9 +7,12 @@ isolation and identical experiment specs produce byte-identical reports.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
+import math
+import operator
 import random
 import re
 import statistics
@@ -28,8 +31,8 @@ from .channel import (
 from .errors import ConfigError
 from .config import ProtocolConfig, checked_block_count
 from .postprocessing import bits_to_hex, build_canonical_css, key_rate, otp_send, reconcile_streams
-from .planes import UNUSABLE, check_tally, combined_basis, key_block_mask
-from .protocol import expanded_bit_vectors, run_trials, trials_per_chunk
+from .planes import UNUSABLE, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
+from .protocol import expanded_bit_vectors, run_chunks, trials_per_chunk
 
 # The one-trial forms, which run_experiment no longer calls; perfbench/tracing.py
 # spans calls at these names.
@@ -56,17 +59,25 @@ from .transcript import (
     str_to_plane,
 )
 
-# Every metric's per-trial sampler, which gives None when a trial has no
-# sample; block_yield maps to None, as it is sampled per reconciliation batch.
+# Every metric's sampler: the list of a chunk's samples, in trial order, from
+# the chunk's columns. A column is None when no trial of the chunk got that far.
+# block_yield maps to None, as it is sampled per reconciliation batch.
 METRICS = {
-    "qber": lambda tr, spec: tr.qber,
-    "detection_prob": lambda tr, spec: None if tr.qber is None else float(tr.detected),
-    "key_rate": lambda tr, spec: None if tr.qber is None else key_rate(tr.qber),
-    "efficiency": lambda tr, spec: tr.efficiency,
-    "sift_rate": lambda tr, spec: tr.sift_rate,
-    "adversary_accuracy": lambda tr, spec: _adversary_accuracy(tr, spec.protocol, spec.channel.adversary),
+    "qber": lambda chunk, spec: _column(chunk.qber),
+    "detection_prob": lambda chunk, spec: _column(None if chunk.qber is None else chunk.disagreements > 0),
+    "key_rate": lambda chunk, spec: list(map(key_rate, _column(chunk.qber))),
+    "efficiency": lambda chunk, spec: _column(chunk.efficiency),
+    "sift_rate": lambda chunk, spec: _column(chunk.sift_rate),
+    "adversary_accuracy": lambda chunk, spec: [
+        value for tr in chunk
+        if (value := _adversary_accuracy(tr, spec.protocol, spec.channel.adversary)) is not None
+    ],
     "block_yield": None,
 }
+
+
+def _column(values: np.ndarray | None) -> list[float]:
+    return [] if values is None else values.astype(float).tolist()
 
 
 def derive_trial_seed(master_seed: int, trial: int) -> int:
@@ -181,9 +192,32 @@ class RunReport:
 def _summary(samples: list[float]) -> MetricSummary:
     if not samples:
         return MetricSummary(0.0, 0.0, 0)
-    mean = statistics.fmean(samples)
-    stderr = statistics.stdev(samples) / len(samples) ** 0.5 if len(samples) > 1 else 0.0
-    return MetricSummary(mean, stderr, len(samples))
+    count = len(samples)
+    stderr = _stdev(samples) / count**0.5 if count > 1 else 0.0
+    return MetricSummary(statistics.fmean(samples), stderr, count)
+
+
+def _stdev(samples: list[float]) -> float:
+    """``statistics.stdev`` of floats, from exact integer sums instead of ``Fraction`` ones.
+
+    Over the largest denominator, a power of two, the samples are integers and
+    the variance is num / den exactly; each distinct value, of the few a
+    metric takes, is summed once with its count. The square root is rounded
+    as ``statistics`` rounds it: to an integer root of 55 bits or more,
+    rounded to odd, then once to a float.
+    """
+    counts = collections.Counter(samples)
+    nums, dens = zip(*map(float.as_integer_ratio, counts))
+    scale, count = max(dens), len(samples)
+    ints = list(map(operator.mul, nums, map(scale.__floordiv__, dens)))
+    weighted = list(map(operator.mul, ints, counts.values()))
+    num = count * sum(map(operator.mul, ints, weighted)) - sum(weighted) ** 2
+    den = count * (count - 1) * scale * scale
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return (root << q) / 1 if q >= 0 else root / (1 << -q)
 
 
 def _adversary_accuracy(tr: Transcript, cfg: ProtocolConfig, adversary) -> float | None:
@@ -212,7 +246,7 @@ def recovered_raw_key(bits, positions, key_blocks, cfg: ProtocolConfig) -> tuple
     """Key-block bits of an interceptor's readings: their XOR across receivers, 0 where unread."""
     read = np.zeros(cfg.total_qubits, dtype=np.uint8)
     read[list(positions)] = bits
-    key = np.bitwise_xor.reduce(read.reshape(cfg.blocks, cfg.receivers), axis=1)
+    key = receivers_xor(read.reshape(cfg.blocks, cfg.receivers))
     return tuple(key[list(key_blocks)].tolist())
 
 
@@ -233,7 +267,7 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
     extras: dict = {}
     if otp_message is not None and pair is None:
         raise ConfigError("metrics", "an outgoing message needs the block_yield metric")
-    keyed: list[tuple[int, tuple, tuple]] = []  # (trial, reference key, raw key) awaiting reconciliation
+    keyed: list[tuple[int, bytes, bytes]] = []  # (trial, reference key, raw key) awaiting reconciliation
     batch = trials_per_chunk(spec.protocol)
 
     def reconcile_keyed() -> None:
@@ -254,20 +288,22 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
         keyed.clear()
 
     seeds = (derive_trial_seed(spec.seed, trial) for trial in range(spec.trials))
-    for trial, tr in enumerate(run_trials(spec.protocol, spec.channel, seeds)):
-        digests.append(tr.digest())
-        if tr.abort_reason is not None:
-            aborted += 1
+    first = 0  # the trial number of the chunk's first trial
+    for chunk in run_chunks(spec.protocol, spec.channel, seeds):
+        digests.extend(tr.digest() for tr in chunk)
+        aborted += int(np.count_nonzero(chunk.aborted))
         for name in spec.metrics:
-            sampler = METRICS[name]
-            if sampler is not None:
-                value = sampler(tr, spec)
-                if value is not None:
-                    samples[name].append(value)
-            elif tr.raw_key and tr.reference_key:
-                keyed.append((trial, tr.reference_key, tr.raw_key))
+            if METRICS[name] is not None:
+                samples[name].extend(METRICS[name](chunk, spec))
+        if pair is not None and chunk.key_bounds is not None:
+            bounds = chunk.key_bounds.tolist()
+            reference, raw = chunk.reference_key.tobytes(), chunk.raw_key.tobytes()
+            for t in np.flatnonzero(np.diff(chunk.key_bounds)).tolist():  # trials with a key bit
+                keyed.append((first + t, reference[bounds[t]:bounds[t + 1]], raw[bounds[t]:bounds[t + 1]]))
                 if len(keyed) == batch:
                     reconcile_keyed()
+        first += len(chunk)
+        del chunk  # before the next chunk is run
     if keyed:
         reconcile_keyed()
 
@@ -407,8 +443,8 @@ def replay(text: str) -> Verdict:
         kept = sift[party] == 1
         usable[l] = known & kept
         if party in guesses and combined is not None:
-            agree = guesses[party] == np.broadcast_to(combined, (blocks, n))[:, l - 1]
-            for j in np.flatnonzero(known & (kept != agree)).tolist():
+            derived = sift_mask(known, guesses[party], np.broadcast_to(combined, (blocks, n))[:, l - 1])
+            for j in np.flatnonzero(derived != usable[l]).tolist():
                 issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
 
     # A receiver's loss bitmap marks exactly its '?' outcomes, and what a
@@ -574,7 +610,7 @@ def _check_key(issues, key_blocks, raw_key, contribs, measured, n) -> None:
     held = np.array([measured[p][key_blocks] for p in given], dtype=np.uint8).reshape(shape)
     contradicts = held != shares
     if missing is None:
-        wrong_bit = np.bitwise_xor.reduce(shares, axis=0) != raw_key
+        wrong_bit = receivers_xor(shares.T) != raw_key
         flagged = np.flatnonzero(contradicts.any(axis=0) | wrong_bit).tolist()
     else:
         flagged = range(len(key_blocks))

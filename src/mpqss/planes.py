@@ -6,9 +6,10 @@ basis, plus a mask of lost positions. Each kernel below is one array
 expression doing at every position what the named ``qubits`` function does to
 one qubit. Kernels take their randomness as arrays (masks, bases, coins), so
 they are pure functions; the tests compare them with ``qubits`` position by
-position. The protocol's public rules (combined basis, check tally, key
-blocks) are stated here too, once: the engine applies them to its own planes
-and replay to those it decodes, so replay still checks a run independently.
+position. The protocol's public rules (combined basis, sift mask, check
+tally, key blocks, key bits) are stated here too, once: the engine applies
+them to its own planes and replay to those it decodes, so replay still checks
+a run independently.
 """
 
 from __future__ import annotations
@@ -178,3 +179,19 @@ def key_block_mask(usable_by_receiver: Sequence[np.ndarray], checked: np.ndarray
     A list, not one (..., blocks, n) plane: ``.all`` over that short last axis is 20x slower.
     """
     return np.logical_and.reduce(usable_by_receiver) & ~checked
+
+
+def sift_mask(arrived: np.ndarray, guessed: np.ndarray | None = None, combined=None) -> np.ndarray:
+    """Outcomes that count: arrived and, when ``guessed`` is given, measured in the ``combined`` basis.
+
+    Without quantum memory a receiver measures in guessed bases; with it, every arrival counts.
+    """
+    return arrived if guessed is None else arrived & (guessed == combined)
+
+
+def receivers_xor(bits: np.ndarray) -> np.ndarray:
+    """Each block's key bit: the XOR of its receivers' bits, which lie along the last axis.
+
+    Reduced over a leading axis of a copy: over that short last axis it is 10x slower.
+    """
+    return np.bitwise_xor.reduce(np.moveaxis(bits, -1, 0).copy(), axis=0)

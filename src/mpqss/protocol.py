@@ -9,13 +9,15 @@ subset of blocks, and the surviving blocks' XOR-across-receivers becomes the
 raw key. Every inter-party hop goes through a channel model that may lose
 qubits, add Pauli noise, or host an adversary.
 
-``run_trials`` runs many seeded runs as chunks of trials whose planes are
-stacked on a leading axis, each phase once per chunk; ``run_protocol`` is its
-one-trial case.
+``run_chunks`` runs many seeded runs as chunks of trials whose planes are
+stacked on a leading axis, each phase once per chunk. A ``Chunk`` holds every
+result by column, and each trial's ``Transcript`` is a view of its row.
+``run_trials`` yields those views and ``run_protocol`` is the one-trial case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -38,7 +40,7 @@ from .channel import (
 from .config import ProtocolConfig, Variant
 from .errors import ConfigError, OrderingError, ProtocolStateError
 from .planes import UNUSABLE, QubitBlock, Rng, as_plane, random_bits, random_words
-from .planes import check_tally, combined_basis, key_block_mask
+from .planes import check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
 # counts calls at these names.
@@ -60,8 +62,10 @@ from .transcript import (
     KIND_SIFT,
     AdversaryRecord,
     Transcript,
-    bits_to_str,
-    record_rows,
+    head,
+    index_payloads,
+    render,
+    row_payloads,
 )
 
 
@@ -96,11 +100,6 @@ class PartySecrets:
             plane = getattr(self, name)
             object.__setattr__(row, name, None if plane is None else plane[t])
         return row
-
-
-def _trials(tr: Transcript | Sequence[Transcript]) -> list[Transcript]:
-    """The transcripts of a batch; one transcript is a batch of one."""
-    return [tr] if isinstance(tr, Transcript) else list(tr)
 
 
 def _expand_shares(value_bits: np.ndarray, receivers: int, rng: Rng) -> np.ndarray:
@@ -221,39 +220,39 @@ def split_for_receivers(block: QubitBlock, cfg: ProtocolConfig) -> list[QubitBlo
 
 
 def announce_bases(
-    tr: Transcript | Sequence[Transcript],
+    run: Transcript | Chunk,
     sender_index: int,
     basis_bits: Sequence[int] | np.ndarray,
     cfg: ProtocolConfig,
 ) -> None:
-    """Publish one sender's basis string (for a batch, one row per transcript).
+    """Publish one sender's basis string (for a chunk, one row per trial).
 
-    With ordering enforcement on, this refuses to run until the (first)
-    transcript holds every receiver's ``ack`` event; announcing earlier hands
-    the whole encoding to anyone holding the transiting qubits.
+    With ordering enforcement on, this refuses to run until the record holds
+    every receiver's ``ack`` event; announcing earlier hands the whole
+    encoding to anyone holding the transiting qubits.
     """
-    trs = _trials(tr)
     if cfg.enforce_ordering:
-        acked = {ev.party for ev in trs[0].events if ev.kind == KIND_ACK}
+        acked = {party for kind, party, *_ in run._records if kind == KIND_ACK}
         missing = [l for l in range(1, cfg.receivers + 1) if f"bob{l}" not in acked]
         if missing:
             raise OrderingError(
                 f"sender {sender_index} tried to announce bases before receivers "
                 f"{missing} acknowledged reception"
             )
-    planes = as_plane(basis_bits).reshape(len(trs), -1)
-    record_rows(trs, KIND_BASES, f"alice{sender_index}", planes)
-    for t, bits in zip(trs, planes):
-        t.announced_bases[sender_index] = bits
+    plane = as_plane(basis_bits)
+    payloads = row_payloads(plane)
+    run.record(KIND_BASES, f"alice{sender_index}", payloads[0] if isinstance(run, Transcript) else payloads)
+    run.announced_bases[sender_index] = plane
 
 
-def combined_bases(trs: Sequence[Transcript], cfg: ProtocolConfig) -> np.ndarray:
-    """Per-position XOR of all announced basis strings (the decoding basis), one row per transcript."""
-    if any(len(t.announced_bases) < cfg.senders for t in trs):
+def combined_bases(run: Chunk | Sequence[Transcript], cfg: ProtocolConfig) -> np.ndarray:
+    """Per-position XOR of all announced basis strings (the decoding basis), one row per trial."""
+    announced = [run.announced_bases] if isinstance(run, Chunk) else [t.announced_bases for t in run]
+    if any(len(a) < cfg.senders for a in announced):
         raise ProtocolStateError("not every sender has announced a basis string")
-    strings = [np.array([t.announced_bases[i] for t in trs]) for i in trs[0].announced_bases]
-    shape = (len(trs), cfg.blocks, cfg.receivers)
-    return np.broadcast_to(combined_basis(strings, cfg.blocks), shape).reshape(len(trs), -1)
+    strings = [np.array([a[i] for a in announced]).reshape(len(run), -1) for i in announced[0]]
+    shape = (len(run), cfg.blocks, cfg.receivers)
+    return np.broadcast_to(combined_basis(strings, cfg.blocks), shape).reshape(len(run), -1)
 
 
 @dataclass(eq=False)
@@ -269,8 +268,117 @@ class Readout:
     checked: np.ndarray | None = None  # bool (trials, N): revealed by the check, set by run_check
 
 
+def _ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """part / whole per trial, 0.0 where whole is 0."""
+    return np.divide(part, whole, out=np.zeros(len(whole)), where=whole > 0)
+
+
+# The per-trial columns of a chunk that a view reads as ``column[t]``.
+_COLUMNS = ("check_blocks", "compared", "disagreements", "qber", "efficiency", "sift_rate")
+
+
+class Chunk(Sequence[Transcript]):
+    """The transcripts of a stack of trials, held by column; item t is trial t's view.
+
+    Each phase stores its results for every trial at once: the records, each
+    payload kind rendered once for the chunk; the readout planes; and arrays
+    with an entry or a row per trial for the check tallies and rates, the key
+    bits (trial t's are ``key_bounds[t]:key_bounds[t + 1]``), the attack and
+    the secrets. A view reads its row on first use (``field``), and ``texts``
+    renders every trial's serialized text in one pass.
+    """
+
+    def __init__(self, cfg: ProtocolConfig, seeds: list[int]):
+        self.cfg, self.config, self.seeds = cfg, cfg.snapshot(), seeds
+        self._records: list = []  # (kind, party, rows, payloads), as ``render`` takes them
+        self.announced_bases: dict[int, np.ndarray] = {}  # sender -> (trials, length) plane
+        self.secrets: list[PartySecrets] = []
+        self.aborted = np.zeros(len(seeds), dtype=bool)
+        self.abort_reason: str | None = None  # set when one cause stopped every trial
+        self.readout: Readout | None = None
+        self.check_blocks = self.compared = self.disagreements = self.qber = None  # run_check
+        self.key_bounds = self.key_blocks = self.raw_key = self.reference_key = None  # extract_raw_key
+        self.efficiency = self.sift_rate = None
+        self.adversary: AdversaryRecord | None = None  # positions within each trial
+        self.adversary_bounds = None  # trial t's entries are adversary_bounds[t]:adversary_bounds[t + 1]
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    # Views are made on each access and not kept: a chunk that held its views
+    # would be a reference cycle, which only the garbage collector frees.
+    def __getitem__(self, t: int) -> Transcript:
+        return Transcript.view(self, range(len(self))[t])
+
+    def __iter__(self) -> Iterator[Transcript]:
+        return map(functools.partial(Transcript.view, self), range(len(self)))
+
+    def record(self, kind: str, party: str, payloads="-", rows: np.ndarray | None = None) -> None:
+        """One event in each trial that ``rows`` marks, or in every trial.
+
+        ``payloads`` is one payload for all of them, or one per marked trial.
+        """
+        rows = None if rows is None or rows.all() else rows
+        if isinstance(payloads, str):
+            payloads = [payloads] * (len(self) if rows is None else int(np.count_nonzero(rows)))
+        if rows is not None:
+            given = iter(payloads)
+            payloads = [next(given) if r else "" for r in rows.tolist()]
+        self._records.append((kind, party, rows, payloads))
+
+    def record_planes(self, events: list[tuple[str, str]], planes: np.ndarray, bounds=None, rows=None):
+        """One event per (kind, party), its payloads ``row_payloads(planes[k], bounds)``, rendered at once."""
+        payloads = row_payloads(planes, bounds)
+        per = len(payloads) // len(events)
+        for k, (kind, party) in enumerate(events):
+            self.record(kind, party, payloads[k * per:(k + 1) * per], rows)
+
+    @functools.cached_property
+    def texts(self) -> list[str]:
+        """Every trial's serialized transcript."""
+        before, after = head({**self.config, "seed": "\0"}).split("\0")
+        rec = self.adversary
+        tails = [""] * len(self) if rec is None else rec.sections(self.adversary_bounds)
+        return render([before + str(seed) + after for seed in self.seeds], self._records, tails)
+
+    def field(self, name: str, t: int):
+        """Trial ``t``'s value of the ``Transcript`` attribute ``name``."""
+        if name == "_text":
+            return self.texts[t]
+        if name == "_records":
+            return [(kind, party, payloads[t]) for kind, party, rows, payloads in self._records
+                    if rows is None or rows[t]]
+        if name == "config":
+            return {**self.config, "seed": str(self.seeds[t])}
+        if name == "announced_bases":
+            return {i: plane[t] for i, plane in self.announced_bases.items()}
+        if name == "_secrets":
+            return [s.trial(t) for s in self.secrets]
+        if name == "abort_reason" and self.aborted[t]:
+            threshold = self.cfg.qber_abort_threshold
+            return self.abort_reason or f"error rate {self.qber[t]:.6f} above threshold {threshold:.6f}"
+        column = getattr(self, name) if name in _COLUMNS else None
+        if column is not None:
+            return tuple(column[t].tolist()) if name == "check_blocks" else column[t].item()
+        keyed = self.key_bounds is not None and not self.aborted[t]
+        if name in ("key_blocks", "raw_key", "reference_key") and keyed:
+            return tuple(getattr(self, name)[self.key_bounds[t]:self.key_bounds[t + 1]].tolist())
+        if name in ("outcomes", "usable") and self.readout is not None:  # receiver-major lists
+            lists = (self.readout.outcome if name == "outcomes" else self.readout.usable)[t].T.tolist()
+            if name == "outcomes":  # None where lost
+                for j, c in np.argwhere(self.readout.lost[t]).tolist():
+                    lists[c][j] = None
+            return dict(enumerate(lists, start=1))
+        if name == "adversary" and self.adversary is not None:
+            rec, (a, b) = self.adversary, self.adversary_bounds[t:t + 2]
+            planes = (rec.positions, rec.bases, rec.bits, rec.certain)
+            return AdversaryRecord(rec.kind, *(plane[a:b] for plane in planes))
+        # What the run did not reach, or an unknown name: as on a transcript of its own.
+        return getattr(Transcript({}), name)
+
+
 def run_check(
-    trs: Sequence[Transcript],
+    run: Chunk,
     cfg: ProtocolConfig,
     values: np.ndarray,
     readout: Readout,
@@ -279,13 +387,13 @@ def run_check(
 ) -> np.ndarray:
     """Reveal a random subset of blocks and compare outcomes against the XOR.
 
-    Takes one transcript and generator per trial, every sender's per-position
+    Takes a chunk and one generator per trial, every sender's per-position
     value plane as (senders, trials, n*N) and the readout as (trials, N, n),
     whose ``checked`` mask it sets. Aborts a trial when the disagreement rate
     among its comparable revealed positions exceeds the configured threshold.
     Returns a bool per trial, True on pass.
     """
-    count, blocks, n = len(trs), cfg.blocks, cfg.receivers
+    count, blocks, n = len(run), cfg.blocks, cfg.receivers
     want = cfg.checked_block_count
     checked = np.zeros((count, blocks), dtype=bool)
     if check_blocks is None:
@@ -300,138 +408,109 @@ def run_check(
         checked[:, chosen] = True
     readout.checked = checked
     flat = np.flatnonzero(checked)  # trial t's block j is row t*N + j
-    for t, selected in zip(trs, (flat.reshape(count, want) % blocks).tolist()):
-        t.check_blocks = tuple(selected)
-        t.record(KIND_CHECK_SELECT, "all", ",".join(map(str, selected)) or "-")
+    run.check_blocks = flat.reshape(count, want) % blocks
+    run.record(KIND_CHECK_SELECT, "all", index_payloads(run.check_blocks, np.arange(count + 1) * want))
 
     # Reveal order: checked blocks ascending, receivers ascending within each.
     shape = (count, want, n)
     sent = values.reshape(len(values), count * blocks, n)[:, flat].reshape(len(values), *shape)
-    for i, bits in enumerate(sent, start=1):
-        record_rows(trs, KIND_CHECK_SENDER, f"alice{i}", bits.reshape(count, -1))
+    run.record_planes([(KIND_CHECK_SENDER, f"alice{i}") for i in range(1, len(sent) + 1)],
+                      sent.reshape(len(sent), count, -1))
     usable = readout.usable.reshape(-1, n)[flat].reshape(shape)
     outcome = readout.outcome.reshape(-1, n)[flat].reshape(shape)
     revealed = np.where(usable, outcome, UNUSABLE)
-    for l in range(1, n + 1):
-        record_rows(trs, KIND_CHECK_RECV, f"bob{l}", revealed[:, :, l - 1])
-    tally = check_tally(revealed, np.bitwise_xor.reduce(sent, axis=0), axis=(1, 2))
-    compared, disagree = (counts.tolist() for counts in tally)
+    run.record_planes([(KIND_CHECK_RECV, f"bob{l}") for l in range(1, n + 1)], revealed.transpose(2, 0, 1))
+    run.compared, run.disagreements = check_tally(revealed, np.bitwise_xor.reduce(sent, axis=0), axis=(1, 2))
+    run.qber = _ratio(run.disagreements, run.compared)
     threshold = cfg.qber_abort_threshold
-    passed = []
-    for t, compared_t, disagree_t in zip(trs, compared, disagree):
-        rate = disagree_t / compared_t if compared_t else 0.0
-        t.compared = compared_t
-        t.disagreements = disagree_t
-        t.qber = rate
-        passed.append(rate <= threshold)
-        t.record(
-            KIND_CHECK_RESULT,
-            "all",
-            f"compared={compared_t};disagree={disagree_t};rate={rate:.6f};"
-            f"threshold={threshold:.6f};pass={1 if passed[-1] else 0}",
+    passed = run.qber <= threshold
+    # One payload per distinct tally: a chunk has far fewer of them than trials.
+    tallies = list(zip(run.compared.tolist(), run.disagreements.tolist()))
+    results = {}
+    for compared, disagree in set(tallies):
+        rate = disagree / compared if compared else 0.0
+        results[compared, disagree] = (
+            f"compared={compared};disagree={disagree};rate={rate:.6f};"
+            f"threshold={threshold:.6f};pass={1 if rate <= threshold else 0}"
         )
-        if not passed[-1]:
-            t.abort_reason = f"error rate {rate:.6f} above threshold {threshold:.6f}"
-            t.record(KIND_ABORT, "all", "error-rate")
-    return np.array(passed)
+    run.record(KIND_CHECK_RESULT, "all", list(map(results.__getitem__, tallies)))
+    if not passed.all():
+        run.aborted |= ~passed
+        run.record(KIND_ABORT, "all", "error-rate", ~passed)
+    return passed
 
 
 def extract_raw_key(
-    tr: Transcript | Sequence[Transcript], cfg: ProtocolConfig, values: np.ndarray, readout: Readout
+    run: Chunk | Transcript, cfg: ProtocolConfig, values: np.ndarray, readout: Readout
 ) -> None:
     """XOR each surviving unchecked block across receivers into one key bit.
 
     A block survives when every receiver holds a usable outcome for it. Each
     receiver's contribution and the combined key are both recorded; combining
     them is a joint computation, with no aggregation mechanism prescribed.
-    Takes a batch as ``run_check`` does.
+    Takes a chunk as ``run_check`` does and keys its trials that passed the
+    check. A transcript is keyed by its chunk, so given one this only raises.
     """
-    trs = _trials(tr)
-    for t in trs:
-        if t.qber is None:
-            raise ProtocolStateError("raw key requested before the check ran")
-        if t.abort_reason is not None:
-            raise ProtocolStateError("raw key requested after an abort")
-    count, blocks, n = len(trs), cfg.blocks, cfg.receivers
+    if run.qber is None:
+        raise ProtocolStateError("raw key requested before the check ran")
+    if isinstance(run, Transcript):
+        state = "after an abort" if run.abort_reason is not None else "of a transcript, not of its chunk"
+        raise ProtocolStateError(f"raw key requested {state}")
+    count, blocks, n = len(run), cfg.blocks, cfg.receivers
     usable = readout.usable.reshape(count, blocks, n)
+    keyed = ~run.aborted
     # Trial t's block j is t*N + j.
-    flat = np.flatnonzero(key_block_mask([usable[..., c] for c in range(n)], readout.checked))
-    bounds = np.searchsorted(flat, np.arange(count + 1) * blocks).tolist()
+    mask = key_block_mask([usable[..., c] for c in range(n)], readout.checked)
+    flat = np.flatnonzero(mask & keyed[:, None])
+    run.key_bounds = np.searchsorted(flat, np.arange(count + 1) * blocks)
     contrib = readout.outcome.reshape(-1, n)[flat]  # (key bits of every trial, n)
-    key = np.bitwise_xor.reduce(contrib, axis=1)
-    truth = np.bitwise_xor.reduce(values, axis=0).reshape(-1, n)
-    reference = np.bitwise_xor.reduce(truth[flat], axis=1)
-    shares = [bits_to_str(contrib[:, c]) for c in range(n)]
-    key_text = bits_to_str(key)
-    key_blocks = (flat % blocks).tolist()
-    key_bits, reference_bits = key.tobytes(), reference.tobytes()
-    for t, a, b in zip(trs, bounds, bounds[1:]):
-        t.key_blocks = tuple(key_blocks[a:b])
-        for c in range(n):
-            t.record(KIND_KEY_CONTRIB, f"bob{c + 1}", shares[c][a:b])
-        t.raw_key = tuple(key_bits[a:b])
-        t.record(KIND_RAW_KEY, "all", key_text[a:b])
-        t.reference_key = tuple(reference_bits[a:b])
+    run.raw_key = receivers_xor(contrib)
+    run.reference_key = receivers_xor(np.bitwise_xor.reduce(values, axis=0).reshape(-1, n)[flat])
+    run.key_blocks = flat % blocks
+    bounds = np.append(run.key_bounds[:-1][keyed], len(flat))  # a failed trial has no key bits
+    events = [(KIND_KEY_CONTRIB, f"bob{c}") for c in range(1, n + 1)] + [(KIND_RAW_KEY, "all")]
+    run.record_planes(events, np.column_stack([contrib, run.raw_key]).T, bounds, keyed)
 
 
-def _finalize_rates(trs: list[Transcript], cfg: ProtocolConfig, readout: Readout) -> None:
-    received = (cfg.total_qubits - np.count_nonzero(readout.lost, axis=(1, 2))).tolist()
-    usable = np.count_nonzero(readout.usable, axis=(1, 2)).tolist()
+def _finalize_rates(run: Chunk, cfg: ProtocolConfig, readout: Readout) -> None:
+    received = cfg.total_qubits - np.count_nonzero(readout.lost, axis=(1, 2))
     unchecked = ~readout.checked
-    total = (np.count_nonzero(unchecked, axis=1) * cfg.receivers).tolist()
-    kept = np.count_nonzero(readout.usable & unchecked[:, :, None], axis=(1, 2)).tolist()
-    for t, r, u, k, all_ in zip(trs, received, usable, kept, total):
-        t.sift_rate = u / r if r else 0.0
-        t.efficiency = k / all_ if all_ else 0.0
-
-
-def _record_attack(trs: list[Transcript], result: AdversaryRecord, size: int) -> None:
-    """Each trial's slice of a batch's attack, as its transcript's adversary record."""
-    trial, positions = np.divmod(result.positions, size)
-    bounds = np.searchsorted(trial, np.arange(len(trs) + 1)).tolist()
-    for t, a, b in zip(trs, bounds, bounds[1:]):
-        t.adversary = AdversaryRecord(
-            result.kind, positions[a:b], result.bases[a:b], result.bits[a:b], result.certain[a:b]
-        )
+    kept = np.count_nonzero(readout.usable & unchecked[:, :, None], axis=(1, 2))
+    run.sift_rate = _ratio(np.count_nonzero(readout.usable, axis=(1, 2)), received)
+    run.efficiency = _ratio(kept, np.count_nonzero(unchecked, axis=1) * cfg.receivers)
 
 
 def _record_readout(
-    trs: list[Transcript], cfg: ProtocolConfig, readout: Readout, guesses: np.ndarray | None
+    run: Chunk, cfg: ProtocolConfig, readout: Readout, guesses: np.ndarray | None
 ) -> None:
-    """Publish the receivers' records and fill ``outcomes``/``usable``; ``guesses`` is None with memory."""
+    """Publish the receivers' records and keep the readout; ``guesses`` is None with memory."""
     shown = np.where(readout.lost, UNUSABLE, readout.outcome)
-    for l in range(1, cfg.receivers + 1):
-        if guesses is not None:
-            record_rows(trs, KIND_GUESS, f"bob{l}", guesses[:, :, l - 1])
-            record_rows(trs, KIND_SIFT, f"bob{l}", readout.usable[:, :, l - 1])
-        record_rows(trs, KIND_MEASURED, f"bob{l}", shown[:, :, l - 1])
-    # Receiver-major lists: [t][l-1] is receiver l's record in trial t.
-    outcomes = readout.outcome.transpose(0, 2, 1).tolist()
-    for t, j, c in zip(*(axis.tolist() for axis in np.nonzero(readout.lost))):
-        outcomes[t][c][j] = None
-    usable = readout.usable.transpose(0, 2, 1).tolist()
-    for tr, outs, use in zip(trs, outcomes, usable):
-        tr.outcomes.update(enumerate(outs, start=1))
-        tr.usable.update(enumerate(use, start=1))
+    kinds, planes = [KIND_MEASURED], [shown]
+    if guesses is not None:
+        kinds, planes = [KIND_GUESS, KIND_SIFT, KIND_MEASURED], [guesses, readout.usable, shown]
+    # (receivers, kinds, trials, N): each receiver's records in turn.
+    stacked = np.stack(planes).transpose(3, 0, 1, 2)
+    run.record_planes([(kind, f"bob{l}") for l in range(1, cfg.receivers + 1) for kind in kinds], stacked)
+    run.readout = readout
 
 
-def _record_losses(trs: list[Transcript], party: str, lost: np.ndarray) -> None:
-    """A loss bitmap (one row per trial) in every transcript whose row marks a loss."""
+def _record_losses(run: Chunk, party: str, lost: np.ndarray) -> None:
+    """A loss bitmap (one row per trial) in every trial whose row marks a loss."""
     marked = lost.any(axis=1)
-    record_rows([t for t, x in zip(trs, marked.tolist()) if x], KIND_LOSS, party, lost[marked])
+    if marked.any():
+        run.record(KIND_LOSS, party, row_payloads(lost[marked]), marked)
 
 
 # Trials run together as one stack of planes: as many as fit in this many
 # qubit positions, and at least one. Each numpy call then covers thousands of
-# positions, which amortises its fixed cost. Every transcript of a chunk is
-# alive at its end, about 16 KiB each for a 120-position run, so the budget
-# also bounds that memory: 34 such trials per chunk ran a 1000-trial sweep
-# about 5% slower than 68, with half the added peak.
-CHUNK_POSITIONS = 1 << 12
+# positions, which amortises its fixed cost: about 1 ms of numpy and Python
+# calls per chunk. A chunk and its records are alive until its last view
+# goes, so the budget also bounds that memory.
+CHUNK_POSITIONS = 1 << 14
 
 
 def trials_per_chunk(cfg: ProtocolConfig) -> int:
-    """How many of ``cfg``'s trials ``run_trials`` stacks into one chunk."""
+    """How many of ``cfg``'s trials ``run_chunks`` stacks into one chunk."""
     return max(1, CHUNK_POSITIONS // cfg.total_qubits)
 
 
@@ -478,21 +557,25 @@ def run_protocol(
     return _run_chunk(cfg, channel, [cfg.seed], secrets, check_blocks)[0]
 
 
-def run_trials(
-    cfg: ProtocolConfig, channel: ChannelModel | None, seeds: Iterable[int]
-) -> Iterator[Transcript]:
-    """One transcript per seed, in order; each is what ``run_protocol`` gives for that seed.
+def run_chunks(cfg: ProtocolConfig, channel: ChannelModel | None, seeds: Iterable[int]) -> Iterator[Chunk]:
+    """The trials of ``seeds``, in order, as chunks of ``CHUNK_POSITIONS`` positions.
 
-    ``cfg.seed`` is ignored. Trials run in chunks of ``CHUNK_POSITIONS``
-    positions: every phase runs once per chunk on a stack of planes with a
-    row per trial, each row drawing from its trial's own generator.
+    ``cfg.seed`` is ignored. Every phase runs once per chunk on a stack of
+    planes with a row per trial, each row drawing from its trial's own generator.
     """
     channel = _validated(cfg, channel)
     per_chunk = trials_per_chunk(cfg)
     seeds = iter(seeds)
     # Lists of up to per_chunk seeds, until the seeds run out.
     chunks = iter(lambda: list(itertools.islice(seeds, per_chunk)), [])
-    return (tr for chunk in chunks for tr in _run_chunk(cfg, channel, chunk))
+    return (_run_chunk(cfg, channel, chunk) for chunk in chunks)
+
+
+def run_trials(
+    cfg: ProtocolConfig, channel: ChannelModel | None, seeds: Iterable[int]
+) -> Iterator[Transcript]:
+    """One transcript per seed, in order; each is what ``run_protocol`` gives for that seed."""
+    return (tr for chunk in run_chunks(cfg, channel, seeds) for tr in chunk)
 
 
 def _run_chunk(
@@ -501,16 +584,13 @@ def _run_chunk(
     seeds: list[int],
     secrets: list[PartySecrets] | None = None,
     check_blocks: Sequence[int] | None = None,
-) -> list[Transcript]:
+) -> Chunk:
     """Run one trial per seed as a stack of planes; injected ``secrets`` hold a row per seed."""
     rngs = [random.Random(seed) for seed in seeds]
-    config = cfg.snapshot()
-    trs = [Transcript({**config, "seed": str(seed)}) for seed in seeds]
+    run = Chunk(cfg, seeds)
     m, size = cfg.senders, cfg.total_qubits
 
-    senders = generate_secrets(cfg, rngs) if secrets is None else secrets
-    for t, tr in enumerate(trs):
-        tr._secrets = [s.trial(t) for s in senders]
+    senders = run.secrets = generate_secrets(cfg, rngs) if secrets is None else secrets
     values, basis_vectors = expanded_bit_vectors(senders, cfg)
     adv = channel.adversary
     # An intercept-resend adversary sits on the last hop only.
@@ -519,7 +599,7 @@ def _run_chunk(
     def hop(block: QubitBlock, leaving: int) -> QubitBlock:
         res = transmit(block, channel if leaving == m else inner_hop, rngs)
         if len(res.lost) and leaving < m:
-            _record_losses(trs, f"alice{leaving + 1}", res.block.lost & ~block.lost)
+            _record_losses(run, f"alice{leaving + 1}", res.block.lost & ~block.lost)
         block = res.block
         attack = res.intercept
         if isinstance(adv, PreparerInsider) and leaving == adv.target:
@@ -532,8 +612,10 @@ def _run_chunk(
             # Using announced bases, hop m follows a successful early announcement.
             announced = basis_vectors if adv.use_announced_bases else None  # expanded per position
             attack, block = ordering_attack(announced, block, rngs)
-        if attack is not None:
-            _record_attack(trs, attack, size)
+        if attack is not None:  # positions index the stacked planes: trial t's k is t*size + k
+            trial, positions = np.divmod(attack.positions, size)
+            run.adversary = replace(attack, positions=positions)
+            run.adversary_bounds = np.searchsorted(trial, np.arange(len(run) + 1))
         return block
 
     block = prepare_block(senders[0], cfg)
@@ -545,49 +627,40 @@ def _run_chunk(
     if announce_early:
         try:
             for i in range(1, m + 1):
-                announce_bases(trs, i, senders[i - 1].basis_bits, cfg)
+                announce_bases(run, i, senders[i - 1].basis_bits, cfg)
         except OrderingError as err:
-            for tr in trs:
-                tr.abort_reason = f"ordering violation: {err}"
-                tr.record(KIND_ABORT, "all", "ordering-violation")
-            return trs
+            run.abort_reason = f"ordering violation: {err}"
+            run.aborted[:] = True
+            run.record(KIND_ABORT, "all", "ordering-violation")
+            return run
 
     block = hop(block, leaving=m)
     for l, received in enumerate(split_for_receivers(block, cfg), start=1):
-        _record_losses(trs, f"bob{l}", received.lost)
-        for tr in trs:
-            tr.record(KIND_ACK, f"bob{l}")
+        _record_losses(run, f"bob{l}", received.lost)
+        run.record(KIND_ACK, f"bob{l}")
 
     if not cfg.quantum_memory:
         # No storage: measure in guessed bases before any announcement.
         guesses = random_bits(rngs, size)
         outcome = block.measure(guesses, random_bits(rngs, size))
-        for tr in trs:
-            for l in range(1, cfg.receivers + 1):
-                tr.record(KIND_EARLY_MEASURE, f"bob{l}")
+        for l in range(1, cfg.receivers + 1):
+            run.record(KIND_EARLY_MEASURE, f"bob{l}")
 
     if not announce_early:
         for i in range(1, m + 1):
-            announce_bases(trs, i, senders[i - 1].basis_bits, cfg)
+            announce_bases(run, i, senders[i - 1].basis_bits, cfg)
 
-    required = combined_bases(trs, cfg)
+    required = combined_bases(run, cfg)
     if cfg.quantum_memory:
+        guesses = None
         outcome = block.measure(required, random_bits(rngs, size))
-        usable = ~block.lost
-    else:
-        usable = ~block.lost & (guesses == required)
-    shape = (len(trs), cfg.blocks, cfg.receivers)
+    usable = sift_mask(~block.lost, guesses, required)
+    shape = (len(run), cfg.blocks, cfg.receivers)
     readout = Readout(outcome.reshape(shape), block.lost.reshape(shape), usable.reshape(shape))
-    _record_readout(trs, cfg, readout, None if cfg.quantum_memory else guesses.reshape(shape))
+    _record_readout(run, cfg, readout, None if guesses is None else guesses.reshape(shape))
 
-    passed = run_check(trs, cfg, values, readout, rngs, check_blocks=check_blocks)
-    if passed.all():
-        extract_raw_key(trs, cfg, values, readout)
-    elif passed.any():
-        keep = np.flatnonzero(passed)
-        subset = Readout(
-            readout.outcome[keep], readout.lost[keep], readout.usable[keep], readout.checked[keep]
-        )
-        extract_raw_key([trs[t] for t in keep.tolist()], cfg, values[:, keep], subset)
-    _finalize_rates(trs, cfg, readout)
-    return trs
+    passed = run_check(run, cfg, values, readout, rngs, check_blocks=check_blocks)
+    if passed.any():
+        extract_raw_key(run, cfg, values, readout)
+    _finalize_rates(run, cfg, readout)
+    return run

@@ -43,10 +43,12 @@ KIND_RAW_KEY = "raw-key"          # combined key (joint computation, no mechanis
 KIND_ABORT = "abort"
 
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01\x02", b"01?")
+# Codes 0, 1 and 2 render '0', '1' and '?', and code 3 a newline.
+_BIT_CHARS = bytes.maketrans(b"\x00\x01\x02\x03", b"01?\n")
 # Its inverse: '0', '1' and '?' to codes 0, 1 and 2, every other byte to 255.
 _BIT_CODES = bytearray(b"\xff" * 256)
 _BIT_CODES[ord("0")], _BIT_CODES[ord("1")], _BIT_CODES[ord("?")] = 0, 1, 2
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # an integer has one digit more than it reaches
 
 
 def bits_to_str(bits) -> str:
@@ -58,11 +60,48 @@ def bits_to_str(bits) -> str:
     return raw.translate(_BIT_CHARS).decode("ascii")
 
 
-def row_payloads(plane: np.ndarray) -> list[str]:
-    """The payload of every row (last axis) of a uint8 or bool plane, rendered in one pass."""
+def _cut(codes: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The text of ``codes`` cut at each of ``ends`` into rows, '-' for an empty one.
+
+    Codes 0 to 2 render as ``bits_to_str`` renders them, code 4 is dropped and
+    ASCII text such as digits and commas passes as it is.
+    """
+    ends = ends + np.arange(len(ends))  # each row closes after the closes before it
+    text = np.full(len(codes) + len(ends), 3, dtype=np.uint8)
+    data = np.ones(len(text), dtype=bool)
+    data[ends] = False
+    text[data] = codes
+    rows = text.tobytes().translate(_BIT_CHARS, b"\x04").decode("ascii").split("\n")[:-1]
+    return rows if "" not in rows else [row or "-" for row in rows]
+
+
+def row_payloads(plane: np.ndarray, bounds=None) -> list[str]:
+    """The payload of every row of a uint8 or bool plane, rendered in one pass.
+
+    Rows are the last axis or, with ``bounds`` (from 0 to its length), its
+    slices ``[bounds[t]:bounds[t + 1]]``, taken along every leading index in turn.
+    """
     width = plane.shape[-1]
-    text = bits_to_str(plane)
-    return [text[k * width:(k + 1) * width] for k in range(math.prod(plane.shape[:-1]))]
+    ends = np.asarray([width] if bounds is None else bounds[1:], dtype=np.intp)
+    return _cut(plane.reshape(-1), (np.arange(math.prod(plane.shape[:-1]))[:, None] * width + ends).ravel())
+
+
+def index_payloads(indices, bounds) -> list[str]:
+    """Comma lists of non-negative integers, rendered in one vectorised pass; '-' when empty.
+
+    Row t is ``indices[bounds[t]:bounds[t + 1]]``. Each integer is its digits
+    and a comma, so each digit place is one array assignment, and the last
+    comma of a row is dropped.
+    """
+    values, edges = np.asarray(indices, dtype=np.int64).reshape(-1), np.asarray(bounds)
+    digits = np.searchsorted(_TENS, values, side="right") + 1
+    starts = np.concatenate([[0], np.cumsum(digits + 1)])  # of each integer's text, then the end
+    chars = np.full(starts[-1], ord(","), dtype=np.uint8)
+    for k in range(int(digits.max(initial=0))):
+        has = digits > k
+        chars[starts[1:][has] - 2 - k] = ord("0") + values[has] // 10**k % 10
+    chars[starts[edges[1:][edges[1:] > edges[:-1]]] - 1] = 4
+    return _cut(chars, starts[edges[1:]])
 
 
 def str_to_plane(s: str) -> np.ndarray:
@@ -98,22 +137,57 @@ class AdversaryRecord:
     bits: np.ndarray  # uint8: best-guess inferred bit per position
     certain: np.ndarray  # bool: True where the measurement basis provably matched
 
-    def lines(self) -> list[str]:
-        return [
-            f"adversary kind={self.kind}",
-            f"adversary positions={','.join(map(str, self.positions.tolist())) or '-'}",
-            f"adversary bases={bits_to_str(self.bases) or '-'}",
-            f"adversary bits={bits_to_str(self.bits) or '-'}",
-            f"adversary certain={bits_to_str(self.certain) or '-'}",
-        ]
+    def sections(self, bounds=None) -> list[str]:
+        """The serialized adversary section, each line led by a newline, of every row.
+
+        Row t holds entries ``bounds[t]:bounds[t + 1]``; without ``bounds`` the record is one row.
+        """
+        bounds = [0, len(self.positions)] if bounds is None else bounds
+        count = len(bounds) - 1
+        columns = [[f"\nadversary kind={self.kind}\nadversary positions="] * count,
+                   index_payloads(self.positions, bounds)]
+        for key in ("bases", "bits", "certain"):
+            columns += [[f"\nadversary {key}="] * count, row_payloads(getattr(self, key), bounds)]
+        return list(map("".join, zip(*columns)))
+
+
+def head(config: Mapping[str, str]) -> str:
+    """The format header and the config record."""
+    return f"{FORMAT_HEADER}\nconfig " + " ".join(f"{k}={v}" for k, v in config.items())
+
+
+def render(heads: Sequence[str], records, tails: Sequence[str]) -> list[str]:
+    """The serialized text of every row of a table of records.
+
+    ``heads`` holds each row's ``head``, ``tails`` its adversary section or ''.
+    A record is ``(kind, party, rows, payloads)``: ``rows`` is None when every
+    row holds it, else a bool mask, and ``payloads`` one per row ('' where the
+    row lacks it). Events are numbered per row. Each row is joined at once, in ``zip``.
+    """
+    columns = [heads]
+    seq = np.zeros(len(heads), dtype=np.intp)  # events so far in each row
+    for kind, party, rows, payloads in records:
+        held = 1 if rows is None else rows
+        seq = seq + held
+        shown = (seq * held).tolist()  # 0 where the row lacks it
+        names = {s: f"\nevent {s} {kind} {party} " for s in set(shown)} | {0: ""}
+        columns += [list(map(names.__getitem__, shown)), payloads]
+    return list(map("".join, zip(*columns, tails, ["\n"] * len(heads))))
 
 
 class Transcript:
-    """Everything one run announced, measured, checked, and derived."""
+    """Everything one run announced, measured, checked, and derived.
+
+    A transcript of ``run_protocol`` or ``run_trials`` is a view of one row of
+    its chunk (``protocol.Chunk``): each attribute below is read from the
+    chunk's planes on first use and then kept, so reading one twice gives the
+    same object.
+    """
 
     def __init__(self, config: Mapping[str, str]):
         self.config = dict(config)
-        self._lines: list[str] = []  # one rendered event line per record, in order
+        self._records: list[tuple[str, str, str]] = []  # (kind, party, payload) per event
+        self._text: str | None = None  # the serialized text, while no event was added to it
 
         # Derived by the protocol driver while it records events: announced_bases
         # holds uint8 planes, outcomes lists with None where a qubit was lost.
@@ -133,17 +207,31 @@ class Transcript:
         self.adversary: AdversaryRecord | None = None
         self._secrets = None  # simulator-side introspection, never serialized
 
+    @classmethod
+    def view(cls, chunk, row: int) -> "Transcript":
+        """Row ``row`` of ``chunk``, whose ``field(name, row)`` gives each attribute."""
+        tr = object.__new__(cls)
+        tr._chunk, tr._row = chunk, row
+        return tr
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set yet, so only on a view.
+        chunk = self.__dict__.get("_chunk")
+        if chunk is None:
+            raise AttributeError(name)
+        value = self.__dict__[name] = chunk.field(name, self._row)
+        return value
+
     def record(self, kind: str, party: str, payload: str = "-") -> int:
-        """Append an event as its serialized line; returns its sequence number."""
-        seq = len(self._lines) + 1
-        self._lines.append(f"event {seq} {kind} {party} {payload or '-'}")
-        return seq
+        """Append an event; returns its sequence number."""
+        self._records.append((kind, party, payload or "-"))
+        self._text = None
+        return len(self._records)
 
     @property
     def events(self) -> list[Event]:
-        """The recorded events, read back from their lines."""
-        fields = (line.split(" ", 4) for line in self._lines)
-        return [Event(int(seq), kind, party, payload) for _, seq, kind, party, payload in fields]
+        """The recorded events."""
+        return [Event(seq, *rec) for seq, rec in enumerate(self._records, start=1)]
 
     @property
     def detected(self) -> bool:
@@ -151,11 +239,11 @@ class Transcript:
         return self.disagreements > 0
 
     def serialize(self) -> str:
-        cfg = " ".join(f"{k}={v}" for k, v in self.config.items())
-        lines = [FORMAT_HEADER, f"config {cfg}", *self._lines]
-        if self.adversary is not None:
-            lines.extend(self.adversary.lines())
-        return "\n".join(lines) + "\n"
+        if self._text is not None:
+            return self._text
+        tail = "" if self.adversary is None else self.adversary.sections()[0]
+        records = [(kind, party, None, [payload]) for kind, party, payload in self._records]
+        return render([head(self.config)], records, [tail])[0]
 
     def digest(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
@@ -163,11 +251,6 @@ class Transcript:
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.serialize())
-
-
-def record_rows(transcripts: Sequence[Transcript], kind: str, party: str, plane: np.ndarray) -> list[int]:
-    """Record row t of ``plane`` as ``party``'s ``kind`` payload in transcript t; returns the seq numbers."""
-    return [tr.record(kind, party, payload) for tr, payload in zip(transcripts, row_payloads(plane))]
 
 
 @dataclass

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import pathlib
+import statistics
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mpqss import (
     ChannelModel,
@@ -20,6 +23,7 @@ from mpqss import (
     run_experiment,
 )
 from mpqss.cli import OPTIONS, main
+from mpqss.harness import _summary
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -46,6 +50,30 @@ class TestTrialSeeds:
         report = run_experiment(spec)
         solo = run_protocol(replace(spec.protocol, seed=derive_trial_seed(7, 0)))
         assert solo.digest() == report.transcript_digest
+
+
+samples = st.floats(min_value=-1e100, max_value=1e100, allow_subnormal=True)
+
+
+class TestSummary:
+    @given(st.one_of(
+        st.lists(samples, min_size=2, max_size=40),
+        st.lists(st.sampled_from([0.0, 1.0, 0.5, 1 / 3]), min_size=2, max_size=40),
+        st.lists(st.floats(0.0, 1.0), min_size=1000, max_size=1000),
+    ))
+    def test_stderr_is_that_of_statistics_to_the_bit(self, xs):
+        got = _summary(xs)
+        assert got.stderr == statistics.stdev(xs) / len(xs) ** 0.5
+        assert got.mean == statistics.fmean(xs)
+        assert got.samples == len(xs)
+
+    @pytest.mark.parametrize("xs", [[0.0, 0.0], [1.0, 1.0, 1.0], [0.25] * 1000, [0.0, 1.0], [5e-324, 1e100]])
+    def test_edge_samples(self, xs):
+        assert _summary(xs).stderr == statistics.stdev(xs) / len(xs) ** 0.5
+
+    def test_one_sample_and_none(self):
+        assert _summary([0.7]).stderr == 0.0
+        assert (_summary([]).mean, _summary([]).stderr, _summary([]).samples) == (0.0, 0.0, 0)
 
 
 class TestRunExperiment:
@@ -167,10 +195,11 @@ class TestRunExperiment:
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == "3932e5957b282cdd56eece446095c6b4742414f04b2430811bf48f9ec0795de1"
 
-    def test_batched_distillation_report_is_pinned(self):
+    def test_batched_distillation_report_is_pinned(self, monkeypatch):
         """A sweep whose trial 0 aborts, so the message goes out under a later
-        trial's key, and whose keyed trials fill several reconciliation batches;
-        the sha256 is that of the report before reconciliation was batched."""
+        trial's key, and whose keyed trials fill several reconciliation batches
+        (at a budget of 2^12 positions per chunk); the sha256 is that of the
+        report before reconciliation was batched, at any budget."""
         from dataclasses import replace
 
         from mpqss import protocol, run_protocol
@@ -178,7 +207,10 @@ class TestRunExperiment:
         cfg, channel = ProtocolConfig(3, 3, 80), ChannelModel(p_x=0.06)
         spec = ExperimentSpec(cfg, channel, trials=60, metrics=("qber", "block_yield"), seed=3)
         assert run_protocol(replace(cfg, seed=derive_trial_seed(3, 0)), channel).raw_key is None
+        default = run_experiment(spec, otp_message=[1, 0, 1, 1]).to_json()
+        monkeypatch.setattr(protocol, "CHUNK_POSITIONS", 1 << 12)
         report = run_experiment(spec, otp_message=[1, 0, 1, 1])
+        assert report.to_json() == default
         assert report.metrics["block_yield"].samples == 53 > 3 * protocol.trials_per_chunk(cfg)
         assert report.extras == {
             "ciphertext_hex": "5",

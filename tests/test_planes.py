@@ -36,7 +36,16 @@ from mpqss import (
     run_protocol,
     split_for_receivers,
 )
-from mpqss.planes import UNUSABLE, as_plane, check_tally, combined_basis, key_block_mask, random_bits
+from mpqss.planes import (
+    UNUSABLE,
+    as_plane,
+    check_tally,
+    combined_basis,
+    key_block_mask,
+    random_bits,
+    receivers_xor,
+    sift_mask,
+)
 
 bit = st.integers(0, 1)
 qubit_or_lost = st.one_of(st.none(), st.builds(Qubit, bit, bit))
@@ -288,3 +297,23 @@ def test_key_blocks_are_unchecked_and_usable_at_every_receiver(batch, n, blocks_
     assert got.shape == checked.shape
     for at in np.ndindex(*batch, blocks_):
         assert got[at] == (not checked[at] and all(u[at] for u in usable))
+
+
+@given(batch_shapes, st.integers(0, 12), st.data())
+def test_sift_mask_keeps_arrivals_measured_in_the_combined_basis(batch, size, data):
+    count = math.prod(batch) * size
+    arrived = draw_plane(data, count, bool).reshape(*batch, size)
+    guessed, combined = (draw_plane(data, count).reshape(*batch, size) for _ in range(2))
+    assert np.array_equal(sift_mask(arrived), arrived)  # with quantum memory
+    got = sift_mask(arrived, guessed, combined)
+    for at in np.ndindex(*batch, size):
+        assert got[at] == (arrived[at] and guessed[at] == combined[at])
+
+
+@given(batch_shapes, st.integers(1, 5), st.integers(0, 8), st.data())
+def test_receivers_xor_is_the_parity_of_each_blocks_receivers(batch, n, blocks_, data):
+    bits = draw_plane(data, math.prod(batch) * blocks_ * n).reshape(*batch, blocks_, n)
+    got = receivers_xor(bits)
+    assert got.shape == (*batch, blocks_)
+    for at in np.ndindex(*batch, blocks_):
+        assert got[at] == sum(bits[at].tolist()) % 2

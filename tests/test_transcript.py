@@ -42,8 +42,9 @@ from mpqss.transcript import (
     Event,
     Transcript,
     bits_to_str,
+    index_payloads,
     parse,
-    record_rows,
+    row_payloads,
     str_to_plane,
 )
 
@@ -77,7 +78,9 @@ class TestSerialization:
         assert tr.record(KIND_ACK, "bob1") == 1
         assert tr.record(KIND_BASES, "alice1", "0110") == 2
         plane = np.array([[0, 1, 2], [1, 1, 0]], dtype=np.uint8)
-        assert record_rows([tr, Transcript({})], KIND_MEASURED, "bob1", plane) == [3, 1]
+        rows = row_payloads(plane)
+        assert rows == ["01?", "110"]
+        assert [t.record(KIND_MEASURED, "bob1", row) for t, row in zip([tr, Transcript({})], rows)] == [3, 1]
         assert tr.events == [
             Event(1, KIND_ACK, "bob1", "-"),
             Event(2, KIND_BASES, "alice1", "0110"),
@@ -713,6 +716,27 @@ class TestPayloadPlanes:
 
     def test_other_characters_decode_above_every_code(self):
         assert str_to_plane("01?x\x00\x01é").tolist() == [0, 1, 2, 255, 255, 255, 255, 255]
+
+    @pytest.mark.parametrize("indices", [[], [0], [9], [10], [9, 10], [99, 100], [0, 9, 10, 99, 100, 101],
+                                         [2**63 - 1], [5, 10**18, 10**18 + 7]])
+    def test_index_payload_is_the_comma_list(self, indices):
+        want = ",".join(map(str, indices)) or "-"
+        assert index_payloads(np.array(indices, dtype=np.int64), [0, len(indices)]) == [want]
+
+    @given(st.lists(st.lists(st.integers(0, 10**6), max_size=6), max_size=6))
+    def test_index_payloads_render_each_row(self, rows):
+        flat = np.array([i for row in rows for i in row], dtype=np.int64)
+        bounds = np.cumsum([0] + [len(row) for row in rows])
+        assert index_payloads(flat, bounds) == [",".join(map(str, row)) or "-" for row in rows]
+
+    @given(st.lists(st.lists(st.integers(0, 2), max_size=5), max_size=6), st.integers(1, 3))
+    def test_row_payloads_render_each_slice_of_each_leading_row(self, rows, lead):
+        flat = [c for row in rows for c in row]
+        plane = np.array([flat] * lead, dtype=np.uint8).reshape(lead, len(flat))
+        bounds = np.cumsum([0] + [len(row) for row in rows])
+        want = [bits_to_str(bytes(row)) or "-" for row in rows] * lead
+        assert row_payloads(plane, bounds) == want
+        assert row_payloads(plane) == [bits_to_str(bytes(flat)) or "-"] * lead
 
 
 # ---------------------------------------------------------------------------

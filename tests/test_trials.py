@@ -1,5 +1,8 @@
 """The trial-batched engine: run_trials against run_protocol, and seeded digests pinned at 0.2.0."""
 
+import gc
+import itertools
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -15,8 +18,10 @@ from mpqss import (
     OrderingAttack,
     PreparerInsider,
     ProtocolConfig,
+    Transcript,
     Variant,
     protocol,
+    run_chunks,
     run_protocol,
     run_trials,
 )
@@ -25,12 +30,22 @@ from mpqss.channel import LossStrategy
 SUB = LossStrategy.SUBSTITUTE
 
 
+# Every public attribute of a transcript. A view reads each from its chunk on
+# first use, so vars() of a view holds only those read so far.
+PUBLIC = (
+    "config", "announced_bases", "outcomes", "usable", "check_blocks", "compared", "disagreements",
+    "qber", "key_blocks", "raw_key", "reference_key", "efficiency", "sift_rate", "abort_reason",
+    "adversary",
+)
+
+
 def state(tr) -> dict:
     """Everything a transcript holds: events, derived fields, adversary record, rates, keys, secrets.
 
     Planes are compared as lists.
     """
-    out = {name: value for name, value in vars(tr).items() if name != "_secrets"}
+    out = {name: getattr(tr, name) for name in PUBLIC}
+    out["events"] = tr.events
     out["announced_bases"] = {i: bits.tolist() for i, bits in tr.announced_bases.items()}
     if (rec := tr.adversary) is not None:
         planes = (rec.positions, rec.bases, rec.bits, rec.certain)
@@ -121,6 +136,35 @@ class TestAgainstOneTrialRuns:
         assert rows == [1, 1, 1, 1]
         for seed, tr in zip([5, 6], batched):
             assert tr.serialize() == run_protocol(replace(cfg, seed=seed)).serialize()
+
+    def test_public_is_every_public_attribute(self):
+        assert {name for name in vars(Transcript({})) if not name.startswith("_")} == set(PUBLIC)
+
+    def test_views_build_each_mirror_once_from_the_readout_planes(self):
+        cfg = ProtocolConfig(3, 3, 20, quantum_memory=False)
+        [chunk] = run_chunks(cfg, ChannelModel(loss_prob=0.2, p_x=0.02), range(6))
+        readout = chunk.readout
+        for t, tr in enumerate(chunk):
+            assert tr.outcomes is tr.outcomes and tr.usable is tr.usable
+            for l, j in itertools.product(range(1, cfg.receivers + 1), range(cfg.blocks)):
+                lost = readout.lost[t, j, l - 1]
+                assert tr.outcomes[l][j] == (None if lost else readout.outcome[t, j, l - 1])
+                assert tr.usable[l][j] == readout.usable[t, j, l - 1]
+        assert readout.lost.any()
+
+    def test_a_chunk_goes_with_its_last_view_without_the_collector(self):
+        gc.disable()
+        try:
+            [chunk] = run_chunks(ProtocolConfig(2, 3, 6), None, range(3))
+            gone = weakref.ref(chunk)
+            trs = list(chunk)
+            trs[0].serialize(), trs[1].outcomes
+            del chunk
+            assert gone() is not None
+            del trs
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_no_seeds_no_transcripts(self):
         assert list(run_trials(ProtocolConfig(2, 3, 6), None, [])) == []
