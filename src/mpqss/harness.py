@@ -20,19 +20,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import (
-    IDEAL,
-    ChannelModel,
-    ColluderInsider,
-    InterceptResend,
-    OrderingAttack,
-    PreparerInsider,
-)
+from .channel import IDEAL, ChannelModel, InterceptResend, OrderingAttack
 from .errors import ConfigError
 from .config import ProtocolConfig, checked_block_count
-from .postprocessing import bits_to_hex, build_canonical_css, key_rate, otp_send, reconcile_streams
+from .postprocessing import CssPair, StreamResult, bits_to_hex, build_canonical_css, key_rate, otp_send
+from .postprocessing import reconcile_streams
 from .planes import UNUSABLE, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
-from .protocol import expanded_bit_vectors, run_chunks, trials_per_chunk
+from .protocol import expanded_bit_vectors, run_chunks
 
 # The one-trial forms, which run_experiment no longer calls; perfbench/tracing.py
 # spans calls at these names.
@@ -53,6 +47,7 @@ from .transcript import (
     KIND_MEASURED,
     KIND_RAW_KEY,
     KIND_SIFT,
+    Chunk,
     Event,
     Transcript,
     parse,
@@ -61,7 +56,7 @@ from .transcript import (
 
 # Every metric's sampler: the list of a chunk's samples, in trial order, from
 # the chunk's columns. A column is None when no trial of the chunk got that far.
-# block_yield maps to None, as it is sampled per reconciliation batch.
+# block_yield maps to None, as it is sampled as each chunk's keyed trials are reconciled.
 METRICS = {
     "qber": lambda chunk, spec: _column(chunk.qber),
     "detection_prob": lambda chunk, spec: _column(None if chunk.qber is None else chunk.disagreements > 0),
@@ -234,10 +229,8 @@ def _adversary_accuracy(tr: Transcript, cfg: ProtocolConfig, adversary) -> float
     values, _ = expanded_bit_vectors(tr._secrets, cfg)
     if isinstance(adversary, InterceptResend):
         truth, scored = np.bitwise_xor.reduce(values, axis=0), True
-    elif isinstance(adversary, (PreparerInsider, ColluderInsider)):
+    else:  # an insider: the preparer or a colluder
         truth, scored = values[adversary.target - 1], rec.certain
-    else:
-        return None
     hits = scored & (truth[rec.positions] == rec.bits)
     return np.count_nonzero(hits) / len(rec.positions)
 
@@ -250,14 +243,33 @@ def recovered_raw_key(bits, positions, key_blocks, cfg: ProtocolConfig) -> tuple
     return tuple(key[list(key_blocks)].tolist())
 
 
+def _reconcile_keyed(pair: CssPair, chunk: Chunk, seed: int, first: int) -> list[StreamResult]:
+    """The ``StreamResult`` of each trial of ``chunk`` with a key bit, in one pass.
+
+    Row t is trial ``first + t`` and draws from the generator seeded from
+    ``"<seed>:<trial>:pp"``. The generators, about 2.5 KiB each, go when this
+    returns, so none is alive while the next chunk runs.
+    """
+    bounds = chunk.key_bounds.tolist()
+    reference, raw = chunk.reference_key.tobytes(), chunk.raw_key.tobytes()
+    keyed = np.flatnonzero(np.diff(chunk.key_bounds)).tolist()
+    rngs = []
+    for t in keyed:
+        pp_seed = hashlib.sha256(f"{seed}:{first + t}:pp".encode()).digest()
+        rngs.append(random.Random(int.from_bytes(pp_seed[:8], "big")))
+    held = [reference[bounds[t]:bounds[t + 1]] for t in keyed]
+    noisy = [raw[bounds[t]:bounds[t + 1]] for t in keyed]
+    return reconcile_streams(pair, held, noisy, rngs)
+
+
 def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> RunReport:
     """Run ``spec.trials`` independent seeded runs and aggregate the requested metrics.
 
     ``otp_message`` (bits) is encrypted against the first keyed trial's
     distilled key and reported as ciphertext_hex; it needs the block_yield
     metric and refuses when the key runs short. For block_yield the raw keys
-    of a chunk's worth of keyed trials are reconciled in one pass, each with
-    the generator seeded from ``"<seed>:<trial>:pp"``.
+    of each chunk's keyed trials are reconciled in one pass, each with the
+    generator seeded from ``"<seed>:<trial>:pp"``.
     """
     spec.validate()
     samples: dict[str, list[float]] = {name: [] for name in spec.metrics}
@@ -267,26 +279,6 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
     extras: dict = {}
     if otp_message is not None and pair is None:
         raise ConfigError("metrics", "an outgoing message needs the block_yield metric")
-    keyed: list[tuple[int, bytes, bytes]] = []  # (trial, reference key, raw key) awaiting reconciliation
-    batch = trials_per_chunk(spec.protocol)
-
-    def reconcile_keyed() -> None:
-        trials, held, noisy = zip(*keyed)
-        rngs = []
-        for trial in trials:
-            pp_seed = hashlib.sha256(f"{spec.seed}:{trial}:pp".encode()).digest()
-            rngs.append(random.Random(int.from_bytes(pp_seed[:8], "big")))
-        for stream in reconcile_streams(pair, held, noisy, rngs):
-            samples["block_yield"].append(stream.block_yield)
-            if "final_key_hex" not in extras:
-                extras["final_key_hex"] = bits_to_hex(stream.final_alice)
-                extras["final_key_bits"] = len(stream.final_alice)
-                if otp_message is not None:
-                    ciphertext = otp_send(otp_message, [stream.final_alice])
-                    extras["ciphertext_hex"] = bits_to_hex(ciphertext)
-                    extras["message_bits"] = len(otp_message)
-        keyed.clear()
-
     seeds = (derive_trial_seed(spec.seed, trial) for trial in range(spec.trials))
     first = 0  # the trial number of the chunk's first trial
     for chunk in run_chunks(spec.protocol, spec.channel, seeds):
@@ -296,16 +288,17 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
             if METRICS[name] is not None:
                 samples[name].extend(METRICS[name](chunk, spec))
         if pair is not None and chunk.key_bounds is not None:
-            bounds = chunk.key_bounds.tolist()
-            reference, raw = chunk.reference_key.tobytes(), chunk.raw_key.tobytes()
-            for t in np.flatnonzero(np.diff(chunk.key_bounds)).tolist():  # trials with a key bit
-                keyed.append((first + t, reference[bounds[t]:bounds[t + 1]], raw[bounds[t]:bounds[t + 1]]))
-                if len(keyed) == batch:
-                    reconcile_keyed()
+            for stream in _reconcile_keyed(pair, chunk, spec.seed, first):
+                samples["block_yield"].append(stream.block_yield)
+                if "final_key_hex" not in extras:
+                    extras["final_key_hex"] = bits_to_hex(stream.final_alice)
+                    extras["final_key_bits"] = len(stream.final_alice)
+                    if otp_message is not None:
+                        ciphertext = otp_send(otp_message, [stream.final_alice])
+                        extras["ciphertext_hex"] = bits_to_hex(ciphertext)
+                        extras["message_bits"] = len(otp_message)
         first += len(chunk)
         del chunk  # before the next chunk is run
-    if keyed:
-        reconcile_keyed()
 
     combined = hashlib.sha256("".join(digests).encode()).hexdigest()
     return RunReport(

@@ -10,14 +10,14 @@ raw key. Every inter-party hop goes through a channel model that may lose
 qubits, add Pauli noise, or host an adversary.
 
 ``run_chunks`` runs many seeded runs as chunks of trials whose planes are
-stacked on a leading axis, each phase once per chunk. A ``Chunk`` holds every
-result by column, and each trial's ``Transcript`` is a view of its row.
-``run_trials`` yields those views and ``run_protocol`` is the one-trial case.
+stacked on a leading axis, each phase once per chunk. A ``Chunk`` (the record
+table of ``mpqss.transcript``) holds every result by column, and each trial's
+``Transcript`` is its row. ``run_trials`` yields those rows and
+``run_protocol`` is the one-trial case.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -60,11 +60,9 @@ from .transcript import (
     KIND_MEASURED,
     KIND_RAW_KEY,
     KIND_SIFT,
-    AdversaryRecord,
+    Chunk,
     Transcript,
-    head,
     index_payloads,
-    render,
     row_payloads,
 )
 
@@ -110,7 +108,7 @@ def _expand_shares(value_bits: np.ndarray, receivers: int, rng: Rng) -> np.ndarr
     """
     shape = value_bits.shape
     free = random_bits(rng, shape[-1] * (receivers - 1)).reshape(*shape, receivers - 1)
-    parity = value_bits ^ np.bitwise_xor.reduce(free, axis=-1)
+    parity = value_bits ^ receivers_xor(free)
     return np.concatenate([free, parity[..., None]], axis=-1).reshape(*shape[:-1], -1)
 
 
@@ -220,12 +218,9 @@ def split_for_receivers(block: QubitBlock, cfg: ProtocolConfig) -> list[QubitBlo
 
 
 def announce_bases(
-    run: Transcript | Chunk,
-    sender_index: int,
-    basis_bits: Sequence[int] | np.ndarray,
-    cfg: ProtocolConfig,
+    run: Chunk, sender_index: int, basis_bits: Sequence[int] | np.ndarray, cfg: ProtocolConfig
 ) -> None:
-    """Publish one sender's basis string (for a chunk, one row per trial).
+    """Publish one sender's basis string, one row per trial of the chunk.
 
     With ordering enforcement on, this refuses to run until the record holds
     every receiver's ``ack`` event; announcing earlier hands the whole
@@ -239,18 +234,16 @@ def announce_bases(
                 f"sender {sender_index} tried to announce bases before receivers "
                 f"{missing} acknowledged reception"
             )
-    plane = as_plane(basis_bits)
-    payloads = row_payloads(plane)
-    run.record(KIND_BASES, f"alice{sender_index}", payloads[0] if isinstance(run, Transcript) else payloads)
+    plane = as_plane(basis_bits).reshape(len(run), -1)
+    run.record(KIND_BASES, f"alice{sender_index}", row_payloads(plane))
     run.announced_bases[sender_index] = plane
 
 
-def combined_bases(run: Chunk | Sequence[Transcript], cfg: ProtocolConfig) -> np.ndarray:
+def combined_bases(run: Chunk, cfg: ProtocolConfig) -> np.ndarray:
     """Per-position XOR of all announced basis strings (the decoding basis), one row per trial."""
-    announced = [run.announced_bases] if isinstance(run, Chunk) else [t.announced_bases for t in run]
-    if any(len(a) < cfg.senders for a in announced):
+    if len(run.announced_bases) < cfg.senders:
         raise ProtocolStateError("not every sender has announced a basis string")
-    strings = [np.array([a[i] for a in announced]).reshape(len(run), -1) for i in announced[0]]
+    strings = list(run.announced_bases.values())
     shape = (len(run), cfg.blocks, cfg.receivers)
     return np.broadcast_to(combined_basis(strings, cfg.blocks), shape).reshape(len(run), -1)
 
@@ -271,110 +264,6 @@ class Readout:
 def _ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
     """part / whole per trial, 0.0 where whole is 0."""
     return np.divide(part, whole, out=np.zeros(len(whole)), where=whole > 0)
-
-
-# The per-trial columns of a chunk that a view reads as ``column[t]``.
-_COLUMNS = ("check_blocks", "compared", "disagreements", "qber", "efficiency", "sift_rate")
-
-
-class Chunk(Sequence[Transcript]):
-    """The transcripts of a stack of trials, held by column; item t is trial t's view.
-
-    Each phase stores its results for every trial at once: the records, each
-    payload kind rendered once for the chunk; the readout planes; and arrays
-    with an entry or a row per trial for the check tallies and rates, the key
-    bits (trial t's are ``key_bounds[t]:key_bounds[t + 1]``), the attack and
-    the secrets. A view reads its row on first use (``field``), and ``texts``
-    renders every trial's serialized text in one pass.
-    """
-
-    def __init__(self, cfg: ProtocolConfig, seeds: list[int]):
-        self.cfg, self.config, self.seeds = cfg, cfg.snapshot(), seeds
-        self._records: list = []  # (kind, party, rows, payloads), as ``render`` takes them
-        self.announced_bases: dict[int, np.ndarray] = {}  # sender -> (trials, length) plane
-        self.secrets: list[PartySecrets] = []
-        self.aborted = np.zeros(len(seeds), dtype=bool)
-        self.abort_reason: str | None = None  # set when one cause stopped every trial
-        self.readout: Readout | None = None
-        self.check_blocks = self.compared = self.disagreements = self.qber = None  # run_check
-        self.key_bounds = self.key_blocks = self.raw_key = self.reference_key = None  # extract_raw_key
-        self.efficiency = self.sift_rate = None
-        self.adversary: AdversaryRecord | None = None  # positions within each trial
-        self.adversary_bounds = None  # trial t's entries are adversary_bounds[t]:adversary_bounds[t + 1]
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    # Views are made on each access and not kept: a chunk that held its views
-    # would be a reference cycle, which only the garbage collector frees.
-    def __getitem__(self, t: int) -> Transcript:
-        return Transcript.view(self, range(len(self))[t])
-
-    def __iter__(self) -> Iterator[Transcript]:
-        return map(functools.partial(Transcript.view, self), range(len(self)))
-
-    def record(self, kind: str, party: str, payloads="-", rows: np.ndarray | None = None) -> None:
-        """One event in each trial that ``rows`` marks, or in every trial.
-
-        ``payloads`` is one payload for all of them, or one per marked trial.
-        """
-        rows = None if rows is None or rows.all() else rows
-        if isinstance(payloads, str):
-            payloads = [payloads] * (len(self) if rows is None else int(np.count_nonzero(rows)))
-        if rows is not None:
-            given = iter(payloads)
-            payloads = [next(given) if r else "" for r in rows.tolist()]
-        self._records.append((kind, party, rows, payloads))
-
-    def record_planes(self, events: list[tuple[str, str]], planes: np.ndarray, bounds=None, rows=None):
-        """One event per (kind, party), its payloads ``row_payloads(planes[k], bounds)``, rendered at once."""
-        payloads = row_payloads(planes, bounds)
-        per = len(payloads) // len(events)
-        for k, (kind, party) in enumerate(events):
-            self.record(kind, party, payloads[k * per:(k + 1) * per], rows)
-
-    @functools.cached_property
-    def texts(self) -> list[str]:
-        """Every trial's serialized transcript."""
-        before, after = head({**self.config, "seed": "\0"}).split("\0")
-        rec = self.adversary
-        tails = [""] * len(self) if rec is None else rec.sections(self.adversary_bounds)
-        return render([before + str(seed) + after for seed in self.seeds], self._records, tails)
-
-    def field(self, name: str, t: int):
-        """Trial ``t``'s value of the ``Transcript`` attribute ``name``."""
-        if name == "_text":
-            return self.texts[t]
-        if name == "_records":
-            return [(kind, party, payloads[t]) for kind, party, rows, payloads in self._records
-                    if rows is None or rows[t]]
-        if name == "config":
-            return {**self.config, "seed": str(self.seeds[t])}
-        if name == "announced_bases":
-            return {i: plane[t] for i, plane in self.announced_bases.items()}
-        if name == "_secrets":
-            return [s.trial(t) for s in self.secrets]
-        if name == "abort_reason" and self.aborted[t]:
-            threshold = self.cfg.qber_abort_threshold
-            return self.abort_reason or f"error rate {self.qber[t]:.6f} above threshold {threshold:.6f}"
-        column = getattr(self, name) if name in _COLUMNS else None
-        if column is not None:
-            return tuple(column[t].tolist()) if name == "check_blocks" else column[t].item()
-        keyed = self.key_bounds is not None and not self.aborted[t]
-        if name in ("key_blocks", "raw_key", "reference_key") and keyed:
-            return tuple(getattr(self, name)[self.key_bounds[t]:self.key_bounds[t + 1]].tolist())
-        if name in ("outcomes", "usable") and self.readout is not None:  # receiver-major lists
-            lists = (self.readout.outcome if name == "outcomes" else self.readout.usable)[t].T.tolist()
-            if name == "outcomes":  # None where lost
-                for j, c in np.argwhere(self.readout.lost[t]).tolist():
-                    lists[c][j] = None
-            return dict(enumerate(lists, start=1))
-        if name == "adversary" and self.adversary is not None:
-            rec, (a, b) = self.adversary, self.adversary_bounds[t:t + 2]
-            planes = (rec.positions, rec.bases, rec.bits, rec.certain)
-            return AdversaryRecord(rec.kind, *(plane[a:b] for plane in planes))
-        # What the run did not reach, or an unknown name: as on a transcript of its own.
-        return getattr(Transcript({}), name)
 
 
 def run_check(
@@ -504,7 +393,7 @@ def _record_losses(run: Chunk, party: str, lost: np.ndarray) -> None:
 # Trials run together as one stack of planes: as many as fit in this many
 # qubit positions, and at least one. Each numpy call then covers thousands of
 # positions, which amortises its fixed cost: about 1 ms of numpy and Python
-# calls per chunk. A chunk and its records are alive until its last view
+# calls per chunk. A chunk and its records are alive until its last row
 # goes, so the budget also bounds that memory.
 CHUNK_POSITIONS = 1 << 14
 
@@ -587,7 +476,7 @@ def _run_chunk(
 ) -> Chunk:
     """Run one trial per seed as a stack of planes; injected ``secrets`` hold a row per seed."""
     rngs = [random.Random(seed) for seed in seeds]
-    run = Chunk(cfg, seeds)
+    run = Chunk(cfg.snapshot(), seeds)
     m, size = cfg.senders, cfg.total_qubits
 
     senders = run.secrets = generate_secrets(cfg, rngs) if secrets is None else secrets

@@ -15,10 +15,12 @@ payload. Receiver indices and qubit positions are 1-based, block indices
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,12 +139,11 @@ class AdversaryRecord:
     bits: np.ndarray  # uint8: best-guess inferred bit per position
     certain: np.ndarray  # bool: True where the measurement basis provably matched
 
-    def sections(self, bounds=None) -> list[str]:
+    def sections(self, bounds) -> list[str]:
         """The serialized adversary section, each line led by a newline, of every row.
 
-        Row t holds entries ``bounds[t]:bounds[t + 1]``; without ``bounds`` the record is one row.
+        Row t holds entries ``bounds[t]:bounds[t + 1]``.
         """
-        bounds = [0, len(self.positions)] if bounds is None else bounds
         count = len(bounds) - 1
         columns = [[f"\nadversary kind={self.kind}\nadversary positions="] * count,
                    index_payloads(self.positions, bounds)]
@@ -175,75 +176,172 @@ def render(heads: Sequence[str], records, tails: Sequence[str]) -> list[str]:
     return list(map("".join, zip(*columns, tails, ["\n"] * len(heads))))
 
 
-class Transcript:
-    """Everything one run announced, measured, checked, and derived.
+# The per-row columns of a chunk that a row reads as ``column[t]``.
+_COLUMNS = ("check_blocks", "compared", "disagreements", "qber", "efficiency", "sift_rate")
 
-    A transcript of ``run_protocol`` or ``run_trials`` is a view of one row of
-    its chunk (``protocol.Chunk``): each attribute below is read from the
-    chunk's planes on first use and then kept, so reading one twice gives the
-    same object.
+# What a row holds for each field its run never reached. A row reads its other
+# two public attributes, config and announced_bases, from its chunk always.
+UNSET = {
+    "outcomes": {},  # receiver -> outcome list, None where a qubit was lost
+    "usable": {},
+    "check_blocks": (),
+    "compared": 0,
+    "disagreements": 0,
+    "qber": None,
+    "key_blocks": (),
+    "raw_key": None,
+    "reference_key": None,
+    "efficiency": None,
+    "sift_rate": None,  # both rates stay None if nothing was measured
+    "abort_reason": None,
+    "adversary": None,
+    "_secrets": None,  # simulator-side introspection, never serialized
+}
+
+
+class Chunk(Sequence["Transcript"]):
+    """The record table of a stack of runs, held by column; item t is row t, a ``Transcript``.
+
+    Each phase of a run stores its results for every row at once: the records,
+    each payload kind rendered once for the chunk; the readout planes; and
+    arrays with an entry or a row per trial for the check tallies and rates,
+    the key bits (row t's are ``key_bounds[t]:key_bounds[t + 1]``), the attack
+    and the secrets. A row reads its fields on first use (``field``), and
+    ``texts`` renders every row's serialized text in one pass.
+
+    ``config`` is a config snapshot. With ``seeds``, row t runs with
+    ``seeds[t]`` as its seed; without, the chunk is one hand-built row, whose
+    config renders exactly as given and whose record is what ``record`` adds.
+    """
+
+    def __init__(self, config: Mapping[str, str], seeds: Sequence[int] | None = None):
+        self.config, self.seeds = dict(config), seeds
+        self._records: list = []  # (kind, party, rows, payloads), as ``render`` takes them
+        self.announced_bases: dict[int, np.ndarray] = {}  # sender -> (rows, length) plane
+        self.secrets: list = []  # each sender's ``PartySecrets``, a row per trial
+        self.aborted = np.zeros(len(self), dtype=bool)
+        self.abort_reason: str | None = None  # set when one cause stopped every trial
+        self.readout = None  # the ``Readout`` of every row, once measured
+        self.check_blocks = self.compared = self.disagreements = self.qber = None  # run_check
+        self.key_bounds = self.key_blocks = self.raw_key = self.reference_key = None  # extract_raw_key
+        self.efficiency = self.sift_rate = None
+        self.adversary: AdversaryRecord | None = None  # positions within each trial
+        self.adversary_bounds = None  # row t's entries are adversary_bounds[t]:adversary_bounds[t + 1]
+
+    def __len__(self) -> int:
+        return 1 if self.seeds is None else len(self.seeds)
+
+    # Rows are made on each access and not kept: a chunk that held its rows
+    # would be a reference cycle, which only the garbage collector frees.
+    def __getitem__(self, t: int) -> "Transcript":
+        return self._row_at(range(len(self))[t])
+
+    def __iter__(self) -> Iterator["Transcript"]:
+        return map(self._row_at, range(len(self)))
+
+    def _row_at(self, t: int) -> "Transcript":
+        row = object.__new__(Transcript)
+        row._chunk, row._row = self, t
+        return row
+
+    def record(self, kind: str, party: str, payloads="-", rows: np.ndarray | None = None) -> None:
+        """One event in each row that ``rows`` marks, or in every row.
+
+        ``payloads`` is one payload for all of them, or one per marked row.
+        Texts rendered before are dropped.
+        """
+        rows = None if rows is None or rows.all() else rows
+        if isinstance(payloads, str):
+            payloads = [payloads] * (len(self) if rows is None else int(np.count_nonzero(rows)))
+        if rows is not None:
+            given = iter(payloads)
+            payloads = [next(given) if r else "" for r in rows.tolist()]
+        self._records.append((kind, party, rows, payloads))
+        self.__dict__.pop("texts", None)
+
+    def record_planes(self, events: list[tuple[str, str]], planes: np.ndarray, bounds=None, rows=None):
+        """One event per (kind, party), its payloads ``row_payloads(planes[k], bounds)``, rendered at once."""
+        payloads = row_payloads(planes, bounds)
+        per = len(payloads) // len(events)
+        for k, (kind, party) in enumerate(events):
+            self.record(kind, party, payloads[k * per:(k + 1) * per], rows)
+
+    @functools.cached_property
+    def texts(self) -> list[str]:
+        """Every row's serialized transcript."""
+        if self.seeds is None:
+            heads = [head(self.config)]
+        else:
+            before, after = head({**self.config, "seed": "\0"}).split("\0")
+            heads = [before + str(seed) + after for seed in self.seeds]
+        rec = self.adversary
+        tails = [""] * len(self) if rec is None else rec.sections(self.adversary_bounds)
+        return render(heads, self._records, tails)
+
+    def field(self, name: str, t: int):
+        """Row ``t``'s value of the ``Transcript`` attribute ``name``; ``UNSET[name]`` if never reached."""
+        if name == "_text":
+            return self.texts[t]
+        if name == "_records":
+            return [(kind, party, payloads[t]) for kind, party, rows, payloads in self._records
+                    if rows is None or rows[t]]
+        if name == "config":
+            return dict(self.config) if self.seeds is None else {**self.config, "seed": str(self.seeds[t])}
+        if name == "announced_bases":
+            return {i: plane[t] for i, plane in self.announced_bases.items()}
+        if name == "_secrets" and self.secrets:
+            return [s.trial(t) for s in self.secrets]
+        if name == "abort_reason" and self.aborted[t]:
+            threshold = float(self.config["qber_abort_threshold"])
+            return self.abort_reason or f"error rate {self.qber[t]:.6f} above threshold {threshold:.6f}"
+        column = getattr(self, name) if name in _COLUMNS else None
+        if column is not None:
+            return tuple(column[t].tolist()) if name == "check_blocks" else column[t].item()
+        keyed = self.key_bounds is not None and not self.aborted[t]
+        if name in ("key_blocks", "raw_key", "reference_key") and keyed:
+            return tuple(getattr(self, name)[self.key_bounds[t]:self.key_bounds[t + 1]].tolist())
+        if name in ("outcomes", "usable") and self.readout is not None:  # receiver-major lists
+            lists = (self.readout.outcome if name == "outcomes" else self.readout.usable)[t].T.tolist()
+            if name == "outcomes":  # None where lost
+                for j, c in np.argwhere(self.readout.lost[t]).tolist():
+                    lists[c][j] = None
+            return dict(enumerate(lists, start=1))
+        if name == "adversary" and self.adversary is not None:
+            rec, (a, b) = self.adversary, self.adversary_bounds[t:t + 2]
+            planes = (rec.positions, rec.bases, rec.bits, rec.certain)
+            return AdversaryRecord(rec.kind, *(plane[a:b] for plane in planes))
+        if name not in UNSET:
+            raise AttributeError(name)
+        return copy.copy(UNSET[name])
+
+
+class Transcript:
+    """Everything one run announced, measured, checked and derived: a read-only row of a ``Chunk``.
+
+    Each attribute is read from the chunk on first use (``Chunk.field``) and
+    then kept, so reading one twice gives the same object. ``Transcript(config)``
+    is the one row of a fresh hand-built ``Chunk(config)``, with nothing recorded.
     """
 
     def __init__(self, config: Mapping[str, str]):
-        self.config = dict(config)
-        self._records: list[tuple[str, str, str]] = []  # (kind, party, payload) per event
-        self._text: str | None = None  # the serialized text, while no event was added to it
-
-        # Derived by the protocol driver while it records events: announced_bases
-        # holds uint8 planes, outcomes lists with None where a qubit was lost.
-        self.announced_bases: dict[int, np.ndarray] = {}
-        self.outcomes: dict[int, list] = {}
-        self.usable: dict[int, list] = {}
-        self.check_blocks: tuple[int, ...] = ()
-        self.compared: int = 0
-        self.disagreements: int = 0
-        self.qber: float | None = None
-        self.key_blocks: tuple[int, ...] = ()
-        self.raw_key: tuple[int, ...] | None = None
-        self.reference_key: tuple[int, ...] | None = None
-        self.efficiency: float | None = None
-        self.sift_rate: float | None = None  # both rates stay None if nothing was measured
-        self.abort_reason: str | None = None
-        self.adversary: AdversaryRecord | None = None
-        self._secrets = None  # simulator-side introspection, never serialized
-
-    @classmethod
-    def view(cls, chunk, row: int) -> "Transcript":
-        """Row ``row`` of ``chunk``, whose ``field(name, row)`` gives each attribute."""
-        tr = object.__new__(cls)
-        tr._chunk, tr._row = chunk, row
-        return tr
+        self._chunk, self._row = Chunk(config), 0
 
     def __getattr__(self, name: str):
-        # Reached only for an attribute not set yet, so only on a view.
+        # Reached only for an attribute not read yet. An object whose chunk was
+        # never set (as ``copy`` makes one) has nothing to read.
         chunk = self.__dict__.get("_chunk")
         if chunk is None:
             raise AttributeError(name)
         value = self.__dict__[name] = chunk.field(name, self._row)
         return value
 
-    def record(self, kind: str, party: str, payload: str = "-") -> int:
-        """Append an event; returns its sequence number."""
-        self._records.append((kind, party, payload or "-"))
-        self._text = None
-        return len(self._records)
-
     @property
     def events(self) -> list[Event]:
         """The recorded events."""
         return [Event(seq, *rec) for seq, rec in enumerate(self._records, start=1)]
 
-    @property
-    def detected(self) -> bool:
-        """At least one revealed check position disagreed."""
-        return self.disagreements > 0
-
     def serialize(self) -> str:
-        if self._text is not None:
-            return self._text
-        tail = "" if self.adversary is None else self.adversary.sections()[0]
-        records = [(kind, party, None, [payload]) for kind, party, payload in self._records]
-        return render([head(self.config)], records, [tail])[0]
+        return self._text
 
     def digest(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()

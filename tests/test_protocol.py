@@ -33,6 +33,7 @@ from mpqss import (
     run_protocol,
     split_for_receivers,
 )
+from mpqss.transcript import Chunk
 
 
 def kets(qubits):
@@ -254,7 +255,7 @@ class TestHonestRuns:
                 want = 0
                 for b in bits:
                     want ^= b
-                assert combined_bases([tr], cfg)[0, 0] == want
+                assert np.bitwise_xor.reduce(list(tr.announced_bases.values()))[0] == want
                 assert ordering_issues(tr) == []
 
     def test_no_memory_mode_sifts_about_half(self):
@@ -291,36 +292,37 @@ class TestOrdering:
 
     def test_announcement_with_one_ack_missing_is_rejected(self):
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4)
-        tr = Transcript(cfg.snapshot())
+        run = Chunk(cfg.snapshot())
         for l in (1, 2):  # third receiver never confirms
-            tr.record("ack", f"bob{l}")
+            run.record("ack", f"bob{l}")
         with pytest.raises(OrderingError, match=r"\[3\]"):
-            announce_bases(tr, 1, (0, 1) * 6, cfg)
+            announce_bases(run, 1, (0, 1) * 6, cfg)
+        assert [ev.kind for ev in run[0].events] == ["ack", "ack"]  # nothing announced
 
     def test_announcement_after_all_acks_succeeds(self):
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4)
-        tr = Transcript(cfg.snapshot())
+        run = Chunk(cfg.snapshot())
         for l in (1, 2, 3):
-            tr.record("ack", f"bob{l}")
-        announce_bases(tr, 1, (0, 1) * 6, cfg)
-        assert tr.announced_bases[1].tolist() == [0, 1] * 6
-        assert ordering_issues(tr) == []
+            run.record("ack", f"bob{l}")
+        announce_bases(run, 1, (0, 1) * 6, cfg)
+        assert run[0].announced_bases[1].tolist() == [0, 1] * 6
+        assert ordering_issues(run[0]) == []
 
     def test_enforcement_disabled_records_the_violation(self):
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4, enforce_ordering=False)
-        tr = Transcript(cfg.snapshot())
-        announce_bases(tr, 1, (0, 1) * 6, cfg)  # no acks yet, tolerated
+        run = Chunk(cfg.snapshot())
+        announce_bases(run, 1, (0, 1) * 6, cfg)  # no acks yet, tolerated
         for l in (1, 2, 3):
-            tr.record("ack", f"bob{l}")
-        assert ordering_issues(tr) == ["ordering: a basis announcement precedes a reception acknowledgment"]
+            run.record("ack", f"bob{l}")
+        assert ordering_issues(run[0]) == ["ordering: a basis announcement precedes a reception acknowledgment"]
 
     def test_ordering_before_any_announcement_or_ack(self):
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4, enforce_ordering=False)
-        tr = Transcript(cfg.snapshot())
-        assert ordering_issues(tr) == []  # nothing announced yet
-        announce_bases(tr, 1, (0, 1) * 6, cfg)
+        run = Chunk(cfg.snapshot())
+        assert ordering_issues(run[0]) == []  # nothing announced yet
+        announce_bases(run, 1, (0, 1) * 6, cfg)
         # Announced before any receiver acknowledged.
-        assert ordering_issues(tr) == ["ordering: only 0 of 3 receivers acknowledged before announcements"]
+        assert ordering_issues(run[0]) == ["ordering: only 0 of 3 receivers acknowledged before announcements"]
 
     def test_honest_runs_respect_ordering(self):
         tr = run_protocol(ProtocolConfig(senders=2, receivers=2, blocks=4, seed=9))
@@ -349,10 +351,12 @@ class TestRefusals:
 
     def test_combined_bases_needs_every_announcement(self):
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=4, enforce_ordering=False)
-        tr = Transcript(cfg.snapshot())
-        announce_bases(tr, 1, (0, 1) * 6, cfg)
+        run = Chunk(cfg.snapshot())
+        announce_bases(run, 1, (0, 1) * 6, cfg)
         with pytest.raises(ProtocolStateError, match="not every sender"):
-            combined_bases([tr], cfg)
+            combined_bases(run, cfg)
+        announce_bases(run, 2, (1, 1, 0) * 4, cfg)
+        assert combined_bases(run, cfg).tolist() == [[1, 0, 0, 0, 1, 1] * 2]
 
     @pytest.mark.parametrize("check_blocks", [(0, 0), (0, 6), (0,)])
     def test_injected_check_blocks_are_validated(self, check_blocks):

@@ -39,8 +39,8 @@ from mpqss.transcript import (
     KIND_MEASURED,
     KIND_RAW_KEY,
     KIND_SIFT,
+    Chunk,
     Event,
-    Transcript,
     bits_to_str,
     index_payloads,
     parse,
@@ -73,21 +73,30 @@ class TestSerialization:
         with pytest.raises(AttributeError):
             ev.payload = "1"
 
-    def test_record_returns_the_sequence_number_and_events_read_back_the_lines(self):
-        tr = Transcript({"senders": "2"})
-        assert tr.record(KIND_ACK, "bob1") == 1
-        assert tr.record(KIND_BASES, "alice1", "0110") == 2
+    def test_records_are_numbered_per_row_and_events_read_back_the_lines(self):
+        chunk, other = Chunk({"senders": "2"}), Chunk({})
+        chunk.record(KIND_ACK, "bob1")
+        chunk.record(KIND_BASES, "alice1", "0110")
+        assert chunk[0].serialize().splitlines()[2:] == ["event 1 ack bob1 -", "event 2 bases alice1 0110"]
         plane = np.array([[0, 1, 2], [1, 1, 0]], dtype=np.uint8)
         rows = row_payloads(plane)
         assert rows == ["01?", "110"]
-        assert [t.record(KIND_MEASURED, "bob1", row) for t, row in zip([tr, Transcript({})], rows)] == [3, 1]
+        for run, row in zip([chunk, other], rows):
+            run.record(KIND_MEASURED, "bob1", row)
+        assert [run[0].events[-1].seq for run in (chunk, other)] == [3, 1]
+        tr = chunk[0]
         assert tr.events == [
             Event(1, KIND_ACK, "bob1", "-"),
             Event(2, KIND_BASES, "alice1", "0110"),
             Event(3, KIND_MEASURED, "bob1", "01?"),
         ]
-        assert tr.serialize().splitlines()[2:] == [
-            f"event {ev.seq} {ev.kind} {ev.party} {ev.payload}" for ev in tr.events
+        assert other[0].events == [Event(1, KIND_MEASURED, "bob1", "110")]
+        # A hand-built chunk renders its config as given and what was recorded
+        # after its text was first rendered.
+        assert tr.serialize().splitlines() == [
+            "mpqss-transcript v1",
+            "config senders=2",
+            *(f"event {ev.seq} {ev.kind} {ev.party} {ev.payload}" for ev in tr.events),
         ]
         with pytest.raises(AttributeError):
             tr.events = []
@@ -601,6 +610,7 @@ class TestReplayIsTotal:
             (" bases alice3 ", "bases: 2 of 3 senders announced a well-formed basis string"),
             (" check-result ", "check-result: no result recorded for the check"),
             (" check-sender alice1 ", "check-sender: 2 of 3 senders revealed their bits"),
+            (" raw-key all ", "raw-key: passing run recorded no key"),
         ],
     )
     def test_deleted_records_are_issues(self, dropped, expected):

@@ -1,7 +1,9 @@
 """The trial-batched engine: run_trials against run_protocol, and seeded digests pinned at 0.2.0."""
 
+import copy
 import gc
 import itertools
+import pickle
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -26,6 +28,7 @@ from mpqss import (
     run_trials,
 )
 from mpqss.channel import LossStrategy
+from mpqss.transcript import UNSET
 
 SUB = LossStrategy.SUBSTITUTE
 
@@ -138,7 +141,19 @@ class TestAgainstOneTrialRuns:
             assert tr.serialize() == run_protocol(replace(cfg, seed=seed)).serialize()
 
     def test_public_is_every_public_attribute(self):
-        assert {name for name in vars(Transcript({})) if not name.startswith("_")} == set(PUBLIC)
+        # A row reads config and announced_bases from its chunk always, and
+        # every other attribute from it or, if its run never reached it, from UNSET.
+        unset = {name for name in UNSET if not name.startswith("_")}
+        assert {"config", "announced_bases"} | unset == set(PUBLIC)
+        assert {name: getattr(Transcript({}), name) for name in unset} == {name: UNSET[name] for name in unset}
+
+    def test_a_row_without_its_chunk_has_no_attributes_and_copies_rebuild_it(self):
+        bare = object.__new__(Transcript)  # as copy and pickle make a row, before its state
+        with pytest.raises(AttributeError):
+            bare.qber
+        tr = run_protocol(ProtocolConfig(2, 3, 6, seed=1))
+        for twin in (copy.copy(tr), pickle.loads(pickle.dumps(tr))):
+            assert state(twin) == state(tr)
 
     def test_views_build_each_mirror_once_from_the_readout_planes(self):
         cfg = ProtocolConfig(3, 3, 20, quantum_memory=False)
