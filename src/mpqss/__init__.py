@@ -45,7 +45,7 @@ from .harness import (
     replay,
     run_experiment,
 )
-from .planes import QubitBlock
+from .planes import QubitBlock, Substream
 from .postprocessing import (
     CssPair,
     LinearCode,
@@ -92,4 +92,4 @@ from .qubits import (
 )
 from .transcript import AdversaryRecord, Event, Transcript, parse
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -16,13 +16,14 @@ Attack records carry two honest accuracy notions per touched position:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Collection, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError
-from .planes import QubitBlock, Rng, as_plane, random_bits, random_floats
+from .planes import QubitBlock, Substream, as_plane, random_bits
 from .transcript import AdversaryRecord
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
@@ -139,36 +140,47 @@ class TransmitResult:
     intercept: AdversaryRecord | None = None
 
 
-def transmit(block: QubitBlock, ch: ChannelModel, rng: Rng) -> TransmitResult:
-    """Push a block, or a batch of them with one generator each, through one hop.
+def _thresholds(*probabilities: float) -> list[int]:
+    """Each cumulative probability c as ``floor(c * 2**32)``.
+
+    A uniform 32-bit word lies below it with probability ``floor(c * 2**32) / 2**32``;
+    compared in int64, a probability of 1.0 still holds at every word.
+    """
+    return [math.floor(c * 2.0**32) for c in probabilities]
+
+
+def transmit(block: QubitBlock, ch: ChannelModel, stream: Substream) -> TransmitResult:
+    """Push a block, or a batch of them with one seed each, through one hop.
 
     Each position independently: lost with ``loss_prob`` (then deleted or
     substituted per the loss strategy); survivors suffer X/Y/Z noise with the
     configured probabilities and are finally exposed to an attached
     intercept-resend adversary. Positions lost on an earlier hop stay lost.
+    The hop draws from ``stream`` and the adversary from its "attack" phase.
     """
     size = len(block)
     fresh = ~block.lost
     lost = np.zeros_like(fresh)
     if ch.loss_prob > 0.0 or ch.p_x + ch.p_y + ch.p_z > 0.0:
-        # One uniform draw per position: below loss_prob the qubit is lost;
-        # the rest of [0, 1) splits into X, Y, Z and no error in the ratio
-        # p_x : p_y : p_z : rest. X and Y carry an x bit, Y and Z a z bit.
-        u = random_floats(rng, size)
+        # One uniform 32-bit word per position: below the loss threshold the
+        # qubit is lost; the rest of the range splits into X, Y, Z and no error
+        # in the ratio p_x : p_y : p_z : rest. X and Y carry an x bit, Y and Z a z bit.
         kept = 1.0 - ch.loss_prob
         to_x = ch.loss_prob + kept * ch.p_x
         to_y = to_x + kept * ch.p_y
         to_z = to_y + kept * ch.p_z
-        lost = fresh & (u < ch.loss_prob)
-        if ch.loss_strategy is LossStrategy.SUBSTITUTE:
-            block = block.substitute(lost, random_bits(rng, size), random_bits(rng, size))
-        else:
-            block = block.drop(lost)
+        to_loss, to_x, to_y, to_z = _thresholds(ch.loss_prob, to_x, to_y, to_z)
+        # A substituted position takes a fresh value bit and basis bit.
+        substitute = ch.loss_strategy is LossStrategy.SUBSTITUTE
+        words, *fill = stream.draw((32, size), *[(1, size)] * (2 if substitute else 0))
+        u = words.astype(np.int64)
+        lost = fresh & (u < to_loss)
+        block = block.substitute(lost, *fill) if substitute else block.drop(lost)
         survived = fresh & ~lost
         block = block.pauli(survived & (u < to_y), survived & (u >= to_x) & (u < to_z))
     intercept = None
     if isinstance(ch.adversary, InterceptResend):
-        block, intercept = intercept_resend(block, rng, fraction=ch.adversary.fraction)
+        block, intercept = intercept_resend(block, stream.at("attack"), fraction=ch.adversary.fraction)
     return TransmitResult(block, np.flatnonzero(lost), intercept)
 
 
@@ -178,12 +190,13 @@ def _intercept(
     hit: np.ndarray,
     plan: np.ndarray,
     strip,
-    rng: Rng,
+    coins: np.ndarray,
 ) -> tuple[AdversaryRecord, QubitBlock]:
-    """Measure the ``hit`` positions in the planned bases, resend the collapsed
-    states, and XOR a known ``strip`` off the readings."""
+    """Measure the ``hit`` positions in the planned bases, with ``coins`` where
+    the basis mismatches, resend the collapsed states, and XOR a known
+    ``strip`` off the readings."""
     plan = np.broadcast_to(np.asarray(plan, dtype=np.uint8), hit.shape)
-    outcome, resent = block.collapse(hit, plan, random_bits(rng, len(block)))
+    outcome, resent = block.collapse(hit, plan, coins)
     result = AdversaryRecord(
         kind,
         np.flatnonzero(hit),
@@ -203,14 +216,21 @@ def _xor_all(planes):
 
 
 def intercept_resend(
-    block: QubitBlock, rng: Rng, fraction: float = 1.0
+    block: QubitBlock, stream: Substream, fraction: float = 1.0
 ) -> tuple[QubitBlock, AdversaryRecord]:
-    """Standard intercept-resend: random basis per qubit, forward the collapsed state."""
+    """Standard intercept-resend: random basis per qubit, forward the collapsed state.
+
+    Draws, per position, a 32-bit word that picks the intercepted positions
+    (only when ``fraction`` is below 1), then a basis bit and a coin.
+    """
     size = len(block)
     hit = ~block.lost
     if fraction < 1.0:
-        hit &= random_floats(rng, size) < fraction
-    result, resent = _intercept("intercept-resend", block, hit, random_bits(rng, size), 0, rng)
+        words, plan, coins = stream.draw((32, size), (1, size), (1, size))
+        hit &= words.astype(np.int64) < _thresholds(fraction)[0]
+    else:
+        plan, coins = stream.draw((1, size), (1, size))
+    result, resent = _intercept("intercept-resend", block, hit, plan, 0, coins)
     return resent, result
 
 
@@ -218,7 +238,7 @@ def preparer_attack(
     prep_values: Sequence[int],
     prep_bases: Sequence[int],
     block: QubitBlock,
-    rng: Rng,
+    stream: Substream,
 ) -> tuple[AdversaryRecord, QubitBlock]:
     """First sender reads the second sender's bits out of the intercepted block.
 
@@ -227,7 +247,8 @@ def preparer_attack(
     otherwise only the half of the positions left in her basis decode.
     """
     return _intercept(
-        "preparer-insider", block, ~block.lost, as_plane(prep_bases), as_plane(prep_values), rng
+        "preparer-insider", block, ~block.lost, as_plane(prep_bases), as_plane(prep_values),
+        random_bits(stream, len(block)),
     )
 
 
@@ -235,7 +256,7 @@ def collusion_attack(
     known_values: dict[int, Sequence[int]],
     known_bases: dict[int, Sequence[int]],
     block: QubitBlock,
-    rng: Rng,
+    stream: Substream,
 ) -> tuple[AdversaryRecord, QubitBlock]:
     """Pooled-knowledge interception of the block leaving the targeted sender.
 
@@ -246,24 +267,26 @@ def collusion_attack(
     """
     plan = _xor_all(known_bases.values())
     strip = _xor_all(known_values.values())
-    return _intercept("colluder-insider", block, ~block.lost, plan, strip, rng)
+    return _intercept("colluder-insider", block, ~block.lost, plan, strip, random_bits(stream, len(block)))
 
 
 def ordering_attack(
     announced_bases: Sequence[Sequence[int]] | None,
     block: QubitBlock,
-    rng: Rng,
+    stream: Substream,
 ) -> tuple[AdversaryRecord, QubitBlock]:
     """Read the fully encoded block once every basis string is public.
 
     With all announcements in hand the interceptor measures each position in
     the combined basis and recovers the joint encoding bit everywhere, hence
     the whole raw key; with the strings withheld she can only guess bases.
+    Either way she draws a basis bit, used only when blind, then a coin per position.
     """
+    guessed, coins = stream.draw((1, len(block)), (1, len(block)))
     if announced_bases is not None:
         plan = _xor_all(announced_bases)
         kind = "ordering-violation"
     else:
-        plan = random_bits(rng, len(block))
+        plan = guessed
         kind = "ordering-violation-blind"
-    return _intercept(kind, block, ~block.lost, plan, 0, rng)
+    return _intercept(kind, block, ~block.lost, plan, 0, coins)

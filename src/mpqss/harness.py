@@ -49,7 +49,6 @@ from .transcript import (
     KIND_SIFT,
     Chunk,
     Event,
-    Transcript,
     parse,
     str_to_plane,
 )
@@ -63,10 +62,7 @@ METRICS = {
     "key_rate": lambda chunk, spec: list(map(key_rate, _column(chunk.qber))),
     "efficiency": lambda chunk, spec: _column(chunk.efficiency),
     "sift_rate": lambda chunk, spec: _column(chunk.sift_rate),
-    "adversary_accuracy": lambda chunk, spec: [
-        value for tr in chunk
-        if (value := _adversary_accuracy(tr, spec.protocol, spec.channel.adversary)) is not None
-    ],
+    "adversary_accuracy": lambda chunk, spec: _adversary_accuracy(chunk, spec),
     "block_yield": None,
 }
 
@@ -215,24 +211,40 @@ def _stdev(samples: list[float]) -> float:
     return (root << q) / 1 if q >= 0 else root / (1 << -q)
 
 
-def _adversary_accuracy(tr: Transcript, cfg: ProtocolConfig, adversary) -> float | None:
-    """Strategy-appropriate accuracy of the recorded attack, against the run's truth."""
-    rec = tr.adversary
-    if rec is None or not len(rec.positions) or tr._secrets is None:
-        return None
+def _adversary_accuracy(chunk: Chunk, spec: ExperimentSpec) -> list[float]:
+    """Strategy-appropriate accuracy of each trial's recorded attack, against its truth.
+
+    A trial is sampled when its attack touched a position and, for an ordering
+    attack, when it has key bits.
+    """
+    cfg, adversary = spec.protocol, spec.channel.adversary
+    rec, count = chunk.adversary, len(chunk)
+    if rec is None or not chunk.secrets:
+        return []
+    touched = np.diff(chunk.adversary_bounds)
+    trial = np.repeat(np.arange(count), touched)  # the trial of each touched position
     if isinstance(adversary, OrderingAttack):
-        if tr.raw_key is None or not tr.key_blocks:
-            return None
-        recovered = recovered_raw_key(rec.bits, rec.positions, tr.key_blocks, cfg)
-        return np.count_nonzero(np.array(recovered) == tr.raw_key) / len(tr.raw_key)
-    # Each attack's target bit per position; insiders score only where their basis provably matched.
-    values, _ = expanded_bit_vectors(tr._secrets, cfg)
-    if isinstance(adversary, InterceptResend):
-        truth, scored = np.bitwise_xor.reduce(values, axis=0), True
-    else:  # an insider: the preparer or a colluder
-        truth, scored = values[adversary.target - 1], rec.certain
-    hits = scored & (truth[rec.positions] == rec.bits)
-    return np.count_nonzero(hits) / len(rec.positions)
+        if chunk.key_bounds is None:
+            return []
+        # Each key bit's trial, and the interceptor's reading of its block.
+        read = np.zeros((count, cfg.total_qubits), dtype=np.uint8)
+        read[trial, rec.positions] = rec.bits
+        scored = np.diff(chunk.key_bounds)
+        key_trial = np.repeat(np.arange(count), scored)
+        key = receivers_xor(read.reshape(count, cfg.blocks, cfg.receivers))
+        recovered = key[key_trial, chunk.key_blocks]
+        hits = np.bincount(key_trial[recovered == chunk.raw_key], minlength=count)
+        sampled = (touched > 0) & (scored > 0)
+    else:
+        # Each attack's target bit per position; insiders score only where their basis provably matched.
+        values, _ = expanded_bit_vectors(chunk.secrets, cfg)
+        if isinstance(adversary, InterceptResend):
+            truth, certain = np.bitwise_xor.reduce(values, axis=0), True
+        else:  # an insider: the preparer or a colluder
+            truth, certain = values[adversary.target - 1], rec.certain
+        hits = np.bincount(trial[certain & (truth[trial, rec.positions] == rec.bits)], minlength=count)
+        scored, sampled = touched, touched > 0
+    return (hits[sampled] / scored[sampled]).tolist()
 
 
 def recovered_raw_key(bits, positions, key_blocks, cfg: ProtocolConfig) -> tuple[int, ...]:

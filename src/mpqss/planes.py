@@ -6,18 +6,21 @@ basis, plus a mask of lost positions. Each kernel below is one array
 expression doing at every position what the named ``qubits`` function does to
 one qubit. Kernels take their randomness as arrays (masks, bases, coins), so
 they are pure functions; the tests compare them with ``qubits`` position by
-position. The protocol's public rules (combined basis, sift mask, check
-tally, key blocks, key bits) are stated here too, once: the engine applies
-them to its own planes and replay to those it decodes, so replay still checks
-a run independently.
+position. The engine draws those arrays from a run's keyed ``Substream``.
+The protocol's public rules (combined basis, sift mask, check tally, key
+blocks, key bits) are stated here too, once: the engine applies them to its
+own planes and replay to those it decodes, so replay still checks a run
+independently.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
-import random
+import hashlib
+import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -26,50 +29,69 @@ from .qubits import Qubit
 # Plane code of a position that carries no usable outcome; payloads show '?'.
 UNUSABLE = 2
 
-# Each whole-array draw unpacks one ``getrandbits`` call of the run's
-# ``random.Random``, so numpy.random, which ``import numpy`` leaves unloaded,
-# is never loaded. Bytes are read little-endian, so the planes are the same on
-# every platform. ``rng`` is either one generator or a sequence of them, one
-# per trial; a sequence draws one row per generator, each exactly what that
-# generator alone would give, so a batch of trials leaves every trial's
-# stream as it is.
-Rng = Union[random.Random, Sequence[random.Random]]
+# The random stream's version: it keys every draw, so a stream change is a new version.
+STREAM_VERSION = "0.3.0"
+
+# Positions (units of a draw) per digest: a draw's chunk c covers its units
+# [c * STREAM_CHUNK, (c + 1) * STREAM_CHUNK). A multiple of 8, so a chunk of
+# bits is whole bytes.
+STREAM_CHUNK = 1 << 16
 
 
-def _random_bytes(rng: Rng, count: int) -> np.ndarray:
-    """``count`` random bytes per generator: shape (count,), or (trials, count) for a sequence."""
-    if isinstance(rng, random.Random):
-        return np.frombuffer(rng.getrandbits(8 * count).to_bytes(count, "little"), dtype=np.uint8)
-    raw = b"".join([r.getrandbits(8 * count).to_bytes(count, "little") for r in rng])
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rng), count)
+class Substream:
+    """The keyed random draws of one phase of a run, or of a batch of runs.
 
-
-def random_bits(rng: Rng, count: int) -> np.ndarray:
-    """``count`` independent fair bits as a uint8 plane."""
-    raw = _random_bytes(rng, -(-count // 8))
-    return np.unpackbits(raw, axis=-1, count=count, bitorder="little")
-
-
-def random_words(rng: Rng, count: int) -> np.ndarray:
-    """``count`` independent uniform 64-bit integers."""
-    return _random_bytes(rng, 8 * count).view("<u8")
-
-
-def random_coins(rngs: Sequence[random.Random], counts: Sequence[int]) -> np.ndarray:
-    """``counts[r]`` successive ``rngs[r].getrandbits(1)`` bits for every r, one call per generator.
-
-    CPython answers ``getrandbits(1)`` with the top bit of one 32-bit output and
-    ``getrandbits(32 * count)`` with ``count`` whole outputs, the first one
-    lowest, so both give the same bits and leave the generator in the same
-    state. The rows may differ in length and come back concatenated in order.
+    ``seeds`` is one trial seed, or a sequence with one per trial; a sequence
+    draws one row per seed, each exactly what that seed alone would give.
+    Chunk c of ``phase`` is the SHAKE-128 digest of the key
+    ``"<STREAM_VERSION>:<seed>:<phase>:<c>"``, which holds the phase's draws
+    for that chunk one after another, in the order they are asked for. A
+    chunk's bytes thus depend on neither the run's size nor any other phase.
+    Bytes are read little-endian, so the planes are the same on every platform,
+    and no ``numpy.random`` is loaded.
     """
-    raw = b"".join([r.getrandbits(32 * c).to_bytes(4 * c, "little") for r, c in zip(rngs, counts)])
-    return (np.frombuffer(raw, dtype="<u4") >> 31).astype(np.uint8)
+
+    def __init__(self, seeds: int | Sequence[int], phase: str = ""):
+        self.seeds, self.phase = seeds, phase
+        rows = [seeds] if isinstance(seeds, int) else seeds
+        # Each row's key up to the phase.
+        self._heads = [f"{STREAM_VERSION}:{seed}:".encode() for seed in rows]
+
+    def at(self, phase: str) -> "Substream":
+        """The same trials' draws in ``phase``."""
+        sub = copy.copy(self)
+        sub.phase = phase
+        return sub
+
+    def draw(self, *draws: tuple[int, int]) -> list[np.ndarray]:
+        """One plane per (bits per unit, units): 1 gives 0/1 uint8 bits, 32 and 64 unsigned words.
+
+        Each plane has shape (units,), or (trials, units) for a sequence of seeds.
+        """
+        rows, widths = len(self._heads), [width for width, _ in draws]
+        dtypes = [np.uint8 if width == 1 else f"<u{width // 8}" for width in widths]
+        out = [np.empty((rows, units), dtype) for dtype, (_, units) in zip(dtypes, draws)]
+        for c in range(max([1] + [-(-units // STREAM_CHUNK) for _, units in draws])):
+            # Each draw's units in chunk c, and their whole bytes.
+            lo = c * STREAM_CHUNK
+            held = [min(STREAM_CHUNK, max(0, units - lo)) for _, units in draws]
+            sizes = [-(-width * count // 8) for width, count in zip(widths, held)]
+            tail, total = f"{self.phase}:{c}".encode(), sum(sizes)
+            raw = b"".join([hashlib.shake_128(head + tail).digest(total) for head in self._heads])
+            table = np.frombuffer(raw, dtype=np.uint8).reshape(rows, total)
+            starts = itertools.accumulate(sizes, initial=0)
+            for plane, width, count, start, size in zip(out, widths, held, starts, sizes):
+                data = table[:, start:start + size]
+                if width == 1:
+                    plane[:, lo:lo + count] = np.unpackbits(data, axis=1, count=count, bitorder="little")
+                else:
+                    plane[:, lo:lo + count] = data.view(plane.dtype)
+        return [plane[0] for plane in out] if isinstance(self.seeds, int) else out
 
 
-def random_floats(rng: Rng, count: int) -> np.ndarray:
-    """``count`` uniform draws from [0, 1) with the 53-bit resolution of ``random()``."""
-    return (random_words(rng, count) >> 11) * 2.0**-53
+def random_bits(stream: Substream, count: int) -> np.ndarray:
+    """``count`` independent fair bits as a uint8 plane: the phase's one draw."""
+    return stream.draw((1, count))[0]
 
 
 def as_plane(bits) -> np.ndarray:
@@ -81,6 +103,15 @@ def as_plane(bits) -> np.ndarray:
     if plane.size and plane.max() > 1:
         raise ValueError("bits must be 0 or 1")
     return plane
+
+
+def _choose(mask: np.ndarray, a, b):
+    """``np.where(mask, a, b)`` for bits, as bit arithmetic.
+
+    ``np.where`` branches at every position, and on a random mask it is about
+    30x slower than this.
+    """
+    return b ^ ((a ^ b) & mask)
 
 
 @dataclass(eq=False)
@@ -124,7 +155,7 @@ class QubitBlock:
 
     def pauli(self, x: np.ndarray, z: np.ndarray) -> "QubitBlock":
         """``apply_pauli`` with the Pauli whose (x, z) bits are given per position."""
-        return QubitBlock(self.value ^ np.where(self.basis == 0, x, z), self.basis, self.lost)
+        return QubitBlock(self.value ^ _choose(self.basis == 0, x, z), self.basis, self.lost)
 
     def drop(self, mask: np.ndarray) -> "QubitBlock":
         """Delete the masked positions."""
@@ -132,13 +163,11 @@ class QubitBlock:
 
     def substitute(self, mask: np.ndarray, values: np.ndarray, bases: np.ndarray) -> "QubitBlock":
         """Replace the masked positions by the states (values, bases)."""
-        return QubitBlock(
-            np.where(mask, values, self.value), np.where(mask, bases, self.basis), self.lost
-        )
+        return QubitBlock(_choose(mask, values, self.value), _choose(mask, bases, self.basis), self.lost)
 
     def measure(self, bases: np.ndarray, coins: np.ndarray) -> np.ndarray:
         """``qubits.measure`` everywhere: the value where ``bases`` matches, else the coin."""
-        return np.where(self.basis == bases, self.value, coins)
+        return _choose(self.basis == bases, self.value, coins)
 
     def collapse(
         self, mask: np.ndarray, bases: np.ndarray, coins: np.ndarray

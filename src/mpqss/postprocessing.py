@@ -20,9 +20,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DecodeFailure, KeyMaterialError
-from .planes import random_coins
 
 Bits = tuple[int, ...]
+
+
+def random_coins(rngs: Sequence[random.Random], counts: Sequence[int]) -> np.ndarray:
+    """``counts[r]`` successive ``rngs[r].getrandbits(1)`` bits for every r, one call per generator.
+
+    CPython answers ``getrandbits(1)`` with the top bit of one 32-bit output and
+    ``getrandbits(32 * count)`` with ``count`` whole outputs, the first one
+    lowest, so both give the same bits and leave the generator in the same
+    state. The rows may differ in length and come back concatenated in order.
+    """
+    raw = b"".join([r.getrandbits(32 * c).to_bytes(4 * c, "little") for r, c in zip(rngs, counts)])
+    return (np.frombuffer(raw, dtype="<u4") >> 31).astype(np.uint8)
 
 
 def binary_entropy(delta: float) -> float:
@@ -380,14 +391,16 @@ def reconcile(
 class StreamResult:
     final_alice: Bits
     final_bob: Bits
-    blocks_total: int
-    blocks_ok: int  # kept by both sides with agreeing keys (simulation statistic)
+    blocks_total: int  # the padded last block included
+    blocks_ok: int  # unpadded blocks kept by both sides with agreeing keys (simulation statistic)
     blocks_discarded: int  # decode failures, dropped by both sides
     padding: Bits  # publicly announced tail fill, excluded from the final keys
 
     @property
     def block_yield(self) -> float:
-        return self.blocks_ok / self.blocks_total if self.blocks_total else 0.0
+        """The share of unpadded blocks that are ok; 0.0 for a key shorter than one block."""
+        unpadded = self.blocks_total - (len(self.padding) > 0)
+        return self.blocks_ok / unpadded if unpadded else 0.0
 
 
 def reconcile_stream(
@@ -478,7 +491,7 @@ def reconcile_streams(
         return np.bincount(row[mask], minlength=len(rngs)).tolist()
 
     ok, decodable_count, kept_count = (
-        per_row(mask) for mask in (decodable & (key_alice == key_bob), decodable, kept)
+        per_row(mask) for mask in (kept & (key_alice == key_bob), decodable, kept)
     )
     alice, bob = (pair._keys[key[kept]].tobytes() for key in (key_alice, key_bob))
     results, start = [], 0

@@ -19,7 +19,6 @@ table of ``mpqss.transcript``) holds every result by column, and each trial's
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -39,7 +38,7 @@ from .channel import (
 )
 from .config import ProtocolConfig, Variant
 from .errors import ConfigError, OrderingError, ProtocolStateError
-from .planes import UNUSABLE, QubitBlock, Rng, as_plane, random_bits, random_words
+from .planes import UNUSABLE, QubitBlock, Substream, as_plane, random_bits
 from .planes import check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
@@ -100,14 +99,14 @@ class PartySecrets:
         return row
 
 
-def _expand_shares(value_bits: np.ndarray, receivers: int, rng: Rng) -> np.ndarray:
+def _expand_shares(value_bits: np.ndarray, receivers: int, free: np.ndarray) -> np.ndarray:
     """Split each bit into ``receivers`` single-qubit shares with matching XOR.
 
     Uniform over the 2^(n-1) satisfying assignments per block: the first n-1
-    shares are free and the last absorbs the parity.
+    shares are the ``free`` bits, n-1 per block, and the last absorbs the parity.
     """
     shape = value_bits.shape
-    free = random_bits(rng, shape[-1] * (receivers - 1)).reshape(*shape, receivers - 1)
+    free = free.reshape(*shape, receivers - 1)
     parity = value_bits ^ receivers_xor(free)
     return np.concatenate([free, parity[..., None]], axis=-1).reshape(*shape[:-1], -1)
 
@@ -121,29 +120,28 @@ def secret_lengths(cfg: ProtocolConfig) -> tuple[int, int]:
     return cfg.blocks, cfg.blocks
 
 
-def generate_secrets(cfg: ProtocolConfig, rng: Rng) -> list[PartySecrets]:
+def generate_secrets(cfg: ProtocolConfig, stream: Substream) -> list[PartySecrets]:
     """Fresh random strings for every sender, never reused across runs.
 
-    A sender listed in ``omit_hadamard`` skips the basis-mixing step, which is
-    the same as using (and later publishing) an all-zero basis string. One
-    generator gives one trial's planes; a sequence of generators, one per
-    trial, gives planes with one row per trial.
+    Drawn in the "secrets" phase: each sender's value string and basis
+    string in turn, then, in the shared-block variant, the first sender's free
+    shares. A sender listed in ``omit_hadamard`` skips the basis-mixing step,
+    which is the same as using (and later publishing) an all-zero basis
+    string. One seed gives one trial's planes; a sequence of seeds gives planes
+    with one row per trial.
     """
-    single = isinstance(rng, random.Random)
-    rngs = [rng] if single else rng
-    out = []
     n_value, n_basis = secret_lengths(cfg)
+    shared = cfg.variant is Variant.BLOCK_SHARED
+    draws = [(1, n_value), (1, n_basis)] * cfg.senders + [(1, cfg.blocks * (cfg.receivers - 1))] * shared
+    planes = stream.at("secrets").draw(*draws)
+    out = []
     for i in range(1, cfg.senders + 1):
-        value_bits = random_bits(rngs, n_value)
+        value_bits, basis_bits = planes[2 * i - 2], planes[2 * i - 1]
         if i in cfg.omit_hadamard:
-            basis_bits = np.zeros((len(rngs), n_basis), dtype=np.uint8)
-        else:
-            basis_bits = random_bits(rngs, n_basis)
-        shares = None
-        if cfg.variant is Variant.BLOCK_SHARED and i == 1:
-            shares = _expand_shares(value_bits, cfg.receivers, rngs)
+            basis_bits = np.zeros_like(basis_bits)
+        shares = _expand_shares(value_bits, cfg.receivers, planes[-1]) if shared and i == 1 else None
         out.append(PartySecrets(f"alice{i}", value_bits, basis_bits, shares))
-    return [s.trial(0) for s in out] if single else out
+    return out
 
 
 def _check_secret_sizes(secrets: PartySecrets, cfg: ProtocolConfig, first: bool) -> None:
@@ -271,12 +269,12 @@ def run_check(
     cfg: ProtocolConfig,
     values: np.ndarray,
     readout: Readout,
-    rng: Rng,
+    stream: Substream,
     check_blocks: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Reveal a random subset of blocks and compare outcomes against the XOR.
 
-    Takes a chunk and one generator per trial, every sender's per-position
+    Takes a chunk and its trials' stream, every sender's per-position
     value plane as (senders, trials, n*N) and the readout as (trials, N, n),
     whose ``checked`` mask it sets. Aborts a trial when the disagreement rate
     among its comparable revealed positions exceeds the configured threshold.
@@ -287,8 +285,9 @@ def run_check(
     checked = np.zeros((count, blocks), dtype=bool)
     if check_blocks is None:
         # The blocks holding the ``want`` smallest of N independent uniform
-        # keys form a uniformly random subset.
-        keys = random_words(rng, blocks).reshape(count, blocks)
+        # 64-bit keys, drawn in the "check" phase, form a uniformly random subset.
+        [keys] = stream.at("check").draw((64, blocks))
+        keys = keys.reshape(count, blocks)
         np.put_along_axis(checked, np.argpartition(keys, want - 1, axis=1)[:, :want], True, axis=1)
     else:
         chosen = sorted(int(j) for j in check_blocks)
@@ -423,10 +422,10 @@ def run_protocol(
 ) -> Transcript:
     """Execute one full run and return its transcript: ``run_trials`` for one seed.
 
-    Deterministic given (cfg.seed, channel): every draw comes from one
-    ``random.Random`` seeded with cfg.seed, a whole array at a time. ``secrets`` and
-    ``check_blocks`` inject fixed strings and a fixed check selection for
-    reproducing known vectors; normally both are drawn from that generator.
+    Deterministic given (cfg.seed, channel): every draw is a whole array from
+    the keyed substream of one phase of cfg.seed (``planes.Substream``).
+    ``secrets`` and ``check_blocks`` inject fixed strings and a fixed check
+    selection for reproducing known vectors; normally both are drawn.
     """
     channel = _validated(cfg, channel)
     if secrets is not None:
@@ -450,7 +449,7 @@ def run_chunks(cfg: ProtocolConfig, channel: ChannelModel | None, seeds: Iterabl
     """The trials of ``seeds``, in order, as chunks of ``CHUNK_POSITIONS`` positions.
 
     ``cfg.seed`` is ignored. Every phase runs once per chunk on a stack of
-    planes with a row per trial, each row drawing from its trial's own generator.
+    planes with a row per trial, each row drawing from its trial's own substreams.
     """
     channel = _validated(cfg, channel)
     per_chunk = trials_per_chunk(cfg)
@@ -474,33 +473,38 @@ def _run_chunk(
     secrets: list[PartySecrets] | None = None,
     check_blocks: Sequence[int] | None = None,
 ) -> Chunk:
-    """Run one trial per seed as a stack of planes; injected ``secrets`` hold a row per seed."""
-    rngs = [random.Random(seed) for seed in seeds]
+    """Run one trial per seed as a stack of planes; injected ``secrets`` hold a row per seed.
+
+    Each phase draws from its own substream of the trials' seeds: "secrets",
+    "hop<i>" for the hop leaving sender i, "attack", "measure" and "check".
+    A measurement coin does not depend on whether a guessed basis follows it.
+    """
+    stream = Substream(seeds)
     run = Chunk(cfg.snapshot(), seeds)
     m, size = cfg.senders, cfg.total_qubits
 
-    senders = run.secrets = generate_secrets(cfg, rngs) if secrets is None else secrets
+    senders = run.secrets = generate_secrets(cfg, stream) if secrets is None else secrets
     values, basis_vectors = expanded_bit_vectors(senders, cfg)
     adv = channel.adversary
     # An intercept-resend adversary sits on the last hop only.
     inner_hop = replace(channel, adversary=None) if isinstance(adv, InterceptResend) else channel
 
     def hop(block: QubitBlock, leaving: int) -> QubitBlock:
-        res = transmit(block, channel if leaving == m else inner_hop, rngs)
+        res = transmit(block, channel if leaving == m else inner_hop, stream.at(f"hop{leaving}"))
         if len(res.lost) and leaving < m:
             _record_losses(run, f"alice{leaving + 1}", res.block.lost & ~block.lost)
         block = res.block
         attack = res.intercept
         if isinstance(adv, PreparerInsider) and leaving == adv.target:
-            attack, block = preparer_attack(values[0], basis_vectors[0], block, rngs)
+            attack, block = preparer_attack(values[0], basis_vectors[0], block, stream.at("attack"))
         elif isinstance(adv, ColluderInsider) and leaving == adv.target:
             known_values = {i: values[i - 1] for i in adv.pool}
             known_bases = {i: basis_vectors[i - 1] for i in adv.pool if i not in adv.withheld_bases}
-            attack, block = collusion_attack(known_values, known_bases, block, rngs)
+            attack, block = collusion_attack(known_values, known_bases, block, stream.at("attack"))
         elif isinstance(adv, OrderingAttack) and leaving == m:
             # Using announced bases, hop m follows a successful early announcement.
             announced = basis_vectors if adv.use_announced_bases else None  # expanded per position
-            attack, block = ordering_attack(announced, block, rngs)
+            attack, block = ordering_attack(announced, block, stream.at("attack"))
         if attack is not None:  # positions index the stacked planes: trial t's k is t*size + k
             trial, positions = np.divmod(attack.positions, size)
             run.adversary = replace(attack, positions=positions)
@@ -528,10 +532,12 @@ def _run_chunk(
         _record_losses(run, f"bob{l}", received.lost)
         run.record(KIND_ACK, f"bob{l}")
 
+    # A coin per position, then, for receivers without quantum memory, a guessed basis.
+    measuring = stream.at("measure")
     if not cfg.quantum_memory:
         # No storage: measure in guessed bases before any announcement.
-        guesses = random_bits(rngs, size)
-        outcome = block.measure(guesses, random_bits(rngs, size))
+        coins, guesses = measuring.draw((1, size), (1, size))
+        outcome = block.measure(guesses, coins)
         for l in range(1, cfg.receivers + 1):
             run.record(KIND_EARLY_MEASURE, f"bob{l}")
 
@@ -542,13 +548,13 @@ def _run_chunk(
     required = combined_bases(run, cfg)
     if cfg.quantum_memory:
         guesses = None
-        outcome = block.measure(required, random_bits(rngs, size))
+        outcome = block.measure(required, random_bits(measuring, size))
     usable = sift_mask(~block.lost, guesses, required)
     shape = (len(run), cfg.blocks, cfg.receivers)
     readout = Readout(outcome.reshape(shape), block.lost.reshape(shape), usable.reshape(shape))
     _record_readout(run, cfg, readout, None if guesses is None else guesses.reshape(shape))
 
-    passed = run_check(run, cfg, values, readout, rngs, check_blocks=check_blocks)
+    passed = run_check(run, cfg, values, readout, stream, check_blocks=check_blocks)
     if passed.any():
         extract_raw_key(run, cfg, values, readout)
     _finalize_rates(run, cfg, readout)

@@ -20,6 +20,7 @@ from mpqss import (
     PreparerInsider,
     ProtocolConfig,
     Qubit,
+    Substream,
     encode,
     intercept_resend,
     measure,
@@ -31,6 +32,12 @@ from mpqss import (
     run_protocol,
     transmit,
 )
+
+
+
+def fresh(rng):
+    """A keyed substream seeded from ``rng``: each engine call draws afresh."""
+    return Substream(rng.getrandbits(64))
 
 
 def random_block(rng, count):
@@ -50,7 +57,7 @@ class TestChannelModel:
     def test_ideal_channel_is_identity(self):
         rng = random.Random(0)
         _, _, block = random_block(rng, 500)
-        res = transmit(block, ChannelModel(), rng)
+        res = transmit(block, ChannelModel(), fresh(rng))
         assert res.block.qubits == block.qubits
         assert len(res.lost) == 0
         assert res.intercept is None
@@ -58,11 +65,11 @@ class TestChannelModel:
     def test_certain_x_noise_flips_every_z_basis_value(self):
         rng = random.Random(1)
         qubits = [Qubit(k % 2, 0) for k in range(100)]
-        res = transmit(kv.from_qubits(qubits), ChannelModel(p_x=1.0), rng)
+        res = transmit(kv.from_qubits(qubits), ChannelModel(p_x=1.0), fresh(rng))
         assert all(out.value == q.value ^ 1 for out, q in zip(res.block.qubits, qubits))
         # In the swapped basis the flip is pure phase and drops out.
         plus = [Qubit(k % 2, 1) for k in range(100)]
-        res = transmit(kv.from_qubits(plus), ChannelModel(p_x=1.0), rng)
+        res = transmit(kv.from_qubits(plus), ChannelModel(p_x=1.0), fresh(rng))
         assert res.block.qubits == plus
 
     def test_certain_y_and_z_noise_and_noise_on_survivors_only(self):
@@ -70,12 +77,12 @@ class TestChannelModel:
         qubits = [Qubit(k % 2, (k // 2) % 2) for k in range(100)]
         block = kv.from_qubits(qubits)
         # Y flips the value in both bases; Z only in the X basis.
-        res = transmit(block, ChannelModel(p_y=1.0), rng)
+        res = transmit(block, ChannelModel(p_y=1.0), fresh(rng))
         assert res.block.qubits == [Qubit(q.value ^ 1, q.basis) for q in qubits]
-        res = transmit(block, ChannelModel(p_z=1.0), rng)
+        res = transmit(block, ChannelModel(p_z=1.0), fresh(rng))
         assert res.block.qubits == [Qubit(q.value ^ q.basis, q.basis) for q in qubits]
         # With loss and certain X noise, every survivor is flipped in the Z basis.
-        res = transmit(block, ChannelModel(loss_prob=0.5, p_x=1.0), rng)
+        res = transmit(block, ChannelModel(loss_prob=0.5, p_x=1.0), fresh(rng))
         out = res.block.qubits
         assert 0 < len(res.lost) < 100
         for k, (q, after) in enumerate(zip(qubits, out)):
@@ -85,14 +92,14 @@ class TestChannelModel:
                 assert after == Qubit(q.value ^ (1 - q.basis), q.basis)
         # Noise rates hold among survivors: half of them flip at p_x = 0.5.
         zeros = kv.from_qubits([Qubit(0, 0)] * 10_000)
-        res = transmit(zeros, ChannelModel(loss_prob=0.5, p_x=0.5), rng)
+        res = transmit(zeros, ChannelModel(loss_prob=0.5, p_x=0.5), fresh(rng))
         survivors = [q for q in res.block.qubits if q is not None]
         assert abs(sum(q.value for q in survivors) / len(survivors) - 0.5) <= 0.03
 
     def test_removal_loss_fraction_matches_binomial_oracle(self):
         rng = random.Random(2)
         _, _, block = random_block(rng, 10_000)
-        res = transmit(block, ChannelModel(loss_prob=0.1), rng)
+        res = transmit(block, ChannelModel(loss_prob=0.1), fresh(rng))
         lost = len(res.lost)
         assert abs(lost / 10_000 - 0.1) <= 0.01
         assert binomtest(lost, 10_000, 0.1).pvalue >= 0.001
@@ -108,7 +115,7 @@ class TestChannelModel:
         loss = 0.2
         values, bases, block = random_block(rng, 10_000)
         res = transmit(
-            block, ChannelModel(loss_prob=loss, loss_strategy=LossStrategy.SUBSTITUTE), rng
+            block, ChannelModel(loss_prob=loss, loss_strategy=LossStrategy.SUBSTITUTE), fresh(rng)
         )
         assert all(q is not None for q in res.block.qubits)
         disagree = sum(
@@ -121,10 +128,10 @@ class TestChannelModel:
     def test_dead_positions_pass_through(self):
         rng = random.Random(4)
         block = kv.from_qubits([None, Qubit(0, 0)])
-        res = transmit(block, ChannelModel(), rng)
+        res = transmit(block, ChannelModel(), fresh(rng))
         assert res.block.qubits == [None, Qubit(0, 0)]
         # A dead position is not lost a second time.
-        res = transmit(block, ChannelModel(loss_prob=0.5, p_x=1.0), rng)
+        res = transmit(block, ChannelModel(loss_prob=0.5, p_x=1.0), fresh(rng))
         assert res.block.qubits[0] is None and 0 not in res.lost
 
 
@@ -133,7 +140,7 @@ class TestInterceptResend:
         rng = random.Random(5)
         q = Qubit(1, 0)
         for _ in range(200):
-            out, rec = intercept_resend(kv.from_qubits([q]), rng)
+            out, rec = intercept_resend(kv.from_qubits([q]), fresh(rng))
             (pos,) = rec.positions
             if rec.bases[0] == q.basis:
                 assert out.qubits[0] == q
@@ -144,7 +151,7 @@ class TestInterceptResend:
         # Oracle: wrong basis guess (1/2) times a flip on the honest readout (1/2).
         rng = random.Random(6)
         values, bases, block = random_block(rng, 10_000)
-        out, _ = intercept_resend(block, rng)
+        out, _ = intercept_resend(block, fresh(rng))
         flipped = sum(
             1
             for v, b, q in zip(values, bases, out.qubits)
@@ -156,7 +163,7 @@ class TestInterceptResend:
     def test_partial_interception_scales_disturbance_by_f(self, fraction):
         rng = random.Random(int(fraction * 100))
         values, bases, block = random_block(rng, 10_000)
-        out, rec = intercept_resend(block, rng, fraction=fraction)
+        out, rec = intercept_resend(block, fresh(rng), fraction=fraction)
         flipped = sum(
             1
             for v, b, q in zip(values, bases, out.qubits)
@@ -173,7 +180,7 @@ class TestInterceptResend:
         trials = 1000
         for _ in range(trials):
             values, bases, block = random_block(rng, c)
-            out, _ = intercept_resend(block, rng)
+            out, _ = intercept_resend(block, fresh(rng))
             if any(measure(q, b, rng) != v for v, b, q in zip(values, bases, out.qubits)):
                 detected += 1
         assert abs(detected / trials - (1 - 0.75**c)) <= 0.02
@@ -256,7 +263,7 @@ class TestPreparerInsider:
         from mpqss import encode_block, prepare_block
 
         block = encode_block(prepare_block(s1, cfg), s2, 2, cfg)
-        result, resent = preparer_attack(kv.VALUES_1, kv.BASES_1, block, rng)
+        result, resent = preparer_attack(kv.VALUES_1, kv.BASES_1, block, fresh(rng))
         assert tuple(result.bits.tolist()) == kv.VALUES_2
         assert all(result.certain)
         assert resent.qubits == block.qubits  # interception left no trace
@@ -420,7 +427,7 @@ class TestOrderingAttack:
     def test_standalone_attack_function(self):
         rng = random.Random(12)
         values, bases, block = random_block(rng, 600)
-        result, resent = ordering_attack([bases], block, rng)
+        result, resent = ordering_attack([bases], block, fresh(rng))
         assert result.bits.tolist() == values
         assert all(result.certain)
         assert resent.qubits == block.qubits

@@ -174,7 +174,7 @@ class TestRunExperiment:
             )
 
     def test_distilled_report_is_pinned(self):
-        """Seeded report through key distillation and the pad, as version 0.2.0 wrote it."""
+        """Seeded report through key distillation and the pad, as version 0.3.0 wrote it."""
         from mpqss import hex_to_bits
 
         spec = ExperimentSpec(
@@ -191,56 +191,56 @@ class TestRunExperiment:
             "final_key_hex": "b3fd697",
             "message_bits": 16,
         }
-        assert report.metrics["block_yield"].mean == 0.8896551724137931
+        assert report.metrics["block_yield"].mean == 0.8285714285714286
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "3932e5957b282cdd56eece446095c6b4742414f04b2430811bf48f9ec0795de1"
+        assert digest == "cfadb6e555fd617e157962f55e66e29ed1c5b2cb76893c66945d65774cd1c510"
 
     def test_batched_distillation_report_is_pinned(self, monkeypatch):
         """A sweep whose trial 0 aborts, so the message goes out under a later
         trial's key, and whose keyed trials fill several reconciliation batches
         (at a budget of 2^12 positions per chunk); the sha256 is that of the
-        report before reconciliation was batched, at any budget."""
+        report at version 0.3.0, at any budget."""
         from dataclasses import replace
 
         from mpqss import protocol, run_protocol
 
         cfg, channel = ProtocolConfig(3, 3, 80), ChannelModel(p_x=0.06)
-        spec = ExperimentSpec(cfg, channel, trials=60, metrics=("qber", "block_yield"), seed=3)
-        assert run_protocol(replace(cfg, seed=derive_trial_seed(3, 0)), channel).raw_key is None
+        spec = ExperimentSpec(cfg, channel, trials=60, metrics=("qber", "block_yield"), seed=28)
+        assert run_protocol(replace(cfg, seed=derive_trial_seed(28, 0)), channel).raw_key is None
         default = run_experiment(spec, otp_message=[1, 0, 1, 1]).to_json()
         monkeypatch.setattr(protocol, "CHUNK_POSITIONS", 1 << 12)
         report = run_experiment(spec, otp_message=[1, 0, 1, 1])
         assert report.to_json() == default
-        assert report.metrics["block_yield"].samples == 53 > 3 * protocol.trials_per_chunk(cfg)
+        assert report.metrics["block_yield"].samples == 52 > 3 * protocol.trials_per_chunk(cfg)
         assert report.extras == {
-            "ciphertext_hex": "5",
+            "ciphertext_hex": "8",
             "final_key_bits": 5,
-            "final_key_hex": "e8",
+            "final_key_hex": "30",
             "message_bits": 4,
         }
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "3329f8066c304b8ec5423262e544be97d6912f74f403841d2c34a7309ad50812"
+        assert digest == "51961254309d7487551f0673f4defb850251e7ca369ffe25cf19d3d3947a5519"
 
     # One sweep per attack through adversary_accuracy: spec, then the sha256 of
-    # its to_json() report as version 0.2.0 wrote it (seed 40 + the case index).
+    # its to_json() report as version 0.3.0 wrote it (seed 40 + the case index).
     ATTACK_REPORTS = [
         (ProtocolConfig(3, 3, 40, omit_hadamard=frozenset({3})),
          ChannelModel(loss_prob=0.05, adversary=ColluderInsider(3, frozenset({1}))),
-         "4c6519c93a7cb95751038fa24da42704ffb43254cba38c792d81907c0558f9f3"),
+         "f08cc6e8eebb2605e788330f9a7d2836a4b0615360fb3243d5978a4b9c5636ef"),
         (ProtocolConfig(3, 3, 40, enforce_ordering=False),
          ChannelModel(loss_prob=0.05, p_x=0.01, adversary=OrderingAttack()),
-         "1f78d7041b1029bef47449393f9756577717e511720881f8c588badccf96e022"),
+         "c1bca8d1746c0377b7332460c0c8782771ca529ee18ef5e130a44166ab31b7a0"),
         # A blind interceptor errs on a quarter of what it reads; the raised
         # threshold keeps the runs alive, so its key accuracy is sampled.
         (ProtocolConfig(3, 3, 40, qber_abort_threshold=0.4),
          ChannelModel(loss_prob=0.05, adversary=OrderingAttack(use_announced_bases=False)),
-         "709677a2bd5251a72d52d9ff2b717f7728fe20b4788a11a766831d6db322f886"),
+         "d8c56b96d74c4b0ec1685de673da4da6e88bd58a56f1a294933b0d51e200e6f2"),
         (ProtocolConfig(3, 3, 40, quantum_memory=False),
          ChannelModel(loss_prob=0.05, adversary=InterceptResend(fraction=0.2)),
-         "e45f17b671ec5d14692298e3cfbdbb1ca08c12cfdbbe800a87519956d2944674"),
+         "6247701d0fd7c73b4da800b653768ef23db1fa93f4ce895ae3c8aff811971bda"),
         (ProtocolConfig(3, 3, 40, variant=Variant.BLOCK_SHARED),
          ChannelModel(loss_prob=0.05, adversary=PreparerInsider()),
-         "975e786f5802c2b57a62203a981fcc8cfaa936162c57ea091fb730d90761863a"),
+         "a5711a2909ab14f7e4af26c915f4955020f5b3376bc4db57b6ceb30299155243"),
     ]
 
     @pytest.mark.parametrize("case", range(len(ATTACK_REPORTS)))
@@ -257,10 +257,43 @@ class TestRunExperiment:
         assert report.metrics["adversary_accuracy"].samples == 60
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("adversary", [
+        InterceptResend(fraction=0.3), PreparerInsider(), ColluderInsider(3, frozenset({1}), frozenset({1})),
+        OrderingAttack(), OrderingAttack(use_announced_bases=False),
+    ])
+    def test_adversary_accuracy_scores_each_trial_on_its_own(self, adversary, monkeypatch):
+        """The chunk's samples against each trial's row, scored one by one."""
+        import numpy as np
+
+        from mpqss import expanded_bit_vectors, protocol, recovered_raw_key, run_trials
+
+        cfg = ProtocolConfig(3, 3, 12, enforce_ordering=False, qber_abort_threshold=0.4)
+        spec = ExperimentSpec(cfg, ChannelModel(loss_prob=0.2, adversary=adversary), trials=40,
+                              metrics=("adversary_accuracy",), seed=60)
+        monkeypatch.setattr(protocol, "CHUNK_POSITIONS", 200)  # five trials to a chunk
+        want = []
+        for tr in run_trials(cfg, spec.channel, (derive_trial_seed(60, t) for t in range(40))):
+            rec = tr.adversary
+            if isinstance(adversary, OrderingAttack):
+                if tr.raw_key:
+                    recovered = recovered_raw_key(rec.bits, rec.positions, tr.key_blocks, cfg)
+                    want.append(sum(map(int.__eq__, recovered, tr.raw_key)) / len(tr.raw_key))
+                continue
+            values, _ = expanded_bit_vectors(tr._secrets, cfg)
+            if isinstance(adversary, InterceptResend):
+                truth, scored = np.bitwise_xor.reduce(values, axis=0), np.ones(len(rec.bits), bool)
+            else:
+                truth, scored = values[adversary.target - 1], rec.certain
+            if len(rec.positions):
+                want.append(np.count_nonzero(scored & (truth[rec.positions] == rec.bits)) / len(rec.positions))
+        report = run_experiment(spec)
+        assert report.metrics["adversary_accuracy"].samples == len(want) > 0
+        assert report.metrics["adversary_accuracy"] == _summary(want)
+
     def test_ordering_aborted_report_is_pinned(self):
         """Every trial aborts on the early announcement, before anything is
         measured, so no metric takes a sample; the sha256 is that of the report
-        before the ordering gate read the acks from the record."""
+        at version 0.3.0."""
         spec = ExperimentSpec(
             protocol=ProtocolConfig(3, 3, 40),
             channel=ChannelModel(loss_prob=0.05, adversary=OrderingAttack()),
@@ -272,7 +305,7 @@ class TestRunExperiment:
         assert report.abort_rate == 1.0
         assert {name: s.samples for name, s in report.metrics.items()} == dict.fromkeys(spec.metrics, 0)
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "b8590b31d079795bb2344e21e4e8af2f4ed191f384052aa94f62cef53e2719c3"
+        assert digest == "a6b32b795f8589cd015bff129978000aeb66356baf7c8d4563d4974449e4bc4d"
 
     def test_spec_validation_paths(self):
         unvalidated = ProtocolConfig(

@@ -7,7 +7,6 @@ generator that returns it, so matched and mismatched readouts compare exactly.
 
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from mpqss import (
     PreparerInsider,
     ProtocolConfig,
     Qubit,
+    Substream,
     Variant,
     apply_hadamard,
     apply_pauli,
@@ -163,12 +163,12 @@ def insider_reference(qubits, plan, strip, coins):
 def test_insider_collapses_match_per_qubit_readout(qubits, data, seed):
     size = len(qubits)
     block = kv.from_qubits(qubits)
-    # An insider draws exactly one coin per position from the generator.
-    coins = random_bits(random.Random(seed), size)
+    # An insider draws exactly one coin per position from its substream.
+    coins = random_bits(Substream(seed), size)
     live = [k for k, q in enumerate(qubits) if q is not None]
 
     prep_values, prep_bases = draw_plane(data, size), draw_plane(data, size)
-    result, resent = preparer_attack(prep_values, prep_bases, block, random.Random(seed))
+    result, resent = preparer_attack(prep_values, prep_bases, block, Substream(seed))
     bits, certain, want = insider_reference(qubits, prep_bases, prep_values, coins)
     assert result.positions.tolist() == live
     assert result.bases.tolist() == prep_bases[live].tolist()
@@ -177,7 +177,7 @@ def test_insider_collapses_match_per_qubit_readout(qubits, data, seed):
 
     known_values = {1: draw_plane(data, size), 2: draw_plane(data, size)}
     known_bases = {1: draw_plane(data, size)}  # sender 2 withholds her basis string
-    result, resent = collusion_attack(known_values, known_bases, block, random.Random(seed))
+    result, resent = collusion_attack(known_values, known_bases, block, Substream(seed))
     bits, certain, want = insider_reference(
         qubits, known_bases[1], known_values[1] ^ known_values[2], coins
     )
@@ -206,7 +206,7 @@ def governing_bits(secrets, k, cfg, first):
 )
 def test_sender_chain_matches_per_qubit_path(variant, senders, receivers, blocks_, seed):
     cfg = ProtocolConfig(senders, receivers, blocks_, variant=variant, seed=seed)
-    secrets = generate_secrets(cfg, random.Random(seed))
+    secrets = generate_secrets(cfg, Substream(seed))
     block = prepare_block(secrets[0], cfg)
     for i in range(2, senders + 1):
         block = encode_block(block, secrets[i - 1], i, cfg)

@@ -243,10 +243,25 @@ class TestReconcile:
         rng = random.Random(4)
         held = [rng.getrandbits(1) for _ in range(20)]  # 2 full blocks + 6 spare
         res = reconcile_stream(pair, held, list(held), rng)
-        assert res.blocks_total == 3 and res.blocks_ok == 3
+        assert res.blocks_total == 3 and res.blocks_ok == 2  # the padded block is not ok
         assert len(res.padding) == 1
         assert len(res.final_alice) == 2  # padded block contributes nothing
         assert res.final_alice == res.final_bob
+        assert res.block_yield == 1.0  # of the two unpadded blocks
+
+    def test_a_key_shorter_than_one_block_yields_nothing(self, pair):
+        # A 3-bit raw key is one block, mostly padding: it distills no bit, and
+        # its yield is 0.0, not the 1.0 of counting the padded block as kept.
+        from mpqss import ExperimentSpec, ProtocolConfig, run_experiment
+
+        res = reconcile_stream(pair, (1, 0, 1), (1, 0, 1), random.Random(0))
+        assert (res.blocks_total, res.blocks_ok, len(res.padding)) == (1, 0, 4)
+        assert res.final_alice == () and res.block_yield == 0.0
+        assert reconcile_stream(pair, (), (), random.Random(0)).block_yield == 0.0
+        spec = ExperimentSpec(ProtocolConfig(2, 3, 6), trials=2, metrics=("block_yield",))
+        report = run_experiment(spec)
+        assert report.extras["final_key_bits"] == 0
+        assert report.metrics["block_yield"].mean == 0.0
 
     def test_stream_requires_equal_lengths(self, pair):
         with pytest.raises(ValueError):
@@ -421,8 +436,8 @@ class ReferencePair:
                 dropped += 1
                 continue
             key_a, key_b = self.key(u), self.key(decoded)
-            ok += key_a == key_b
             if not (padding and start + n >= len(held)):
+                ok += key_a == key_b
                 alice.extend(key_a)
                 bob.extend(key_b)
         return StreamResult(tuple(alice), tuple(bob), total, ok, dropped, tuple(padding))

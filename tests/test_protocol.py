@@ -17,6 +17,7 @@ from mpqss import (
     ProtocolStateError,
     Qubit,
     QubitBlock,
+    Substream,
     Transcript,
     Variant,
     announce_bases,
@@ -332,7 +333,7 @@ class TestOrdering:
 class TestRefusals:
     def test_batched_secrets_are_refused(self):
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=6)
-        batch = generate_secrets(cfg, [random.Random(1), random.Random(2)])
+        batch = generate_secrets(cfg, Substream([1, 2]))
         with pytest.raises(ConfigError, match="secrets: alice1: expected one trial's strings"):
             run_protocol(cfg, secrets=batch)
 
@@ -397,7 +398,7 @@ class TestVariants:
 
     def test_shared_block_shares_xor_to_the_value_bit(self):
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=8, variant=Variant.BLOCK_SHARED, seed=3)
-        secrets = generate_secrets(cfg, random.Random(3))
+        secrets = generate_secrets(cfg, Substream(3))
         first = secrets[0]
         for j in range(cfg.blocks):
             parity = 0

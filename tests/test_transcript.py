@@ -828,7 +828,7 @@ class TestAdversarySection:
         verdict = replay(text)
         assert not verdict.ok
         assert "adversary: position 999 is outside [0, 30)" in verdict.issues
-        assert "adversary: bits has 6 entries, expected 7" in verdict.issues
+        assert "adversary: bits has 9 entries, expected 10" in verdict.issues
 
     def test_bits_outside_the_alphabet_are_flagged(self):
         text = edit_adversary(intercepted_run(), "bits", lambda b: "zz" + b[2:])
@@ -839,7 +839,7 @@ class TestAdversarySection:
         [
             ("positions", lambda p: ",".join(reversed(p.split(","))), "adversary: positions are not strictly increasing"),
             ("positions", lambda p: p.replace(",", ";", 1), "adversary: positions is not a comma list of qubit positions"),
-            ("certain", lambda c: c[1:], "adversary: certain has 5 entries, expected 6"),
+            ("certain", lambda c: c[1:], "adversary: certain has 8 entries, expected 9"),
             ("kind", lambda k: "", "adversary: no kind recorded"),
         ],
     )

@@ -1,4 +1,4 @@
-"""The trial-batched engine: run_trials against run_protocol, and seeded digests pinned at 0.2.0."""
+"""The trial-batched engine: run_trials against run_protocol, and seeded digests pinned at 0.3.0."""
 
 import copy
 import gc
@@ -67,9 +67,9 @@ def batched_rows(cfg, channel, seeds) -> tuple[list, list[int]]:
     rows = []
     real = protocol.transmit
 
-    def counted(block, ch, rng):
+    def counted(block, ch, stream):
         rows.append(block.value.shape[0])
-        return real(block, ch, rng)
+        return real(block, ch, stream)
 
     with mock.patch.object(protocol, "transmit", counted):
         return list(run_trials(cfg, channel, seeds)), rows
@@ -189,41 +189,43 @@ class TestAgainstOneTrialRuns:
             run_trials(ProtocolConfig(2, 3, 6), ChannelModel(loss_prob=2.0), [1])
 
 
-# run_protocol(...).digest() of each config, recorded with mpqss 0.2.0 before
-# trials were batched: seeded transcripts must stay byte-identical.
+# run_protocol(...).digest() of each config, recorded with mpqss 0.3.0 when
+# draws became keyed substreams: seeded transcripts must stay byte-identical.
+# The ninth aborts on the ordering gate before its first draw, so its digest
+# is the one 0.2.0 recorded.
 PINNED = [
     (ProtocolConfig(3, 3, 40, seed=1), ChannelModel(),
-     "3eac9f6f9292d8a471fe5359a770fe256da7befbe5cb3bc92a3c3d10e79c9e2c"),
+     "b567c6ec999ef5003b3554964f828c57d8785d5a178d902c140bdd4a7f683d8b"),
     (ProtocolConfig(3, 3, 40, quantum_memory=False, seed=2), ChannelModel(p_x=0.02),
-     "6184592a0d13e35d8c5024ff7c40b4c32194d2ec3275edabd5866bf021a7848c"),
+     "529dca42afea8f0a9a0e2b97340f3ee7635e637a5d32d09674bff8c00eddc5ae"),
     (ProtocolConfig(2, 4, 25, Variant.BLOCK_BASIS, seed=3), ChannelModel(loss_prob=0.15, p_x=0.03),
-     "adb87cf333a842bcfaebc577804b798b9cfd467eeb048c734741b9ae0d90dbf9"),
+     "0f3a61367c6bc5482aa4fa344dfa4796be790eef2e428ae8300097bfb853cb8a"),
     (ProtocolConfig(4, 5, 17, Variant.BLOCK_SHARED, quantum_memory=False, seed=4),
      ChannelModel(loss_prob=0.05, p_z=0.01, loss_strategy=SUB),
-     "b9b56e16602e0ca78b36105c1b7609acce2af5a3a1a256a9c61037268a49bd3c"),
+     "5fec1e498029f205052d80221555aeb76f538061b76ca523c05380e5d8dcb96d"),
     (ProtocolConfig(3, 2, 30, quantum_memory=False, seed=5),
      ChannelModel(loss_prob=0.05, adversary=InterceptResend(fraction=0.1)),
-     "3b1546d7ede91ae96aeaa0f927a5ca07581b16d2c9540566854bd159587965d3"),
+     "610cf8ee9f74af1e168894ce7d07a0da13d2616149d06eea619efe6b5ae7fc26"),
     (ProtocolConfig(3, 3, 20, Variant.BLOCK_BASIS, omit_hadamard=frozenset({2}), seed=6),
      ChannelModel(loss_prob=0.05, loss_strategy=SUB, adversary=PreparerInsider()),
-     "7e517951f69ba728f49bdf756853d9ae799d69bdcb7abd4fc6b659072e8461bc"),
+     "203df9b87ffe90c8a06df102884fe0c2721e5b8d0fb6dacf5c198230524ad7a3"),
     (ProtocolConfig(4, 3, 24, seed=7), ChannelModel(p_y=0.02, adversary=ColluderInsider(target=3)),
-     "b7c1b12d0f231b07f8a96114df1a14728e3d6467989f671079297867ccab2057"),
+     "aa2e42463f9e60c4bfc409f23c48b56328431837d4f18f54530e008eeed7db92"),
     (ProtocolConfig(4, 3, 16, Variant.BLOCK_SHARED, quantum_memory=False, seed=8),
      ChannelModel(adversary=ColluderInsider(4, frozenset({1, 2}), frozenset({2}))),
-     "e3d0234d0abbab8ff02ae6ea4f8f82024f2e61debf4c00a19191832d639492c4"),
+     "178aa2c542d181c2c367260905b75ef6d749b9ae31360b21cbbe132209949ebf"),
     (ProtocolConfig(2, 3, 20, seed=9), ChannelModel(adversary=OrderingAttack()),
      "0ab5934020f446e914b7406ecd88d8e393880e1f76d4b538ba48f9603fa0608f"),
     (ProtocolConfig(2, 3, 20, enforce_ordering=False, seed=10), ChannelModel(adversary=OrderingAttack()),
-     "ede4d8553dec0e86a1afbc3ee68f6f02860b0be0ba4729346476a996de606854"),
+     "edc0d9b633409bd45cfd2195250f318bae142574dfbc623b29a0e07cf20b954d"),
     (ProtocolConfig(3, 3, 12, Variant.BLOCK_BASIS, quantum_memory=False, seed=11),
      ChannelModel(loss_prob=0.1, adversary=OrderingAttack(use_announced_bases=False)),
-     "c69a91e2eaf516b9ebe1b3759819d08b614f2aeaf5b9d37be3cf549324cc3143"),
+     "9203e2d757a698363af6264dc3b775f77385ab26c878f3bb98bdd746918b91a7"),
     (ProtocolConfig(3, 3, 40, seed=12), ChannelModel(p_x=0.3),
-     "960a5fcb9769eeb4f6a107b3fd43fa2b82f3eadeff04cd296557a2c0d1ec0e28"),
+     "95174849e82031ae9fa4108c32517924c57d26a8cac688af3c1bc0797e468aa6"),
     (ProtocolConfig(2, 2, 5, check_fraction=0.25, quantum_memory=False, seed=2**64 - 1),
      ChannelModel(loss_prob=0.3, p_x=0.05),
-     "52d5f46b933ffb3d3f4483524e05106ff113d3ccc3a5bb658c854f5fef304e97"),
+     "f9a1584096ea741a3f680034750d68a7d6e0bb8d3016ad06aea29bccdd5abff6"),
 ]
 
 
