@@ -143,8 +143,8 @@ class TransmitResult:
 def _thresholds(*probabilities: float) -> list[int]:
     """Each cumulative probability c as ``floor(c * 2**32)``.
 
-    A uniform 32-bit word lies below it with probability ``floor(c * 2**32) / 2**32``;
-    compared in int64, a probability of 1.0 still holds at every word.
+    A uniform 32-bit word lies below it with probability ``floor(c * 2**32) / 2**32``; numpy
+    compares uint32 words with an int exactly, so a probability of 1.0 (2**32) holds at every word.
     """
     return [math.floor(c * 2.0**32) for c in probabilities]
 
@@ -173,11 +173,10 @@ def transmit(block: QubitBlock, ch: ChannelModel, stream: Substream) -> Transmit
         # A substituted position takes a fresh value bit and basis bit.
         substitute = ch.loss_strategy is LossStrategy.SUBSTITUTE
         words, *fill = stream.draw((32, size), *[(1, size)] * (2 if substitute else 0))
-        u = words.astype(np.int64)
-        lost = fresh & (u < to_loss)
+        lost = fresh & (words < to_loss)
         block = block.substitute(lost, *fill) if substitute else block.drop(lost)
         survived = fresh & ~lost
-        block = block.pauli(survived & (u < to_y), survived & (u >= to_x) & (u < to_z))
+        block = block.pauli(survived & (words < to_y), survived & (words >= to_x) & (words < to_z))
     intercept = None
     if isinstance(ch.adversary, InterceptResend):
         block, intercept = intercept_resend(block, stream.at("attack"), fraction=ch.adversary.fraction)
@@ -227,7 +226,7 @@ def intercept_resend(
     hit = ~block.lost
     if fraction < 1.0:
         words, plan, coins = stream.draw((32, size), (1, size), (1, size))
-        hit &= words.astype(np.int64) < _thresholds(fraction)[0]
+        hit &= words < _thresholds(fraction)[0]
     else:
         plan, coins = stream.draw((1, size), (1, size))
     result, resent = _intercept("intercept-resend", block, hit, plan, 0, coins)

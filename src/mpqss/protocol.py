@@ -60,9 +60,9 @@ from .transcript import (
     KIND_RAW_KEY,
     KIND_SIFT,
     Chunk,
+    Pending,
     Transcript,
     index_payloads,
-    row_payloads,
 )
 
 
@@ -232,8 +232,8 @@ def announce_bases(
                 f"sender {sender_index} tried to announce bases before receivers "
                 f"{missing} acknowledged reception"
             )
-    plane = as_plane(basis_bits).reshape(len(run), -1)
-    run.record(KIND_BASES, f"alice{sender_index}", row_payloads(plane))
+    plane = as_plane(basis_bits).reshape(len(run), -1)  # a copy, so the caller's array stays theirs
+    run.record_planes([(KIND_BASES, f"alice{sender_index}")], plane)
     run.announced_bases[sender_index] = plane
 
 
@@ -297,11 +297,13 @@ def run_check(
     readout.checked = checked
     flat = np.flatnonzero(checked)  # trial t's block j is row t*N + j
     run.check_blocks = flat.reshape(count, want) % blocks
-    run.record(KIND_CHECK_SELECT, "all", index_payloads(run.check_blocks, np.arange(count + 1) * want))
+    bounds = np.arange(count + 1) * want
+    run.record(KIND_CHECK_SELECT, "all", Pending(index_payloads, run.check_blocks, bounds, 1, 0))
 
     # Reveal order: checked blocks ascending, receivers ascending within each.
+    # ``take`` gathers into a fresh contiguous array, which the XOR below reduces fast.
     shape = (count, want, n)
-    sent = values.reshape(len(values), count * blocks, n)[:, flat].reshape(len(values), *shape)
+    sent = values.reshape(len(values), count * blocks, n).take(flat, axis=1).reshape(len(values), *shape)
     run.record_planes([(KIND_CHECK_SENDER, f"alice{i}") for i in range(1, len(sent) + 1)],
                       sent.reshape(len(sent), count, -1))
     usable = readout.usable.reshape(-1, n)[flat].reshape(shape)
@@ -386,7 +388,7 @@ def _record_losses(run: Chunk, party: str, lost: np.ndarray) -> None:
     """A loss bitmap (one row per trial) in every trial whose row marks a loss."""
     marked = lost.any(axis=1)
     if marked.any():
-        run.record(KIND_LOSS, party, row_payloads(lost[marked]), marked)
+        run.record_planes([(KIND_LOSS, party)], lost[marked], rows=marked)  # a copy of the marked rows
 
 
 # Trials run together as one stack of planes: as many as fit in this many

@@ -20,7 +20,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,15 +199,32 @@ UNSET = {
 }
 
 
+class Pending(NamedTuple):
+    """Record ``k`` of the ``events`` records whose payloads ``render(plane, bounds)`` gives in turn.
+
+    ``render`` is ``row_payloads`` or ``index_payloads``, and runs when the
+    text is first read. The plane and bounds are held, not copied, so no one
+    may write them afterwards: ``Chunk.record`` makes the plane read-only, and
+    the engine hands over arrays of its own.
+    """
+
+    render: Callable[..., list[str]]
+    plane: np.ndarray
+    bounds: np.ndarray | None
+    events: int
+    k: int
+
+
 class Chunk(Sequence["Transcript"]):
     """The record table of a stack of runs, held by column; item t is row t, a ``Transcript``.
 
     Each phase of a run stores its results for every row at once: the records,
-    each payload kind rendered once for the chunk; the readout planes; and
-    arrays with an entry or a row per trial for the check tallies and rates,
-    the key bits (row t's are ``key_bounds[t]:key_bounds[t + 1]``), the attack
-    and the secrets. A row reads its fields on first use (``field``), and
-    ``texts`` renders every row's serialized text in one pass.
+    each payload kind kept as its plane until the text is first read, then
+    rendered once for the chunk; the readout planes; and arrays with an entry
+    or a row per trial for the check tallies and rates, the key bits (row t's
+    are ``key_bounds[t]:key_bounds[t + 1]``), the attack and the secrets. A
+    row reads its fields on first use (``field``), and ``texts`` renders every
+    row's serialized text in one pass.
 
     ``config`` is a config snapshot. With ``seeds``, row t runs with
     ``seeds[t]`` as its seed; without, the chunk is one hand-built row, whose
@@ -216,7 +233,8 @@ class Chunk(Sequence["Transcript"]):
 
     def __init__(self, config: Mapping[str, str], seeds: Sequence[int] | None = None):
         self.config, self.seeds = dict(config), seeds
-        self._records: list = []  # (kind, party, rows, payloads), as ``render`` takes them
+        self._records: list = []  # (kind, party, rows, payloads), as ``record`` takes them until rendered
+        self._final = 0  # how many records ``_rendered`` has rendered
         self.announced_bases: dict[int, np.ndarray] = {}  # sender -> (rows, length) plane
         self.secrets: list = []  # each sender's ``PartySecrets``, a row per trial
         self.aborted = np.zeros(len(self), dtype=bool)
@@ -247,24 +265,43 @@ class Chunk(Sequence["Transcript"]):
     def record(self, kind: str, party: str, payloads="-", rows: np.ndarray | None = None) -> None:
         """One event in each row that ``rows`` marks, or in every row.
 
-        ``payloads`` is one payload for all of them, or one per marked row.
-        Texts rendered before are dropped.
+        ``payloads`` is one payload for all of them, one per marked row, or a
+        ``Pending`` that renders those. Texts rendered before are dropped.
         """
         rows = None if rows is None or rows.all() else rows
         if isinstance(payloads, str):
             payloads = [payloads] * (len(self) if rows is None else int(np.count_nonzero(rows)))
-        if rows is not None:
-            given = iter(payloads)
-            payloads = [next(given) if r else "" for r in rows.tolist()]
+        elif isinstance(payloads, Pending):
+            payloads.plane.flags.writeable = False
         self._records.append((kind, party, rows, payloads))
         self.__dict__.pop("texts", None)
 
     def record_planes(self, events: list[tuple[str, str]], planes: np.ndarray, bounds=None, rows=None):
-        """One event per (kind, party), its payloads ``row_payloads(planes[k], bounds)``, rendered at once."""
-        payloads = row_payloads(planes, bounds)
-        per = len(payloads) // len(events)
+        """One event per (kind, party), its payloads ``row_payloads(planes[k], bounds)`` on first read."""
         for k, (kind, party) in enumerate(events):
-            self.record(kind, party, payloads[k * per:(k + 1) * per], rows)
+            self.record(kind, party, Pending(row_payloads, planes, bounds, len(events), k), rows)
+
+    def _rendered(self) -> list:
+        """The records, each with one payload string per row ('' where the row lacks it).
+
+        Records added since the last call are rendered in place, each plane in
+        one pass for all the records that share it.
+        """
+        done: dict[tuple, list[str]] = {}  # the payloads of each plane rendered in this call
+        for i in range(self._final, len(self._records)):
+            kind, party, rows, payloads = self._records[i]
+            if isinstance(payloads, Pending):
+                group = (payloads.render, id(payloads.plane), id(payloads.bounds), payloads.events)
+                if group not in done:
+                    done[group] = payloads.render(payloads.plane, payloads.bounds)
+                per = len(done[group]) // payloads.events
+                payloads = done[group][payloads.k * per:(payloads.k + 1) * per]
+            if rows is not None:
+                given = iter(payloads)
+                payloads = [next(given) if r else "" for r in rows.tolist()]
+            self._records[i] = (kind, party, rows, payloads)
+        self._final = len(self._records)
+        return self._records
 
     @functools.cached_property
     def texts(self) -> list[str]:
@@ -276,14 +313,14 @@ class Chunk(Sequence["Transcript"]):
             heads = [before + str(seed) + after for seed in self.seeds]
         rec = self.adversary
         tails = [""] * len(self) if rec is None else rec.sections(self.adversary_bounds)
-        return render(heads, self._records, tails)
+        return render(heads, self._rendered(), tails)
 
     def field(self, name: str, t: int):
         """Row ``t``'s value of the ``Transcript`` attribute ``name``; ``UNSET[name]`` if never reached."""
         if name == "_text":
             return self.texts[t]
         if name == "_records":
-            return [(kind, party, payloads[t]) for kind, party, rows, payloads in self._records
+            return [(kind, party, payloads[t]) for kind, party, rows, payloads in self._rendered()
                     if rows is None or rows[t]]
         if name == "config":
             return dict(self.config) if self.seeds is None else {**self.config, "seed": str(self.seeds[t])}

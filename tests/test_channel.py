@@ -206,7 +206,8 @@ class TestInterceptResend:
         assert mi < 0.01
 
     def test_full_protocol_interception_raises_qber_to_one_quarter(self):
-        cfg = ProtocolConfig(senders=2, receivers=4, blocks=1250, seed=99)
+        # 6,250 checked blocks of 4 receivers: 25,000 reveals, so +-0.02 is 7.3 sigma.
+        cfg = ProtocolConfig(senders=2, receivers=4, blocks=12_500, seed=99)
         tr = run_protocol(cfg, ChannelModel(adversary=InterceptResend()))
         assert abs(tr.qber - 0.25) <= 0.02
         assert tr.abort_reason is not None  # far beyond the 0.11 threshold

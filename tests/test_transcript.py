@@ -41,6 +41,7 @@ from mpqss.transcript import (
     KIND_SIFT,
     Chunk,
     Event,
+    Pending,
     bits_to_str,
     index_payloads,
     parse,
@@ -100,6 +101,22 @@ class TestSerialization:
         ]
         with pytest.raises(AttributeError):
             tr.events = []
+
+    def test_records_made_after_the_text_was_read_show_up_in_it(self):
+        chunk = Chunk({}, seeds=[7, 8])
+        chunk.record_planes([(KIND_BASES, "alice1")], np.array([[0, 1], [1, 1]], dtype=np.uint8))
+        first = list(chunk.texts)
+        indices, bounds = np.array([3, 0, 12]), np.array([0, 1, 3])
+        chunk.record(KIND_CHECK_SELECT, "all", Pending(index_payloads, indices, bounds, 1, 0))
+        lost = np.array([[1, 0, 1]], dtype=bool)
+        chunk.record_planes([("loss", "bob1")], lost, rows=np.array([False, True]))
+        chunk.record(KIND_ACK, "bob1")
+        for t, (before, want) in enumerate([("01", ["event 2 check-select all 3", "event 3 ack bob1 -"]),
+                                            ("11", ["event 2 check-select all 0,12", "event 3 loss bob1 101",
+                                                    "event 4 ack bob1 -"])]):
+            assert first[t].splitlines()[2:] == [f"event 1 bases alice1 {before}"]
+            assert chunk[t].serialize().splitlines()[2:] == [f"event 1 bases alice1 {before}", *want]
+            assert [ev.payload for ev in chunk[t].events][1:] == [line.split()[-1] for line in want]
 
     def test_golden_file_matches_current_output(self):
         golden = (DATA / "worked_example.transcript").read_text()

@@ -3,11 +3,13 @@
 import copy
 import gc
 import itertools
+import os
 import pickle
 import weakref
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,11 +20,13 @@ from mpqss import (
     ConfigError,
     InterceptResend,
     OrderingAttack,
+    PartySecrets,
     PreparerInsider,
     ProtocolConfig,
     Transcript,
     Variant,
     protocol,
+    transcript,
     run_chunks,
     run_protocol,
     run_trials,
@@ -238,3 +242,48 @@ class TestPinnedDigests:
         for cfg, channel, digest in PINNED:
             trials = list(run_trials(cfg, channel, [cfg.seed + 1, cfg.seed]))
             assert trials[1].digest() == digest
+
+
+# A bulk-run-shaped run (m = n = 3, loss, X noise and 10% intercept-resend)
+# and the digest of its text as rendered before payloads were deferred.
+BULK = (ProtocolConfig(3, 3, 2000, seed=5),
+        ChannelModel(loss_prob=0.02, p_x=0.01, adversary=InterceptResend(fraction=0.1)))
+BULK_DIGEST = "bacf3ad72b2fbcf8dfbc2c2a4d456ce50313e750d8ee04bb5265ed9920354b03"
+
+
+class TestDeferredPayloads:
+    def test_a_run_renders_no_payload_until_its_text_is_read(self):
+        with mock.patch.object(transcript, "_cut", wraps=transcript._cut) as cut:
+            tr = run_protocol(*BULK)
+            tr.qber, tr.raw_key, tr.outcomes, tr.adversary
+            assert cut.call_count == 0
+            assert tr.digest() == BULK_DIGEST
+            rendered = cut.call_count
+            assert rendered > 0
+            tr.events, tr.serialize(), list(tr._chunk)[0].save(os.devnull)
+            assert cut.call_count == rendered  # rendered once, and then kept
+
+    def test_copies_made_before_the_first_render_serialize_as_the_original(self):
+        for make in (copy.copy, copy.deepcopy, lambda tr: pickle.loads(pickle.dumps(tr))):
+            tr = run_protocol(*BULK)
+            twin = make(tr)
+            assert twin.digest() == BULK_DIGEST
+            assert tr.digest() == BULK_DIGEST and twin.events == tr.events
+
+    def test_the_callers_strings_are_not_held_by_the_run(self):
+        cfg = ProtocolConfig(2, 3, 8, seed=4)
+        k = np.arange(24)
+        strings = [(k % 2, k // 3 % 2), (k // 2 % 2, k % 3 % 2)]
+
+        def run_with(pairs):
+            return run_protocol(cfg, secrets=[PartySecrets(f"alice{i}", *pair)
+                                              for i, pair in enumerate(pairs, start=1)])
+
+        given_arrays = [tuple(a.copy() for a in pair) for pair in strings]
+        run = run_with(given_arrays)
+        for values, bases in given_arrays:
+            values ^= 1
+            bases ^= 1
+        assert run.serialize() == run_with(strings).serialize()
+        with pytest.raises(ValueError):  # a recorded plane is read-only until it renders, and after
+            run.announced_bases[1][0] = 1
