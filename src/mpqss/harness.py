@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import IDEAL, ChannelModel, InterceptResend, OrderingAttack
-from .errors import ConfigError
+from .errors import ConfigError, KeyMaterialError
 from .config import ProtocolConfig, checked_block_count
 from .postprocessing import CssPair, StreamResult, bits_to_hex, build_canonical_css, key_rate, otp_send
 from .postprocessing import reconcile_streams
@@ -279,9 +279,9 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
 
     ``otp_message`` (bits) is encrypted against the first keyed trial's
     distilled key and reported as ciphertext_hex; it needs the block_yield
-    metric and refuses when the key runs short. For block_yield the raw keys
-    of each chunk's keyed trials are reconciled in one pass, each with the
-    generator seeded from ``"<seed>:<trial>:pp"``.
+    metric and refuses when the key runs short or no trial yields key bits.
+    For block_yield the raw keys of each chunk's keyed trials are reconciled
+    in one pass, each with the generator seeded from ``"<seed>:<trial>:pp"``.
     """
     spec.validate()
     samples: dict[str, list[float]] = {name: [] for name in spec.metrics}
@@ -311,6 +311,8 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
                         extras["message_bits"] = len(otp_message)
         first += len(chunk)
         del chunk  # before the next chunk is run
+    if otp_message is not None and "ciphertext_hex" not in extras:
+        raise KeyMaterialError(f"need {len(otp_message)} key bits but no trial yielded key bits")
 
     combined = hashlib.sha256("".join(digests).encode()).hexdigest()
     return RunReport(

@@ -18,6 +18,7 @@ table of ``mpqss.transcript``) holds every result by column, and each trial's
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -60,7 +61,6 @@ from .transcript import (
     KIND_RAW_KEY,
     KIND_SIFT,
     Chunk,
-    Pending,
     Transcript,
     index_payloads,
 )
@@ -222,10 +222,12 @@ def announce_bases(
 
     With ordering enforcement on, this refuses to run until the record holds
     every receiver's ``ack`` event; announcing earlier hands the whole
-    encoding to anyone holding the transiting qubits.
+    encoding to anyone holding the transiting qubits. A transcript is checked
+    through its chunk.
     """
     if cfg.enforce_ordering:
-        acked = {party for kind, party, *_ in run._records if kind == KIND_ACK}
+        entries = getattr(run, "_chunk", run)._records
+        acked = {party for events, _, _ in entries for kind, party in events if kind == KIND_ACK}
         missing = [l for l in range(1, cfg.receivers + 1) if f"bob{l}" not in acked]
         if missing:
             raise OrderingError(
@@ -268,19 +270,20 @@ def run_check(
     run: Chunk,
     cfg: ProtocolConfig,
     values: np.ndarray,
-    readout: Readout,
     stream: Substream,
     check_blocks: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Reveal a random subset of blocks and compare outcomes against the XOR.
 
-    Takes a chunk and its trials' stream, every sender's per-position
-    value plane as (senders, trials, n*N) and the readout as (trials, N, n),
+    Takes a chunk and its trials' stream and every sender's per-position
+    value plane as (senders, trials, n*N), and reads the chunk's readout,
     whose ``checked`` mask it sets. Aborts a trial when the disagreement rate
     among its comparable revealed positions exceeds the configured threshold.
     Returns a bool per trial, True on pass.
     """
-    count, blocks, n = len(run), cfg.blocks, cfg.receivers
+    count, blocks, n, readout = len(run), cfg.blocks, cfg.receivers, run.readout
+    if readout is None:
+        raise ProtocolStateError("check requested before the receivers measured")
     want = cfg.checked_block_count
     checked = np.zeros((count, blocks), dtype=bool)
     if check_blocks is None:
@@ -298,7 +301,7 @@ def run_check(
     flat = np.flatnonzero(checked)  # trial t's block j is row t*N + j
     run.check_blocks = flat.reshape(count, want) % blocks
     bounds = np.arange(count + 1) * want
-    run.record(KIND_CHECK_SELECT, "all", Pending(index_payloads, run.check_blocks, bounds, 1, 0))
+    run.record(KIND_CHECK_SELECT, "all", functools.partial(index_payloads, run.check_blocks, bounds))
 
     # Reveal order: checked blocks ascending, receivers ascending within each.
     # ``take`` gathers into a fresh contiguous array, which the XOR below reduces fast.
@@ -330,23 +333,22 @@ def run_check(
     return passed
 
 
-def extract_raw_key(
-    run: Chunk | Transcript, cfg: ProtocolConfig, values: np.ndarray, readout: Readout
-) -> None:
+def extract_raw_key(run: Chunk | Transcript, cfg: ProtocolConfig, values: np.ndarray) -> None:
     """XOR each surviving unchecked block across receivers into one key bit.
 
     A block survives when every receiver holds a usable outcome for it. Each
     receiver's contribution and the combined key are both recorded; combining
     them is a joint computation, with no aggregation mechanism prescribed.
-    Takes a chunk as ``run_check`` does and keys its trials that passed the
-    check. A transcript is keyed by its chunk, so given one this only raises.
+    Takes a chunk as ``run_check`` does, reads its readout and keys its
+    trials that passed the check. A transcript is keyed by its chunk, so
+    given one this only raises.
     """
     if run.qber is None:
         raise ProtocolStateError("raw key requested before the check ran")
     if isinstance(run, Transcript):
         state = "after an abort" if run.abort_reason is not None else "of a transcript, not of its chunk"
         raise ProtocolStateError(f"raw key requested {state}")
-    count, blocks, n = len(run), cfg.blocks, cfg.receivers
+    count, blocks, n, readout = len(run), cfg.blocks, cfg.receivers, run.readout
     usable = readout.usable.reshape(count, blocks, n)
     keyed = ~run.aborted
     # Trial t's block j is t*N + j.
@@ -362,7 +364,8 @@ def extract_raw_key(
     run.record_planes(events, np.column_stack([contrib, run.raw_key]).T, bounds, keyed)
 
 
-def _finalize_rates(run: Chunk, cfg: ProtocolConfig, readout: Readout) -> None:
+def _finalize_rates(run: Chunk, cfg: ProtocolConfig) -> None:
+    readout = run.readout
     received = cfg.total_qubits - np.count_nonzero(readout.lost, axis=(1, 2))
     unchecked = ~readout.checked
     kept = np.count_nonzero(readout.usable & unchecked[:, :, None], axis=(1, 2))
@@ -556,8 +559,8 @@ def _run_chunk(
     readout = Readout(outcome.reshape(shape), block.lost.reshape(shape), usable.reshape(shape))
     _record_readout(run, cfg, readout, None if guesses is None else guesses.reshape(shape))
 
-    passed = run_check(run, cfg, values, readout, stream, check_blocks=check_blocks)
+    passed = run_check(run, cfg, values, stream, check_blocks=check_blocks)
     if passed.any():
-        extract_raw_key(run, cfg, values, readout)
-    _finalize_rates(run, cfg, readout)
+        extract_raw_key(run, cfg, values)
+    _finalize_rates(run, cfg)
     return run

@@ -20,7 +20,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,14 +66,21 @@ def _cut(codes: np.ndarray, ends: np.ndarray) -> list[str]:
     """The text of ``codes`` cut at each of ``ends`` into rows, '-' for an empty one.
 
     Codes 0 to 2 render as ``bits_to_str`` renders them, code 4 is dropped and
-    ASCII text such as digits and commas passes as it is.
+    ASCII text such as digits and commas passes as it is. Each copy of the
+    text is dropped once the next exists, so at most two are alive at a time.
     """
     ends = ends + np.arange(len(ends))  # each row closes after the closes before it
-    text = np.full(len(codes) + len(ends), 3, dtype=np.uint8)
-    data = np.ones(len(text), dtype=bool)
+    coded = np.full(len(codes) + len(ends), 3, dtype=np.uint8)
+    data = np.ones(len(coded), dtype=bool)
     data[ends] = False
-    text[data] = codes
-    rows = text.tobytes().translate(_BIT_CHARS, b"\x04").decode("ascii").split("\n")[:-1]
+    coded[data] = codes
+    del data
+    raw = coded.tobytes()
+    del coded
+    raw = raw.translate(_BIT_CHARS, b"\x04")
+    text = raw.decode("ascii")
+    del raw
+    rows = text.split("\n")[:-1]
     return rows if "" not in rows else [row or "-" for row in rows]
 
 
@@ -157,25 +164,6 @@ def head(config: Mapping[str, str]) -> str:
     return f"{FORMAT_HEADER}\nconfig " + " ".join(f"{k}={v}" for k, v in config.items())
 
 
-def render(heads: Sequence[str], records, tails: Sequence[str]) -> list[str]:
-    """The serialized text of every row of a table of records.
-
-    ``heads`` holds each row's ``head``, ``tails`` its adversary section or ''.
-    A record is ``(kind, party, rows, payloads)``: ``rows`` is None when every
-    row holds it, else a bool mask, and ``payloads`` one per row ('' where the
-    row lacks it). Events are numbered per row. Each row is joined at once, in ``zip``.
-    """
-    columns = [heads]
-    seq = np.zeros(len(heads), dtype=np.intp)  # events so far in each row
-    for kind, party, rows, payloads in records:
-        held = 1 if rows is None else rows
-        seq = seq + held
-        shown = (seq * held).tolist()  # 0 where the row lacks it
-        names = {s: f"\nevent {s} {kind} {party} " for s in set(shown)} | {0: ""}
-        columns += [list(map(names.__getitem__, shown)), payloads]
-    return list(map("".join, zip(*columns, tails, ["\n"] * len(heads))))
-
-
 # The per-row columns of a chunk that a row reads as ``column[t]``.
 _COLUMNS = ("check_blocks", "compared", "disagreements", "qber", "efficiency", "sift_rate")
 
@@ -199,32 +187,16 @@ UNSET = {
 }
 
 
-class Pending(NamedTuple):
-    """Record ``k`` of the ``events`` records whose payloads ``render(plane, bounds)`` gives in turn.
-
-    ``render`` is ``row_payloads`` or ``index_payloads``, and runs when the
-    text is first read. The plane and bounds are held, not copied, so no one
-    may write them afterwards: ``Chunk.record`` makes the plane read-only, and
-    the engine hands over arrays of its own.
-    """
-
-    render: Callable[..., list[str]]
-    plane: np.ndarray
-    bounds: np.ndarray | None
-    events: int
-    k: int
-
-
 class Chunk(Sequence["Transcript"]):
     """The record table of a stack of runs, held by column; item t is row t, a ``Transcript``.
 
-    Each phase of a run stores its results for every row at once: the records,
-    each payload kind kept as its plane until the text is first read, then
-    rendered once for the chunk; the readout planes; and arrays with an entry
-    or a row per trial for the check tallies and rates, the key bits (row t's
-    are ``key_bounds[t]:key_bounds[t + 1]``), the attack and the secrets. A
-    row reads its fields on first use (``field``), and ``texts`` renders every
-    row's serialized text in one pass.
+    Each phase of a run stores its results for every row at once: the record,
+    one entry per ``record`` or ``record_planes`` call; the readout planes; and
+    arrays with an entry or a row per trial for the check tallies and rates,
+    the key bits (row t's are ``key_bounds[t]:key_bounds[t + 1]``), the attack
+    and the secrets. A row reads its fields on first use (``field``), and
+    ``texts`` renders every row's serialized text in one pass, the one place
+    an entry's payloads are rendered.
 
     ``config`` is a config snapshot. With ``seeds``, row t runs with
     ``seeds[t]`` as its seed; without, the chunk is one hand-built row, whose
@@ -233,8 +205,7 @@ class Chunk(Sequence["Transcript"]):
 
     def __init__(self, config: Mapping[str, str], seeds: Sequence[int] | None = None):
         self.config, self.seeds = dict(config), seeds
-        self._records: list = []  # (kind, party, rows, payloads), as ``record`` takes them until rendered
-        self._final = 0  # how many records ``_rendered`` has rendered
+        self._records: list = []  # (events, rows, payloads), one entry per record call
         self.announced_bases: dict[int, np.ndarray] = {}  # sender -> (rows, length) plane
         self.secrets: list = []  # each sender's ``PartySecrets``, a row per trial
         self.aborted = np.zeros(len(self), dtype=bool)
@@ -265,63 +236,63 @@ class Chunk(Sequence["Transcript"]):
     def record(self, kind: str, party: str, payloads="-", rows: np.ndarray | None = None) -> None:
         """One event in each row that ``rows`` marks, or in every row.
 
-        ``payloads`` is one payload for all of them, one per marked row, or a
-        ``Pending`` that renders those. Texts rendered before are dropped.
+        ``payloads`` is one payload for all of them, a list with one per marked
+        row, or a ``functools.partial`` of ``row_payloads`` or ``index_payloads``
+        that renders that list when the text is read. Texts rendered before are
+        dropped.
         """
-        rows = None if rows is None or rows.all() else rows
         if isinstance(payloads, str):
             payloads = [payloads] * (len(self) if rows is None else int(np.count_nonzero(rows)))
-        elif isinstance(payloads, Pending):
-            payloads.plane.flags.writeable = False
-        self._records.append((kind, party, rows, payloads))
-        self.__dict__.pop("texts", None)
+        self._enter([(kind, party)], rows, payloads)
 
     def record_planes(self, events: list[tuple[str, str]], planes: np.ndarray, bounds=None, rows=None):
-        """One event per (kind, party), its payloads ``row_payloads(planes[k], bounds)`` on first read."""
-        for k, (kind, party) in enumerate(events):
-            self.record(kind, party, Pending(row_payloads, planes, bounds, len(events), k), rows)
+        """One event per (kind, party), its payloads ``row_payloads(planes[k], bounds)`` once rendered."""
+        self._enter(events, rows, functools.partial(row_payloads, planes, bounds))
 
-    def _rendered(self) -> list:
-        """The records, each with one payload string per row ('' where the row lacks it).
-
-        Records added since the last call are rendered in place, each plane in
-        one pass for all the records that share it.
-        """
-        done: dict[tuple, list[str]] = {}  # the payloads of each plane rendered in this call
-        for i in range(self._final, len(self._records)):
-            kind, party, rows, payloads = self._records[i]
-            if isinstance(payloads, Pending):
-                group = (payloads.render, id(payloads.plane), id(payloads.bounds), payloads.events)
-                if group not in done:
-                    done[group] = payloads.render(payloads.plane, payloads.bounds)
-                per = len(done[group]) // payloads.events
-                payloads = done[group][payloads.k * per:(payloads.k + 1) * per]
-            if rows is not None:
-                given = iter(payloads)
-                payloads = [next(given) if r else "" for r in rows.tolist()]
-            self._records[i] = (kind, party, rows, payloads)
-        self._final = len(self._records)
-        return self._records
+    def _enter(self, events: list[tuple[str, str]], rows, payloads) -> None:
+        """Add one entry. A renderer's plane is held, not copied, so it is made read-only."""
+        words = {word for event in events for word in event}
+        if not callable(payloads):
+            words.update(payloads)
+        bad = [word for word in words if word.split() != [word]]
+        if bad:
+            raise ValueError(f"cannot record {bad[0]!r}: a line holds non-empty words with no whitespace")
+        if callable(payloads):
+            payloads.args[0].flags.writeable = False
+        self._records.append((events, rows, payloads))
+        self.__dict__.pop("texts", None)
 
     @functools.cached_property
     def texts(self) -> list[str]:
-        """Every row's serialized transcript."""
+        """Every row's serialized transcript; each entry's payloads are rendered once, for every row.
+
+        Events are numbered per row, and a row that an entry's ``rows`` leaves out lacks its events.
+        """
         if self.seeds is None:
-            heads = [head(self.config)]
+            columns = [[head(self.config)]]
         else:
             before, after = head({**self.config, "seed": "\0"}).split("\0")
-            heads = [before + str(seed) + after for seed in self.seeds]
+            columns = [[before + str(seed) + after for seed in self.seeds]]
+        seq = np.zeros(len(self), dtype=np.intp)  # events so far in each row
+        for events, rows, payloads in self._records:
+            given = payloads() if callable(payloads) else payloads
+            per = len(given) // len(events)
+            held = 1 if rows is None else rows
+            for k, (kind, party) in enumerate(events):
+                seq = seq + held
+                shown = (seq * held).tolist()  # 0 where the row lacks it
+                names = {s: f"\nevent {s} {kind} {party} " for s in set(shown)} | {0: ""}
+                mine = given[k * per:(k + 1) * per]
+                if rows is not None:
+                    marked = iter(mine)
+                    mine = [next(marked) if r else "" for r in rows.tolist()]
+                columns += [list(map(names.__getitem__, shown)), mine]
         rec = self.adversary
         tails = [""] * len(self) if rec is None else rec.sections(self.adversary_bounds)
-        return render(heads, self._rendered(), tails)
+        return list(map("".join, zip(*columns, tails, ["\n"] * len(self))))
 
     def field(self, name: str, t: int):
         """Row ``t``'s value of the ``Transcript`` attribute ``name``; ``UNSET[name]`` if never reached."""
-        if name == "_text":
-            return self.texts[t]
-        if name == "_records":
-            return [(kind, party, payloads[t]) for kind, party, rows, payloads in self._rendered()
-                    if rows is None or rows[t]]
         if name == "config":
             return dict(self.config) if self.seeds is None else {**self.config, "seed": str(self.seeds[t])}
         if name == "announced_bases":
@@ -374,11 +345,11 @@ class Transcript:
 
     @property
     def events(self) -> list[Event]:
-        """The recorded events."""
-        return [Event(seq, *rec) for seq, rec in enumerate(self._records, start=1)]
+        """The recorded events, read back from the text."""
+        return parse(self.serialize()).events
 
     def serialize(self) -> str:
-        return self._text
+        return self._chunk.texts[self._row]
 
     def digest(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()

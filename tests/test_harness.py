@@ -167,6 +167,11 @@ class TestRunExperiment:
         assert xor_bits(ciphertext, key[: len(message)]) == tuple(message)
         with pytest.raises(KeyMaterialError):
             run_experiment(spec, otp_message=[0] * 10_000)
+        # Every qubit lost: no trial yields key bits, so the message is refused, not dropped.
+        lossy = ExperimentSpec(protocol=base_protocol(), channel=ChannelModel(loss_prob=0.99),
+                               trials=2, metrics=("block_yield",), seed=7)
+        with pytest.raises(KeyMaterialError, match="no trial yielded key bits"):
+            run_experiment(lossy, otp_message=message)
         with pytest.raises(ConfigError, match="metrics"):
             run_experiment(
                 ExperimentSpec(protocol=base_protocol(), metrics=("qber",)),
@@ -595,6 +600,10 @@ class TestCli:
             == 2
         )
         assert "key bits" in capsys.readouterr().err
+        for scenario in ([], ["--scenario", "ordering-attack"]):  # no keyed trial, aborted or not
+            run = ["run", "-N", "6", "--loss-prob", "0.99", "--trials", "2", "--metrics", "block_yield"]
+            assert main([*run, *scenario, "--otp-message", "deadbeef"]) == 2
+            assert "no trial yielded key bits" in capsys.readouterr().err
 
     def test_insider_scenario_smoke(self, tmp_path):
         out = tmp_path / "insider.json"

@@ -31,6 +31,7 @@ from mpqss import (
     prepare_block,
     receiver_of,
     replay,
+    run_check,
     run_protocol,
     split_for_receivers,
 )
@@ -369,7 +370,7 @@ class TestRefusals:
         tr = run_protocol(cfg, ChannelModel(adversary=InterceptResend()))
         assert tr.abort_reason is not None
         with pytest.raises(ProtocolStateError, match="after an abort"):
-            extract_raw_key(tr, cfg, None, None)
+            extract_raw_key(tr, cfg, None)
 
 
 class TestVariants:
@@ -500,9 +501,9 @@ class TestCheckedMask:
         seen = []
         finalize = protocol._finalize_rates
 
-        def spy(trs, cfg, readout):
-            seen.append((trs, readout))
-            finalize(trs, cfg, readout)
+        def spy(trs, cfg):
+            seen.append((trs, trs.readout))
+            finalize(trs, cfg)
 
         monkeypatch.setattr(protocol, "_finalize_rates", spy)
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=20, seed=0)
@@ -522,14 +523,15 @@ class TestCheckedMask:
 
 class TestStateErrors:
     def test_raw_key_before_check_is_a_state_error(self):
-        from mpqss.protocol import Readout
-
         cfg = ProtocolConfig(senders=2, receivers=2, blocks=4)
         tr = Transcript(cfg.snapshot())
-        nothing = np.zeros((cfg.blocks, cfg.receivers), dtype=bool)
-        readout = Readout(nothing.astype(np.uint8), nothing, nothing)
         with pytest.raises(ProtocolStateError):
-            extract_raw_key(tr, cfg, np.zeros((2, 8), dtype=np.uint8), readout)
+            extract_raw_key(tr, cfg, np.zeros((2, 8), dtype=np.uint8))
+
+    def test_check_before_measurement_is_a_state_error(self):
+        cfg = ProtocolConfig(senders=2, receivers=2, blocks=4)
+        with pytest.raises(ProtocolStateError, match="measured"):
+            run_check(Chunk(cfg.snapshot()), cfg, np.zeros((2, 1, 8), dtype=np.uint8), Substream([1]))
 
     def test_encode_rejects_bad_sender_index(self):
         cfg = kv.config()

@@ -1,8 +1,10 @@
 """Transcript serialization, parsing, and replay verification."""
 
+import functools
 import os
 import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +43,6 @@ from mpqss.transcript import (
     KIND_SIFT,
     Chunk,
     Event,
-    Pending,
     bits_to_str,
     index_payloads,
     parse,
@@ -107,7 +108,7 @@ class TestSerialization:
         chunk.record_planes([(KIND_BASES, "alice1")], np.array([[0, 1], [1, 1]], dtype=np.uint8))
         first = list(chunk.texts)
         indices, bounds = np.array([3, 0, 12]), np.array([0, 1, 3])
-        chunk.record(KIND_CHECK_SELECT, "all", Pending(index_payloads, indices, bounds, 1, 0))
+        chunk.record(KIND_CHECK_SELECT, "all", functools.partial(index_payloads, indices, bounds))
         lost = np.array([[1, 0, 1]], dtype=bool)
         chunk.record_planes([("loss", "bob1")], lost, rows=np.array([False, True]))
         chunk.record(KIND_ACK, "bob1")
@@ -117,6 +118,19 @@ class TestSerialization:
             assert first[t].splitlines()[2:] == [f"event 1 bases alice1 {before}"]
             assert chunk[t].serialize().splitlines()[2:] == [f"event 1 bases alice1 {before}", *want]
             assert [ev.payload for ev in chunk[t].events][1:] == [line.split()[-1] for line in want]
+
+    @pytest.mark.parametrize("kind, party, payloads", [
+        ("", "bob1", "-"), ("ack", "bob 1", "-"), ("ack", "bob1", ""), ("ack", "bob1", "0 1"),
+        ("ack", "bob1", "01\n"), ("ack", "bob1", ["01", "1\t0"]), ("ack", "bob1", ["01", ""]),
+    ])
+    def test_a_record_refuses_words_the_line_format_cannot_carry(self, kind, party, payloads):
+        chunk = Chunk({}, seeds=[1, 2])
+        with pytest.raises(ValueError, match="no whitespace"):
+            chunk.record(kind, party, payloads)
+        if payloads == "-":  # a plane's events are checked too
+            with pytest.raises(ValueError, match="no whitespace"):
+                chunk.record_planes([(KIND_MEASURED, "bob1"), (kind, party)], np.zeros((2, 2, 3), dtype=np.uint8))
+        assert chunk[1].events == []
 
     def test_golden_file_matches_current_output(self):
         golden = (DATA / "worked_example.transcript").read_text()
@@ -755,6 +769,18 @@ class TestPayloadPlanes:
         flat = np.array([i for row in rows for i in row], dtype=np.int64)
         bounds = np.cumsum([0] + [len(row) for row in rows])
         assert index_payloads(flat, bounds) == [",".join(map(str, row)) or "-" for row in rows]
+
+    def test_rendering_a_plane_holds_at_most_two_copies_of_its_text(self):
+        plane = np.random.default_rng(3).integers(0, 3, size=(3, 10**6), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = row_payloads(plane)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rows == [bits_to_str(row) for row in plane]
+        assert peak <= 2.5 * plane.nbytes  # 4x while every copy of the text stayed alive
 
     @given(st.lists(st.lists(st.integers(0, 2), max_size=5), max_size=6), st.integers(1, 3))
     def test_row_payloads_render_each_slice_of_each_leading_row(self, rows, lead):

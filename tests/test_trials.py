@@ -263,6 +263,20 @@ class TestDeferredPayloads:
             tr.events, tr.serialize(), list(tr._chunk)[0].save(os.devnull)
             assert cut.call_count == rendered  # rendered once, and then kept
 
+            # A chunk of 40 trials, some with a loss record and some aborted:
+            # each plane renders once for the chunk, however many rows read it.
+            cut.reset_mock()
+            channel = ChannelModel(loss_prob=0.01, adversary=InterceptResend(fraction=0.3))
+            [chunk] = run_chunks(ProtocolConfig(2, 3, 20), channel, range(40))
+            lossy = [rows for events, rows, _ in chunk._records if events[0][0] == "loss"]
+            assert lossy and all(rows.any() and not rows.all() for rows in lossy)
+            assert chunk.aborted.any() and not chunk.aborted.all() and chunk.adversary is not None
+            assert cut.call_count == 0
+            for tr in chunk:
+                tr.events, tr.serialize(), tr.digest()
+            planes = sum(callable(payloads) for _, _, payloads in chunk._records)
+            assert cut.call_count == planes + 4  # and the four of the adversary sections
+
     def test_copies_made_before_the_first_render_serialize_as_the_original(self):
         for make in (copy.copy, copy.deepcopy, lambda tr: pickle.loads(pickle.dumps(tr))):
             tr = run_protocol(*BULK)
