@@ -14,7 +14,6 @@ import json
 import math
 import operator
 import random
-import re
 import statistics
 from dataclasses import dataclass, field, fields
 
@@ -339,10 +338,19 @@ class Verdict:
         return self.ok
 
 
-# A check-select payload: 0-based block indices, comma separated. Compiled on
-# first use (re caches it): compiling it at import raised the peak memory of
-# runs that never replay by about 0.2 MiB.
-_INDEX_LIST = r"[0-9]{1,18}(?:,[0-9]{1,18})*"
+def _index_list(payload: str) -> np.ndarray | None:
+    """The integers of a comma list of 1 to 18 ASCII digits each, or None if ``payload`` is not one.
+
+    The list is checked on its byte plane: each byte a digit or a comma, and
+    between neighbouring commas and the ends 1 to 18 bytes.
+    """
+    raw = np.frombuffer(payload.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    commas = np.flatnonzero(raw == ord(","))
+    widths = np.diff(commas, prepend=-1, append=len(raw)) - 1
+    digits = np.count_nonzero(raw - ord("0") < 10)
+    if digits + len(commas) != len(raw) or not 1 <= widths.min() <= widths.max() <= 18:
+        return None
+    return np.fromstring(payload, np.int64, sep=",")
 
 
 def _party_index(party: str, prefix: str, count: int) -> int:
@@ -451,8 +459,10 @@ def replay(text: str) -> Verdict:
         usable[l] = known & kept
         if party in guesses and combined is not None:
             derived = sift_mask(known, guesses[party], np.broadcast_to(combined, (blocks, n))[:, l - 1])
-            for j in np.flatnonzero(derived != usable[l]).tolist():
-                issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
+            contradicts = derived != usable[l]
+            if contradicts.any():
+                for j in np.flatnonzero(contradicts).tolist():
+                    issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
 
     # A receiver's loss bitmap marks exactly its '?' outcomes, and what a
     # sender hop lost at position n*j + l-1 stays lost for receiver l.
@@ -470,23 +480,27 @@ def replay(text: str) -> Verdict:
             hop_lost[ev.party] = lost.reshape(blocks, n) == 1
     for l in receivers:
         contradicts = (measured[f"bob{l}"] == UNUSABLE) != receiver_lost.get(l, False)
-        for j in np.flatnonzero(contradicts).tolist():
-            issues.append(f"bob{l}: measurement record at block {j} contradicts its loss record")
+        if contradicts.any():
+            for j in np.flatnonzero(contradicts).tolist():
+                issues.append(f"bob{l}: measurement record at block {j} contradicts its loss record")
     if hop_lost:
         none = np.zeros(blocks, dtype=bool)
         arrived = ~np.column_stack([receiver_lost.get(l, none) for l in range(1, n + 1)])
         for party, lost in hop_lost.items():
-            for j, c in np.argwhere(lost & arrived).tolist():
-                issues.append(f"{party}: loss at block {j} is missing from bob{c + 1}'s loss record")
+            missing = lost & arrived
+            if missing.any():
+                for j, c in np.argwhere(missing).tolist():
+                    issues.append(f"{party}: loss at block {j} is missing from bob{c + 1}'s loss record")
 
     select = parsed.events_of(KIND_CHECK_SELECT)
     rows = np.zeros(0, dtype=np.int64)  # checked blocks, ascending
     if select:
         payload = select[0].payload
-        if payload != "-" and not re.fullmatch(_INDEX_LIST, payload):
+        listed = rows if payload == "-" else _index_list(payload)
+        if listed is None:
             issues.append("check-select: payload is not a comma list of block indices")
         else:
-            chosen = rows if payload == "-" else np.sort(np.fromstring(payload, np.int64, sep=","))
+            chosen = np.sort(listed)
             repeated = chosen[1:][chosen[1:] == chosen[:-1]]
             if len(chosen) and chosen[-1] >= blocks:
                 issues.append(f"check-select: block {chosen[-1]} is outside [0, {blocks})")
@@ -539,18 +553,15 @@ def _check_adversary(issues, section: dict[str, str], size: int) -> None:
     if not section.get("kind"):
         issues.append("adversary: no kind recorded")
     positions = section.get("positions", "")
-    if positions == "-":
-        count = 0
-    elif not re.fullmatch(_INDEX_LIST, positions):
+    touched = np.zeros(0, dtype=np.int64) if positions == "-" else _index_list(positions)
+    if touched is None:
         issues.append("adversary: positions is not a comma list of qubit positions")
         return
-    else:
-        touched = np.fromstring(positions, np.int64, sep=",")
-        count = len(touched)
-        if np.any(touched[1:] <= touched[:-1]):
-            issues.append("adversary: positions are not strictly increasing")
-        elif int(touched[-1]) >= size:
-            issues.append(f"adversary: position {touched[-1]} is outside [0, {size})")
+    count = len(touched)
+    if np.any(touched[1:] <= touched[:-1]):
+        issues.append("adversary: positions are not strictly increasing")
+    elif count and int(touched[-1]) >= size:
+        issues.append(f"adversary: position {touched[-1]} is outside [0, {size})")
     for key in ("bases", "bits", "certain"):
         plane = str_to_plane(section.get(key, ""))
         if key not in section or (plane.size and plane.max() > 1):

@@ -118,11 +118,15 @@ def str_to_plane(s: str) -> np.ndarray:
 
     '0', '1' and '?' decode to 0, 1 and 2 and '-' to the empty plane. Any other
     character decodes to 255 (a non-ASCII one to one 255 per UTF-8 byte), so
-    ``plane.max()`` tells whether a payload kept to the alphabet.
+    ``plane.max()`` tells whether a payload kept to the alphabet. A payload of
+    '0' and '1' alone decodes by one XOR; only one with another character
+    goes through the translation table.
     """
     if s == "-":
         return np.zeros(0, dtype=np.uint8)
-    return np.frombuffer(s.encode("utf-8", "surrogatepass").translate(_BIT_CODES), dtype=np.uint8)
+    raw = s.encode("utf-8", "surrogatepass")
+    plane = np.frombuffer(raw, dtype=np.uint8) ^ ord("0")
+    return plane if plane.max(initial=0) <= 1 else np.frombuffer(raw.translate(_BIT_CODES), dtype=np.uint8)
 
 
 class Event(NamedTuple):
@@ -345,8 +349,11 @@ class Transcript:
 
     @property
     def events(self) -> list[Event]:
-        """The recorded events, read back from the text."""
-        return parse(self.serialize()).events
+        """The recorded events, read back from the text; parsed again only once the text changes."""
+        text, kept = self.serialize(), self.__dict__.get("_parsed")
+        if kept is None or kept[0] is not text:
+            kept = self.__dict__["_parsed"] = text, parse(text).events
+        return list(kept[1])
 
     def serialize(self) -> str:
         return self._chunk.texts[self._row]
@@ -371,42 +378,83 @@ class ParsedTranscript:
         return [ev for ev in self.events if ev.kind == kind]
 
 
+# The line boundaries of ``str.splitlines`` other than a newline.
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lines(text: str) -> Iterator[tuple[str, int, int]]:
+    """The lines of ``text.splitlines()`` in order, each as (s, a, b) with the line s[a:b].
+
+    Lines end at a newline and are not copied; only a line that holds another
+    boundary is split again by ``splitlines``. ``ahead`` keeps the next place
+    of each boundary still in the text, so each is searched for once over it.
+    """
+    size, start, near = len(text), 0, -1
+    ahead = dict.fromkeys(_BREAKS, -1)
+    while start < size:
+        if near < start:
+            found = {c: at if at >= start else text.find(c, start) for c, at in ahead.items()}
+            ahead = {c: at for c, at in found.items() if at >= 0}
+            near = min(ahead.values(), default=size)
+        end = text.find("\n", start)
+        end = size if end < 0 else end
+        if near < end:
+            for line in text[start:end + 1].splitlines():
+                yield line, 0, len(line)
+        else:
+            yield text, start, end
+        start = end + 1
+
+
 def parse(text: str) -> ParsedTranscript:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_HEADER:
+    """The records of ``text``, each payload sliced once out of the text.
+
+    A line is read as ``str.splitlines`` cuts it and stripped of surrounding
+    whitespace; an event line is five fields cut at single spaces.
+    """
+    lines = _lines(text)
+    s, a, b = next(lines, ("", 0, 0))
+    if s[a:b].strip() != FORMAT_HEADER:
         raise TranscriptParseError(1, f"expected header {FORMAT_HEADER!r}")
-    if len(lines) < 2 or not lines[1].startswith("config "):
+    s, a, b = next(lines, ("", 0, 0))
+    if not s.startswith("config ", a, b):
         raise TranscriptParseError(2, "expected a config record")
     config: dict[str, str] = {}
-    for item in lines[1][len("config "):].split():
+    for item in s[a + len("config "):b].split():
         if "=" not in item:
             raise TranscriptParseError(2, f"malformed config item {item!r}")
         key, _, value = item.partition("=")
         config[key] = value
     parsed = ParsedTranscript(config=config)
     last_seq = 0
-    for no, raw in enumerate(lines[2:], start=3):
-        line = raw.strip()
-        if not line:
+    for no, (s, a, b) in enumerate(lines, start=3):
+        if a < b and (s[a].isspace() or s[b - 1].isspace()):
+            s = s[a:b].strip()
+            a, b = 0, len(s)
+        if a == b:
             continue
-        if line.startswith("adversary "):
-            item = line[len("adversary "):]
-            if "=" not in item:
-                raise TranscriptParseError(no, f"malformed adversary item {item!r}")
-            key, _, value = item.partition("=")
-            parsed.adversary[key] = value
+        if not s.startswith("event ", a, b):
+            if not s.startswith("adversary ", a, b):
+                raise TranscriptParseError(no, f"unknown record {s[a:b].split()[0]!r}")
+            a += len("adversary ")
+            eq = s.find("=", a, b)
+            if eq < 0:
+                raise TranscriptParseError(no, f"malformed adversary item {s[a:b]!r}")
+            parsed.adversary[s[a:eq]] = s[eq + 1:b]
             continue
-        if not line.startswith("event "):
-            raise TranscriptParseError(no, f"unknown record {line.split()[0]!r}")
-        parts = line.split(" ")
-        if len(parts) != 5:
+        # Where each field starts, 0 once a space is missing.
+        kind_at = s.find(" ", a + len("event "), b) + 1
+        party_at = kind_at and s.find(" ", kind_at, b) + 1
+        payload_at = party_at and s.find(" ", party_at, b) + 1
+        if not payload_at or s.find(" ", payload_at, b) >= 0:
             raise TranscriptParseError(no, "event records need: seq kind party payload")
+        seq_text = s[a + len("event "):kind_at - 1]
         try:
-            seq = int(parts[1])
+            seq = int(seq_text)
         except ValueError:
-            raise TranscriptParseError(no, f"bad sequence number {parts[1]!r}") from None
+            raise TranscriptParseError(no, f"bad sequence number {seq_text!r}") from None
         if seq <= last_seq:
             raise TranscriptParseError(no, f"sequence numbers must increase ({seq} after {last_seq})")
         last_seq = seq
-        parsed.events.append(Event(seq, parts[2], parts[3], parts[4]))
+        parsed.events.append(Event(seq, s[kind_at:party_at - 1], s[party_at:payload_at - 1], s[payload_at:b]))
     return parsed

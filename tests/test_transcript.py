@@ -3,6 +3,7 @@
 import functools
 import os
 import pathlib
+import re
 import tempfile
 import tracemalloc
 
@@ -26,9 +27,13 @@ from mpqss import (
     replay,
     run_protocol,
 )
+from mpqss import transcript
 from mpqss.channel import LossStrategy
 from mpqss.cli import main
+from mpqss.harness import _index_list
 from mpqss.transcript import (
+    _BIT_CODES,
+    FORMAT_HEADER,
     KIND_ABORT,
     KIND_ACK,
     KIND_BASES,
@@ -43,6 +48,7 @@ from mpqss.transcript import (
     KIND_SIFT,
     Chunk,
     Event,
+    ParsedTranscript,
     bits_to_str,
     index_payloads,
     parse,
@@ -118,6 +124,20 @@ class TestSerialization:
             assert first[t].splitlines()[2:] == [f"event 1 bases alice1 {before}"]
             assert chunk[t].serialize().splitlines()[2:] == [f"event 1 bases alice1 {before}", *want]
             assert [ev.payload for ev in chunk[t].events][1:] == [line.split()[-1] for line in want]
+
+    def test_a_row_parses_its_text_once_until_a_record_changes_it(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(transcript, "parse", lambda text: calls.append(text) or parse(text))
+        chunk = Chunk({"senders": "2"})
+        chunk.record(KIND_ACK, "bob1")
+        tr = chunk[0]
+        first = tr.events
+        first.append(Event(9, KIND_ABORT, "all"))  # each read gets its own list
+        assert tr.events == tr.events == [Event(1, KIND_ACK, "bob1", "-")]
+        assert len(calls) == 1
+        chunk.record(KIND_BASES, "alice1", "01")
+        assert tr.events == [Event(1, KIND_ACK, "bob1", "-"), Event(2, KIND_BASES, "alice1", "01")]
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("kind, party, payloads", [
         ("", "bob1", "-"), ("ack", "bob 1", "-"), ("ack", "bob1", ""), ("ack", "bob1", "0 1"),
@@ -297,8 +317,50 @@ class TestReplay:
 
 
 # ---------------------------------------------------------------------------
-# The per-position replay of version 0.2.0, kept as the reference that the
-# whole-array replay is compared against. It assumes well-formed payloads.
+# The line-based parser and the per-position replay of version 0.2.0, kept as
+# the references that the one-pass parser and the whole-array replay are
+# compared against. The replay assumes well-formed payloads.
+
+
+def reference_parse(text: str) -> ParsedTranscript:
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != FORMAT_HEADER:
+        raise TranscriptParseError(1, f"expected header {FORMAT_HEADER!r}")
+    if len(lines) < 2 or not lines[1].startswith("config "):
+        raise TranscriptParseError(2, "expected a config record")
+    config: dict[str, str] = {}
+    for item in lines[1][len("config "):].split():
+        if "=" not in item:
+            raise TranscriptParseError(2, f"malformed config item {item!r}")
+        key, _, value = item.partition("=")
+        config[key] = value
+    parsed = ParsedTranscript(config=config)
+    last_seq = 0
+    for no, raw in enumerate(lines[2:], start=3):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("adversary "):
+            item = line[len("adversary "):]
+            if "=" not in item:
+                raise TranscriptParseError(no, f"malformed adversary item {item!r}")
+            key, _, value = item.partition("=")
+            parsed.adversary[key] = value
+            continue
+        if not line.startswith("event "):
+            raise TranscriptParseError(no, f"unknown record {line.split()[0]!r}")
+        parts = line.split(" ")
+        if len(parts) != 5:
+            raise TranscriptParseError(no, "event records need: seq kind party payload")
+        try:
+            seq = int(parts[1])
+        except ValueError:
+            raise TranscriptParseError(no, f"bad sequence number {parts[1]!r}") from None
+        if seq <= last_seq:
+            raise TranscriptParseError(no, f"sequence numbers must increase ({seq} after {last_seq})")
+        last_seq = seq
+        parsed.events.append(Event(seq, parts[2], parts[3], parts[4]))
+    return parsed
 
 
 def str_to_bits(s: str) -> tuple:
@@ -308,7 +370,7 @@ def str_to_bits(s: str) -> tuple:
 
 
 def reference_replay(text: str) -> Verdict:
-    parsed = parse(text)
+    parsed = reference_parse(text)
     issues: list[str] = []
     try:
         n = int(parsed.config["receivers"])
@@ -669,6 +731,115 @@ class TestReplayIsTotal:
         assert text.count(old) == 1
         verdict = replay(text.replace(old, new))
         assert isinstance(verdict, Verdict) and not verdict.ok
+
+
+# Whitespace and the line boundaries of str.splitlines other than a newline.
+SPACING_CHARS = "\r\t\x0b\x0c\x1c\x1f\x85\u2028"
+
+
+def parse_outcome(parser, text: str):
+    """What ``parser`` makes of ``text``: a ParsedTranscript, or its error's line and message."""
+    try:
+        return parser(text)
+    except TranscriptParseError as err:
+        return err.line_no, str(err)
+
+
+@st.composite
+def edited_transcripts(draw):
+    """An honest or attacked transcript with up to three one-character edits.
+
+    Each edit lands anywhere in the text, or within a few characters of a
+    line start, where the record words are.
+    """
+    text = draw(st.one_of(honest_transcripts(), attacked_transcripts()))
+    for _ in range(draw(st.integers(0, 3))):
+        starts = [0] + [k + 1 for k, c in enumerate(text) if c == "\n"]
+        if draw(st.booleans()):
+            at = draw(st.sampled_from(starts)) + draw(st.integers(-2, 12))
+        else:
+            at = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(["substitute", "delete", "insert"]))
+        char = draw(st.sampled_from(MUTATION_CHARS + SPACING_CHARS))
+        text = mutate(text, how, min(max(at, 0), len(text)), char)
+    return text
+
+
+class TestParseAgainstLineReference:
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(edited_transcripts())
+    def test_edited_transcripts_parse_as_the_line_based_parser_parses_them(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "\r\n", "mpqss-transcript v1", " mpqss-transcript v1\t\r\nconfig a=1\r\n",
+        "mpqss-transcript v1\rconfig a=1\x0bevent 1 ack bob1 -\x85event 2 ack bob2 -\u2029",
+        "mpqss-transcript v1\nconfig a=1\n\x1c\n\x1f\n  \nevent 1 ack bob1 -",
+        "mpqss-transcript v1\nconfig a=1\nevent 1 ack bob1 -\r\r\nevent 1 ack bob2 -",
+        "mpqss-transcript v1\nconfig a=1\nevent 1  ack bob1\nevent +2 ack bob1 0\t1",
+        "mpqss-transcript v1\nconfig a=1\nevent 1 ack bob1 - \x0c\nevent 2 ack  bob1 -",
+        "mpqss-transcript v1\nconfig\nevent 1 ack bob1 -", "mpqss-transcript v1\nconfig a\n",
+        "mpqss-transcript v1\nconfig a=1\nadversary\u2028adversary x=\nadversary kind",
+        "mpqss-transcript v1\nconfig a=1\n\tevent\t1 ack bob1 -",
+        "mpqss-transcript v1\nconfig a=1\nevent 1_0 ack bob1 -\nevent \u0663\u0663 ack bob1 \u00e9",
+    ])
+    def test_line_ends_spacing_and_bad_records_parse_as_the_line_based_parser_parses_them(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+    def test_a_crlf_transcript_parses_and_replays_as_its_lf_form(self):
+        text = (DATA / "worked_example.transcript").read_text()
+        crlf = text.replace("\n", "\r\n")
+        assert parse(crlf) == parse(text) == reference_parse(crlf)
+        assert replay(crlf) == replay(text)
+
+
+# The regular expression that check-select payloads and adversary positions were matched with.
+INDEX_LIST = r"[0-9]{1,18}(?:,[0-9]{1,18})*"
+
+
+def assert_reads_as_the_regex(s: str) -> None:
+    """``_index_list`` accepts what the regular expression matches, with fromstring's integers."""
+    got = _index_list(s)
+    if re.fullmatch(INDEX_LIST, s) is None:
+        assert got is None
+    else:
+        assert got is not None and got.tolist() == np.fromstring(s, np.int64, sep=",").tolist()
+
+
+class TestIndexList:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet="0123456789,-+ \u0663", max_size=30),
+        st.lists(st.text(alphabet="0123456789", max_size=20), max_size=4).map(",".join),
+    ))
+    def test_accepts_what_the_regex_matches(self, s):
+        assert_reads_as_the_regex(s)
+
+    @pytest.mark.parametrize("s", [
+        "1,,2", ",1", "1,", "", ",", "1" * 19, "9" * 18, "0", "007,3", "1,2" + ",9" * 40,
+        "1,-2", "+1", " 1", "1 ", "\u0663", "1\u0663", "1\ud800",
+    ])
+    def test_edge_cases(self, s):
+        assert_reads_as_the_regex(s)
+
+
+def assert_decodes_as_the_table(s: str) -> None:
+    """``str_to_plane`` gives what the translation table alone gave, and '-' the empty plane."""
+    want = np.frombuffer(s.encode("utf-8", "surrogatepass").translate(_BIT_CODES), np.uint8)
+    got = str_to_plane(s)
+    assert got.dtype == np.uint8
+    assert got.tolist() == ([] if s == "-" else want.tolist())
+
+
+class TestStrToPlane:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(list("01?-2x \u00e9\ud800")), max_size=30).map("".join))
+    def test_decodes_as_the_translation_table_does(self, s):
+        assert_decodes_as_the_table(s)
+
+    @pytest.mark.parametrize("s", ["", "-", "01", "2", "012", "0?1", "\u00e9", "1\ud800"])
+    def test_edge_cases(self, s):
+        assert_decodes_as_the_table(s)
 
 
 # A run configuration that sets every option in a few hundred characters.
