@@ -8,6 +8,7 @@ isolation and identical experiment specs produce byte-identical reports.
 from __future__ import annotations
 
 import collections
+import enum
 import hashlib
 import itertools
 import json
@@ -15,7 +16,7 @@ import math
 import operator
 import random
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -96,27 +97,31 @@ class ExperimentSpec:
                 raise ConfigError("metrics", f"metric {name!r} is named more than once")
 
     def describe(self) -> dict:
-        adv = self.channel.adversary
-        adversary = None
-        if adv is not None:
-            adversary = {"kind": type(adv).__name__}
-            for f in fields(adv):  # not ClassVars such as PreparerInsider.target
-                value = getattr(adv, f.name)
-                adversary[f.name] = sorted(value) if isinstance(value, frozenset) else value
         return {
             "protocol": self.protocol.snapshot(),
-            "channel": {
-                "loss_prob": self.channel.loss_prob,
-                "p_x": self.channel.p_x,
-                "p_y": self.channel.p_y,
-                "p_z": self.channel.p_z,
-                "loss_strategy": self.channel.loss_strategy.value,
-                "adversary": adversary,
-            },
+            "channel": _described(self.channel),
             "trials": self.trials,
             "metrics": list(self.metrics),
             "seed": self.seed,
         }
+
+
+def _described(obj) -> dict:
+    """A dataclass's fields as JSON values: enums by value, sets sorted, an adversary with its kind.
+
+    ``fields`` leaves out class constants such as ``PreparerInsider.target``.
+    """
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, frozenset):
+            value = sorted(value)
+        elif is_dataclass(value):
+            value = {"kind": type(value).__name__, **_described(value)}
+        out[f.name] = value
+    return out
 
 
 @dataclass
@@ -137,19 +142,7 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "spec": self.spec,
-            "trials": self.trials,
-            "abort_rate": self.abort_rate,
-            "metrics": {
-                name: {"mean": s.mean, "stderr": s.stderr, "samples": s.samples}
-                for name, s in self.metrics.items()
-            },
-            "transcript_digest": self.transcript_digest,
-            "combined_digest": self.combined_digest,
-            "extras": self.extras,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         # Fixed column order: metric,mean,stderr,samples; one row per metric

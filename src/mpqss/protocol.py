@@ -248,19 +248,6 @@ def combined_bases(run: Chunk, cfg: ProtocolConfig) -> np.ndarray:
     return np.broadcast_to(combined_basis(strings, cfg.blocks), shape).reshape(len(run), -1)
 
 
-@dataclass(eq=False)
-class Readout:
-    """Every receiver's record as (N, n) planes: row j is block j, column l-1 receiver l.
-
-    A batch of trials stacks them as (trials, N, n).
-    """
-
-    outcome: np.ndarray  # uint8 measurement outcome; meaningless where lost
-    lost: np.ndarray  # bool: no qubit arrived
-    usable: np.ndarray  # bool: arrived and measured in the combined basis
-    checked: np.ndarray | None = None  # bool (trials, N): revealed by the check, set by run_check
-
-
 def _ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
     """part / whole per trial, 0.0 where whole is 0."""
     return np.divide(part, whole, out=np.zeros(len(whole)), where=whole > 0)
@@ -276,13 +263,13 @@ def run_check(
     """Reveal a random subset of blocks and compare outcomes against the XOR.
 
     Takes a chunk and its trials' stream and every sender's per-position
-    value plane as (senders, trials, n*N), and reads the chunk's readout,
-    whose ``checked`` mask it sets. Aborts a trial when the disagreement rate
+    value plane as (senders, trials, n*N), reads the chunk's readout planes
+    and sets its ``checked`` mask. Aborts a trial when the disagreement rate
     among its comparable revealed positions exceeds the configured threshold.
     Returns a bool per trial, True on pass.
     """
-    count, blocks, n, readout = len(run), cfg.blocks, cfg.receivers, run.readout
-    if readout is None:
+    count, blocks, n = len(run), cfg.blocks, cfg.receivers
+    if run.outcome is None:
         raise ProtocolStateError("check requested before the receivers measured")
     want = cfg.checked_block_count
     checked = np.zeros((count, blocks), dtype=bool)
@@ -297,11 +284,10 @@ def run_check(
         if len(set(chosen)) != want or any(not 0 <= j < blocks for j in chosen):
             raise ConfigError("check_blocks", f"need {want} distinct block indices in [0, {blocks})")
         checked[:, chosen] = True
-    readout.checked = checked
+    run.checked = checked
     flat = np.flatnonzero(checked)  # trial t's block j is row t*N + j
-    run.check_blocks = flat.reshape(count, want) % blocks
     bounds = np.arange(count + 1) * want
-    run.record(KIND_CHECK_SELECT, "all", functools.partial(index_payloads, run.check_blocks, bounds))
+    run.record(KIND_CHECK_SELECT, "all", functools.partial(index_payloads, flat % blocks, bounds))
 
     # Reveal order: checked blocks ascending, receivers ascending within each.
     # ``take`` gathers into a fresh contiguous array, which the XOR below reduces fast.
@@ -309,8 +295,8 @@ def run_check(
     sent = values.reshape(len(values), count * blocks, n).take(flat, axis=1).reshape(len(values), *shape)
     run.record_planes([(KIND_CHECK_SENDER, f"alice{i}") for i in range(1, len(sent) + 1)],
                       sent.reshape(len(sent), count, -1))
-    usable = readout.usable.reshape(-1, n)[flat].reshape(shape)
-    outcome = readout.outcome.reshape(-1, n)[flat].reshape(shape)
+    usable = run.usable.reshape(-1, n)[flat].reshape(shape)
+    outcome = run.outcome.reshape(-1, n)[flat].reshape(shape)
     revealed = np.where(usable, outcome, UNUSABLE)
     run.record_planes([(KIND_CHECK_RECV, f"bob{l}") for l in range(1, n + 1)], revealed.transpose(2, 0, 1))
     run.compared, run.disagreements = check_tally(revealed, np.bitwise_xor.reduce(sent, axis=0), axis=(1, 2))
@@ -339,7 +325,7 @@ def extract_raw_key(run: Chunk | Transcript, cfg: ProtocolConfig, values: np.nda
     A block survives when every receiver holds a usable outcome for it. Each
     receiver's contribution and the combined key are both recorded; combining
     them is a joint computation, with no aggregation mechanism prescribed.
-    Takes a chunk as ``run_check`` does, reads its readout and keys its
+    Takes a chunk as ``run_check`` does, reads its readout planes and keys its
     trials that passed the check. A transcript is keyed by its chunk, so
     given one this only raises.
     """
@@ -348,14 +334,13 @@ def extract_raw_key(run: Chunk | Transcript, cfg: ProtocolConfig, values: np.nda
     if isinstance(run, Transcript):
         state = "after an abort" if run.abort_reason is not None else "of a transcript, not of its chunk"
         raise ProtocolStateError(f"raw key requested {state}")
-    count, blocks, n, readout = len(run), cfg.blocks, cfg.receivers, run.readout
-    usable = readout.usable.reshape(count, blocks, n)
+    count, blocks, n = len(run), cfg.blocks, cfg.receivers
     keyed = ~run.aborted
     # Trial t's block j is t*N + j.
-    mask = key_block_mask([usable[..., c] for c in range(n)], readout.checked)
+    mask = key_block_mask([run.usable[..., c] for c in range(n)], run.checked)
     flat = np.flatnonzero(mask & keyed[:, None])
     run.key_bounds = np.searchsorted(flat, np.arange(count + 1) * blocks)
-    contrib = readout.outcome.reshape(-1, n)[flat]  # (key bits of every trial, n)
+    contrib = run.outcome.reshape(-1, n)[flat]  # (key bits of every trial, n)
     run.raw_key = receivers_xor(contrib)
     run.reference_key = receivers_xor(np.bitwise_xor.reduce(values, axis=0).reshape(-1, n)[flat])
     run.key_blocks = flat % blocks
@@ -365,26 +350,22 @@ def extract_raw_key(run: Chunk | Transcript, cfg: ProtocolConfig, values: np.nda
 
 
 def _finalize_rates(run: Chunk, cfg: ProtocolConfig) -> None:
-    readout = run.readout
-    received = cfg.total_qubits - np.count_nonzero(readout.lost, axis=(1, 2))
-    unchecked = ~readout.checked
-    kept = np.count_nonzero(readout.usable & unchecked[:, :, None], axis=(1, 2))
-    run.sift_rate = _ratio(np.count_nonzero(readout.usable, axis=(1, 2)), received)
+    received = cfg.total_qubits - np.count_nonzero(run.lost, axis=(1, 2))
+    unchecked = ~run.checked
+    kept = np.count_nonzero(run.usable & unchecked[:, :, None], axis=(1, 2))
+    run.sift_rate = _ratio(np.count_nonzero(run.usable, axis=(1, 2)), received)
     run.efficiency = _ratio(kept, np.count_nonzero(unchecked, axis=1) * cfg.receivers)
 
 
-def _record_readout(
-    run: Chunk, cfg: ProtocolConfig, readout: Readout, guesses: np.ndarray | None
-) -> None:
-    """Publish the receivers' records and keep the readout; ``guesses`` is None with memory."""
-    shown = np.where(readout.lost, UNUSABLE, readout.outcome)
+def _record_readout(run: Chunk, cfg: ProtocolConfig, guesses: np.ndarray | None) -> None:
+    """Publish the receivers' records from the chunk's readout planes; ``guesses`` is None with memory."""
+    shown = np.where(run.lost, UNUSABLE, run.outcome)
     kinds, planes = [KIND_MEASURED], [shown]
     if guesses is not None:
-        kinds, planes = [KIND_GUESS, KIND_SIFT, KIND_MEASURED], [guesses, readout.usable, shown]
+        kinds, planes = [KIND_GUESS, KIND_SIFT, KIND_MEASURED], [guesses, run.usable, shown]
     # (receivers, kinds, trials, N): each receiver's records in turn.
     stacked = np.stack(planes).transpose(3, 0, 1, 2)
     run.record_planes([(kind, f"bob{l}") for l in range(1, cfg.receivers + 1) for kind in kinds], stacked)
-    run.readout = readout
 
 
 def _record_losses(run: Chunk, party: str, lost: np.ndarray) -> None:
@@ -437,10 +418,9 @@ def run_protocol(
         secrets = list(secrets)
         if len(secrets) != cfg.senders:
             raise ConfigError("secrets", f"need {cfg.senders} senders' secrets, got {len(secrets)}")
-        for i, s in enumerate(secrets):
+        for s in secrets:  # prepare_block and encode_block check the sizes
             if any(getattr(s, name) is not None and getattr(s, name).ndim != 1 for name in _STRINGS):
                 raise ConfigError("secrets", f"{s.party}: expected one trial's strings, got a batch")
-            _check_secret_sizes(s, cfg, first=i == 0)
         # One trial's strings as a batch of one row.
         secrets = [
             replace(s, value_bits=s.value_bits[None], basis_bits=s.basis_bits[None],
@@ -489,7 +469,6 @@ def _run_chunk(
     m, size = cfg.senders, cfg.total_qubits
 
     senders = run.secrets = generate_secrets(cfg, stream) if secrets is None else secrets
-    values, basis_vectors = expanded_bit_vectors(senders, cfg)
     adv = channel.adversary
     # An intercept-resend adversary sits on the last hop only.
     inner_hop = replace(channel, adversary=None) if isinstance(adv, InterceptResend) else channel
@@ -500,15 +479,18 @@ def _run_chunk(
             _record_losses(run, f"alice{leaving + 1}", res.block.lost & ~block.lost)
         block = res.block
         attack = res.intercept
+        # An insider reads the strings of senders the block has passed, whose sizes their encoders checked.
         if isinstance(adv, PreparerInsider) and leaving == adv.target:
-            attack, block = preparer_attack(values[0], basis_vectors[0], block, stream.at("attack"))
+            values, bases = expanded_bit_vectors(senders[:1], cfg)
+            attack, block = preparer_attack(values[0], bases[0], block, stream.at("attack"))
         elif isinstance(adv, ColluderInsider) and leaving == adv.target:
+            values, bases = expanded_bit_vectors(senders[:leaving], cfg)
             known_values = {i: values[i - 1] for i in adv.pool}
-            known_bases = {i: basis_vectors[i - 1] for i in adv.pool if i not in adv.withheld_bases}
+            known_bases = {i: bases[i - 1] for i in adv.pool if i not in adv.withheld_bases}
             attack, block = collusion_attack(known_values, known_bases, block, stream.at("attack"))
         elif isinstance(adv, OrderingAttack) and leaving == m:
             # Using announced bases, hop m follows a successful early announcement.
-            announced = basis_vectors if adv.use_announced_bases else None  # expanded per position
+            announced = [combined_bases(run, cfg)] if adv.use_announced_bases else None
             attack, block = ordering_attack(announced, block, stream.at("attack"))
         if attack is not None:  # positions index the stacked planes: trial t's k is t*size + k
             trial, positions = np.divmod(attack.positions, size)
@@ -556,9 +538,10 @@ def _run_chunk(
         outcome = block.measure(required, random_bits(measuring, size))
     usable = sift_mask(~block.lost, guesses, required)
     shape = (len(run), cfg.blocks, cfg.receivers)
-    readout = Readout(outcome.reshape(shape), block.lost.reshape(shape), usable.reshape(shape))
-    _record_readout(run, cfg, readout, None if guesses is None else guesses.reshape(shape))
+    run.outcome, run.lost, run.usable = (plane.reshape(shape) for plane in (outcome, block.lost, usable))
+    _record_readout(run, cfg, None if guesses is None else guesses.reshape(shape))
 
+    values, _ = expanded_bit_vectors(senders, cfg)
     passed = run_check(run, cfg, values, stream, check_blocks=check_blocks)
     if passed.any():
         extract_raw_key(run, cfg, values)

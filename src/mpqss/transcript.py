@@ -169,7 +169,7 @@ def head(config: Mapping[str, str]) -> str:
 
 
 # The per-row columns of a chunk that a row reads as ``column[t]``.
-_COLUMNS = ("check_blocks", "compared", "disagreements", "qber", "efficiency", "sift_rate")
+_COLUMNS = ("compared", "disagreements", "qber", "efficiency", "sift_rate")
 
 # What a row holds for each field its run never reached. A row reads its other
 # two public attributes, config and announced_bases, from its chunk always.
@@ -195,12 +195,12 @@ class Chunk(Sequence["Transcript"]):
     """The record table of a stack of runs, held by column; item t is row t, a ``Transcript``.
 
     Each phase of a run stores its results for every row at once: the record,
-    one entry per ``record`` or ``record_planes`` call; the readout planes; and
-    arrays with an entry or a row per trial for the check tallies and rates,
-    the key bits (row t's are ``key_bounds[t]:key_bounds[t + 1]``), the attack
-    and the secrets. A row reads its fields on first use (``field``), and
-    ``texts`` renders every row's serialized text in one pass, the one place
-    an entry's payloads are rendered.
+    one entry per ``record`` or ``record_planes`` call; the readout planes and
+    the check mask; and arrays with an entry or a row per trial for the check
+    tallies and rates, the key bits (row t's are ``key_bounds[t]:key_bounds[t + 1]``),
+    the attack and the secrets. A row reads its fields on first use
+    (``field``), and ``texts`` renders every row's serialized text in one
+    pass, the one place an entry's payloads are rendered.
 
     ``config`` is a config snapshot. With ``seeds``, row t runs with
     ``seeds[t]`` as its seed; without, the chunk is one hand-built row, whose
@@ -214,8 +214,13 @@ class Chunk(Sequence["Transcript"]):
         self.secrets: list = []  # each sender's ``PartySecrets``, a row per trial
         self.aborted = np.zeros(len(self), dtype=bool)
         self.abort_reason: str | None = None  # set when one cause stopped every trial
-        self.readout = None  # the ``Readout`` of every row, once measured
-        self.check_blocks = self.compared = self.disagreements = self.qber = None  # run_check
+        # The receivers' readout as (rows, N, n) planes, once measured: [t, j, l - 1] is
+        # row t's block j at receiver l.
+        self.outcome = None  # uint8 measurement outcome; meaningless where lost
+        self.lost = None  # bool: no qubit arrived
+        self.usable = None  # bool: arrived and measured in the combined basis
+        self.checked = None  # bool (rows, N): the blocks the check revealed
+        self.compared = self.disagreements = self.qber = None  # run_check
         self.key_bounds = self.key_blocks = self.raw_key = self.reference_key = None  # extract_raw_key
         self.efficiency = self.sift_rate = None
         self.adversary: AdversaryRecord | None = None  # positions within each trial
@@ -308,14 +313,16 @@ class Chunk(Sequence["Transcript"]):
             return self.abort_reason or f"error rate {self.qber[t]:.6f} above threshold {threshold:.6f}"
         column = getattr(self, name) if name in _COLUMNS else None
         if column is not None:
-            return tuple(column[t].tolist()) if name == "check_blocks" else column[t].item()
+            return column[t].item()
+        if name == "check_blocks" and self.checked is not None:
+            return tuple(np.flatnonzero(self.checked[t]).tolist())
         keyed = self.key_bounds is not None and not self.aborted[t]
         if name in ("key_blocks", "raw_key", "reference_key") and keyed:
             return tuple(getattr(self, name)[self.key_bounds[t]:self.key_bounds[t + 1]].tolist())
-        if name in ("outcomes", "usable") and self.readout is not None:  # receiver-major lists
-            lists = (self.readout.outcome if name == "outcomes" else self.readout.usable)[t].T.tolist()
+        if name in ("outcomes", "usable") and self.outcome is not None:  # receiver-major lists
+            lists = (self.outcome if name == "outcomes" else self.usable)[t].T.tolist()
             if name == "outcomes":  # None where lost
-                for j, c in np.argwhere(self.readout.lost[t]).tolist():
+                for j, c in np.argwhere(self.lost[t]).tolist():
                     lists[c][j] = None
             return dict(enumerate(lists, start=1))
         if name == "adversary" and self.adversary is not None:
@@ -385,24 +392,17 @@ _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 def _lines(text: str) -> Iterator[tuple[str, int, int]]:
     """The lines of ``text.splitlines()`` in order, each as (s, a, b) with the line s[a:b].
 
-    Lines end at a newline and are not copied; only a line that holds another
-    boundary is split again by ``splitlines``. ``ahead`` keeps the next place
-    of each boundary still in the text, so each is searched for once over it.
+    A text holding any other line boundary than a newline is split by
+    ``splitlines``; any other text is cut at each newline, its lines not copied.
     """
-    size, start, near = len(text), 0, -1
-    ahead = dict.fromkeys(_BREAKS, -1)
+    if any(c in text for c in _BREAKS):
+        yield from ((line, 0, len(line)) for line in text.splitlines())
+        return
+    size, start = len(text), 0
     while start < size:
-        if near < start:
-            found = {c: at if at >= start else text.find(c, start) for c, at in ahead.items()}
-            ahead = {c: at for c, at in found.items() if at >= 0}
-            near = min(ahead.values(), default=size)
         end = text.find("\n", start)
         end = size if end < 0 else end
-        if near < end:
-            for line in text[start:end + 1].splitlines():
-                yield line, 0, len(line)
-        else:
-            yield text, start, end
+        yield text, start, end
         start = end + 1
 
 

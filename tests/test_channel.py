@@ -1,8 +1,10 @@
 """Channel noise, loss handling, and every adversary behaviour."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from mpqss import (
     ProtocolConfig,
     Qubit,
     Substream,
+    Variant,
     encode,
     intercept_resend,
     measure,
@@ -32,6 +35,7 @@ from mpqss import (
     run_protocol,
     transmit,
 )
+from mpqss.planes import combined_basis
 
 
 
@@ -380,9 +384,9 @@ class TestOrderingAttack:
         assert tr.efficiency is None and tr.sift_rate is None
 
     def test_enforcement_off_hands_over_the_full_raw_key(self):
-        for seed in range(25):
+        for variant, seed in itertools.product((Variant.MAIN, Variant.BLOCK_BASIS), range(25)):
             cfg = ProtocolConfig(
-                senders=3, receivers=3, blocks=8, seed=seed, enforce_ordering=False
+                senders=3, receivers=3, blocks=8, variant=variant, seed=seed, enforce_ordering=False
             )
             tr = run_protocol(cfg, ChannelModel(adversary=OrderingAttack()))
             assert tr.abort_reason is None
@@ -391,6 +395,10 @@ class TestOrderingAttack:
             assert tr.qber == 0.0  # matched-basis interception is invisible
             rec = tr.adversary
             assert all(rec.certain)
+            # The interceptor measured in the combined basis of the announced strings.
+            combined = combined_basis(list(tr.announced_bases.values()), cfg.blocks)
+            per_position = np.broadcast_to(combined, (cfg.blocks, cfg.receivers)).reshape(-1)
+            assert rec.bases.tolist() == per_position[rec.positions].tolist()
             recovered = recovered_raw_key(rec.bits, rec.positions, tr.key_blocks, cfg)
             assert recovered == tr.raw_key
 

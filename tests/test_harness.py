@@ -4,6 +4,7 @@ import hashlib
 import json
 import pathlib
 import statistics
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,7 @@ from mpqss import (
     run_experiment,
 )
 from mpqss.cli import OPTIONS, main
-from mpqss.harness import _summary
+from mpqss.harness import RunReport, _summary
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -354,6 +355,23 @@ class TestReportFormats:
         assert payload["spec"]["protocol"]["senders"] == "2"
         assert set(payload["metrics"]) == {"qber", "efficiency"}
         assert len(payload["transcript_digest"]) == 64
+        assert list(payload) == sorted(f.name for f in fields(RunReport))
+        channel = ExperimentSpec(base_protocol()).describe()["channel"]
+        assert list(channel) == [f.name for f in fields(ChannelModel)]
+        assert channel["loss_strategy"] == "remove" and channel["adversary"] is None
+        adversaries = {
+            InterceptResend(0.5): {"fraction": 0.5},
+            OrderingAttack(False): {"use_announced_bases": False},
+            PreparerInsider(): {},  # its target is a class constant, not a field
+            ColluderInsider(3, frozenset({2, 1}), frozenset({2})): {
+                "target": 3, "colluders": [1, 2], "withheld_bases": [2]},
+            ColluderInsider(3): {"target": 3, "colluders": None, "withheld_bases": []},
+        }
+        for adversary, want in adversaries.items():
+            spec = ExperimentSpec(base_protocol(senders=3), ChannelModel(adversary=adversary))
+            described = spec.describe()["channel"]["adversary"]
+            assert described == {"kind": type(adversary).__name__, **want}
+            assert list(described) == ["kind"] + [f.name for f in fields(adversary)]
 
     def test_csv_column_order(self, report):
         lines = report.to_csv().splitlines()

@@ -13,6 +13,7 @@ from mpqss import (
     InterceptResend,
     OrderingError,
     PartySecrets,
+    PreparerInsider,
     ProtocolConfig,
     ProtocolStateError,
     Qubit,
@@ -502,23 +503,23 @@ class TestCheckedMask:
         finalize = protocol._finalize_rates
 
         def spy(trs, cfg):
-            seen.append((trs, trs.readout))
+            seen.append(trs)
             finalize(trs, cfg)
 
         monkeypatch.setattr(protocol, "_finalize_rates", spy)
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=20, seed=0)
         channel = ChannelModel(adversary=InterceptResend(fraction=0.3))
         list(protocol.run_trials(cfg, channel, range(40)))
-        [(trs, readout)] = seen  # one chunk of 40 trials
+        [trs] = seen  # one chunk of 40 trials
         aborted = [t.abort_reason is not None for t in trs]
         assert any(aborted) and not all(aborted)
-        assert readout.checked.shape == (40, cfg.blocks)
+        assert trs.checked.shape == (40, cfg.blocks)
         for t, tr in enumerate(trs):
             [select] = [ev.payload for ev in tr.events if ev.kind == "check-select"]
-            assert np.flatnonzero(readout.checked[t]).tolist() == [int(j) for j in select.split(",")]
+            assert np.flatnonzero(trs.checked[t]).tolist() == [int(j) for j in select.split(",")]
             if not aborted[t]:
-                usable = [readout.usable[t, :, c] for c in range(cfg.receivers)]
-                assert tr.key_blocks == tuple(np.flatnonzero(key_block_mask(usable, readout.checked[t])))
+                usable = [trs.usable[t, :, c] for c in range(cfg.receivers)]
+                assert tr.key_blocks == tuple(np.flatnonzero(key_block_mask(usable, trs.checked[t])))
 
 
 class TestStateErrors:
@@ -542,3 +543,13 @@ class TestStateErrors:
     def test_run_rejects_wrong_secret_count(self):
         with pytest.raises(ConfigError, match="secrets"):
             run_protocol(kv.config(), secrets=[kv.secrets()[0]])
+
+    def test_run_rejects_a_string_of_the_wrong_size(self):
+        first, second = kv.secrets()
+        for secrets, party in [
+            ([PartySecrets("alice1", first.value_bits[:-1], first.basis_bits), second], "alice1"),
+            ([first, PartySecrets("alice2", second.value_bits, second.basis_bits[:-1])], "alice2"),
+        ]:
+            for channel in (None, ChannelModel(adversary=PreparerInsider())):
+                with pytest.raises(ConfigError, match=f"secrets: {party}: expected 18 value bits"):
+                    run_protocol(kv.config(), channel, secrets=secrets)

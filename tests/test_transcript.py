@@ -782,6 +782,8 @@ class TestParseAgainstLineReference:
         "mpqss-transcript v1\nconfig a=1\nadversary\u2028adversary x=\nadversary kind",
         "mpqss-transcript v1\nconfig a=1\n\tevent\t1 ack bob1 -",
         "mpqss-transcript v1\nconfig a=1\nevent 1_0 ack bob1 -\nevent \u0663\u0663 ack bob1 \u00e9",
+        "mpqss-transcript v1\nconfig a=1\nevent 1 ack bob1 -\revent 2 ack bob2 -\r",
+        "mpqss-transcript v1\r\nconfig a=1\nevent 1 ack bob1 -\nevent 2 ack bob2 -\n",
     ])
     def test_line_ends_spacing_and_bad_records_parse_as_the_line_based_parser_parses_them(self, text):
         assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)

@@ -162,14 +162,13 @@ class TestAgainstOneTrialRuns:
     def test_views_build_each_mirror_once_from_the_readout_planes(self):
         cfg = ProtocolConfig(3, 3, 20, quantum_memory=False)
         [chunk] = run_chunks(cfg, ChannelModel(loss_prob=0.2, p_x=0.02), range(6))
-        readout = chunk.readout
         for t, tr in enumerate(chunk):
             assert tr.outcomes is tr.outcomes and tr.usable is tr.usable
             for l, j in itertools.product(range(1, cfg.receivers + 1), range(cfg.blocks)):
-                lost = readout.lost[t, j, l - 1]
-                assert tr.outcomes[l][j] == (None if lost else readout.outcome[t, j, l - 1])
-                assert tr.usable[l][j] == readout.usable[t, j, l - 1]
-        assert readout.lost.any()
+                lost = chunk.lost[t, j, l - 1]
+                assert tr.outcomes[l][j] == (None if lost else chunk.outcome[t, j, l - 1])
+                assert tr.usable[l][j] == chunk.usable[t, j, l - 1]
+        assert chunk.lost.any()
 
     def test_a_chunk_goes_with_its_last_view_without_the_collector(self):
         gc.disable()
