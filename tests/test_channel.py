@@ -95,18 +95,21 @@ class TestChannelModel:
             else:
                 assert after == Qubit(q.value ^ (1 - q.basis), q.basis)
         # Noise rates hold among survivors: half of them flip at p_x = 0.5.
-        zeros = kv.from_qubits([Qubit(0, 0)] * 10_000)
+        # About 10,000 survivors: sigma = 0.005, so +-0.03 is 6 sigma.
+        zeros = kv.from_qubits([Qubit(0, 0)] * 20_000)
         res = transmit(zeros, ChannelModel(loss_prob=0.5, p_x=0.5), fresh(rng))
         survivors = [q for q in res.block.qubits if q is not None]
         assert abs(sum(q.value for q in survivors) / len(survivors) - 0.5) <= 0.03
 
     def test_removal_loss_fraction_matches_binomial_oracle(self):
+        # 25,000 positions: sigma = 0.0019, so +-0.01 is 5.3 sigma. The
+        # binomial test refuses with probability 0.001 at any count.
         rng = random.Random(2)
-        _, _, block = random_block(rng, 10_000)
+        _, _, block = random_block(rng, 25_000)
         res = transmit(block, ChannelModel(loss_prob=0.1), fresh(rng))
         lost = len(res.lost)
-        assert abs(lost / 10_000 - 0.1) <= 0.01
-        assert binomtest(lost, 10_000, 0.1).pvalue >= 0.001
+        assert abs(lost / 25_000 - 0.1) <= 0.01
+        assert binomtest(lost, 25_000, 0.1).pvalue >= 0.001
         out = res.block.qubits
         assert all(out[k] is None for k in res.lost)
         assert sum(q is None for q in out) == lost
@@ -114,7 +117,7 @@ class TestChannelModel:
     def test_substitution_disagrees_half_the_time_it_fires(self):
         # A substituted random state agrees with the original value on a
         # matched-basis readout with probability 1/2, so the disagreement
-        # rate is loss_prob / 2.
+        # rate is loss_prob / 2. 10,000 positions: sigma = 0.003, so +-0.02 is 6.7 sigma.
         rng = random.Random(3)
         loss = 0.2
         values, bases, block = random_block(rng, 10_000)
@@ -153,31 +156,35 @@ class TestInterceptResend:
 
     def test_disturbance_rate_in_the_honest_basis_is_one_quarter(self):
         # Oracle: wrong basis guess (1/2) times a flip on the honest readout (1/2).
+        # 20,000 positions: sigma = 0.0031, so +-0.02 is 6.5 sigma.
         rng = random.Random(6)
-        values, bases, block = random_block(rng, 10_000)
+        values, bases, block = random_block(rng, 20_000)
         out, _ = intercept_resend(block, fresh(rng))
         flipped = sum(
             1
             for v, b, q in zip(values, bases, out.qubits)
             if measure(q, b, rng) != v
         )
-        assert abs(flipped / 10_000 - 0.25) <= 0.02
+        assert abs(flipped / 20_000 - 0.25) <= 0.02
 
     @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
     def test_partial_interception_scales_disturbance_by_f(self, fraction):
+        # 20,000 positions: sigma is at most 0.0031 for the flips (6.5 sigma)
+        # and 0.0035 for the intercepted share at f = 0.5 (5.7 sigma).
         rng = random.Random(int(fraction * 100))
-        values, bases, block = random_block(rng, 10_000)
+        values, bases, block = random_block(rng, 20_000)
         out, rec = intercept_resend(block, fresh(rng), fraction=fraction)
         flipped = sum(
             1
             for v, b, q in zip(values, bases, out.qubits)
             if measure(q, b, rng) != v
         )
-        assert abs(flipped / 10_000 - fraction / 4) <= 0.02
-        assert abs(len(rec.positions) / 10_000 - fraction) <= 0.02
+        assert abs(flipped / 20_000 - fraction / 4) <= 0.02
+        assert abs(len(rec.positions) / 20_000 - fraction) <= 0.02
 
     def test_detection_probability_across_revealed_positions(self):
         """P(detect) = 1 - (3/4)^c for c compared positions; per-bit independence."""
+        # 1,000 trials at P = 0.9968: sigma = 0.0018, so +-0.02 is 11 sigma.
         rng = random.Random(7)
         c = 20
         detected = 0
@@ -245,9 +252,11 @@ class TestPreparerInsider:
             assert tr.abort_reason is None and tr.qber == 0.0
 
     def test_with_basis_mixing_applied_the_attack_fails(self):
+        # 300 runs of 60 positions: sigma = 0.0037 at 1/2 (5.4 sigma for +-0.02)
+        # and 0.0032 at 3/4 (6.2 sigma).
         certain_hits = guess_hits = total = 0
         for seed in range(300):
-            tr, cfg = self.attack_run(omit=False, seed=seed)
+            tr, cfg = self.attack_run(omit=False, seed=seed, blocks=20)
             rec = tr.adversary
             truth = [s for s in tr._secrets if s.party == "alice2"][0].value_bits
             for p, b, ok in zip(rec.positions, rec.bits, rec.certain):
@@ -275,10 +284,10 @@ class TestPreparerInsider:
 
 
 class TestColluderInsider:
-    def attack_run(self, *, omit: bool, seed: int, withheld=frozenset(), senders=3, target=3):
+    def attack_run(self, *, omit: bool, seed: int, withheld=frozenset(), senders=3, target=3, blocks=6):
         omitted = frozenset({target}) if omit else frozenset()
         cfg = ProtocolConfig(
-            senders=senders, receivers=3, blocks=6, seed=seed, omit_hadamard=omitted
+            senders=senders, receivers=3, blocks=blocks, seed=seed, omit_hadamard=omitted
         )
         adversary = ColluderInsider(target=target, withheld_bases=withheld)
         return run_protocol(cfg, ChannelModel(adversary=adversary)), cfg
@@ -293,9 +302,10 @@ class TestColluderInsider:
             assert tr.abort_reason is None  # undetectable without basis mixing
 
     def test_basis_mixing_defeats_the_collusion(self):
+        # 300 runs of 60 positions: sigma = 0.0037, so +-0.02 is 5.4 sigma.
         certain_hits = total = 0
         for seed in range(300):
-            tr, cfg = self.attack_run(omit=False, seed=seed)
+            tr, cfg = self.attack_run(omit=False, seed=seed, blocks=20)
             rec = tr.adversary
             truth = [s for s in tr._secrets if s.party == "alice3"][0].value_bits
             for p, b, ok in zip(rec.positions, rec.bits, rec.certain):
@@ -306,9 +316,10 @@ class TestColluderInsider:
     def test_one_withheld_basis_string_costs_a_quarter(self):
         # One colluder keeps her basis string back: half the positions get
         # measured in the wrong basis, so best-guess accuracy sits at 3/4.
+        # 300 runs of 60 positions: sigma = 0.0032, so +-0.02 is 6.2 sigma.
         guess_hits = total = 0
         for seed in range(300):
-            tr, cfg = self.attack_run(omit=True, seed=seed, withheld=frozenset({1}))
+            tr, cfg = self.attack_run(omit=True, seed=seed, withheld=frozenset({1}), blocks=20)
             rec = tr.adversary
             truth = [s for s in tr._secrets if s.party == "alice3"][0].value_bits
             for p, b in zip(rec.positions, rec.bits):
@@ -317,10 +328,11 @@ class TestColluderInsider:
         assert abs(guess_hits / total - mismatch_oracle(0.5)) <= 0.02
 
     def test_missing_a_whole_colluder_degrades_toward_chance(self):
+        # 300 runs of 60 positions: sigma = 0.0037, so +-0.02 is 5.4 sigma.
         guess_hits = total = 0
         for seed in range(300):
             cfg = ProtocolConfig(
-                senders=4, receivers=3, blocks=6, seed=seed, omit_hadamard=frozenset({4})
+                senders=4, receivers=3, blocks=20, seed=seed, omit_hadamard=frozenset({4})
             )
             adversary = ColluderInsider(target=4, colluders=frozenset({2, 3}))
             tr = run_protocol(cfg, ChannelModel(adversary=adversary))
@@ -420,9 +432,10 @@ class TestOrderingAttack:
         assert recovered_raw_key(tuple(bits), tuple(positions), tuple(key_blocks), cfg) == tuple(want)
 
     def test_withholding_the_strings_blinds_the_interceptor(self):
+        # 60 runs of 300 positions: sigma = 0.0037, so +-0.02 is 5.4 sigma.
         certain = total = 0
         for seed in range(60):
-            cfg = ProtocolConfig(senders=2, receivers=3, blocks=60, seed=seed)
+            cfg = ProtocolConfig(senders=2, receivers=3, blocks=100, seed=seed)
             tr = run_protocol(
                 cfg, ChannelModel(adversary=OrderingAttack(use_announced_bases=False))
             )

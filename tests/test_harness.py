@@ -99,15 +99,18 @@ class TestRunExperiment:
 
     def test_interception_pushes_qber_into_the_quarter_band(self):
         spec = ExperimentSpec(
-            protocol=base_protocol(receivers=4, blocks=50),
+            protocol=base_protocol(receivers=4, blocks=200),
             channel=ChannelModel(adversary=InterceptResend()),
             trials=30,
             metrics=("qber", "detection_prob", "adversary_accuracy"),
             seed=2,
         )
+        # 30 trials of 400 compared bits: sigma = 0.0036 at 1/4, so +-0.02 is
+        # 5.6 sigma, and each trial's rate is 6.4 sigma above the 0.11 threshold;
+        # of 800 intercepted positions: sigma = 0.0028 at 3/4 (7.1 sigma).
         report = run_experiment(spec)
         assert 0.23 <= report.metrics["qber"].mean <= 0.27
-        assert report.metrics["detection_prob"].mean == 1.0  # 100 compared bits/trial
+        assert report.metrics["detection_prob"].mean == 1.0  # 400 compared bits/trial
         assert report.abort_rate == 1.0
         # Interceptor's best guess of the joint encoding: matched basis half
         # the time, coin flip otherwise.
@@ -121,10 +124,12 @@ class TestRunExperiment:
     def test_no_memory_efficiency_halves(self):
         spec = ExperimentSpec(
             protocol=base_protocol(quantum_memory=False),
-            trials=300,
+            trials=2000,
             metrics=("efficiency", "sift_rate"),
             seed=4,
         )
+        # 2,000 trials of 9 unchecked and 18 received positions: sigma = 0.0037
+        # (5.4 sigma for +-0.02) and 0.0026 (7.6 sigma).
         report = run_experiment(spec)
         assert abs(report.metrics["efficiency"].mean - 0.5) <= 0.02
         assert abs(report.metrics["sift_rate"].mean - 0.5) <= 0.02
@@ -148,6 +153,8 @@ class TestRunExperiment:
             seed=6,
         )
         report = run_experiment(spec)
+        # About 20 unpadded blocks, each failing with about 0.017 (a key bit
+        # errs with about 0.03): sigma = 0.029, so 0.8 is 6.3 sigma below.
         assert report.metrics["block_yield"].samples > 0
         assert report.metrics["block_yield"].mean > 0.8
         assert "final_key_hex" in report.extras
@@ -517,8 +524,10 @@ class TestCli:
         ],
     )
     def test_attack_scenarios(self, tmp_path, flags, code, adversary, accuracy):
+        # The blind attack errs on 1/4 of 300 compared bits per trial: sigma =
+        # 0.025, so every trial exceeds the 0.11 threshold by 5.6 sigma and aborts.
         out = tmp_path / "r.json"
-        argv = ["run", *flags, "-N", "20", "--trials", "3", "--metrics", "qber,adversary_accuracy", "--seed", "2"]
+        argv = ["run", *flags, "-N", "200", "--trials", "3", "--metrics", "qber,adversary_accuracy", "--seed", "2"]
         assert main([*argv, "--out", str(out)]) == code
         payload = json.loads(out.read_text())
         assert payload["spec"]["channel"]["adversary"] == adversary

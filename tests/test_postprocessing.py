@@ -229,9 +229,10 @@ class TestReconcile:
         # Oracle: per-block agreement is (1-p)^7 + 7 p (1-p)^6 at p = 0.02.
         p = 0.02
         oracle = (1 - p) ** 7 + 7 * p * (1 - p) ** 6
+        # 2,500 blocks: sigma = 0.0018, so +-0.01 is 5.7 sigma.
         rng = random.Random(3)
         agreed = 0
-        blocks = 1000
+        blocks = 2500
         for _ in range(blocks):
             v = [rng.getrandbits(1) for _ in range(7)]
             noisy = [b ^ (1 if rng.random() < p else 0) for b in v]
@@ -356,6 +357,7 @@ class TestEndToEnd:
         noisy = [b ^ (1 if rng.random() < p else 0) for b in held]
         stream = reconcile_stream(pair, held, noisy, rng)
         oracle = (1 - p) ** 7 + 7 * p * (1 - p) ** 6
+        # 500 blocks: sigma = 0.0039, so +-0.02 is 5.1 sigma.
         assert stream.block_yield >= oracle - 0.02
         assert abs(stream.block_yield - oracle) <= 0.02
         # The disagreeing residue is exactly the beyond-radius blocks.

@@ -266,6 +266,7 @@ class TestHonestRuns:
             senders=2, receivers=2, blocks=400, quantum_memory=False, seed=77
         )
         tr = run_protocol(cfg)
+        # 800 positions: sigma = 0.018, so +-0.1 is 5.7 sigma.
         assert 0.4 < tr.sift_rate < 0.6
         # Surviving positions decode correctly, so the key still checks out.
         assert tr.abort_reason is None
@@ -273,7 +274,8 @@ class TestHonestRuns:
 
     def test_secrecy_missing_one_receiver_leaves_key_uniform(self):
         """Any n-1 receivers plus all announcements learn nothing per key bit."""
-        cfg = ProtocolConfig(senders=2, receivers=3, blocks=12_000, seed=31337)
+        # About 18,000 key blocks: sigma = 0.0037, so +-0.02 is 5.4 sigma.
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=36_000, seed=31337)
         tr = run_protocol(cfg)
         # Oracle holding receivers 1..n-1: best guess is the XOR of its records.
         hits = 0
@@ -483,14 +485,15 @@ class TestChannelIntegration:
         from mpqss import ChannelModel, LossStrategy
 
         cfg = ProtocolConfig(
-            senders=2, receivers=3, blocks=2000, qber_abort_threshold=0.5, seed=18
+            senders=2, receivers=3, blocks=8000, qber_abort_threshold=0.5, seed=18
         )
         ch = ChannelModel(loss_prob=0.2, loss_strategy=LossStrategy.SUBSTITUTE)
         tr = run_protocol(cfg, ch)
         assert not [ev for ev in tr.events if ev.kind == "loss"]
         assert tr.efficiency == 1.0  # nothing deleted, errors instead
         # Two hops at 20% loss, each substitution agreeing half the time:
-        # disagreement = (1 - 0.8^2) / 2 = 0.18.
+        # disagreement = (1 - 0.8^2) / 2 = 0.18. 12,000 compared positions:
+        # sigma = 0.0035, so +-0.02 is 5.7 sigma.
         assert abs(tr.qber - 0.18) <= 0.02
 
 

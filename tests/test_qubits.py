@@ -188,8 +188,10 @@ def test_mismatched_basis_measurement_is_fair(q):
     p0, p1 = outcome_probabilities(AMPLITUDES[(q.value, q.basis)], other)
     assert p0 == pytest.approx(0.5) and p1 == pytest.approx(0.5)
 
+    # 20,000 trials: sigma = 0.0035, so +-0.02 is 5.7 sigma. The binomial
+    # test refuses with probability 0.001 at any count.
     rng = random.Random(20240 + q.value * 2 + q.basis)
-    trials = 10_000
+    trials = 20_000
     ones = sum(measure(q, other, rng) for _ in range(trials))
     assert abs(ones / trials - 0.5) <= 0.02
     assert binomtest(ones, trials, 0.5).pvalue >= 0.001
