@@ -143,8 +143,9 @@ class TransmitResult:
 def _thresholds(*probabilities: float) -> list[int]:
     """Each cumulative probability c as ``floor(c * 2**32)``.
 
-    A uniform 32-bit word lies below it with probability ``floor(c * 2**32) / 2**32``; numpy
-    compares uint32 words with an int exactly, so a probability of 1.0 (2**32) holds at every word.
+    A uniform 32-bit word lies below it with probability ``floor(c * 2**32) / 2**32``,
+    so a probability of 1.0 (2**32) holds at every word. A ``Substream`` decision
+    compares the words with these thresholds exactly, in integers.
     """
     return [math.floor(c * 2.0**32) for c in probabilities]
 
@@ -162,21 +163,23 @@ def transmit(block: QubitBlock, ch: ChannelModel, stream: Substream) -> Transmit
     fresh = ~block.lost
     lost = np.zeros_like(fresh)
     if ch.loss_prob > 0.0 or ch.p_x + ch.p_y + ch.p_z > 0.0:
-        # One uniform 32-bit word per position: below the loss threshold the
-        # qubit is lost; the rest of the range splits into X, Y, Z and no error
-        # in the ratio p_x : p_y : p_z : rest. X and Y carry an x bit, Y and Z a z bit.
+        # One decision over a uniform 32-bit word per position: below the loss
+        # threshold the qubit is lost; the rest of the range splits into X, Y,
+        # Z and no error in the ratio p_x : p_y : p_z : rest. X and Y carry an
+        # x bit, Y and Z a z bit. The word lies below threshold i exactly when
+        # its bin is at most i.
         kept = 1.0 - ch.loss_prob
         to_x = ch.loss_prob + kept * ch.p_x
         to_y = to_x + kept * ch.p_y
         to_z = to_y + kept * ch.p_z
-        to_loss, to_x, to_y, to_z = _thresholds(ch.loss_prob, to_x, to_y, to_z)
         # A substituted position takes a fresh value bit and basis bit.
         substitute = ch.loss_strategy is LossStrategy.SUBSTITUTE
-        words, *fill = stream.draw((32, size), *[(1, size)] * (2 if substitute else 0))
-        lost = fresh & (words < to_loss)
+        thresholds = _thresholds(ch.loss_prob, to_x, to_y, to_z)
+        bins, *fill = stream.draw((thresholds, size), *[(1, size)] * (2 if substitute else 0))
+        lost = fresh & (bins == 0)
         block = block.substitute(lost, *fill) if substitute else block.drop(lost)
         survived = fresh & ~lost
-        block = block.pauli(survived & (words < to_y), survived & (words >= to_x) & (words < to_z))
+        block = block.pauli(survived & (bins <= 2), survived & (bins >= 2) & (bins <= 3))
     intercept = None
     if isinstance(ch.adversary, InterceptResend):
         block, intercept = intercept_resend(block, stream.at("attack"), fraction=ch.adversary.fraction)
@@ -219,14 +222,14 @@ def intercept_resend(
 ) -> tuple[QubitBlock, AdversaryRecord]:
     """Standard intercept-resend: random basis per qubit, forward the collapsed state.
 
-    Draws, per position, a 32-bit word that picks the intercepted positions
+    Draws, per position, a decision that picks the intercepted positions
     (only when ``fraction`` is below 1), then a basis bit and a coin.
     """
     size = len(block)
     hit = ~block.lost
     if fraction < 1.0:
-        words, plan, coins = stream.draw((32, size), (1, size), (1, size))
-        hit &= words < _thresholds(fraction)[0]
+        bins, plan, coins = stream.draw((_thresholds(fraction), size), (1, size), (1, size))
+        hit &= bins == 0
     else:
         plan, coins = stream.draw((1, size), (1, size))
     result, resent = _intercept("intercept-resend", block, hit, plan, 0, coins)

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import operator
-import random
 import statistics
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -25,8 +24,8 @@ from .errors import ConfigError, KeyMaterialError
 from .config import ProtocolConfig, checked_block_count
 from .postprocessing import CssPair, StreamResult, bits_to_hex, build_canonical_css, key_rate, otp_send
 from .postprocessing import reconcile_streams
-from .planes import UNUSABLE, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
-from .protocol import expanded_bit_vectors, run_chunks
+from .planes import UNUSABLE, Substream, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
+from .protocol import expanded_values, run_chunks
 
 # The one-trial forms, which run_experiment no longer calls; perfbench/tracing.py
 # spans calls at these names.
@@ -50,7 +49,7 @@ from .transcript import (
     Chunk,
     Event,
     parse,
-    str_to_plane,
+    str_to_codes,
 )
 
 # Every metric's sampler: the list of a chunk's samples, in trial order, from
@@ -229,7 +228,7 @@ def _adversary_accuracy(chunk: Chunk, spec: ExperimentSpec) -> list[float]:
         sampled = (touched > 0) & (scored > 0)
     else:
         # Each attack's target bit per position; insiders score only where their basis provably matched.
-        values, _ = expanded_bit_vectors(chunk.secrets, cfg)
+        values = expanded_values(chunk.secrets, cfg)
         if isinstance(adversary, InterceptResend):
             truth, certain = np.bitwise_xor.reduce(values, axis=0), True
         else:  # an insider: the preparer or a colluder
@@ -247,23 +246,17 @@ def recovered_raw_key(bits, positions, key_blocks, cfg: ProtocolConfig) -> tuple
     return tuple(key[list(key_blocks)].tolist())
 
 
-def _reconcile_keyed(pair: CssPair, chunk: Chunk, seed: int, first: int) -> list[StreamResult]:
+def _reconcile_keyed(pair: CssPair, chunk: Chunk) -> list[StreamResult]:
     """The ``StreamResult`` of each trial of ``chunk`` with a key bit, in one pass.
 
-    Row t is trial ``first + t`` and draws from the generator seeded from
-    ``"<seed>:<trial>:pp"``. The generators, about 2.5 KiB each, go when this
-    returns, so none is alive while the next chunk runs.
+    Each keyed trial draws its coins from the "pp" phase of its own seed.
     """
     bounds = chunk.key_bounds.tolist()
     reference, raw = chunk.reference_key.tobytes(), chunk.raw_key.tobytes()
     keyed = np.flatnonzero(np.diff(chunk.key_bounds)).tolist()
-    rngs = []
-    for t in keyed:
-        pp_seed = hashlib.sha256(f"{seed}:{first + t}:pp".encode()).digest()
-        rngs.append(random.Random(int.from_bytes(pp_seed[:8], "big")))
     held = [reference[bounds[t]:bounds[t + 1]] for t in keyed]
     noisy = [raw[bounds[t]:bounds[t + 1]] for t in keyed]
-    return reconcile_streams(pair, held, noisy, rngs)
+    return reconcile_streams(pair, held, noisy, Substream([chunk.seeds[t] for t in keyed], "pp"))
 
 
 def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> RunReport:
@@ -273,7 +266,7 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
     distilled key and reported as ciphertext_hex; it needs the block_yield
     metric and refuses when the key runs short or no trial yields key bits.
     For block_yield the raw keys of each chunk's keyed trials are reconciled
-    in one pass, each with the generator seeded from ``"<seed>:<trial>:pp"``.
+    in one pass, each with coins from the "pp" phase of the trial's seed.
     """
     spec.validate()
     samples: dict[str, list[float]] = {name: [] for name in spec.metrics}
@@ -284,7 +277,6 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
     if otp_message is not None and pair is None:
         raise ConfigError("metrics", "an outgoing message needs the block_yield metric")
     seeds = (derive_trial_seed(spec.seed, trial) for trial in range(spec.trials))
-    first = 0  # the trial number of the chunk's first trial
     for chunk in run_chunks(spec.protocol, spec.channel, seeds):
         digests.extend(tr.digest() for tr in chunk)
         aborted += int(np.count_nonzero(chunk.aborted))
@@ -292,7 +284,7 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
             if METRICS[name] is not None:
                 samples[name].extend(METRICS[name](chunk, spec))
         if pair is not None and chunk.key_bounds is not None:
-            for stream in _reconcile_keyed(pair, chunk, spec.seed, first):
+            for stream in _reconcile_keyed(pair, chunk):
                 samples["block_yield"].append(stream.block_yield)
                 if "final_key_hex" not in extras:
                     extras["final_key_hex"] = bits_to_hex(stream.final_alice)
@@ -301,7 +293,6 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
                         ciphertext = otp_send(otp_message, [stream.final_alice])
                         extras["ciphertext_hex"] = bits_to_hex(ciphertext)
                         extras["message_bits"] = len(otp_message)
-        first += len(chunk)
         del chunk  # before the next chunk is run
     if otp_message is not None and "ciphertext_hex" not in extras:
         raise KeyMaterialError(f"need {len(otp_message)} key bits but no trial yielded key bits")
@@ -384,8 +375,8 @@ def replay(text: str) -> Verdict:
 
     def decode(ev: Event, codes: int, length: int | None = None) -> np.ndarray | None:
         """The payload of ``ev`` as a plane of codes below ``codes``, or None and an issue."""
-        plane = str_to_plane(ev.payload)
-        if plane.size and plane.max() >= codes:
+        plane, top = str_to_codes(ev.payload)
+        if top >= codes:
             issues.append(f"{ev.party}: {ev.kind} payload has a character outside {'01?'[:codes]!r}")
         elif length is not None and len(plane) != length:
             issues.append(f"{ev.party}: {ev.kind} payload has {len(plane)} positions, expected {length}")
@@ -556,8 +547,8 @@ def _check_adversary(issues, section: dict[str, str], size: int) -> None:
     elif count and int(touched[-1]) >= size:
         issues.append(f"adversary: position {touched[-1]} is outside [0, {size})")
     for key in ("bases", "bits", "certain"):
-        plane = str_to_plane(section.get(key, ""))
-        if key not in section or (plane.size and plane.max() > 1):
+        plane, top = str_to_codes(section.get(key, ""))
+        if key not in section or top > 1:
             issues.append(f"adversary: {key} is missing or has a character outside '01'")
         elif len(plane) != count:
             issues.append(f"adversary: {key} has {len(plane)} entries, expected {count}")

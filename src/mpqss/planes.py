@@ -19,6 +19,7 @@ import copy
 import functools
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,12 +31,54 @@ from .qubits import Qubit
 UNUSABLE = 2
 
 # The random stream's version: it keys every draw, so a stream change is a new version.
-STREAM_VERSION = "0.3.0"
+STREAM_VERSION = "0.4.0"
 
 # Positions (units of a draw) per digest: a draw's chunk c covers its units
 # [c * STREAM_CHUNK, (c + 1) * STREAM_CHUNK). A multiple of 8, so a chunk of
 # bits is whole bytes.
 STREAM_CHUNK = 1 << 16
+
+
+def tie_margin(units: int) -> int:
+    """Tie bytes asked for with a chunk's first stage, for a decision over ``units`` positions.
+
+    At most four thresholds tie at most 1 position in 64; the margin adds four
+    standard deviations and a few positions. It sets only how often a row is
+    digested again, never a byte that is read.
+    """
+    return 3 * (units // 64 + math.isqrt(units) // 2 + 8)
+
+
+def tie_positions(top: np.ndarray, thresholds: Sequence[int]) -> np.ndarray:
+    """Flat indices of the positions whose top byte ties a threshold's, ascending.
+
+    A threshold ties its top byte when its low 24 bits are not all zero; the
+    others are decided by the top byte alone.
+    """
+    tied = np.zeros(top.shape, dtype=bool)
+    for byte in {t >> 24 for t in thresholds if t & 0xFFFFFF}:
+        tied |= top == byte
+    return np.flatnonzero(tied)
+
+
+def decide(top: np.ndarray, ties: np.ndarray, low: np.ndarray, thresholds: Sequence[int]) -> np.ndarray:
+    """Each position's bin: how many of the sorted ``thresholds`` are at most its word.
+
+    The word is w = top * 2**24 + l, where ``top`` is a byte per position and
+    ``low`` holds l, below 2**24, at the flat ``ties`` that ``tie_positions``
+    gives, in that order; elsewhere l decides nothing. So w < thresholds[i]
+    exactly when the bin is at most i: a threshold of 0 is at most every word,
+    and one of 2**32 at none. Comparing bytes is about ten times faster than
+    looking each one up in a table.
+    """
+    bins = np.zeros(top.shape, dtype=np.uint8)
+    for t in thresholds:
+        byte = -(-t >> 24)  # the least top byte whose every word is at least t
+        if byte < 256:
+            bins += top >= byte
+    words = (np.ravel(top)[ties].astype(np.int64) << 24) | low
+    bins.flat[ties] = np.searchsorted(np.asarray(thresholds, dtype=np.int64), words, side="right")
+    return bins
 
 
 class Substream:
@@ -44,11 +87,12 @@ class Substream:
     ``seeds`` is one trial seed, or a sequence with one per trial; a sequence
     draws one row per seed, each exactly what that seed alone would give.
     Chunk c of ``phase`` is the SHAKE-128 digest of the key
-    ``"<STREAM_VERSION>:<seed>:<phase>:<c>"``, which holds the phase's draws
-    for that chunk one after another, in the order they are asked for. A
-    chunk's bytes thus depend on neither the run's size nor any other phase.
-    Bytes are read little-endian, so the planes are the same on every platform,
-    and no ``numpy.random`` is loaded.
+    ``"<STREAM_VERSION>:<seed>:<phase>:<c>"``, which holds the first stage of
+    every draw of the call for that chunk, one after another in the order they
+    are asked for, then the tie bytes of its decision (``draw``). A chunk's
+    bytes thus depend on neither the run's size nor any other phase. Bytes are
+    read little-endian, so the planes are the same on every platform, and no
+    ``numpy.random`` is loaded.
     """
 
     def __init__(self, seeds: int | Sequence[int], phase: str = ""):
@@ -57,36 +101,83 @@ class Substream:
         # Each row's key up to the phase.
         self._heads = [f"{STREAM_VERSION}:{seed}:".encode() for seed in rows]
 
+    def __len__(self) -> int:
+        """How many trials draw: one for a single seed."""
+        return len(self._heads)
+
     def at(self, phase: str) -> "Substream":
         """The same trials' draws in ``phase``."""
         sub = copy.copy(self)
         sub.phase = phase
         return sub
 
-    def draw(self, *draws: tuple[int, int]) -> list[np.ndarray]:
-        """One plane per (bits per unit, units): 1 gives 0/1 uint8 bits, 32 and 64 unsigned words.
+    def draw(self, *draws: tuple[int | Sequence[int], int]) -> list[np.ndarray]:
+        """One plane per (kind, units) draw.
+
+        A kind of 1 gives 0/1 uint8 bits, 32 and 64 unsigned words. A sorted
+        sequence of thresholds in [0, 2**32] is a decision: each unit's uint8
+        bin, as ``decide`` gives it for a uniform 32-bit word w, so that
+        w < thresholds[i] exactly when the bin is at most i. A decision draws
+        w's top byte with the first stage and its 3 low bytes (little-endian)
+        only where that byte ties a threshold's: after the first stage of
+        every draw, 3 bytes per tied position, in position order. A call holds
+        at most one decision.
 
         Each plane has shape (units,), or (trials, units) for a sequence of seeds.
         """
-        rows, widths = len(self._heads), [width for width, _ in draws]
-        dtypes = [np.uint8 if width == 1 else f"<u{width // 8}" for width in widths]
+        rows, kinds = len(self._heads), [kind for kind, _ in draws]
+        decisions = [not isinstance(kind, int) for kind in kinds]
+        if sum(decisions) > 1:
+            raise ValueError("a draw holds at most one decision")
+        dtypes = [np.uint8 if decision or kind == 1 else f"<u{kind // 8}"
+                  for kind, decision in zip(kinds, decisions)]
         out = [np.empty((rows, units), dtype) for dtype, (_, units) in zip(dtypes, draws)]
         for c in range(max([1] + [-(-units // STREAM_CHUNK) for _, units in draws])):
-            # Each draw's units in chunk c, and their whole bytes.
+            # Each draw's units in chunk c, and their first-stage bytes: a byte per decision.
             lo = c * STREAM_CHUNK
             held = [min(STREAM_CHUNK, max(0, units - lo)) for _, units in draws]
-            sizes = [-(-width * count // 8) for width, count in zip(widths, held)]
-            tail, total = f"{self.phase}:{c}".encode(), sum(sizes)
-            raw = b"".join([hashlib.shake_128(head + tail).digest(total) for head in self._heads])
-            table = np.frombuffer(raw, dtype=np.uint8).reshape(rows, total)
+            sizes = [count if decision else -(-kind * count // 8)
+                     for kind, decision, count in zip(kinds, decisions, held)]
+            first = sum(sizes)
+            margin = sum(tie_margin(count) for decision, count in zip(decisions, held) if decision)
+            tail = f"{self.phase}:{c}".encode()
+            raw = b"".join([hashlib.shake_128(head + tail).digest(first + margin) for head in self._heads])
+            table = np.frombuffer(raw, dtype=np.uint8).reshape(rows, first + margin)
             starts = itertools.accumulate(sizes, initial=0)
-            for plane, width, count, start, size in zip(out, widths, held, starts, sizes):
+            for plane, kind, decision, count, start, size in zip(out, kinds, decisions, held, starts, sizes):
                 data = table[:, start:start + size]
-                if width == 1:
+                if decision:
+                    plane[:, lo:lo + count] = self._decide(data, kind, table, first, tail)
+                elif kind == 1:
                     plane[:, lo:lo + count] = np.unpackbits(data, axis=1, count=count, bitorder="little")
                 else:
                     plane[:, lo:lo + count] = data.view(plane.dtype)
         return [plane[0] for plane in out] if isinstance(self.seeds, int) else out
+
+    def _decide(
+        self, top: np.ndarray, thresholds: Sequence[int], table: np.ndarray, first: int, tail: bytes
+    ) -> np.ndarray:
+        """The bins of a chunk's decision from its (rows, units) top bytes.
+
+        Each row of ``table`` holds its tie bytes after its ``first`` bytes. A
+        row with more ties than that is digested again at the length it needs.
+        """
+        rows, units = top.shape
+        ties = tie_positions(top, thresholds)
+        # Each tie's row, and its rank among its row's ties.
+        bounds = np.searchsorted(ties, np.arange(rows + 1) * units)
+        row = np.repeat(np.arange(rows), np.diff(bounds))
+        rank = np.arange(len(ties)) - bounds[row]
+        spare = table[:, first:]
+        need, held = 3 * np.diff(bounds), spare.shape[1]
+        if len(ties) and need.max() > held:
+            spare = np.pad(spare, ((0, 0), (0, need.max() - held)))
+            for r in np.flatnonzero(need > held).tolist():
+                redo = hashlib.shake_128(self._heads[r] + tail).digest(first + int(need[r]))
+                spare[r, :need[r]] = np.frombuffer(redo, dtype=np.uint8, offset=first)
+        # Each tie's 3 bytes, little-endian.
+        low = spare[row[:, None], 3 * rank[:, None] + np.arange(3)].astype(np.int64) @ [1, 1 << 8, 1 << 16]
+        return decide(top, ties, low, thresholds)
 
 
 def random_bits(stream: Substream, count: int) -> np.ndarray:

@@ -20,18 +20,26 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DecodeFailure, KeyMaterialError
+from .planes import Substream
 
 Bits = tuple[int, ...]
 
 
-def random_coins(rngs: Sequence[random.Random], counts: Sequence[int]) -> np.ndarray:
-    """``counts[r]`` successive ``rngs[r].getrandbits(1)`` bits for every r, one call per generator.
+def random_coins(rngs: Substream | Sequence[random.Random], counts: Sequence[int]) -> np.ndarray:
+    """``counts[r]`` coins for every row r, concatenated in row order.
 
-    CPython answers ``getrandbits(1)`` with the top bit of one 32-bit output and
-    ``getrandbits(32 * count)`` with ``count`` whole outputs, the first one
-    lowest, so both give the same bits and leave the generator in the same
-    state. The rows may differ in length and come back concatenated in order.
+    From a ``Substream`` with one seed per row, row r's coins are the first
+    ``counts[r]`` bits of one draw of ``max(counts)`` bits, which are those of
+    a draw of ``counts[r]`` bits alone. From a list of generators they are
+    ``counts[r]`` successive ``rngs[r].getrandbits(1)``, one call per
+    generator: CPython answers ``getrandbits(1)`` with the top bit of one
+    32-bit output and ``getrandbits(32 * count)`` with ``count`` whole
+    outputs, the first one lowest, so both give the same bits and leave the
+    generator in the same state.
     """
+    if isinstance(rngs, Substream):
+        [bits] = rngs.draw((1, max(counts, default=0)))
+        return bits.reshape(len(counts), bits.shape[-1])[np.arange(bits.shape[-1]) < np.array(counts)[:, None]]
     raw = b"".join([r.getrandbits(32 * c).to_bytes(4 * c, "little") for r, c in zip(rngs, counts)])
     return (np.frombuffer(raw, dtype="<u4") >> 31).astype(np.uint8)
 
@@ -441,16 +449,17 @@ def reconcile_streams(
     pair: CssPair,
     held_rows: Sequence[Sequence[int]],
     noisy_rows: Sequence[Sequence[int]],
-    rngs: Sequence[random.Random],
+    rngs: Substream | Sequence[random.Random],
     group_size: int = 1,
 ) -> list[StreamResult]:
-    """:func:`reconcile_stream` of every row, each with its own generator.
+    """:func:`reconcile_stream` of every row, each with its own coins.
 
     The blocks of all rows, padding included, are stacked as one
-    (blocks, length) matrix that is decoded and labelled once. Row r draws its
-    coins with one ``getrandbits`` call on ``rngs[r]``, in the order a lone
-    call draws them, so each result, and the state each generator is left in,
-    is that of :func:`reconcile_stream` on the row.
+    (blocks, length) matrix that is decoded and labelled once. The coins come
+    from ``rngs``, a ``Substream`` with one seed per row or one generator per
+    row (:func:`random_coins`), in the order a lone call draws them, so each
+    result, and the state each generator is left in, is that of
+    :func:`reconcile_stream` on the row.
     """
     if not len(held_rows) == len(noisy_rows) == len(rngs):
         raise ValueError("need one held string, one noisy string and one generator per row")

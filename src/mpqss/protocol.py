@@ -158,6 +158,21 @@ def _check_secret_sizes(secrets: PartySecrets, cfg: ProtocolConfig, first: bool)
             raise ConfigError("secrets", f"{secrets.party}: needs {cfg.total_qubits} value shares")
 
 
+def _per_position(bits: np.ndarray, cfg: ProtocolConfig) -> np.ndarray:
+    """A string of N bits repeated over each block's n positions; a per-position string as it is."""
+    return np.repeat(bits, cfg.receivers, axis=-1) if bits.shape[-1] == cfg.blocks else bits
+
+
+def expanded_values(secrets: Sequence[PartySecrets], cfg: ProtocolConfig) -> np.ndarray:
+    """The value planes of ``expanded_bit_vectors`` alone."""
+    # Only the first sender of the shared-block variant carries per-position shares.
+    shared = cfg.variant is Variant.BLOCK_SHARED
+    return np.array([
+        _per_position(s.value_shares if shared and s.value_shares is not None else s.value_bits, cfg)
+        for s in secrets
+    ])
+
+
 def expanded_bit_vectors(
     secrets: Sequence[PartySecrets], cfg: ProtocolConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,16 +182,7 @@ def expanded_bit_vectors(
     n positions, so the bit governing qubit k of sender i lands at [i-1][k].
     Batched strings give shape (senders, trials, n*N).
     """
-
-    def per_position(bits: np.ndarray) -> np.ndarray:
-        return np.repeat(bits, cfg.receivers, axis=-1) if bits.shape[-1] == cfg.blocks else bits
-
-    values = []
-    for s in secrets:
-        # Only the first sender of the shared-block variant carries per-position shares.
-        shared = cfg.variant is Variant.BLOCK_SHARED and s.value_shares is not None
-        values.append(per_position(s.value_shares if shared else s.value_bits))
-    return np.array(values), np.array([per_position(s.basis_bits) for s in secrets])
+    return expanded_values(secrets, cfg), np.array([_per_position(s.basis_bits, cfg) for s in secrets])
 
 
 def prepare_block(secrets: PartySecrets, cfg: ProtocolConfig) -> QubitBlock:
@@ -541,7 +547,7 @@ def _run_chunk(
     run.outcome, run.lost, run.usable = (plane.reshape(shape) for plane in (outcome, block.lost, usable))
     _record_readout(run, cfg, None if guesses is None else guesses.reshape(shape))
 
-    values, _ = expanded_bit_vectors(senders, cfg)
+    values = expanded_values(senders, cfg)
     passed = run_check(run, cfg, values, stream, check_blocks=check_blocks)
     if passed.any():
         extract_raw_key(run, cfg, values)

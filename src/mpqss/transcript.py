@@ -113,20 +113,25 @@ def index_payloads(indices, bounds) -> list[str]:
     return _cut(chars, starts[edges[1:]])
 
 
-def str_to_plane(s: str) -> np.ndarray:
-    """A payload as a uint8 plane of codes, the inverse of ``bits_to_str``.
+def str_to_codes(s: str) -> tuple[np.ndarray, int]:
+    """A payload as a uint8 plane of codes, the inverse of ``bits_to_str``, and its largest code.
 
-    '0', '1' and '?' decode to 0, 1 and 2 and '-' to the empty plane. Any other
-    character decodes to 255 (a non-ASCII one to one 255 per UTF-8 byte), so
-    ``plane.max()`` tells whether a payload kept to the alphabet. A payload of
-    '0' and '1' alone decodes by one XOR; only one with another character
-    goes through the translation table.
+    '0', '1' and '?' decode to 0, 1 and 2 and '-' to the empty plane, whose
+    largest code is 0. Any other character decodes to 255 (a non-ASCII one to
+    one 255 per UTF-8 byte), so the largest code tells whether a payload kept
+    to the alphabet. A payload of '0' and '1' alone decodes by one XOR, whose
+    maximum is taken once; only one with another character goes through the
+    translation table, and the maximum is then that of the table's plane.
     """
     if s == "-":
-        return np.zeros(0, dtype=np.uint8)
+        return np.zeros(0, dtype=np.uint8), 0
     raw = s.encode("utf-8", "surrogatepass")
     plane = np.frombuffer(raw, dtype=np.uint8) ^ ord("0")
-    return plane if plane.max(initial=0) <= 1 else np.frombuffer(raw.translate(_BIT_CODES), dtype=np.uint8)
+    top = int(plane.max(initial=0))
+    if top > 1:
+        plane = np.frombuffer(raw.translate(_BIT_CODES), dtype=np.uint8)
+        top = int(plane.max())
+    return plane, top
 
 
 class Event(NamedTuple):

@@ -187,7 +187,7 @@ class TestRunExperiment:
             )
 
     def test_distilled_report_is_pinned(self):
-        """Seeded report through key distillation and the pad, as version 0.3.0 wrote it."""
+        """Seeded report through key distillation and the pad, as version 0.4.0 wrote it."""
         from mpqss import hex_to_bits
 
         spec = ExperimentSpec(
@@ -199,61 +199,64 @@ class TestRunExperiment:
         )
         report = run_experiment(spec, otp_message=list(hex_to_bits("beef")))
         assert report.extras == {
-            "ciphertext_hex": "0d12",
+            "ciphertext_hex": "91ea",
             "final_key_bits": 28,
-            "final_key_hex": "b3fd697",
+            "final_key_hex": "2f05371",
             "message_bits": 16,
         }
-        assert report.metrics["block_yield"].mean == 0.8285714285714286
+        assert report.metrics["block_yield"].mean == 0.8928571428571429
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "cfadb6e555fd617e157962f55e66e29ed1c5b2cb76893c66945d65774cd1c510"
+        assert digest == "3a6e1c548b857f40567f6d0db86f7253270fe6582ccf6b620a7a1da5f87bf05c"
 
     def test_batched_distillation_report_is_pinned(self, monkeypatch):
         """A sweep whose trial 0 aborts, so the message goes out under a later
-        trial's key, and whose keyed trials fill several reconciliation batches
+        trial's key, and whose keyed trials fill four reconciliation batches
         (at a budget of 2^12 positions per chunk); the sha256 is that of the
-        report at version 0.3.0, at any budget."""
+        report at version 0.4.0, at any budget."""
         from dataclasses import replace
+        from unittest import mock
 
-        from mpqss import protocol, run_protocol
+        from mpqss import harness, protocol, run_protocol
 
         cfg, channel = ProtocolConfig(3, 3, 80), ChannelModel(p_x=0.06)
         spec = ExperimentSpec(cfg, channel, trials=60, metrics=("qber", "block_yield"), seed=28)
         assert run_protocol(replace(cfg, seed=derive_trial_seed(28, 0)), channel).raw_key is None
         default = run_experiment(spec, otp_message=[1, 0, 1, 1]).to_json()
         monkeypatch.setattr(protocol, "CHUNK_POSITIONS", 1 << 12)
-        report = run_experiment(spec, otp_message=[1, 0, 1, 1])
+        with mock.patch.object(harness, "_reconcile_keyed", wraps=harness._reconcile_keyed) as batches:
+            report = run_experiment(spec, otp_message=[1, 0, 1, 1])
         assert report.to_json() == default
-        assert report.metrics["block_yield"].samples == 52 > 3 * protocol.trials_per_chunk(cfg)
+        assert batches.call_count == -(-60 // protocol.trials_per_chunk(cfg)) == 4
+        assert report.metrics["block_yield"].samples == 46
         assert report.extras == {
-            "ciphertext_hex": "8",
+            "ciphertext_hex": "f",
             "final_key_bits": 5,
-            "final_key_hex": "30",
+            "final_key_hex": "40",
             "message_bits": 4,
         }
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "51961254309d7487551f0673f4defb850251e7ca369ffe25cf19d3d3947a5519"
+        assert digest == "64405342ad99dcfadf3e4daccc954f8a60e5fa6b2359bc9cdc6e9d9d0d7f1071"
 
     # One sweep per attack through adversary_accuracy: spec, then the sha256 of
-    # its to_json() report as version 0.3.0 wrote it (seed 40 + the case index).
+    # its to_json() report as version 0.4.0 wrote it (seed 40 + the case index).
     ATTACK_REPORTS = [
         (ProtocolConfig(3, 3, 40, omit_hadamard=frozenset({3})),
          ChannelModel(loss_prob=0.05, adversary=ColluderInsider(3, frozenset({1}))),
-         "f08cc6e8eebb2605e788330f9a7d2836a4b0615360fb3243d5978a4b9c5636ef"),
+         "5dcc53d18d1973f52f08231e4da45e4a6824756aad3b0e889a59ed720d845cdf"),
         (ProtocolConfig(3, 3, 40, enforce_ordering=False),
          ChannelModel(loss_prob=0.05, p_x=0.01, adversary=OrderingAttack()),
-         "c1bca8d1746c0377b7332460c0c8782771ca529ee18ef5e130a44166ab31b7a0"),
+         "ccce60e7bafdaad44235f26bd6f06e69f3bf7999b4386905508c7901b0e98412"),
         # A blind interceptor errs on a quarter of what it reads; the raised
         # threshold keeps the runs alive, so its key accuracy is sampled.
         (ProtocolConfig(3, 3, 40, qber_abort_threshold=0.4),
          ChannelModel(loss_prob=0.05, adversary=OrderingAttack(use_announced_bases=False)),
-         "d8c56b96d74c4b0ec1685de673da4da6e88bd58a56f1a294933b0d51e200e6f2"),
+         "cbcfe7ddde9c8def10c3ef7ff60816641241b1fb29442dcae558d09a044eb3ee"),
         (ProtocolConfig(3, 3, 40, quantum_memory=False),
          ChannelModel(loss_prob=0.05, adversary=InterceptResend(fraction=0.2)),
-         "6247701d0fd7c73b4da800b653768ef23db1fa93f4ce895ae3c8aff811971bda"),
+         "089dc9690c40088770109f2264bf93fce40b2713178ce75b9f988aaa52072399"),
         (ProtocolConfig(3, 3, 40, variant=Variant.BLOCK_SHARED),
          ChannelModel(loss_prob=0.05, adversary=PreparerInsider()),
-         "a5711a2909ab14f7e4af26c915f4955020f5b3376bc4db57b6ceb30299155243"),
+         "89fa9a4c305c6d4105d526f42b73cb6a72726f40478a904b6c2aff999824ee8c"),
     ]
 
     @pytest.mark.parametrize("case", range(len(ATTACK_REPORTS)))
@@ -306,7 +309,7 @@ class TestRunExperiment:
     def test_ordering_aborted_report_is_pinned(self):
         """Every trial aborts on the early announcement, before anything is
         measured, so no metric takes a sample; the sha256 is that of the report
-        at version 0.3.0."""
+        at version 0.4.0."""
         spec = ExperimentSpec(
             protocol=ProtocolConfig(3, 3, 40),
             channel=ChannelModel(loss_prob=0.05, adversary=OrderingAttack()),
@@ -318,7 +321,7 @@ class TestRunExperiment:
         assert report.abort_rate == 1.0
         assert {name: s.samples for name, s in report.metrics.items()} == dict.fromkeys(spec.metrics, 0)
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "a6b32b795f8589cd015bff129978000aeb66356baf7c8d4563d4974449e4bc4d"
+        assert digest == "523431e4d9139257c9cf271992033a6822213731a1d98851f2b9ca9fcf6c7507"
 
     def test_spec_validation_paths(self):
         unvalidated = ProtocolConfig(

@@ -53,7 +53,7 @@ from mpqss.transcript import (
     index_payloads,
     parse,
     row_payloads,
-    str_to_plane,
+    str_to_codes,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -221,7 +221,7 @@ class TestReplay:
         assert verdict.ok, verdict.issues
         parsed = parse(tr.serialize())
         raw = [ev for ev in parsed.events if ev.kind == "raw-key"][0]
-        assert tuple(str_to_plane(raw.payload).tolist()) == kv.RAW_KEY
+        assert tuple(str_to_codes(raw.payload)[0].tolist()) == kv.RAW_KEY
 
     def test_golden_fixture_verifies(self):
         verdict = replay((DATA / "worked_example.transcript").read_text())
@@ -826,14 +826,16 @@ class TestIndexList:
 
 
 def assert_decodes_as_the_table(s: str) -> None:
-    """``str_to_plane`` gives what the translation table alone gave, and '-' the empty plane."""
+    """``str_to_codes`` gives what the translation table alone gave, and '-' the empty plane,
+    with the plane's largest code."""
     want = np.frombuffer(s.encode("utf-8", "surrogatepass").translate(_BIT_CODES), np.uint8)
-    got = str_to_plane(s)
+    got, top = str_to_codes(s)
     assert got.dtype == np.uint8
     assert got.tolist() == ([] if s == "-" else want.tolist())
+    assert top == max(got.tolist(), default=0)
 
 
-class TestStrToPlane:
+class TestStrToCodes:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from(list("01?-2x \u00e9\ud800")), max_size=30).map("".join))
     def test_decodes_as_the_translation_table_does(self, s):
@@ -895,7 +897,7 @@ class TestLossRecords:
         lines = [line for line in text.split("\n") if " loss bob2 " not in line]
         verdict = replay("\n".join(lines))
         assert not verdict.ok
-        lost = str_to_plane(next(l for l in text.split("\n") if " loss bob2 " in l).rsplit(" ", 1)[1])
+        lost, _ = str_to_codes(next(l for l in text.split("\n") if " loss bob2 " in l).rsplit(" ", 1)[1])
         first = int(np.flatnonzero(lost)[0])
         assert f"bob2: measurement record at block {first} contradicts its loss record" in verdict.issues
 
@@ -912,7 +914,7 @@ class TestLossRecords:
 
     def test_hop_loss_missing_from_the_receiver_record_is_flagged(self):
         text = lossy_run()
-        bob = str_to_plane(next(l for l in text.split("\n") if " loss bob1 " in l).rsplit(" ", 1)[1])
+        bob, _ = str_to_codes(next(l for l in text.split("\n") if " loss bob1 " in l).rsplit(" ", 1)[1])
         j = int(np.flatnonzero(bob == 0)[0])  # a block bob1 received
         k = 3 * j  # its position, n*j + l-1 with l = 1
         verdict = replay(edit_payload(text, " loss alice2 ", lambda p: p[:k] + "1" + p[k + 1:]))
@@ -922,14 +924,15 @@ class TestLossRecords:
 
 class TestPayloadPlanes:
     @given(st.lists(st.integers(0, 2), max_size=200))
-    def test_str_to_plane_inverts_bits_to_str(self, codes):
+    def test_str_to_codes_inverts_bits_to_str(self, codes):
         text = bits_to_str(bytes(codes)) or "-"
-        assert str_to_plane(text).tolist() == codes
+        plane, top = str_to_codes(text)
+        assert plane.tolist() == codes and top == max(codes, default=0)
         if codes:
-            assert bits_to_str(str_to_plane(text).tobytes()) == text
+            assert bits_to_str(plane.tobytes()) == text
 
     def test_other_characters_decode_above_every_code(self):
-        assert str_to_plane("01?x\x00\x01é").tolist() == [0, 1, 2, 255, 255, 255, 255, 255]
+        assert str_to_codes("01?x\x00\x01é")[0].tolist() == [0, 1, 2, 255, 255, 255, 255, 255]
 
     @pytest.mark.parametrize("indices", [[], [0], [9], [10], [9, 10], [99, 100], [0, 9, 10, 99, 100, 101],
                                          [2**63 - 1], [5, 10**18, 10**18 + 7]])
@@ -1031,6 +1034,11 @@ def intercepted_run() -> str:
     return text
 
 
+def touched(text: str) -> int:
+    """How many positions the adversary section of ``text`` lists."""
+    return len(parse(text).adversary["positions"].split(","))
+
+
 def edit_adversary(text: str, key: str, edit) -> str:
     lines = text.split("\n")
     i = next(i for i, line in enumerate(lines) if line.startswith(f"adversary {key}="))
@@ -1040,11 +1048,12 @@ def edit_adversary(text: str, key: str, edit) -> str:
 
 class TestAdversarySection:
     def test_position_outside_the_block_is_flagged(self):
-        text = edit_adversary(intercepted_run(), "positions", lambda p: p + ",999")
-        verdict = replay(text)
+        run = intercepted_run()
+        count = touched(run)
+        verdict = replay(edit_adversary(run, "positions", lambda p: p + ",999"))
         assert not verdict.ok
         assert "adversary: position 999 is outside [0, 30)" in verdict.issues
-        assert "adversary: bits has 9 entries, expected 10" in verdict.issues
+        assert f"adversary: bits has {count} entries, expected {count + 1}" in verdict.issues
 
     def test_bits_outside_the_alphabet_are_flagged(self):
         text = edit_adversary(intercepted_run(), "bits", lambda b: "zz" + b[2:])
@@ -1055,13 +1064,14 @@ class TestAdversarySection:
         [
             ("positions", lambda p: ",".join(reversed(p.split(","))), "adversary: positions are not strictly increasing"),
             ("positions", lambda p: p.replace(",", ";", 1), "adversary: positions is not a comma list of qubit positions"),
-            ("certain", lambda c: c[1:], "adversary: certain has 8 entries, expected 9"),
+            ("certain", lambda c: c[1:], "adversary: certain has {short} entries, expected {count}"),
             ("kind", lambda k: "", "adversary: no kind recorded"),
         ],
     )
     def test_malformed_fields_are_flagged(self, key, edit, expected):
-        verdict = replay(edit_adversary(intercepted_run(), key, edit))
-        assert expected in verdict.issues
+        run = intercepted_run()
+        verdict = replay(edit_adversary(run, key, edit))
+        assert expected.format(short=touched(run) - 1, count=touched(run)) in verdict.issues
 
     def test_missing_field_is_flagged(self):
         lines = [line for line in intercepted_run().split("\n") if not line.startswith("adversary bases=")]

@@ -1,4 +1,4 @@
-"""The trial-batched engine: run_trials against run_protocol, and seeded digests pinned at 0.3.0."""
+"""The trial-batched engine: run_trials against run_protocol, and seeded digests pinned at 0.4.0."""
 
 import copy
 import gc
@@ -192,43 +192,43 @@ class TestAgainstOneTrialRuns:
             run_trials(ProtocolConfig(2, 3, 6), ChannelModel(loss_prob=2.0), [1])
 
 
-# run_protocol(...).digest() of each config, recorded with mpqss 0.3.0 when
-# draws became keyed substreams: seeded transcripts must stay byte-identical.
-# The ninth aborts on the ordering gate before its first draw, so its digest
-# is the one 0.2.0 recorded.
+# run_protocol(...).digest() of each config, recorded with mpqss 0.4.0 when
+# a decision became a byte per position with tie bytes: seeded transcripts
+# must stay byte-identical. The ninth aborts on the ordering gate before its
+# first draw, so its digest is the one 0.2.0 recorded.
 PINNED = [
     (ProtocolConfig(3, 3, 40, seed=1), ChannelModel(),
-     "b567c6ec999ef5003b3554964f828c57d8785d5a178d902c140bdd4a7f683d8b"),
+     "a6dc2f25ae8327627713320d50e39d2c62ebba3bc965cb2fb6afa2dd13b001f1"),
     (ProtocolConfig(3, 3, 40, quantum_memory=False, seed=2), ChannelModel(p_x=0.02),
-     "529dca42afea8f0a9a0e2b97340f3ee7635e637a5d32d09674bff8c00eddc5ae"),
+     "7576d70c0dd63aa45b2cb309716b9dbc13644d87fa104978622423c135fb4d2f"),
     (ProtocolConfig(2, 4, 25, Variant.BLOCK_BASIS, seed=3), ChannelModel(loss_prob=0.15, p_x=0.03),
-     "0f3a61367c6bc5482aa4fa344dfa4796be790eef2e428ae8300097bfb853cb8a"),
+     "e233846d722f51bf64e598df2322c543856350d68cb1085fb904053419e03fce"),
     (ProtocolConfig(4, 5, 17, Variant.BLOCK_SHARED, quantum_memory=False, seed=4),
      ChannelModel(loss_prob=0.05, p_z=0.01, loss_strategy=SUB),
-     "5fec1e498029f205052d80221555aeb76f538061b76ca523c05380e5d8dcb96d"),
+     "8ed83f1ca9173ff40da21482d4418fadba5437e4e17e58bfcc9ba5f2568a5684"),
     (ProtocolConfig(3, 2, 30, quantum_memory=False, seed=5),
      ChannelModel(loss_prob=0.05, adversary=InterceptResend(fraction=0.1)),
-     "610cf8ee9f74af1e168894ce7d07a0da13d2616149d06eea619efe6b5ae7fc26"),
+     "5bb1340cfd1a23393b3302ade7685b3e4ae51f606076231c5de802496ebd2186"),
     (ProtocolConfig(3, 3, 20, Variant.BLOCK_BASIS, omit_hadamard=frozenset({2}), seed=6),
      ChannelModel(loss_prob=0.05, loss_strategy=SUB, adversary=PreparerInsider()),
-     "203df9b87ffe90c8a06df102884fe0c2721e5b8d0fb6dacf5c198230524ad7a3"),
+     "73e675f9f38e6d15499c6c7c087c104bf34926127f75af58f6fb9922af432c87"),
     (ProtocolConfig(4, 3, 24, seed=7), ChannelModel(p_y=0.02, adversary=ColluderInsider(target=3)),
-     "aa2e42463f9e60c4bfc409f23c48b56328431837d4f18f54530e008eeed7db92"),
+     "2f262604817233207babcfc8aba22c51e401d5ebaa9295179df589e034821ed0"),
     (ProtocolConfig(4, 3, 16, Variant.BLOCK_SHARED, quantum_memory=False, seed=8),
      ChannelModel(adversary=ColluderInsider(4, frozenset({1, 2}), frozenset({2}))),
-     "178aa2c542d181c2c367260905b75ef6d749b9ae31360b21cbbe132209949ebf"),
+     "d8c892815d3aeeb0eb5a4c50b6c9c8068284104f76cb8eec518d9582ada73005"),
     (ProtocolConfig(2, 3, 20, seed=9), ChannelModel(adversary=OrderingAttack()),
      "0ab5934020f446e914b7406ecd88d8e393880e1f76d4b538ba48f9603fa0608f"),
     (ProtocolConfig(2, 3, 20, enforce_ordering=False, seed=10), ChannelModel(adversary=OrderingAttack()),
-     "edc0d9b633409bd45cfd2195250f318bae142574dfbc623b29a0e07cf20b954d"),
+     "d2eb8fd6ec82af16f353d6b2b0c3d69c01dcb61d0bde8965344f1504dfbcdac4"),
     (ProtocolConfig(3, 3, 12, Variant.BLOCK_BASIS, quantum_memory=False, seed=11),
      ChannelModel(loss_prob=0.1, adversary=OrderingAttack(use_announced_bases=False)),
-     "9203e2d757a698363af6264dc3b775f77385ab26c878f3bb98bdd746918b91a7"),
+     "4ef7504a5b6758b7c65bca7aefdbc32588f450e653cf14293139e6a3c4dd13d2"),
     (ProtocolConfig(3, 3, 40, seed=12), ChannelModel(p_x=0.3),
-     "95174849e82031ae9fa4108c32517924c57d26a8cac688af3c1bc0797e468aa6"),
+     "615beb4536ecfeac95ce0d7b9d05badd3e21a050cf4f5c23a5f1333d407323e5"),
     (ProtocolConfig(2, 2, 5, check_fraction=0.25, quantum_memory=False, seed=2**64 - 1),
      ChannelModel(loss_prob=0.3, p_x=0.05),
-     "f9a1584096ea741a3f680034750d68a7d6e0bb8d3016ad06aea29bccdd5abff6"),
+     "c9f81a3b91d39ca7082502fa64798b7b963e7f8fb3eadc3966c510c38c38cf62"),
 ]
 
 
@@ -244,10 +244,10 @@ class TestPinnedDigests:
 
 
 # A bulk-run-shaped run (m = n = 3, loss, X noise and 10% intercept-resend)
-# and the digest of its text as rendered before payloads were deferred.
+# and the digest of its text, recorded with mpqss 0.4.0.
 BULK = (ProtocolConfig(3, 3, 2000, seed=5),
         ChannelModel(loss_prob=0.02, p_x=0.01, adversary=InterceptResend(fraction=0.1)))
-BULK_DIGEST = "bacf3ad72b2fbcf8dfbc2c2a4d456ce50313e750d8ee04bb5265ed9920354b03"
+BULK_DIGEST = "3de938f5b11262159f31d598a65d21b46e3e236aa323817453f5dde7886743b2"
 
 
 class TestDeferredPayloads:
