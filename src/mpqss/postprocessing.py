@@ -41,7 +41,7 @@ def random_coins(rngs: Substream | Sequence[random.Random], counts: Sequence[int
         [bits] = rngs.draw((1, max(counts, default=0)))
         return bits.reshape(len(counts), bits.shape[-1])[np.arange(bits.shape[-1]) < np.array(counts)[:, None]]
     raw = b"".join([r.getrandbits(32 * c).to_bytes(4 * c, "little") for r, c in zip(rngs, counts)])
-    return (np.frombuffer(raw, dtype="<u4") >> 31).astype(np.uint8)
+    return np.frombuffer(raw, dtype=np.uint8)[3::4] >> 7  # the top bit of each output
 
 
 def binary_entropy(delta: float) -> float:
@@ -140,6 +140,19 @@ def _place_values(width: int) -> np.ndarray:
     tuples, which is what coset labels are numbered by.
     """
     return 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _block_values(bits: np.ndarray) -> np.ndarray:
+    """Each row of a (blocks, width) 0/1 matrix as the integer ``_place_values`` reads."""
+    blocks, width = bits.shape
+    # Rows filled to whole bytes by leading zeros take one packbits, five times faster than per row.
+    padded = np.zeros((blocks, width + -width % 8), dtype=np.uint8)
+    padded[:, -width:] = bits
+    packed = np.packbits(padded).reshape(blocks, padded.shape[1] // 8).astype(np.intp)
+    values = packed[:, 0]
+    for column in packed.T[1:]:
+        values = values << 8 | column
+    return values
 
 
 def _read_only(*tables: np.ndarray) -> None:
@@ -270,8 +283,9 @@ class CssPair:
 
     Key bits per block = dim(big) - dim(small). Coset labels are fixed by
     sorting the lexicographically smallest member of each coset and numbering
-    in order, so both sides derive identical labels with no negotiation. The
-    labels sit in a read-only table over all 2^length words, built once here.
+    in order, so both sides derive identical labels with no negotiation. Tables
+    built once here and read-only give each of the 2^length words its label and
+    its label after decoding (-1 for none), and each message its codeword.
     """
 
     def __init__(self, c1: LinearCode, c2: LinearCode):
@@ -297,7 +311,10 @@ class CssPair:
         self._label_table = np.full(2**c1.length, -1, dtype=np.int64)
         self._label_table[big] = [label_of[rep] for rep in least]
         self._keys = _all_words(self.key_bits)  # row i: the bits of label i
-        _read_only(self._word_values, self._label_table, self._keys)
+        decoded, decodable = c1.decode(_all_words(c1.length))
+        self._decoded_labels = np.where(decodable, self._label_table[decoded @ self._word_values], -1)
+        self._codeword_values = big  # c1.codewords() runs over the messages in counting order
+        _read_only(self._word_values, self._label_table, self._keys, self._decoded_labels, big)
 
     def labels(self, words: np.ndarray) -> np.ndarray:
         """Coset label of every row of ``words`` (shape (..., length)); -1 off the big code."""
@@ -345,16 +362,8 @@ def draw_group_codeword(code: LinearCode, parties: int, rng: random.Random) -> n
     if parties < 1:
         raise ValueError("need at least one party")
     coins = random_coins([rng], [parties * code.dimension])
-    return _group_codewords(code, coins.reshape(1, parties, code.dimension))[0]
-
-
-def _group_codewords(code: LinearCode, messages: np.ndarray) -> np.ndarray:
-    """One codeword per block from messages of shape (blocks, parties, dimension).
-
-    The XOR of the parties' codewords is the codeword of the XOR of their
-    messages, so each block costs one product with the generator.
-    """
-    return code.encode(np.bitwise_xor.reduce(messages, axis=1))
+    # The XOR of the parties' codewords is the codeword of the XOR of their messages.
+    return code.encode(np.bitwise_xor.reduce(coins.reshape(parties, code.dimension)))
 
 
 @dataclass
@@ -437,12 +446,12 @@ def reconcile_stream(
     return reconcile_streams(pair, [held], [noisy], [rng], group_size)[0]
 
 
-def _row_bytes(bits) -> bytes:
-    """A row of bits as bytes: ``astype`` for an array, ``bytes()`` for a list or tuple.
-
-    ``bytes()`` takes about half the time ``np.asarray`` takes on a list.
-    """
-    return bits.astype(np.uint8).tobytes() if isinstance(bits, np.ndarray) else bytes(bits)
+def _row_bytes(bits) -> bytes | bytearray:
+    """A row of bits as bytes: ``astype`` for an array, ``bytes`` uncopied, and
+    ``bytearray()`` for a list or tuple, which it reads faster than ``bytes()``."""
+    if isinstance(bits, np.ndarray):
+        return bits.astype(np.uint8).tobytes()
+    return bits if isinstance(bits, bytes) else bytearray(bits)
 
 
 def reconcile_streams(
@@ -454,8 +463,8 @@ def reconcile_streams(
 ) -> list[StreamResult]:
     """:func:`reconcile_stream` of every row, each with its own coins.
 
-    The blocks of all rows, padding included, are stacked as one
-    (blocks, length) matrix that is decoded and labelled once. The coins come
+    The blocks of all rows, padding included, are read as one integer each,
+    whose keys the pair's tables give with no matrix product. The coins come
     from ``rngs``, a ``Substream`` with one seed per row or one generator per
     row (:func:`random_coins`), in the order a lone call draws them, so each
     result, and the state each generator is left in, is that of
@@ -482,15 +491,16 @@ def reconcile_streams(
         start += count
 
     def stacked(rows) -> np.ndarray:
-        """Every row followed by its padding, as (blocks, length)."""
+        """Every row followed by its padding."""
         parts = [part for bits, pad in zip(rows, padding) for part in (_row_bytes(bits), pad)]
-        return np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(-1, code.length) % 2
+        return np.frombuffer(b"".join(parts), dtype=np.uint8)
 
-    u = _group_codewords(
-        code, np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, group_size, code.dimension)
-    )
-    decoded, decodable = code.decode(stacked(noisy_rows) ^ u ^ stacked(held_rows))  # u xor error
-    key_alice, key_bob = pair.labels(u), pair.labels(decoded)
+    error = _block_values(((stacked(noisy_rows) ^ stacked(held_rows)) & 1).reshape(-1, code.length))
+    # One message value per party and block; their XOR picks the block's codeword u.
+    sent = _block_values(np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, code.dimension))
+    u = pair._codeword_values[np.bitwise_xor.reduce(sent.reshape(-1, group_size), axis=1)]
+    key_alice, key_bob = pair._label_table[u], pair._decoded_labels[u ^ error]
+    decodable = key_bob >= 0
     kept = decodable.copy()
     kept[(np.cumsum(blocks) - 1)[pads > 0]] = False  # part of a padded row's last block is public
     row = np.repeat(np.arange(len(rngs)), blocks)  # the row of each block

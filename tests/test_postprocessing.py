@@ -279,6 +279,7 @@ class TestReconcile:
         tables = (
             pair.c1.generator, pair.c1.parity_check, pair.c1._errors, pair.c1._decodable,
             pair.c2.generator, pair._label_table, pair._keys, HAMMING_PARITY_CHECK,
+            pair._decoded_labels, pair._codeword_values,
         )
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
@@ -532,14 +533,30 @@ class TestAgainstPerBlockReference:
         assert rng.random() == again.random()
 
 
+def test_streams_reconcile_by_table_lookups_alone(monkeypatch):
+    from mpqss import postprocessing
+
+    pair, held = REFERENCES["two-byte"].pair, [1, 0, 1] * 9
+    want = reconcile_stream(pair, held, held[::-1], random.Random(3), group_size=2)
+
+    def refuse(*args):
+        raise AssertionError("a stream decodes or labels by table only")
+
+    monkeypatch.setattr(postprocessing, "gf2_matmul", refuse)
+    monkeypatch.setattr(LinearCode, "decode", refuse)
+    monkeypatch.setattr(CssPair, "labels", refuse)
+    assert reconcile_stream(pair, held, held[::-1], random.Random(3), group_size=2) == want
+
+
 @st.composite
 def stream_rows(draw):
     """Rows of (held, noisy, generator seed) as list, tuple, int array or bytes,
-    with a group size. A row's values run over 0-3; each stands for its low bit."""
+    with a group size. A row's values run over 0-3; each stands for its low bit,
+    and a flip of 2 changes a noisy value but not its bit."""
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         held = draw(st.lists(st.integers(0, 3), max_size=30))
-        flips = draw(st.lists(st.booleans(), min_size=len(held), max_size=len(held)))
+        flips = draw(st.lists(st.integers(0, 3), min_size=len(held), max_size=len(held)))
         noisy = [b ^ f for b, f in zip(held, flips)]
         kind = draw(st.sampled_from([list, tuple, np.array, bytes]))
         rows.append((kind(held), kind(noisy), draw(st.integers(0, 2**32 - 1))))
