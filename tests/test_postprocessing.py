@@ -30,6 +30,7 @@ from mpqss import (
 )
 from mpqss.postprocessing import (
     HAMMING_PARITY_CHECK,
+    ReconcileResult,
     StreamResult,
     bits_to_hex,
     dump_matrix,
@@ -513,6 +514,14 @@ class TestAgainstPerBlockReference:
             drawn = draw_group_codeword(pair.c1, parties, rng)
             assert tuple(drawn.tolist()) == ref.group_codeword(again, parties)
             assert rng.random() == again.random()
+        # One block held as zeros announces u itself; every codeword up to 8 bits, four of two-byte's.
+        words = list(itertools.product((0, 1), repeat=n))
+        for u in sorted(codewords)[:: 1 if n <= 8 else 8]:
+            for word in words:
+                decoded = ref.decode(tuple(a ^ b for a, b in zip(word, u)))
+                key_bob = None if decoded is None else ref.key(decoded)
+                want = ReconcileResult(ref.key(u), key_bob, u, decoded is None)
+                assert reconcile(pair, (0,) * n, word, u) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -531,6 +540,27 @@ class TestAgainstPerBlockReference:
         got = reconcile_stream(ref.pair, held, noisy, rng, group_size=group_size)
         assert got == ref.stream(held, noisy, again, group_size)
         assert rng.random() == again.random()
+
+
+# The sha256 of each pair's tables (dtype, shape and bytes), recorded with the
+# place-value reading of bit rows that built them first.
+TABLE_DIGESTS = {
+    "canonical": "dab5500a5e10a4ee32a5baebcaa4cb735b08fdbb452435dd34b3e343dfbec987",
+    "ties": "7b569122169152f0d02057b22e9c614ad54027d6af37030c22a9d37cd70aac0a",
+    "two-byte": "a055c806866de3c0f8680e1de9a83203e8d373c92f71c2a94305d24c736fc07e",
+    "uncovered": "6ae5eaab4bc9b34e7236e26d13738adac9cdf8c6034699b4d0e9247c1f460f0a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_pair_tables_are_pinned(name):
+    pair, digest = REFERENCES[name].pair, hashlib.sha256()
+    for table in (
+        pair._label_table, pair._decoded_labels, pair._codeword_values, pair._keys,
+        pair.c1._errors, pair.c1._decodable,
+    ):
+        digest.update(f"{table.dtype.str}{table.shape}".encode() + table.tobytes())
+    assert digest.hexdigest() == TABLE_DIGESTS[name]
 
 
 def test_streams_reconcile_by_table_lookups_alone(monkeypatch):
