@@ -133,26 +133,22 @@ def dump_matrix(mat: np.ndarray) -> str:
     return "\n".join("".join(str(int(x)) for x in row) for row in mat) + "\n"
 
 
-def _place_values(width: int) -> np.ndarray:
-    """Weights that read a row of ``width`` bits as a big-endian integer.
+def _block_values(bits: np.ndarray) -> np.ndarray:
+    """Each row of a (..., width) 0/1 array as a big-endian integer, in an array of shape (...).
 
     Big-endian keeps integer order equal to the lexicographic order of the bit
     tuples, which is what coset labels are numbered by.
     """
-    return 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-
-
-def _block_values(bits: np.ndarray) -> np.ndarray:
-    """Each row of a (blocks, width) 0/1 matrix as the integer ``_place_values`` reads."""
-    blocks, width = bits.shape
+    *lead, width = bits.shape
+    rows = bits.reshape(math.prod(lead), width)
     # Rows filled to whole bytes by leading zeros take one packbits, five times faster than per row.
-    padded = np.zeros((blocks, width + -width % 8), dtype=np.uint8)
-    padded[:, -width:] = bits
-    packed = np.packbits(padded).reshape(blocks, padded.shape[1] // 8).astype(np.intp)
-    values = packed[:, 0]
-    for column in packed.T[1:]:
+    padded = np.zeros((len(rows), width + -width % 8), dtype=np.uint8)
+    padded[:, -width:] = rows
+    packed = np.packbits(padded).reshape(len(rows), padded.shape[1] // 8)
+    values = np.zeros(len(rows), dtype=np.intp)
+    for column in packed.T:
         values = values << 8 | column
-    return values
+    return values.reshape(lead)
 
 
 def _read_only(*tables: np.ndarray) -> None:
@@ -192,11 +188,8 @@ class LinearCode:
             raise ValueError("generator rows are linearly dependent")
         if gf2_rank(self.parity_check) != self.length - self.dimension:
             raise ValueError("parity check rank must equal length - dimension")
-        self._syndrome_values = _place_values(self.length - self.dimension)
         self._errors, self._decodable = self._build_syndrome_table(radius)
-        _read_only(
-            self.generator, self.parity_check, self._syndrome_values, self._errors, self._decodable
-        )
+        _read_only(self.generator, self.parity_check, self._errors, self._decodable)
 
     @classmethod
     def from_parity_check(cls, parity_check: np.ndarray, radius: int) -> "LinearCode":
@@ -224,13 +217,9 @@ class LinearCode:
                 decodable[index] = True
         return errors, decodable
 
-    def syndrome(self, word: Sequence[int]) -> bytes:
-        w = np.asarray(word, dtype=np.uint8) % 2
-        return gf2_matmul(self.parity_check, w).tobytes()
-
     def _syndrome_index(self, words: np.ndarray) -> np.ndarray:
         """Syndromes of the rows of ``words`` (shape (..., length)) as table indices."""
-        return gf2_matmul(words, self.parity_check.T) @ self._syndrome_values
+        return _block_values(gf2_matmul(words, self.parity_check.T))
 
     def decode(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Correct every row of ``words`` through the syndrome table.
@@ -242,7 +231,7 @@ class LinearCode:
         return words ^ self._errors[index], self._decodable[index]
 
     def contains(self, word: Sequence[int]) -> bool:
-        return not any(self.syndrome(word))
+        return not self._syndrome_index(np.asarray(word, dtype=np.uint8) % 2)
 
     def encode(self, messages: np.ndarray) -> np.ndarray:
         """Codewords of the rows of ``messages`` (shape (..., dimension))."""
@@ -255,7 +244,7 @@ class LinearCode:
         return list(self.encode(_all_words(self.dimension)))
 
     def random_codeword(self, rng: random.Random) -> np.ndarray:
-        return self.encode(random_coins([rng], [self.dimension]))
+        return draw_group_codeword(self, 1, rng)
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.length},{self.dimension}] t={self.radius}"
@@ -268,9 +257,8 @@ def syndrome_decode(code: LinearCode, word: Sequence[int]) -> np.ndarray:
         raise ValueError(f"word length {w.shape} does not match code length {code.length}")
     decoded, decodable = code.decode(w)
     if not decodable:
-        raise DecodeFailure(
-            f"syndrome {code.syndrome(w).hex()} exceeds the designed radius {code.radius}"
-        )
+        syndrome = f"{code._syndrome_index(w):0{code.length - code.dimension}b}"
+        raise DecodeFailure(f"syndrome {syndrome} exceeds the designed radius {code.radius}")
     return decoded
 
 
@@ -291,17 +279,14 @@ class CssPair:
     def __init__(self, c1: LinearCode, c2: LinearCode):
         if c1.length != c2.length:
             raise ValueError("nested codes must share a length")
-        for row in c2.generator:
-            if not c1.contains(row):
-                raise ValueError("every codeword of the small code must lie in the big one")
+        if c1._syndrome_index(c2.generator).any():
+            raise ValueError("every codeword of the small code must lie in the big one")
         self.c1 = c1
         self.c2 = c2
         self.key_bits = c1.dimension - c2.dimension
         if self.key_bits < 1:
             raise ValueError("the nesting yields no key bits")
-        self._word_values = _place_values(c1.length)
-        big = np.array(c1.codewords()) @ self._word_values
-        small = np.array(c2.codewords()) @ self._word_values
+        big, small = (_block_values(code.encode(_all_words(code.dimension))) for code in (c1, c2))
         # A coset's lexicographically smallest member is its least integer.
         least = (big[:, None] ^ small[None, :]).min(axis=1).tolist()
         self._reps = sorted(set(least))
@@ -312,13 +297,13 @@ class CssPair:
         self._label_table[big] = [label_of[rep] for rep in least]
         self._keys = _all_words(self.key_bits)  # row i: the bits of label i
         decoded, decodable = c1.decode(_all_words(c1.length))
-        self._decoded_labels = np.where(decodable, self._label_table[decoded @ self._word_values], -1)
-        self._codeword_values = big  # c1.codewords() runs over the messages in counting order
-        _read_only(self._word_values, self._label_table, self._keys, self._decoded_labels, big)
+        self._decoded_labels = np.where(decodable, self._label_table[_block_values(decoded)], -1)
+        self._codeword_values = big  # the messages in counting order, as codewords() has them
+        _read_only(self._label_table, self._keys, self._decoded_labels, big)
 
     def labels(self, words: np.ndarray) -> np.ndarray:
         """Coset label of every row of ``words`` (shape (..., length)); -1 off the big code."""
-        return self._label_table[words @ self._word_values]
+        return self._label_table[_block_values(words)]
 
     def coset_key(self, u: Sequence[int]) -> Bits:
         """Label of u's coset; equal for inputs differing by a small-code word."""
@@ -387,7 +372,8 @@ def reconcile(
     announcement into its noisy copy, leaving u plus the channel error, decodes
     back to a codeword, and both sides take that codeword's coset label as the
     key. Keys agree whenever the error weight stays within the code radius;
-    blocks whose syndrome falls outside the table are discarded.
+    blocks whose syndrome falls outside the table are discarded. The other
+    side's key is read from the pair's tables, as :func:`reconcile_streams` reads it.
     """
     v = np.asarray(held, dtype=np.uint8) % 2
     w = np.asarray(noisy, dtype=np.uint8) % 2
@@ -396,12 +382,9 @@ def reconcile(
         raise ValueError(f"blocks must have length {pair.c1.length}")
     key_alice = pair.coset_key(uu)
     public = (uu ^ v).astype(np.uint8)
-    received = (w ^ public).astype(np.uint8)  # u xor error
-    try:
-        decoded = syndrome_decode(pair.c1, received)
-    except DecodeFailure:
-        return ReconcileResult(key_alice, None, tuple(public.tolist()), True)
-    return ReconcileResult(key_alice, pair.coset_key(decoded), tuple(public.tolist()), False)
+    label = int(pair._decoded_labels[_block_values(w ^ public)])  # w ^ public is u xor error
+    key_bob = tuple(pair._keys[label].tolist()) if label >= 0 else None
+    return ReconcileResult(key_alice, key_bob, tuple(public.tolist()), label < 0)
 
 
 @dataclass
@@ -573,8 +556,7 @@ class OneTimePad:
     def encrypt(self, message: Sequence[int]) -> Bits:
         return xor_bits(message, self._take(len(message)))
 
-    def decrypt(self, ciphertext: Sequence[int]) -> Bits:
-        return xor_bits(ciphertext, self._take(len(ciphertext)))
+    decrypt = encrypt  # the same XOR
 
 
 def bits_to_hex(bits: Sequence[int]) -> str:

@@ -221,6 +221,12 @@ def split_for_receivers(block: QubitBlock, cfg: ProtocolConfig) -> list[QubitBlo
     ]
 
 
+def _refuse_row(run: Chunk | Transcript, what: str) -> None:
+    """A phase runs on a chunk; a transcript is a row of one and is refused."""
+    if isinstance(run, Transcript):
+        raise ProtocolStateError(f"{what} of a transcript, not of its chunk")
+
+
 def announce_bases(
     run: Chunk, sender_index: int, basis_bits: Sequence[int] | np.ndarray, cfg: ProtocolConfig
 ) -> None:
@@ -229,7 +235,7 @@ def announce_bases(
     With ordering enforcement on, this refuses to run until the record holds
     every receiver's ``ack`` event; announcing earlier hands the whole
     encoding to anyone holding the transiting qubits. A transcript is checked
-    through its chunk.
+    through its chunk, and then refused.
     """
     if cfg.enforce_ordering:
         entries = getattr(run, "_chunk", run)._records
@@ -240,6 +246,7 @@ def announce_bases(
                 f"sender {sender_index} tried to announce bases before receivers "
                 f"{missing} acknowledged reception"
             )
+    _refuse_row(run, "bases announced")
     plane = as_plane(basis_bits).reshape(len(run), -1)  # a copy, so the caller's array stays theirs
     run.record_planes([(KIND_BASES, f"alice{sender_index}")], plane)
     run.announced_bases[sender_index] = plane
@@ -247,6 +254,7 @@ def announce_bases(
 
 def combined_bases(run: Chunk, cfg: ProtocolConfig) -> np.ndarray:
     """Per-position XOR of all announced basis strings (the decoding basis), one row per trial."""
+    _refuse_row(run, "combined bases requested")
     if len(run.announced_bases) < cfg.senders:
         raise ProtocolStateError("not every sender has announced a basis string")
     strings = list(run.announced_bases.values())
@@ -274,6 +282,7 @@ def run_check(
     among its comparable revealed positions exceeds the configured threshold.
     Returns a bool per trial, True on pass.
     """
+    _refuse_row(run, "check requested")
     count, blocks, n = len(run), cfg.blocks, cfg.receivers
     if run.outcome is None:
         raise ProtocolStateError("check requested before the receivers measured")
@@ -337,9 +346,9 @@ def extract_raw_key(run: Chunk | Transcript, cfg: ProtocolConfig, values: np.nda
     """
     if run.qber is None:
         raise ProtocolStateError("raw key requested before the check ran")
-    if isinstance(run, Transcript):
-        state = "after an abort" if run.abort_reason is not None else "of a transcript, not of its chunk"
-        raise ProtocolStateError(f"raw key requested {state}")
+    if isinstance(run, Transcript) and run.abort_reason is not None:
+        raise ProtocolStateError("raw key requested after an abort")
+    _refuse_row(run, "raw key requested")
     count, blocks, n = len(run), cfg.blocks, cfg.receivers
     keyed = ~run.aborted
     # Trial t's block j is t*N + j.

@@ -465,6 +465,10 @@ class TestCli:
         assert "withheld_bases" in capsys.readouterr().err
         assert main(flags + ["--withhold-bases", "2"]) in (0, 1)
 
+    def test_malformed_index_list_exits_two(self, capsys):
+        assert main(["run", "--omit-hadamard", "2,x"]) == 2
+        assert "omit_hadamard" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

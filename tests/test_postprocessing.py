@@ -30,6 +30,7 @@ from mpqss import (
 )
 from mpqss.postprocessing import (
     HAMMING_PARITY_CHECK,
+    as_bit_matrix,
     ReconcileResult,
     StreamResult,
     bits_to_hex,
@@ -285,6 +286,51 @@ class TestReconcile:
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
+
+
+class TestRefusals:
+    """Each input the post-processing refuses, refused with its own message."""
+
+    def test_bit_matrix_needs_rows(self):
+        with pytest.raises(ValueError, match="rectangular"):
+            as_bit_matrix([])
+
+    @pytest.mark.parametrize(
+        "generator, parity_check, message",
+        [
+            ([[1, 1, 1, 0, 0, 0, 0]], HAMMING_PARITY_CHECK[:, :6], "disagree on code length"),
+            ([[1, 0, 0, 0, 0, 0, 0]], HAMMING_PARITY_CHECK, "satisfy every parity check"),
+            ([[1, 1, 1, 0, 0, 0, 0]] * 2, HAMMING_PARITY_CHECK, "linearly dependent"),
+            ([[1, 1, 1, 0, 0, 0, 0]], HAMMING_PARITY_CHECK, "rank must equal"),
+        ],
+    )
+    def test_inconsistent_code_matrices(self, generator, parity_check, message):
+        with pytest.raises(ValueError, match=message):
+            LinearCode(as_bit_matrix(generator), parity_check, radius=1)
+
+    def test_codeword_enumeration_stops_above_dimension_twenty(self):
+        code = LinearCode.from_generator(np.eye(21, dtype=np.uint8), radius=0)
+        with pytest.raises(ValueError, match="desk-scale"):
+            code.codewords()
+
+    def test_nested_pairs(self, pair):
+        longer = LinearCode.from_generator(as_bit_matrix([[1] * 8]), radius=0)
+        with pytest.raises(ValueError, match="share a length"):
+            CssPair(pair.c1, longer)
+        with pytest.raises(ValueError, match="lie in the big one"):
+            CssPair(pair.c2, pair.c1)
+        with pytest.raises(ValueError, match="no key bits"):
+            CssPair(pair.c1, pair.c1)
+
+    def test_block_and_party_counts(self, pair):
+        with pytest.raises(ValueError, match="at least one party"):
+            draw_group_codeword(pair.c1, 0, random.Random(0))
+        with pytest.raises(ValueError, match="length 7"):
+            reconcile(pair, (0,) * 6, (0,) * 7, (0,) * 7)
+        with pytest.raises(ValueError, match="at least one party"):
+            reconcile_streams(pair, [[0]], [[0]], [random.Random(0)], group_size=0)
+        with pytest.raises(ValueError, match="equal length"):
+            xor_bits((0, 1), (0,))
 
 
 class TestOneTimePad:

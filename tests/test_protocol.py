@@ -532,6 +532,28 @@ class TestStateErrors:
         with pytest.raises(ProtocolStateError):
             extract_raw_key(tr, cfg, np.zeros((2, 8), dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "phase",
+        [
+            lambda tr, cfg: announce_bases(tr, 1, (0, 1) * 27, cfg),
+            lambda tr, cfg: combined_bases(tr, cfg),
+            lambda tr, cfg: run_check(tr, cfg, np.zeros((2, 1, 54), dtype=np.uint8), Substream([1])),
+            lambda tr, cfg: extract_raw_key(tr, cfg, np.zeros((2, 1, 54), dtype=np.uint8)),
+        ],
+        ids=["announce_bases", "combined_bases", "run_check", "extract_raw_key"],
+    )
+    def test_phases_refuse_a_finished_row(self, phase):
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=18, seed=3)
+        tr = run_protocol(cfg)
+        assert tr.abort_reason is None
+        with pytest.raises(ProtocolStateError, match="of a transcript, not of its chunk"):
+            phase(tr, cfg)
+
+    def test_announcement_on_a_bare_row_without_enforcement_is_refused(self):
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=4, enforce_ordering=False)
+        with pytest.raises(ProtocolStateError, match="of a transcript, not of its chunk"):
+            announce_bases(Transcript(cfg.snapshot()), 1, (0, 1) * 6, cfg)
+
     def test_check_before_measurement_is_a_state_error(self):
         cfg = ProtocolConfig(senders=2, receivers=2, blocks=4)
         with pytest.raises(ProtocolStateError, match="measured"):

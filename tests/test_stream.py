@@ -161,6 +161,10 @@ class TestDecisions:
         assert bins.dtype == np.uint8
         assert bins.tolist() == np.searchsorted(np.array(thresholds, np.int64), w, side="right").tolist()
 
+    def test_a_draw_holds_at_most_one_decision(self):
+        with pytest.raises(ValueError, match="at most one decision"):
+            Substream(7, "hop2").draw(([2**31], 3), ([2**30], 3))
+
     def test_a_decision_reads_top_bytes_then_three_tie_bytes_per_tie(self):
         thresholds = [0, 2**24 + 5, 3 << 30]  # 0 and 3 << 30 are decided by the top byte alone
         bins, bits = Substream(7, "hop2").draw((thresholds, 3000), (1, 12))
