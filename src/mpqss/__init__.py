@@ -92,4 +92,4 @@ from .qubits import (
 )
 from .transcript import AdversaryRecord, Event, Transcript, parse
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

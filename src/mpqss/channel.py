@@ -23,7 +23,7 @@ from typing import ClassVar, Collection, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError
-from .planes import QubitBlock, Substream, as_plane, random_bits
+from .planes import QubitBlock, Substream, as_plane
 from .transcript import AdversaryRecord
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
@@ -250,7 +250,7 @@ def preparer_attack(
     """
     return _intercept(
         "preparer-insider", block, ~block.lost, as_plane(prep_bases), as_plane(prep_values),
-        random_bits(stream, len(block)),
+        stream.draw((1, len(block)))[0],
     )
 
 
@@ -269,7 +269,8 @@ def collusion_attack(
     """
     plan = _xor_all(known_bases.values())
     strip = _xor_all(known_values.values())
-    return _intercept("colluder-insider", block, ~block.lost, plan, strip, random_bits(stream, len(block)))
+    [coins] = stream.draw((1, len(block)))
+    return _intercept("colluder-insider", block, ~block.lost, plan, strip, coins)
 
 
 def ordering_attack(

@@ -61,6 +61,8 @@ class ProtocolConfig:
             raise ConfigError(f"{p}receivers", "need at least two receivers")
         if self.blocks < 1:
             raise ConfigError(f"{p}blocks", "need at least one block")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"{p}seed", "must be in [0, 2**64)")
         if not 0.0 < self.check_fraction < 1.0:
             raise ConfigError(f"{p}check_fraction", "must be in (0, 1)")
         if not 0.0 < self.qber_abort_threshold < 1.0:

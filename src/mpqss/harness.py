@@ -1,8 +1,8 @@
 """Seeded Monte Carlo experiment runner, report formats, and transcript replay.
 
-Per-trial seeds come from a documented counter scheme (SHA-256 of
-``"<master>:<trial>"``, top eight bytes), so any single trial can be re-run in
-isolation and identical experiment specs produce byte-identical reports.
+Per-trial seeds come from a documented counter scheme (word t of the master
+seed's "trials" stream, ``planes.stream_words``), so any single trial can be
+re-run in isolation and identical experiment specs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .config import ProtocolConfig, checked_block_count
 from .postprocessing import CssPair, StreamResult, bits_to_hex, build_canonical_css, key_rate, otp_send
 from .postprocessing import reconcile_streams
 from .planes import UNUSABLE, Substream, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
-from .protocol import expanded_values, run_chunks
+from .planes import stream_keys, stream_words
+from .protocol import expanded_values, run_chunks, trials_per_chunk
 
 # The one-trial forms, which run_experiment no longer calls; perfbench/tracing.py
 # spans calls at these names.
@@ -70,10 +71,15 @@ def _column(values: np.ndarray | None) -> list[float]:
     return [] if values is None else values.astype(float).tolist()
 
 
+def trial_seeds(master_seed: int, start: int, stop: int) -> list[int]:
+    """The 64-bit seeds of trials ``start`` to ``stop - 1``: those words of the master's "trials" stream."""
+    [key] = stream_keys(np.array([master_seed], np.uint64), "trials", 1)
+    return stream_words(key, start, stop)[0].tolist()
+
+
 def derive_trial_seed(master_seed: int, trial: int) -> int:
     """64-bit seed for one trial; stable across platforms and runs."""
-    digest = hashlib.sha256(f"{master_seed}:{trial}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return trial_seeds(master_seed, trial, trial + 1)[0]
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,8 @@ class ExperimentSpec:
         self.channel.validate(path="channel")
         if self.trials < 1:
             raise ConfigError("trials", "need at least one trial")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed", "must be in [0, 2**64)")
         for k, name in enumerate(self.metrics):
             if name not in METRICS:
                 raise ConfigError("metrics", f"unknown metric {name!r}; known: {', '.join(METRICS)}")
@@ -276,7 +284,9 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
     extras: dict = {}
     if otp_message is not None and pair is None:
         raise ConfigError("metrics", "an outgoing message needs the block_yield metric")
-    seeds = (derive_trial_seed(spec.seed, trial) for trial in range(spec.trials))
+    per_chunk = trials_per_chunk(spec.protocol)
+    seeds = (seed for start in range(0, spec.trials, per_chunk)
+             for seed in trial_seeds(spec.seed, start, min(start + per_chunk, spec.trials)))
     for chunk in run_chunks(spec.protocol, spec.channel, seeds):
         digests.extend(tr.digest() for tr in chunk)
         aborted += int(np.count_nonzero(chunk.aborted))

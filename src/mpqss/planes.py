@@ -18,8 +18,6 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,79 +29,62 @@ from .qubits import Qubit
 UNUSABLE = 2
 
 # The random stream's version: it keys every draw, so a stream change is a new version.
-STREAM_VERSION = "0.4.0"
+STREAM_VERSION = "0.5.0"
 
-# Positions (units of a draw) per digest: a draw's chunk c covers its units
-# [c * STREAM_CHUNK, (c + 1) * STREAM_CHUNK). A multiple of 8, so a chunk of
-# bits is whole bytes.
-STREAM_CHUNK = 1 << 16
+# The increment of SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the odd
+# integer nearest 2**64 over the golden ratio.
+GAMMA = 0x9E3779B97F4A7C15
+
+# Words per row that a draw makes at a time, so that its temporaries stay in
+# the cache and the heap; no unit depends on it.
+_PASS_WORDS = 1 << 15
 
 
-def tie_margin(units: int) -> int:
-    """Tie bytes asked for with a chunk's first stage, for a decision over ``units`` positions.
+def mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, a bijection of 64-bit words, on each uint64 of ``z`` in place."""
+    t = np.empty_like(z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, shift, out=t)
+        z *= factor
+    z ^= np.right_shift(z, 31, out=t)
+    return z
 
-    At most four thresholds tie at most 1 position in 64; the margin adds four
-    standard deviations and a few positions. It sets only how often a row is
-    digested again, never a byte that is read.
+
+def stream_words(keys: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Words ``start`` to ``stop - 1`` of each uint64 key's stream, a row per key.
+
+    Word i of key K is ``mix64(K + (i + 1) * GAMMA)``, counter-based (Salmon et al., SC 2011).
     """
-    return 3 * (units // 64 + math.isqrt(units) // 2 + 8)
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= GAMMA
+    return mix64(keys[:, None] + z)
 
 
-def tie_positions(top: np.ndarray, thresholds: Sequence[int]) -> np.ndarray:
-    """Flat indices of the positions whose top byte ties a threshold's, ascending.
+def stream_keys(seeds: np.ndarray, phase: str, draws: int) -> np.ndarray:
+    """Each uint64 seed's key of draw d of a call in ``phase``: ``mix64(mix64(seed ^ code) + d)``.
 
-    A threshold ties its top byte when its low 24 bits are not all zero; the
-    others are decided by the top byte alone.
+    The phase's code is the first 8 bytes of SHA-256 of "<STREAM_VERSION>:<phase>", little-endian.
     """
-    tied = np.zeros(top.shape, dtype=bool)
-    for byte in {t >> 24 for t in thresholds if t & 0xFFFFFF}:
-        tied |= top == byte
-    return np.flatnonzero(tied)
-
-
-def decide(top: np.ndarray, ties: np.ndarray, low: np.ndarray, thresholds: Sequence[int]) -> np.ndarray:
-    """Each position's bin: how many of the sorted ``thresholds`` are at most its word.
-
-    The word is w = top * 2**24 + l, where ``top`` is a byte per position and
-    ``low`` holds l, below 2**24, at the flat ``ties`` that ``tie_positions``
-    gives, in that order; elsewhere l decides nothing. So w < thresholds[i]
-    exactly when the bin is at most i: a threshold of 0 is at most every word,
-    and one of 2**32 at none. Comparing bytes is about ten times faster than
-    looking each one up in a table.
-    """
-    bins = np.zeros(top.shape, dtype=np.uint8)
-    for t in thresholds:
-        byte = -(-t >> 24)  # the least top byte whose every word is at least t
-        if byte < 256:
-            bins += top >= byte
-    words = (np.ravel(top)[ties].astype(np.int64) << 24) | low
-    bins.flat[ties] = np.searchsorted(np.asarray(thresholds, dtype=np.int64), words, side="right")
-    return bins
+    code = int.from_bytes(hashlib.sha256(f"{STREAM_VERSION}:{phase}".encode()).digest()[:8], "little")
+    return mix64(mix64(seeds ^ code)[:, None] + np.arange(draws, dtype=np.uint64))
 
 
 class Substream:
     """The keyed random draws of one phase of a run, or of a batch of runs.
 
-    ``seeds`` is one trial seed, or a sequence with one per trial; a sequence
-    draws one row per seed, each exactly what that seed alone would give.
-    Chunk c of ``phase`` is the SHAKE-128 digest of the key
-    ``"<STREAM_VERSION>:<seed>:<phase>:<c>"``, which holds the first stage of
-    every draw of the call for that chunk, one after another in the order they
-    are asked for, then the tie bytes of its decision (``draw``). A chunk's
-    bytes thus depend on neither the run's size nor any other phase. Bytes are
-    read little-endian, so the planes are the same on every platform, and no
-    ``numpy.random`` is loaded.
+    ``seeds`` is one trial seed in [0, 2**64), or a sequence with one per
+    trial, which draws a row per seed: what that seed alone gives. A unit
+    depends on its seed, phase, draw in the call and index alone. Words are
+    read little-endian, so planes are the same on every platform.
     """
 
     def __init__(self, seeds: int | Sequence[int], phase: str = ""):
         self.seeds, self.phase = seeds, phase
-        rows = [seeds] if isinstance(seeds, int) else seeds
-        # Each row's key up to the phase.
-        self._heads = [f"{STREAM_VERSION}:{seed}:".encode() for seed in rows]
+        self._seeds = np.array([seeds] if isinstance(seeds, int) else seeds, dtype=np.uint64)
 
     def __len__(self) -> int:
         """How many trials draw: one for a single seed."""
-        return len(self._heads)
+        return len(self._seeds)
 
     def at(self, phase: str) -> "Substream":
         """The same trials' draws in ``phase``."""
@@ -112,77 +93,36 @@ class Substream:
         return sub
 
     def draw(self, *draws: tuple[int | Sequence[int], int]) -> list[np.ndarray]:
-        """One plane per (kind, units) draw.
+        """One plane per (kind, units) draw, read from the stream of its key (``stream_keys``).
 
-        A kind of 1 gives 0/1 uint8 bits, 32 and 64 unsigned words. A sorted
-        sequence of thresholds in [0, 2**32] is a decision: each unit's uint8
-        bin, as ``decide`` gives it for a uniform 32-bit word w, so that
-        w < thresholds[i] exactly when the bin is at most i. A decision draws
-        w's top byte with the first stage and its 3 low bytes (little-endian)
-        only where that byte ties a threshold's: after the first stage of
-        every draw, 3 bytes per tied position, in position order. A call holds
-        at most one decision.
+        A kind of 1 gives 0/1 uint8 bits, bit k being bit k mod 64 of word k // 64.
+        A kind of 64 gives the words, and 32 each word's low then high half. A
+        sorted sequence of thresholds in [0, 2**32] is a decision over those
+        32-bit words w: each unit's uint8 bin, the count of thresholds at most
+        w, so w < thresholds[i] exactly when the bin is at most i.
 
         Each plane has shape (units,), or (trials, units) for a sequence of seeds.
         """
-        rows, kinds = len(self._heads), [kind for kind, _ in draws]
-        decisions = [not isinstance(kind, int) for kind in kinds]
-        if sum(decisions) > 1:
-            raise ValueError("a draw holds at most one decision")
-        dtypes = [np.uint8 if decision or kind == 1 else f"<u{kind // 8}"
-                  for kind, decision in zip(kinds, decisions)]
-        out = [np.empty((rows, units), dtype) for dtype, (_, units) in zip(dtypes, draws)]
-        for c in range(max([1] + [-(-units // STREAM_CHUNK) for _, units in draws])):
-            # Each draw's units in chunk c, and their first-stage bytes: a byte per decision.
-            lo = c * STREAM_CHUNK
-            held = [min(STREAM_CHUNK, max(0, units - lo)) for _, units in draws]
-            sizes = [count if decision else -(-kind * count // 8)
-                     for kind, decision, count in zip(kinds, decisions, held)]
-            first = sum(sizes)
-            margin = sum(tie_margin(count) for decision, count in zip(decisions, held) if decision)
-            tail = f"{self.phase}:{c}".encode()
-            raw = b"".join([hashlib.shake_128(head + tail).digest(first + margin) for head in self._heads])
-            table = np.frombuffer(raw, dtype=np.uint8).reshape(rows, first + margin)
-            starts = itertools.accumulate(sizes, initial=0)
-            for plane, kind, decision, count, start, size in zip(out, kinds, decisions, held, starts, sizes):
-                data = table[:, start:start + size]
-                if decision:
-                    plane[:, lo:lo + count] = self._decide(data, kind, table, first, tail)
-                elif kind == 1:
-                    plane[:, lo:lo + count] = np.unpackbits(data, axis=1, count=count, bitorder="little")
+        out = []
+        for key, (kind, units) in zip(stream_keys(self._seeds, self.phase, len(draws)).T, draws):
+            width = kind if isinstance(kind, int) else 32
+            plane = np.empty((len(key), units), f"<u{width // 8}" if width == kind > 1 else np.uint8)
+            step = _PASS_WORDS * 64 // width  # units per pass
+            for lo in range(0, units, step):
+                part, hi = plane[:, lo:lo + step], min(lo + step, units)
+                words = stream_words(key, lo * width // 64, -(-hi * width // 64)).astype("<u8", copy=False)
+                if kind == 1:
+                    part[:] = np.unpackbits(words.view(np.uint8), axis=1, count=hi - lo, bitorder="little")
+                elif kind == width:
+                    part[:] = words.view(part.dtype)[:, :hi - lo]
                 else:
-                    plane[:, lo:lo + count] = data.view(plane.dtype)
+                    w = words.view("<u4")[:, :hi - lo]
+                    part[:] = 0
+                    for t in kind:
+                        if t < 2**32:  # a threshold of 2**32 is at most no word
+                            part += w >= t
+            out.append(plane)
         return [plane[0] for plane in out] if isinstance(self.seeds, int) else out
-
-    def _decide(
-        self, top: np.ndarray, thresholds: Sequence[int], table: np.ndarray, first: int, tail: bytes
-    ) -> np.ndarray:
-        """The bins of a chunk's decision from its (rows, units) top bytes.
-
-        Each row of ``table`` holds its tie bytes after its ``first`` bytes. A
-        row with more ties than that is digested again at the length it needs.
-        """
-        rows, units = top.shape
-        ties = tie_positions(top, thresholds)
-        # Each tie's row, and its rank among its row's ties.
-        bounds = np.searchsorted(ties, np.arange(rows + 1) * units)
-        row = np.repeat(np.arange(rows), np.diff(bounds))
-        rank = np.arange(len(ties)) - bounds[row]
-        spare = table[:, first:]
-        need, held = 3 * np.diff(bounds), spare.shape[1]
-        if len(ties) and need.max() > held:
-            spare = np.pad(spare, ((0, 0), (0, need.max() - held)))
-            for r in np.flatnonzero(need > held).tolist():
-                redo = hashlib.shake_128(self._heads[r] + tail).digest(first + int(need[r]))
-                spare[r, :need[r]] = np.frombuffer(redo, dtype=np.uint8, offset=first)
-        # Each tie's 3 bytes, little-endian.
-        low = spare[row[:, None], 3 * rank[:, None] + np.arange(3)].astype(np.int64) @ [1, 1 << 8, 1 << 16]
-        return decide(top, ties, low, thresholds)
-
-
-def random_bits(stream: Substream, count: int) -> np.ndarray:
-    """``count`` independent fair bits as a uint8 plane: the phase's one draw."""
-    return stream.draw((1, count))[0]
 
 
 def as_plane(bits) -> np.ndarray:

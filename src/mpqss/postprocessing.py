@@ -30,18 +30,15 @@ def random_coins(rngs: Substream | Sequence[random.Random], counts: Sequence[int
 
     From a ``Substream`` with one seed per row, row r's coins are the first
     ``counts[r]`` bits of one draw of ``max(counts)`` bits, which are those of
-    a draw of ``counts[r]`` bits alone. From a list of generators they are
-    ``counts[r]`` successive ``rngs[r].getrandbits(1)``, one call per
-    generator: CPython answers ``getrandbits(1)`` with the top bit of one
-    32-bit output and ``getrandbits(32 * count)`` with ``count`` whole
-    outputs, the first one lowest, so both give the same bits and leave the
-    generator in the same state.
+    a draw of ``counts[r]`` bits alone. From a list of generators, row r's
+    coin i is bit i of one ``rngs[r].getrandbits(counts[r])``.
     """
     if isinstance(rngs, Substream):
         [bits] = rngs.draw((1, max(counts, default=0)))
         return bits.reshape(len(counts), bits.shape[-1])[np.arange(bits.shape[-1]) < np.array(counts)[:, None]]
-    raw = b"".join([r.getrandbits(32 * c).to_bytes(4 * c, "little") for r, c in zip(rngs, counts)])
-    return np.frombuffer(raw, dtype=np.uint8)[3::4] >> 7  # the top bit of each output
+    rows = [(r.getrandbits(c).to_bytes(-(-c // 8), "little"), c) for r, c in zip(rngs, counts)]
+    bits = [np.unpackbits(np.frombuffer(row, np.uint8), count=c, bitorder="little") for row, c in rows]
+    return np.concatenate([np.zeros(0, np.uint8), *bits])
 
 
 def binary_entropy(delta: float) -> float:
@@ -289,9 +286,9 @@ class CssPair:
         big, small = (_block_values(code.encode(_all_words(code.dimension))) for code in (c1, c2))
         # A coset's lexicographically smallest member is its least integer.
         least = (big[:, None] ^ small[None, :]).min(axis=1).tolist()
+        # The small code is a subgroup of the big one of index 2^(k1 - k2), so
+        # there are exactly that many cosets, each with one least member.
         self._reps = sorted(set(least))
-        if len(self._reps) != 2**self.key_bits:
-            raise ValueError("coset count does not match 2^(k1 - k2)")
         label_of = {rep: label for label, rep in enumerate(self._reps)}
         self._label_table = np.full(2**c1.length, -1, dtype=np.int64)
         self._label_table[big] = [label_of[rep] for rep in least]
@@ -422,9 +419,9 @@ def reconcile_stream(
     with a hash in deployment, the simulator just compares.
 
     All blocks are handled at once as rows of arrays, with the result
-    :func:`reconcile` gives block by block for the codewords
-    :func:`draw_group_codeword` would draw from the same ``rng``. This is the
-    one-row case of :func:`reconcile_streams`.
+    :func:`reconcile` gives block by block, each block's codeword the XOR of
+    its parties' messages read in turn from the coins of ``rng``
+    (:func:`random_coins`). This is the one-row case of :func:`reconcile_streams`.
     """
     return reconcile_streams(pair, [held], [noisy], [rng], group_size)[0]
 
@@ -463,8 +460,7 @@ def reconcile_streams(
     code = pair.c1
     pads = np.array([-size % code.length for size in lengths], dtype=np.intp)
     blocks = (np.array(lengths, dtype=np.intp) + pads) // code.length
-    # Row by row: the padding first, then every block's messages party by
-    # party, the order in which one getrandbits(1) call per coin would draw them.
+    # Row by row: the padding first, then every block's messages party by party.
     counts = (pads + blocks * (group_size * code.dimension)).tolist()
     coins = random_coins(rngs, counts).tobytes()
     padding, messages, start = [], [], 0

@@ -39,7 +39,7 @@ from .channel import (
 )
 from .config import ProtocolConfig, Variant
 from .errors import ConfigError, OrderingError, ProtocolStateError
-from .planes import UNUSABLE, QubitBlock, Substream, as_plane, random_bits
+from .planes import UNUSABLE, QubitBlock, Substream, as_plane
 from .planes import check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
@@ -550,7 +550,8 @@ def _run_chunk(
     required = combined_bases(run, cfg)
     if cfg.quantum_memory:
         guesses = None
-        outcome = block.measure(required, random_bits(measuring, size))
+        [coins] = measuring.draw((1, size))
+        outcome = block.measure(required, coins)
     usable = sift_mask(~block.lost, guesses, required)
     shape = (len(run), cfg.blocks, cfg.receivers)
     run.outcome, run.lost, run.usable = (plane.reshape(shape) for plane in (outcome, block.lost, usable))

@@ -187,7 +187,7 @@ class TestRunExperiment:
             )
 
     def test_distilled_report_is_pinned(self):
-        """Seeded report through key distillation and the pad, as version 0.4.0 wrote it."""
+        """Seeded report through key distillation and the pad, as version 0.5.0 wrote it."""
         from mpqss import hex_to_bits
 
         spec = ExperimentSpec(
@@ -199,20 +199,20 @@ class TestRunExperiment:
         )
         report = run_experiment(spec, otp_message=list(hex_to_bits("beef")))
         assert report.extras == {
-            "ciphertext_hex": "91ea",
+            "ciphertext_hex": "dfeb",
             "final_key_bits": 28,
-            "final_key_hex": "2f05371",
+            "final_key_hex": "61046c9",
             "message_bits": 16,
         }
-        assert report.metrics["block_yield"].mean == 0.8928571428571429
+        assert report.metrics["block_yield"].mean == 0.8785714285714287
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "3a6e1c548b857f40567f6d0db86f7253270fe6582ccf6b620a7a1da5f87bf05c"
+        assert digest == "28c23acd1d9fc5af859ffa0277ca64f0aee4af9746e1aa17810313f0de6c9e4e"
 
     def test_batched_distillation_report_is_pinned(self, monkeypatch):
         """A sweep whose trial 0 aborts, so the message goes out under a later
         trial's key, and whose keyed trials fill four reconciliation batches
         (at a budget of 2^12 positions per chunk); the sha256 is that of the
-        report at version 0.4.0, at any budget."""
+        report at version 0.5.0, at any budget."""
         from dataclasses import replace
         from unittest import mock
 
@@ -227,36 +227,36 @@ class TestRunExperiment:
             report = run_experiment(spec, otp_message=[1, 0, 1, 1])
         assert report.to_json() == default
         assert batches.call_count == -(-60 // protocol.trials_per_chunk(cfg)) == 4
-        assert report.metrics["block_yield"].samples == 46
+        assert report.metrics["block_yield"].samples == 48
         assert report.extras == {
-            "ciphertext_hex": "f",
+            "ciphertext_hex": "c",
             "final_key_bits": 5,
-            "final_key_hex": "40",
+            "final_key_hex": "78",
             "message_bits": 4,
         }
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "64405342ad99dcfadf3e4daccc954f8a60e5fa6b2359bc9cdc6e9d9d0d7f1071"
+        assert digest == "f1b95e0e7802bcbee6d018e0a648dd157f4c13d64a9fcb205f0bf00f3720195a"
 
     # One sweep per attack through adversary_accuracy: spec, then the sha256 of
-    # its to_json() report as version 0.4.0 wrote it (seed 40 + the case index).
+    # its to_json() report as version 0.5.0 wrote it (seed 40 + the case index).
     ATTACK_REPORTS = [
         (ProtocolConfig(3, 3, 40, omit_hadamard=frozenset({3})),
          ChannelModel(loss_prob=0.05, adversary=ColluderInsider(3, frozenset({1}))),
-         "5dcc53d18d1973f52f08231e4da45e4a6824756aad3b0e889a59ed720d845cdf"),
+         "687441401ebec16065cdb1968fa7043b40a2968a88531f8d1f5008e475ef452d"),
         (ProtocolConfig(3, 3, 40, enforce_ordering=False),
          ChannelModel(loss_prob=0.05, p_x=0.01, adversary=OrderingAttack()),
-         "ccce60e7bafdaad44235f26bd6f06e69f3bf7999b4386905508c7901b0e98412"),
+         "9d27aff0d58652b2162487e69e631149950b07110f63499b65fc07be078aeee7"),
         # A blind interceptor errs on a quarter of what it reads; the raised
         # threshold keeps the runs alive, so its key accuracy is sampled.
         (ProtocolConfig(3, 3, 40, qber_abort_threshold=0.4),
          ChannelModel(loss_prob=0.05, adversary=OrderingAttack(use_announced_bases=False)),
-         "cbcfe7ddde9c8def10c3ef7ff60816641241b1fb29442dcae558d09a044eb3ee"),
+         "5648936597bc56b8773d555e4cd0b6d5b365370c2880b8651f8c440f684a833b"),
         (ProtocolConfig(3, 3, 40, quantum_memory=False),
          ChannelModel(loss_prob=0.05, adversary=InterceptResend(fraction=0.2)),
-         "089dc9690c40088770109f2264bf93fce40b2713178ce75b9f988aaa52072399"),
+         "765d1a91f967bfdd9a0d4f94033e44985e1490fd797a43b5a9add332dd70a729"),
         (ProtocolConfig(3, 3, 40, variant=Variant.BLOCK_SHARED),
          ChannelModel(loss_prob=0.05, adversary=PreparerInsider()),
-         "89fa9a4c305c6d4105d526f42b73cb6a72726f40478a904b6c2aff999824ee8c"),
+         "b28fda037793b8acbd45bfaff7dc9c797306ea0709810dc87acfa16b962620a1"),
     ]
 
     @pytest.mark.parametrize("case", range(len(ATTACK_REPORTS)))
@@ -309,7 +309,7 @@ class TestRunExperiment:
     def test_ordering_aborted_report_is_pinned(self):
         """Every trial aborts on the early announcement, before anything is
         measured, so no metric takes a sample; the sha256 is that of the report
-        at version 0.4.0."""
+        at version 0.5.0."""
         spec = ExperimentSpec(
             protocol=ProtocolConfig(3, 3, 40),
             channel=ChannelModel(loss_prob=0.05, adversary=OrderingAttack()),
@@ -321,7 +321,7 @@ class TestRunExperiment:
         assert report.abort_rate == 1.0
         assert {name: s.samples for name, s in report.metrics.items()} == dict.fromkeys(spec.metrics, 0)
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "523431e4d9139257c9cf271992033a6822213731a1d98851f2b9ca9fcf6c7507"
+        assert digest == "ef03741fd9fae2b2e621af1efefc3271e89d4165108c246b1ceedb2e6b86a840"
 
     def test_spec_validation_paths(self):
         unvalidated = ProtocolConfig(
@@ -347,6 +347,21 @@ class TestRunExperiment:
                 protocol=base_protocol(),
                 channel=ChannelModel(adversary=ColluderInsider(target=1)),
             ).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_a_seed_outside_64_bits_is_refused(self, seed, capsys):
+        # A draw's key holds a seed as one uint64, and there is no second path for other ints.
+        with pytest.raises(ConfigError, match="protocol.seed: must be in"):
+            unchecked = ProtocolConfig(2, 2, 4, seed=seed, unsafe_skip_validation=True)
+            ExperimentSpec(protocol=unchecked).validate()
+        with pytest.raises(ConfigError, match="^seed: must be in"):
+            ExperimentSpec(protocol=base_protocol(), seed=seed).validate()
+        with pytest.raises(ConfigError, match="seed"):
+            ProtocolConfig(2, 2, 4, seed=seed)
+        assert main(["run", "--seed", str(seed), "-N", "4", "--trials", "1"]) == 2
+        assert "seed: must be in [0, 2**64)" in capsys.readouterr().err
+        for edge in (0, 2**64 - 1):
+            ExperimentSpec(protocol=ProtocolConfig(2, 2, 4, seed=edge), seed=edge).validate()
 
 
 @pytest.fixture(scope="module")

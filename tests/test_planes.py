@@ -42,7 +42,6 @@ from mpqss.planes import (
     check_tally,
     combined_basis,
     key_block_mask,
-    random_bits,
     receivers_xor,
     sift_mask,
 )
@@ -164,7 +163,7 @@ def test_insider_collapses_match_per_qubit_readout(qubits, data, seed):
     size = len(qubits)
     block = kv.from_qubits(qubits)
     # An insider draws exactly one coin per position from its substream.
-    coins = random_bits(Substream(seed), size)
+    [coins] = Substream(seed).draw((1, size))
     live = [k for k, q in enumerate(qubits) if q is not None]
 
     prep_values, prep_bases = draw_plane(data, size), draw_plane(data, size)

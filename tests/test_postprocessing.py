@@ -37,7 +37,7 @@ from mpqss.postprocessing import (
     dump_matrix,
     gf2_matmul,
 )
-from mpqss.planes import STREAM_CHUNK, Substream
+from mpqss.planes import Substream
 
 
 def entropy_oracle(delta: str) -> float:
@@ -417,8 +417,15 @@ class TestEndToEnd:
 
 # ---------------------------------------------------------------------------
 # Per-block reference for the whole-array distillation: the block loop of
-# version 0.2.0, one getrandbits(1) call per coin, syndrome decoding through a
-# dict of error patterns, and coset labels by brute force over the small code.
+# version 0.2.0, syndrome decoding through a dict of error patterns, and coset
+# labels by brute force over the small code. Since 0.5.0 a row's coins are the
+# bits of one getrandbits call, coin i being bit i.
+
+
+def coins_of(rng, count):
+    """The ``count`` coins of one ``rng.getrandbits(count)``, lowest bit first."""
+    drawn = rng.getrandbits(count)
+    return iter([drawn >> i & 1 for i in range(count)])
 
 
 def _span(generator):
@@ -461,26 +468,26 @@ class ReferencePair:
         err = self.errors.get(self.syndrome(word))
         return None if err is None else tuple(a ^ b for a, b in zip(word, err))
 
-    def group_codeword(self, rng, parties):
+    def group_codeword(self, coins, parties):
         gen = self.pair.c1.generator
         u = np.zeros(self.n, dtype=np.int64)
         for _ in range(parties):
-            msg = [rng.getrandbits(1) for _ in range(len(gen))]
+            msg = [next(coins) for _ in range(len(gen))]
             u ^= np.array(msg) @ gen % 2
         return tuple(int(x) for x in u)
 
     def stream(self, held, noisy, rng, group_size):
         n = self.n
         held, noisy = [int(b) for b in held], [int(b) for b in noisy]
-        padding = []
-        if len(held) % n:
-            padding = [rng.getrandbits(1) for _ in range(n - len(held) % n)]
-            held += padding
-            noisy += padding
+        pad = -len(held) % n
+        coins = coins_of(rng, pad + (len(held) + pad) // n * group_size * len(self.pair.c1.generator))
+        padding = [next(coins) for _ in range(pad)]
+        held += padding
+        noisy += padding
         alice, bob = [], []
         total = ok = dropped = 0
         for start in range(0, len(held), n):
-            u = self.group_codeword(rng, group_size)
+            u = self.group_codeword(coins, group_size)
             v, w = held[start : start + n], noisy[start : start + n]
             decoded = self.decode(tuple(a ^ b ^ c for a, b, c in zip(w, u, v)))
             total += 1
@@ -558,7 +565,8 @@ class TestAgainstPerBlockReference:
         for parties in (1, 2, 5):
             rng, again = random.Random(parties), random.Random(parties)
             drawn = draw_group_codeword(pair.c1, parties, rng)
-            assert tuple(drawn.tolist()) == ref.group_codeword(again, parties)
+            coins = coins_of(again, parties * pair.c1.dimension)
+            assert tuple(drawn.tolist()) == ref.group_codeword(coins, parties)
             assert rng.random() == again.random()
         # One block held as zeros announces u itself; every codeword up to 8 bits, four of two-byte's.
         words = list(itertools.product((0, 1), repeat=n))
@@ -670,7 +678,7 @@ def test_rows_reconcile_as_their_values_mod_2(name, batch):
 
 # ---------------------------------------------------------------------------
 # Workload-scale pins: the sha256 of repr of each result, recorded at version
-# 0.4.0 with the stacked-matrix reconciliation.
+# 0.5.0, whose coins from a generator and from a "pp" substream they cover.
 
 
 def _planted(seed, size, delta=0.03):
@@ -687,20 +695,18 @@ def test_distill_stream_shape_is_pinned():
     result = reconcile_stream(build_canonical_css(), held, noisy, rng)
     assert (result.blocks_total, result.blocks_ok, len(result.final_alice)) == (14286, 14025, 14285)
     digest = hashlib.sha256(repr((result, rng.getrandbits(64))).encode()).hexdigest()
-    assert digest == "be4c7d99eec340d58a6a4807bc16d4a99e30edae566d2e09fa12b0302ebda1be"
+    assert digest == "7c98c3823ac22e30304609032af92e44cf66a25a467b5079d558511fa3103740"
 
 
-def test_substream_batch_over_two_chunks_is_pinned():
+def test_substream_batch_is_pinned():
     """Five bytes rows, as a sweep reconciles them, with coins from a "pp"
-    substream; two rows need more coins than one stream chunk holds."""
+    substream; the longest row draws 137,157 coins."""
     sizes = [120_003, 0, 9, 57_350, 4_001]
     rows = [_planted(21 + r, size) for r, size in enumerate(sizes)]
-    coins = [-size % 7 + -(-size // 7) * 8 for size in sizes]  # two parties, four coins each
-    assert sorted(coins)[-2] > STREAM_CHUNK
     got = reconcile_streams(
         build_canonical_css(), [bytes(h) for h, _ in rows], [bytes(n) for _, n in rows],
         Substream([31, 32, 33, 34, 35], "pp"), group_size=2,
     )
     assert [r.blocks_total for r in got] == [17144, 0, 2, 8193, 572]
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
-    assert digest == "5c6940dcac542317e4bb9b87d2067b41ade35f387aa5cda4f815ec2ec1d0e33c"
+    assert digest == "74d3104638a5d2118daf4386f59cea4e878cd48be2c9c13ad30ae7d04e905087"

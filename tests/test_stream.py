@@ -1,6 +1,7 @@
-"""The keyed random stream of 0.4.0: every draw is a slice of one phase's SHAKE-128 digests."""
+"""The keyed random stream of 0.5.0: every draw reads the SplitMix64 words of one key."""
 
 import hashlib
+import math
 import os
 import pathlib
 import random
@@ -26,6 +27,7 @@ from mpqss import (
     Substream,
     derive_trial_seed,
     generate_secrets,
+    harness,
     parse,
     planes,
     postprocessing,
@@ -35,34 +37,119 @@ from mpqss import (
     transmit,
 )
 from mpqss.channel import _thresholds
-from mpqss.planes import STREAM_CHUNK, STREAM_VERSION, QubitBlock, decide, tie_positions
+from mpqss.planes import GAMMA, STREAM_VERSION, QubitBlock, stream_words
 
 DATA = pathlib.Path(__file__).parent / "data"
 
+# The generator in Python integers: the oracle of every draw.
+MASK = 2**64 - 1
 
-class TestSubstream:
-    def test_a_chunk_is_the_digest_of_its_key(self):
-        words, bits = Substream(7, "hop2").draw((32, 5), (1, 12))
-        digest = hashlib.shake_128(f"{STREAM_VERSION}:7:hop2:0".encode()).digest(22)
-        assert words.tolist() == np.frombuffer(digest[:20], dtype="<u4").tolist()
-        assert bits.tolist() == np.unpackbits(np.frombuffer(digest[20:], np.uint8), bitorder="little")[:12].tolist()
-        [keys] = Substream(7, "check").draw((64, 3))
-        digest = hashlib.shake_128(f"{STREAM_VERSION}:7:check:0".encode()).digest(24)
-        assert keys.tolist() == np.frombuffer(digest, dtype="<u8").tolist()
+
+def mix(z: int) -> int:
+    """SplitMix64's output function."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+    return z ^ (z >> 31)
+
+
+def key(seed: int, phase: str, d: int) -> int:
+    """The key of draw ``d`` of a call in ``phase``."""
+    code = int.from_bytes(hashlib.sha256(f"{STREAM_VERSION}:{phase}".encode()).digest()[:8], "little")
+    return mix((mix(seed ^ code) + d) & MASK)
+
+
+def word(k: int, i: int) -> int:
+    return mix((k + (i + 1) * GAMMA) & MASK)
+
+
+def reference_draw(seed: int, phase: str, draws) -> list[list[int]]:
+    out = []
+    for d, (kind, units) in enumerate(draws):
+        k = key(seed, phase, d)
+        if kind == 1:
+            out.append([word(k, u // 64) >> (u % 64) & 1 for u in range(units)])
+        elif kind == 64:
+            out.append([word(k, u) for u in range(units)])
+        else:
+            halves = [word(k, u // 2) >> (32 * (u % 2)) & 0xFFFFFFFF for u in range(units)]
+            out.append(halves if kind == 32 else [sum(t <= w for t in kind) for w in halves])
+    return out
+
+
+# Thresholds at and next to the ends of the word range.
+EDGES = [0, 1, 2, 2**31, 2**32 - 2, 2**32 - 1, 2**32]
+KINDS = st.one_of(
+    st.sampled_from([1, 32, 64]),
+    st.lists(st.one_of(st.sampled_from(EDGES), st.integers(0, 2**32)), min_size=1, max_size=4).map(sorted),
+)
+
+
+class TestGenerator:
+    def test_a_keys_words_are_splitmix64_seeded_with_the_key(self):
+        # The published first outputs of SplitMix64 from state 0, then a sequential run from another state.
+        assert stream_words(np.array([0], np.uint64), 0, 3)[0].tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        ]
+        state, outputs = 0xDEADBEEF12345678, []
+        for _ in range(5):
+            state = (state + GAMMA) & MASK
+            outputs.append(mix(state))
+        assert stream_words(np.array([0xDEADBEEF12345678], np.uint64), 0, 5)[0].tolist() == outputs
+        assert stream_words(np.array([0xDEADBEEF12345678], np.uint64), 2, 5)[0].tolist() == outputs[2:]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.sampled_from(["secrets", "hop1", "hop12", "attack", "measure", "check", "pp", "trials", ""]),
+        st.lists(st.tuples(KINDS, st.integers(0, 200)), min_size=1, max_size=4),
+    )
+    @example(2**64 - 1, "hop1", [([0], 5), ([2**32], 5), ([0, 2**32], 5), (1, 129), (32, 3), (64, 2)])
+    def test_every_draw_kind_is_the_python_generator(self, seed, phase, draws):
+        got = Substream(seed, phase).draw(*draws)
+        assert [plane.tolist() for plane in got] == reference_draw(seed, phase, draws)
+        for plane, (kind, _) in zip(got, draws):
+            assert plane.dtype == (np.uint32 if kind == 32 else np.uint64 if kind == 64 else np.uint8)
+
+    def test_thresholds_of_zero_and_two_to_the_32_hold_at_every_word_and_at_none(self):
+        stream = Substream(3, "hop1")
+        ones, zeros, both = stream.draw(([0], 1000), ([2**32], 1000), ([0, 0, 2**32], 1000))
+        assert ones.tolist() == [1] * 1000 and zeros.tolist() == [0] * 1000 and both.tolist() == [2] * 1000
 
     def test_each_row_of_a_batch_is_its_seed_alone(self):
-        draws = ((32, 70), (1, 9), (64, 3), ([2**24 + 5, 2**31, 3 * 2**30 + 7], 3000))
+        draws = ((32, 70), (1, 9), (64, 3), ([2**24 + 5, 2**31, 3 * 2**30 + 7], 3000), ([2**30], 5))
         batch = Substream([3, 2**64 - 1, 3], "measure").draw(*draws)
         for row, seed in enumerate([3, 2**64 - 1, 3]):
             alone = Substream(seed, "measure").draw(*draws)
             assert all(np.array_equal(b[row], a) for b, a in zip(batch, alone))
         assert not np.array_equal(batch[0][0], batch[0][1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(KINDS, min_size=1, max_size=4),
+        st.lists(st.integers(0, 300), min_size=2, max_size=2),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    )
+    def test_a_shorter_draw_is_a_prefix_of_a_longer_one(self, kinds, lengths, seeds):
+        short, long = (Substream(seeds, "p").draw(*[(kind, n) for kind in kinds]) for n in sorted(lengths))
+        for a, b in zip(short, long):
+            assert np.array_equal(a, b[:, :a.shape[1]])
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 64])
+    def test_draws_are_the_same_for_any_pass_size(self, words, monkeypatch):
+        draws = ((1, 1000), (32, 301), (64, 77), ([2**20, 2**31, 2**32 - 5], 999))
+        kept = Substream([5, 2**64 - 1], "hop2").draw(*draws)
+        monkeypatch.setattr(planes, "_PASS_WORDS", words)
+        again = Substream([5, 2**64 - 1], "hop2").draw(*draws)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, again))
+
     def test_seed_and_phase_key_the_draws(self):
         base = Substream(5, "hop1").draw((32, 16))[0]
         assert np.array_equal(Substream(5).at("hop1").draw((32, 16))[0], base)
         assert not np.array_equal(Substream(5, "hop2").draw((32, 16))[0], base)
         assert not np.array_equal(Substream(6, "hop1").draw((32, 16))[0], base)
+        # Draw d of a call is keyed by d: two decisions in one call differ.
+        first, second = Substream(5, "hop1").draw(([2**31], 64), ([2**31], 64))
+        assert not np.array_equal(first, second)
 
     def test_the_engine_draws_secrets_and_check_keys_from_their_phases(self):
         cfg = ProtocolConfig(2, 3, 10, seed=4)
@@ -74,35 +161,47 @@ class TestSubstream:
         [keys] = Substream(4, "check").draw((64, cfg.blocks))
         assert tr.check_blocks == tuple(sorted(np.argsort(keys)[:cfg.checked_block_count].tolist()))
 
-    def test_the_first_stream_chunk_is_the_same_for_any_length(self):
-        one, more = (Substream(9, "hop1").draw((32, n), (1, n)) for n in (STREAM_CHUNK, 3 * STREAM_CHUNK + 5))
-        for a, b in zip(one, more):
-            assert np.array_equal(a, b[:STREAM_CHUNK])
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.sampled_from([1, 32, 64]), min_size=1, max_size=4),
-        st.lists(st.integers(64, 300), min_size=2, max_size=2),
-        st.integers(0, 2**64 - 1),
-    )
-    def test_full_chunks_are_the_same_for_any_length(self, widths, lengths, seed):
-        # With 64 units per chunk, every draw's first chunk, and any chunk that
-        # is full at both lengths, is the same whatever the draws' length.
-        chunk = 64
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(planes, "STREAM_CHUNK", chunk)
-            short, long = (Substream(seed, "p").draw(*[(w, n) for w in widths]) for n in sorted(lengths))
-        full = min(lengths) // chunk * chunk
-        for a, b in zip(short, long):
-            assert np.array_equal(a[:full], b[:full])
-
-    def test_the_first_stream_chunk_of_a_run_is_the_same_for_any_n(self, monkeypatch):
-        # 2 receivers and 40 or 57 blocks: 80 and 114 positions, 64 to a chunk.
-        monkeypatch.setattr(planes, "STREAM_CHUNK", 64)
+    def test_a_runs_secrets_are_the_same_prefix_for_any_n(self):
         small, large = (generate_secrets(ProtocolConfig(3, 2, blocks), Substream(11)) for blocks in (40, 57))
         for a, b in zip(small, large):
-            assert np.array_equal(a.value_bits[:64], b.value_bits[:64])
-            assert np.array_equal(a.basis_bits[:64], b.basis_bits[:64])
+            assert np.array_equal(a.value_bits, b.value_bits[:80])
+            assert np.array_equal(a.basis_bits, b.basis_bits[:80])
+
+    def test_keys_take_one_hash_per_call_and_none_per_row(self, monkeypatch):
+        calls = mock.Mock(wraps=hashlib.sha256)
+        monkeypatch.setattr(planes, "hashlib", mock.Mock(sha256=calls))
+        Substream(list(range(1000)), "hop1").draw((1, 120), ([2**30], 120), (64, 60))
+        assert calls.call_count == 1
+
+    def test_a_bulk_run_makes_no_shake_call(self, monkeypatch):
+        monkeypatch.setattr(hashlib, "shake_128", mock.Mock(side_effect=AssertionError("a SHAKE call")))
+        cfg = ProtocolConfig(3, 3, 100_000, seed=5)
+        tr = run_protocol(cfg, ChannelModel(loss_prob=0.02, p_x=0.01, adversary=InterceptResend(fraction=0.1)))
+        assert tr.qber is not None
+
+
+class TestTrialSeeds:
+    def test_a_trial_seed_is_a_word_of_the_masters_trials_stream(self):
+        for master, trial in [(0, 0), (42, 7), (2**64 - 1, 1000)]:
+            assert derive_trial_seed(master, trial) == word(key(master, "trials", 0), trial)
+            assert derive_trial_seed(master, trial) == Substream(master, "trials").draw((64, trial + 1))[0][trial]
+
+    def test_a_sweep_derives_its_seeds_chunk_by_chunk_as_one_trial_at_a_time(self):
+        spec = ExperimentSpec(ProtocolConfig(3, 3, 300), trials=40, seed=77)  # 18 trials to a chunk
+        seen = []
+        run_chunks = harness.run_chunks
+
+        def spy(cfg, channel, seeds):
+            def kept():
+                for seed in seeds:
+                    seen.append(seed)
+                    yield seed
+            return run_chunks(cfg, channel, kept())
+
+        with mock.patch.object(harness, "run_chunks", spy):
+            run_experiment(spec)
+        assert seen == [derive_trial_seed(77, t) for t in range(40)]
+        assert all(type(seed) is int for seed in seen)
 
 
 class TestThresholds:
@@ -117,15 +216,8 @@ class TestThresholds:
                 return self
 
             def draw(self, *draws):
-                out = []
-                for kind, units in draws:
-                    if kind == 1:
-                        out.append(np.ones(units, np.uint8))
-                    else:
-                        top = np.full(units, 255, np.uint8)
-                        ties = tie_positions(top, kind)
-                        out.append(decide(top, ties, np.full(len(ties), 2**24 - 1), kind))
-                return out
+                return [np.full(units, 1 if kind == 1 else sum(t <= 2**32 - 1 for t in kind), np.uint8)
+                        for kind, units in draws]
 
         block = QubitBlock.encode(np.zeros(8, np.uint8), np.zeros(8, np.uint8))
         assert transmit(block, ChannelModel(loss_prob=1.0), Ones()).block.lost.all()
@@ -134,79 +226,18 @@ class TestThresholds:
         res = transmit(block, ChannelModel(adversary=InterceptResend(fraction=1 - 2**-32)), Ones())
         assert len(res.intercept.positions) == 0  # the largest word is not below floor(f * 2**32)
 
-
-# Thresholds at and next to the ends of the word range and of a top byte.
-EDGES = [0, 1, 2**24 - 1, 2**24, 2**24 + 1, 5 << 24, (5 << 24) + 1, 2**32 - 2**24, 2**32 - 1, 2**32]
-
-
-class TestDecisions:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.one_of(st.sampled_from(EDGES), st.integers(0, 2**32)), min_size=1, max_size=4),
-        st.lists(st.integers(0, 2**32 - 1), max_size=40),
-    )
-    @example([0], [0, 1, 2**32 - 1])
-    @example([2**32], [0, 2**32 - 1])
-    @example([0, 0, 2**32, 2**32], [0, 2**31, 2**32 - 1])
-    @example([(7 << 24) + 5, (7 << 24) + 5, (7 << 24) + 9, 2**32 - 1], [(7 << 24) + 4, 7 << 24, 2**32 - 2])
-    def test_a_bin_counts_the_thresholds_at_most_the_word(self, thresholds, words):
-        # Each threshold's neighbours T-1, T and T+1 among the words, then the
-        # word split into its top byte and low 24 bits.
-        thresholds = sorted(thresholds)
-        words = words + [t + d for t in thresholds for d in (-1, 0, 1) if 0 <= t + d < 2**32]
-        w = np.array(words, dtype=np.int64).reshape(1, -1)
-        top, low = (w >> 24).astype(np.uint8), w & (2**24 - 1)
-        ties = tie_positions(top, thresholds)
-        bins = decide(top, ties, low.ravel()[ties], thresholds)
-        assert bins.dtype == np.uint8
-        assert bins.tolist() == np.searchsorted(np.array(thresholds, np.int64), w, side="right").tolist()
-
-    def test_a_draw_holds_at_most_one_decision(self):
-        with pytest.raises(ValueError, match="at most one decision"):
-            Substream(7, "hop2").draw(([2**31], 3), ([2**30], 3))
-
-    def test_a_decision_reads_top_bytes_then_three_tie_bytes_per_tie(self):
-        thresholds = [0, 2**24 + 5, 3 << 30]  # 0 and 3 << 30 are decided by the top byte alone
-        bins, bits = Substream(7, "hop2").draw((thresholds, 3000), (1, 12))
-        digest = hashlib.shake_128(f"{STREAM_VERSION}:7:hop2:0".encode()).digest(3002 + 3 * 200)
-        top = np.frombuffer(digest[:3000], np.uint8)
-        unpacked = np.unpackbits(np.frombuffer(digest[3000:3002], np.uint8), bitorder="little")
-        assert bits.tolist() == unpacked[:12].tolist()
-        tied = np.flatnonzero(top == 1)
-        assert len(tied) > 0
-        low = [int.from_bytes(digest[3002 + 3 * i:3005 + 3 * i], "little") for i in range(len(tied))]
-        words = top.astype(np.int64) << 24
-        words[tied] += low
-        assert bins.tolist() == np.searchsorted(thresholds, words, side="right").tolist()
-
-    def test_draws_are_the_same_when_every_row_overruns_its_tie_margin(self, monkeypatch):
-        draws = ((1, 40), ([2**24 + 1, 2**25 + 1, 2**26 + 1, 2**27 + 1], 5000))
-        seeds = [3, 4, 2**64 - 1]
-        kept = Substream(seeds, "hop1").draw(*draws)
-        digests = mock.Mock(wraps=hashlib.shake_128)
-        monkeypatch.setattr(planes, "tie_margin", lambda units: 0)
-        monkeypatch.setattr(planes, "hashlib", mock.Mock(shake_128=digests))
-        again = Substream(seeds, "hop1").draw(*draws)
-        assert digests.call_count == 2 * len(seeds)  # each row digested again for its ties
-        assert all(np.array_equal(a, b) for a, b in zip(kept, again))
-
-    def test_a_bulk_run_asks_for_under_two_and_a_half_megabytes(self, monkeypatch):
-        # m = n = 3, N = 10^5, loss 0.02, X 0.01, 10% intercept-resend: 0.3.0
-        # asked SHAKE for 5,937,500 bytes, a 32-bit word per decision.
-        asked = []
-
-        class Shake:
-            def __init__(self, key):
-                self.xof = hashlib.shake_128(key)
-
-            def digest(self, length):
-                asked.append(length)
-                return self.xof.digest(length)
-
-        monkeypatch.setattr(planes, "hashlib", mock.Mock(shake_128=Shake))
-        cfg = ProtocolConfig(3, 3, 100_000, seed=5)
-        run_protocol(cfg, ChannelModel(loss_prob=0.02, p_x=0.01, adversary=InterceptResend(fraction=0.1)))
-        assert 2_000_000 < sum(asked) <= 2_500_000
+    def test_bin_frequencies_match_the_thresholds_within_five_sigma(self):
+        # Seed 2026, a million units in four rows: each bin's count lies within
+        # 5 standard deviations of units * (T[i] - T[i-1]) / 2**32, and each bit's
+        # ones within 5 of units / 2; a correct stream fails one of them about once in 10^5.
+        thresholds = _thresholds(0.02, 0.0298, 0.3, 0.7)
+        bins, bits = Substream([2026, 2027, 2028, 2029], "hop1").draw((thresholds, 250_000), (1, 250_000))
+        units = bins.size
+        edges = [0, *thresholds, 2**32]
+        for i, count in enumerate(np.bincount(bins.ravel(), minlength=5).tolist()):
+            p = (edges[i + 1] - edges[i]) / 2**32
+            assert abs(count - units * p) <= 5 * math.sqrt(units * p * (1 - p)), i
+        assert abs(np.count_nonzero(bits) - units / 2) <= 5 * math.sqrt(units / 4)
 
 
 class TestPostprocessingSubstream:
@@ -297,13 +328,15 @@ class TestPhaseIndependence:
 
 
 class TestOlderTranscripts:
-    # Transcripts written by mpqss 0.2.0 (one random.Random per run, seed 7)
-    # and 0.3.0 (a 32-bit word per decision, seed 9) for one config, with the
-    # sha256 of each file. Their seeds now draw other bits, but the text is
-    # still format v1 and replay draws nothing.
+    # Transcripts written by mpqss 0.2.0 (one random.Random per run, seed 7),
+    # 0.3.0 (a 32-bit SHAKE word per decision, seed 9) and 0.4.0 (a SHAKE byte
+    # per decision and tie bytes, seed 11) for one config, with the sha256 of
+    # each file. Their seeds now draw other bits, but the text is still format
+    # v1 and replay draws nothing.
     @pytest.mark.parametrize("version, sha256", [
         ("0.2.0", "13faa5e4ae20f57168fdb8496d4f3326c9f96e409708374ce682cc3516a0d8e2"),
         ("0.3.0", "fd513fe9a8ab9a286e92f1fac79b178f77224fe1af99cf1813ee1c56189944e4"),
+        ("0.4.0", "7ee5e477bea124b915b35afca4968ebd81327515af0d281dff46cfa2cbe9ff49"),
     ])
     def test_an_older_transcript_still_replays(self, version, sha256):
         text = (DATA / f"stream_{version}.transcript").read_text()
