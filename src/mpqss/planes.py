@@ -106,7 +106,7 @@ class Substream:
         out = []
         for key, (kind, units) in zip(stream_keys(self._seeds, self.phase, len(draws)).T, draws):
             width = kind if isinstance(kind, int) else 32
-            plane = np.empty((len(key), units), f"<u{width // 8}" if width == kind > 1 else np.uint8)
+            plane = np.empty((len(key), units), np.uint8 if kind == 1 or kind != width else f"<u{width // 8}")
             step = _PASS_WORDS * 64 // width  # units per pass
             for lo in range(0, units, step):
                 part, hi = plane[:, lo:lo + step], min(lo + step, units)
