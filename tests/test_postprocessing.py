@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 
 import mpmath as mp
@@ -33,6 +34,7 @@ from mpqss.postprocessing import (
     as_bit_matrix,
     ReconcileResult,
     StreamResult,
+    _block_values,
     bits_to_hex,
     dump_matrix,
     gf2_matmul,
@@ -175,6 +177,23 @@ class TestLinearCode:
             load_matrix("101\n01\n")
         with pytest.raises(ValueError):
             load_matrix("# only a comment\n")
+
+
+class TestBlockValues:
+    @given(
+        st.integers(0, 20),
+        st.lists(st.integers(0, 3), max_size=3),
+        st.sampled_from([np.uint8, np.bool_]),
+        st.data(),
+    )
+    def test_each_row_reads_as_its_big_endian_integer(self, width, lead, dtype, data):
+        count = math.prod(lead) * width
+        flat = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+        bits = np.array(flat, dtype=dtype).reshape(*lead, width)
+        values = _block_values(bits)
+        assert values.shape == tuple(lead) and values.dtype == np.intp
+        rows = np.array(flat, dtype=int).reshape(math.prod(lead), width).tolist()
+        assert np.ravel(values).tolist() == [int("0" + "".join(map(str, row)), 2) for row in rows]
 
 
 class TestCosetKey:
