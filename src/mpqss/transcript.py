@@ -69,18 +69,10 @@ def _cut(codes: np.ndarray, ends: np.ndarray) -> list[str]:
     ASCII text such as digits and commas passes as it is. Each copy of the
     text is dropped once the next exists, so at most two are alive at a time.
     """
-    ends = ends + np.arange(len(ends))  # each row closes after the closes before it
-    coded = np.full(len(codes) + len(ends), 3, dtype=np.uint8)
-    data = np.ones(len(coded), dtype=bool)
-    data[ends] = False
-    coded[data] = codes
-    del data
-    raw = coded.tobytes()
-    del coded
-    raw = raw.translate(_BIT_CHARS, b"\x04")
-    text = raw.decode("ascii")
-    del raw
-    rows = text.split("\n")[:-1]
+    rows = (
+        np.insert(codes.view(np.uint8), ends, 3)  # a view, since a bool plane would take 3 as True
+        .tobytes().translate(_BIT_CHARS, b"\x04").decode("ascii").split("\n")[:-1]
+    )
     return rows if "" not in rows else [row or "-" for row in rows]
 
 
