@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import IDEAL, ChannelModel, InterceptResend, OrderingAttack
 from .errors import ConfigError, KeyMaterialError
-from .config import ProtocolConfig, checked_block_count
+from .config import ProtocolConfig, check_seed, checked_block_count
 from .postprocessing import CssPair, StreamResult, bits_to_hex, build_canonical_css, key_rate, otp_send
 from .postprocessing import reconcile_streams
 from .planes import UNUSABLE, Substream, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
@@ -95,8 +95,7 @@ class ExperimentSpec:
         self.channel.validate(path="channel")
         if self.trials < 1:
             raise ConfigError("trials", "need at least one trial")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed", "must be in [0, 2**64)")
+        check_seed(self.seed, "seed")
         for k, name in enumerate(self.metrics):
             if name not in METRICS:
                 raise ConfigError("metrics", f"unknown metric {name!r}; known: {', '.join(METRICS)}")

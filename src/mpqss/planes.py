@@ -18,11 +18,13 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .qubits import Qubit
 
 # Plane code of a position that carries no usable outcome; payloads show '?'.
@@ -73,14 +75,19 @@ class Substream:
     """The keyed random draws of one phase of a run, or of a batch of runs.
 
     ``seeds`` is one trial seed in [0, 2**64), or a sequence with one per
-    trial, which draws a row per seed: what that seed alone gives. A unit
-    depends on its seed, phase, draw in the call and index alone. Words are
-    read little-endian, so planes are the same on every platform.
+    trial, which draws a row per seed: what that seed alone gives. Any other
+    seed is a ``ConfigError``. A unit depends on its seed, phase, draw in the
+    call and index alone. Words are read little-endian, so planes are the
+    same on every platform.
     """
 
     def __init__(self, seeds: int | Sequence[int], phase: str = ""):
         self.seeds, self.phase = seeds, phase
-        self._seeds = np.array([seeds] if isinstance(seeds, int) else seeds, dtype=np.uint64)
+        given = [seeds] if isinstance(seeds, int) else seeds
+        try:  # through index(), as a uint64 array would take 2.5 as 2 and "3" as 3
+            self._seeds = np.fromiter(map(operator.index, given), np.uint64, len(given))
+        except (TypeError, OverflowError):
+            raise ConfigError("seed", "must be in [0, 2**64) and an int") from None
 
     def __len__(self) -> int:
         """How many trials draw: one for a single seed."""

@@ -363,6 +363,18 @@ class TestRunExperiment:
         for edge in (0, 2**64 - 1):
             ExperimentSpec(protocol=ProtocolConfig(2, 2, 4, seed=edge), seed=edge).validate()
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, "2"])
+    def test_a_sweep_seed_that_is_not_an_int_is_refused(self, seed):
+        # 2.5 was reported as given over the draws of seed 2.
+        with pytest.raises(ConfigError, match="^seed: must be in .* and an int"):
+            run_experiment(ExperimentSpec(protocol=base_protocol(), seed=seed))
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    def test_a_protocol_seed_that_is_not_an_int_is_refused(self, seed):
+        # 1.5 was rendered as seed=1.5 over the draws of seed 1.
+        with pytest.raises(ConfigError, match="^seed: must be in .* and an int"):
+            ProtocolConfig(2, 2, 4, seed=seed)
+
 
 @pytest.fixture(scope="module")
 def report():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mpqss import (
     ChannelModel,
     ColluderInsider,
+    ConfigError,
     ExperimentSpec,
     InterceptResend,
     LossStrategy,
@@ -150,6 +151,11 @@ class TestGenerator:
         # Draw d of a call is keyed by d: two decisions in one call differ.
         first, second = Substream(5, "hop1").draw(([2**31], 64), ([2**31], 64))
         assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("seeds", [2**64, -1, [3, 2**64], [-1], [2.5], [3.0], ["3"], [None]])
+    def test_a_seed_outside_the_uint64_ints_is_refused(self, seeds):
+        with pytest.raises(ConfigError, match="^seed: must be in"):
+            Substream(seeds)
 
     def test_the_engine_draws_secrets_and_check_keys_from_their_phases(self):
         cfg = ProtocolConfig(2, 3, 10, seed=4)

@@ -243,6 +243,23 @@ class TestPinnedDigests:
             assert trials[1].digest() == digest
 
 
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [2**64, -1, 2.5, "3", None])
+    def test_run_trials_refuses_a_seed_outside_the_uint64_ints(self, seed):
+        with pytest.raises(ConfigError, match="^seed: must be in"):
+            next(run_trials(ProtocolConfig(2, 2, 4), None, [1, seed]))
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 2.5, "3", None])
+    def test_run_chunks_refuses_a_seed_outside_the_uint64_ints(self, seed):
+        with pytest.raises(ConfigError, match="^seed: must be in"):
+            next(run_chunks(ProtocolConfig(2, 2, 4), None, [seed, 1]))
+
+    def test_the_ends_of_the_range_and_numpy_ints_run(self):
+        seeds = [0, 2**64 - 1, np.uint64(7), np.int64(7)]
+        digests = [tr.digest() for tr in run_trials(ProtocolConfig(2, 2, 4), None, seeds)]
+        assert digests[2] == digests[3] == run_protocol(ProtocolConfig(2, 2, 4, seed=7)).digest()
+
+
 # A bulk-run-shaped run (m = n = 3, loss, X noise and 10% intercept-resend)
 # and the digest of its text, recorded with mpqss 0.5.0.
 BULK = (ProtocolConfig(3, 3, 2000, seed=5),
