@@ -136,7 +136,11 @@ def _block_values(bits: np.ndarray) -> np.ndarray:
     Big-endian keeps integer order equal to the lexicographic order of the bit
     tuples, which is what coset labels are numbered by.
     """
-    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.intp))
+    width = bits.shape[-1]
+    # Weights of the narrowest type that holds a value: matmul casts both sides to one type,
+    # and with intp weights it would copy the rows at eight bytes a bit.
+    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.min_scalar_type((1 << width) - 1))
+    return (bits @ weights).astype(np.intp)
 
 
 def _read_only(*tables: np.ndarray) -> None:
@@ -425,6 +429,11 @@ def _row_bytes(bits) -> bytes | bytearray:
     return bits if isinstance(bits, bytes) else bytearray(bits)
 
 
+def _joined(rows) -> np.ndarray:
+    """The rows of bits end to end, one uint8 each."""
+    return np.frombuffer(b"".join(map(_row_bytes, rows)), np.uint8)
+
+
 def reconcile_streams(
     pair: CssPair,
     held_rows: Sequence[Sequence[int]],
@@ -459,10 +468,11 @@ def reconcile_streams(
         padding.append(coins[start:start + pad])
         messages.append(coins[start + pad:start + count])
         start += count
-    noisy, held = (np.frombuffer(b"".join(map(_row_bytes, r)), np.uint8) for r in (noisy_rows, held_rows))
     # Both sides pad a row with the same public bits, so its padding holds no error: zeros at its end.
     ends = np.repeat(np.cumsum(lengths, dtype=np.intp), pads)
-    error = _block_values(np.insert((noisy ^ held) & 1, ends, 0).reshape(-1, code.length))
+    error = _block_values(
+        np.insert((_joined(noisy_rows) ^ _joined(held_rows)) & 1, ends, 0).reshape(-1, code.length)
+    )
     # One message value per party and block; their XOR picks the block's codeword u.
     sent = _block_values(np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, code.dimension))
     u = pair._codeword_values[np.bitwise_xor.reduce(sent.reshape(-1, group_size), axis=1)]
