@@ -421,17 +421,19 @@ def reconcile_stream(
     return reconcile_streams(pair, [held], [noisy], [rng], group_size)[0]
 
 
-def _row_bytes(bits) -> bytes | bytearray:
-    """A row of bits as bytes: ``astype`` for an array, ``bytes`` uncopied, and
-    ``bytearray()`` for a list or tuple, which it reads faster than ``bytes()``."""
-    if isinstance(bits, np.ndarray):
-        return bits.astype(np.uint8).tobytes()
-    return bits if isinstance(bits, bytes) else bytearray(bits)
-
-
 def _joined(rows) -> np.ndarray:
-    """The rows of bits end to end, one uint8 each."""
-    return np.frombuffer(b"".join(map(_row_bytes, rows)), np.uint8)
+    """The rows of bits end to end, one uint8 each.
+
+    A bytes row is taken uncopied, an array through ``astype``, and a list or
+    tuple through ``bytearray()``, which reads it faster than ``bytes()``. The
+    test is inline: on many short rows, a call per row costs more than the join.
+    """
+    return np.frombuffer(b"".join([
+        bits if isinstance(bits, bytes)
+        else bits.astype(np.uint8).tobytes() if isinstance(bits, np.ndarray)
+        else bytearray(bits)
+        for bits in rows
+    ]), np.uint8)
 
 
 def reconcile_streams(

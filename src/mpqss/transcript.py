@@ -62,15 +62,17 @@ def bits_to_str(bits) -> str:
     return raw.translate(_BIT_CHARS).decode("ascii")
 
 
-def _cut(codes: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The text of ``codes`` cut at each of ``ends`` into rows, '-' for an empty one.
+def _cut(codes: np.ndarray, ends) -> list[str]:
+    """The text of ``codes`` cut into rows at each of ``ends``, '-' for an empty one.
 
-    Codes 0 to 2 render as ``bits_to_str`` renders them, code 4 is dropped and
-    ASCII text such as digits and commas passes as it is. Each copy of the
-    text is dropped once the next exists, so at most two are alive at a time.
+    ``codes`` is one row or a block of rows, each cut at every one of ``ends``,
+    positions along the last axis whose last is the row's end. Codes 0 to 2
+    render as ``bits_to_str`` renders them, code 4 is dropped and ASCII text
+    such as digits and commas passes as it is. Each copy of the text is
+    dropped once the next exists, so at most two are alive at a time.
     """
     rows = (
-        np.insert(codes.view(np.uint8), ends, 3)  # a view, since a bool plane would take 3 as True
+        np.insert(codes.view(np.uint8), ends, 3, axis=-1)  # a view, as a bool plane would take 3 as True
         .tobytes().translate(_BIT_CHARS, b"\x04").decode("ascii").split("\n")[:-1]
     )
     return rows if "" not in rows else [row or "-" for row in rows]
@@ -83,8 +85,7 @@ def row_payloads(plane: np.ndarray, bounds=None) -> list[str]:
     slices ``[bounds[t]:bounds[t + 1]]``, taken along every leading index in turn.
     """
     width = plane.shape[-1]
-    ends = np.asarray([width] if bounds is None else bounds[1:], dtype=np.intp)
-    return _cut(plane.reshape(-1), (np.arange(math.prod(plane.shape[:-1]))[:, None] * width + ends).ravel())
+    return _cut(plane.reshape(math.prod(plane.shape[:-1]), width), [width] if bounds is None else bounds[1:])
 
 
 def index_payloads(indices, bounds) -> list[str]:
