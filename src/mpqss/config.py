@@ -61,7 +61,9 @@ class ProtocolConfig:
             raise ConfigError(f"{p}receivers", "need at least two receivers")
         if self.blocks < 1:
             raise ConfigError(f"{p}blocks", "need at least one block")
-        check_seed(self.seed, f"{p}seed")
+        # Not a float, nor a bool, which reports would show as True over seed 1's draws.
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ConfigError(f"{p}seed", "must be in [0, 2**64) and an int")
         if not 0.0 < self.check_fraction < 1.0:
             raise ConfigError(f"{p}check_fraction", "must be in (0, 1)")
         if not 0.0 < self.qber_abort_threshold < 1.0:
@@ -104,13 +106,6 @@ class ProtocolConfig:
             "enforce_ordering": "1" if self.enforce_ordering else "0",
             "omit_hadamard": omit,
         }
-
-
-def check_seed(seed, field: str) -> None:
-    """Refuse a seed other than an int in [0, 2**64). Reports show the seed as
-    given, so 2.5 or True would be shown over the draws of seed 2 or 1."""
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise ConfigError(field, "must be in [0, 2**64) and an int")
 
 
 def checked_block_count(check_fraction: float, blocks: int) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import IDEAL, ChannelModel, InterceptResend, OrderingAttack
 from .errors import ConfigError, KeyMaterialError
-from .config import ProtocolConfig, check_seed, checked_block_count
+from .config import ProtocolConfig, checked_block_count
 from .postprocessing import CssPair, StreamResult, bits_to_hex, build_canonical_css, key_rate, otp_send
 from .postprocessing import reconcile_streams
 from .planes import UNUSABLE, Substream, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
@@ -95,7 +95,9 @@ class ExperimentSpec:
         self.channel.validate(path="channel")
         if self.trials < 1:
             raise ConfigError("trials", "need at least one trial")
-        check_seed(self.seed, "seed")
+        # Not a float, nor a bool, which reports would show as True over seed 1's draws.
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ConfigError("seed", "must be in [0, 2**64) and an int")
         for k, name in enumerate(self.metrics):
             if name not in METRICS:
                 raise ConfigError("metrics", f"unknown metric {name!r}; known: {', '.join(METRICS)}")

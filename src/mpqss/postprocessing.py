@@ -137,8 +137,7 @@ def _block_values(bits: np.ndarray) -> np.ndarray:
     tuples, which is what coset labels are numbered by.
     """
     width = bits.shape[-1]
-    # Weights of the narrowest type that holds a value: matmul casts both sides to one type,
-    # and with intp weights it would copy the rows at eight bytes a bit.
+    # Narrow weights, as with intp ones matmul would first copy the rows to intp, eight bytes a bit.
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.min_scalar_type((1 << width) - 1))
     return (bits @ weights).astype(np.intp)
 
@@ -422,12 +421,9 @@ def reconcile_stream(
 
 
 def _joined(rows) -> np.ndarray:
-    """The rows of bits end to end, one uint8 each.
-
-    A bytes row is taken uncopied, an array through ``astype``, and a list or
-    tuple through ``bytearray()``, which reads it faster than ``bytes()``. The
-    test is inline: on many short rows, a call per row costs more than the join.
-    """
+    """The rows of bits end to end, one uint8 each: a bytes row uncopied, an array by ``astype``,
+    and a list or tuple by ``bytearray()``, which reads it faster than ``bytes()``. The type
+    is tested inline, as on many short rows a call per row would cost more than the join."""
     return np.frombuffer(b"".join([
         bits if isinstance(bits, bytes)
         else bits.astype(np.uint8).tobytes() if isinstance(bits, np.ndarray)

@@ -63,13 +63,12 @@ def bits_to_str(bits) -> str:
 
 
 def _cut(codes: np.ndarray, ends) -> list[str]:
-    """The text of ``codes`` cut into rows at each of ``ends``, '-' for an empty one.
+    """The text of ``codes``, one row or a block of rows, cut at each of ``ends`` along its
+    last axis into rows, '-' for an empty one; the last end is that of a row.
 
-    ``codes`` is one row or a block of rows, each cut at every one of ``ends``,
-    positions along the last axis whose last is the row's end. Codes 0 to 2
-    render as ``bits_to_str`` renders them, code 4 is dropped and ASCII text
-    such as digits and commas passes as it is. Each copy of the text is
-    dropped once the next exists, so at most two are alive at a time.
+    Codes 0 to 2 render as ``bits_to_str`` renders them, code 4 is dropped and
+    ASCII text such as digits and commas passes as it is. Each copy of the
+    text is dropped once the next exists, so at most two are alive at a time.
     """
     rows = (
         np.insert(codes.view(np.uint8), ends, 3, axis=-1)  # a view, as a bool plane would take 3 as True
