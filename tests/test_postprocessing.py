@@ -106,6 +106,7 @@ class TestLinearCode:
         assert (pair.c1.length, pair.c1.dimension) == (7, 4)
         assert (pair.c2.length, pair.c2.dimension) == (7, 3)
         assert pair.key_bits == 1
+        assert repr(pair.c1) == "LinearCode[7,4] t=1"
 
     def test_minimum_distance_three_exhaustive(self, pair):
         weights = sorted(int(w.sum()) for w in pair.c1.codewords() if w.any())

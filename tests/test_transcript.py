@@ -296,7 +296,7 @@ class TestReplay:
                 line = f"{head} {flipped}"
             out.append(line)
         verdict = replay("\n".join(out) + "\n")
-        assert not verdict.ok
+        assert not verdict.ok and not verdict
         assert any("raw-key" in issue for issue in verdict.issues)
 
     def test_reordered_announcement_is_flagged(self):
