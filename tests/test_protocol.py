@@ -33,6 +33,7 @@ from mpqss import (
     receiver_of,
     replay,
     run_check,
+    run_chunks,
     run_protocol,
     split_for_receivers,
 )
@@ -523,6 +524,32 @@ class TestCheckedMask:
             if not aborted[t]:
                 usable = [trs.usable[t, :, c] for c in range(cfg.receivers)]
                 assert tr.key_blocks == tuple(np.flatnonzero(key_block_mask(usable, trs.checked[t])))
+
+
+class TestCheckResult:
+    # Seeds 0-11 of a 2x2x8 chunk under 60% loss and 10% X noise: rows that
+    # compare nothing (0/0), pass at the threshold's edge (1/3) and fail (1/2).
+    SEEDS = range(12)
+    THRESHOLD = 1 / 3
+
+    def test_each_rows_check_result_states_its_tally_and_verdict(self):
+        cfg = ProtocolConfig(2, 2, 8, qber_abort_threshold=self.THRESHOLD)
+        [chunk] = run_chunks(cfg, ChannelModel(loss_prob=0.6, p_x=0.1), self.SEEDS)
+        seen = set()
+        for tr in chunk:
+            [payload] = [ev.payload for ev in tr.events if ev.kind == "check-result"]
+            fields = dict(item.split("=") for item in payload.split(";"))
+            c, d = int(fields["compared"]), int(fields["disagree"])
+            rate = d / c if c else 0.0
+            verdict = rate <= self.THRESHOLD
+            assert payload == (
+                f"compared={c};disagree={d};rate={rate:.6f};"
+                f"threshold={self.THRESHOLD:.6f};pass={int(verdict)}"
+            )
+            aborts = [ev.payload for ev in tr.events if ev.kind == "abort" and ev.party == "all"]
+            assert aborts == ([] if verdict else ["error-rate"])
+            seen.add("none" if c == 0 else "edge" if rate == self.THRESHOLD else verdict)
+        assert seen == {"none", "edge", True, False}
 
 
 class TestStateErrors:
