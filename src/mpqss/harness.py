@@ -357,6 +357,11 @@ def _party_index(party: str, prefix: str, count: int) -> int:
     return i if 1 <= i <= count and party == f"{prefix}{i}" else 0
 
 
+def _marked(mismatch: np.ndarray) -> list[int]:
+    """The flat indices that ``mismatch`` marks, ascending; a clean mask costs one ``any``."""
+    return np.flatnonzero(mismatch).tolist() if mismatch.any() else []
+
+
 def replay(text: str) -> Verdict:
     """Re-derive every deterministic consequence of a transcript and diff it.
 
@@ -447,17 +452,11 @@ def replay(text: str) -> Verdict:
     for l in receivers:
         party = f"bob{l}"
         known = measured[party] != UNUSABLE
-        usable[l] = known
-        if party not in sift:
-            continue
-        kept = sift[party] == 1
-        usable[l] = known & kept
-        if party in guesses and combined is not None:
+        usable[l] = known & (sift[party] == 1) if party in sift else known
+        if party in sift and party in guesses and combined is not None:
             derived = sift_mask(known, guesses[party], np.broadcast_to(combined, (blocks, n))[:, l - 1])
-            contradicts = derived != usable[l]
-            if contradicts.any():
-                for j in np.flatnonzero(contradicts).tolist():
-                    issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
+            for j in _marked(derived != usable[l]):
+                issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
 
     # A receiver's loss bitmap marks exactly its '?' outcomes, and what a
     # sender hop lost at position n*j + l-1 stays lost for receiver l.
@@ -474,18 +473,14 @@ def replay(text: str) -> Verdict:
         elif lost is not None:
             hop_lost[ev.party] = lost.reshape(blocks, n) == 1
     for l in receivers:
-        contradicts = (measured[f"bob{l}"] == UNUSABLE) != receiver_lost.get(l, False)
-        if contradicts.any():
-            for j in np.flatnonzero(contradicts).tolist():
-                issues.append(f"bob{l}: measurement record at block {j} contradicts its loss record")
+        for j in _marked((measured[f"bob{l}"] == UNUSABLE) != receiver_lost.get(l, False)):
+            issues.append(f"bob{l}: measurement record at block {j} contradicts its loss record")
     if hop_lost:
         none = np.zeros(blocks, dtype=bool)
         arrived = ~np.column_stack([receiver_lost.get(l, none) for l in range(1, n + 1)])
         for party, lost in hop_lost.items():
-            missing = lost & arrived
-            if missing.any():
-                for j, c in np.argwhere(missing).tolist():
-                    issues.append(f"{party}: loss at block {j} is missing from bob{c + 1}'s loss record")
+            for k in _marked(lost & arrived):  # block k // n, receiver k % n + 1
+                issues.append(f"{party}: loss at block {k // n} is missing from bob{k % n + 1}'s loss record")
 
     select = parsed.events_of(KIND_CHECK_SELECT)
     rows = np.zeros(0, dtype=np.int64)  # checked blocks, ascending
@@ -512,15 +507,13 @@ def replay(text: str) -> Verdict:
     if len(rows):
         sender_reveals = records(KIND_CHECK_SENDER, 2, len(rows) * n)
         recv_reveals = records(KIND_CHECK_RECV, 3, len(rows))
+        missing = [f"alice{i}" for i in range(1, senders + 1) if f"alice{i}" not in sender_reveals]
         if len(sender_reveals) < senders:
             issues.append(f"check-sender: {len(sender_reveals)} of {senders} senders revealed their bits")
-            sent = None
+        elif missing:
+            issues.extend(f"{party}: no check reveal recorded" for party in missing)
         else:
-            sent = [sender_reveals.get(f"alice{i}") for i in range(1, senders + 1)]
-            for i, bits in enumerate(sent, start=1):
-                if bits is None:
-                    issues.append(f"alice{i}: no check reveal recorded")
-        if sent is not None and all(bits is not None for bits in sent):
+            sent = [sender_reveals[f"alice{i}"] for i in range(1, senders + 1)]
             _check_reveals(issues, parsed, rows, sent, recv_reveals, measured, n, threshold)
 
     raw_key = decode(raw_key_events[0], 2) if raw_key_events else None

@@ -84,7 +84,9 @@ class Substream:
     def __init__(self, seeds: int | Sequence[int], phase: str = ""):
         self.seeds, self.phase = seeds, phase
         given = [seeds] if isinstance(seeds, int) else seeds
-        try:  # through index(), as a uint64 array would take 2.5 as 2 and "3" as 3
+        try:  # through index(), as a uint64 array would take 2.5 as 2 and "3" as 3; index() takes True as 1
+            if bool in map(type, given):
+                raise TypeError
             self._seeds = np.fromiter(map(operator.index, given), np.uint64, len(given))
         except (TypeError, OverflowError):
             raise ConfigError("seed", "must be in [0, 2**64) and an int") from None

@@ -420,15 +420,20 @@ def reconcile_stream(
     return reconcile_streams(pair, [held], [noisy], [rng], group_size)[0]
 
 
-def _joined(rows) -> np.ndarray:
-    """The rows of bits end to end, one uint8 each: a bytes row uncopied, an array by ``astype``,
-    and a list or tuple by ``bytearray()``, which reads it faster than ``bytes()``. The type
-    is tested inline, as on many short rows a call per row would cost more than the join."""
+def _joined(rows, pads: list[int]) -> np.ndarray:
+    """The rows of bits end to end, one uint8 each, row r then ``pads[r]`` zeros: a bytes row
+    uncopied, an array by ``astype``, and a list or tuple by ``bytearray()``, which reads it
+    faster than ``bytes()``. The type is tested inline, as on many short rows a call per row
+    would cost more than the join."""
     return np.frombuffer(b"".join([
-        bits if isinstance(bits, bytes)
-        else bits.astype(np.uint8).tobytes() if isinstance(bits, np.ndarray)
-        else bytearray(bits)
-        for bits in rows
+        part
+        for bits, pad in zip(rows, pads)
+        for part in (
+            bits if isinstance(bits, bytes)
+            else bits.astype(np.uint8).tobytes() if isinstance(bits, np.ndarray)
+            else bytearray(bits),
+            bytes(pad),
+        )
     ]), np.uint8)
 
 
@@ -461,16 +466,14 @@ def reconcile_streams(
     # Row by row: the padding first, then every block's messages party by party.
     counts = (pads + blocks * (group_size * code.dimension)).tolist()
     coins = random_coins(rngs, counts).tobytes()
-    padding, messages, start = [], [], 0
-    for pad, count in zip(pads.tolist(), counts):
+    padding, messages, start, pad_list = [], [], 0, pads.tolist()
+    for pad, count in zip(pad_list, counts):
         padding.append(coins[start:start + pad])
         messages.append(coins[start + pad:start + count])
         start += count
     # Both sides pad a row with the same public bits, so its padding holds no error: zeros at its end.
-    ends = np.repeat(np.cumsum(lengths, dtype=np.intp), pads)
-    error = _block_values(
-        np.insert((_joined(noisy_rows) ^ _joined(held_rows)) & 1, ends, 0).reshape(-1, code.length)
-    )
+    flips = (_joined(noisy_rows, pad_list) ^ _joined(held_rows, pad_list)) & 1
+    error = _block_values(flips.reshape(-1, code.length))
     # One message value per party and block; their XOR picks the block's codeword u.
     sent = _block_values(np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, code.dimension))
     u = pair._codeword_values[np.bitwise_xor.reduce(sent.reshape(-1, group_size), axis=1)]

@@ -89,14 +89,10 @@ class PartySecrets:
             if bits is not None:
                 object.__setattr__(self, name, as_plane(bits))
 
-    def trial(self, t: int) -> "PartySecrets":
-        """Trial ``t``'s row of a batch, as views of planes that were checked when built."""
-        row = object.__new__(PartySecrets)
-        object.__setattr__(row, "party", self.party)
-        for name in _STRINGS:
-            plane = getattr(self, name)
-            object.__setattr__(row, name, None if plane is None else plane[t])
-        return row
+    def trial(self, t: int | None) -> "PartySecrets":
+        """Trial ``t``'s row of a batch, as a validated copy; ``trial(None)`` is a batch of one."""
+        planes = (getattr(self, name) for name in _STRINGS)
+        return PartySecrets(self.party, *(None if plane is None else plane[t] for plane in planes))
 
 
 def _expand_shares(value_bits: np.ndarray, receivers: int, free: np.ndarray) -> np.ndarray:
@@ -318,16 +314,13 @@ def run_check(
     run.qber = _ratio(run.disagreements, run.compared)
     threshold = cfg.qber_abort_threshold
     passed = run.qber <= threshold
-    # One payload per distinct tally: a chunk has far fewer of them than trials.
-    tallies = list(zip(run.compared.tolist(), run.disagreements.tolist()))
-    results = {}
-    for compared, disagree in set(tallies):
-        rate = disagree / compared if compared else 0.0
-        results[compared, disagree] = (
-            f"compared={compared};disagree={disagree};rate={rate:.6f};"
-            f"threshold={threshold:.6f};pass={1 if rate <= threshold else 0}"
-        )
-    run.record(KIND_CHECK_RESULT, "all", list(map(results.__getitem__, tallies)))
+    # One payload per distinct row: a chunk has far fewer of them than trials.
+    rows = list(zip(run.compared.tolist(), run.disagreements.tolist(), run.qber.tolist(), passed.tolist()))
+    results = {
+        (c, d, rate, ok): f"compared={c};disagree={d};rate={rate:.6f};threshold={threshold:.6f};pass={ok:d}"
+        for c, d, rate, ok in set(rows)
+    }
+    run.record(KIND_CHECK_RESULT, "all", list(map(results.__getitem__, rows)))
     if not passed.all():
         run.aborted |= ~passed
         run.record(KIND_ABORT, "all", "error-rate", ~passed)
@@ -436,12 +429,7 @@ def run_protocol(
         for s in secrets:  # prepare_block and encode_block check the sizes
             if any(getattr(s, name) is not None and getattr(s, name).ndim != 1 for name in _STRINGS):
                 raise ConfigError("secrets", f"{s.party}: expected one trial's strings, got a batch")
-        # One trial's strings as a batch of one row.
-        secrets = [
-            replace(s, value_bits=s.value_bits[None], basis_bits=s.basis_bits[None],
-                    value_shares=None if s.value_shares is None else s.value_shares[None])
-            for s in secrets
-        ]
+        secrets = [s.trial(None) for s in secrets]
     return _run_chunk(cfg, channel, [cfg.seed], secrets, check_blocks)[0]
 
 
@@ -490,7 +478,7 @@ def _run_chunk(
 
     def hop(block: QubitBlock, leaving: int) -> QubitBlock:
         res = transmit(block, channel if leaving == m else inner_hop, stream.at(f"hop{leaving}"))
-        if len(res.lost) and leaving < m:
+        if leaving < m:
             _record_losses(run, f"alice{leaving + 1}", res.block.lost & ~block.lost)
         block = res.block
         attack = res.intercept

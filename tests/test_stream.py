@@ -152,7 +152,7 @@ class TestGenerator:
         first, second = Substream(5, "hop1").draw(([2**31], 64), ([2**31], 64))
         assert not np.array_equal(first, second)
 
-    @pytest.mark.parametrize("seeds", [2**64, -1, [3, 2**64], [-1], [2.5], [3.0], ["3"], [None]])
+    @pytest.mark.parametrize("seeds", [2**64, -1, [3, 2**64], [-1], [2.5], [3.0], ["3"], [None], True, [True]])
     def test_a_seed_outside_the_uint64_ints_is_refused(self, seeds):
         with pytest.raises(ConfigError, match="^seed: must be in"):
             Substream(seeds)

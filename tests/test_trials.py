@@ -244,12 +244,12 @@ class TestPinnedDigests:
 
 
 class TestSeeds:
-    @pytest.mark.parametrize("seed", [2**64, -1, 2.5, "3", None])
+    @pytest.mark.parametrize("seed", [2**64, -1, 2.5, "3", None, True, [True]])
     def test_run_trials_refuses_a_seed_outside_the_uint64_ints(self, seed):
         with pytest.raises(ConfigError, match="^seed: must be in"):
             next(run_trials(ProtocolConfig(2, 2, 4), None, [1, seed]))
 
-    @pytest.mark.parametrize("seed", [2**64, -1, 2.5, "3", None])
+    @pytest.mark.parametrize("seed", [2**64, -1, 2.5, "3", None, True, [True]])
     def test_run_chunks_refuses_a_seed_outside_the_uint64_ints(self, seed):
         with pytest.raises(ConfigError, match="^seed: must be in"):
             next(run_chunks(ProtocolConfig(2, 2, 4), None, [seed, 1]))
