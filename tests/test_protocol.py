@@ -528,7 +528,7 @@ class TestCheckedMask:
 
 class TestCheckResult:
     # Seeds 0-11 of a 2x2x8 chunk under 60% loss and 10% X noise: rows that
-    # compare nothing (0/0), pass at the threshold's edge (1/3) and fail (1/2).
+    # compare nothing (0/0), pass at the threshold's edge (1/3) and fail above it.
     SEEDS = range(12)
     THRESHOLD = 1 / 3
 
