@@ -18,10 +18,9 @@ from .channel import (
     OrderingAttack,
     PreparerInsider,
     TransmitResult,
-    collusion_attack,
+    insider_attack,
     intercept_resend,
     ordering_attack,
-    preparer_attack,
     transmit,
 )
 from .config import ProtocolConfig, Variant, block_of, position, receiver_of

@@ -18,12 +18,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Collection, Sequence, Union
+from typing import ClassVar, Collection, Union
 
 import numpy as np
 
 from .errors import ConfigError
-from .planes import QubitBlock, Substream, as_plane
+from .planes import QubitBlock, Substream
 from .transcript import AdversaryRecord
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
@@ -61,12 +61,15 @@ class OrderingAttack:
 class PreparerInsider:
     """The first sender intercepts the block leaving the second sender.
 
-    She measures each qubit in the basis she prepared it in and strips her own
-    value bits, which reads the second sender's bits exactly whenever the
-    second sender skipped the basis-mixing step.
+    She is a pool of one: she measures each qubit in the basis she prepared it
+    in and strips her own value bits, which reads the second sender's bits
+    exactly whenever the second sender skipped the basis-mixing step.
     """
 
     target: ClassVar[int] = 2  # the sender whose block is intercepted
+    pool: ClassVar[tuple[int, ...]] = (1,)
+    withheld_bases: ClassVar[frozenset[int]] = frozenset()
+    kind: ClassVar[str] = "preparer-insider"  # the attack record's kind
 
     def validate(self, path: str = "adversary") -> None:
         return
@@ -84,6 +87,7 @@ class ColluderInsider:
     target: int
     colluders: frozenset[int] | None = None
     withheld_bases: frozenset[int] = frozenset()
+    kind: ClassVar[str] = "colluder-insider"  # the attack record's kind
 
     @property
     def pool(self) -> Collection[int]:
@@ -100,7 +104,8 @@ class ColluderInsider:
             raise ConfigError(f"{path}.withheld_bases", "must be a subset of the colluders")
 
 
-Adversary = Union[InterceptResend, OrderingAttack, PreparerInsider, ColluderInsider]
+Insider = Union[PreparerInsider, ColluderInsider]
+Adversary = Union[InterceptResend, OrderingAttack, Insider]
 
 
 class LossStrategy(enum.Enum):
@@ -182,7 +187,7 @@ def transmit(block: QubitBlock, ch: ChannelModel, stream: Substream) -> Transmit
         block = block.pauli(survived & (bins <= 2), survived & (bins >= 2) & (bins <= 3))
     intercept = None
     if isinstance(ch.adversary, InterceptResend):
-        block, intercept = intercept_resend(block, stream.at("attack"), fraction=ch.adversary.fraction)
+        intercept, block = intercept_resend(block, stream.at("attack"), fraction=ch.adversary.fraction)
     return TransmitResult(block, np.flatnonzero(lost), intercept)
 
 
@@ -209,17 +214,9 @@ def _intercept(
     return result, resent
 
 
-def _xor_all(planes):
-    """XOR of the planes; 0 when there are none."""
-    out = 0
-    for bits in planes:
-        out = out ^ as_plane(bits)
-    return out
-
-
 def intercept_resend(
     block: QubitBlock, stream: Substream, fraction: float = 1.0
-) -> tuple[QubitBlock, AdversaryRecord]:
+) -> tuple[AdversaryRecord, QubitBlock]:
     """Standard intercept-resend: random basis per qubit, forward the collapsed state.
 
     Draws, per position, a decision that picks the intercepted positions
@@ -232,64 +229,44 @@ def intercept_resend(
         hit &= bins == 0
     else:
         plan, coins = stream.draw((1, size), (1, size))
-    result, resent = _intercept("intercept-resend", block, hit, plan, 0, coins)
-    return resent, result
+    return _intercept("intercept-resend", block, hit, plan, 0, coins)
 
 
-def preparer_attack(
-    prep_values: Sequence[int],
-    prep_bases: Sequence[int],
+def insider_attack(
+    insider: Insider,
+    values: np.ndarray,
+    bases: np.ndarray,
     block: QubitBlock,
     stream: Substream,
 ) -> tuple[AdversaryRecord, QubitBlock]:
-    """First sender reads the second sender's bits out of the intercepted block.
+    """Pooled-knowledge interception of the block leaving the insider's target.
 
-    She measures position k in the basis she prepared it in and XORs off her
-    own value bit. Exact whenever the second sender applied no basis mixing;
-    otherwise only the half of the positions left in her basis decode.
-    """
-    return _intercept(
-        "preparer-insider", block, ~block.lost, as_plane(prep_bases), as_plane(prep_values),
-        stream.draw((1, len(block)))[0],
-    )
-
-
-def collusion_attack(
-    known_values: dict[int, Sequence[int]],
-    known_bases: dict[int, Sequence[int]],
-    block: QubitBlock,
-    stream: Substream,
-) -> tuple[AdversaryRecord, QubitBlock]:
-    """Pooled-knowledge interception of the block leaving the targeted sender.
-
-    ``known_values``/``known_bases`` map sender index to that sender's
-    per-position bit vector as shared with the interceptor. Missing strings
-    are treated as all zeros (the interceptor's best standing guess), which
+    ``values`` and ``bases`` hold one per-position row for each sender the
+    block has passed, sender i at row i-1. The pool measures each position in
+    the XOR of the basis rows it shared and XORs off its value rows; a withheld
+    basis row counts as all zeros (the pool's best standing guess), which
     degrades accuracy exactly as the missing randomness dictates.
     """
-    plan = _xor_all(known_bases.values())
-    strip = _xor_all(known_values.values())
+    shown = [i - 1 for i in insider.pool if i not in insider.withheld_bases]
+    plan = np.bitwise_xor.reduce(bases[shown], axis=0, initial=0)
+    strip = np.bitwise_xor.reduce(values[[i - 1 for i in insider.pool]], axis=0, initial=0)
     [coins] = stream.draw((1, len(block)))
-    return _intercept("colluder-insider", block, ~block.lost, plan, strip, coins)
+    return _intercept(insider.kind, block, ~block.lost, plan, strip, coins)
 
 
 def ordering_attack(
-    announced_bases: Sequence[Sequence[int]] | None,
+    combined: np.ndarray | None,
     block: QubitBlock,
     stream: Substream,
 ) -> tuple[AdversaryRecord, QubitBlock]:
     """Read the fully encoded block once every basis string is public.
 
-    With all announcements in hand the interceptor measures each position in
-    the combined basis and recovers the joint encoding bit everywhere, hence
-    the whole raw key; with the strings withheld she can only guess bases.
+    With the ``combined`` announced basis in hand the interceptor measures each
+    position in it and recovers the joint encoding bit everywhere, hence the
+    whole raw key; with the strings withheld (``None``) she can only guess bases.
     Either way she draws a basis bit, used only when blind, then a coin per position.
     """
     guessed, coins = stream.draw((1, len(block)), (1, len(block)))
-    if announced_bases is not None:
-        plan = _xor_all(announced_bases)
-        kind = "ordering-violation"
-    else:
-        plan = guessed
-        kind = "ordering-violation-blind"
-    return _intercept(kind, block, ~block.lost, plan, 0, coins)
+    if combined is None:
+        return _intercept("ordering-violation-blind", block, ~block.lost, guessed, 0, coins)
+    return _intercept("ordering-violation", block, ~block.lost, combined, 0, coins)

@@ -4,7 +4,8 @@
 json/csv/text report; ``mpqss replay`` re-derives a saved transcript's
 consequences and reports inconsistencies. A simple ``key = value`` config file
 can carry any run option; command-line flags override the file. Exit codes:
-0 success, 1 abort-dominated or inconsistent, 2 invalid input.
+0 success, 1 abort-dominated or inconsistent, 2 invalid input or a run too
+large to allocate.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     except TranscriptParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except (ConfigError, MpqssError, OSError, ValueError) as err:
+    except (ConfigError, MpqssError, OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

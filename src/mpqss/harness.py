@@ -413,6 +413,13 @@ def replay(text: str) -> Verdict:
     acks = {ev.party: ev.seq for ev in parsed.events_of(KIND_ACK)}
     announce_seqs = [ev.seq for ev in parsed.events_of(KIND_BASES)]
     bases = records(KIND_BASES, 2)
+    # The ordering gate counts only the run's own receivers and senders.
+    for party in [party for party in acks if not _party_index(party, "bob", n)]:
+        issues.append(f"{party}: ack from a party that is no receiver")
+        del acks[party]
+    for party in [party for party in bases if not _party_index(party, "alice", senders)]:
+        issues.append(f"{party}: basis string from a party that is no sender")
+        del bases[party]
     measured = records(KIND_MEASURED, 3, blocks)
     sift = records(KIND_SIFT, 2, blocks)
     guesses = records(KIND_GUESS, 2, blocks)
@@ -507,10 +514,10 @@ def replay(text: str) -> Verdict:
     if len(rows):
         sender_reveals = records(KIND_CHECK_SENDER, 2, len(rows) * n)
         recv_reveals = records(KIND_CHECK_RECV, 3, len(rows))
-        missing = [f"alice{i}" for i in range(1, senders + 1) if f"alice{i}" not in sender_reveals]
         if len(sender_reveals) < senders:
             issues.append(f"check-sender: {len(sender_reveals)} of {senders} senders revealed their bits")
-        elif missing:
+        # Only now is the list of senders bounded by the records.
+        elif missing := [f"alice{i}" for i in range(1, senders + 1) if f"alice{i}" not in sender_reveals]:
             issues.extend(f"{party}: no check reveal recorded" for party in missing)
         else:
             sent = [sender_reveals[f"alice{i}"] for i in range(1, senders + 1)]

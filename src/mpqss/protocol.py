@@ -32,9 +32,8 @@ from .channel import (
     InterceptResend,
     OrderingAttack,
     PreparerInsider,
-    collusion_attack,
+    insider_attack,
     ordering_attack,
-    preparer_attack,
     transmit,
 )
 from .config import ProtocolConfig, Variant
@@ -483,18 +482,13 @@ def _run_chunk(
         block = res.block
         attack = res.intercept
         # An insider reads the strings of senders the block has passed, whose sizes their encoders checked.
-        if isinstance(adv, PreparerInsider) and leaving == adv.target:
-            values, bases = expanded_bit_vectors(senders[:1], cfg)
-            attack, block = preparer_attack(values[0], bases[0], block, stream.at("attack"))
-        elif isinstance(adv, ColluderInsider) and leaving == adv.target:
+        if isinstance(adv, (PreparerInsider, ColluderInsider)) and leaving == adv.target:
             values, bases = expanded_bit_vectors(senders[:leaving], cfg)
-            known_values = {i: values[i - 1] for i in adv.pool}
-            known_bases = {i: bases[i - 1] for i in adv.pool if i not in adv.withheld_bases}
-            attack, block = collusion_attack(known_values, known_bases, block, stream.at("attack"))
+            attack, block = insider_attack(adv, values, bases, block, stream.at("attack"))
         elif isinstance(adv, OrderingAttack) and leaving == m:
             # Using announced bases, hop m follows a successful early announcement.
-            announced = [combined_bases(run, cfg)] if adv.use_announced_bases else None
-            attack, block = ordering_attack(announced, block, stream.at("attack"))
+            combined = combined_bases(run, cfg) if adv.use_announced_bases else None
+            attack, block = ordering_attack(combined, block, stream.at("attack"))
         if attack is not None:  # positions index the stacked planes: trial t's k is t*size + k
             trial, positions = np.divmod(attack.positions, size)
             run.adversary = replace(attack, positions=positions)

@@ -25,11 +25,11 @@ from mpqss import (
     Substream,
     Variant,
     encode,
+    insider_attack,
     intercept_resend,
     measure,
     ordering_attack,
     position,
-    preparer_attack,
     recovered_raw_key,
     replay,
     run_protocol,
@@ -147,7 +147,7 @@ class TestInterceptResend:
         rng = random.Random(5)
         q = Qubit(1, 0)
         for _ in range(200):
-            out, rec = intercept_resend(kv.from_qubits([q]), fresh(rng))
+            rec, out = intercept_resend(kv.from_qubits([q]), fresh(rng))
             (pos,) = rec.positions
             if rec.bases[0] == q.basis:
                 assert out.qubits[0] == q
@@ -159,7 +159,7 @@ class TestInterceptResend:
         # 20,000 positions: sigma = 0.0031, so +-0.02 is 6.5 sigma.
         rng = random.Random(6)
         values, bases, block = random_block(rng, 20_000)
-        out, _ = intercept_resend(block, fresh(rng))
+        _, out = intercept_resend(block, fresh(rng))
         flipped = sum(
             1
             for v, b, q in zip(values, bases, out.qubits)
@@ -173,7 +173,7 @@ class TestInterceptResend:
         # and 0.0035 for the intercepted share at f = 0.5 (5.7 sigma).
         rng = random.Random(int(fraction * 100))
         values, bases, block = random_block(rng, 20_000)
-        out, rec = intercept_resend(block, fresh(rng), fraction=fraction)
+        rec, out = intercept_resend(block, fresh(rng), fraction=fraction)
         flipped = sum(
             1
             for v, b, q in zip(values, bases, out.qubits)
@@ -191,7 +191,7 @@ class TestInterceptResend:
         trials = 1000
         for _ in range(trials):
             values, bases, block = random_block(rng, c)
-            out, _ = intercept_resend(block, fresh(rng))
+            _, out = intercept_resend(block, fresh(rng))
             if any(measure(q, b, rng) != v for v, b, q in zip(values, bases, out.qubits)):
                 detected += 1
         assert abs(detected / trials - (1 - 0.75**c)) <= 0.02
@@ -277,7 +277,8 @@ class TestPreparerInsider:
         from mpqss import encode_block, prepare_block
 
         block = encode_block(prepare_block(s1, cfg), s2, 2, cfg)
-        result, resent = preparer_attack(kv.VALUES_1, kv.BASES_1, block, fresh(rng))
+        values, bases = np.array([kv.VALUES_1, kv.VALUES_2]), np.array([kv.BASES_1, s2.basis_bits])
+        result, resent = insider_attack(PreparerInsider(), values, bases, block, fresh(rng))
         assert tuple(result.bits.tolist()) == kv.VALUES_2
         assert all(result.certain)
         assert resent.qubits == block.qubits  # interception left no trace
@@ -449,7 +450,7 @@ class TestOrderingAttack:
     def test_standalone_attack_function(self):
         rng = random.Random(12)
         values, bases, block = random_block(rng, 600)
-        result, resent = ordering_attack([bases], block, fresh(rng))
+        result, resent = ordering_attack(np.array(bases), block, fresh(rng))
         assert result.bits.tolist() == values
         assert all(result.certain)
         assert resent.qubits == block.qubits

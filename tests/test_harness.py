@@ -492,6 +492,11 @@ class TestCli:
         assert "withheld_bases" in capsys.readouterr().err
         assert main(flags + ["--withhold-bases", "2"]) in (0, 1)
 
+    def test_run_too_large_to_allocate_exits_two(self, capsys):
+        # 3 * 10**15 qubits ask numpy for 2.66 PiB, beyond any 47-bit address space.
+        assert main(["run", "-N", str(10**15), "--trials", "1"]) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
+
     def test_malformed_index_list_exits_two(self, capsys):
         assert main(["run", "--omit-hadamard", "2,x"]) == 2
         assert "omit_hadamard" in capsys.readouterr().err

@@ -7,6 +7,7 @@ generator that returns it, so matched and mismatched readouts compare exactly.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,12 +27,11 @@ from mpqss import (
     apply_hadamard,
     apply_pauli,
     apply_value_flip,
-    collusion_attack,
     encode,
     encode_block,
     generate_secrets,
+    insider_attack,
     measure,
-    preparer_attack,
     prepare_block,
     run_protocol,
     split_for_receivers,
@@ -166,22 +166,29 @@ def test_insider_collapses_match_per_qubit_readout(qubits, data, seed):
     [coins] = Substream(seed).draw((1, size))
     live = [k for k, q in enumerate(qubits) if q is not None]
 
-    prep_values, prep_bases = draw_plane(data, size), draw_plane(data, size)
-    result, resent = preparer_attack(prep_values, prep_bases, block, Substream(seed))
-    bits, certain, want = insider_reference(qubits, prep_bases, prep_values, coins)
-    assert result.positions.tolist() == live
-    assert result.bases.tolist() == prep_bases[live].tolist()
-    assert result.bits.tolist() == bits and result.certain.tolist() == certain
-    assert resent.qubits == want
-
-    known_values = {1: draw_plane(data, size), 2: draw_plane(data, size)}
-    known_bases = {1: draw_plane(data, size)}  # sender 2 withholds her basis string
-    result, resent = collusion_attack(known_values, known_bases, block, Substream(seed))
-    bits, certain, want = insider_reference(
-        qubits, known_bases[1], known_values[1] ^ known_values[2], coins
-    )
-    assert result.bits.tolist() == bits and result.certain.tolist() == certain
-    assert resent.qubits == want
+    # A drawn pool below a drawn target, withholding a drawn subset of its basis strings.
+    target = data.draw(st.integers(3, 5))
+    below = st.frozensets(st.integers(1, target - 1))
+    drawn = ColluderInsider(target, data.draw(st.none() | below))
+    drawn = replace(drawn, withheld_bases=data.draw(below) & frozenset(drawn.pool))
+    drawn.validate()
+    # Then the preparer, a pool withholding every basis string (plan all zeros) and one withholding none.
+    everything = ColluderInsider(4, frozenset({1, 3}), frozenset({1, 3}))
+    for insider in (drawn, PreparerInsider(), everything, ColluderInsider(3)):
+        values = np.array([draw_plane(data, size) for _ in range(insider.target)])
+        bases = np.array([draw_plane(data, size) for _ in range(insider.target)])
+        plan, strip = np.zeros(size, dtype=np.uint8), np.zeros(size, dtype=np.uint8)
+        for i in insider.pool:
+            strip ^= values[i - 1]
+            if i not in insider.withheld_bases:
+                plan ^= bases[i - 1]
+        result, resent = insider_attack(insider, values, bases, block, Substream(seed))
+        bits, certain, want = insider_reference(qubits, plan, strip, coins)
+        assert result.kind == insider.kind
+        assert result.positions.tolist() == live
+        assert result.bases.tolist() == plan[live].tolist()
+        assert result.bits.tolist() == bits and result.certain.tolist() == certain
+        assert resent.qubits == want
 
 
 def governing_bits(secrets, k, cfg, first):

@@ -688,6 +688,11 @@ class TestReplayIsTotal:
             ("all 1010", "all 1x10", "all: raw-key payload has a character outside '01'"),
             ("senders=2", "senders=0", "config: missing or malformed field (receivers, blocks and"),
             ("fraction=0.3333333333333333", "fraction=nan", "config: missing or malformed field"),
+            ("senders=2", "senders=1000000", "bases: 2 of 1000000 senders announced a well-formed basis string"),
+            ("ack bob3", "ack eve", "eve: ack from a party that is no receiver"),
+            ("ack bob3", "ack bob03", "ordering: only 2 of 3 receivers acknowledged before announcements"),
+            ("bases alice2", "bases mallory", "mallory: basis string from a party that is no sender"),
+            ("bases alice2", "bases alice02", "bases: 1 of 2 senders announced a well-formed basis string"),
         ],
     )
     def test_malformed_payloads_are_issues(self, old, new, expected):
@@ -731,6 +736,22 @@ class TestReplayIsTotal:
         assert text.count(old) == 1
         verdict = replay(text.replace(old, new))
         assert isinstance(verdict, Verdict) and not verdict.ok
+
+    def test_config_party_counts_are_not_trusted_before_the_records_have_them(self):
+        # A list of the run's senders is built only once the records count as
+        # many; a list of 10**6 of them alone peaked at 65 MiB.
+        text = (DATA / "worked_example.transcript").read_text()
+        old, big = "senders=2 receivers=3 blocks=6", "senders=1000000 receivers=1000000 blocks=1000000"
+        assert text.count(old) == 1
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            verdict = replay(text.replace(old, big))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert not verdict.ok
+        assert peak <= 2**20
 
 
 # Whitespace and the line boundaries of str.splitlines other than a newline.
