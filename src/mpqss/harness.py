@@ -348,13 +348,24 @@ def _index_list(payload: str) -> np.ndarray | None:
     return np.fromstring(payload, np.int64, sep=",")
 
 
-def _party_index(party: str, prefix: str, count: int) -> int:
-    """i of a party named ``<prefix><i>`` with 1 <= i <= count, else 0."""
-    digits = party[len(prefix):]
-    if not party.startswith(prefix) or not digits.isdecimal() or len(digits) > len(str(count)):
-        return 0
-    i = int(digits)
-    return i if 1 <= i <= count and party == f"{prefix}{i}" else 0
+# Who records each event kind: a receiver bob1..bobn, a sender alice1..alicem, or the party "all".
+RECORDERS = {
+    **dict.fromkeys([KIND_ACK, KIND_EARLY_MEASURE, KIND_GUESS, KIND_SIFT, KIND_MEASURED, KIND_CHECK_RECV,
+                     KIND_KEY_CONTRIB], ("receiver",)),
+    **dict.fromkeys([KIND_BASES, KIND_CHECK_SENDER], ("sender",)),
+    **dict.fromkeys([KIND_CHECK_SELECT, KIND_CHECK_RESULT, KIND_RAW_KEY, KIND_ABORT], ("'all'",)),
+    KIND_LOSS: ("sender", "receiver"),
+}
+
+
+def _role(party: str, n: int, senders: int) -> str:
+    """The recorder of ``RECORDERS`` that ``party`` names, or "" for none."""
+    for role, prefix, count in (("receiver", "bob", n), ("sender", "alice", senders)):
+        digits = party[len(prefix):]
+        if party.startswith(prefix) and digits.isdecimal() and len(digits) <= len(str(count)):
+            if 1 <= int(digits) <= count and party == f"{prefix}{int(digits)}":
+                return role
+    return "'all'" if party == "all" else ""
 
 
 def _marked(mismatch: np.ndarray) -> list[int]:
@@ -365,15 +376,18 @@ def _marked(mismatch: np.ndarray) -> list[int]:
 def replay(text: str) -> Verdict:
     """Re-derive every deterministic consequence of a transcript and diff it.
 
+    Rules read only the first record of each (kind, party) pair from a party
+    that ``RECORDERS`` names for the kind, and every other record is an issue.
     Checks announcement ordering, that without quantum memory each receiver
     measured after its ack and before any basis announcement, sift masks
     against announced bases, '?' outcomes against the loss records, the check
     selection, check reveals against the measurement records, the recomputed
-    disagreement rate against the recorded one, abort consistency, the raw key
-    against the receivers' contributions, and the shape of the adversary
-    section. Any mismatch, and any payload of the wrong length or alphabet, is
-    reported with its location. Time and memory are linear in the length of
-    ``text``: no array is sized from the config alone.
+    disagreement rate against the recorded one, that an abort and no key
+    follow exactly a failed check, the raw key against the receivers'
+    contributions, and the shape of the adversary section. Any mismatch, and
+    any payload of the wrong length or alphabet, is reported with its
+    location. Time and memory are linear in the length of ``text``: no array
+    is sized from the config alone.
     """
     parsed = parse(text)
     issues: list[str] = []
@@ -400,31 +414,32 @@ def replay(text: str) -> Verdict:
             return plane
         return None
 
-    def records(kind: str, codes: int, length: int | None = None) -> dict[str, np.ndarray]:
-        """Each party's last well-formed ``kind`` payload, unless a malformed one came later."""
-        out = {}
-        for ev in parsed.events_of(kind):
-            out.pop(ev.party, None)
-            plane = decode(ev, codes, length)
-            if plane is not None:
-                out[ev.party] = plane
-        return out
+    admitted: dict[str, dict[str, Event]] = {kind: {} for kind in RECORDERS}
+    roles = {party: _role(party, n, senders) for party in {ev.party for ev in parsed.events}}
+    repeats: collections.Counter = collections.Counter()
+    for ev in parsed.events:
+        recorders = RECORDERS.get(ev.kind)
+        if recorders is None:
+            issues.append(f"{ev.party}: unknown record kind {ev.kind!r}")
+        elif roles[ev.party] not in recorders:
+            issues.append(f"{ev.party}: {ev.kind} from a party that is no {' or '.join(recorders)}")
+        elif admitted[ev.kind].setdefault(ev.party, ev) is not ev:  # a record of the pair came first
+            repeats[ev.party, ev.kind] += 1
+    for (party, kind), count in repeats.items():
+        issues.append(f"{party}: {1 + count} {kind} records, expected one")
 
-    acks = {ev.party: ev.seq for ev in parsed.events_of(KIND_ACK)}
-    announce_seqs = [ev.seq for ev in parsed.events_of(KIND_BASES)]
+    def records(kind: str, codes: int, length: int | None = None) -> dict[str, np.ndarray]:
+        """Each party's admitted ``kind`` payload, if well-formed."""
+        planes = {party: decode(ev, codes, length) for party, ev in admitted[kind].items()}
+        return {party: plane for party, plane in planes.items() if plane is not None}
+
+    acks = {party: ev.seq for party, ev in admitted[KIND_ACK].items()}
+    announce_seqs = [ev.seq for ev in admitted[KIND_BASES].values()]
     bases = records(KIND_BASES, 2)
-    # The ordering gate counts only the run's own receivers and senders.
-    for party in [party for party in acks if not _party_index(party, "bob", n)]:
-        issues.append(f"{party}: ack from a party that is no receiver")
-        del acks[party]
-    for party in [party for party in bases if not _party_index(party, "alice", senders)]:
-        issues.append(f"{party}: basis string from a party that is no sender")
-        del bases[party]
     measured = records(KIND_MEASURED, 3, blocks)
     sift = records(KIND_SIFT, 2, blocks)
     guesses = records(KIND_GUESS, 2, blocks)
-    raw_key_events = parsed.events_of(KIND_RAW_KEY)
-    receivers = sorted(filter(None, (_party_index(party, "bob", n) for party in measured)))
+    receivers = sorted(int(party[len("bob"):]) for party in measured)
 
     if announce_seqs and acks and min(announce_seqs) <= max(acks.values()):
         issues.append("ordering: a basis announcement precedes a reception acknowledgment")
@@ -433,16 +448,14 @@ def replay(text: str) -> Verdict:
     if parsed.config.get("quantum_memory") == "0":
         # Without storage a receiver measures in guessed bases, once, between
         # its ack and the first announcement; the no-memory sift assumes it.
-        premeasured: dict[str, list[int]] = {}
-        for ev in parsed.events_of(KIND_EARLY_MEASURE):
-            premeasured.setdefault(ev.party, []).append(ev.seq)
+        premeasured = {party: ev.seq for party, ev in admitted[KIND_EARLY_MEASURE].items()}
         for party in (f"bob{l}" for l in receivers):
-            seqs = premeasured.get(party, [])
-            if len(seqs) != 1:
-                issues.append(f"{party}: {len(seqs)} premeasure records, expected one")
-            elif seqs[0] < acks.get(party, seqs[0] + 1):
+            seq = premeasured.get(party)
+            if seq is None:
+                issues.append(f"{party}: 0 premeasure records, expected one")
+            elif seq < acks.get(party, seq + 1):
                 issues.append(f"{party}: premeasure record does not follow its ack")
-            elif announce_seqs and seqs[0] > min(announce_seqs):
+            elif announce_seqs and seq > min(announce_seqs):
                 issues.append(f"{party}: premeasure record follows a basis announcement")
 
     combined = None
@@ -469,16 +482,13 @@ def replay(text: str) -> Verdict:
     # sender hop lost at position n*j + l-1 stays lost for receiver l.
     receiver_lost: dict[int, np.ndarray] = {}
     hop_lost: dict[str, np.ndarray] = {}
-    for ev in parsed.events_of(KIND_LOSS):
-        l = _party_index(ev.party, "bob", n)
-        if not l and not _party_index(ev.party, "alice", senders):
-            issues.append(f"{ev.party}: loss record from a party on no hop")
-            continue
-        lost = decode(ev, 2, blocks if l else n * blocks)
-        if lost is not None and l:
-            receiver_lost[l] = lost == 1
+    for party, ev in admitted[KIND_LOSS].items():
+        receiver = roles[party] == "receiver"
+        lost = decode(ev, 2, blocks if receiver else n * blocks)
+        if lost is not None and receiver:
+            receiver_lost[int(party[len("bob"):])] = lost == 1
         elif lost is not None:
-            hop_lost[ev.party] = lost.reshape(blocks, n) == 1
+            hop_lost[party] = lost.reshape(blocks, n) == 1
     for l in receivers:
         for j in _marked((measured[f"bob{l}"] == UNUSABLE) != receiver_lost.get(l, False)):
             issues.append(f"bob{l}: measurement record at block {j} contradicts its loss record")
@@ -489,11 +499,9 @@ def replay(text: str) -> Verdict:
             for k in _marked(lost & arrived):  # block k // n, receiver k % n + 1
                 issues.append(f"{party}: loss at block {k // n} is missing from bob{k % n + 1}'s loss record")
 
-    select = parsed.events_of(KIND_CHECK_SELECT)
     rows = np.zeros(0, dtype=np.int64)  # checked blocks, ascending
-    if select:
-        payload = select[0].payload
-        listed = rows if payload == "-" else _index_list(payload)
+    if select := admitted[KIND_CHECK_SELECT].get("all"):
+        listed = rows if select.payload == "-" else _index_list(select.payload)
         if listed is None:
             issues.append("check-select: payload is not a comma list of block indices")
         else:
@@ -516,14 +524,11 @@ def replay(text: str) -> Verdict:
         recv_reveals = records(KIND_CHECK_RECV, 3, len(rows))
         if len(sender_reveals) < senders:
             issues.append(f"check-sender: {len(sender_reveals)} of {senders} senders revealed their bits")
-        # Only now is the list of senders bounded by the records.
-        elif missing := [f"alice{i}" for i in range(1, senders + 1) if f"alice{i}" not in sender_reveals]:
-            issues.extend(f"{party}: no check reveal recorded" for party in missing)
-        else:
+        else:  # only now is the list of senders bounded by the records
             sent = [sender_reveals[f"alice{i}"] for i in range(1, senders + 1)]
-            _check_reveals(issues, parsed, rows, sent, recv_reveals, measured, n, threshold)
+            _check_reveals(issues, admitted, rows, sent, recv_reveals, measured, n, threshold)
 
-    raw_key = decode(raw_key_events[0], 2) if raw_key_events else None
+    raw_key = records(KIND_RAW_KEY, 2).get("all")
     if raw_key is not None:
         key_blocks = np.zeros(0, dtype=np.intp)
         if len(usable) == n:  # every receiver's mask has ``blocks`` entries
@@ -565,7 +570,7 @@ def _check_adversary(issues, section: dict[str, str], size: int) -> None:
             issues.append(f"adversary: {key} has {len(plane)} entries, expected {count}")
 
 
-def _check_reveals(issues, parsed, rows, sent, recv_reveals, measured, n, threshold) -> None:
+def _check_reveals(issues, admitted, rows, sent, recv_reveals, measured, n, threshold) -> None:
     """Receivers' reveals against their measurements and the senders' XOR, then the tally."""
     expected = np.bitwise_xor.reduce([bits.reshape(len(rows), n) for bits in sent])
     compared = disagree = 0
@@ -582,16 +587,16 @@ def _check_reveals(issues, parsed, rows, sent, recv_reveals, measured, n, thresh
         shown, differ = check_tally(revealed, expected[:, l - 1])
         compared += shown
         disagree += differ
-    results = parsed.events_of(KIND_CHECK_RESULT)
-    if not results:
+    result = admitted[KIND_CHECK_RESULT].get("all")
+    if result is None:
         issues.append("check-result: no result recorded for the check")
         return
-    fields = dict(item.partition("=")[::2] for item in results[0].payload.split(";"))
+    fields = dict(item.partition("=")[::2] for item in result.payload.split(";"))
     try:
         recorded = (int(fields["compared"]), int(fields["disagree"]))
         recorded_pass = fields["pass"] == "1"
     except (KeyError, ValueError):
-        issues.append(f"check-result: malformed payload {results[0].payload!r}")
+        issues.append(f"check-result: malformed payload {result.payload!r}")
         return
     if recorded != (compared, disagree):
         issues.append(
@@ -601,10 +606,14 @@ def _check_reveals(issues, parsed, rows, sent, recv_reveals, measured, n, thresh
     rate = disagree / compared if compared else 0.0
     if recorded_pass != (rate <= threshold):
         issues.append("check-result: pass flag contradicts the recomputed rate")
-    aborted = bool(parsed.events_of(KIND_ABORT))
+    aborted, keyed = bool(admitted[KIND_ABORT]), bool(admitted[KIND_RAW_KEY])
+    if recorded_pass and aborted:
+        issues.append("check-result: passing check with an abort event")
     if not recorded_pass and not aborted:
         issues.append("check-result: failed check without an abort event")
-    if recorded_pass and not parsed.events_of(KIND_RAW_KEY) and not aborted:
+    if not recorded_pass and (keyed or admitted[KIND_KEY_CONTRIB]):
+        issues.append("raw-key: key recorded after a failed check")
+    if recorded_pass and not keyed and not aborted:
         issues.append("raw-key: passing run recorded no key")
 
 

@@ -271,6 +271,27 @@ class TestReplay:
         assert len(kept) == len(lines) - 1
         assert replay("\n".join(kept)).issues == ["check-result: failed check without an abort event"]
 
+    def test_passing_check_with_an_abort_event_is_flagged(self):
+        text = (DATA / "worked_example.transcript").read_text() + "event 20 abort all error-rate\n"
+        assert replay(text).issues == ["check-result: passing check with an abort event"]
+
+    def test_key_after_a_failed_check_is_flagged(self):
+        # An aborted run, then a key consistent with its own outcomes: each
+        # receiver's outcomes at the unchecked blocks, and their XOR.
+        cfg = ProtocolConfig(senders=2, receivers=3, blocks=12, seed=0)
+        text = run_protocol(cfg, ChannelModel(adversary=InterceptResend())).serialize()
+        parsed = parse(text)
+        assert "pass=0" in text and parsed.events[-1].kind == "abort"
+        outcomes = [ev.payload for ev in parsed.events if ev.kind == "measured"]
+        checked = {int(j) for ev in parsed.events if ev.kind == "check-select" for j in ev.payload.split(",")}
+        key_blocks = [j for j in range(12) if j not in checked and "?" not in [o[j] for o in outcomes]]
+        shares = ["".join(o[j] for j in key_blocks) for o in outcomes]
+        raw = "".join(str(sum(map(int, bits)) % 2) for bits in zip(*shares))
+        records = [f"key-contrib bob{l} {share}" for l, share in enumerate(shares, start=1)] + [f"raw-key all {raw}"]
+        seq = parsed.events[-1].seq
+        text += "".join(f"event {seq + k} {record}\n" for k, record in enumerate(records, start=1))
+        assert replay(text).issues == ["raw-key: key recorded after a failed check"]
+
     def test_tampered_measurement_is_flagged_at_its_position(self):
         tr = reference_run()
         lines = tr.serialize().splitlines()
@@ -645,6 +666,10 @@ def assert_total(text: str) -> None:
     assert verdict.ok == (not verdict.issues)
 
 
+# The worked example's last record.
+LAST = "raw-key all 1010"
+
+
 class TestReplayIsTotal:
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -671,6 +696,16 @@ class TestReplayIsTotal:
         start = text.index("\nadversary ") + 1
         assert_total(mutate(text, how, start + at % (len(text) - start), char))
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(honest_transcripts(), st.integers(0, 10**6))
+    def test_a_duplicated_record_is_an_issue(self, text, at):
+        lines = text.split("\n")
+        events = [i for i, line in enumerate(lines) if line.startswith("event ")]
+        i = events[at % len(events)]
+        _, _, kind, party, _ = lines[i].split(" ")
+        lines.insert(i, lines[i])
+        assert f"{party}: 2 {kind} records, expected one" in replay(renumbered(lines)).issues
+
     @pytest.mark.parametrize(
         "old, new, expected",
         [
@@ -682,7 +717,7 @@ class TestReplayIsTotal:
             ("all 0,4", "all 0,x", "check-select: payload is not a comma list of block indices"),
             ("all 0,4", "all 4,4", "check-select: block 4 is selected more than once"),
             ("all 0,4", "all 0,4,5", "check-select: 3 blocks selected, but ceil(0.3333333333333333 * 6) = 2"),
-            ("sender alice2", "sender alicf2", "alice2: no check reveal recorded"),
+            ("sender alice2", "sender alicf2", "alicf2: check-sender from a party that is no sender"),
             ("bob1 01\n", "bob1 0\n", "bob1: check-receiver payload has 1 positions, expected 2"),
             ("bob3 0111", "bob3 01?1", "bob3: key-contrib payload has a character outside '01'"),
             ("all 1010", "all 1x10", "all: raw-key payload has a character outside '01'"),
@@ -691,8 +726,16 @@ class TestReplayIsTotal:
             ("senders=2", "senders=1000000", "bases: 2 of 1000000 senders announced a well-formed basis string"),
             ("ack bob3", "ack eve", "eve: ack from a party that is no receiver"),
             ("ack bob3", "ack bob03", "ordering: only 2 of 3 receivers acknowledged before announcements"),
-            ("bases alice2", "bases mallory", "mallory: basis string from a party that is no sender"),
+            ("bases alice2", "bases mallory", "mallory: bases from a party that is no sender"),
             ("bases alice2", "bases alice02", "bases: 1 of 2 senders announced a well-formed basis string"),
+            # One record appended after the last: each one is refused at admission.
+            (LAST, f"{LAST}\nevent 20 measured eve 011010", "eve: measured from a party that is no receiver"),
+            (LAST, f"{LAST}\nevent 20 key-contrib bob4 1100", "bob4: key-contrib from a party that is no receiver"),
+            (LAST, f"{LAST}\nevent 20 check-sender alice3 100111", "alice3: check-sender from a party that is no sender"),
+            (LAST, f"{LAST}\nevent 20 abort eve error-rate", "eve: abort from a party that is no 'all'"),
+            (LAST, f"{LAST}\nevent 20 raw-key all 1010", "all: 2 raw-key records, expected one"),
+            (LAST, f"{LAST}\nevent 20 check-select all 0,4", "all: 2 check-select records, expected one"),
+            (LAST, f"{LAST}\nevent 20 frobnicate bob1 -", "bob1: unknown record kind 'frobnicate'"),
         ],
     )
     def test_malformed_payloads_are_issues(self, old, new, expected):
