@@ -10,12 +10,12 @@ from __future__ import annotations
 import collections
 import enum
 import hashlib
-import itertools
 import json
 import math
 import operator
 import statistics
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -348,18 +348,43 @@ def _index_list(payload: str) -> np.ndarray | None:
     return np.fromstring(payload, np.int64, sep=",")
 
 
-# Who records each event kind: a receiver bob1..bobn, a sender alice1..alicem, or the party "all".
-RECORDERS = {
-    **dict.fromkeys([KIND_ACK, KIND_EARLY_MEASURE, KIND_GUESS, KIND_SIFT, KIND_MEASURED, KIND_CHECK_RECV,
-                     KIND_KEY_CONTRIB], ("receiver",)),
-    **dict.fromkeys([KIND_BASES, KIND_CHECK_SENDER], ("sender",)),
-    **dict.fromkeys([KIND_CHECK_SELECT, KIND_CHECK_RESULT, KIND_RAW_KEY, KIND_ABORT], ("'all'",)),
-    KIND_LOSS: ("sender", "receiver"),
+class Row(NamedTuple):
+    """What a transcript must hold of one record kind."""
+
+    recorders: tuple[str, ...]  # who records it: a receiver bob1..bobn, a sender alice1..alicem, or "all"
+    after: tuple[str, ...] = ()  # kinds whose admitted records all come before its first
+    own: tuple[str, ...] = ()  # kinds whose record by the same party comes before its record
+    due: str = ""  # the kind that, once admitted, makes it due from every party of its role
+    no_memory: bool = False  # the engine writes it only without quantum memory
+    texts: dict[str, str] = {}  # pinned issue texts: by a kind of ``after`` or ``own``, or "due"
+
+
+RECEIVER, SENDER, ALL = ("receiver",), ("sender",), ("'all'",)
+GRAMMAR = {
+    KIND_LOSS: Row(SENDER + RECEIVER),
+    KIND_ACK: Row(RECEIVER, due=KIND_BASES, texts={
+        "due": "ordering: only {count} of {size} receivers acknowledged before announcements"}),
+    KIND_EARLY_MEASURE: Row(RECEIVER, own=(KIND_ACK,), due=KIND_MEASURED, no_memory=True, texts={
+        KIND_ACK: "{b}: premeasure record does not follow its ack"}),
+    KIND_BASES: Row(SENDER, after=(KIND_ACK, KIND_EARLY_MEASURE), texts={
+        KIND_ACK: "ordering: a basis announcement precedes a reception acknowledgment",
+        KIND_EARLY_MEASURE: "{a}: premeasure record follows a basis announcement"}),
+    KIND_GUESS: Row(RECEIVER),
+    KIND_SIFT: Row(RECEIVER),
+    KIND_MEASURED: Row(RECEIVER),
+    KIND_CHECK_SELECT: Row(ALL),
+    KIND_CHECK_SENDER: Row(SENDER),
+    KIND_CHECK_RECV: Row(RECEIVER, due=KIND_CHECK_SELECT),
+    KIND_CHECK_RESULT: Row(ALL, due=KIND_CHECK_SELECT, texts={
+        "due": "check-result: no result recorded for the check"}),
+    KIND_KEY_CONTRIB: Row(RECEIVER, due=KIND_RAW_KEY),
+    KIND_RAW_KEY: Row(ALL),
+    KIND_ABORT: Row(ALL),
 }
 
 
 def _role(party: str, n: int, senders: int) -> str:
-    """The recorder of ``RECORDERS`` that ``party`` names, or "" for none."""
+    """The recorder of ``GRAMMAR`` that ``party`` names, or "" for none."""
     for role, prefix, count in (("receiver", "bob", n), ("sender", "alice", senders)):
         digits = party[len(prefix):]
         if party.startswith(prefix) and digits.isdecimal() and len(digits) <= len(str(count)):
@@ -377,9 +402,9 @@ def replay(text: str) -> Verdict:
     """Re-derive every deterministic consequence of a transcript and diff it.
 
     Rules read only the first record of each (kind, party) pair from a party
-    that ``RECORDERS`` names for the kind, and every other record is an issue.
-    Checks announcement ordering, that without quantum memory each receiver
-    measured after its ack and before any basis announcement, sift masks
+    that ``GRAMMAR`` names for the kind, and every other record is an issue.
+    One pass checks the order that ``GRAMMAR`` gives the kinds, and one that
+    each kind is there once it is due. Then checks sift masks
     against announced bases, '?' outcomes against the loss records, the check
     selection, check reveals against the measurement records, the recomputed
     disagreement rate against the recorded one, that an abort and no key
@@ -414,52 +439,67 @@ def replay(text: str) -> Verdict:
             return plane
         return None
 
-    admitted: dict[str, dict[str, Event]] = {kind: {} for kind in RECORDERS}
+    admitted: dict[str, dict[str, Event]] = {kind: {} for kind in GRAMMAR}
     roles = {party: _role(party, n, senders) for party in {ev.party for ev in parsed.events}}
     repeats: collections.Counter = collections.Counter()
     for ev in parsed.events:
-        recorders = RECORDERS.get(ev.kind)
-        if recorders is None:
+        row = GRAMMAR.get(ev.kind)
+        if row is None:
             issues.append(f"{ev.party}: unknown record kind {ev.kind!r}")
-        elif roles[ev.party] not in recorders:
-            issues.append(f"{ev.party}: {ev.kind} from a party that is no {' or '.join(recorders)}")
+        elif roles[ev.party] not in row.recorders:
+            issues.append(f"{ev.party}: {ev.kind} from a party that is no {' or '.join(row.recorders)}")
         elif admitted[ev.kind].setdefault(ev.party, ev) is not ev:  # a record of the pair came first
             repeats[ev.party, ev.kind] += 1
     for (party, kind), count in repeats.items():
         issues.append(f"{party}: {1 + count} {kind} records, expected one")
+
+    # Order: the admitted records of each kind in ``after`` come before the
+    # kind's first, and each party's record of a kind in ``own`` before its own.
+    # Admission keeps records in text order, so a kind's first and last are its ends.
+    ends = {kind: (next(iter(have.values())), next(reversed(have.values())))
+            for kind, have in admitted.items() if have}
+    for kind, row in GRAMMAR.items():
+        for before in row.after + row.own if kind in ends else ():
+            if before not in ends or ends[before][1].seq < ends[kind][0].seq:
+                continue
+            if before in row.after:  # the first record of the kind precedes the last of ``before``
+                pairs = [(ends[before][1].party, ends[kind][0].party)]
+            else:
+                mine = admitted[before]
+                pairs = [(p, p) for p, ev in admitted[kind].items() if p in mine and mine[p].seq > ev.seq]
+            text = row.texts.get(before, "{b}: {kind} record precedes a {before} record")
+            issues.extend(text.format(a=a, b=b, kind=kind, before=before) for a, b in pairs)
+
+    # Presence: once a row's ``due`` kind is admitted, each party of its role
+    # owes a record, the receivers being those that acknowledged. A pinned
+    # text counts the parties instead.
+    memory = parsed.config.get("quantum_memory") != "0"
+    parties = {"receiver": admitted[KIND_ACK], "sender": admitted[KIND_BASES], "'all'": ("all",)}
+    for kind, row in GRAMMAR.items():
+        if not row.due or not admitted[row.due] or (row.no_memory and memory):
+            continue
+        role, have = row.recorders[0], admitted[kind]
+        if "due" in row.texts:
+            size = {"receiver": n, "sender": senders, "'all'": 1}[role]
+            if len(have) < size:
+                issues.append(row.texts["due"].format(count=len(have), size=size))
+        else:
+            missing = [party for party in parties[role] if party not in have]
+            issues.extend(f"{party}: 0 {kind} records, expected one" for party in missing)
 
     def records(kind: str, codes: int, length: int | None = None) -> dict[str, np.ndarray]:
         """Each party's admitted ``kind`` payload, if well-formed."""
         planes = {party: decode(ev, codes, length) for party, ev in admitted[kind].items()}
         return {party: plane for party, plane in planes.items() if plane is not None}
 
-    acks = {party: ev.seq for party, ev in admitted[KIND_ACK].items()}
-    announce_seqs = [ev.seq for ev in admitted[KIND_BASES].values()]
     bases = records(KIND_BASES, 2)
     measured = records(KIND_MEASURED, 3, blocks)
     sift = records(KIND_SIFT, 2, blocks)
     guesses = records(KIND_GUESS, 2, blocks)
     receivers = sorted(int(party[len("bob"):]) for party in measured)
 
-    if announce_seqs and acks and min(announce_seqs) <= max(acks.values()):
-        issues.append("ordering: a basis announcement precedes a reception acknowledgment")
-    if announce_seqs and len(acks) < n:
-        issues.append(f"ordering: only {len(acks)} of {n} receivers acknowledged before announcements")
-    if parsed.config.get("quantum_memory") == "0":
-        # Without storage a receiver measures in guessed bases, once, between
-        # its ack and the first announcement; the no-memory sift assumes it.
-        premeasured = {party: ev.seq for party, ev in admitted[KIND_EARLY_MEASURE].items()}
-        for party in (f"bob{l}" for l in receivers):
-            seq = premeasured.get(party)
-            if seq is None:
-                issues.append(f"{party}: 0 premeasure records, expected one")
-            elif seq < acks.get(party, seq + 1):
-                issues.append(f"{party}: premeasure record does not follow its ack")
-            elif announce_seqs and seq > min(announce_seqs):
-                issues.append(f"{party}: premeasure record follows a basis announcement")
-
     combined = None
-    if (announce_seqs or measured) and len(bases) != senders:
+    if (admitted[KIND_BASES] or measured) and len(bases) != senders:
         issues.append(f"bases: {len(bases)} of {senders} senders announced a well-formed basis string")
     elif len(bases) == senders:
         wrong = [party for party, plane in bases.items() if len(plane) not in (n * blocks, blocks)]
@@ -578,7 +618,6 @@ def _check_reveals(issues, admitted, rows, sent, recv_reveals, measured, n, thre
         party = f"bob{l}"
         revealed = recv_reveals.get(party)
         if revealed is None:
-            issues.append(f"{party}: no check reveal recorded")
             continue
         if party in measured:
             contradicts = (revealed != UNUSABLE) & (measured[party][rows] != revealed)
@@ -589,7 +628,6 @@ def _check_reveals(issues, admitted, rows, sent, recv_reveals, measured, n, thre
         disagree += differ
     result = admitted[KIND_CHECK_RESULT].get("all")
     if result is None:
-        issues.append("check-result: no result recorded for the check")
         return
     fields = dict(item.partition("=")[::2] for item in result.payload.split(";"))
     try:
@@ -618,29 +656,16 @@ def _check_reveals(issues, admitted, rows, sent, recv_reveals, measured, n, thre
 
 
 def _check_key(issues, key_blocks, raw_key, contribs, measured, n) -> None:
-    """Contributions against the measurement records, and the raw key against their XOR.
-
-    Receivers are taken in order at each key block and the first without a
-    contribution ends that block's checks, so the XOR is checked only when
-    every receiver contributed.
-    """
-    parties = [f"bob{l}" for l in range(1, n + 1)]
-    given = list(itertools.takewhile(contribs.__contains__, parties))
-    missing = parties[len(given)] if len(given) < n else None
+    """Contributions against the measurement records, then the raw key against their XOR once all are there."""
+    given = [party for party in (f"bob{l}" for l in range(1, n + 1)) if party in contribs]
     shape = (len(given), len(key_blocks))
     shares = np.array([contribs[p] for p in given], dtype=np.uint8).reshape(shape)
     held = np.array([measured[p][key_blocks] for p in given], dtype=np.uint8).reshape(shape)
     contradicts = held != shares
-    if missing is None:
-        wrong_bit = receivers_xor(shares.T) != raw_key
-        flagged = np.flatnonzero(contradicts.any(axis=0) | wrong_bit).tolist()
-    else:
-        flagged = range(len(key_blocks))
-    for idx in flagged:
+    wrong_bit = np.zeros(len(key_blocks), dtype=bool) if len(given) < n else receivers_xor(shares.T) != raw_key
+    for idx in np.flatnonzero(contradicts.any(axis=0) | wrong_bit).tolist():
         j = int(key_blocks[idx])
         for c in np.flatnonzero(contradicts[:, idx]).tolist():
             issues.append(f"{given[c]}: key contribution at block {j} contradicts its measurement record")
-        if missing is not None:
-            issues.append(f"{missing}: missing key contribution for block {j}")
-        elif wrong_bit[idx]:
+        if wrong_bit[idx]:
             issues.append(f"raw-key: bit {idx} (block {j}) is not the XOR of the contributions")
