@@ -23,7 +23,7 @@ from .channel import (
     ordering_attack,
     transmit,
 )
-from .config import ProtocolConfig, Variant, block_of, position, receiver_of
+from .config import ProtocolConfig, Variant, position
 from .errors import (
     ConfigError,
     DecodeFailure,
@@ -57,7 +57,6 @@ from .postprocessing import (
     draw_group_codeword,
     hex_to_bits,
     key_rate,
-    load_matrix,
     otp_send,
     reconcile,
     reconcile_stream,

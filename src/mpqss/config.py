@@ -117,11 +117,3 @@ def checked_block_count(check_fraction: float, blocks: int) -> int:
 def position(block: int, receiver: int, receivers: int) -> int:
     """0-based qubit index of 0-based ``block`` and 1-based ``receiver``."""
     return block * receivers + (receiver - 1)
-
-
-def block_of(k: int, receivers: int) -> int:
-    return k // receivers
-
-
-def receiver_of(k: int, receivers: int) -> int:
-    return k % receivers + 1

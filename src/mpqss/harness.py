@@ -369,17 +369,17 @@ GRAMMAR = {
     KIND_BASES: Row(SENDER, after=(KIND_ACK, KIND_EARLY_MEASURE), texts={
         KIND_ACK: "ordering: a basis announcement precedes a reception acknowledgment",
         KIND_EARLY_MEASURE: "{a}: premeasure record follows a basis announcement"}),
-    KIND_GUESS: Row(RECEIVER),
-    KIND_SIFT: Row(RECEIVER),
-    KIND_MEASURED: Row(RECEIVER),
-    KIND_CHECK_SELECT: Row(ALL),
-    KIND_CHECK_SENDER: Row(SENDER),
-    KIND_CHECK_RECV: Row(RECEIVER, due=KIND_CHECK_SELECT),
-    KIND_CHECK_RESULT: Row(ALL, due=KIND_CHECK_SELECT, texts={
+    KIND_GUESS: Row(RECEIVER, after=(KIND_BASES,), due=KIND_MEASURED, no_memory=True),
+    KIND_SIFT: Row(RECEIVER, own=(KIND_GUESS,), due=KIND_MEASURED, no_memory=True),
+    KIND_MEASURED: Row(RECEIVER, after=(KIND_BASES,), own=(KIND_SIFT,), due=KIND_CHECK_SELECT),
+    KIND_CHECK_SELECT: Row(ALL, after=(KIND_MEASURED,), due=KIND_MEASURED),
+    KIND_CHECK_SENDER: Row(SENDER, after=(KIND_CHECK_SELECT,)),
+    KIND_CHECK_RECV: Row(RECEIVER, after=(KIND_CHECK_SELECT,), due=KIND_CHECK_SELECT),
+    KIND_CHECK_RESULT: Row(ALL, after=(KIND_CHECK_SENDER, KIND_CHECK_RECV), due=KIND_CHECK_SELECT, texts={
         "due": "check-result: no result recorded for the check"}),
-    KIND_KEY_CONTRIB: Row(RECEIVER, due=KIND_RAW_KEY),
-    KIND_RAW_KEY: Row(ALL),
-    KIND_ABORT: Row(ALL),
+    KIND_KEY_CONTRIB: Row(RECEIVER, after=(KIND_CHECK_RESULT,), due=KIND_RAW_KEY),
+    KIND_RAW_KEY: Row(ALL, after=(KIND_KEY_CONTRIB,)),
+    KIND_ABORT: Row(ALL, after=(KIND_CHECK_RESULT,)),
 }
 
 
@@ -404,8 +404,9 @@ def replay(text: str) -> Verdict:
     Rules read only the first record of each (kind, party) pair from a party
     that ``GRAMMAR`` names for the kind, and every other record is an issue.
     One pass checks the order that ``GRAMMAR`` gives the kinds, and one that
-    each kind is there once it is due. Then checks sift masks
-    against announced bases, '?' outcomes against the loss records, the check
+    each kind is there once it is due and absent in a memory mode that never
+    writes it. Then checks sift masks against announced bases, '?' outcomes
+    against the loss records, that each loss record marks a loss, the check
     selection, check reveals against the measurement records, the recomputed
     disagreement rate against the recorded one, that an abort and no key
     follow exactly a failed check, the raw key against the receivers'
@@ -458,12 +459,13 @@ def replay(text: str) -> Verdict:
     # Admission keeps records in text order, so a kind's first and last are its ends.
     ends = {kind: (next(iter(have.values())), next(reversed(have.values())))
             for kind, have in admitted.items() if have}
-    for kind, row in GRAMMAR.items():
-        for before in row.after + row.own if kind in ends else ():
-            if before not in ends or ends[before][1].seq < ends[kind][0].seq:
+    for kind, (first, _) in ends.items():
+        row = GRAMMAR[kind]
+        for before in row.after + row.own:
+            if before not in ends or ends[before][1].seq < first.seq:
                 continue
             if before in row.after:  # the first record of the kind precedes the last of ``before``
-                pairs = [(ends[before][1].party, ends[kind][0].party)]
+                pairs = [(ends[before][1].party, first.party)]
             else:
                 mine = admitted[before]
                 pairs = [(p, p) for p, ev in admitted[kind].items() if p in mine and mine[p].seq > ev.seq]
@@ -476,16 +478,18 @@ def replay(text: str) -> Verdict:
     memory = parsed.config.get("quantum_memory") != "0"
     parties = {"receiver": admitted[KIND_ACK], "sender": admitted[KIND_BASES], "'all'": ("all",)}
     for kind, row in GRAMMAR.items():
-        if not row.due or not admitted[row.due] or (row.no_memory and memory):
-            continue
-        role, have = row.recorders[0], admitted[kind]
-        if "due" in row.texts:
-            size = {"receiver": n, "sender": senders, "'all'": 1}[role]
+        have = admitted[kind]
+        if row.no_memory and memory:
+            for party in have:
+                issues.append(f"{party}: {kind} record in a run with quantum memory")
+        elif row.due in ends and "due" in row.texts:
+            size = {"receiver": n, "sender": senders, "'all'": 1}[row.recorders[0]]
             if len(have) < size:
                 issues.append(row.texts["due"].format(count=len(have), size=size))
-        else:
-            missing = [party for party in parties[role] if party not in have]
-            issues.extend(f"{party}: 0 {kind} records, expected one" for party in missing)
+        elif row.due in ends:
+            for party in parties[row.recorders[0]]:
+                if party not in have:
+                    issues.append(f"{party}: 0 {kind} records, expected one")
 
     def records(kind: str, codes: int, length: int | None = None) -> dict[str, np.ndarray]:
         """Each party's admitted ``kind`` payload, if well-formed."""
@@ -525,6 +529,8 @@ def replay(text: str) -> Verdict:
     for party, ev in admitted[KIND_LOSS].items():
         receiver = roles[party] == "receiver"
         lost = decode(ev, 2, blocks if receiver else n * blocks)
+        if lost is not None and "1" not in ev.payload:  # the engine records a bitmap only where it marks a loss
+            issues.append(f"{party}: loss record marks no lost position")
         if lost is not None and receiver:
             receiver_lost[int(party[len("bob"):])] = lost == 1
         elif lost is not None:

@@ -109,27 +109,6 @@ def gf2_nullspace(mat: np.ndarray) -> np.ndarray:
     return basis
 
 
-def load_matrix(text: str) -> np.ndarray:
-    """Parse the plain-text matrix format: one row per line of '0'/'1' characters."""
-    rows = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if any(c not in "01" for c in line):
-            raise ValueError(f"line {no}: rows must be '0'/'1' strings, got {line!r}")
-        rows.append([int(c) for c in line])
-    if not rows:
-        raise ValueError("no matrix rows found")
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("rows have differing lengths")
-    return as_bit_matrix(rows)
-
-
-def dump_matrix(mat: np.ndarray) -> str:
-    return "\n".join("".join(str(int(x)) for x in row) for row in mat) + "\n"
-
-
 def _block_values(bits: np.ndarray) -> np.ndarray:
     """Each row of a (..., width) 0/1 array as a big-endian integer, in an array of shape (...).
 

@@ -58,10 +58,6 @@ class Pauli(enum.Enum):
     Z = (0, 1)
     Y = (1, 1)
 
-    def compose(self, other: "Pauli") -> "Pauli":
-        """Product modulo global phase (the group is Klein-four on (x, z) bits)."""
-        return Pauli((self.value[0] ^ other.value[0], self.value[1] ^ other.value[1]))
-
 
 def apply_pauli(q: Qubit, p: Pauli) -> Qubit:
     """Pauli action on the four-state family, phases dropped.

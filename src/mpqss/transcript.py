@@ -378,9 +378,6 @@ class ParsedTranscript:
     events: list[Event] = field(default_factory=list)
     adversary: dict[str, str] = field(default_factory=dict)
 
-    def events_of(self, kind: str) -> list[Event]:
-        return [ev for ev in self.events if ev.kind == kind]
-
 
 # The line boundaries of ``str.splitlines`` other than a newline.
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"

@@ -21,7 +21,6 @@ from mpqss import (
     build_canonical_css,
     draw_group_codeword,
     key_rate,
-    load_matrix,
     otp_send,
     reconcile,
     reconcile_stream,
@@ -36,7 +35,6 @@ from mpqss.postprocessing import (
     StreamResult,
     _block_values,
     bits_to_hex,
-    dump_matrix,
     gf2_matmul,
 )
 from mpqss.planes import Substream
@@ -155,7 +153,7 @@ class TestLinearCode:
 
     def test_decode_failure_signal_on_nonperfect_code(self):
         # A [4,1] repetition-style code leaves syndromes uncovered at radius 1.
-        gen = load_matrix("1111\n")
+        gen = as_bit_matrix(["1111"])
         code = LinearCode.from_generator(gen, radius=1)
         with pytest.raises(DecodeFailure):
             syndrome_decode(code, (1, 1, 0, 0))
@@ -163,21 +161,6 @@ class TestLinearCode:
     def test_word_length_checked(self, pair):
         with pytest.raises(ValueError):
             syndrome_decode(pair.c1, (0, 1, 0))
-
-    def test_matrix_round_trip_through_text_format(self, pair):
-        text = dump_matrix(HAMMING_PARITY_CHECK)
-        again = load_matrix(text)
-        assert np.array_equal(again, HAMMING_PARITY_CHECK)
-        rebuilt = LinearCode.from_parity_check(again, radius=1)
-        assert rebuilt.dimension == 4
-
-    def test_matrix_parser_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            load_matrix("10a1\n")
-        with pytest.raises(ValueError):
-            load_matrix("101\n01\n")
-        with pytest.raises(ValueError):
-            load_matrix("# only a comment\n")
 
 
 class TestBlockValues:
@@ -525,23 +508,21 @@ class ReferencePair:
 def _extended_hamming_pair():
     """[8,4,4] over a [8,2] subcode: two key bits per block, and at radius 1
     seven of the sixteen syndromes stay uncovered, so blocks get discarded."""
-    gen = load_matrix("10000111\n01001011\n00101101\n00011110\n")
+    gen = as_bit_matrix("10000111 01001011 00101101 00011110".split())
     return CssPair(LinearCode.from_generator(gen, radius=1), LinearCode.from_generator(gen[:2], radius=1))
 
 
 def _distance_two_pair():
     """[4,2] of distance 2 over the repetition code: weight-one errors tie on a
     syndrome, so the first pattern must claim it, and one syndrome stays uncovered."""
-    gen = load_matrix("1100\n0011\n")
+    gen = as_bit_matrix(["1100", "0011"])
     return CssPair(LinearCode.from_generator(gen, radius=1), LinearCode.from_generator(gen[:1] ^ gen[1:], radius=1))
 
 
 def _twelve_bit_pair():
     """[12,5] of distance 3 over its first two rows: a block spans two bytes,
     and at radius 1 only 13 of the 128 syndromes are covered."""
-    gen = load_matrix(
-        "100001101000\n010000110100\n001000011010\n000100001101\n000011000110\n"
-    )
+    gen = as_bit_matrix("100001101000 010000110100 001000011010 000100001101 000011000110".split())
     return CssPair(LinearCode.from_generator(gen, radius=1), LinearCode.from_generator(gen[:2], radius=1))
 
 

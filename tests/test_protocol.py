@@ -22,7 +22,6 @@ from mpqss import (
     Transcript,
     Variant,
     announce_bases,
-    block_of,
     combined_bases,
     encode_block,
     expanded_bit_vectors,
@@ -30,7 +29,6 @@ from mpqss import (
     generate_secrets,
     position,
     prepare_block,
-    receiver_of,
     replay,
     run_check,
     run_chunks,
@@ -167,7 +165,7 @@ class TestKnownVectors:
         assert seqs[1].qubits == [block.qubits[1], block.qubits[4]]
         assert position(0, 2, 3) == 1 and position(1, 2, 3) == 4
         for k in range(6):
-            assert position(block_of(k, 3), receiver_of(k, 3), 3) == k
+            assert position(k // 3, k % 3 + 1, 3) == k
 
     def test_full_run_reproduces_reference_transcript(self):
         tr = run_protocol(kv.config(), secrets=kv.secrets(), check_blocks=kv.CHECK_BLOCKS)

@@ -23,14 +23,13 @@ from mpqss import (
     TranscriptParseError,
     Variant,
     Verdict,
-    block_of,
     replay,
     run_protocol,
 )
 from mpqss import transcript
 from mpqss.channel import LossStrategy
 from mpqss.cli import main
-from mpqss.harness import _index_list
+from mpqss.harness import GRAMMAR, _index_list
 from mpqss.transcript import (
     _BIT_CODES,
     FORMAT_HEADER,
@@ -43,6 +42,7 @@ from mpqss.transcript import (
     KIND_CHECK_SENDER,
     KIND_GUESS,
     KIND_KEY_CONTRIB,
+    KIND_LOSS,
     KIND_MEASURED,
     KIND_RAW_KEY,
     KIND_SIFT,
@@ -276,21 +276,27 @@ class TestReplay:
         assert replay(text).issues == ["check-result: passing check with an abort event"]
 
     def test_key_after_a_failed_check_is_flagged(self):
-        # An aborted run, then a key consistent with its own outcomes: each
-        # receiver's outcomes at the unchecked blocks, and their XOR.
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=12, seed=0)
         text = run_protocol(cfg, ChannelModel(adversary=InterceptResend())).serialize()
-        parsed = parse(text)
-        assert "pass=0" in text and parsed.events[-1].kind == "abort"
-        outcomes = [ev.payload for ev in parsed.events if ev.kind == "measured"]
-        checked = {int(j) for ev in parsed.events if ev.kind == "check-select" for j in ev.payload.split(",")}
-        key_blocks = [j for j in range(12) if j not in checked and "?" not in [o[j] for o in outcomes]]
-        shares = ["".join(o[j] for j in key_blocks) for o in outcomes]
-        raw = "".join(str(sum(map(int, bits)) % 2) for bits in zip(*shares))
-        records = [f"key-contrib bob{l} {share}" for l, share in enumerate(shares, start=1)] + [f"raw-key all {raw}"]
-        seq = parsed.events[-1].seq
-        text += "".join(f"event {seq + k} {record}\n" for k, record in enumerate(records, start=1))
-        assert replay(text).issues == ["raw-key: key recorded after a failed check"]
+        assert "pass=0" in text and parse(text).events[-1].kind == "abort"
+        assert replay(with_key_from_outcomes(text)).issues == ["raw-key: key recorded after a failed check"]
+
+    def test_key_forged_in_place_of_a_deleted_check_is_flagged(self):
+        # A fully intercepted run aborts on its check; with the check and the
+        # abort deleted, the key its outcomes give must not pass as a run's.
+        cfg = ProtocolConfig(senders=3, receivers=3, blocks=12, seed=0)
+        text = run_protocol(cfg, ChannelModel(adversary=InterceptResend(fraction=1.0))).serialize()
+        assert "rate=0.277778" in text and " abort all " in text
+        kept = [line for line in text.split("\n") if " check-" not in line and " abort " not in line]
+        forged = with_key_from_outcomes("\n".join(kept))
+        assert replay(forged).issues == ["all: 0 check-select records, expected one"]
+
+    def test_raw_key_moved_before_the_acks_is_flagged(self):
+        lines = (DATA / "worked_example.transcript").read_text().split("\n")
+        moved = next(line for line in lines if line.endswith(" raw-key all 1010"))
+        lines.remove(moved)
+        lines.insert(next(i for i, line in enumerate(lines) if " ack " in line), moved)
+        assert replay(renumbered(lines)).issues == ["all: raw-key record precedes a key-contrib record"]
 
     def test_tampered_measurement_is_flagged_at_its_position(self):
         tr = reference_run()
@@ -384,10 +390,29 @@ def reference_parse(text: str) -> ParsedTranscript:
     return parsed
 
 
+def with_key_from_outcomes(text: str) -> str:
+    """``text`` with a key appended that its own outcomes give: each receiver's
+    outcomes at the unchecked blocks every receiver holds, and their XOR."""
+    parsed = parse(text)
+    outcomes = [ev.payload for ev in parsed.events if ev.kind == "measured"]
+    checked = {int(j) for ev in parsed.events if ev.kind == "check-select" for j in ev.payload.split(",")}
+    blocks = range(int(parsed.config["blocks"]))
+    key_blocks = [j for j in blocks if j not in checked and "?" not in [o[j] for o in outcomes]]
+    shares = ["".join(o[j] for j in key_blocks) for o in outcomes]
+    raw = "".join(str(sum(map(int, bits)) % 2) for bits in zip(*shares))
+    records = [f"key-contrib bob{l} {share}" for l, share in enumerate(shares, start=1)] + [f"raw-key all {raw}"]
+    seq = parsed.events[-1].seq
+    return text + "".join(f"event {seq + k} {record}\n" for k, record in enumerate(records, start=1))
+
+
 def str_to_bits(s: str) -> tuple:
     if s == "-":
         return ()
     return tuple(None if c == "?" else int(c) for c in s)
+
+
+def events_of(parsed: ParsedTranscript, kind: str) -> list[Event]:
+    return [ev for ev in parsed.events if ev.kind == kind]
 
 
 def reference_replay(text: str) -> Verdict:
@@ -401,14 +426,14 @@ def reference_replay(text: str) -> Verdict:
     except (KeyError, ValueError) as err:
         return Verdict(False, [f"config: missing or malformed field ({err})"])
 
-    acks = {ev.party: ev.seq for ev in parsed.events_of(KIND_ACK)}
-    bases = {ev.party: ev for ev in parsed.events_of(KIND_BASES)}
-    measured = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_MEASURED)}
-    sift = {ev.party: ev.payload for ev in parsed.events_of(KIND_SIFT)}
-    guesses = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_GUESS)}
-    contribs = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_KEY_CONTRIB)}
-    raw_key_events = parsed.events_of(KIND_RAW_KEY)
-    aborts = parsed.events_of(KIND_ABORT)
+    acks = {ev.party: ev.seq for ev in events_of(parsed, KIND_ACK)}
+    bases = {ev.party: ev for ev in events_of(parsed, KIND_BASES)}
+    measured = {ev.party: str_to_bits(ev.payload) for ev in events_of(parsed, KIND_MEASURED)}
+    sift = {ev.party: ev.payload for ev in events_of(parsed, KIND_SIFT)}
+    guesses = {ev.party: str_to_bits(ev.payload) for ev in events_of(parsed, KIND_GUESS)}
+    contribs = {ev.party: str_to_bits(ev.payload) for ev in events_of(parsed, KIND_KEY_CONTRIB)}
+    raw_key_events = events_of(parsed, KIND_RAW_KEY)
+    aborts = events_of(parsed, KIND_ABORT)
 
     if bases and acks and min(ev.seq for ev in bases.values()) <= max(acks.values()):
         issues.append("ordering: a basis announcement precedes a reception acknowledgment")
@@ -423,7 +448,7 @@ def reference_replay(text: str) -> Verdict:
             if len(bits) == n * blocks:
                 per_pos = bits
             elif len(bits) == blocks:
-                per_pos = [bits[block_of(k, n)] for k in range(n * blocks)]
+                per_pos = [bits[k // n] for k in range(n * blocks)]
             else:
                 issues.append(f"{ev.party}: basis string has unexpected length {len(bits)}")
                 combined = None
@@ -451,13 +476,13 @@ def reference_replay(text: str) -> Verdict:
                 if (sift[party][j] == "1") != expect:
                     issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
 
-    select = parsed.events_of(KIND_CHECK_SELECT)
+    select = events_of(parsed, KIND_CHECK_SELECT)
     check_blocks: list[int] = []
     if select and select[0].payload != "-":
         check_blocks = sorted(int(x) for x in select[0].payload.split(","))
 
-    sender_reveals = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_CHECK_SENDER)}
-    recv_reveals = {ev.party: str_to_bits(ev.payload) for ev in parsed.events_of(KIND_CHECK_RECV)}
+    sender_reveals = {ev.party: str_to_bits(ev.payload) for ev in events_of(parsed, KIND_CHECK_SENDER)}
+    recv_reveals = {ev.party: str_to_bits(ev.payload) for ev in events_of(parsed, KIND_CHECK_RECV)}
     compared = disagree = 0
     if check_blocks and len(sender_reveals) == senders:
         for l in range(1, n + 1):
@@ -479,7 +504,7 @@ def reference_replay(text: str) -> Verdict:
                 compared += 1
                 if outcome != expected:
                     disagree += 1
-        results = parsed.events_of(KIND_CHECK_RESULT)
+        results = events_of(parsed, KIND_CHECK_RESULT)
         if results:
             fields = dict(item.partition("=")[::2] for item in results[0].payload.split(";"))
             try:
@@ -669,6 +694,15 @@ def assert_total(text: str) -> None:
 # The worked example's last record.
 LAST = "raw-key all 1010"
 
+# One-record edits of an honest transcript that replay cannot tell from the
+# engine's own output, by edit, kind and recorder, with the reason.
+UNFLAGGED = {
+    ("delete", "loss", "alice"): "what a sender hop lost stays lost, so the receivers' bitmaps mark it "
+                                 "as if the last hop had lost it",
+    ("move", "loss", "alice"): "loss records are in no order",
+    ("move", "loss", "bob"): "loss records are in no order",
+}
+
 
 class TestReplayIsTotal:
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -706,6 +740,30 @@ class TestReplayIsTotal:
         lines.insert(i, lines[i])
         assert f"{party}: 2 {kind} records, expected one" in replay(renumbered(lines)).issues
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(honest_transcripts(), st.integers(0, 10**6), st.sampled_from(["delete", "move"]))
+    def test_a_deleted_or_moved_record_is_an_issue(self, text, at, how):
+        lines = text.split("\n")
+        events = [i for i, line in enumerate(lines) if line.startswith("event ")]
+        i = events[at % len(events)]
+        kind, party = lines[i].split(" ")[2:4]
+        assume(UNFLAGGED.get((how, kind, party.rstrip("0123456789"))) is None)
+        assume(not (how == "move" and i == events[-1]))  # the last event moved after itself is the same text
+        edited = lines[:i] + lines[i + 1:]
+        if how == "move":
+            edited.insert(events[-1], lines[i])  # after the last event, before the adversary section
+        assert not replay(renumbered(edited)).ok
+
+    def test_every_kind_has_a_grammar_row_and_every_row_a_rule(self):
+        kinds = {value for name, value in vars(transcript).items() if name.startswith("KIND_")}
+        assert set(GRAMMAR) == kinds
+        for kind, row in GRAMMAR.items():
+            named = {*row.after, *row.own, row.due} - {""}
+            assert row.recorders and named <= kinds and set(row.texts) <= {*row.after, *row.own, "due"}, kind
+        # A loss bitmap is unordered and never due: the loss rule reads it against the measurement records.
+        unruled = [kind for kind, row in GRAMMAR.items() if not (row.after or row.own or row.due or row.no_memory)]
+        assert unruled == [KIND_LOSS]
+
     @pytest.mark.parametrize(
         "old, new, expected",
         [
@@ -736,6 +794,11 @@ class TestReplayIsTotal:
             (LAST, f"{LAST}\nevent 20 raw-key all 1010", "all: 2 raw-key records, expected one"),
             (LAST, f"{LAST}\nevent 20 check-select all 0,4", "all: 2 check-select records, expected one"),
             (LAST, f"{LAST}\nevent 20 frobnicate bob1 -", "bob1: unknown record kind 'frobnicate'"),
+            # Records the engine writes only without quantum memory, or only where a loss is marked.
+            (LAST, f"{LAST}\nevent 20 premeasure bob1 -", "bob1: premeasure record in a run with quantum memory"),
+            (LAST, f"{LAST}\nevent 20 guess-bases bob1 000000",
+             "bob1: guess-bases record in a run with quantum memory"),
+            (LAST, f"{LAST}\nevent 20 loss alice2 {'0' * 18}", "alice2: loss record marks no lost position"),
         ],
     )
     def test_malformed_payloads_are_issues(self, old, new, expected):
