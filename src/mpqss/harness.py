@@ -21,12 +21,12 @@ import numpy as np
 
 from .channel import IDEAL, ChannelModel, InterceptResend, OrderingAttack
 from .errors import ConfigError, KeyMaterialError
-from .config import ProtocolConfig, checked_block_count
+from .config import ProtocolConfig, Variant, checked_block_count
 from .postprocessing import CssPair, StreamResult, bits_to_hex, build_canonical_css, key_rate, otp_send
 from .postprocessing import reconcile_streams
 from .planes import UNUSABLE, Substream, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
 from .planes import stream_keys, stream_words
-from .protocol import expanded_values, run_chunks, trials_per_chunk
+from .protocol import expanded_values, run_chunks, secret_lengths, trials_per_chunk
 
 # The one-trial forms, which run_experiment no longer calls; perfbench/tracing.py
 # spans calls at these names.
@@ -424,6 +424,8 @@ def replay(text: str) -> Verdict:
         threshold = float(parsed.config["qber_abort_threshold"])
         fraction = float(parsed.config["check_fraction"])
         want = checked_block_count(fraction, blocks)
+        variant = Variant(parsed.config["variant"])
+        memory = {"0": False, "1": True}[parsed.config["quantum_memory"]]
         if min(n, blocks, senders) < 1:
             raise ValueError("receivers, blocks and senders must be positive")
     except (KeyError, ValueError, OverflowError) as err:
@@ -475,7 +477,6 @@ def replay(text: str) -> Verdict:
     # Presence: once a row's ``due`` kind is admitted, each party of its role
     # owes a record, the receivers being those that acknowledged. A pinned
     # text counts the parties instead.
-    memory = parsed.config.get("quantum_memory") != "0"
     parties = {"receiver": admitted[KIND_ACK], "sender": admitted[KIND_BASES], "'all'": ("all",)}
     for kind, row in GRAMMAR.items():
         have = admitted[kind]
@@ -506,7 +507,8 @@ def replay(text: str) -> Verdict:
     if (admitted[KIND_BASES] or measured) and len(bases) != senders:
         issues.append(f"bases: {len(bases)} of {senders} senders announced a well-formed basis string")
     elif len(bases) == senders:
-        wrong = [party for party, plane in bases.items() if len(plane) not in (n * blocks, blocks)]
+        length = secret_lengths(ProtocolConfig(senders, n, blocks, variant, unsafe_skip_validation=True))[1]
+        wrong = [party for party, plane in bases.items() if len(plane) != length]
         if wrong:
             issues.append(f"{wrong[0]}: basis string has unexpected length {len(bases[wrong[0]])}")
         else:

@@ -15,7 +15,6 @@ independently.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import operator
@@ -97,8 +96,8 @@ class Substream:
 
     def at(self, phase: str) -> "Substream":
         """The same trials' draws in ``phase``."""
-        sub = copy.copy(self)
-        sub.phase = phase
+        sub = object.__new__(Substream)
+        sub.seeds, sub.phase, sub._seeds = self.seeds, phase, self._seeds
         return sub
 
     def draw(self, *draws: tuple[int | Sequence[int], int]) -> list[np.ndarray]:

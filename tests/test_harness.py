@@ -237,6 +237,29 @@ class TestRunExperiment:
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == "f1b95e0e7802bcbee6d018e0a648dd157f4c13d64a9fcb205f0bf00f3720195a"
 
+    # CI's intercept-resend (seed 6) and ordering-attack (seed 9) sweeps, cut
+    # to 100 trials: chunk edges cut adversary_bounds and key_bounds too.
+    BUDGET_SPECS = [
+        ExperimentSpec(ProtocolConfig(3, 3, 40),
+                       ChannelModel(loss_prob=0.05, p_x=0.01, adversary=InterceptResend(fraction=0.1)),
+                       trials=100, metrics=("qber", "efficiency", "adversary_accuracy", "block_yield"), seed=6),
+        ExperimentSpec(ProtocolConfig(3, 3, 40, enforce_ordering=False),
+                       ChannelModel(loss_prob=0.05, p_x=0.01, adversary=OrderingAttack()),
+                       trials=100, metrics=("qber", "efficiency", "adversary_accuracy"), seed=9),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(BUDGET_SPECS)))
+    def test_attack_report_is_the_same_at_every_budget(self, case, monkeypatch):
+        from mpqss import protocol
+
+        spec = self.BUDGET_SPECS[case]
+        reports = []
+        for budget in (1 << 12, protocol.CHUNK_POSITIONS, 1 << 17):
+            monkeypatch.setattr(protocol, "CHUNK_POSITIONS", budget)
+            reports.append(run_experiment(spec).to_json())
+        assert reports[0] == reports[1] == reports[2]
+        assert json.loads(reports[0])["metrics"]["adversary_accuracy"]["samples"] > 0
+
     # One sweep per attack through adversary_accuracy: spec, then the sha256 of
     # its to_json() report as version 0.5.0 wrote it (seed 40 + the case index).
     ATTACK_REPORTS = [

@@ -754,6 +754,17 @@ class TestReplayIsTotal:
             edited.insert(events[-1], lines[i])  # after the last event, before the adversary section
         assert not replay(renumbered(edited)).ok
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(honest_transcripts())
+    def test_an_honest_transcript_replays_ok(self, text):
+        verdict = replay(text)
+        assert verdict.ok, verdict.issues
+
+    @pytest.mark.parametrize("name", ["worked_example", "stream_0.2.0", "stream_0.3.0", "stream_0.4.0"])
+    def test_every_data_transcript_replays_ok(self, name):
+        verdict = replay((DATA / f"{name}.transcript").read_text())
+        assert verdict.ok, verdict.issues
+
     def test_every_kind_has_a_grammar_row_and_every_row_a_rule(self):
         kinds = {value for name, value in vars(transcript).items() if name.startswith("KIND_")}
         assert set(GRAMMAR) == kinds
@@ -781,6 +792,11 @@ class TestReplayIsTotal:
             ("all 1010", "all 1x10", "all: raw-key payload has a character outside '01'"),
             ("senders=2", "senders=0", "config: missing or malformed field (receivers, blocks and"),
             ("fraction=0.3333333333333333", "fraction=nan", "config: missing or malformed field"),
+            # Config fields the rules trust: the memory mode, the variant, and the
+            # basis length the variant gives (one basis per block in a block variant).
+            ("quantum_memory=1", "quantum_memory=banana", "config: missing or malformed field ('banana')"),
+            ("variant=main", "variant=banana", "config: missing or malformed field ('banana' is not"),
+            ("variant=main", "variant=block_basis", "alice1: basis string has unexpected length 18"),
             ("senders=2", "senders=1000000", "bases: 2 of 1000000 senders announced a well-formed basis string"),
             ("ack bob3", "ack eve", "eve: ack from a party that is no receiver"),
             ("ack bob3", "ack bob03", "ordering: only 2 of 3 receivers acknowledged before announcements"),
