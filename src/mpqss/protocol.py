@@ -384,11 +384,11 @@ def _record_losses(run: Chunk, party: str, lost: np.ndarray) -> None:
 
 # Trials run together as one stack of planes: as many as fit in this many
 # qubit positions, and at least one. Each numpy call then covers thousands of
-# positions, which amortises its fixed cost: about 1.7 ms of numpy and Python
+# positions, which amortises its fixed cost: about 1.4 ms of numpy and Python
 # calls per chunk. A chunk and its records are alive until its last row
 # goes, so the budget also bounds that memory.
-# At 2**15 a 1000-trial sweep at m=n=3, N=40 runs four chunks, not eight, and
-# its traced peak rises from about 1.2 to 2.1 MiB; 2**16 would double it again.
+# At 2**15 a 1000-trial sweep at m=n=3, N=40 runs in four chunks and peaks at
+# about 2.1 MiB traced; each doubling halves the chunks and doubles the peak.
 CHUNK_POSITIONS = 1 << 15
 
 
