@@ -352,34 +352,44 @@ class Row(NamedTuple):
     """What a transcript must hold of one record kind."""
 
     recorders: tuple[str, ...]  # who records it: a receiver bob1..bobn, a sender alice1..alicem, or "all"
+    payload: str  # its form: a key of WORDS, an alphabet "01" or "01?", "indices", or the check's "tally"
     after: tuple[str, ...] = ()  # kinds whose admitted records all come before its first
     own: tuple[str, ...] = ()  # kinds whose record by the same party comes before its record
-    due: str = ""  # the kind that, once admitted, makes it due from every party of its role
+    due: tuple[str, ...] = ()  # kinds or check outcomes any of which makes it due from every party of its role
+    barred: str = ""  # the check outcome, "passed" or "failed", after which any record of it is an issue
     no_memory: bool = False  # the engine writes it only without quantum memory
-    texts: dict[str, str] = {}  # pinned issue texts: by a kind of ``after`` or ``own``, or "due"
+    texts: dict[str, str] = {}  # pinned issue texts: by a kind of ``after`` or ``own``, "due" or "barred"
 
 
+# The payloads a word form allows: none, or the reasons the engine aborts for.
+WORDS = {"-": ("-",), "reason": ("error-rate", "ordering-violation")}
 RECEIVER, SENDER, ALL = ("receiver",), ("sender",), ("'all'",)
 GRAMMAR = {
-    KIND_LOSS: Row(SENDER + RECEIVER),
-    KIND_ACK: Row(RECEIVER, due=KIND_BASES, texts={
+    KIND_LOSS: Row(SENDER + RECEIVER, "01"),
+    KIND_ACK: Row(RECEIVER, "-", own=(KIND_LOSS,), due=(KIND_BASES,), texts={
         "due": "ordering: only {count} of {size} receivers acknowledged before announcements"}),
-    KIND_EARLY_MEASURE: Row(RECEIVER, own=(KIND_ACK,), due=KIND_MEASURED, no_memory=True, texts={
+    KIND_EARLY_MEASURE: Row(RECEIVER, "-", own=(KIND_ACK,), due=(KIND_MEASURED,), no_memory=True, texts={
         KIND_ACK: "{b}: premeasure record does not follow its ack"}),
-    KIND_BASES: Row(SENDER, after=(KIND_ACK, KIND_EARLY_MEASURE), texts={
+    KIND_BASES: Row(SENDER, "01", after=(KIND_ACK, KIND_EARLY_MEASURE), own=(KIND_LOSS,),
+                    due=(KIND_BASES, KIND_MEASURED), texts={
         KIND_ACK: "ordering: a basis announcement precedes a reception acknowledgment",
-        KIND_EARLY_MEASURE: "{a}: premeasure record follows a basis announcement"}),
-    KIND_GUESS: Row(RECEIVER, after=(KIND_BASES,), due=KIND_MEASURED, no_memory=True),
-    KIND_SIFT: Row(RECEIVER, own=(KIND_GUESS,), due=KIND_MEASURED, no_memory=True),
-    KIND_MEASURED: Row(RECEIVER, after=(KIND_BASES,), own=(KIND_SIFT,), due=KIND_CHECK_SELECT),
-    KIND_CHECK_SELECT: Row(ALL, after=(KIND_MEASURED,), due=KIND_MEASURED),
-    KIND_CHECK_SENDER: Row(SENDER, after=(KIND_CHECK_SELECT,)),
-    KIND_CHECK_RECV: Row(RECEIVER, after=(KIND_CHECK_SELECT,), due=KIND_CHECK_SELECT),
-    KIND_CHECK_RESULT: Row(ALL, after=(KIND_CHECK_SENDER, KIND_CHECK_RECV), due=KIND_CHECK_SELECT, texts={
-        "due": "check-result: no result recorded for the check"}),
-    KIND_KEY_CONTRIB: Row(RECEIVER, after=(KIND_CHECK_RESULT,), due=KIND_RAW_KEY),
-    KIND_RAW_KEY: Row(ALL, after=(KIND_KEY_CONTRIB,)),
-    KIND_ABORT: Row(ALL, after=(KIND_CHECK_RESULT,)),
+        KIND_EARLY_MEASURE: "{a}: premeasure record follows a basis announcement",
+        "due": "bases: {count} of {size} senders announced a basis string"}),
+    KIND_GUESS: Row(RECEIVER, "01", after=(KIND_BASES,), due=(KIND_MEASURED,), no_memory=True),
+    KIND_SIFT: Row(RECEIVER, "01", own=(KIND_GUESS,), due=(KIND_MEASURED,), no_memory=True),
+    KIND_MEASURED: Row(RECEIVER, "01?", after=(KIND_BASES,), own=(KIND_SIFT,), due=(KIND_CHECK_SELECT,)),
+    KIND_CHECK_SELECT: Row(ALL, "indices", after=(KIND_MEASURED,), due=(KIND_MEASURED,)),
+    KIND_CHECK_SENDER: Row(SENDER, "01", after=(KIND_CHECK_SELECT,), due=(KIND_CHECK_SELECT,), texts={
+        "due": "check-sender: {count} of {size} senders revealed their bits"}),
+    KIND_CHECK_RECV: Row(RECEIVER, "01?", after=(KIND_CHECK_SELECT,), due=(KIND_CHECK_SELECT,)),
+    KIND_CHECK_RESULT: Row(ALL, "tally", after=(KIND_CHECK_SENDER, KIND_CHECK_RECV), due=(KIND_CHECK_SELECT,),
+                           texts={"due": "check-result: no result recorded for the check"}),
+    KIND_KEY_CONTRIB: Row(RECEIVER, "01", after=(KIND_CHECK_RESULT,), due=(KIND_RAW_KEY,), barred="failed"),
+    KIND_RAW_KEY: Row(ALL, "01", after=(KIND_KEY_CONTRIB,), due=("passed",), barred="failed", texts={
+        "due": "raw-key: passing run recorded no key", "barred": "raw-key: key recorded after a failed check"}),
+    KIND_ABORT: Row(ALL, "reason", after=(KIND_CHECK_RESULT,), due=("failed",), barred="passed", texts={
+        "due": "check-result: failed check without an abort event",
+        "barred": "check-result: passing check with an abort event"}),
 }
 
 
@@ -401,19 +411,17 @@ def _marked(mismatch: np.ndarray) -> list[int]:
 def replay(text: str) -> Verdict:
     """Re-derive every deterministic consequence of a transcript and diff it.
 
-    Rules read only the first record of each (kind, party) pair from a party
-    that ``GRAMMAR`` names for the kind, and every other record is an issue.
-    One pass checks the order that ``GRAMMAR`` gives the kinds, and one that
-    each kind is there once it is due and absent in a memory mode that never
-    writes it. Then checks sift masks against announced bases, '?' outcomes
-    against the loss records, that each loss record marks a loss, the check
-    selection, check reveals against the measurement records, the recomputed
-    disagreement rate against the recorded one, that an abort and no key
-    follow exactly a failed check, the raw key against the receivers'
-    contributions, and the shape of the adversary section. Any mismatch, and
-    any payload of the wrong length or alphabet, is reported with its
-    location. Time and memory are linear in the length of ``text``: no array
-    is sized from the config alone.
+    ``GRAMMAR`` gives every rule on which records a transcript holds, a row
+    per kind. Rules read only the first record of each (kind, party) pair from
+    a recorder of its row; every other record, and an admitted payload outside
+    its word form, is an issue. Given the check-result's outcome, one pass
+    checks each row's order and one its presence: owed once a kind or outcome
+    of ``due`` holds, an issue after the ``barred`` outcome or in a memory
+    mode that never writes it. Content rules then check payloads against their
+    row's form, sift masks, loss records, the check selection, reveals and
+    tally, the raw key and the adversary section, each issue with its
+    location. Time and memory are linear in ``text``: no array is sized from
+    the config alone.
     """
     parsed = parse(text)
     issues: list[str] = []
@@ -431,11 +439,12 @@ def replay(text: str) -> Verdict:
     except (KeyError, ValueError, OverflowError) as err:
         return Verdict(False, [f"config: missing or malformed field ({err})"])
 
-    def decode(ev: Event, codes: int, length: int | None = None) -> np.ndarray | None:
-        """The payload of ``ev`` as a plane of codes below ``codes``, or None and an issue."""
+    def decode(ev: Event, length: int | None = None) -> np.ndarray | None:
+        """The payload of ``ev`` as a plane of codes of its row's alphabet, or None and an issue."""
+        alphabet = GRAMMAR[ev.kind].payload
         plane, top = str_to_codes(ev.payload)
-        if top >= codes:
-            issues.append(f"{ev.party}: {ev.kind} payload has a character outside {'01?'[:codes]!r}")
+        if top >= len(alphabet):
+            issues.append(f"{ev.party}: {ev.kind} payload has a character outside {alphabet!r}")
         elif length is not None and len(plane) != length:
             issues.append(f"{ev.party}: {ev.kind} payload has {len(plane)} positions, expected {length}")
         else:
@@ -453,8 +462,18 @@ def replay(text: str) -> Verdict:
             issues.append(f"{ev.party}: {ev.kind} from a party that is no {' or '.join(row.recorders)}")
         elif admitted[ev.kind].setdefault(ev.party, ev) is not ev:  # a record of the pair came first
             repeats[ev.party, ev.kind] += 1
+        elif row.payload in WORDS and ev.payload not in WORDS[row.payload]:
+            issues.append(f"{ev.party}: {ev.kind} payload is not {' or '.join(map(repr, WORDS[row.payload]))}")
     for (party, kind), count in repeats.items():
         issues.append(f"{party}: {1 + count} {kind} records, expected one")
+
+    tally = None  # the recorded check: compared, disagree, and whether it passed
+    if result := admitted[KIND_CHECK_RESULT].get("all"):
+        fields = dict(item.partition("=")[::2] for item in result.payload.split(";"))
+        try:
+            tally = (int(fields["compared"]), int(fields["disagree"]), fields["pass"] == "1")
+        except (KeyError, ValueError):
+            issues.append(f"check-result: malformed payload {result.payload!r}")
 
     # Order: the admitted records of each kind in ``after`` come before the
     # kind's first, and each party's record of a kind in ``own`` before its own.
@@ -474,39 +493,41 @@ def replay(text: str) -> Verdict:
             text = row.texts.get(before, "{b}: {kind} record precedes a {before} record")
             issues.extend(text.format(a=a, b=b, kind=kind, before=before) for a, b in pairs)
 
-    # Presence: once a row's ``due`` kind is admitted, each party of its role
-    # owes a record, the receivers being those that acknowledged. A pinned
-    # text counts the parties instead.
+    # Presence: once any kind or check outcome of a row's ``due`` is a fact,
+    # each party of its role owes a record, the receivers being those that
+    # acknowledged, and a pinned text counts the parties instead. Once its
+    # ``barred`` outcome is a fact, each record of the kind is an issue.
+    facts = set(ends) | ({("failed", "passed")[tally[2]]} if tally else set())
     parties = {"receiver": admitted[KIND_ACK], "sender": admitted[KIND_BASES], "'all'": ("all",)}
     for kind, row in GRAMMAR.items():
         have = admitted[kind]
         if row.no_memory and memory:
-            for party in have:
-                issues.append(f"{party}: {kind} record in a run with quantum memory")
-        elif row.due in ends and "due" in row.texts:
+            issues.extend(f"{party}: {kind} record in a run with quantum memory" for party in have)
+        elif row.barred in facts:
+            text = row.texts.get("barred", "{party}: {kind} record after a {barred} check")
+            issues.extend(text.format(party=party, kind=kind, barred=row.barred) for party in have)
+        elif not facts.isdisjoint(row.due) and "due" in row.texts:
             size = {"receiver": n, "sender": senders, "'all'": 1}[row.recorders[0]]
             if len(have) < size:
                 issues.append(row.texts["due"].format(count=len(have), size=size))
-        elif row.due in ends:
+        elif not facts.isdisjoint(row.due):
             for party in parties[row.recorders[0]]:
                 if party not in have:
                     issues.append(f"{party}: 0 {kind} records, expected one")
 
-    def records(kind: str, codes: int, length: int | None = None) -> dict[str, np.ndarray]:
+    def records(kind: str, length: int | None = None) -> dict[str, np.ndarray]:
         """Each party's admitted ``kind`` payload, if well-formed."""
-        planes = {party: decode(ev, codes, length) for party, ev in admitted[kind].items()}
+        planes = {party: decode(ev, length) for party, ev in admitted[kind].items()}
         return {party: plane for party, plane in planes.items() if plane is not None}
 
-    bases = records(KIND_BASES, 2)
-    measured = records(KIND_MEASURED, 3, blocks)
-    sift = records(KIND_SIFT, 2, blocks)
-    guesses = records(KIND_GUESS, 2, blocks)
+    bases = records(KIND_BASES)
+    measured = records(KIND_MEASURED, blocks)
+    sift = records(KIND_SIFT, blocks)
+    guesses = records(KIND_GUESS, blocks)
     receivers = sorted(int(party[len("bob"):]) for party in measured)
 
     combined = None
-    if (admitted[KIND_BASES] or measured) and len(bases) != senders:
-        issues.append(f"bases: {len(bases)} of {senders} senders announced a well-formed basis string")
-    elif len(bases) == senders:
+    if len(bases) == senders:
         length = secret_lengths(ProtocolConfig(senders, n, blocks, variant, unsafe_skip_validation=True))[1]
         wrong = [party for party, plane in bases.items() if len(plane) != length]
         if wrong:
@@ -530,7 +551,7 @@ def replay(text: str) -> Verdict:
     hop_lost: dict[str, np.ndarray] = {}
     for party, ev in admitted[KIND_LOSS].items():
         receiver = roles[party] == "receiver"
-        lost = decode(ev, 2, blocks if receiver else n * blocks)
+        lost = decode(ev, blocks if receiver else n * blocks)
         if lost is not None and "1" not in ev.payload:  # the engine records a bitmap only where it marks a loss
             issues.append(f"{party}: loss record marks no lost position")
         if lost is not None and receiver:
@@ -568,15 +589,13 @@ def replay(text: str) -> Verdict:
                 )
 
     if len(rows):
-        sender_reveals = records(KIND_CHECK_SENDER, 2, len(rows) * n)
-        recv_reveals = records(KIND_CHECK_RECV, 3, len(rows))
-        if len(sender_reveals) < senders:
-            issues.append(f"check-sender: {len(sender_reveals)} of {senders} senders revealed their bits")
-        else:  # only now is the list of senders bounded by the records
+        sender_reveals = records(KIND_CHECK_SENDER, len(rows) * n)
+        recv_reveals = records(KIND_CHECK_RECV, len(rows))
+        if len(sender_reveals) == senders:  # only now is the list of senders bounded by the records
             sent = [sender_reveals[f"alice{i}"] for i in range(1, senders + 1)]
-            _check_reveals(issues, admitted, rows, sent, recv_reveals, measured, n, threshold)
+            _check_reveals(issues, rows, sent, recv_reveals, measured, n, threshold, tally)
 
-    raw_key = records(KIND_RAW_KEY, 2).get("all")
+    raw_key = records(KIND_RAW_KEY).get("all")
     if raw_key is not None:
         key_blocks = np.zeros(0, dtype=np.intp)
         if len(usable) == n:  # every receiver's mask has ``blocks`` entries
@@ -588,7 +607,7 @@ def replay(text: str) -> Verdict:
                 f"raw-key: {len(raw_key)} bits recorded but {len(key_blocks)} blocks qualify"
             )
         else:
-            contribs = records(KIND_KEY_CONTRIB, 2, len(key_blocks))
+            contribs = records(KIND_KEY_CONTRIB, len(key_blocks))
             if len(key_blocks):
                 _check_key(issues, key_blocks, raw_key, contribs, measured, n)
     if parsed.adversary:
@@ -618,8 +637,8 @@ def _check_adversary(issues, section: dict[str, str], size: int) -> None:
             issues.append(f"adversary: {key} has {len(plane)} entries, expected {count}")
 
 
-def _check_reveals(issues, admitted, rows, sent, recv_reveals, measured, n, threshold) -> None:
-    """Receivers' reveals against their measurements and the senders' XOR, then the tally."""
+def _check_reveals(issues, rows, sent, recv_reveals, measured, n, threshold, tally) -> None:
+    """Receivers' reveals against their measurements and the senders' XOR, then the recorded tally."""
     expected = np.bitwise_xor.reduce([bits.reshape(len(rows), n) for bits in sent])
     compared = disagree = 0
     for l in range(1, n + 1):
@@ -634,33 +653,13 @@ def _check_reveals(issues, admitted, rows, sent, recv_reveals, measured, n, thre
         shown, differ = check_tally(revealed, expected[:, l - 1])
         compared += shown
         disagree += differ
-    result = admitted[KIND_CHECK_RESULT].get("all")
-    if result is None:
+    if tally is None:
         return
-    fields = dict(item.partition("=")[::2] for item in result.payload.split(";"))
-    try:
-        recorded = (int(fields["compared"]), int(fields["disagree"]))
-        recorded_pass = fields["pass"] == "1"
-    except (KeyError, ValueError):
-        issues.append(f"check-result: malformed payload {result.payload!r}")
-        return
-    if recorded != (compared, disagree):
-        issues.append(
-            f"check-result: recorded {recorded[0]}/{recorded[1]} "
-            f"but reveals give {compared}/{disagree}"
-        )
+    if tally[:2] != (compared, disagree):
+        issues.append(f"check-result: recorded {tally[0]}/{tally[1]} but reveals give {compared}/{disagree}")
     rate = disagree / compared if compared else 0.0
-    if recorded_pass != (rate <= threshold):
+    if tally[2] != (rate <= threshold):
         issues.append("check-result: pass flag contradicts the recomputed rate")
-    aborted, keyed = bool(admitted[KIND_ABORT]), bool(admitted[KIND_RAW_KEY])
-    if recorded_pass and aborted:
-        issues.append("check-result: passing check with an abort event")
-    if not recorded_pass and not aborted:
-        issues.append("check-result: failed check without an abort event")
-    if not recorded_pass and (keyed or admitted[KIND_KEY_CONTRIB]):
-        issues.append("raw-key: key recorded after a failed check")
-    if recorded_pass and not keyed and not aborted:
-        issues.append("raw-key: passing run recorded no key")
 
 
 def _check_key(issues, key_blocks, raw_key, contribs, measured, n) -> None:

@@ -29,7 +29,7 @@ from mpqss import (
 from mpqss import transcript
 from mpqss.channel import LossStrategy
 from mpqss.cli import main
-from mpqss.harness import GRAMMAR, _index_list
+from mpqss.harness import GRAMMAR, WORDS, _index_list
 from mpqss.transcript import (
     _BIT_CODES,
     FORMAT_HEADER,
@@ -279,7 +279,11 @@ class TestReplay:
         cfg = ProtocolConfig(senders=2, receivers=3, blocks=12, seed=0)
         text = run_protocol(cfg, ChannelModel(adversary=InterceptResend())).serialize()
         assert "pass=0" in text and parse(text).events[-1].kind == "abort"
-        assert replay(with_key_from_outcomes(text)).issues == ["raw-key: key recorded after a failed check"]
+        keyed = with_key_from_outcomes(text)
+        contribs = [f"bob{l}: key-contrib record after a failed check" for l in (1, 2, 3)]
+        assert replay(keyed).issues == [*contribs, "raw-key: key recorded after a failed check"]
+        # Without the raw key, the contributions alone are flagged, one per receiver.
+        assert replay(keyed[:keyed.rindex("\n", 0, -1) + 1]).issues == contribs
 
     def test_key_forged_in_place_of_a_deleted_check_is_flagged(self):
         # A fully intercepted run aborts on its check; with the check and the
@@ -699,8 +703,6 @@ LAST = "raw-key all 1010"
 UNFLAGGED = {
     ("delete", "loss", "alice"): "what a sender hop lost stays lost, so the receivers' bitmaps mark it "
                                  "as if the last hop had lost it",
-    ("move", "loss", "alice"): "loss records are in no order",
-    ("move", "loss", "bob"): "loss records are in no order",
 }
 
 
@@ -767,13 +769,21 @@ class TestReplayIsTotal:
 
     def test_every_kind_has_a_grammar_row_and_every_row_a_rule(self):
         kinds = {value for name, value in vars(transcript).items() if name.startswith("KIND_")}
-        assert set(GRAMMAR) == kinds
+        # The payload forms replay reads: a fixed word ('-' or an abort reason), a
+        # code alphabet, the check's comma list of blocks, and its tally.
+        forms = {"-", "reason", "01", "01?", "indices", "tally"}
+        assert set(GRAMMAR) == kinds and set(WORDS) <= forms
         for kind, row in GRAMMAR.items():
-            named = {*row.after, *row.own, row.due} - {""}
-            assert row.recorders and named <= kinds and set(row.texts) <= {*row.after, *row.own, "due"}, kind
-        # A loss bitmap is unordered and never due: the loss rule reads it against the measurement records.
-        unruled = [kind for kind, row in GRAMMAR.items() if not (row.after or row.own or row.due or row.no_memory)]
+            assert row.recorders and row.payload in forms, kind
+            assert {*row.after, *row.own} <= kinds, kind
+            assert {*row.due, row.barred} - {""} <= kinds | {"passed", "failed"}, kind
+            assert set(row.texts) <= {*row.after, *row.own, "due", "barred"}, kind
+        # A loss bitmap is never due: the loss rule reads it against the
+        # measurement records, and the ack and bases rows order it before the same party's record.
+        unruled = [kind for kind, row in GRAMMAR.items()
+                   if not (row.after or row.own or row.due or row.barred or row.no_memory)]
         assert unruled == [KIND_LOSS]
+        assert KIND_LOSS in GRAMMAR[KIND_ACK].own and KIND_LOSS in GRAMMAR[KIND_BASES].own
 
     @pytest.mark.parametrize(
         "old, new, expected",
@@ -797,11 +807,11 @@ class TestReplayIsTotal:
             ("quantum_memory=1", "quantum_memory=banana", "config: missing or malformed field ('banana')"),
             ("variant=main", "variant=banana", "config: missing or malformed field ('banana' is not"),
             ("variant=main", "variant=block_basis", "alice1: basis string has unexpected length 18"),
-            ("senders=2", "senders=1000000", "bases: 2 of 1000000 senders announced a well-formed basis string"),
+            ("senders=2", "senders=1000000", "bases: 2 of 1000000 senders announced a basis string"),
             ("ack bob3", "ack eve", "eve: ack from a party that is no receiver"),
             ("ack bob3", "ack bob03", "ordering: only 2 of 3 receivers acknowledged before announcements"),
             ("bases alice2", "bases mallory", "mallory: bases from a party that is no sender"),
-            ("bases alice2", "bases alice02", "bases: 1 of 2 senders announced a well-formed basis string"),
+            ("bases alice2", "bases alice02", "bases: 1 of 2 senders announced a basis string"),
             # One record appended after the last: each one is refused at admission.
             (LAST, f"{LAST}\nevent 20 measured eve 011010", "eve: measured from a party that is no receiver"),
             (LAST, f"{LAST}\nevent 20 key-contrib bob4 1100", "bob4: key-contrib from a party that is no receiver"),
@@ -815,6 +825,11 @@ class TestReplayIsTotal:
             (LAST, f"{LAST}\nevent 20 guess-bases bob1 000000",
              "bob1: guess-bases record in a run with quantum memory"),
             (LAST, f"{LAST}\nevent 20 loss alice2 {'0' * 18}", "alice2: loss record marks no lost position"),
+            # Payloads of a fixed word: '-', or the reason the engine aborted for.
+            ("ack bob1 -", "ack bob1 0101", "bob1: ack payload is not '-'"),
+            ("ack bob1 -", "ack bob1 zz", "bob1: ack payload is not '-'"),
+            (LAST, f"{LAST}\nevent 20 abort all banana",
+             "all: abort payload is not 'error-rate' or 'ordering-violation'"),
         ],
     )
     def test_malformed_payloads_are_issues(self, old, new, expected):
@@ -825,9 +840,23 @@ class TestReplayIsTotal:
         assert any(issue.startswith(expected) for issue in verdict.issues), verdict.issues
 
     @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("bases alice1 0", "bases alice1 ?", "alice1: bases payload has a character outside '01'"),
+            ("check-sender alice2 111011", "check-sender alice2 1110",
+             "alice2: check-sender payload has 4 positions, expected 6"),
+        ],
+    )
+    def test_a_malformed_record_is_one_issue(self, old, new, expected):
+        # The count of senders reads admitted records, so it does not report the record again.
+        text = (DATA / "worked_example.transcript").read_text()
+        assert text.count(old) == 1
+        assert replay(text.replace(old, new)).issues == [expected]
+
+    @pytest.mark.parametrize(
         "dropped, expected",
         [
-            (" bases alice3 ", "bases: 2 of 3 senders announced a well-formed basis string"),
+            (" bases alice3 ", "bases: 2 of 3 senders announced a basis string"),
             (" check-result ", "check-result: no result recorded for the check"),
             (" check-sender alice1 ", "check-sender: 2 of 3 senders revealed their bits"),
             (" raw-key all ", "raw-key: passing run recorded no key"),
@@ -1157,6 +1186,12 @@ class TestPremeasureRecords:
         lines.insert(next(i for i, line in enumerate(lines) if line.endswith(" ack bob3 -")), moved)
         verdict = replay(renumbered(lines))
         assert verdict.issues == ["bob3: premeasure record does not follow its ack"]
+
+    def test_premeasure_with_a_payload_is_flagged(self):
+        lines = no_memory_lines()
+        i = next(i for i, line in enumerate(lines) if line.endswith(" premeasure bob1 -"))
+        lines[i] = lines[i][:-1] + "0101"
+        assert replay("\n".join(lines)).issues == ["bob1: premeasure payload is not '-'"]
 
     def test_duplicated_premeasure_is_flagged(self):
         lines = no_memory_lines()
