@@ -33,6 +33,8 @@ from .protocol import expanded_values, run_chunks, secret_lengths, trials_per_ch
 from .postprocessing import reconcile_stream  # noqa: F401
 from .protocol import run_protocol  # noqa: F401
 from .transcript import (
+    ABORT_ERROR_RATE,
+    ABORT_ORDERING,
     KIND_ABORT,
     KIND_ACK,
     KIND_BASES,
@@ -289,7 +291,7 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
     seeds = (seed for start in range(0, spec.trials, per_chunk)
              for seed in trial_seeds(spec.seed, start, min(start + per_chunk, spec.trials)))
     for chunk in run_chunks(spec.protocol, spec.channel, seeds):
-        digests.extend(tr.digest() for tr in chunk)
+        digests.extend(chunk.digests())
         aborted += int(np.count_nonzero(chunk.aborted))
         for name in spec.metrics:
             if METRICS[name] is not None:
@@ -362,7 +364,7 @@ class Row(NamedTuple):
 
 
 # The payloads a word form allows: none, or the reasons the engine aborts for.
-WORDS = {"-": ("-",), "reason": ("error-rate", "ordering-violation")}
+WORDS = {"-": ("-",), "reason": (ABORT_ERROR_RATE, ABORT_ORDERING)}
 RECEIVER, SENDER, ALL = ("receiver",), ("sender",), ("'all'",)
 GRAMMAR = {
     KIND_LOSS: Row(SENDER + RECEIVER, "01"),
@@ -546,7 +548,8 @@ def replay(text: str) -> Verdict:
                 issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
 
     # A receiver's loss bitmap marks exactly its '?' outcomes, and what a
-    # sender hop lost at position n*j + l-1 stays lost for receiver l.
+    # sender hop lost at position n*j + l-1 stays lost for receiver l, if the
+    # run reached l: its ack is admitted.
     receiver_lost: dict[int, np.ndarray] = {}
     hop_lost: dict[str, np.ndarray] = {}
     for party, ev in admitted[KIND_LOSS].items():
@@ -563,7 +566,9 @@ def replay(text: str) -> Verdict:
             issues.append(f"bob{l}: measurement record at block {j} contradicts its loss record")
     if hop_lost:
         none = np.zeros(blocks, dtype=bool)
-        arrived = ~np.column_stack([receiver_lost.get(l, none) for l in range(1, n + 1)])
+        acked = admitted[KIND_ACK]
+        arrived = np.column_stack([~receiver_lost.get(l, none) if f"bob{l}" in acked else none
+                                   for l in range(1, n + 1)])
         for party, lost in hop_lost.items():
             for k in _marked(lost & arrived):  # block k // n, receiver k % n + 1
                 issues.append(f"{party}: loss at block {k // n} is missing from bob{k % n + 1}'s loss record")

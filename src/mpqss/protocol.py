@@ -45,6 +45,8 @@ from .planes import check_tally, combined_basis, key_block_mask, receivers_xor, 
 # counts calls at these names.
 from .qubits import apply_hadamard, apply_value_flip, encode, measure  # noqa: F401
 from .transcript import (
+    ABORT_ERROR_RATE,
+    ABORT_ORDERING,
     KIND_ABORT,
     KIND_ACK,
     KIND_BASES,
@@ -322,7 +324,7 @@ def run_check(
     run.record(KIND_CHECK_RESULT, "all", list(map(results.__getitem__, rows)))
     if not passed.all():
         run.aborted |= ~passed
-        run.record(KIND_ABORT, "all", "error-rate", ~passed)
+        run.record(KIND_ABORT, "all", ABORT_ERROR_RATE, ~passed)
     return passed
 
 
@@ -510,7 +512,7 @@ def _run_chunk(
         except OrderingError as err:
             run.abort_reason = f"ordering violation: {err}"
             run.aborted[:] = True
-            run.record(KIND_ABORT, "all", "ordering-violation")
+            run.record(KIND_ABORT, "all", ABORT_ORDERING)
             return run
 
     block = hop(block, leaving=m)

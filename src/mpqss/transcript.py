@@ -42,7 +42,12 @@ KIND_CHECK_RECV = "check-receiver"  # a receiver's revealed outcomes at checked 
 KIND_CHECK_RESULT = "check-result"  # compared/disagree/rate/pass summary
 KIND_KEY_CONTRIB = "key-contrib"  # one receiver's share of the joint key computation
 KIND_RAW_KEY = "raw-key"          # combined key (joint computation, no mechanism prescribed)
-KIND_ABORT = "abort"
+KIND_ABORT = "abort"               # payload: the reason, one of the two below
+
+# Why a run aborted: its check's error rate passed the threshold, or a sender
+# announced bases before every receiver acknowledged.
+ABORT_ERROR_RATE = "error-rate"
+ABORT_ORDERING = "ordering-violation"
 
 
 # Codes 0, 1 and 2 render '0', '1' and '?', and code 3 a newline.
@@ -50,7 +55,7 @@ _BIT_CHARS = bytes.maketrans(b"\x00\x01\x02\x03", b"01?\n")
 # Its inverse: '0', '1' and '?' to codes 0, 1 and 2, every other byte to 255.
 _BIT_CODES = bytearray(b"\xff" * 256)
 _BIT_CODES[ord("0")], _BIT_CODES[ord("1")], _BIT_CODES[ord("?")] = 0, 1, 2
-_TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # an integer has one digit more than it reaches
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # digit place k > 0 of an integer below _TENS[k - 1] is a leading zero
 
 
 def bits_to_str(bits) -> str:
@@ -62,7 +67,7 @@ def bits_to_str(bits) -> str:
     return raw.translate(_BIT_CHARS).decode("ascii")
 
 
-def _cut(codes: np.ndarray, ends) -> list[str]:
+def _cut(codes: np.ndarray, ends) -> list[bytes]:
     """The text of ``codes``, one row or a block of rows, cut at each of ``ends`` along its
     last axis into rows, '-' for an empty one; the last end is that of a row.
 
@@ -72,13 +77,13 @@ def _cut(codes: np.ndarray, ends) -> list[str]:
     """
     rows = (
         np.insert(codes.view(np.uint8), ends, 3, axis=-1)  # a view, as a bool plane would take 3 as True
-        .tobytes().translate(_BIT_CHARS, b"\x04").decode("ascii").split("\n")[:-1]
+        .tobytes().translate(_BIT_CHARS, b"\x04").split(b"\n")[:-1]
     )
-    return rows if "" not in rows else [row or "-" for row in rows]
+    return rows if b"" not in rows else [row or b"-" for row in rows]
 
 
-def row_payloads(plane: np.ndarray, bounds=None) -> list[str]:
-    """The payload of every row of a uint8 or bool plane, rendered in one pass.
+def row_payloads(plane: np.ndarray, bounds=None) -> list[bytes]:
+    """The payload of every row of a uint8 or bool plane, rendered as ASCII in one pass.
 
     Rows are the last axis or, with ``bounds`` (from 0 to its length), its
     slices ``[bounds[t]:bounds[t + 1]]``, taken along every leading index in turn.
@@ -87,22 +92,26 @@ def row_payloads(plane: np.ndarray, bounds=None) -> list[str]:
     return _cut(plane.reshape(math.prod(plane.shape[:-1]), width), [width] if bounds is None else bounds[1:])
 
 
-def index_payloads(indices, bounds) -> list[str]:
-    """Comma lists of non-negative integers, rendered in one vectorised pass; '-' when empty.
+def index_payloads(indices, bounds) -> list[bytes]:
+    """Comma lists of non-negative integers, rendered as ASCII in one vectorised pass; '-' when empty.
 
-    Row t is ``indices[bounds[t]:bounds[t + 1]]``. Each integer is its digits
-    and a comma, so each digit place is one array assignment, and the last
-    comma of a row is dropped.
+    Row t is ``indices[bounds[t]:bounds[t + 1]]``. Each integer takes as many
+    digit places as the largest one, its leading zeros code 4 (dropped), and a
+    comma, so each digit place is one array assignment; the last comma of a
+    row is dropped.
     """
     values, edges = np.asarray(indices, dtype=np.int64).reshape(-1), np.asarray(bounds)
-    digits = np.searchsorted(_TENS, values, side="right") + 1
-    starts = np.concatenate([[0], np.cumsum(digits + 1)])  # of each integer's text, then the end
-    chars = np.full(starts[-1], ord(","), dtype=np.uint8)
-    for k in range(int(digits.max(initial=0))):
-        has = digits > k
-        chars[starts[1:][has] - 2 - k] = ord("0") + values[has] // 10**k % 10
-    chars[starts[edges[1:][edges[1:] > edges[:-1]]] - 1] = 4
-    return _cut(chars, starts[edges[1:]])
+    places = len(str(int(values.max(initial=0))))
+    chars = np.empty((len(values), places + 1), dtype=np.uint8)
+    chars[:, places] = ord(",")
+    rest = values
+    for k in range(places - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        np.add(digit, ord("0"), out=chars[:, k], casting="unsafe")
+    np.copyto(chars[:, :places - 1], 4, where=values[:, None] < _TENS[:places - 1][::-1])
+    ends = edges[1:]
+    chars[ends[ends > edges[:-1]] - 1, places] = 4
+    return _cut(chars.reshape(-1), ends * (places + 1))
 
 
 def str_to_codes(s: str) -> tuple[np.ndarray, int]:
@@ -147,17 +156,17 @@ class AdversaryRecord:
     bits: np.ndarray  # uint8: best-guess inferred bit per position
     certain: np.ndarray  # bool: True where the measurement basis provably matched
 
-    def sections(self, bounds) -> list[str]:
+    def sections(self, bounds) -> list[bytes]:
         """The serialized adversary section, each line led by a newline, of every row.
 
         Row t holds entries ``bounds[t]:bounds[t + 1]``.
         """
         count = len(bounds) - 1
-        columns = [[f"\nadversary kind={self.kind}\nadversary positions="] * count,
+        columns = [[f"\nadversary kind={self.kind}\nadversary positions=".encode()] * count,
                    index_payloads(self.positions, bounds)]
         for key in ("bases", "bits", "certain"):
-            columns += [[f"\nadversary {key}="] * count, row_payloads(getattr(self, key), bounds)]
-        return list(map("".join, zip(*columns)))
+            columns += [[f"\nadversary {key}=".encode()] * count, row_payloads(getattr(self, key), bounds)]
+        return list(map(b"".join, zip(*columns)))
 
 
 def head(config: Mapping[str, str]) -> str:
@@ -186,6 +195,58 @@ UNSET = {
     "adversary": None,
     "_secrets": None,  # simulator-side introspection, never serialized
 }
+
+
+def _block_rows(parts: list, count: int) -> list:
+    """The text of each of ``count`` rows laid out as ``parts``, rendered in one (count, width) block.
+
+    A part is bytes that every row holds or a ``(plane, unusable)`` pair: a
+    (count, w) plane of codes, 0 and 1 and, only if ``unusable``, 2, which
+    render as ``bits_to_str`` renders them. All the bytes are written by one
+    broadcast assignment and each plane by one addition of '0', then '?' where
+    it holds code 2. Each row is a view of the block; with no plane, every row
+    is the one text.
+    """
+    template, planes = bytearray(), []
+    for part in parts:
+        if not isinstance(part, bytes):
+            planes.append((len(template), *part))
+            part = bytes(part[0].shape[-1])
+        template += part
+    if not planes:
+        return [bytes(template)] * count
+    width = len(template)
+    block = np.empty((count, width), dtype=np.uint8)
+    block[:] = np.frombuffer(template, dtype=np.uint8)
+    for at, plane, unusable in planes:
+        ascii = block[:, at:at + plane.shape[-1]]
+        np.add(plane, ord("0"), out=ascii, dtype=np.uint8)
+        if unusable:
+            np.copyto(ascii, ord("?"), where=plane == 2)
+    text = memoryview(block.reshape(-1))
+    return [text[i:i + width] for i in range(0, count * width, width)]
+
+
+def _uniform(events: list, rows, payloads, count: int) -> list | None:
+    """The parts of ``_block_rows`` that render each event's payload, if every one of the
+    ``count`` rows holds the entry at one width; None if not.
+
+    Only a constant payload and a ``row_payloads`` renderer of whole rows give them.
+    """
+    if rows is not None:
+        return None
+    if isinstance(payloads, str):
+        return [payloads.encode()] * len(events)
+    if getattr(payloads, "func", None) is not row_payloads or payloads.args[1] is not None:
+        return None
+    planes = payloads.args[0]
+    width = planes.shape[-1]
+    if width == 0:
+        return [b"-"] * len(events)
+    unusable = planes.max() > 1  # once for the entry: its planes are one array
+    if planes.ndim < 2 or planes.shape[-2] != count:
+        planes = planes.reshape(len(events), count, width)
+    return [(planes[k], unusable) for k in np.ndindex(planes.shape[:-2])]
 
 
 class Chunk(Sequence["Transcript"]):
@@ -247,8 +308,6 @@ class Chunk(Sequence["Transcript"]):
         that renders that list when the text is read. Texts rendered before are
         dropped.
         """
-        if isinstance(payloads, str):
-            payloads = [payloads] * (len(self) if rows is None else int(np.count_nonzero(rows)))
         self._enter([(kind, party)], rows, payloads)
 
     def record_planes(self, events: list[tuple[str, str]], planes: np.ndarray, bounds=None, rows=None):
@@ -259,7 +318,7 @@ class Chunk(Sequence["Transcript"]):
         """Add one entry. A renderer's plane is held, not copied, so it is made read-only."""
         words = {word for event in events for word in event}
         if not callable(payloads):
-            words.update(payloads)
+            words.update([payloads] if isinstance(payloads, str) else payloads)
         bad = [word for word in words if word.split() != [word]]
         if bad:
             raise ValueError(f"cannot record {bad[0]!r}: a line holds non-empty words with no whitespace")
@@ -269,33 +328,74 @@ class Chunk(Sequence["Transcript"]):
         self.__dict__.pop("texts", None)
 
     @functools.cached_property
-    def texts(self) -> list[str]:
-        """Every row's serialized transcript; each entry's payloads are rendered once, for every row.
+    def texts(self) -> list[bytes]:
+        """Every row's serialized transcript in UTF-8; each entry's payloads are rendered once, for every row.
 
-        Events are numbered per row, and a row that an entry's ``rows`` leaves out lacks its events.
+        Events are numbered per row, and a row that an entry's ``rows`` leaves
+        out lacks its events. A row's text is the join of a few pieces, each
+        rendered for every row at once. While every row is at the same event
+        number, the text that every row holds and the payloads that every row
+        holds at one width go into one block (``_block_rows``). The seed is a
+        piece per row, and so is every other entry, which closes the block.
         """
+        count = len(self)
+        if not count:
+            return []
+        columns: list = []
+        parts: list = []  # of the block being laid out
+
+        def close() -> None:
+            if parts:
+                columns.append(_block_rows(parts, count))
+                parts.clear()
+
         if self.seeds is None:
-            columns = [[head(self.config)]]
+            parts.append(head(self.config).encode())
         else:
             before, after = head({**self.config, "seed": "\0"}).split("\0")
-            columns = [[before + str(seed) + after for seed in self.seeds]]
-        seq = np.zeros(len(self), dtype=np.intp)  # events so far in each row
+            columns.append([f"{before}{seed}".encode() for seed in self.seeds])
+            parts.append(after.encode())
+        seq = np.zeros(count, dtype=np.intp)  # events so far in each row
         for events, rows, payloads in self._records:
-            given = payloads() if callable(payloads) else payloads
+            names = [f" {kind} {party} " for kind, party in events]  # each event's line after its number
+            first = 0 if (seq != seq[0]).any() else int(seq[0]) + 1  # every row's next number, if one
+            marked = slice(None) if rows is None else rows
+            done = seq[marked]  # events before the entry in each row it marks
+            seq = seq + len(events) * (1 if rows is None else rows)
+            fused = _uniform(events, rows, payloads, count) if first else None
+            if fused is not None:
+                for k, (name, payload) in enumerate(zip(names, fused), start=first):
+                    parts += [f"\nevent {k}{name}".encode(), payload]
+                continue
+            close()
+            if callable(payloads):
+                given = payloads()
+            elif isinstance(payloads, str):
+                given = [payloads.encode()] * len(done)
+            else:
+                given = [payload.encode() for payload in payloads]
             per = len(given) // len(events)
-            held = 1 if rows is None else rows
-            for k, (kind, party) in enumerate(events):
-                seq = seq + held
-                shown = (seq * held).tolist()  # 0 where the row lacks it
-                names = {s: f"\nevent {s} {kind} {party} " for s in set(shown)} | {0: ""}
-                mine = given[k * per:(k + 1) * per]
-                if rows is not None:
-                    marked = iter(mine)
-                    mine = [next(marked) if r else "" for r in rows.tolist()]
-                columns += [list(map(names.__getitem__, shown)), mine]
-        rec = self.adversary
-        tails = [""] * len(self) if rec is None else rec.sections(self.adversary_bounds)
-        return list(map("".join, zip(*columns, tails, ["\n"] * len(self))))
+            pieces = []
+            for k, name in enumerate(names, start=1):
+                shown = (done + k).tolist()
+                lines = {s: f"\nevent {s}{name}".encode() for s in set(shown)}
+                pieces += [list(map(lines.__getitem__, shown)), given[(k - 1) * per:k * per]]
+            joined = list(map(b"".join, zip(*pieces)))
+            if rows is not None:  # and nothing in the rows the entry leaves out
+                column, joined = joined, [b""] * count
+                for t, text in zip(np.flatnonzero(rows).tolist(), column):
+                    joined[t] = text
+            columns.append(joined)
+        if self.adversary is not None:
+            close()
+            columns.append(self.adversary.sections(self.adversary_bounds))
+        parts.append(b"\n")
+        close()
+        return list(map(b"".join, zip(*columns)))
+
+    def digests(self) -> list[str]:
+        """Every row's ``Transcript.digest()``: the SHA-256 of its text's bytes, in hex."""
+        return [sha.hexdigest() for sha in map(hashlib.sha256, self.texts)]
 
     def field(self, name: str, t: int):
         """Row ``t``'s value of the ``Transcript`` attribute ``name``; ``UNSET[name]`` if never reached."""
@@ -354,20 +454,20 @@ class Transcript:
     @property
     def events(self) -> list[Event]:
         """The recorded events, read back from the text; parsed again only once the text changes."""
-        text, kept = self.serialize(), self.__dict__.get("_parsed")
-        if kept is None or kept[0] is not text:
-            kept = self.__dict__["_parsed"] = text, parse(text).events
+        raw, kept = self._chunk.texts[self._row], self.__dict__.get("_parsed")
+        if kept is None or kept[0] is not raw:
+            kept = self.__dict__["_parsed"] = raw, parse(raw.decode()).events
         return list(kept[1])
 
     def serialize(self) -> str:
-        return self._chunk.texts[self._row]
+        return self._chunk.texts[self._row].decode()
 
     def digest(self) -> str:
-        return hashlib.sha256(self.serialize().encode()).hexdigest()
+        return hashlib.sha256(self._chunk.texts[self._row]).hexdigest()
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.serialize())
+        with open(path, "wb") as fh:
+            fh.write(self._chunk.texts[self._row])
 
 
 @dataclass

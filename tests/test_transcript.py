@@ -88,9 +88,9 @@ class TestSerialization:
         assert chunk[0].serialize().splitlines()[2:] == ["event 1 ack bob1 -", "event 2 bases alice1 0110"]
         plane = np.array([[0, 1, 2], [1, 1, 0]], dtype=np.uint8)
         rows = row_payloads(plane)
-        assert rows == ["01?", "110"]
+        assert rows == [b"01?", b"110"]
         for run, row in zip([chunk, other], rows):
-            run.record(KIND_MEASURED, "bob1", row)
+            run.record(KIND_MEASURED, "bob1", row.decode())
         assert [run[0].events[-1].seq for run in (chunk, other)] == [3, 1]
         tr = chunk[0]
         assert tr.events == [
@@ -112,7 +112,7 @@ class TestSerialization:
     def test_records_made_after_the_text_was_read_show_up_in_it(self):
         chunk = Chunk({}, seeds=[7, 8])
         chunk.record_planes([(KIND_BASES, "alice1")], np.array([[0, 1], [1, 1]], dtype=np.uint8))
-        first = list(chunk.texts)
+        first = [tr.serialize() for tr in chunk]
         indices, bounds = np.array([3, 0, 12]), np.array([0, 1, 3])
         chunk.record(KIND_CHECK_SELECT, "all", functools.partial(index_payloads, indices, bounds))
         lost = np.array([[1, 0, 1]], dtype=bool)
@@ -1093,6 +1093,25 @@ class TestLossRecords:
         assert not verdict.ok
         assert f"alice2: loss at block {j} is missing from bob1's loss record" in verdict.issues
 
+    def test_a_hop_loss_of_a_delivered_run_is_owed_by_the_receivers_loss_record(self):
+        text = lossy_run()
+        hop, _ = str_to_codes(next(l for l in text.split("\n") if " loss alice2 " in l).rsplit(" ", 1)[1])
+        j, c = divmod(int(np.flatnonzero(hop)[0]), 3)  # block j, receiver c + 1
+        verdict = replay("\n".join(l for l in text.split("\n") if f" loss bob{c + 1} " not in l))
+        assert f"alice2: loss at block {j} is missing from bob{c + 1}'s loss record" in verdict.issues
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hop_losses_of_a_run_that_never_delivered_replay_ok(self, seed, tmp_path):
+        # An enforced ordering attack aborts before the last hop: no receiver
+        # acknowledged, so none owes a loss record for what a sender hop lost.
+        path = tmp_path / "o.transcript"
+        args = ["run", "--scenario", "ordering-attack", "-m", "3", "-n", "3", "-N", "12", "--loss-prob", "0.2",
+                "--trials", "1", "--seed", str(seed), "--save-transcript", str(path)]
+        assert main(args) == 1
+        text = path.read_text()
+        assert " loss alice" in text and " ack " not in text
+        assert replay(text).ok, replay(text).issues
+
 
 class TestPayloadPlanes:
     @given(st.lists(st.integers(0, 2), max_size=200))
@@ -1110,13 +1129,13 @@ class TestPayloadPlanes:
                                          [2**63 - 1], [5, 10**18, 10**18 + 7]])
     def test_index_payload_is_the_comma_list(self, indices):
         want = ",".join(map(str, indices)) or "-"
-        assert index_payloads(np.array(indices, dtype=np.int64), [0, len(indices)]) == [want]
+        assert index_payloads(np.array(indices, dtype=np.int64), [0, len(indices)]) == [want.encode()]
 
     @given(st.lists(st.lists(st.integers(0, 10**6), max_size=6), max_size=6))
     def test_index_payloads_render_each_row(self, rows):
         flat = np.array([i for row in rows for i in row], dtype=np.int64)
         bounds = np.cumsum([0] + [len(row) for row in rows])
-        assert index_payloads(flat, bounds) == [",".join(map(str, row)) or "-" for row in rows]
+        assert index_payloads(flat, bounds) == [(",".join(map(str, row)) or "-").encode() for row in rows]
 
     def test_rendering_a_plane_holds_at_most_two_copies_of_its_text(self):
         plane = np.random.default_rng(3).integers(0, 3, size=(3, 10**6), dtype=np.uint8)
@@ -1127,7 +1146,7 @@ class TestPayloadPlanes:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert rows == [bits_to_str(row) for row in plane]
+        assert rows == [bits_to_str(row).encode() for row in plane]
         assert peak <= 2.5 * plane.nbytes  # 4x while every copy of the text stayed alive
 
     @given(st.lists(st.lists(st.integers(0, 2), max_size=5), max_size=6), st.integers(1, 3))
@@ -1135,9 +1154,9 @@ class TestPayloadPlanes:
         flat = [c for row in rows for c in row]
         plane = np.array([flat] * lead, dtype=np.uint8).reshape(lead, len(flat))
         bounds = np.cumsum([0] + [len(row) for row in rows])
-        want = [bits_to_str(bytes(row)) or "-" for row in rows] * lead
+        want = [(bits_to_str(bytes(row)) or "-").encode() for row in rows] * lead
         assert row_payloads(plane, bounds) == want
-        assert row_payloads(plane) == [bits_to_str(bytes(flat)) or "-"] * lead
+        assert row_payloads(plane) == [(bits_to_str(bytes(flat)) or "-").encode()] * lead
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import itertools
 import os
 import pickle
@@ -317,3 +318,59 @@ class TestDeferredPayloads:
         assert run.serialize() == run_with(strings).serialize()
         with pytest.raises(ValueError):  # a recorded plane is read-only until it renders, and after
             run.announced_bases[1][0] = 1
+
+
+# Chunks whose rows differ in the records they hold, at m = n = 3, N = 40: a
+# low threshold aborts some rows; loss at 20% marks a loss record in every
+# row and at 0.5% in some rows only, after which rows stand at different
+# event numbers and every record renders row by row; an intercept-resend
+# adversary adds its section.
+MIXED = {
+    "aborts": (0.05, ChannelModel(p_x=0.02)),
+    "loss": (0.11, ChannelModel(loss_prob=0.2)),
+    "sparse-loss": (0.11, ChannelModel(loss_prob=0.005, p_x=0.02)),
+    "intercept-resend": (0.11, ChannelModel(adversary=InterceptResend(fraction=0.3))),
+}
+
+
+class TestChunkRender:
+    @pytest.mark.parametrize("budget", [1 << 12, 1 << 17])
+    @pytest.mark.parametrize("memory", [True, False])
+    @pytest.mark.parametrize("mix", sorted(MIXED))
+    def test_each_row_renders_as_its_one_seed_run(self, mix, memory, budget, tmp_path):
+        threshold, channel = MIXED[mix]
+        cfg = ProtocolConfig(3, 3, 40, quantum_memory=memory, qber_abort_threshold=threshold)
+        seeds = range(40)
+        planes, render = [], transcript._block_rows
+
+        def counted(parts, count):  # the planes of each block, counted before it is laid out
+            planes.append(sum(not isinstance(part, bytes) for part in parts))
+            return render(parts, count)
+
+        with mock.patch.object(protocol, "CHUNK_POSITIONS", budget), \
+                mock.patch.object(transcript, "_block_rows", counted):
+            chunks = list(run_chunks(cfg, channel, seeds))
+            trs = [tr for chunk in chunks for tr in chunk]
+            texts = [tr.serialize() for tr in trs]
+        assert any(planes) == (mix != "sparse-loss")
+        assert [len(chunk) for chunk in chunks] == ([34, 6] if budget == 1 << 12 else [40])
+        for seed, tr, text in zip(seeds, trs, texts):
+            assert text == run_protocol(replace(cfg, seed=seed), channel).serialize()
+            assert tr.digest() == hashlib.sha256(text.encode()).hexdigest()
+        for chunk in chunks:
+            assert chunk.digests() == [tr.digest() for tr in chunk]
+        path = tmp_path / "row.transcript"
+        trs[-1].save(path)
+        assert path.read_bytes() == texts[-1].encode()
+
+        records = [(events[0][0], rows) for chunk in chunks for events, rows, _ in chunk._records]
+        lossy = [rows for kind, rows in records if kind == "loss"]
+        aborted = np.concatenate([chunk.aborted for chunk in chunks])
+        if mix == "aborts":
+            assert aborted.any() and not aborted.all()
+        if mix == "loss":
+            assert lossy and all(rows.all() for rows in lossy)
+        if mix == "sparse-loss":
+            assert any(rows.any() and not rows.all() for rows in lossy)
+        if mix == "intercept-resend":
+            assert all(chunk.adversary is not None for chunk in chunks)
