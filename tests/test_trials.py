@@ -267,6 +267,20 @@ BULK = (ProtocolConfig(3, 3, 2000, seed=5),
         ChannelModel(loss_prob=0.02, p_x=0.01, adversary=InterceptResend(fraction=0.1)))
 BULK_DIGEST = "7d075f0089c0581569093fecf0fcbf7930deae08d7cb0254f5497f95d877da2d"
 
+# The same shape at N = 10^5, the size of the bulk-run benchmark: each
+# threshold draw spans about 4.6 passes of ``planes._PASS_WORDS``, and every
+# sparse selection (lost, intercepted, checked and key positions) is taken at
+# that workload's densities. Recorded with mpqss 0.5.0.
+BULK_AT_SCALE = (ProtocolConfig(3, 3, 100_000, seed=5), BULK[1])
+BULK_AT_SCALE_DIGEST = "cc2cb3a1b3f59a261dd291bfe08e04130b80ec3d22bf760c12dd15a460184e5a"
+
+
+class TestBulkAtScale:
+    def test_a_bulk_run_at_scale_is_unchanged(self):
+        tr = run_protocol(*BULK_AT_SCALE)
+        assert len(tr.adversary.positions) == 28_482
+        assert tr.digest() == BULK_AT_SCALE_DIGEST
+
 
 class TestDeferredPayloads:
     def test_a_run_renders_no_payload_until_its_text_is_read(self):
