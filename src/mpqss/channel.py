@@ -16,6 +16,7 @@ Attack records carry two honest accuracy notions per touched position:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Collection, Union
@@ -141,8 +142,13 @@ IDEAL = ChannelModel()
 @dataclass
 class TransmitResult:
     block: QubitBlock
-    lost: np.ndarray  # positions lost on this hop, indexed as AdversaryRecord.positions
+    lost_mask: np.ndarray  # bool: lost on this hop
     intercept: AdversaryRecord | None = None
+
+    @functools.cached_property
+    def lost(self) -> np.ndarray:
+        """Positions lost on this hop, indexed as ``AdversaryRecord.positions``."""
+        return np.flatnonzero(self.lost_mask)
 
 
 def _thresholds(*probabilities: float) -> list[int]:
@@ -183,12 +189,13 @@ def transmit(block: QubitBlock, ch: ChannelModel, stream: Substream) -> Transmit
         bins, *fill = stream.draw((thresholds, size), *[(1, size)] * (2 if substitute else 0))
         lost = fresh & (bins == 0)
         block = block.substitute(lost, *fill) if substitute else block.drop(lost)
-        survived = fresh & ~lost
-        block = block.pauli(survived & (bins <= 2), survived & (bins >= 2) & (bins <= 3))
+        # Bins 1-2 (X, Y) and 2-3 (Y, Z) of the fresh positions; the uint8
+        # subtraction wraps the lower bins past 255.
+        block = block.pauli(fresh & (bins - 1 <= 1), fresh & (bins - 2 <= 1))
     intercept = None
     if isinstance(ch.adversary, InterceptResend):
         intercept, block = intercept_resend(block, stream.at("attack"), fraction=ch.adversary.fraction)
-    return TransmitResult(block, np.flatnonzero(lost), intercept)
+    return TransmitResult(block, lost, intercept)
 
 
 def _intercept(
@@ -201,17 +208,21 @@ def _intercept(
 ) -> tuple[AdversaryRecord, QubitBlock]:
     """Measure the ``hit`` positions in the planned bases, with ``coins`` where
     the basis mismatches, resend the collapsed states, and XOR a known
-    ``strip`` off the readings."""
+    ``strip`` off the readings.
+
+    The record gathers each plane at the hit positions by index, not through
+    the mask: on a sparse random ``hit`` that is several times faster.
+    """
     plan = np.broadcast_to(np.asarray(plan, dtype=np.uint8), hit.shape)
     outcome, resent = block.collapse(hit, plan, coins)
-    result = AdversaryRecord(
-        kind,
-        np.flatnonzero(hit),
-        plan[hit],
-        (outcome ^ strip)[hit],
-        (plan == block.basis)[hit],
-    )
-    return result, resent
+    at = np.flatnonzero(hit)
+
+    def gather(plane):
+        return np.broadcast_to(plane, hit.shape).reshape(-1).take(at)
+
+    planned = gather(plan)
+    bits = gather(outcome) ^ (strip if np.ndim(strip) == 0 else gather(strip))
+    return AdversaryRecord(kind, at, planned, bits, planned == gather(block.basis)), resent
 
 
 def intercept_resend(

@@ -61,7 +61,7 @@ from .transcript import (
 METRICS = {
     "qber": lambda chunk, spec: _column(chunk.qber),
     "detection_prob": lambda chunk, spec: _column(None if chunk.qber is None else chunk.disagreements > 0),
-    "key_rate": lambda chunk, spec: list(map(key_rate, _column(chunk.qber))),
+    "key_rate": lambda chunk, spec: _key_rates(_column(chunk.qber)),
     "efficiency": lambda chunk, spec: _column(chunk.efficiency),
     "sift_rate": lambda chunk, spec: _column(chunk.sift_rate),
     "adversary_accuracy": lambda chunk, spec: _adversary_accuracy(chunk, spec),
@@ -71,6 +71,12 @@ METRICS = {
 
 def _column(values: np.ndarray | None) -> list[float]:
     return [] if values is None else values.astype(float).tolist()
+
+
+def _key_rates(qbers: list[float]) -> list[float]:
+    """``key_rate`` of each error rate, taken once per distinct rate: a chunk has far fewer of them than trials."""
+    rates = {q: key_rate(q) for q in set(qbers)}
+    return list(map(rates.__getitem__, qbers))
 
 
 def trial_seeds(master_seed: int, start: int, stop: int) -> list[int]:

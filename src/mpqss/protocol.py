@@ -38,8 +38,8 @@ from .channel import (
 )
 from .config import ProtocolConfig, Variant
 from .errors import ConfigError, OrderingError, ProtocolStateError
-from .planes import UNUSABLE, QubitBlock, Substream, as_plane
-from .planes import check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
+from .planes import QubitBlock, Substream, as_plane
+from .planes import check_tally, combined_basis, key_block_mask, receivers_xor, reveal, sift_mask
 
 # The per-qubit algebra that the plane kernels vectorise; perfbench/tracing.py
 # counts calls at these names.
@@ -90,6 +90,14 @@ class PartySecrets:
             if bits is not None:
                 object.__setattr__(self, name, as_plane(bits))
 
+    @classmethod
+    def _drawn(cls, party: str, *planes: np.ndarray | None) -> "PartySecrets":
+        """Strings the engine drew, already 0/1 uint8 planes of its own: held as they are."""
+        secrets = object.__new__(cls)
+        for name, value in itertools.zip_longest(("party", *_STRINGS), (party, *planes)):
+            object.__setattr__(secrets, name, value)
+        return secrets
+
     def trial(self, t: int | None) -> "PartySecrets":
         """Trial ``t``'s row of a batch, as a validated copy; ``trial(None)`` is a batch of one."""
         planes = (getattr(self, name) for name in _STRINGS)
@@ -137,7 +145,7 @@ def generate_secrets(cfg: ProtocolConfig, stream: Substream) -> list[PartySecret
         if i in cfg.omit_hadamard:
             basis_bits = np.zeros_like(basis_bits)
         shares = _expand_shares(value_bits, cfg.receivers, planes[-1]) if shared and i == 1 else None
-        out.append(PartySecrets(f"alice{i}", value_bits, basis_bits, shares))
+        out.append(PartySecrets._drawn(f"alice{i}", value_bits, basis_bits, shares))
     return out
 
 
@@ -244,7 +252,10 @@ def announce_bases(
                 f"{missing} acknowledged reception"
             )
     _refuse_row(run, "bases announced")
-    plane = as_plane(basis_bits).reshape(len(run), -1)  # a copy, so the caller's array stays theirs
+    # A string of the chunk's own secrets is a plane it already holds; any
+    # other is copied, so the caller's array stays theirs.
+    own = any(basis_bits is s.basis_bits for s in run.secrets)
+    plane = (basis_bits if own else as_plane(basis_bits)).reshape(len(run), -1)
     run.record_planes([(KIND_BASES, f"alice{sender_index}")], plane)
     run.announced_bases[sender_index] = plane
 
@@ -299,7 +310,8 @@ def run_check(
     run.checked = checked
     flat = np.flatnonzero(checked)  # trial t's block j is row t*N + j
     bounds = np.arange(count + 1) * want
-    run.record(KIND_CHECK_SELECT, "all", functools.partial(index_payloads, flat % blocks, bounds))
+    chosen = (flat.reshape(count, want) - np.arange(count)[:, None] * blocks).reshape(-1)  # j of each
+    run.record(KIND_CHECK_SELECT, "all", functools.partial(index_payloads, chosen, bounds))
 
     # Reveal order: checked blocks ascending, receivers ascending within each.
     # ``take`` gathers into a fresh contiguous array, which the XOR below reduces fast.
@@ -307,9 +319,9 @@ def run_check(
     sent = values.reshape(len(values), count * blocks, n).take(flat, axis=1).reshape(len(values), *shape)
     run.record_planes([(KIND_CHECK_SENDER, f"alice{i}") for i in range(1, len(sent) + 1)],
                       sent.reshape(len(sent), count, -1))
-    usable = run.usable.reshape(-1, n)[flat].reshape(shape)
-    outcome = run.outcome.reshape(-1, n)[flat].reshape(shape)
-    revealed = np.where(usable, outcome, UNUSABLE)
+    usable = run.usable.reshape(-1, n).take(flat, axis=0).reshape(shape)
+    outcome = run.outcome.reshape(-1, n).take(flat, axis=0).reshape(shape)
+    revealed = reveal(outcome, usable)
     run.record_planes([(KIND_CHECK_RECV, f"bob{l}") for l in range(1, n + 1)], revealed.transpose(2, 0, 1))
     run.compared, run.disagreements = check_tally(revealed, np.bitwise_xor.reduce(sent, axis=0), axis=(1, 2))
     run.qber = _ratio(run.disagreements, run.compared)
@@ -349,26 +361,32 @@ def extract_raw_key(run: Chunk | Transcript, cfg: ProtocolConfig, values: np.nda
     mask = key_block_mask([run.usable[..., c] for c in range(n)], run.checked)
     flat = np.flatnonzero(mask & keyed[:, None])
     run.key_bounds = np.searchsorted(flat, np.arange(count + 1) * blocks)
-    contrib = run.outcome.reshape(-1, n)[flat]  # (key bits of every trial, n)
+    contrib = run.outcome.reshape(-1, n).take(flat, axis=0)  # (key bits of every trial, n)
     run.raw_key = receivers_xor(contrib)
-    run.reference_key = receivers_xor(np.bitwise_xor.reduce(values, axis=0).reshape(-1, n)[flat])
-    run.key_blocks = flat % blocks
+    sent = values.reshape(len(values), -1, n).take(flat, axis=1)
+    run.reference_key = receivers_xor(np.bitwise_xor.reduce(sent, axis=0))
+    run.key_blocks = flat - np.repeat(np.arange(count) * blocks, np.diff(run.key_bounds))
     bounds = np.append(run.key_bounds[:-1][keyed], len(flat))  # a failed trial has no key bits
     events = [(KIND_KEY_CONTRIB, f"bob{c}") for c in range(1, n + 1)] + [(KIND_RAW_KEY, "all")]
     run.record_planes(events, np.column_stack([contrib, run.raw_key]).T, bounds, keyed)
 
 
 def _finalize_rates(run: Chunk, cfg: ProtocolConfig) -> None:
+    """The sift rate and efficiency of every row, from ``run_check``'s tally.
+
+    The check compared exactly the usable positions of the ``checked_block_count``
+    blocks each row revealed, so the rest of a row's usable positions were kept.
+    """
     received = cfg.total_qubits - np.count_nonzero(run.lost, axis=(1, 2))
-    unchecked = ~run.checked
-    kept = np.count_nonzero(run.usable & unchecked[:, :, None], axis=(1, 2))
-    run.sift_rate = _ratio(np.count_nonzero(run.usable, axis=(1, 2)), received)
-    run.efficiency = _ratio(kept, np.count_nonzero(unchecked, axis=1) * cfg.receivers)
+    usable = np.count_nonzero(run.usable, axis=(1, 2))
+    unchecked = (cfg.blocks - cfg.checked_block_count) * cfg.receivers
+    run.sift_rate = _ratio(usable, received)
+    run.efficiency = _ratio(usable - run.compared, np.full(len(run), unchecked))
 
 
 def _record_readout(run: Chunk, cfg: ProtocolConfig, guesses: np.ndarray | None) -> None:
     """Publish the receivers' records from the chunk's readout planes; ``guesses`` is None with memory."""
-    shown = np.where(run.lost, UNUSABLE, run.outcome)
+    shown = reveal(run.outcome, ~run.lost)
     kinds, planes = [KIND_MEASURED], [shown]
     if guesses is not None:
         kinds, planes = [KIND_GUESS, KIND_SIFT, KIND_MEASURED], [guesses, run.usable, shown]

@@ -35,7 +35,8 @@ from mpqss import (
     run_protocol,
     transmit,
 )
-from mpqss.planes import combined_basis
+from mpqss.channel import _intercept
+from mpqss.planes import QubitBlock, combined_basis
 
 
 
@@ -140,6 +141,60 @@ class TestChannelModel:
         # A dead position is not lost a second time.
         res = transmit(block, ChannelModel(loss_prob=0.5, p_x=1.0), fresh(rng))
         assert res.block.qubits[0] is None and 0 not in res.lost
+
+
+def bool_plane(data, shape, fill=None):
+    """A bool plane of ``shape``: all ``fill``, or drawn position by position when it is None."""
+    if fill is not None:
+        return np.full(shape, fill)
+    return np.array(data.draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape))),
+                    dtype=bool).reshape(shape)
+
+
+def bit_plane(data, shape):
+    return bool_plane(data, shape).view(np.uint8)
+
+
+# One block, or a batch of three, of up to 40 positions.
+plane_shapes = st.tuples(st.sampled_from([(), (3,)]), st.integers(0, 40)).map(lambda bs: (*bs[0], bs[1]))
+
+
+class TestSparseSelections:
+    """The index gathers of the engine against the masked selections they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plane_shapes, st.sampled_from([False, True, None]), st.sampled_from(["scalar", "array"]),
+           st.sampled_from(["zero", "array"]), st.data())
+    def test_an_interception_record_is_the_mask_form(self, shape, hit_fill, plan_form, strip_form, data):
+        block = QubitBlock(bit_plane(data, shape), bit_plane(data, shape), bool_plane(data, shape))
+        hit = bool_plane(data, shape, hit_fill) & ~block.lost
+        plan = data.draw(st.integers(0, 1)) if plan_form == "scalar" else bit_plane(data, shape)
+        strip = 0 if strip_form == "zero" else bit_plane(data, shape)
+        coins = bit_plane(data, shape)
+        got, resent = _intercept("k", block, hit, plan, strip, coins)
+
+        full = np.broadcast_to(np.asarray(plan, dtype=np.uint8), shape)
+        outcome, want_resent = block.collapse(hit, full, coins)
+        want = (np.flatnonzero(hit), full[hit], (outcome ^ strip)[hit], (full == block.basis)[hit])
+        for name, plane in zip(("positions", "bases", "bits", "certain"), want):
+            assert np.array_equal(getattr(got, name), plane) and getattr(got, name).dtype == plane.dtype
+        assert got.kind == "k"
+        for name in ("value", "basis", "lost"):
+            assert np.array_equal(getattr(resent, name), getattr(want_resent, name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(plane_shapes, st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from(list(LossStrategy)),
+           st.integers(0, 2**64 - 1), st.data())
+    def test_a_hops_lost_positions_are_the_flat_positions_of_its_mask(self, shape, loss, strategy, seed, data):
+        block = QubitBlock(bit_plane(data, shape), bit_plane(data, shape), bool_plane(data, shape))
+        seeds = seed if len(shape) == 1 else [seed, seed ^ 1, 7]
+        res = transmit(block, ChannelModel(loss_prob=loss, p_x=0.2, loss_strategy=strategy), Substream(seeds))
+        assert res.lost_mask.shape == shape and not (res.lost_mask & block.lost).any()
+        assert np.array_equal(res.lost, np.flatnonzero(res.lost_mask))
+        if strategy is LossStrategy.REMOVE:
+            assert np.array_equal(res.lost, np.flatnonzero(res.block.lost & ~block.lost))
+        else:
+            assert np.array_equal(res.block.lost, block.lost)
 
 
 class TestInterceptResend:

@@ -43,6 +43,7 @@ from mpqss.planes import (
     combined_basis,
     key_block_mask,
     receivers_xor,
+    reveal,
     sift_mask,
 )
 
@@ -323,3 +324,13 @@ def test_receivers_xor_is_the_parity_of_each_blocks_receivers(batch, n, blocks_,
     assert got.shape == (*batch, blocks_)
     for at in np.ndindex(*batch, blocks_):
         assert got[at] == sum(bits[at].tolist()) % 2
+
+
+@given(st.sampled_from([(), (3,), (3, 2)]), st.integers(0, 12), st.data())
+def test_reveal_is_where_usable_else_unusable(batch, size, data):
+    count = math.prod(batch) * size
+    bits = draw_plane(data, count).reshape(*batch, size)
+    usable = draw_plane(data, count, bool).reshape(*batch, size)
+    got = reveal(bits, usable)
+    want = np.where(usable, bits, UNUSABLE)
+    assert got.dtype == np.uint8 and got.shape == want.shape and np.array_equal(got, want)

@@ -35,6 +35,7 @@ from mpqss import (
     run_protocol,
     split_for_receivers,
 )
+from mpqss.protocol import _run_chunk
 from mpqss.transcript import Chunk
 
 
@@ -548,6 +549,26 @@ class TestCheckResult:
             assert aborts == ([] if verdict else ["error-rate"])
             seen.add("none" if c == 0 else "edge" if rate == self.THRESHOLD else verdict)
         assert seen == {"none", "edge", True, False}
+
+
+class TestRates:
+    # Chunks of 24 rows at 30% loss and 10% X noise with a threshold of 0.1,
+    # so some rows abort, and the check drawn or fixed to 5 of the 10 blocks.
+    @pytest.mark.parametrize("memory", [True, False])
+    @pytest.mark.parametrize("check_blocks", [None, (0, 3, 4, 7, 9)])
+    def test_efficiency_and_sift_rate_are_the_counts_of_the_readout_masks(self, memory, check_blocks):
+        cfg = ProtocolConfig(2, 3, 10, quantum_memory=memory, qber_abort_threshold=0.1)
+        chunk = _run_chunk(cfg, ChannelModel(loss_prob=0.3, p_x=0.1), list(range(24)), None, check_blocks)
+        assert chunk.aborted.any() and not chunk.aborted.all() and chunk.lost.any()
+        unchecked = ~chunk.checked
+        kept = np.count_nonzero(chunk.usable & unchecked[:, :, None], axis=(1, 2))
+        owed = np.count_nonzero(unchecked, axis=1) * cfg.receivers
+        usable = np.count_nonzero(chunk.usable, axis=(1, 2))
+        received = cfg.total_qubits - np.count_nonzero(chunk.lost, axis=(1, 2))
+        assert chunk.efficiency.tolist() == [k / o if o else 0.0 for k, o in zip(kept.tolist(), owed.tolist())]
+        assert chunk.sift_rate.tolist() == [u / r if r else 0.0 for u, r in zip(usable.tolist(), received.tolist())]
+        if check_blocks is not None:
+            assert chunk.checked[:, list(check_blocks)].all() and np.count_nonzero(chunk.checked) == 5 * 24
 
 
 class TestStateErrors:

@@ -105,6 +105,7 @@ class TestGenerator:
         st.lists(st.tuples(KINDS, st.integers(0, 200)), min_size=1, max_size=4),
     )
     @example(2**64 - 1, "hop1", [([0], 5), ([2**32], 5), ([0, 2**32], 5), (1, 129), (32, 3), (64, 2)])
+    @example(5, "hop3", [([2**26, 2**30, 2**30, 2**30], 200), ([7, 7, 2**32, 2**32], 200)])  # repeats
     def test_every_draw_kind_is_the_python_generator(self, seed, phase, draws):
         got = Substream(seed, phase).draw(*draws)
         assert [plane.tolist() for plane in got] == reference_draw(seed, phase, draws)
