@@ -91,10 +91,10 @@ class PartySecrets:
                 object.__setattr__(self, name, as_plane(bits))
 
     @classmethod
-    def _drawn(cls, party: str, *planes: np.ndarray | None) -> "PartySecrets":
+    def _drawn(cls, party: str, value_bits, basis_bits, value_shares) -> "PartySecrets":
         """Strings the engine drew, already 0/1 uint8 planes of its own: held as they are."""
         secrets = object.__new__(cls)
-        for name, value in itertools.zip_longest(("party", *_STRINGS), (party, *planes)):
+        for name, value in zip(("party", *_STRINGS), (party, value_bits, basis_bits, value_shares)):
             object.__setattr__(secrets, name, value)
         return secrets
 
