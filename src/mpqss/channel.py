@@ -218,7 +218,7 @@ def _intercept(
     at = np.flatnonzero(hit)
 
     def gather(plane):
-        return np.broadcast_to(plane, hit.shape).reshape(-1).take(at)
+        return plane.reshape(-1).take(at)
 
     planned = gather(plan)
     bits = gather(outcome) ^ (strip if np.ndim(strip) == 0 else gather(strip))
