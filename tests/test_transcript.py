@@ -1,6 +1,7 @@
 """Transcript serialization, parsing, and replay verification."""
 
 import functools
+import hashlib
 import os
 import pathlib
 import re
@@ -1179,6 +1180,47 @@ def renumbered(lines: list[str]) -> str:
             line = f"event {seq} {rest}"
         out.append(line)
     return "\n".join(out)
+
+
+EDIT_CHANNELS = {
+    "ideal": ChannelModel(),
+    "lossy-x": ChannelModel(loss_prob=0.15, p_x=0.05),
+    "substitute-z": ChannelModel(loss_prob=0.15, p_z=0.05, loss_strategy=LossStrategy.SUBSTITUTE),
+    "intercept-resend": ChannelModel(adversary=InterceptResend(fraction=1.0)),
+    "ordering": ChannelModel(adversary=OrderingAttack()),
+    "colluder": ChannelModel(adversary=ColluderInsider(target=3)),
+}
+
+
+def record_edits(text: str):
+    """Every one-record deletion, duplication and adjacent swap of ``text``'s events, renumbered."""
+    lines = text.split("\n")
+    events = [i for i, line in enumerate(lines) if line.startswith("event ")]
+    for i in events:
+        yield renumbered(lines[:i] + lines[i + 1:])
+        yield renumbered(lines[:i + 1] + lines[i:])
+    for i, k in zip(events, events[1:]):
+        yield renumbered(lines[:i] + [lines[k], lines[i]] + lines[k + 1:])
+
+
+class TestEditCorpus:
+    def test_every_record_edit_gives_the_pinned_verdicts_and_issues(self):
+        # Pins the verdict and the order of the issues of every edit, so a
+        # change to how replay is built shows up as a different hash.
+        digest = hashlib.sha256()
+        edits = flagged = 0
+        for variant in Variant:
+            for memory in (True, False):
+                for channel in EDIT_CHANNELS.values():
+                    for seed in (0, 1):
+                        cfg = ProtocolConfig(3, 3, 8, variant=variant, quantum_memory=memory, seed=seed)
+                        for edited in record_edits(run_protocol(cfg, channel).serialize()):
+                            verdict = replay(edited)
+                            digest.update(repr((verdict.ok, verdict.issues)).encode())
+                            edits += 1
+                            flagged += not verdict.ok
+        assert (edits, flagged) == (4446, 3588)
+        assert digest.hexdigest() == "db2f4562d42cfc84d7dd3243602f5063d80a5ae595170c26cbbc859c62d8c776"
 
 
 class TestPremeasureRecords:
