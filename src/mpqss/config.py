@@ -55,6 +55,10 @@ class ProtocolConfig:
 
     def validate(self, path: str = "") -> None:
         p = f"{path}." if path else ""
+        for name in ("senders", "receivers", "blocks"):
+            # Not a float, which escaped as a TypeError from deep in the run, nor a bool.
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{p}{name}", "must be an int")
         if self.senders < 2:
             raise ConfigError(f"{p}senders", "need at least two senders")
         if self.receivers < 2:

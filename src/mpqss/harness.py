@@ -101,6 +101,8 @@ class ExperimentSpec:
     def validate(self) -> None:
         self.protocol.validate(path="protocol")
         self.channel.validate(path="channel")
+        if type(self.trials) is not int:  # True would run one trial and report "trials": true
+            raise ConfigError("trials", "must be an int")
         if self.trials < 1:
             raise ConfigError("trials", "need at least one trial")
         # Not a float, nor a bool, which reports would show as True over seed 1's draws.

@@ -398,6 +398,21 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="^seed: must be in .* and an int"):
             ProtocolConfig(2, 2, 4, seed=seed)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("name", ["senders", "receivers", "blocks", "trials"])
+    def test_a_count_that_is_not_an_int_is_refused(self, name, value):
+        # trials=True ran and reported "trials": true; the floats and strings
+        # escaped as a TypeError from deep in the run.
+        if name == "trials":
+            with pytest.raises(ConfigError, match="^trials: must be an int"):
+                run_experiment(ExperimentSpec(protocol=base_protocol(), trials=value))
+            return
+        counts = {"senders": 3, "receivers": 3, "blocks": 6, name: value}
+        with pytest.raises(ConfigError, match=f"^{name}: must be an int"):
+            ProtocolConfig(**counts)
+        with pytest.raises(ConfigError, match=f"^protocol.{name}: must be an int"):
+            ExperimentSpec(protocol=ProtocolConfig(**counts, unsafe_skip_validation=True)).validate()
+
 
 @pytest.fixture(scope="module")
 def report():
