@@ -51,6 +51,7 @@ from .transcript import (
     KIND_SIFT,
     Chunk,
     Event,
+    ParsedTranscript,
     parse,
     str_to_codes,
 )
@@ -418,53 +419,57 @@ def _marked(mismatch: np.ndarray) -> list[int]:
     return np.flatnonzero(mismatch).tolist() if mismatch.any() else []
 
 
-def replay(text: str) -> Verdict:
-    """Re-derive every deterministic consequence of a transcript and diff it.
+class _Replay:
+    """What replay has read of one transcript, and its issues: each rule of ``_RULES`` reads and adds to it.
 
-    ``GRAMMAR`` gives every rule on which records a transcript holds, a row
-    per kind. Rules read only the first record of each (kind, party) pair from
-    a recorder of its row; every other record, and an admitted payload outside
-    its word form, is an issue. Given the check-result's outcome, one pass
-    checks each row's order and one its presence: owed once a kind or outcome
-    of ``due`` holds, an issue after the ``barred`` outcome or in a memory
-    mode that never writes it. Content rules then check payloads against their
-    row's form, sift masks, loss records, the check selection, reveals and
-    tally, the raw key and the adversary section, each issue with its
-    location. Time and memory are linear in ``text``: no array is sized from
-    the config alone.
+    The constructor reads the config fields the rules trust, raising KeyError,
+    ValueError or OverflowError for a missing or malformed one.
     """
-    parsed = parse(text)
-    issues: list[str] = []
-    try:
-        n = int(parsed.config["receivers"])
-        blocks = int(parsed.config["blocks"])
-        senders = int(parsed.config["senders"])
-        threshold = float(parsed.config["qber_abort_threshold"])
-        fraction = float(parsed.config["check_fraction"])
-        want = checked_block_count(fraction, blocks)
-        variant = Variant(parsed.config["variant"])
-        memory = {"0": False, "1": True}[parsed.config["quantum_memory"]]
-        if min(n, blocks, senders) < 1:
-            raise ValueError("receivers, blocks and senders must be positive")
-    except (KeyError, ValueError, OverflowError) as err:
-        return Verdict(False, [f"config: missing or malformed field ({err})"])
 
-    def decode(ev: Event, length: int | None = None) -> np.ndarray | None:
+    def __init__(self, parsed: ParsedTranscript):
+        self.n, self.blocks, self.senders = (int(parsed.config[key]) for key in ("receivers", "blocks", "senders"))
+        self.threshold = float(parsed.config["qber_abort_threshold"])
+        self.fraction = float(parsed.config["check_fraction"])
+        self.want = checked_block_count(self.fraction, self.blocks)
+        self.variant = Variant(parsed.config["variant"])
+        self.memory = {"0": False, "1": True}[parsed.config["quantum_memory"]]
+        if min(self.n, self.blocks, self.senders) < 1:
+            raise ValueError("receivers, blocks and senders must be positive")
+        self.parsed = parsed
+        self.issues: list[str] = []
+        self.admitted: dict[str, dict[str, Event]] = {kind: {} for kind in GRAMMAR}
+        self.columns: dict[str, int] = {}  # each receiver party's column of a block, ascending
+        self.tally = None  # the recorded check: compared, disagree, and whether it passed
+        self.decoded: dict[str, dict[str, np.ndarray]] = {}  # each kind's well-formed payloads, once read
+        self.usable: dict[str, np.ndarray] = {}  # each measuring receiver's usable outcomes, by party
+        self.rows = np.zeros(0, dtype=np.int64)  # checked blocks, ascending
+
+    def decode(self, ev: Event, length: int | None = None) -> np.ndarray | None:
         """The payload of ``ev`` as a plane of codes of its row's alphabet, or None and an issue."""
         alphabet = GRAMMAR[ev.kind].payload
         plane, top = str_to_codes(ev.payload)
         if top >= len(alphabet):
-            issues.append(f"{ev.party}: {ev.kind} payload has a character outside {alphabet!r}")
+            self.issues.append(f"{ev.party}: {ev.kind} payload has a character outside {alphabet!r}")
         elif length is not None and len(plane) != length:
-            issues.append(f"{ev.party}: {ev.kind} payload has {len(plane)} positions, expected {length}")
+            self.issues.append(f"{ev.party}: {ev.kind} payload has {len(plane)} positions, expected {length}")
         else:
             return plane
         return None
 
-    admitted: dict[str, dict[str, Event]] = {kind: {} for kind in GRAMMAR}
-    roles = {party: _role(party, n, senders) for party in {ev.party for ev in parsed.events}}
+    def records(self, kind: str, length: int | None = None) -> dict[str, np.ndarray]:
+        """Each party's admitted ``kind`` payload, if well-formed; decoded, with its issues, at the first read."""
+        if kind not in self.decoded:
+            planes = {party: self.decode(ev, length) for party, ev in self.admitted[kind].items()}
+            self.decoded[kind] = {party: plane for party, plane in planes.items() if plane is not None}
+        return self.decoded[kind]
+
+
+def _admit(state: _Replay) -> None:
+    """Admit the first record of each (kind, party) pair from a recorder of its row, then read the check's tally."""
+    issues, admitted = state.issues, state.admitted
+    roles = {party: _role(party, state.n, state.senders) for party in {ev.party for ev in state.parsed.events}}
     repeats: collections.Counter = collections.Counter()
-    for ev in parsed.events:
+    for ev in state.parsed.events:
         row = GRAMMAR.get(ev.kind)
         if row is None:
             issues.append(f"{ev.party}: unknown record kind {ev.kind!r}")
@@ -476,20 +481,23 @@ def replay(text: str) -> Verdict:
             issues.append(f"{ev.party}: {ev.kind} payload is not {' or '.join(map(repr, WORDS[row.payload]))}")
     for (party, kind), count in repeats.items():
         issues.append(f"{party}: {1 + count} {kind} records, expected one")
-
-    tally = None  # the recorded check: compared, disagree, and whether it passed
+    receivers = sorted((int(party[len("bob"):]) - 1, party) for party, role in roles.items() if role == "receiver")
+    state.columns = {party: column for column, party in receivers}
     if result := admitted[KIND_CHECK_RESULT].get("all"):
         fields = dict(item.partition("=")[::2] for item in result.payload.split(";"))
         try:
-            tally = (int(fields["compared"]), int(fields["disagree"]), fields["pass"] == "1")
+            state.tally = (int(fields["compared"]), int(fields["disagree"]), fields["pass"] == "1")
         except (KeyError, ValueError):
             issues.append(f"check-result: malformed payload {result.payload!r}")
 
-    # Order: the admitted records of each kind in ``after`` come before the
-    # kind's first, and each party's record of a kind in ``own`` before its own.
-    # Admission keeps records in text order, so a kind's first and last are its ends.
+
+def _order(state: _Replay) -> None:
+    """Each kind's first record follows every record of a kind in its ``after``; a party's, its own of ``own``.
+
+    Admission keeps records in text order, so a kind's first and last are its ends.
+    """
     ends = {kind: (next(iter(have.values())), next(reversed(have.values())))
-            for kind, have in admitted.items() if have}
+            for kind, have in state.admitted.items() if have}
     for kind, (first, _) in ends.items():
         row = GRAMMAR[kind]
         for before in row.after + row.own:
@@ -498,194 +506,203 @@ def replay(text: str) -> Verdict:
             if before in row.after:  # the first record of the kind precedes the last of ``before``
                 pairs = [(ends[before][1].party, first.party)]
             else:
-                mine = admitted[before]
-                pairs = [(p, p) for p, ev in admitted[kind].items() if p in mine and mine[p].seq > ev.seq]
+                mine = state.admitted[before]
+                pairs = [(p, p) for p, ev in state.admitted[kind].items() if p in mine and mine[p].seq > ev.seq]
             text = row.texts.get(before, "{b}: {kind} record precedes a {before} record")
-            issues.extend(text.format(a=a, b=b, kind=kind, before=before) for a, b in pairs)
+            state.issues.extend(text.format(a=a, b=b, kind=kind, before=before) for a, b in pairs)
 
-    # Presence: once any kind or check outcome of a row's ``due`` is a fact,
-    # each party of its role owes a record, the receivers being those that
-    # acknowledged, and a pinned text counts the parties instead. Once its
-    # ``barred`` outcome is a fact, each record of the kind is an issue.
-    facts = set(ends) | ({("failed", "passed")[tally[2]]} if tally else set())
+
+def _presence(state: _Replay) -> None:
+    """Once any kind or check outcome of a row's ``due`` is a fact, each party of its role owes a record.
+
+    The receivers are those that acknowledged, and a pinned text counts the parties instead. Once
+    its ``barred`` outcome is a fact, or in a memory mode that never writes it, each record is an issue.
+    """
+    admitted, tally = state.admitted, state.tally
+    facts = {kind for kind, have in admitted.items() if have} | ({("failed", "passed")[tally[2]]} if tally else set())
     parties = {"receiver": admitted[KIND_ACK], "sender": admitted[KIND_BASES], "'all'": ("all",)}
     for kind, row in GRAMMAR.items():
         have = admitted[kind]
-        if row.no_memory and memory:
-            issues.extend(f"{party}: {kind} record in a run with quantum memory" for party in have)
+        if row.no_memory and state.memory:
+            state.issues.extend(f"{party}: {kind} record in a run with quantum memory" for party in have)
         elif row.barred in facts:
             text = row.texts.get("barred", "{party}: {kind} record after a {barred} check")
-            issues.extend(text.format(party=party, kind=kind, barred=row.barred) for party in have)
+            state.issues.extend(text.format(party=party, kind=kind, barred=row.barred) for party in have)
         elif not facts.isdisjoint(row.due) and "due" in row.texts:
-            size = {"receiver": n, "sender": senders, "'all'": 1}[row.recorders[0]]
+            size = {"receiver": state.n, "sender": state.senders, "'all'": 1}[row.recorders[0]]
             if len(have) < size:
-                issues.append(row.texts["due"].format(count=len(have), size=size))
+                state.issues.append(row.texts["due"].format(count=len(have), size=size))
         elif not facts.isdisjoint(row.due):
             for party in parties[row.recorders[0]]:
                 if party not in have:
-                    issues.append(f"{party}: 0 {kind} records, expected one")
+                    state.issues.append(f"{party}: 0 {kind} records, expected one")
 
-    def records(kind: str, length: int | None = None) -> dict[str, np.ndarray]:
-        """Each party's admitted ``kind`` payload, if well-formed."""
-        planes = {party: decode(ev, length) for party, ev in admitted[kind].items()}
-        return {party: plane for party, plane in planes.items() if plane is not None}
 
-    bases = records(KIND_BASES)
-    measured = records(KIND_MEASURED, blocks)
-    sift = records(KIND_SIFT, blocks)
-    guesses = records(KIND_GUESS, blocks)
-    receivers = sorted(int(party[len("bob"):]) for party in measured)
-
+def _sift(state: _Replay) -> None:
+    """Each basis string's length, then each receiver's usable outcomes against its sift flags and guessed bases."""
+    bases = state.records(KIND_BASES)
+    measured = state.records(KIND_MEASURED, state.blocks)
+    sift = state.records(KIND_SIFT, state.blocks)
+    guesses = state.records(KIND_GUESS, state.blocks)
     combined = None
-    if len(bases) == senders:
-        length = secret_lengths(ProtocolConfig(senders, n, blocks, variant, unsafe_skip_validation=True))[1]
+    if len(bases) == state.senders:
+        length = secret_lengths(state.variant, state.n, state.blocks)[1]
         wrong = [party for party, plane in bases.items() if len(plane) != length]
         if wrong:
-            issues.append(f"{wrong[0]}: basis string has unexpected length {len(bases[wrong[0]])}")
+            state.issues.append(f"{wrong[0]}: basis string has unexpected length {len(bases[wrong[0]])}")
         else:
-            combined = combined_basis(list(bases.values()), blocks)
-
-    usable: dict[int, np.ndarray] = {}
-    for l in receivers:
-        party = f"bob{l}"
+            combined = combined_basis(list(bases.values()), state.blocks)
+    for party in (party for party in state.columns if party in measured):
         known = measured[party] != UNUSABLE
-        usable[l] = known & (sift[party] == 1) if party in sift else known
+        state.usable[party] = usable = known & (sift[party] == 1) if party in sift else known
         if party in sift and party in guesses and combined is not None:
-            derived = sift_mask(known, guesses[party], np.broadcast_to(combined, (blocks, n))[:, l - 1])
-            for j in _marked(derived != usable[l]):
-                issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
+            column = np.broadcast_to(combined, (state.blocks, state.n))[:, state.columns[party]]
+            for j in _marked(sift_mask(known, guesses[party], column) != usable):
+                state.issues.append(f"{party}: sift flag at block {j} contradicts announced bases")
 
-    # A receiver's loss bitmap marks exactly its '?' outcomes, and what a
-    # sender hop lost at position n*j + l-1 stays lost for receiver l, if the
-    # run reached l: its ack is admitted.
-    receiver_lost: dict[int, np.ndarray] = {}
-    hop_lost: dict[str, np.ndarray] = {}
-    for party, ev in admitted[KIND_LOSS].items():
-        receiver = roles[party] == "receiver"
-        lost = decode(ev, blocks if receiver else n * blocks)
+
+def _losses(state: _Replay) -> None:
+    """A receiver's loss bitmap marks exactly its '?' outcomes, and what a sender hop lost at position n*j + l-1
+    stays lost for receiver l, if the run reached l: its ack is admitted.
+    """
+    received, hops = {}, {}
+    for party, ev in state.admitted[KIND_LOSS].items():
+        lost = state.decode(ev, state.blocks if party in state.columns else state.n * state.blocks)
         if lost is not None and "1" not in ev.payload:  # the engine records a bitmap only where it marks a loss
-            issues.append(f"{party}: loss record marks no lost position")
-        if lost is not None and receiver:
-            receiver_lost[int(party[len("bob"):])] = lost == 1
-        elif lost is not None:
-            hop_lost[party] = lost.reshape(blocks, n) == 1
-    for l in receivers:
-        for j in _marked((measured[f"bob{l}"] == UNUSABLE) != receiver_lost.get(l, False)):
-            issues.append(f"bob{l}: measurement record at block {j} contradicts its loss record")
-    if hop_lost:
-        none = np.zeros(blocks, dtype=bool)
-        acked = admitted[KIND_ACK]
-        arrived = np.column_stack([~receiver_lost.get(l, none) if f"bob{l}" in acked else none
-                                   for l in range(1, n + 1)])
-        for party, lost in hop_lost.items():
-            for k in _marked(lost & arrived):  # block k // n, receiver k % n + 1
-                issues.append(f"{party}: loss at block {k // n} is missing from bob{k % n + 1}'s loss record")
-
-    rows = np.zeros(0, dtype=np.int64)  # checked blocks, ascending
-    if select := admitted[KIND_CHECK_SELECT].get("all"):
-        listed = rows if select.payload == "-" else _index_list(select.payload)
-        if listed is None:
-            issues.append("check-select: payload is not a comma list of block indices")
-        else:
-            chosen = np.sort(listed)
-            repeated = chosen[1:][chosen[1:] == chosen[:-1]]
-            if len(chosen) and chosen[-1] >= blocks:
-                issues.append(f"check-select: block {chosen[-1]} is outside [0, {blocks})")
-            elif len(repeated):
-                issues.append(f"check-select: block {repeated[0]} is selected more than once")
-            else:
-                rows = chosen
-            if len(chosen) != want:
-                issues.append(
-                    f"check-select: {len(chosen)} blocks selected, "
-                    f"but ceil({fraction!r} * {blocks}) = {want}"
-                )
-
-    if len(rows):
-        sender_reveals = records(KIND_CHECK_SENDER, len(rows) * n)
-        recv_reveals = records(KIND_CHECK_RECV, len(rows))
-        if len(sender_reveals) == senders:  # only now is the list of senders bounded by the records
-            sent = [sender_reveals[f"alice{i}"] for i in range(1, senders + 1)]
-            _check_reveals(issues, rows, sent, recv_reveals, measured, n, threshold, tally)
-
-    raw_key = records(KIND_RAW_KEY).get("all")
-    if raw_key is not None:
-        key_blocks = np.zeros(0, dtype=np.intp)
-        if len(usable) == n:  # every receiver's mask has ``blocks`` entries
-            checked = np.zeros(blocks, dtype=bool)
-            checked[rows] = True
-            key_blocks = np.flatnonzero(key_block_mask([usable[l] for l in receivers], checked))
-        if len(raw_key) != len(key_blocks):
-            issues.append(
-                f"raw-key: {len(raw_key)} bits recorded but {len(key_blocks)} blocks qualify"
-            )
-        else:
-            contribs = records(KIND_KEY_CONTRIB, len(key_blocks))
-            if len(key_blocks):
-                _check_key(issues, key_blocks, raw_key, contribs, measured, n)
-    if parsed.adversary:
-        _check_adversary(issues, parsed.adversary, n * blocks)
-    return Verdict(not issues, issues)
+            state.issues.append(f"{party}: loss record marks no lost position")
+        if lost is not None:
+            (received if party in state.columns else hops)[party] = lost == 1
+    measured = state.records(KIND_MEASURED, state.blocks)
+    for party in (party for party in state.columns if party in measured):
+        for j in _marked((measured[party] == UNUSABLE) != received.get(party, False)):
+            state.issues.append(f"{party}: measurement record at block {j} contradicts its loss record")
+    if hops:
+        arrived = np.zeros((state.blocks, state.n), dtype=bool)
+        for party in state.admitted[KIND_ACK]:
+            arrived[:, state.columns[party]] = ~received[party] if party in received else True
+        for party, lost in hops.items():
+            for k in _marked(lost.reshape(state.blocks, state.n) & arrived):  # block k // n, receiver k % n + 1
+                state.issues.append(
+                    f"{party}: loss at block {k // state.n} is missing from bob{k % state.n + 1}'s loss record")
 
 
-def _check_adversary(issues, section: dict[str, str], size: int) -> None:
-    """A kind, strictly increasing positions in [0, size), and a 0/1 entry per position."""
-    if not section.get("kind"):
-        issues.append("adversary: no kind recorded")
-    positions = section.get("positions", "")
-    touched = np.zeros(0, dtype=np.int64) if positions == "-" else _index_list(positions)
-    if touched is None:
-        issues.append("adversary: positions is not a comma list of qubit positions")
+def _check_select(state: _Replay) -> None:
+    """``check-select`` lists ``ceil(check_fraction * blocks)`` distinct blocks in range."""
+    if not (select := state.admitted[KIND_CHECK_SELECT].get("all")):
         return
-    count = len(touched)
-    if np.any(touched[1:] <= touched[:-1]):
-        issues.append("adversary: positions are not strictly increasing")
-    elif count and int(touched[-1]) >= size:
-        issues.append(f"adversary: position {touched[-1]} is outside [0, {size})")
-    for key in ("bases", "bits", "certain"):
-        plane, top = str_to_codes(section.get(key, ""))
-        if key not in section or top > 1:
-            issues.append(f"adversary: {key} is missing or has a character outside '01'")
-        elif len(plane) != count:
-            issues.append(f"adversary: {key} has {len(plane)} entries, expected {count}")
+    listed = state.rows if select.payload == "-" else _index_list(select.payload)
+    if listed is None:
+        state.issues.append("check-select: payload is not a comma list of block indices")
+        return
+    chosen = np.sort(listed)
+    repeated = chosen[1:][chosen[1:] == chosen[:-1]]
+    if len(chosen) and chosen[-1] >= state.blocks:
+        state.issues.append(f"check-select: block {chosen[-1]} is outside [0, {state.blocks})")
+    elif len(repeated):
+        state.issues.append(f"check-select: block {repeated[0]} is selected more than once")
+    else:
+        state.rows = chosen
+    if len(chosen) != state.want:
+        state.issues.append(f"check-select: {len(chosen)} blocks selected, "
+                            f"but ceil({state.fraction!r} * {state.blocks}) = {state.want}")
 
 
-def _check_reveals(issues, rows, sent, recv_reveals, measured, n, threshold, tally) -> None:
+def _reveals(state: _Replay) -> None:
     """Receivers' reveals against their measurements and the senders' XOR, then the recorded tally."""
-    expected = np.bitwise_xor.reduce([bits.reshape(len(rows), n) for bits in sent])
-    compared = disagree = 0
-    for l in range(1, n + 1):
-        party = f"bob{l}"
-        revealed = recv_reveals.get(party)
-        if revealed is None:
-            continue
-        if party in measured:
-            contradicts = (revealed != UNUSABLE) & (measured[party][rows] != revealed)
-            for j in rows[contradicts].tolist():
-                issues.append(f"{party}: check reveal at block {j} contradicts its measurement record")
-        shown, differ = check_tally(revealed, expected[:, l - 1])
-        compared += shown
-        disagree += differ
-    if tally is None:
+    rows, n = state.rows, state.n
+    if not len(rows):
         return
-    if tally[:2] != (compared, disagree):
-        issues.append(f"check-result: recorded {tally[0]}/{tally[1]} but reveals give {compared}/{disagree}")
+    sent = state.records(KIND_CHECK_SENDER, len(rows) * n)
+    revealed = state.records(KIND_CHECK_RECV, len(rows))
+    if len(sent) != state.senders:  # only now is the list of senders bounded by the records
+        return
+    expected = np.bitwise_xor.reduce([bits.reshape(len(rows), n) for bits in sent.values()])
+    measured = state.records(KIND_MEASURED, state.blocks)
+    parties = [party for party in state.columns if party in revealed]
+    for party in (party for party in parties if party in measured):
+        contradicts = (revealed[party] != UNUSABLE) & (measured[party][rows] != revealed[party])
+        for j in rows[contradicts].tolist():
+            state.issues.append(f"{party}: check reveal at block {j} contradicts its measurement record")
+    shown = np.array([revealed[party] for party in parties], dtype=np.uint8).reshape(len(parties), len(rows))
+    compared, disagree = check_tally(shown, expected[:, [state.columns[party] for party in parties]].T)
+    tally = state.tally
+    if tally is not None and tally[:2] != (compared, disagree):
+        state.issues.append(f"check-result: recorded {tally[0]}/{tally[1]} but reveals give {compared}/{disagree}")
     rate = disagree / compared if compared else 0.0
-    if tally[2] != (rate <= threshold):
-        issues.append("check-result: pass flag contradicts the recomputed rate")
+    if tally is not None and tally[2] != (rate <= state.threshold):
+        state.issues.append("check-result: pass flag contradicts the recomputed rate")
 
 
-def _check_key(issues, key_blocks, raw_key, contribs, measured, n) -> None:
-    """Contributions against the measurement records, then the raw key against their XOR once all are there."""
-    given = [party for party in (f"bob{l}" for l in range(1, n + 1)) if party in contribs]
+def _key(state: _Replay) -> None:
+    """The raw key's length, contributions against the measurement records, and the key against their XOR."""
+    raw_key = state.records(KIND_RAW_KEY).get("all")
+    if raw_key is None:
+        return
+    key_blocks = np.zeros(0, dtype=np.intp)
+    if len(state.usable) == state.n:  # every receiver's mask has ``blocks`` entries
+        checked = np.zeros(state.blocks, dtype=bool)
+        checked[state.rows] = True
+        key_blocks = np.flatnonzero(key_block_mask(list(state.usable.values()), checked))
+    if len(raw_key) != len(key_blocks):
+        state.issues.append(f"raw-key: {len(raw_key)} bits recorded but {len(key_blocks)} blocks qualify")
+        return
+    contribs = state.records(KIND_KEY_CONTRIB, len(key_blocks))
+    if not len(key_blocks):
+        return
+    measured = state.records(KIND_MEASURED, state.blocks)
+    given = [party for party in state.columns if party in contribs]
     shape = (len(given), len(key_blocks))
     shares = np.array([contribs[p] for p in given], dtype=np.uint8).reshape(shape)
     held = np.array([measured[p][key_blocks] for p in given], dtype=np.uint8).reshape(shape)
     contradicts = held != shares
-    wrong_bit = np.zeros(len(key_blocks), dtype=bool) if len(given) < n else receivers_xor(shares.T) != raw_key
+    wrong_bit = np.zeros(len(key_blocks), dtype=bool) if len(given) < state.n else receivers_xor(shares.T) != raw_key
     for idx in np.flatnonzero(contradicts.any(axis=0) | wrong_bit).tolist():
         j = int(key_blocks[idx])
         for c in np.flatnonzero(contradicts[:, idx]).tolist():
-            issues.append(f"{given[c]}: key contribution at block {j} contradicts its measurement record")
+            state.issues.append(f"{given[c]}: key contribution at block {j} contradicts its measurement record")
         if wrong_bit[idx]:
-            issues.append(f"raw-key: bit {idx} (block {j}) is not the XOR of the contributions")
+            state.issues.append(f"raw-key: bit {idx} (block {j}) is not the XOR of the contributions")
+
+
+def _adversary(state: _Replay) -> None:
+    """A kind, strictly increasing positions in [0, n*blocks), and a 0/1 entry per position."""
+    section, size = state.parsed.adversary, state.n * state.blocks
+    if not section:
+        return
+    if not section.get("kind"):
+        state.issues.append("adversary: no kind recorded")
+    positions = section.get("positions", "")
+    touched = np.zeros(0, dtype=np.int64) if positions == "-" else _index_list(positions)
+    if touched is None:
+        state.issues.append("adversary: positions is not a comma list of qubit positions")
+        return
+    count = len(touched)
+    if np.any(touched[1:] <= touched[:-1]):
+        state.issues.append("adversary: positions are not strictly increasing")
+    elif count and int(touched[-1]) >= size:
+        state.issues.append(f"adversary: position {touched[-1]} is outside [0, {size})")
+    for key in ("bases", "bits", "certain"):
+        plane, top = str_to_codes(section.get(key, ""))
+        if key not in section or top > 1:
+            state.issues.append(f"adversary: {key} is missing or has a character outside '01'")
+        elif len(plane) != count:
+            state.issues.append(f"adversary: {key} has {len(plane)} entries, expected {count}")
+
+
+# Replay's rules, in the order their issues are listed; each reads what the rules before it left.
+_RULES = (_admit, _order, _presence, _sift, _losses, _check_select, _reveals, _key, _adversary)
+
+
+def replay(text: str) -> Verdict:
+    """Re-derive every deterministic consequence of a transcript and diff it, by the rules of ``_RULES`` in turn.
+
+    Time and memory are linear in ``text``: no array is sized from the config alone.
+    """
+    parsed = parse(text)
+    try:
+        state = _Replay(parsed)
+    except (KeyError, ValueError, OverflowError) as err:
+        return Verdict(False, [f"config: missing or malformed field ({err})"])
+    for rule in _RULES:
+        rule(state)
+    return Verdict(not state.issues, state.issues)

@@ -116,13 +116,13 @@ def _expand_shares(value_bits: np.ndarray, receivers: int, free: np.ndarray) -> 
     return np.concatenate([free, parity[..., None]], axis=-1).reshape(*shape[:-1], -1)
 
 
-def secret_lengths(cfg: ProtocolConfig) -> tuple[int, int]:
+def secret_lengths(variant: Variant, receivers: int, blocks: int) -> tuple[int, int]:
     """(value string length, basis string length) for one sender."""
-    if cfg.variant is Variant.MAIN:
-        return cfg.total_qubits, cfg.total_qubits
-    if cfg.variant is Variant.BLOCK_BASIS:
-        return cfg.total_qubits, cfg.blocks
-    return cfg.blocks, cfg.blocks
+    if variant is Variant.MAIN:
+        return receivers * blocks, receivers * blocks
+    if variant is Variant.BLOCK_BASIS:
+        return receivers * blocks, blocks
+    return blocks, blocks
 
 
 def generate_secrets(cfg: ProtocolConfig, stream: Substream) -> list[PartySecrets]:
@@ -135,7 +135,7 @@ def generate_secrets(cfg: ProtocolConfig, stream: Substream) -> list[PartySecret
     string. One seed gives one trial's planes; a sequence of seeds gives planes
     with one row per trial.
     """
-    n_value, n_basis = secret_lengths(cfg)
+    n_value, n_basis = secret_lengths(cfg.variant, cfg.receivers, cfg.blocks)
     shared = cfg.variant is Variant.BLOCK_SHARED
     draws = [(1, n_value), (1, n_basis)] * cfg.senders + [(1, cfg.blocks * (cfg.receivers - 1))] * shared
     planes = stream.at("secrets").draw(*draws)
@@ -150,7 +150,7 @@ def generate_secrets(cfg: ProtocolConfig, stream: Substream) -> list[PartySecret
 
 
 def _check_secret_sizes(secrets: PartySecrets, cfg: ProtocolConfig, first: bool) -> None:
-    n_value, n_basis = secret_lengths(cfg)
+    n_value, n_basis = secret_lengths(cfg.variant, cfg.receivers, cfg.blocks)
     value, basis, shares = secrets.value_bits, secrets.basis_bits, secrets.value_shares
     if value.shape[-1] != n_value or basis.shape[-1] != n_basis:
         raise ConfigError(
