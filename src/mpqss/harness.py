@@ -492,7 +492,7 @@ def _admit(state: _Replay) -> None:
 
 
 def _order(state: _Replay) -> None:
-    """Each kind's first record follows every record of a kind in its ``after``; a party's, its own of ``own``.
+    """Each kind's first record follows every record of its row's ``after`` kinds, and each party's its own ``own``.
 
     Admission keeps records in text order, so a kind's first and last are its ends.
     """
@@ -562,8 +562,9 @@ def _sift(state: _Replay) -> None:
 
 
 def _losses(state: _Replay) -> None:
-    """A receiver's loss bitmap marks exactly its '?' outcomes, and what a sender hop lost at position n*j + l-1
-    stays lost for receiver l, if the run reached l: its ack is admitted.
+    """A receiver's loss bitmap marks exactly its '?' outcomes, and what a sender hop lost stays lost.
+
+    What a hop lost at position n*j + l-1 is in receiver l's bitmap if the run reached l: its ack is admitted.
     """
     received, hops = {}, {}
     for party, ev in state.admitted[KIND_LOSS].items():
@@ -623,8 +624,8 @@ def _reveals(state: _Replay) -> None:
         contradicts = (revealed[party] != UNUSABLE) & (measured[party][rows] != revealed[party])
         for j in rows[contradicts].tolist():
             state.issues.append(f"{party}: check reveal at block {j} contradicts its measurement record")
-    shown = np.array([revealed[party] for party in parties], dtype=np.uint8).reshape(len(parties), len(rows))
-    compared, disagree = check_tally(shown, expected[:, [state.columns[party] for party in parties]].T)
+    outcomes = np.array([revealed[party] for party in parties], dtype=np.uint8).reshape(len(parties), len(rows))
+    compared, disagree = check_tally(outcomes, expected[:, [state.columns[party] for party in parties]].T)
     tally = state.tally
     if tally is not None and tally[:2] != (compared, disagree):
         state.issues.append(f"check-result: recorded {tally[0]}/{tally[1]} but reveals give {compared}/{disagree}")
@@ -676,17 +677,16 @@ def _adversary(state: _Replay) -> None:
     if touched is None:
         state.issues.append("adversary: positions is not a comma list of qubit positions")
         return
-    count = len(touched)
     if np.any(touched[1:] <= touched[:-1]):
         state.issues.append("adversary: positions are not strictly increasing")
-    elif count and int(touched[-1]) >= size:
+    elif len(touched) and int(touched[-1]) >= size:
         state.issues.append(f"adversary: position {touched[-1]} is outside [0, {size})")
     for key in ("bases", "bits", "certain"):
         plane, top = str_to_codes(section.get(key, ""))
         if key not in section or top > 1:
             state.issues.append(f"adversary: {key} is missing or has a character outside '01'")
-        elif len(plane) != count:
-            state.issues.append(f"adversary: {key} has {len(plane)} entries, expected {count}")
+        elif len(plane) != len(touched):
+            state.issues.append(f"adversary: {key} has {len(plane)} entries, expected {len(touched)}")
 
 
 # Replay's rules, in the order their issues are listed; each reads what the rules before it left.
