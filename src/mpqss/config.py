@@ -56,7 +56,7 @@ class ProtocolConfig:
     def validate(self, path: str = "") -> None:
         p = f"{path}." if path else ""
         for name in ("senders", "receivers", "blocks"):
-            # Not a float, which escaped as a TypeError from deep in the run, nor a bool.
+            # Not a float, which would fail deep in the run with a TypeError, nor a bool.
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{p}{name}", "must be an int")
         if self.senders < 2:

@@ -492,7 +492,7 @@ def _admit(state: _Replay) -> None:
 
 
 def _order(state: _Replay) -> None:
-    """Each kind's first record follows every record of its row's ``after`` kinds, and each party's its own ``own``.
+    """A kind's first record follows all records of its ``after`` kinds, each party's record its own of ``own``.
 
     Admission keeps records in text order, so a kind's first and last are its ends.
     """
