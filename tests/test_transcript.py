@@ -1205,8 +1205,8 @@ def record_edits(text: str):
 
 class TestEditCorpus:
     def test_every_record_edit_gives_the_pinned_verdicts_and_issues(self):
-        # Pins the verdict and the order of the issues of every edit, so a
-        # change to how replay is built shows up as a different hash.
+        # Pins the verdict, the issues and their order for every edit, so a
+        # change to any of them, or to the order of the rules, moves the hash.
         digest = hashlib.sha256()
         edits = flagged = 0
         for variant in Variant:
