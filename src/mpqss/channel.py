@@ -23,6 +23,7 @@ from typing import ClassVar, Collection, Union
 
 import numpy as np
 
+from .config import is_real
 from .errors import ConfigError
 from .planes import QubitBlock, Substream
 from .transcript import AdversaryRecord
@@ -39,8 +40,8 @@ class InterceptResend:
     fraction: float = 1.0  # per-qubit interception probability
 
     def validate(self, path: str = "adversary") -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"{path}.fraction", "must be in (0, 1]")
+        if not is_real(self.fraction) or not 0.0 < self.fraction <= 1.0:
+            raise ConfigError(f"{path}.fraction", "must be in (0, 1] and a real number")
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class ColluderInsider:
         return range(1, self.target) if self.colluders is None else self.colluders
 
     def validate(self, path: str = "adversary") -> None:
-        if self.target < 3:
-            raise ConfigError(f"{path}.target", "collusion targets the third sender or later")
+        if type(self.target) is not int or self.target < 3:
+            raise ConfigError(f"{path}.target", "collusion targets the third sender or later, an int")
         bad = [c for c in self.colluders or () if not 1 <= c < self.target]
         if bad:
             raise ConfigError(f"{path}.colluders", f"must lie below the target, got {sorted(bad)}")
@@ -128,8 +129,8 @@ class ChannelModel:
     def validate(self, path: str = "channel") -> None:
         for name in ("loss_prob", "p_x", "p_y", "p_z"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{path}.{name}", "must be in [0, 1]")
+            if not is_real(v) or not 0.0 <= v <= 1.0:
+                raise ConfigError(f"{path}.{name}", "must be in [0, 1] and a real number")
         if self.p_x + self.p_y + self.p_z > 1.0 + 1e-12:
             raise ConfigError(f"{path}.p_x", "p_x + p_y + p_z must not exceed 1")
         if self.adversary is not None:

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, which would pass a range check as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class Variant(enum.Enum):
@@ -68,10 +74,13 @@ class ProtocolConfig:
         # Not a float, nor a bool, which reports would show as True over seed 1's draws.
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ConfigError(f"{p}seed", "must be in [0, 2**64) and an int")
-        if not 0.0 < self.check_fraction < 1.0:
-            raise ConfigError(f"{p}check_fraction", "must be in (0, 1)")
-        if not 0.0 < self.qber_abort_threshold < 1.0:
-            raise ConfigError(f"{p}qber_abort_threshold", "must be in (0, 1)")
+        for name in ("check_fraction", "qber_abort_threshold"):
+            if not is_real(getattr(self, name)) or not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{p}{name}", "must be in (0, 1) and a real number")
+        for name in ("quantum_memory", "enforce_ordering"):
+            # Not a string such as "no", which is truthy and would run as True.
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{p}{name}", "must be a bool")
         if self.variant is Variant.BLOCK_SHARED and self.receivers % 2 == 0:
             raise ConfigError(
                 f"{p}receivers",
@@ -84,9 +93,13 @@ class ProtocolConfig:
                 f"checking ceil({self.check_fraction} * {self.blocks}) blocks leaves "
                 "no unchecked block to carry key bits",
             )
-        for i in self.omit_hadamard:
-            if not 2 <= i <= self.senders:
-                raise ConfigError(f"{p}omit_hadamard", f"sender {i} cannot skip basis mixing")
+        try:
+            omitted = list(self.omit_hadamard)
+        except TypeError:
+            raise ConfigError(f"{p}omit_hadamard", "must be a set of sender indices") from None
+        for i in omitted:
+            if type(i) is not int or not 2 <= i <= self.senders:
+                raise ConfigError(f"{p}omit_hadamard", f"sender {i!r} cannot skip basis mixing")
 
     @property
     def total_qubits(self) -> int:

@@ -9,6 +9,7 @@ import pytest
 import known_vectors as kv
 from mpqss import (
     ChannelModel,
+    ColluderInsider,
     ConfigError,
     InterceptResend,
     OrderingError,
@@ -37,6 +38,22 @@ from mpqss import (
 )
 from mpqss.protocol import _run_chunk
 from mpqss.transcript import Chunk
+
+
+# A field of the wrong type, each refused with a ConfigError naming it, not
+# run (a truthy string as a bool) nor raised as a TypeError.
+WRONG_TYPES = [
+    ("quantum_memory", lambda: ProtocolConfig(3, 3, 6, quantum_memory="no")),
+    ("enforce_ordering", lambda: ProtocolConfig(3, 3, 6, enforce_ordering="no")),
+    ("check_fraction", lambda: ProtocolConfig(3, 3, 6, check_fraction="0.5")),
+    ("qber_abort_threshold", lambda: ProtocolConfig(3, 3, 6, qber_abort_threshold=None)),
+    ("omit_hadamard", lambda: ProtocolConfig(3, 3, 6, omit_hadamard=2)),
+    ("omit_hadamard", lambda: ProtocolConfig(3, 3, 6, omit_hadamard=frozenset({2.0}))),
+    ("channel.loss_prob", lambda: ChannelModel(loss_prob="0.1").validate()),
+    ("channel.adversary.fraction", lambda: ChannelModel(adversary=InterceptResend(fraction="1")).validate()),
+    ("channel.adversary.target",
+     lambda: run_protocol(ProtocolConfig(3, 3, 6), ChannelModel(adversary=ColluderInsider(target=3.0)))),
+]
 
 
 def kets(qubits):
@@ -83,6 +100,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="odd receiver"):
             ProtocolConfig(senders=2, receivers=4, blocks=4, variant=Variant.BLOCK_SHARED)
         ProtocolConfig(senders=2, receivers=3, blocks=4, variant=Variant.BLOCK_SHARED)
+
+    @pytest.mark.parametrize("field, make", WRONG_TYPES, ids=[field for field, _ in WRONG_TYPES])
+    def test_a_field_of_the_wrong_type_is_a_config_error(self, field, make):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert err.value.field == field
 
     def test_omit_hadamard_bounds(self):
         with pytest.raises(ConfigError, match="omit_hadamard"):

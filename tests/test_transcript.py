@@ -1150,6 +1150,19 @@ class TestPayloadPlanes:
         assert rows == [bits_to_str(row).encode() for row in plane]
         assert peak <= 2.5 * plane.nbytes  # 4x while every copy of the text stayed alive
 
+    def test_a_wide_plane_cut_into_slices_holds_at_most_two_copies_of_its_text(self):
+        plane = np.random.default_rng(4).integers(0, 3, size=(3, 10**6), dtype=np.uint8)
+        bounds = np.array([0, 1, 400_000, 400_000, 10**6])  # a slice of one, an empty one and two wide
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = row_payloads(plane, bounds)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rows == [(bits_to_str(row[a:b]) or "-").encode() for row in plane for a, b in zip(bounds, bounds[1:])]
+        assert peak <= 2.5 * plane.nbytes  # 4x when the slices were cut along the last axis
+
     @given(st.lists(st.lists(st.integers(0, 2), max_size=5), max_size=6), st.integers(1, 3))
     def test_row_payloads_render_each_slice_of_each_leading_row(self, rows, lead):
         flat = [c for row in rows for c in row]

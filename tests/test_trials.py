@@ -306,7 +306,9 @@ class TestDeferredPayloads:
             for tr in chunk:
                 tr.events, tr.serialize(), tr.digest()
             planes = sum(callable(payloads) for _, _, payloads in chunk._records)
-            assert cut.call_count == planes + 4  # and the four of the adversary sections
+            # At most once each, and the four of the adversary sections: a
+            # plane laid out in a block is not cut.
+            assert 0 < cut.call_count <= planes + 4
 
     def test_copies_made_before_the_first_render_serialize_as_the_original(self):
         for make in (copy.copy, copy.deepcopy, lambda tr: pickle.loads(pickle.dumps(tr))):
@@ -337,37 +339,53 @@ class TestDeferredPayloads:
 # Chunks whose rows differ in the records they hold, at m = n = 3, N = 40: a
 # low threshold aborts some rows; loss at 20% marks a loss record in every
 # row and at 0.5% in some rows only, after which rows stand at different
-# event numbers and every record renders row by row; an intercept-resend
-# adversary adds its section.
+# event numbers; an intercept-resend adversary adds its section; and the last
+# mix holds all of these at once.
 MIXED = {
     "aborts": (0.05, ChannelModel(p_x=0.02)),
     "loss": (0.11, ChannelModel(loss_prob=0.2)),
     "sparse-loss": (0.11, ChannelModel(loss_prob=0.005, p_x=0.02)),
     "intercept-resend": (0.11, ChannelModel(adversary=InterceptResend(fraction=0.3))),
+    "aborts-sparse-loss-intercept": (0.11, ChannelModel(loss_prob=0.005, p_x=0.02,
+                                                        adversary=InterceptResend(fraction=0.3))),
 }
+# The trials of each chunk of 40 seeds at each budget of positions.
+CHUNK_SIZES = {1 << 9: [4] * 10, 1 << 12: [34, 6], 1 << 17: [40]}
+
+
+def fixed_width(rows, payloads) -> bool:
+    """Whether an entry holds a payload of one width in every row: a constant or a plane of whole rows."""
+    if isinstance(payloads, str):
+        return rows is None
+    whole = getattr(payloads, "func", None) is transcript.row_payloads and all(arg is None for arg in payloads.args[1:])
+    return rows is None and whole and payloads.args[0].shape[-1] > 0
 
 
 class TestChunkRender:
-    @pytest.mark.parametrize("budget", [1 << 12, 1 << 17])
+    @pytest.mark.parametrize("budget", sorted(CHUNK_SIZES))
     @pytest.mark.parametrize("memory", [True, False])
     @pytest.mark.parametrize("mix", sorted(MIXED))
     def test_each_row_renders_as_its_one_seed_run(self, mix, memory, budget, tmp_path):
         threshold, channel = MIXED[mix]
         cfg = ProtocolConfig(3, 3, 40, quantum_memory=memory, qber_abort_threshold=threshold)
         seeds = range(40)
-        planes, render = [], transcript._block_rows
+        laid, cuts = [], []
+        blocks, cut = transcript._blocks, transcript._cut
 
-        def counted(parts, count):  # the planes of each block, counted before it is laid out
-            planes.append(sum(not isinstance(part, bytes) for part in parts))
-            return render(parts, count)
+        def counted(parts, seq, count):  # the planes each run of fixed-width records lays out
+            laid.append(sum(not isinstance(part, (bytes, int)) for part in parts))
+            return blocks(parts, seq, count)
+
+        def counted_cut(*args):
+            cuts.append(args)
+            return cut(*args)
 
         with mock.patch.object(protocol, "CHUNK_POSITIONS", budget), \
-                mock.patch.object(transcript, "_block_rows", counted):
+                mock.patch.object(transcript, "_blocks", counted), mock.patch.object(transcript, "_cut", counted_cut):
             chunks = list(run_chunks(cfg, channel, seeds))
             trs = [tr for chunk in chunks for tr in chunk]
             texts = [tr.serialize() for tr in trs]
-        assert any(planes) == (mix != "sparse-loss")
-        assert [len(chunk) for chunk in chunks] == ([34, 6] if budget == 1 << 12 else [40])
+        assert [len(chunk) for chunk in chunks] == CHUNK_SIZES[budget]
         for seed, tr, text in zip(seeds, trs, texts):
             assert text == run_protocol(replace(cfg, seed=seed), channel).serialize()
             assert tr.digest() == hashlib.sha256(text.encode()).hexdigest()
@@ -377,14 +395,26 @@ class TestChunkRender:
         trs[-1].save(path)
         assert path.read_bytes() == texts[-1].encode()
 
-        records = [(events[0][0], rows) for chunk in chunks for events, rows, _ in chunk._records]
+        # Every fixed-width record of every row is laid out in a block, its
+        # planes once for the chunk, and every other plane is cut once for
+        # the chunk, as are the four of each adversary section: no entry
+        # renders row by row.
+        entries = [entry for chunk in chunks for entry in chunk._records]
+        fixed = [entry for entry in entries if fixed_width(*entry[1:])]
+        assert sum(laid) == sum(len(events) for events, _, payloads in fixed if callable(payloads)) > 0
+        ragged = [payloads for _, rows, payloads in entries if not fixed_width(rows, payloads)]
+        sections = sum(chunk.adversary is not None for chunk in chunks)
+        assert len(cuts) == sum(payloads.func is not transcript.result_payloads
+                                for payloads in ragged if callable(payloads)) + 4 * sections
+
+        records = [(events[0][0], rows) for events, rows, _ in entries]
         lossy = [rows for kind, rows in records if kind == "loss"]
         aborted = np.concatenate([chunk.aborted for chunk in chunks])
-        if mix == "aborts":
+        if mix.startswith("aborts"):
             assert aborted.any() and not aborted.all()
         if mix == "loss":
-            assert lossy and all(rows.all() for rows in lossy)
-        if mix == "sparse-loss":
-            assert any(rows.any() and not rows.all() for rows in lossy)
-        if mix == "intercept-resend":
+            assert lossy and all(rows is None for rows in lossy)  # every row marked
+        if "sparse-loss" in mix:
+            assert any(rows is not None for rows in lossy)
+        if "intercept" in mix:
             assert all(chunk.adversary is not None for chunk in chunks)
