@@ -64,7 +64,6 @@ from .transcript import (
     Chunk,
     Transcript,
     index_payloads,
-    result_payloads,
 )
 
 
@@ -274,6 +273,17 @@ def combined_bases(run: Chunk, cfg: ProtocolConfig) -> np.ndarray:
 def _ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
     """part / whole per trial, 0.0 where whole is 0."""
     return np.divide(part, whole, out=np.zeros(len(whole)), where=whole > 0)
+
+
+def result_payloads(compared, disagreements, rates, passed, threshold: float) -> list[bytes]:
+    """Each row's ``check-result`` payload, from its check's tally; each distinct tally renders once."""
+    keys, row = np.unique(compared * (int(disagreements.max(initial=0)) + 1) + disagreements, return_inverse=True)
+    first = np.empty(len(keys), dtype=np.intp)
+    first[row] = np.arange(len(row))  # a row of each tally
+    line = b"compared=%d;disagree=%d;rate=%.6f;threshold=" + b"%.6f" % threshold + b";pass=%d"
+    columns = [column[first].tolist() for column in (compared, disagreements, rates, passed)]
+    texts = [line % tally for tally in zip(*columns)]
+    return list(map(texts.__getitem__, row.tolist()))
 
 
 def run_check(

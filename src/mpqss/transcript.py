@@ -67,39 +67,28 @@ def bits_to_str(bits) -> str:
 
 
 def _cut(codes: np.ndarray, ends, dashed) -> list[bytes]:
-    """The text of a flat run of ``codes`` as pieces, each ended by code 3: one it holds or one
-    put in at each of ``ends``, after a '-' where ``dashed`` marks the piece empty.
-
-    Codes 0 to 2 render as ``bits_to_str`` renders them, code 4 is dropped and
-    ASCII text such as digits and commas passes as it is. One ``np.insert``
-    puts in the marks. Each copy of the text is dropped once the next exists,
-    so at most two are alive at a time.
+    """The text of a flat run of ``codes``, cut after each code 3 and at each of ``ends``, after a '-'
+    where ``dashed`` marks the piece empty. Codes 0 to 2 render as ``bits_to_str`` renders them and
+    code 4 not at all. Each copy of the text is dropped once the next exists: at most two are alive.
     """
     marks = np.full(len(ends) + np.count_nonzero(dashed), 3, dtype=np.uint8)
     marks[np.cumsum(dashed + 1)[dashed] - 2] = ord("-")
-    at = np.repeat(ends, dashed + 1)
-    return ((np.insert(codes, at, marks) if len(at) else codes)
+    return ((np.insert(codes, np.repeat(ends, dashed + 1), marks) if len(marks) else codes)
             .tobytes().translate(_BIT_CHARS, b"\x04").split(b"\n")[:-1])
 
 
 def row_payloads(plane: np.ndarray, bounds=None, rows=None) -> list[bytes]:
-    """The payload of every row of a uint8 or bool plane, rendered as ASCII in one pass.
+    """The payload of every row of a uint8 or bool plane, cut from it as one flat run of ASCII.
 
-    Rows are the last axis or, with ``bounds`` (from 0 to its length), its
-    slices ``[bounds[t]:bounds[t + 1]]``, taken along every leading index in
-    turn; the plane is cut as one flat run at their ends. With ``rows``, a
-    bool array, they are the rows it marks, and every other row gets an
-    empty piece, not a '-'.
+    Rows are the last axis or, with ``bounds`` (from 0 to its length), its slices
+    ``[bounds[t]:bounds[t + 1]]`` along every leading index in turn: with ``rows``,
+    those of the rows it marks, and every other row's piece is empty, not '-'.
     """
     width, lead = plane.shape[-1], math.prod(plane.shape[:-1])
     if bounds is None:  # the rows as slices of one
         bounds, width, lead = np.arange(lead + 1) * width, lead * width, 1
-    bounds = np.asarray(bounds)
-    if rows is not None:
-        bounds = bounds[np.concatenate([[0], np.cumsum(rows)])]
-    dashed = np.diff(bounds) == 0
-    if rows is not None:
-        dashed &= rows
+    bounds = np.asarray(bounds) if rows is None else np.asarray(bounds)[np.concatenate([[0], np.cumsum(rows)])]
+    dashed = (np.diff(bounds) == 0) & (True if rows is None else rows)
     ends = (bounds[1:] + width * np.arange(lead)[:, None]).reshape(-1)
     return _cut(plane.reshape(-1).view(np.uint8), ends, np.tile(dashed, lead))
 
@@ -107,38 +96,21 @@ def row_payloads(plane: np.ndarray, bounds=None, rows=None) -> list[bytes]:
 def index_payloads(indices, bounds) -> list[bytes]:
     """Comma lists of non-negative integers, rendered as ASCII in one vectorised pass; '-' when empty.
 
-    Row t is ``indices[bounds[t]:bounds[t + 1]]``. Each integer takes as many
-    digit places as the largest one, its leading zeros code 4 (dropped), and a
-    comma, so each digit place is a few array operations in the narrowest
-    type that holds the integers; the last comma of a row ends it.
+    Row t is ``indices[bounds[t]:bounds[t + 1]]``. Each integer takes as many digit places as the
+    largest, in the narrowest type that holds them, its leading zeros code 4 (dropped), and a comma.
     """
     values, edges = np.asarray(indices, dtype=np.int64).reshape(-1), np.asarray(bounds)
-    top = int(values.max(initial=0))
-    places = len(str(top))
+    places = len(str(top := int(values.max(initial=0))))
     chars = np.empty((len(values), places + 1), dtype=np.uint8)
     chars[:, places] = ord(",")
     rest = values.astype(np.min_scalar_type(top))
-    for k in range(places - 1, -1, -1):
-        left = rest // 10
-        digit = rest - left * 10 + ord("0")
-        if k < places - 1:  # a leading zero, where nothing is left, is '0' - 44: code 4
-            digit -= (rest == 0) * np.uint8(ord("0") - 4)
-        chars[:, k] = digit
-        rest = left
+    for k in range(places - 1, -1, -1):  # a leading zero, where nothing is left, is '0' less 44: code 4
+        chars[:, k] = rest % 10 + ord("0") - (rest == 0) * np.uint8(44 if k < places - 1 else 0)
+        rest //= 10
     ends = edges[1:]
     empty = ends == edges[:-1]
     chars[ends[~empty] - 1, places] = 3  # a row's last comma ends it
     return _cut(chars.reshape(-1), ends[empty] * (places + 1), np.ones(np.count_nonzero(empty), dtype=bool))
-
-
-def result_payloads(compared, disagreements, rates, passed, threshold: float) -> list[bytes]:
-    """Each row's ``check-result`` payload, from its check's tally; each distinct tally is rendered once."""
-    tallies, row = np.unique(compared * (int(disagreements.max(initial=0)) + 1) + disagreements, return_inverse=True)
-    first = np.empty(len(tallies), dtype=np.intp)
-    first[row] = np.arange(len(row))  # a row of each tally
-    line = b"compared=%d;disagree=%d;rate=%.6f;threshold=" + b"%.6f" % threshold + b";pass=%d"
-    texts = [line % tally for tally in zip(*(column[first].tolist() for column in (compared, disagreements, rates, passed)))]
-    return list(map(texts.__getitem__, row.tolist()))
 
 
 def str_to_codes(s: str) -> tuple[np.ndarray, int]:
@@ -184,11 +156,9 @@ class AdversaryRecord:
     certain: np.ndarray  # bool: True where the measurement basis provably matched
 
     def sections(self, bounds) -> list[list[bytes]]:
-        """The serialized adversary section of every row, each line led by a newline, as columns
-        of a piece per row: the text up to each value, then the values.
-
-        Row t holds entries ``bounds[t]:bounds[t + 1]``.
-        """
+        """The serialized adversary section of every row, each line led by a newline, as columns of a
+        piece per row: each line's text up to its value, then the values of row t's entries
+        ``bounds[t]:bounds[t + 1]``."""
         count = len(bounds) - 1
         columns = [[f"\nadversary kind={self.kind}\nadversary positions=".encode()] * count,
                    index_payloads(self.positions, bounds)]
@@ -228,13 +198,10 @@ UNSET = {
 def _block_rows(parts: list, count: int) -> list:
     """The text of each of ``count`` rows laid out as ``parts``, rendered in one (count, width) block.
 
-    A part is bytes that every row holds or a ``(plane, unusable)`` pair: a
-    (count, w) plane of codes, 0 and 1 and, only if ``unusable``, 2, which
-    render as ``bits_to_str`` renders them. All the bytes are written by one
-    broadcast assignment and each plane by one addition of '0', then of
-    13 times its codes halved, which moves code 2 from '2' to '?': arithmetic,
-    about 7x faster than a masked write. Each row is a view of the block; with
-    no plane, every row is the one text.
+    A part is bytes that every row holds or a ``(plane, unusable)`` pair: a (count, w) plane of
+    codes 0, 1 and, only if ``unusable``, 2, rendered as ``bits_to_str`` renders them. The bytes are
+    one broadcast assignment and each plane an addition of '0', then of 13 times its codes halved,
+    which takes code 2 to '?' 7x faster than a masked write. Each row is a view of the block.
     """
     template, planes = bytearray(), []
     for part in parts:
@@ -257,9 +224,9 @@ def _block_rows(parts: list, count: int) -> list:
 
 
 def _blocks(parts: list, seq, count: int) -> list:
-    """``_block_rows`` of ``parts`` for each of ``count`` rows; an int part stands for the number of
-    the row's event that many after ``seq``, so then each group of rows at one number is a block."""
-    if not any(type(part) is int for part in parts):
+    """``_block_rows`` of ``parts`` for ``count`` rows; an int part stands for the number of the
+    row's event that many after ``seq``, and then each group of rows at one number is a block."""
+    if int not in map(type, parts):
         return _block_rows(parts, count)
     starts, group = np.unique(seq, return_inverse=True)
     pieces: list = []
@@ -271,65 +238,35 @@ def _blocks(parts: list, seq, count: int) -> list:
 
 
 def _fixed(payloads, events: int, count: int) -> list | None:
-    """The ``_block_rows`` part of each event's payload if every row holds it at one width, else None.
-
-    Only a constant payload and a ``row_payloads`` renderer of whole rows give them.
-    """
+    """The ``_block_rows`` part of each event if every row holds its payload at one width, else None:
+    a constant payload or a ``row_payloads`` renderer of whole rows."""
     if isinstance(payloads, str):
         return [payloads.encode()] * events
-    if getattr(payloads, "func", None) is not row_payloads or any(arg is not None for arg in payloads.args[1:]):
+    planes = payloads.args[0]  # a renderer's, the other arguments giving slices or rows
+    if payloads.func is not row_payloads or any(arg is not None for arg in payloads.args[1:]) or not planes.shape[-1]:
         return None
-    planes = payloads.args[0]
-    width = planes.shape[-1]
-    if width == 0:
-        return [b"-"] * events
     unusable = planes.max() > 1  # once for the entry: its planes are one array
-    return [(plane, unusable) for plane in planes.reshape(events, count, width)]
+    return [(plane, unusable) for plane in planes.reshape(events, count, -1)]
 
 
-def _ragged(events: list, rows, payloads, seq, count: int, lead: list) -> list:
-    """Two columns per event of an entry not every row holds at one width: each row's event
-    line up to its payload, then the payload; a row that ``rows`` leaves out has empty pieces.
-
-    Every marked row's payloads are rendered in one pass, and each event's line
-    once for each of its numbers. A first line that every row holds alike goes
-    instead at the end of ``lead``, the parts of the block laid out before it.
-    """
-    if callable(payloads):
-        given = payloads()
-    elif isinstance(payloads, str):
-        given = [payloads.encode()] * (count if rows is None else np.count_nonzero(rows))
-    else:
-        given = list(map(str.encode, payloads))
+def _ragged(events: list, rows, payloads, seq, count: int) -> list:
+    """Two columns per event of any other entry: each row's event line up to its payload, then the
+    payload, both empty in a row that ``rows`` leaves out; each line renders once per number."""
+    given = payloads() if callable(payloads) else \
+        [payloads.encode()] * (count if rows is None else np.count_nonzero(rows))
     per = len(given) // len(events)  # a piece per marked row, or per row
-    place = line = None  # each row's payload and line in theirs, the last an empty piece; None for its own
-    first = seq + 1  # each row's number for the entry's first event, one int while every marked row has it
-    if not isinstance(first, int):
-        shown = first if rows is None else first[rows]
-        if shown.size and shown.min() == shown.max():
-            first = int(shown[0])
-    if isinstance(first, int):
-        firsts = [first]
-        if rows is not None:
-            line = (~rows).tolist()
-    else:
-        firsts, group = np.unique(first, return_inverse=True)
-        if rows is not None:
-            group[~rows] = len(firsts)
-        firsts, line = firsts.tolist(), group.tolist()
-    if per < count:
-        place = np.full(count, per)
-        place[rows] = np.arange(per)
-        place = place.tolist()
+    firsts, line = [seq + 1], None if rows is None else (~rows).tolist()  # a row's line, the last empty
+    if not isinstance(seq, int):
+        firsts, line = np.unique(seq + 1, return_inverse=True)
+        line[slice(0) if rows is None else ~rows] = len(firsts)
+        firsts, line = firsts.tolist(), line.tolist()
+    place = None if per == count else np.where(rows, np.cumsum(rows) - 1, per).tolist()  # the last empty
     columns = []
     for k, (kind, party) in enumerate(events):
         heads = [f"\nevent {s + k} {kind} {party} ".encode() for s in firsts] + [b""]
         payload = given[k * per:(k + 1) * per]
-        if line is None and not k:
-            lead.append(heads[0])
-        else:
-            columns.append(heads[:1] * count if line is None else list(map(heads.__getitem__, line)))
-        columns.append(payload if place is None else list(map((payload + [b""]).__getitem__, place)))
+        columns += [heads[:1] * count if line is None else list(map(heads.__getitem__, line)),
+                    payload if place is None else list(map((payload + [b""]).__getitem__, place))]
     return columns
 
 
@@ -387,10 +324,9 @@ class Chunk(Sequence["Transcript"]):
     def record(self, kind: str, party: str, payloads="-", rows: np.ndarray | None = None) -> None:
         """One event in each row that ``rows`` marks, or in every row.
 
-        ``payloads`` is one payload for all of them, a list with one per marked
-        row, or a ``functools.partial`` of ``row_payloads`` or ``index_payloads``
-        that renders that list when the text is read. Texts rendered before are
-        dropped.
+        ``payloads`` is one payload for all of them or a ``functools.partial`` of
+        ``row_payloads``, ``index_payloads`` or another renderer that gives one per
+        marked row when the text is read. Texts rendered before are dropped.
         """
         self._enter([(kind, party)], rows, payloads)
 
@@ -401,9 +337,7 @@ class Chunk(Sequence["Transcript"]):
 
     def _enter(self, events: list[tuple[str, str]], rows, payloads) -> None:
         """Add one entry. A renderer's plane is held, not copied, so it is made read-only."""
-        words = {word for event in events for word in event}
-        if not callable(payloads):
-            words.update([payloads] if isinstance(payloads, str) else payloads)
+        words = {word for event in events for word in event} | (set() if callable(payloads) else {payloads})
         bad = [word for word in words if word.split() != [word]]
         if bad:
             raise ValueError(f"cannot record {bad[0]!r}: a line holds non-empty words with no whitespace")
@@ -416,13 +350,9 @@ class Chunk(Sequence["Transcript"]):
     def texts(self) -> list[bytes]:
         """Every row's serialized transcript in UTF-8; each entry's payloads are rendered once, for every row.
 
-        Events are numbered per row, and a row that an entry's ``rows`` leaves
-        out lacks its events. A row's text is the join of a few pieces, each
-        rendered for every row at once. The text that every row holds and the
-        payloads that every row holds at one width go into one block
-        (``_block_rows``) per group of rows at one event number. Any other
-        entry closes the block and gives two pieces per event (``_ragged``),
-        and so do the seed and each adversary line.
+        Events are numbered per row; a row that an entry's ``rows`` leaves out lacks its events. A
+        row's text joins pieces each rendered for every row at once: ``_blocks`` of what every row
+        holds at one width, ``_ragged`` columns of any other entry, the seed's and the adversary's.
         """
         count = len(self)
         if not count:
@@ -448,14 +378,12 @@ class Chunk(Sequence["Transcript"]):
         for events, rows, payloads in self._records:
             fixed = None if rows is not None else _fixed(payloads, len(events), count)
             if fixed is None:
-                ragged = _ragged(events, rows, payloads, seq + done, count, parts)
                 close()
-                columns += ragged
+                columns += _ragged(events, rows, payloads, seq, count)
                 seq = seq + len(events) * (1 if rows is None else rows)
                 continue
             for (kind, party), payload in zip(events, fixed):
                 done += 1
-                # The event's number, or while rows differ its offset past ``seq``.
                 number = b"%d" % (seq + done) if isinstance(seq, int) else done
                 parts += [b"\nevent ", number, f" {kind} {party} ".encode(), payload]
         if self.adversary is not None:

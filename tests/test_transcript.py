@@ -142,7 +142,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("kind, party, payloads", [
         ("", "bob1", "-"), ("ack", "bob 1", "-"), ("ack", "bob1", ""), ("ack", "bob1", "0 1"),
-        ("ack", "bob1", "01\n"), ("ack", "bob1", ["01", "1\t0"]), ("ack", "bob1", ["01", ""]),
+        ("ack", "bob1", "01\n"),
     ])
     def test_a_record_refuses_words_the_line_format_cannot_carry(self, kind, party, payloads):
         chunk = Chunk({}, seeds=[1, 2])

@@ -404,7 +404,7 @@ class TestChunkRender:
         assert sum(laid) == sum(len(events) for events, _, payloads in fixed if callable(payloads)) > 0
         ragged = [payloads for _, rows, payloads in entries if not fixed_width(rows, payloads)]
         sections = sum(chunk.adversary is not None for chunk in chunks)
-        assert len(cuts) == sum(payloads.func is not transcript.result_payloads
+        assert len(cuts) == sum(payloads.func is not protocol.result_payloads
                                 for payloads in ragged if callable(payloads)) + 4 * sections
 
         records = [(events[0][0], rows) for events, rows, _ in entries]
