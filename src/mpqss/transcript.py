@@ -224,17 +224,19 @@ def _block_rows(parts: list, count: int) -> list:
 
 
 def _blocks(parts: list, seq, count: int) -> list:
-    """``_block_rows`` of ``parts`` for ``count`` rows; an int part stands for the number of the
-    row's event that many after ``seq``, and then each group of rows at one number is a block."""
+    """``_block_rows`` of ``parts`` for ``count`` rows. An int part stands for the number of the row's
+    event that many after ``seq``: then the rows, sorted by it, make a block per number."""
     if int not in map(type, parts):
         return _block_rows(parts, count)
-    starts, group = np.unique(seq, return_inverse=True)
+    starts, group, sizes = np.unique(seq, return_inverse=True, return_counts=True)
+    order = np.argsort(group, kind="stable")
+    parts = [part if isinstance(part, (bytes, int)) else (part[0][order], part[1]) for part in parts]
     pieces: list = []
-    for g, start in enumerate(starts.tolist()):
-        rows = group == g
+    ends = np.cumsum(sizes)
+    for start, a, b in zip(starts.tolist(), (ends - sizes).tolist(), ends.tolist()):
         pieces += _block_rows([b"%d" % (start + part) if type(part) is int else part if isinstance(part, bytes)
-                               else (part[0][rows], part[1]) for part in parts], np.count_nonzero(rows))
-    return list(map(pieces.__getitem__, np.argsort(np.argsort(group, kind="stable")).tolist()))
+                               else (part[0][a:b], part[1]) for part in parts], b - a)
+    return list(map(pieces.__getitem__, np.argsort(order).tolist()))
 
 
 def _fixed(payloads, events: int, count: int) -> list | None:
@@ -324,9 +326,8 @@ class Chunk(Sequence["Transcript"]):
     def record(self, kind: str, party: str, payloads="-", rows: np.ndarray | None = None) -> None:
         """One event in each row that ``rows`` marks, or in every row.
 
-        ``payloads`` is one payload for all of them or a ``functools.partial`` of
-        ``row_payloads``, ``index_payloads`` or another renderer that gives one per
-        marked row when the text is read. Texts rendered before are dropped.
+        ``payloads`` is one payload for all of them or a ``functools.partial`` of ``row_payloads``,
+        ``index_payloads`` or another renderer of one per marked row. Texts rendered before are dropped.
         """
         self._enter([(kind, party)], rows, payloads)
 
@@ -357,8 +358,7 @@ class Chunk(Sequence["Transcript"]):
         count = len(self)
         if not count:
             return []
-        columns: list = []
-        parts: list = []  # of the block being laid out; an int is an event's number past ``seq``
+        columns, parts = [], []  # the parts of the block being laid out; an int is an event's number past ``seq``
         seq = 0  # events before the block in each row: one int while every row has as many
         done = 0  # events in the block
 
