@@ -80,9 +80,8 @@ def _cut(codes: np.ndarray, ends, dashed) -> list[bytes]:
 def row_payloads(plane: np.ndarray, bounds=None, rows=None) -> list[bytes]:
     """The payload of every row of a uint8 or bool plane, cut from it as one flat run of ASCII.
 
-    Rows are the last axis or, with ``bounds`` (from 0 to its length), its slices
-    ``[bounds[t]:bounds[t + 1]]`` along every leading index in turn: with ``rows``,
-    those of the rows it marks, and every other row's piece is empty, not '-'.
+    Rows are the last axis or, with ``bounds`` (from 0 to its length), its slices ``[bounds[t]:bounds[t + 1]]``
+    along every leading index in turn; with ``rows``, those of the rows it marks, and each other's piece is empty.
     """
     width, lead = plane.shape[-1], math.prod(plane.shape[:-1])
     if bounds is None:  # the rows as slices of one
@@ -107,8 +106,7 @@ def index_payloads(indices, bounds) -> list[bytes]:
     for k in range(places - 1, -1, -1):  # a leading zero, where nothing is left, is '0' less 44: code 4
         chars[:, k] = rest % 10 + ord("0") - (rest == 0) * np.uint8(44 if k < places - 1 else 0)
         rest //= 10
-    ends = edges[1:]
-    empty = ends == edges[:-1]
+    empty = (ends := edges[1:]) == edges[:-1]
     chars[ends[~empty] - 1, places] = 3  # a row's last comma ends it
     return _cut(chars.reshape(-1), ends[empty] * (places + 1), np.ones(np.count_nonzero(empty), dtype=bool))
 
@@ -156,9 +154,8 @@ class AdversaryRecord:
     certain: np.ndarray  # bool: True where the measurement basis provably matched
 
     def sections(self, bounds) -> list[list[bytes]]:
-        """The serialized adversary section of every row, each line led by a newline, as columns of a
-        piece per row: each line's text up to its value, then the values of row t's entries
-        ``bounds[t]:bounds[t + 1]``."""
+        """The serialized adversary section of every row, each line led by a newline, as columns of a piece per
+        row: each line's text up to its value, then the values of row t's entries ``bounds[t]:bounds[t + 1]``."""
         count = len(bounds) - 1
         columns = [[f"\nadversary kind={self.kind}\nadversary positions=".encode()] * count,
                    index_payloads(self.positions, bounds)]
@@ -240,8 +237,7 @@ def _blocks(parts: list, seq, count: int) -> list:
 
 
 def _fixed(payloads, events: int, count: int) -> list | None:
-    """The ``_block_rows`` part of each event if every row holds its payload at one width, else None:
-    a constant payload or a ``row_payloads`` renderer of whole rows."""
+    """The ``_block_rows`` part of each event if every row holds the payload at one width, else None."""
     if isinstance(payloads, str):
         return [payloads.encode()] * events
     planes = payloads.args[0]  # a renderer's, the other arguments giving slices or rows
@@ -252,13 +248,16 @@ def _fixed(payloads, events: int, count: int) -> list | None:
 
 
 def _ragged(events: list, rows, payloads, seq, count: int) -> list:
-    """Two columns per event of any other entry: each row's event line up to its payload, then the
-    payload, both empty in a row that ``rows`` leaves out; each line renders once per number."""
+    """Two columns per event of any other entry, each row's event line up to its payload and the payload, empty
+    in a row ``rows`` leaves out; a line renders once per number, and a first line all rows hold is one bytes."""
     given = payloads() if callable(payloads) else \
         [payloads.encode()] * (count if rows is None else np.count_nonzero(rows))
     per = len(given) // len(events)  # a piece per marked row, or per row
-    firsts, line = [seq + 1], None if rows is None else (~rows).tolist()  # a row's line, the last empty
-    if not isinstance(seq, int):
+    first = seq + 1 if rows is None or isinstance(seq, int) else seq[rows] + 1  # the marked rows' first numbers
+    if not isinstance(first, int) and first.min(initial=0) == (top := int(first.max(initial=0))):
+        first = top  # one for them all
+    firsts, line = [first], None if rows is None else (~rows).tolist()  # a row's line, the last empty
+    if not isinstance(first, int):
         firsts, line = np.unique(seq + 1, return_inverse=True)
         line[slice(0) if rows is None else ~rows] = len(firsts)
         firsts, line = firsts.tolist(), line.tolist()
@@ -267,7 +266,7 @@ def _ragged(events: list, rows, payloads, seq, count: int) -> list:
     for k, (kind, party) in enumerate(events):
         heads = [f"\nevent {s + k} {kind} {party} ".encode() for s in firsts] + [b""]
         payload = given[k * per:(k + 1) * per]
-        columns += [heads[:1] * count if line is None else list(map(heads.__getitem__, line)),
+        columns += [(heads[0] if not k else heads[:1] * count) if line is None else list(map(heads.__getitem__, line)),
                     payload if place is None else list(map((payload + [b""]).__getitem__, place))]
     return columns
 
@@ -351,9 +350,8 @@ class Chunk(Sequence["Transcript"]):
     def texts(self) -> list[bytes]:
         """Every row's serialized transcript in UTF-8; each entry's payloads are rendered once, for every row.
 
-        Events are numbered per row; a row that an entry's ``rows`` leaves out lacks its events. A
-        row's text joins pieces each rendered for every row at once: ``_blocks`` of what every row
-        holds at one width, ``_ragged`` columns of any other entry, the seed's and the adversary's.
+        Events are numbered per row; a row that an entry's ``rows`` leaves out lacks its events. A row's text
+        joins pieces rendered for all rows at once: ``_blocks``, ``_ragged`` columns, the seed and adversary's.
         """
         count = len(self)
         if not count:
@@ -378,8 +376,10 @@ class Chunk(Sequence["Transcript"]):
         for events, rows, payloads in self._records:
             fixed = None if rows is not None else _fixed(payloads, len(events), count)
             if fixed is None:
+                ragged = _ragged(events, rows, payloads, seq + done, count)
+                parts += [ragged.pop(0)] if isinstance(ragged[0], bytes) else []  # ends the block before it
                 close()
-                columns += _ragged(events, rows, payloads, seq, count)
+                columns += ragged
                 seq = seq + len(events) * (1 if rows is None else rows)
                 continue
             for (kind, party), payload in zip(events, fixed):
