@@ -99,10 +99,10 @@ class ColluderInsider:
     def validate(self, path: str = "adversary") -> None:
         if type(self.target) is not int or self.target < 3:
             raise ConfigError(f"{path}.target", "collusion targets the third sender or later, an int")
-        bad = [c for c in self.colluders or () if not 1 <= c < self.target]
+        bad = [c for c in self.colluders or () if type(c) is not int or not 1 <= c < self.target]
         if bad:
-            raise ConfigError(f"{path}.colluders", f"must lie below the target, got {sorted(bad)}")
-        if any(i not in self.pool for i in self.withheld_bases):
+            raise ConfigError(f"{path}.colluders", f"must be ints below the target, got {sorted(bad)}")
+        if any(type(i) is not int or i not in self.pool for i in self.withheld_bases):
             raise ConfigError(f"{path}.withheld_bases", "must be a subset of the colluders")
 
 

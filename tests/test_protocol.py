@@ -53,6 +53,10 @@ WRONG_TYPES = [
     ("channel.adversary.fraction", lambda: ChannelModel(adversary=InterceptResend(fraction="1")).validate()),
     ("channel.adversary.target",
      lambda: run_protocol(ProtocolConfig(3, 3, 6), ChannelModel(adversary=ColluderInsider(target=3.0)))),
+    ("channel.adversary.colluders", lambda: ChannelModel(adversary=ColluderInsider(3, frozenset({1.0}))).validate()),
+    ("channel.adversary.colluders", lambda: ChannelModel(adversary=ColluderInsider(3, frozenset({True}))).validate()),
+    ("channel.adversary.withheld_bases",
+     lambda: ChannelModel(adversary=ColluderInsider(3, withheld_bases=frozenset({1.0}))).validate()),
 ]
 
 
