@@ -414,10 +414,12 @@ def _record_losses(run: Chunk, party: str, lost: np.ndarray) -> None:
 # Trials run together as one stack of planes: as many as fit in this many
 # qubit positions, and at least one. Each numpy call then covers thousands of
 # positions, which amortises its fixed cost: about 1.4 ms of numpy and Python
-# calls per chunk. A chunk and its records are alive until its last row
-# goes, so the budget also bounds that memory.
-# At 2**15 a 1000-trial sweep at m=n=3, N=40 runs in four chunks and peaks at
-# about 2.1 MiB traced; each doubling halves the chunks and doubles the peak.
+# calls per chunk (1.36 to 1.49 ms in three linear fits of a 1000-trial
+# sweep's best-of-15 time over budgets 2**12 to 2**17, on a 2-CPU VM). A chunk
+# and its records are alive until its last row goes, so the budget also
+# bounds that memory. At 2**15 a 1000-trial sweep at m=n=3, N=40 runs in four
+# chunks and peaks at about 1.9 MiB traced; each doubling halves the chunks
+# and doubles the peak.
 CHUNK_POSITIONS = 1 << 15
 
 
