@@ -383,8 +383,8 @@ def _finalize_rates(run: Chunk, cfg: ProtocolConfig) -> None:
     The check compared exactly the usable positions of the ``checked_block_count``
     blocks each row revealed, so the rest of a row's usable positions were kept.
     """
-    # Each row's True entries summed as bytes into uint32: faster than count_nonzero
-    # along two axes, 121 against 51 us on a (1, 10^5, 3) plane and 21 against 12 on (273, 40, 3).
+    # Each row's True entries summed as bytes into uint32: faster than count_nonzero along
+    # two axes (timeit on a 2-CPU VM: 51 against 121 us on a (1, 10^5, 3) plane, 12 against 21 on (273, 40, 3)).
     lost, usable = (np.add.reduce(plane.reshape(len(run), -1).view(np.uint8), axis=1, dtype=np.uint32)
                     for plane in (run.lost, run.usable))
     received = cfg.total_qubits - lost.astype(np.intp)
