@@ -67,29 +67,28 @@ def bits_to_str(bits) -> str:
 
 
 def _cut(codes: np.ndarray, ends, dashed) -> list[bytes]:
-    """The text of a flat run of ``codes``, cut after each code 3 and at each of ``ends``, after a '-'
-    where ``dashed`` marks the piece empty. Codes 0 to 2 render as ``bits_to_str`` renders them and
-    code 4 not at all. Each copy of the text is dropped once the next exists: at most two are alive.
+    """The text of ``codes``, a flat run or rows, cut after each code 3 and at each of ``ends`` along its last
+    axis, after a '-' where ``dashed`` marks the piece empty. Codes 0 to 2 render as ``bits_to_str`` renders
+    them and code 4 not at all. Each copy of the text is dropped once the next exists: at most two are alive.
     """
     marks = np.full(len(ends) + np.count_nonzero(dashed), 3, dtype=np.uint8)
     marks[np.cumsum(dashed + 1)[dashed] - 2] = ord("-")
-    return ((np.insert(codes, np.repeat(ends, dashed + 1), marks) if len(marks) else codes)
+    return ((np.insert(codes, np.repeat(ends, dashed + 1), marks, axis=-1) if len(marks) else codes)
             .tobytes().translate(_BIT_CHARS, b"\x04").split(b"\n")[:-1])
 
 
-def row_payloads(plane: np.ndarray, bounds=None, rows=None) -> list[bytes]:
-    """The payload of every row of a uint8 or bool plane, cut from it as one flat run of ASCII.
+def row_payloads(plane: np.ndarray, bounds=None) -> list[bytes]:
+    """The payload of every row of a uint8 or bool plane, cut from it in one run of ASCII.
 
-    Rows are the last axis or, with ``bounds`` (from 0 to its length), its slices ``[bounds[t]:bounds[t + 1]]``
-    along every leading index in turn; with ``rows``, those of the rows it marks, and each other's piece is empty.
+    Rows are the last axis, each ended by one inserted column, or, with ``bounds`` (from 0 to its length),
+    its slices ``[bounds[t]:bounds[t + 1]]`` along every leading index in turn, ended in the flat run.
     """
     width, lead = plane.shape[-1], math.prod(plane.shape[:-1])
-    if bounds is None:  # the rows as slices of one
-        bounds, width, lead = np.arange(lead + 1) * width, lead * width, 1
-    bounds = np.asarray(bounds) if rows is None else np.asarray(bounds)[np.concatenate([[0], np.cumsum(rows)])]
-    dashed = (np.diff(bounds) == 0) & (True if rows is None else rows)
-    ends = (bounds[1:] + width * np.arange(lead)[:, None]).reshape(-1)
-    return _cut(plane.reshape(-1).view(np.uint8), ends, np.tile(dashed, lead))
+    codes = plane.reshape(lead, width).view(np.uint8)
+    if bounds is None:
+        return _cut(codes, [width], np.array([width == 0]))
+    ends = (np.asarray(bounds)[1:] + width * np.arange(lead)[:, None]).reshape(-1)
+    return _cut(codes.reshape(-1), ends, np.tile(np.diff(bounds) == 0, lead))
 
 
 def index_payloads(indices, bounds) -> list[bytes]:
@@ -198,7 +197,7 @@ def _block_rows(parts: list, count: int) -> list:
     A part is bytes that every row holds or a ``(plane, unusable)`` pair: a (count, w) plane of
     codes 0, 1 and, only if ``unusable``, 2, rendered as ``bits_to_str`` renders them. The bytes are
     one broadcast assignment and each plane an addition of '0', then of 13 times its codes halved,
-    which takes code 2 to '?' 7x faster than a masked write. Each row is a view of the block.
+    which takes code 2 to '?'. Each row is a view of the block.
     """
     template, planes = bytearray(), []
     for part in parts:
@@ -220,27 +219,11 @@ def _block_rows(parts: list, count: int) -> list:
     return [text[i:i + width] for i in range(0, count * width, width)]
 
 
-def _blocks(parts: list, seq, count: int) -> list:
-    """``_block_rows`` of ``parts`` for ``count`` rows. An int part stands for the number of the row's
-    event that many after ``seq``: then the rows, sorted by it, make a block per number."""
-    if int not in map(type, parts):
-        return _block_rows(parts, count)
-    starts, group, sizes = np.unique(seq, return_inverse=True, return_counts=True)
-    order = np.argsort(group, kind="stable")
-    parts = [part if isinstance(part, (bytes, int)) else (part[0][order], part[1]) for part in parts]
-    pieces: list = []
-    ends = np.cumsum(sizes)
-    for start, a, b in zip(starts.tolist(), (ends - sizes).tolist(), ends.tolist()):
-        pieces += _block_rows([b"%d" % (start + part) if type(part) is int else part if isinstance(part, bytes)
-                               else (part[0][a:b], part[1]) for part in parts], b - a)
-    return list(map(pieces.__getitem__, np.argsort(order).tolist()))
-
-
 def _fixed(payloads, events: int, count: int) -> list | None:
     """The ``_block_rows`` part of each event if every row holds the payload at one width, else None."""
     if isinstance(payloads, str):
         return [payloads.encode()] * events
-    planes = payloads.args[0]  # a renderer's, the other arguments giving slices or rows
+    planes = payloads.args[0]  # a renderer's, the other arguments giving slices
     if payloads.func is not row_payloads or any(arg is not None for arg in payloads.args[1:]) or not planes.shape[-1]:
         return None
     unusable = planes.max() > 1  # once for the entry: its planes are one array
@@ -248,26 +231,32 @@ def _fixed(payloads, events: int, count: int) -> list | None:
 
 
 def _ragged(events: list, rows, payloads, seq, count: int) -> list:
-    """Two columns per event of any other entry, each row's event line up to its payload and the payload, empty
-    in a row ``rows`` leaves out; a line renders once per number, and a first line all rows hold is one bytes."""
-    given = payloads() if callable(payloads) else \
-        [payloads.encode()] * (count if rows is None else np.count_nonzero(rows))
+    """Two columns per event of an entry that no block holds: each row's event line up to its payload, then
+    its payload, both empty in a row that ``rows`` leaves out. ``seq`` counts the events before the entry, in
+    every row or in each; an event line is rendered once per number the rows take."""
+    if callable(payloads):
+        given = payloads()
+    else:
+        given = [payloads.encode()] * (count if rows is None else int(np.count_nonzero(rows)))
     per = len(given) // len(events)  # a piece per marked row, or per row
-    first = seq + 1 if rows is None or isinstance(seq, int) else seq[rows] + 1  # the marked rows' first numbers
-    if not isinstance(first, int) and first.min(initial=0) == (top := int(first.max(initial=0))):
-        first = top  # one for them all
-    firsts, line = [first], None if rows is None else (~rows).tolist()  # a row's line, the last empty
-    if not isinstance(first, int):
-        firsts, line = np.unique(seq + 1, return_inverse=True)
-        line[slice(0) if rows is None else ~rows] = len(firsts)
-        firsts, line = firsts.tolist(), line.tolist()
-    place = None if per == count else np.where(rows, np.cumsum(rows) - 1, per).tolist()  # the last empty
+    low = high = seq  # the fewest and most events before the entry in a row
+    line = None  # row t's line is heads[line[t]], the last one empty; None: heads[0] in every row
+    if not isinstance(seq, int) or rows is not None:
+        before = np.broadcast_to(seq, (count,))
+        low, high = int(before.min()), int(before.max())
+        line = before - low
+        if rows is not None:
+            line[~rows] = high - low + 1
+        line = line.tolist()
+    place = None  # row t's payload is payload[place[t]], the last one empty; None: given[t]
+    if per < count:
+        place = np.where(rows, np.cumsum(rows) - 1, per).tolist()
     columns = []
     for k, (kind, party) in enumerate(events):
-        heads = [f"\nevent {s + k} {kind} {party} ".encode() for s in firsts] + [b""]
+        heads = [f"\nevent {s + k} {kind} {party} ".encode() for s in range(low + 1, high + 2)] + [b""]
         payload = given[k * per:(k + 1) * per]
-        columns += [(heads[0] if not k else heads[:1] * count) if line is None else list(map(heads.__getitem__, line)),
-                    payload if place is None else list(map((payload + [b""]).__getitem__, place))]
+        columns.append([heads[0]] * count if line is None else list(map(heads.__getitem__, line)))
+        columns.append(payload if place is None else list(map((payload + [b""]).__getitem__, place)))
     return columns
 
 
@@ -331,19 +320,20 @@ class Chunk(Sequence["Transcript"]):
         self._enter([(kind, party)], rows, payloads)
 
     def record_planes(self, events: list[tuple[str, str]], planes: np.ndarray, bounds=None, rows=None):
-        """One event per (kind, party), its payloads ``row_payloads(planes[k], bounds, rows)`` once rendered."""
-        rows = None if rows is None or rows.all() else rows
-        self._enter(events, rows, functools.partial(row_payloads, planes, bounds, rows))
+        """One event per (kind, party), its payloads ``row_payloads(planes[k], bounds)`` of the marked rows."""
+        self._enter(events, rows, functools.partial(row_payloads, planes, bounds))
 
     def _enter(self, events: list[tuple[str, str]], rows, payloads) -> None:
-        """Add one entry. A renderer's plane is held, not copied, so it is made read-only."""
+        """Add one entry, storing a mask of every row as None. A renderer's plane is held, not copied, so it
+        is made read-only."""
+        rows = None if rows is None or rows.all() else rows
         words = {word for event in events for word in event} | (set() if callable(payloads) else {payloads})
         bad = [word for word in words if word.split() != [word]]
         if bad:
             raise ValueError(f"cannot record {bad[0]!r}: a line holds non-empty words with no whitespace")
         if callable(payloads):
             payloads.args[0].flags.writeable = False
-        self._records.append((events, None if rows is None or rows.all() else rows, payloads))
+        self._records.append((events, rows, payloads))
         self.__dict__.pop("texts", None)
 
     @functools.cached_property
@@ -351,19 +341,20 @@ class Chunk(Sequence["Transcript"]):
         """Every row's serialized transcript in UTF-8; each entry's payloads are rendered once, for every row.
 
         Events are numbered per row; a row that an entry's ``rows`` leaves out lacks its events. A row's text
-        joins pieces rendered for all rows at once: ``_blocks``, ``_ragged`` columns, the seed and adversary's.
+        joins pieces rendered for all rows at once. While every row stands at one event number, the entries that
+        every row holds at one width go into a ``_block_rows`` block; every other entry is ``_ragged`` columns.
         """
         count = len(self)
         if not count:
             return []
-        columns, parts = [], []  # the parts of the block being laid out; an int is an event's number past ``seq``
-        seq = 0  # events before the block in each row: one int while every row has as many
+        columns, parts = [], []  # the parts of the block being laid out
+        seq = 0  # events before the block in each row: an int while every row has as many
         done = 0  # events in the block
 
         def close() -> None:
             nonlocal seq, done
             if parts:
-                columns.append(_blocks(parts, seq, count))
+                columns.append(_block_rows(parts, count))
                 parts.clear()
             seq, done = seq + done, 0
 
@@ -374,18 +365,16 @@ class Chunk(Sequence["Transcript"]):
             columns += [[before.encode()] * count, "\n".join(map(str, self.seeds)).encode().split(b"\n")]
             parts.append(after.encode())
         for events, rows, payloads in self._records:
-            fixed = None if rows is not None else _fixed(payloads, len(events), count)
+            level = rows is None and isinstance(seq, int)  # every row holds the entry at one number
+            fixed = _fixed(payloads, len(events), count) if level else None
             if fixed is None:
-                ragged = _ragged(events, rows, payloads, seq + done, count)
-                parts += [ragged.pop(0)] if isinstance(ragged[0], bytes) else []  # ends the block before it
                 close()
-                columns += ragged
+                columns += _ragged(events, rows, payloads, seq, count)
                 seq = seq + len(events) * (1 if rows is None else rows)
                 continue
             for (kind, party), payload in zip(events, fixed):
                 done += 1
-                number = b"%d" % (seq + done) if isinstance(seq, int) else done
-                parts += [b"\nevent ", number, f" {kind} {party} ".encode(), payload]
+                parts += [f"\nevent {seq + done} {kind} {party} ".encode(), payload]
         if self.adversary is not None:
             close()
             columns += self.adversary.sections(self.adversary_bounds)

@@ -282,6 +282,30 @@ class TestBulkAtScale:
         assert tr.digest() == BULK_AT_SCALE_DIGEST
 
 
+def fixed_width(rows, payloads) -> bool:
+    """Whether an entry holds a payload of one width in every row: a constant or a plane of whole rows."""
+    if isinstance(payloads, str):
+        return rows is None
+    whole = getattr(payloads, "func", None) is transcript.row_payloads and all(arg is None for arg in payloads.args[1:])
+    return rows is None and whole and payloads.args[0].shape[-1] > 0
+
+
+def in_blocks(records) -> list[bool]:
+    """Whether each entry of a chunk is laid out in a block: it has one width in every row, and every row
+    stands at one event number, as no entry before it leaves a row out."""
+    level, laid = True, []
+    for _, rows, payloads in records:
+        level = level and rows is None
+        laid.append(level and fixed_width(rows, payloads))
+    return laid
+
+
+def cut_once(records) -> int:
+    """The entries of a chunk that render by one cut: the planes and index lists no block holds."""
+    return sum(callable(payloads) and payloads.func is not protocol.result_payloads and not laid
+               for (_, _, payloads), laid in zip(records, in_blocks(records)))
+
+
 class TestDeferredPayloads:
     def test_a_run_renders_no_payload_until_its_text_is_read(self):
         with mock.patch.object(transcript, "_cut", wraps=transcript._cut) as cut:
@@ -305,10 +329,9 @@ class TestDeferredPayloads:
             assert cut.call_count == 0
             for tr in chunk:
                 tr.events, tr.serialize(), tr.digest()
-            planes = sum(callable(payloads) for _, _, payloads in chunk._records)
-            # At most once each, and the four of the adversary sections: a
-            # plane laid out in a block is not cut.
-            assert 0 < cut.call_count <= planes + 4
+            # Once each, and the four of the adversary section: a plane laid
+            # out in a block is not cut.
+            assert cut.call_count == cut_once(chunk._records) + 4
 
     def test_copies_made_before_the_first_render_serialize_as_the_original(self):
         for make in (copy.copy, copy.deepcopy, lambda tr: pickle.loads(pickle.dumps(tr))):
@@ -353,14 +376,6 @@ MIXED = {
 CHUNK_SIZES = {1 << 9: [4] * 10, 1 << 12: [34, 6], 1 << 17: [40]}
 
 
-def fixed_width(rows, payloads) -> bool:
-    """Whether an entry holds a payload of one width in every row: a constant or a plane of whole rows."""
-    if isinstance(payloads, str):
-        return rows is None
-    whole = getattr(payloads, "func", None) is transcript.row_payloads and all(arg is None for arg in payloads.args[1:])
-    return rows is None and whole and payloads.args[0].shape[-1] > 0
-
-
 class TestChunkRender:
     @pytest.mark.parametrize("budget", sorted(CHUNK_SIZES))
     @pytest.mark.parametrize("memory", [True, False])
@@ -370,18 +385,18 @@ class TestChunkRender:
         cfg = ProtocolConfig(3, 3, 40, quantum_memory=memory, qber_abort_threshold=threshold)
         seeds = range(40)
         laid, cuts = [], []
-        blocks, cut = transcript._blocks, transcript._cut
+        block_rows, cut = transcript._block_rows, transcript._cut
 
-        def counted(parts, seq, count):  # the planes each run of fixed-width records lays out
-            laid.append(sum(not isinstance(part, (bytes, int)) for part in parts))
-            return blocks(parts, seq, count)
+        def counted(parts, count):  # the planes each run of fixed-width records lays out
+            laid.append(sum(not isinstance(part, bytes) for part in parts))
+            return block_rows(parts, count)
 
         def counted_cut(*args):
             cuts.append(args)
             return cut(*args)
 
         with mock.patch.object(protocol, "CHUNK_POSITIONS", budget), \
-                mock.patch.object(transcript, "_blocks", counted), mock.patch.object(transcript, "_cut", counted_cut):
+                mock.patch.object(transcript, "_block_rows", counted), mock.patch.object(transcript, "_cut", counted_cut):
             chunks = list(run_chunks(cfg, channel, seeds))
             trs = [tr for chunk in chunks for tr in chunk]
             texts = [tr.serialize() for tr in trs]
@@ -395,23 +410,23 @@ class TestChunkRender:
         trs[-1].save(path)
         assert path.read_bytes() == texts[-1].encode()
 
-        # Every fixed-width record of every row is laid out in a block, its
-        # planes once for the chunk, and every other plane is cut once for
-        # the chunk, as are the four of each adversary section: no entry
-        # renders row by row.
+        # While every row stands at one event number, each fixed-width record
+        # is laid out in a block, its planes once for the chunk; every other
+        # plane is cut once for the chunk, as are the four of each adversary
+        # section: no entry renders row by row.
         entries = [entry for chunk in chunks for entry in chunk._records]
-        fixed = [entry for entry in entries if fixed_width(*entry[1:])]
-        assert sum(laid) == sum(len(events) for events, _, payloads in fixed if callable(payloads)) > 0
-        ragged = [payloads for _, rows, payloads in entries if not fixed_width(rows, payloads)]
+        blocked = [entry for chunk in chunks for entry, laid in zip(chunk._records, in_blocks(chunk._records)) if laid]
+        assert sum(laid) == sum(len(events) for events, _, payloads in blocked if callable(payloads))
         sections = sum(chunk.adversary is not None for chunk in chunks)
-        assert len(cuts) == sum(payloads.func is not protocol.result_payloads
-                                for payloads in ragged if callable(payloads)) + 4 * sections
+        assert len(cuts) == sum(cut_once(chunk._records) for chunk in chunks) + 4 * sections
 
         records = [(events[0][0], rows) for events, rows, _ in entries]
         lossy = [rows for kind, rows in records if kind == "loss"]
         aborted = np.concatenate([chunk.aborted for chunk in chunks])
         if mix.startswith("aborts"):
             assert aborted.any() and not aborted.all()
+        if "sparse-loss" not in mix:  # no row lacks a record before the check: its planes are laid out
+            assert sum(laid) > 0
         if mix == "loss":
             assert lossy and all(rows is None for rows in lossy)  # every row marked
         if "sparse-loss" in mix:
