@@ -22,8 +22,8 @@ import numpy as np
 from .channel import IDEAL, ChannelModel, InterceptResend, OrderingAttack
 from .errors import ConfigError, KeyMaterialError
 from .config import ProtocolConfig, Variant, checked_block_count
-from .postprocessing import CssPair, StreamResult, bits_to_hex, build_canonical_css, key_rate, otp_send
-from .postprocessing import reconcile_streams
+from .postprocessing import CssPair, Reconciled, bits_to_hex, build_canonical_css, key_rate, otp_send
+from .postprocessing import reconcile_blocks
 from .planes import UNUSABLE, Substream, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
 from .planes import stream_keys, stream_words
 from .protocol import expanded_values, run_chunks, secret_lengths, trials_per_chunk
@@ -58,7 +58,6 @@ from .transcript import (
 
 # Every metric's sampler: the list of a chunk's samples, in trial order, from
 # the chunk's columns. A column is None when no trial of the chunk got that far.
-# block_yield maps to None, as it is sampled as each chunk's keyed trials are reconciled.
 METRICS = {
     "qber": lambda chunk, spec: _column(chunk.qber),
     "detection_prob": lambda chunk, spec: _column(None if chunk.qber is None else chunk.disagreements > 0),
@@ -66,7 +65,7 @@ METRICS = {
     "efficiency": lambda chunk, spec: _column(chunk.efficiency),
     "sift_rate": lambda chunk, spec: _column(chunk.sift_rate),
     "adversary_accuracy": lambda chunk, spec: _adversary_accuracy(chunk, spec),
-    "block_yield": None,
+    "block_yield": lambda chunk, spec: _block_yields(chunk),
 }
 
 
@@ -266,17 +265,41 @@ def recovered_raw_key(bits, positions, key_blocks, cfg: ProtocolConfig) -> tuple
     return tuple(key[list(key_blocks)].tolist())
 
 
-def _reconcile_keyed(pair: CssPair, chunk: Chunk) -> list[StreamResult]:
-    """The ``StreamResult`` of each trial of ``chunk`` with a key bit, in one pass.
+def _reconcile_keyed(pair: CssPair, chunk: Chunk, stop: int | None = None) -> Reconciled:
+    """The trials of ``chunk`` with a key bit, the first ``stop`` of them or all, reconciled in one pass.
 
-    Each keyed trial draws its coins from the "pp" phase of its own seed.
+    A trial's keys are its bits of the chunk's flat keys, a row of
+    :func:`reconcile_blocks` with coins from the "pp" phase of its own seed.
     """
-    bounds = chunk.key_bounds.tolist()
-    reference, raw = chunk.reference_key.tobytes(), chunk.raw_key.tobytes()
-    keyed = np.flatnonzero(np.diff(chunk.key_bounds)).tolist()
-    held = [reference[bounds[t]:bounds[t + 1]] for t in keyed]
-    noisy = [raw[bounds[t]:bounds[t + 1]] for t in keyed]
-    return reconcile_streams(pair, held, noisy, Substream([chunk.seeds[t] for t in keyed], "pp"))
+    sizes = np.diff(chunk.key_bounds)
+    keyed = np.flatnonzero(sizes)[:stop]
+    lengths, ends = sizes[keyed], chunk.key_bounds[1:][keyed]
+    # Trials without a key bit hold none of the flat keys, so the first ``stop`` keyed trials' bits lead them.
+    error = (chunk.raw_key ^ chunk.reference_key)[:ends[-1] if len(ends) else 0]
+    padded = np.insert(error, np.repeat(ends, -lengths % pair.c1.length), 0)
+    return reconcile_blocks(pair, padded, lengths, Substream([chunk.seeds[t] for t in keyed.tolist()], "pp"))
+
+
+def _block_yields(chunk: Chunk) -> list[float]:
+    """Each keyed trial's ``block_yield``, its raw keys reconciled with those of the chunk's other keyed trials."""
+    return [] if chunk.key_bounds is None else _reconcile_keyed(build_canonical_css(), chunk).block_yield.tolist()
+
+
+def _key_extras(pair: CssPair, chunk: Chunk, otp_message: list | None) -> dict:
+    """The final key of ``chunk``'s first keyed trial, and the message sent under it, as report extras;
+    none if no trial has a key bit.
+
+    That trial is reconciled alone, which gives it the key it has among all of the chunk's keyed trials.
+    """
+    if chunk.key_bounds is None or not chunk.key_bounds[-1]:
+        return {}
+    rec = _reconcile_keyed(pair, chunk, 1)
+    key = pair._keys[rec.alice].ravel().tolist()
+    extras = {"final_key_hex": bits_to_hex(key), "final_key_bits": len(key)}
+    if otp_message is not None:
+        extras["ciphertext_hex"] = bits_to_hex(otp_send(otp_message, [key]))
+        extras["message_bits"] = len(otp_message)
+    return extras
 
 
 def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> RunReport:
@@ -303,18 +326,9 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
         digests.extend(chunk.digests())
         aborted += int(np.count_nonzero(chunk.aborted))
         for name in spec.metrics:
-            if METRICS[name] is not None:
-                samples[name].extend(METRICS[name](chunk, spec))
-        if pair is not None and chunk.key_bounds is not None:
-            for stream in _reconcile_keyed(pair, chunk):
-                samples["block_yield"].append(stream.block_yield)
-                if "final_key_hex" not in extras:
-                    extras["final_key_hex"] = bits_to_hex(stream.final_alice)
-                    extras["final_key_bits"] = len(stream.final_alice)
-                    if otp_message is not None:
-                        ciphertext = otp_send(otp_message, [stream.final_alice])
-                        extras["ciphertext_hex"] = bits_to_hex(ciphertext)
-                        extras["message_bits"] = len(otp_message)
+            samples[name].extend(METRICS[name](chunk, spec))
+        if pair is not None and not extras:
+            extras = _key_extras(pair, chunk, otp_message)
         del chunk  # before the next chunk is run
     if otp_message is not None and "ciphertext_hex" not in extras:
         raise KeyMaterialError(f"need {len(otp_message)} key bits but no trial yielded key bits")

@@ -126,9 +126,12 @@ class Substream:
                     part[:] = words.view(part.dtype)[:, :hi - lo]
                 else:
                     w = words.view("<u4")[:, :hi - lo]
-                    part[:] = 0
-                    # A threshold of 2**32 is at most no word; a repeated one is compared once.
-                    for t, copies in collections.Counter(t for t in kind if t < 2**32).items():
+                    # A threshold of 0 is at most every word and one of 2**32 at most none, so
+                    # neither is compared; a repeated one is compared once.
+                    thresholds = collections.Counter(kind)
+                    part[:] = thresholds.pop(0, 0)
+                    thresholds.pop(2**32, None)
+                    for t, copies in thresholds.items():
                         above = w >= t
                         part += above if copies == 1 else above.view(np.uint8) * np.uint8(copies)
             out.append(plane)

@@ -373,6 +373,75 @@ class StreamResult:
         return self.blocks_ok / unpadded if unpadded else 0.0
 
 
+@dataclass(frozen=True)
+class Reconciled:
+    """What :func:`reconcile_blocks` gives for rows of blocks laid end to end.
+
+    Each count is an array with one entry per row, as the fields of a row's
+    ``StreamResult`` count; the labels are the kept blocks', row after row.
+    """
+
+    blocks: np.ndarray  # the padded last block included
+    pads: np.ndarray  # the padding bits that fill a row's last block
+    ok: np.ndarray  # kept blocks whose keys agree
+    decodable: np.ndarray  # blocks whose syndrome the table covers
+    kept: np.ndarray  # decodable blocks holding no padding: the final keys' blocks
+    alice: np.ndarray  # the kept blocks' labels on the holders' side
+    bob: np.ndarray  # and on the other side
+    padding: np.ndarray  # each row's padding bits, row after row
+
+    @property
+    def block_yield(self) -> np.ndarray:
+        """Each row's ``StreamResult.block_yield``: ok over unpadded blocks, 0.0 where there are none."""
+        unpadded = self.blocks - (self.pads > 0)
+        return np.divide(self.ok, unpadded, out=np.zeros(len(unpadded)), where=unpadded > 0)
+
+
+def reconcile_blocks(
+    pair: CssPair,
+    error: np.ndarray,
+    lengths: np.ndarray,
+    rngs: Substream | Sequence[random.Random],
+    group_size: int = 1,
+) -> Reconciled:
+    """Blockwise reconciliation of many rows at once, each with its own coins.
+
+    Row r holds ``lengths[r]`` bits. ``error`` is every row's error (held XOR
+    noisy, 0/1) followed by ``-lengths[r] % pair.c1.length`` zeros, row after
+    row: both sides pad a row with the same public bits, so its padding holds
+    no error. A row draws its padding, then every block's messages party by
+    party, from its own coins of ``rngs`` (:func:`random_coins`). A block's
+    codeword u is the XOR of its messages' codewords; the holders' key is u's
+    label, the other side's the label of u plus the error once decoded. The
+    blocks of all rows are read as one integer each, whose keys the pair's
+    tables give with no matrix product.
+    """
+    if group_size < 1:
+        raise ValueError("need at least one party")
+    code = pair.c1
+    lengths = np.asarray(lengths, dtype=np.intp)
+    pads = -lengths % code.length
+    blocks = (lengths + pads) // code.length
+    messages = blocks * (group_size * code.dimension)
+    coins = random_coins(rngs, (pads + messages).tolist())
+    # Row by row: the padding first, then the messages.
+    is_pad = np.repeat(np.arange(2 * len(pads)) % 2 == 0, np.column_stack([pads, messages]).ravel())
+    sent = _block_values(coins[~is_pad].reshape(-1, code.dimension))
+    u = pair._codeword_values[np.bitwise_xor.reduce(sent.reshape(-1, group_size), axis=1)]
+    key_alice = pair._label_table[u]
+    key_bob = pair._decoded_labels[u ^ _block_values(error.reshape(-1, code.length))]
+    decodable = key_bob >= 0
+    kept = decodable.copy()
+    starts = np.cumsum(blocks) - blocks
+    kept[(starts + blocks - 1)[pads > 0]] = False  # part of a padded row's last block is public
+    # Each row's count of each mask, summed over its blocks; a row of no blocks counts none.
+    masks, filled = np.array([kept & (key_alice == key_bob), decodable, kept]), blocks > 0
+    counts = np.zeros((3, len(blocks)), dtype=np.intp)
+    counts[:, filled] = np.add.reduceat(masks, starts[filled], axis=1, dtype=np.intp)
+    ok, decodable_count, kept_count = counts
+    return Reconciled(blocks, pads, ok, decodable_count, kept_count, key_alice[kept], key_bob[kept], coins[is_pad])
+
+
 def reconcile_stream(
     pair: CssPair,
     held: Sequence[int],
@@ -391,7 +460,7 @@ def reconcile_stream(
     beyond the code radius can silently break; the parties would confirm this
     with a hash in deployment, the simulator just compares.
 
-    All blocks are handled at once as rows of arrays, with the result
+    All blocks are handled at once by :func:`reconcile_blocks`, with the result
     :func:`reconcile` gives block by block, each block's codeword the XOR of
     its parties' messages read in turn from the coins of ``rng``
     (:func:`random_coins`). This is the one-row case of :func:`reconcile_streams`.
@@ -423,63 +492,31 @@ def reconcile_streams(
     rngs: Substream | Sequence[random.Random],
     group_size: int = 1,
 ) -> list[StreamResult]:
-    """:func:`reconcile_stream` of every row, each with its own coins.
+    """:func:`reconcile_stream` of every row, each with its own coins: :func:`reconcile_blocks`
+    of the rows' low bits, one ``StreamResult`` per row.
 
-    The blocks of all rows, padding included, are read as one integer each,
-    whose keys the pair's tables give with no matrix product. The coins come
-    from ``rngs``, a ``Substream`` with one seed per row or one generator per
-    row (:func:`random_coins`), in the order a lone call draws them, so each
-    result, and the state each generator is left in, is that of
+    The coins come from ``rngs``, a ``Substream`` with one seed per row or one
+    generator per row (:func:`random_coins`), in the order a lone call draws
+    them, so each result, and the state each generator is left in, is that of
     :func:`reconcile_stream` on the row.
     """
     if not len(held_rows) == len(noisy_rows) == len(rngs):
         raise ValueError("need one held string, one noisy string and one generator per row")
-    if group_size < 1:
-        raise ValueError("need at least one party")
     lengths = [len(bits) for bits in held_rows]
     if lengths != [len(bits) for bits in noisy_rows]:
         raise ValueError("both strings must have equal length")
-    code = pair.c1
-    pads = np.array([-size % code.length for size in lengths], dtype=np.intp)
-    blocks = (np.array(lengths, dtype=np.intp) + pads) // code.length
-    # Row by row: the padding first, then every block's messages party by party.
-    counts = (pads + blocks * (group_size * code.dimension)).tolist()
-    coins = random_coins(rngs, counts).tobytes()
-    padding, messages, start, pad_list = [], [], 0, pads.tolist()
-    for pad, count in zip(pad_list, counts):
-        padding.append(coins[start:start + pad])
-        messages.append(coins[start + pad:start + count])
-        start += count
-    # Both sides pad a row with the same public bits, so its padding holds no error: zeros at its end.
-    flips = (_joined(noisy_rows, pad_list) ^ _joined(held_rows, pad_list)) & 1
-    error = _block_values(flips.reshape(-1, code.length))
-    # One message value per party and block; their XOR picks the block's codeword u.
-    sent = _block_values(np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, code.dimension))
-    u = pair._codeword_values[np.bitwise_xor.reduce(sent.reshape(-1, group_size), axis=1)]
-    key_alice, key_bob = pair._label_table[u], pair._decoded_labels[u ^ error]
-    decodable = key_bob >= 0
-    kept = decodable.copy()
-    kept[(np.cumsum(blocks) - 1)[pads > 0]] = False  # part of a padded row's last block is public
-    row = np.repeat(np.arange(len(rngs)), blocks)  # the row of each block
-
-    def per_row(mask: np.ndarray) -> list[int]:
-        """How many of each row's blocks ``mask`` holds."""
-        return np.bincount(row[mask], minlength=len(rngs)).tolist()
-
-    ok, decodable_count, kept_count = (
-        per_row(mask) for mask in (kept & (key_alice == key_bob), decodable, kept)
-    )
-    alice, bob = (pair._keys[key[kept]].tobytes() for key in (key_alice, key_bob))
-    results, start = [], 0
-    for r, total in enumerate(blocks.tolist()):
-        end = start + kept_count[r] * pair.key_bits
-        results.append(
-            StreamResult(
-                tuple(alice[start:end]), tuple(bob[start:end]), total, ok[r],
-                total - decodable_count[r], tuple(padding[r]),
-            )
-        )
-        start = end
+    pads = [-size % pair.c1.length for size in lengths]
+    rec = reconcile_blocks(pair, (_joined(noisy_rows, pads) ^ _joined(held_rows, pads)) & 1, lengths, rngs,
+                           group_size)
+    alice, bob = (pair._keys[labels].tobytes() for labels in (rec.alice, rec.bob))
+    padding = rec.padding.tobytes()
+    results, key, fill = [], 0, 0
+    for total, pad, ok, decodable, kept in zip(*(a.tolist() for a in (rec.blocks, rec.pads, rec.ok,
+                                                                      rec.decodable, rec.kept))):
+        end = key + kept * pair.key_bits
+        results.append(StreamResult(tuple(alice[key:end]), tuple(bob[key:end]), total, ok, total - decodable,
+                                    tuple(padding[fill:fill + pad])))
+        key, fill = end, fill + pad
     return results
 
 

@@ -50,6 +50,11 @@ ABORT_ERROR_RATE = "error-rate"
 ABORT_ORDERING = "ordering-violation"
 
 
+# Words that ``Chunk._enter`` found a line can carry, so that each is split once per process; one that
+# fails is never held. Hand-built runs may record any payload, so only the first few thousand are held.
+_LINE_WORDS: set[str] = set()
+_LINE_WORDS_HELD = 4096
+
 # Codes 0, 1 and 2 render '0', '1' and '?', and code 3 a newline.
 _BIT_CHARS = bytes.maketrans(b"\x00\x01\x02\x03", b"01?\n")
 # Its inverse: '0', '1' and '?' to codes 0, 1 and 2, every other byte to 255.
@@ -328,9 +333,12 @@ class Chunk(Sequence["Transcript"]):
         is made read-only."""
         rows = None if rows is None or rows.all() else rows
         words = {word for event in events for word in event} | (set() if callable(payloads) else {payloads})
-        bad = [word for word in words if word.split() != [word]]
-        if bad:
-            raise ValueError(f"cannot record {bad[0]!r}: a line holds non-empty words with no whitespace")
+        if not words <= _LINE_WORDS:
+            bad = [word for word in words - _LINE_WORDS if word.split() != [word]]
+            if bad:
+                raise ValueError(f"cannot record {bad[0]!r}: a line holds non-empty words with no whitespace")
+            if len(_LINE_WORDS) < _LINE_WORDS_HELD:
+                _LINE_WORDS.update(words)
         if callable(payloads):
             payloads.args[0].flags.writeable = False
         self._records.append((events, rows, payloads))

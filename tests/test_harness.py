@@ -4,10 +4,10 @@ import hashlib
 import json
 import pathlib
 import statistics
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpqss import (
@@ -23,8 +23,12 @@ from mpqss import (
     derive_trial_seed,
     run_experiment,
 )
+from mpqss import build_canonical_css, reconcile_streams, run_protocol
 from mpqss.cli import OPTIONS, main
-from mpqss.harness import RunReport, _summary
+from mpqss.harness import RunReport, _summary, trial_seeds
+from mpqss.planes import Substream
+from mpqss.postprocessing import bits_to_hex
+from mpqss.protocol import run_chunks
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -223,7 +227,7 @@ class TestRunExperiment:
         assert run_protocol(replace(cfg, seed=derive_trial_seed(28, 0)), channel).raw_key is None
         default = run_experiment(spec, otp_message=[1, 0, 1, 1]).to_json()
         monkeypatch.setattr(protocol, "CHUNK_POSITIONS", 1 << 12)
-        with mock.patch.object(harness, "_reconcile_keyed", wraps=harness._reconcile_keyed) as batches:
+        with mock.patch.object(harness, "_block_yields", wraps=harness._block_yields) as batches:
             report = run_experiment(spec, otp_message=[1, 0, 1, 1])
         assert report.to_json() == default
         assert batches.call_count == -(-60 // protocol.trials_per_chunk(cfg)) == 4
@@ -412,6 +416,90 @@ class TestRunExperiment:
             ProtocolConfig(**counts)
         with pytest.raises(ConfigError, match=f"^protocol.{name}: must be an int"):
             ExperimentSpec(protocol=ProtocolConfig(**counts, unsafe_skip_validation=True)).validate()
+
+
+def _alone(spec: ExperimentSpec, t: int):
+    """Trial t of ``spec`` run alone and its raw keys reconciled alone, with its own "pp" substream
+    row, or None when it yields no key bit."""
+    seed = derive_trial_seed(spec.seed, t)
+    tr = run_protocol(replace(spec.protocol, seed=seed), spec.channel)
+    if not tr.raw_key:
+        return None
+    [result] = reconcile_streams(build_canonical_css(), [tr.reference_key], [tr.raw_key], Substream([seed], "pp"))
+    return result
+
+
+class TestKeyedReconciliation:
+    """Each chunk's keyed trials are reconciled in one flat pass; each trial's block_yield sample,
+    and the first keyed trial's final key, are those of the trial reconciled alone."""
+
+    @staticmethod
+    def check_sweep(spec: ExperimentSpec, budget: int) -> list:
+        from unittest import mock
+
+        from mpqss import harness, protocol
+
+        alone = [_alone(spec, t) for t in range(spec.trials)]
+        keyed = [result for result in alone if result is not None]
+        with mock.patch.object(protocol, "CHUNK_POSITIONS", budget):
+            chunks = list(run_chunks(spec.protocol, spec.channel, trial_seeds(spec.seed, 0, spec.trials)))
+            report = run_experiment(spec)
+        samples = [y for chunk in chunks for y in harness.METRICS["block_yield"](chunk, spec)]
+        assert samples == [result.block_yield for result in keyed]
+        assert report.metrics["block_yield"] == _summary(samples)
+        first = [{"final_key_hex": bits_to_hex(r.final_alice), "final_key_bits": len(r.final_alice)} for r in keyed[:1]]
+        assert report.extras == (first[0] if first else {})
+        return alone
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        budget=st.sampled_from([1 << 9, 1 << 12]),
+        blocks=st.sampled_from([6, 12, 40]),
+        memory=st.booleans(),
+        p_x=st.sampled_from([0.0, 0.06, 0.3]),
+        loss=st.sampled_from([0.0, 0.1]),
+        trials=st.integers(1, 30),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_each_sample_and_the_first_key_are_the_trial_reconciled_alone(
+        self, budget, blocks, memory, p_x, loss, trials, seed
+    ):
+        cfg = ProtocolConfig(3, 3, blocks, quantum_memory=memory)
+        spec = ExperimentSpec(cfg, ChannelModel(loss_prob=loss, p_x=p_x), trials=trials, metrics=("block_yield",),
+                              seed=seed)
+        self.check_sweep(spec, budget)
+
+    @pytest.mark.parametrize("budget", [1 << 9, 1 << 12])
+    def test_a_sweep_with_unkeyed_short_and_whole_block_keys_across_chunks(self, budget):
+        # 6% X noise aborts some trials and 10% loss thins the rest, so keys run from none
+        # through shorter than one block to whole blocks; 80 trials of 60 qubits fill 2 or 10 chunks.
+        spec = ExperimentSpec(ProtocolConfig(3, 3, 20), ChannelModel(loss_prob=0.1, p_x=0.06), trials=80,
+                              metrics=("block_yield",), seed=2)
+        alone = self.check_sweep(spec, budget)
+        keyed = [r for r in alone if r is not None]
+        assert alone[0] is None and len(keyed) < 79  # the first trial and others have no key bit
+        short = [r for r in keyed if r.blocks_total - (len(r.padding) > 0) == 0]
+        assert short and all(r.block_yield == 0.0 for r in short)
+        assert len(short) < len(keyed)
+
+    def test_a_sweep_builds_no_stream_result_and_no_key_bytes(self):
+        """The thousand-trial sweep of the mc-sweep benchmark reconciles on arrays alone: no
+        ``StreamResult``, no ``reconcile_streams`` call and no join of per-trial key bytes; one
+        kernel pass per chunk, and one for the first keyed trial's key."""
+        from unittest import mock
+
+        from mpqss import harness, postprocessing, protocol
+
+        spec = ExperimentSpec(ProtocolConfig(3, 3, 40, quantum_memory=False), ChannelModel(p_x=0.02), trials=1000,
+                              metrics=("qber", "block_yield"), seed=1)
+        refuse = mock.Mock(side_effect=AssertionError("a sweep reconciles on arrays alone"))
+        with mock.patch.object(postprocessing, "StreamResult", refuse), \
+                mock.patch.object(postprocessing, "reconcile_streams", refuse), \
+                mock.patch.object(postprocessing, "_joined", refuse), \
+                mock.patch.object(harness, "reconcile_blocks", wraps=harness.reconcile_blocks) as kernel:
+            report = run_experiment(spec)
+        assert report.metrics["block_yield"].samples > 0 and "final_key_hex" in report.extras
+        assert kernel.call_count == -(-1000 // protocol.trials_per_chunk(spec.protocol)) + 1
 
 
 @pytest.fixture(scope="module")

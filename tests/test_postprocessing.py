@@ -36,6 +36,7 @@ from mpqss.postprocessing import (
     _block_values,
     bits_to_hex,
     gf2_matmul,
+    reconcile_blocks,
 )
 from mpqss.planes import Substream
 
@@ -675,6 +676,43 @@ def test_rows_reconcile_as_their_values_mod_2(name, batch):
         return [[int(b) % 2 for b in r[column]] for r in rows]
 
     assert streams([r[0] for r in rows], [r[1] for r in rows]) == streams(low_bits(0), low_bits(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(REFERENCES)),
+    rows=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2**64 - 1)), max_size=8),
+    group_size=st.integers(1, 3),
+    data=st.randoms(use_true_random=False),
+)
+def test_the_kernel_gives_each_row_what_it_gives_alone(name, rows, group_size, data):
+    """Rows of no bits, of fewer than one block and of several, laid end to end: each row's
+    counts, labels and padding are those of the row reconciled alone with its own substream row."""
+    pair = REFERENCES[name].pair
+    held = [[data.getrandbits(1) for _ in range(size)] for size, _ in rows]
+    noisy = [[b ^ (data.random() < 0.1) for b in bits] for bits in held]
+    lengths = [size for size, _ in rows]
+    padded = [[a ^ b for a, b in zip(h, w)] + [0] * (-len(h) % pair.c1.length) for h, w in zip(held, noisy)]
+    error = np.array([f for row in padded for f in row], dtype=np.uint8)
+    got = reconcile_blocks(pair, error, lengths, Substream([seed for _, seed in rows], "pp"), group_size)
+    key = fill = 0
+    for r, (h, w, (_, seed)) in enumerate(zip(held, noisy, rows)):
+        [alone] = reconcile_streams(pair, [h], [w], Substream([seed], "pp"), group_size)
+        assert (got.blocks[r], got.ok[r], got.decodable[r], got.pads[r]) == (
+            alone.blocks_total, alone.blocks_ok, alone.blocks_total - alone.blocks_discarded, len(alone.padding))
+        assert got.block_yield[r] == alone.block_yield
+        end = key + got.kept[r]
+        assert pair._keys[got.alice[key:end]].ravel().tolist() == list(alone.final_alice)
+        assert pair._keys[got.bob[key:end]].ravel().tolist() == list(alone.final_bob)
+        assert got.padding[fill:fill + got.pads[r]].tolist() == list(alone.padding)
+        key, fill = end, fill + got.pads[r]
+    assert (key, fill) == (len(got.alice), len(got.padding))
+    # With a generator per row, each row's counts are those of the block-by-block reference.
+    by_rows = reconcile_blocks(pair, error, lengths, [random.Random(seed) for _, seed in rows], group_size)
+    want = [REFERENCES[name].stream(h, w, random.Random(seed), group_size) for h, w, (_, seed) in zip(held, noisy, rows)]
+    assert by_rows.block_yield.tolist() == [r.block_yield for r in want]
+    assert (by_rows.ok.tolist(), by_rows.kept.tolist()) == ([r.blocks_ok for r in want],
+                                                            [len(r.final_alice) // pair.key_bits for r in want])
 
 
 # ---------------------------------------------------------------------------

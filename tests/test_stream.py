@@ -117,6 +117,18 @@ class TestGenerator:
         ones, zeros, both = stream.draw(([0], 1000), ([2**32], 1000), ([0, 0, 2**32], 1000))
         assert ones.tolist() == [1] * 1000 and zeros.tolist() == [0] * 1000 and both.tolist() == [2] * 1000
 
+    @pytest.mark.parametrize("seeds", [9, [9, 2**64 - 1]])
+    def test_a_decision_with_thresholds_of_zero_and_two_to_the_32_counts_those_at_most_each_word(self, seeds):
+        # The decision of draw 0 reads the 32-bit words of draw 0; thresholds taken from
+        # those words, one apart from them and repeated, with 0 and 2**32 among them.
+        [words] = Substream(seeds, "hop2").draw((32, 300))
+        some = sorted(words.ravel().tolist())[::40]
+        for thresholds in ([0], [0, 0, 2**32], sorted([0, *some, *(w + 1 for w in some), 2**32, 2**32]),
+                           sorted([0, 0, 0, *some, *some])):
+            [bins] = Substream(seeds, "hop2").draw((thresholds, 300))
+            want = [[sum(t <= w for t in thresholds) for w in row] for row in np.atleast_2d(words).tolist()]
+            assert np.atleast_2d(bins).tolist() == want
+
     def test_each_row_of_a_batch_is_its_seed_alone(self):
         draws = ((32, 70), (1, 9), (64, 3), ([2**24 + 5, 2**31, 3 * 2**30 + 7], 3000), ([2**30], 5))
         batch = Substream([3, 2**64 - 1, 3], "measure").draw(*draws)
