@@ -1,5 +1,6 @@
 """Entropy/rate formulas, nested-code distillation, and one-time-pad discipline."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -749,3 +750,20 @@ def test_substream_batch_is_pinned():
     assert [r.blocks_total for r in got] == [17144, 0, 2, 8193, 572]
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
     assert digest == "74d3104638a5d2118daf4386f59cea4e878cd48be2c9c13ad30ae7d04e905087"
+
+
+def test_substream_kernel_batch_is_pinned():
+    """The five rows of the batch pin through the kernel: their error bits, each row's
+    padded with zeros, and coins from a "pp" substream; the sha256 of repr of the
+    ``Reconciled`` arrays as lists."""
+    sizes = [120_003, 0, 9, 57_350, 4_001]
+    rows = [_planted(21 + r, size) for r, size in enumerate(sizes)]
+    error = np.array(
+        [bit for held, noisy in rows for bit in [a ^ b for a, b in zip(held, noisy)] + [0] * (-len(held) % 7)],
+        dtype=np.uint8,
+    )
+    got = reconcile_blocks(build_canonical_css(), error, sizes, Substream([31, 32, 33, 34, 35], "pp"), group_size=2)
+    assert got.blocks.tolist() == [17144, 0, 2, 8193, 572]
+    fields = [getattr(got, field.name).tolist() for field in dataclasses.fields(got)]
+    digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+    assert digest == "41f17d1a3316706227d20b74c5ae7beb944d6f6ce6349a25d392aa0012cdfaff"
