@@ -60,7 +60,6 @@ from .postprocessing import (
     otp_send,
     reconcile,
     reconcile_stream,
-    reconcile_streams,
     syndrome_decode,
     xor_bits,
 )

@@ -343,7 +343,7 @@ def reconcile(
     back to a codeword, and both sides take that codeword's coset label as the
     key. Keys agree whenever the error weight stays within the code radius;
     blocks whose syndrome falls outside the table are discarded. The other
-    side's key is read from the pair's tables, as :func:`reconcile_streams` reads it.
+    side's key is read from the pair's tables, as :func:`reconcile_blocks` reads it.
     """
     v = np.asarray(held, dtype=np.uint8) % 2
     w = np.asarray(noisy, dtype=np.uint8) % 2
@@ -421,6 +421,10 @@ def reconcile_blocks(
     code = pair.c1
     lengths = np.asarray(lengths, dtype=np.intp)
     pads = -lengths % code.length
+    if len(rngs) != len(lengths):
+        raise ValueError(f"need one generator or substream seed per row: {len(rngs)} for {len(lengths)} rows")
+    if len(error) != (lengths + pads).sum():
+        raise ValueError(f"error must hold {(lengths + pads).sum()} bits, each row's and its padding, not {len(error)}")
     blocks = (lengths + pads) // code.length
     messages = blocks * (group_size * code.dimension)
     coins = random_coins(rngs, (pads + messages).tolist())
@@ -460,64 +464,28 @@ def reconcile_stream(
     beyond the code radius can silently break; the parties would confirm this
     with a hash in deployment, the simulator just compares.
 
-    All blocks are handled at once by :func:`reconcile_blocks`, with the result
-    :func:`reconcile` gives block by block, each block's codeword the XOR of
-    its parties' messages read in turn from the coins of ``rng``
-    (:func:`random_coins`). This is the one-row case of :func:`reconcile_streams`.
+    Each string is bytes, or a list or tuple of values in ``range(256)``, or an
+    array, cast by ``astype(np.uint8)``; each value then stands for its low bit.
+    All blocks are handled at once by :func:`reconcile_blocks`, the string
+    being its one row, with the result :func:`reconcile` gives block by block,
+    each block's codeword the XOR of its parties' messages read in turn from
+    the coins of ``rng`` (:func:`random_coins`).
     """
-    return reconcile_streams(pair, [held], [noisy], [rng], group_size)[0]
-
-
-def _joined(rows, pads: list[int]) -> np.ndarray:
-    """The rows of bits end to end, one uint8 each, row r then ``pads[r]`` zeros: a bytes row
-    uncopied, an array by ``astype``, and a list or tuple by ``bytearray()``, which reads it
-    faster than ``bytes()``. The type is tested inline, as on many short rows a call per row
-    would cost more than the join."""
-    return np.frombuffer(b"".join([
-        part
-        for bits, pad in zip(rows, pads)
-        for part in (
-            bits if isinstance(bits, bytes)
-            else bits.astype(np.uint8).tobytes() if isinstance(bits, np.ndarray)
-            else bytearray(bits),
-            bytes(pad),
-        )
-    ]), np.uint8)
-
-
-def reconcile_streams(
-    pair: CssPair,
-    held_rows: Sequence[Sequence[int]],
-    noisy_rows: Sequence[Sequence[int]],
-    rngs: Substream | Sequence[random.Random],
-    group_size: int = 1,
-) -> list[StreamResult]:
-    """:func:`reconcile_stream` of every row, each with its own coins: :func:`reconcile_blocks`
-    of the rows' low bits, one ``StreamResult`` per row.
-
-    The coins come from ``rngs``, a ``Substream`` with one seed per row or one
-    generator per row (:func:`random_coins`), in the order a lone call draws
-    them, so each result, and the state each generator is left in, is that of
-    :func:`reconcile_stream` on the row.
-    """
-    if not len(held_rows) == len(noisy_rows) == len(rngs):
-        raise ValueError("need one held string, one noisy string and one generator per row")
-    lengths = [len(bits) for bits in held_rows]
-    if lengths != [len(bits) for bits in noisy_rows]:
+    size = len(held)
+    if len(noisy) != size:
         raise ValueError("both strings must have equal length")
-    pads = [-size % pair.c1.length for size in lengths]
-    rec = reconcile_blocks(pair, (_joined(noisy_rows, pads) ^ _joined(held_rows, pads)) & 1, lengths, rngs,
-                           group_size)
-    alice, bob = (pair._keys[labels].tobytes() for labels in (rec.alice, rec.bob))
-    padding = rec.padding.tobytes()
-    results, key, fill = [], 0, 0
-    for total, pad, ok, decodable, kept in zip(*(a.tolist() for a in (rec.blocks, rec.pads, rec.ok,
-                                                                      rec.decodable, rec.kept))):
-        end = key + kept * pair.key_bits
-        results.append(StreamResult(tuple(alice[key:end]), tuple(bob[key:end]), total, ok, total - decodable,
-                                    tuple(padding[fill:fill + pad])))
-        key, fill = end, fill + pad
-    return results
+    error = np.zeros(size + -size % pair.c1.length, dtype=np.uint8)
+    # bytearray() reads a list or tuple faster than bytes() or numpy does, and refuses a value outside range(256).
+    # The two strings' bytes are freed before the kernel runs.
+    np.bitwise_xor(*(
+        bits.astype(np.uint8) if isinstance(bits, np.ndarray) else np.frombuffer(bytearray(bits), np.uint8)
+        for bits in (held, noisy)
+    ), out=error[:size])
+    error &= 1
+    rec = reconcile_blocks(pair, error, [size], [rng], group_size)
+    blocks, ok, decodable = (count.item() for count in (rec.blocks, rec.ok, rec.decodable))
+    alice, bob = (tuple(pair._keys[labels].tobytes()) for labels in (rec.alice, rec.bob))
+    return StreamResult(alice, bob, blocks, ok, blocks - decodable, tuple(rec.padding.tobytes()))
 
 
 # ---------------------------------------------------------------------------

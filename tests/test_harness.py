@@ -6,6 +6,7 @@ import pathlib
 import statistics
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +24,11 @@ from mpqss import (
     derive_trial_seed,
     run_experiment,
 )
-from mpqss import build_canonical_css, reconcile_streams, run_protocol
+from mpqss import build_canonical_css, run_protocol
 from mpqss.cli import OPTIONS, main
 from mpqss.harness import RunReport, _summary, trial_seeds
 from mpqss.planes import Substream
-from mpqss.postprocessing import bits_to_hex
+from mpqss.postprocessing import bits_to_hex, reconcile_blocks
 from mpqss.protocol import run_chunks
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -419,14 +420,16 @@ class TestRunExperiment:
 
 
 def _alone(spec: ExperimentSpec, t: int):
-    """Trial t of ``spec`` run alone and its raw keys reconciled alone, with its own "pp" substream
-    row, or None when it yields no key bit."""
+    """Trial t of ``spec`` run alone and its raw keys reconciled alone, one row of the kernel with its
+    own "pp" substream row, or None when it yields no key bit."""
     seed = derive_trial_seed(spec.seed, t)
     tr = run_protocol(replace(spec.protocol, seed=seed), spec.channel)
     if not tr.raw_key:
         return None
-    [result] = reconcile_streams(build_canonical_css(), [tr.reference_key], [tr.raw_key], Substream([seed], "pp"))
-    return result
+    size = len(tr.raw_key)
+    error = np.bitwise_xor(tr.raw_key, tr.reference_key).astype(np.uint8)
+    return reconcile_blocks(build_canonical_css(), np.append(error, np.zeros(-size % 7, np.uint8)), [size],
+                            Substream([seed], "pp"))
 
 
 class TestKeyedReconciliation:
@@ -445,9 +448,10 @@ class TestKeyedReconciliation:
             chunks = list(run_chunks(spec.protocol, spec.channel, trial_seeds(spec.seed, 0, spec.trials)))
             report = run_experiment(spec)
         samples = [y for chunk in chunks for y in harness.METRICS["block_yield"](chunk, spec)]
-        assert samples == [result.block_yield for result in keyed]
+        assert samples == [y for result in keyed for y in result.block_yield.tolist()]
         assert report.metrics["block_yield"] == _summary(samples)
-        first = [{"final_key_hex": bits_to_hex(r.final_alice), "final_key_bits": len(r.final_alice)} for r in keyed[:1]]
+        keys = [build_canonical_css()._keys[r.alice].ravel().tolist() for r in keyed[:1]]
+        first = [{"final_key_hex": bits_to_hex(key), "final_key_bits": len(key)} for key in keys]
         assert report.extras == (first[0] if first else {})
         return alone
 
@@ -478,14 +482,14 @@ class TestKeyedReconciliation:
         alone = self.check_sweep(spec, budget)
         keyed = [r for r in alone if r is not None]
         assert alone[0] is None and len(keyed) < 79  # the first trial and others have no key bit
-        short = [r for r in keyed if r.blocks_total - (len(r.padding) > 0) == 0]
-        assert short and all(r.block_yield == 0.0 for r in short)
+        short = [r for r in keyed if r.blocks[0] - (r.pads[0] > 0) == 0]
+        assert short and all(r.block_yield[0] == 0.0 for r in short)
         assert len(short) < len(keyed)
 
     def test_a_sweep_builds_no_stream_result_and_no_key_bytes(self):
         """The thousand-trial sweep of the mc-sweep benchmark reconciles on arrays alone: no
-        ``StreamResult``, no ``reconcile_streams`` call and no join of per-trial key bytes; one
-        kernel pass per chunk, and one for the first keyed trial's key."""
+        ``StreamResult``, which every ``reconcile_stream`` call builds; one kernel pass per chunk,
+        and one for the first keyed trial's key."""
         from unittest import mock
 
         from mpqss import harness, postprocessing, protocol
@@ -494,8 +498,6 @@ class TestKeyedReconciliation:
                               metrics=("qber", "block_yield"), seed=1)
         refuse = mock.Mock(side_effect=AssertionError("a sweep reconciles on arrays alone"))
         with mock.patch.object(postprocessing, "StreamResult", refuse), \
-                mock.patch.object(postprocessing, "reconcile_streams", refuse), \
-                mock.patch.object(postprocessing, "_joined", refuse), \
                 mock.patch.object(harness, "reconcile_blocks", wraps=harness.reconcile_blocks) as kernel:
             report = run_experiment(spec)
         assert report.metrics["block_yield"].samples > 0 and "final_key_hex" in report.extras

@@ -25,7 +25,6 @@ from mpqss import (
     otp_send,
     reconcile,
     reconcile_stream,
-    reconcile_streams,
     syndrome_decode,
     xor_bits,
 )
@@ -274,12 +273,8 @@ class TestReconcile:
         assert report.metrics["block_yield"].mean == 0.0
 
     def test_stream_requires_equal_lengths(self, pair):
-        with pytest.raises(ValueError):
-            reconcile_stream(pair, [0, 1], [0], random.Random(0))
         with pytest.raises(ValueError, match="equal length"):
-            reconcile_streams(pair, [[0], [0, 1]], [[1], [0]], [random.Random(0)] * 2)
-        with pytest.raises(ValueError, match="one generator per row"):
-            reconcile_streams(pair, [[0]], [[1]], [])
+            reconcile_stream(pair, [0, 1], [0], random.Random(0))
 
     def test_canonical_pair_is_built_once_and_read_only(self, pair):
         assert build_canonical_css() is pair
@@ -333,7 +328,14 @@ class TestRefusals:
         with pytest.raises(ValueError, match="length 7"):
             reconcile(pair, (0,) * 6, (0,) * 7, (0,) * 7)
         with pytest.raises(ValueError, match="at least one party"):
-            reconcile_streams(pair, [[0]], [[0]], [random.Random(0)], group_size=0)
+            reconcile_stream(pair, [0], [0], random.Random(0), group_size=0)
+        # The kernel's coins come one row per entry of lengths, and its error bits fill every padded row.
+        error = np.zeros(14, dtype=np.uint8)
+        for rngs in ([random.Random(0)] * 3, [random.Random(0)], Substream([1], "pp")):
+            with pytest.raises(ValueError, match="per row"):
+                reconcile_blocks(pair, error, [7, 7], rngs)
+        with pytest.raises(ValueError, match="must hold 14 bits"):
+            reconcile_blocks(pair, error[:10], [7, 7], [random.Random(0)] * 2)
         with pytest.raises(ValueError, match="equal length"):
             xor_bits((0, 1), (0,))
 
@@ -636,47 +638,67 @@ def test_streams_reconcile_by_table_lookups_alone(monkeypatch):
 
 
 @st.composite
-def stream_rows(draw):
-    """Rows of (held, noisy, generator seed) as list, tuple, int array or bytes,
-    with a group size. A row's values run over 0-3; each stands for its low bit,
-    and a flip of 2 changes a noisy value but not its bit."""
-    rows = []
-    for _ in range(draw(st.integers(0, 8))):
-        held = draw(st.lists(st.integers(0, 3), max_size=30))
-        flips = draw(st.lists(st.integers(0, 3), min_size=len(held), max_size=len(held)))
-        noisy = [b ^ f for b, f in zip(held, flips)]
-        kind = draw(st.sampled_from([list, tuple, np.array, bytes]))
-        rows.append((kind(held), kind(noisy), draw(st.integers(0, 2**32 - 1))))
-    return rows, draw(st.integers(1, 3))
+def stream_row(draw):
+    """(held, noisy, generator seed) as list, tuple, int array or bytes. Values
+    run over 0-3; each stands for its low bit, and a flip of 2 changes a noisy
+    value but not its bit."""
+    held = draw(st.lists(st.integers(0, 3), max_size=30))
+    flips = draw(st.lists(st.integers(0, 3), min_size=len(held), max_size=len(held)))
+    noisy = [b ^ f for b, f in zip(held, flips)]
+    kind = draw(st.sampled_from([list, tuple, np.array, bytes]))
+    return kind(held), kind(noisy), draw(st.integers(0, 2**32 - 1))
+
+
+def _padded_error(pair, rows):
+    """Each row's held XOR noisy by its low bit, then zeros to its last block's end, row after row."""
+    bits = [[(int(h) ^ int(w)) & 1 for h, w in zip(held, noisy)] for held, noisy, *_ in rows]
+    return np.array([b for row in bits for b in row + [0] * (-len(row) % pair.c1.length)], dtype=np.uint8)
+
+
+def _each_row(pair, rec):
+    """Each row of a ``Reconciled`` as (blocks, ok, decodable, padding, keys on each side, yield)."""
+    out, key, fill = [], 0, 0
+    for r, (kept, pad) in enumerate(zip(rec.kept.tolist(), rec.pads.tolist())):
+        keys = [pair._keys[labels[key:key + kept]].ravel().tolist() for labels in (rec.alice, rec.bob)]
+        out.append((rec.blocks[r], rec.ok[r], rec.decodable[r], rec.padding[fill:fill + pad].tolist(), *keys,
+                    rec.block_yield[r]))
+        key, fill = key + kept, fill + pad
+    assert (key, fill) == (len(rec.alice), len(rec.padding))
+    return out
+
+
+def _stream_row(result):
+    """A ``StreamResult`` in the terms of :func:`_each_row`."""
+    return (result.blocks_total, result.blocks_ok, result.blocks_total - result.blocks_discarded,
+            list(result.padding), list(result.final_alice), list(result.final_bob), result.block_yield)
 
 
 @settings(max_examples=200, deadline=None)
-@given(name=st.sampled_from(sorted(REFERENCES)), batch=stream_rows())
-def test_batched_streams_equal_one_stream_per_row(name, batch):
+@given(name=st.sampled_from(sorted(REFERENCES)), rows=st.lists(stream_row(), max_size=8), group_size=st.integers(1, 3))
+def test_batched_streams_equal_one_stream_per_row(name, rows, group_size):
+    """One kernel pass with a generator per row gives each row what ``reconcile_stream`` gives
+    it alone, and leaves each generator in the state that call leaves it in."""
     pair = REFERENCES[name].pair
-    rows, group_size = batch
     rngs = [random.Random(seed) for _, _, seed in rows]
-    got = reconcile_streams(pair, [r[0] for r in rows], [r[1] for r in rows], rngs, group_size)
-    assert len(got) == len(rows)
-    for (held, noisy, seed), result, rng in zip(rows, got, rngs):
-        again = random.Random(seed)
-        assert result == reconcile_stream(pair, held, noisy, again, group_size)
+    got = reconcile_blocks(pair, _padded_error(pair, rows), [len(r[0]) for r in rows], rngs, group_size)
+    alone = [random.Random(seed) for _, _, seed in rows]
+    want = [reconcile_stream(pair, held, noisy, again, group_size) for (held, noisy, _), again in zip(rows, alone)]
+    assert _each_row(pair, got) == [_stream_row(result) for result in want]
+    for rng, again in zip(rngs, alone):
         assert rng.getrandbits(64) == again.getrandbits(64)
 
 
 @settings(max_examples=100, deadline=None)
-@given(name=st.sampled_from(sorted(REFERENCES)), batch=stream_rows())
-def test_rows_reconcile_as_their_values_mod_2(name, batch):
+@given(name=st.sampled_from(sorted(REFERENCES)), row=stream_row(), group_size=st.integers(1, 3))
+def test_rows_reconcile_as_their_values_mod_2(name, row, group_size):
     pair = REFERENCES[name].pair
-    rows, group_size = batch
+    held, noisy, seed = row
 
-    def streams(held, noisy):
-        return reconcile_streams(pair, held, noisy, [random.Random(r[2]) for r in rows], group_size)
+    def low_bits(bits):
+        return [int(b) % 2 for b in bits]
 
-    def low_bits(column):
-        return [[int(b) % 2 for b in r[column]] for r in rows]
-
-    assert streams([r[0] for r in rows], [r[1] for r in rows]) == streams(low_bits(0), low_bits(1))
+    assert reconcile_stream(pair, held, noisy, random.Random(seed), group_size) == reconcile_stream(
+        pair, low_bits(held), low_bits(noisy), random.Random(seed), group_size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -693,21 +715,16 @@ def test_the_kernel_gives_each_row_what_it_gives_alone(name, rows, group_size, d
     held = [[data.getrandbits(1) for _ in range(size)] for size, _ in rows]
     noisy = [[b ^ (data.random() < 0.1) for b in bits] for bits in held]
     lengths = [size for size, _ in rows]
-    padded = [[a ^ b for a, b in zip(h, w)] + [0] * (-len(h) % pair.c1.length) for h, w in zip(held, noisy)]
-    error = np.array([f for row in padded for f in row], dtype=np.uint8)
+    strings = list(zip(held, noisy))
+    error = _padded_error(pair, strings)
     got = reconcile_blocks(pair, error, lengths, Substream([seed for _, seed in rows], "pp"), group_size)
-    key = fill = 0
-    for r, (h, w, (_, seed)) in enumerate(zip(held, noisy, rows)):
-        [alone] = reconcile_streams(pair, [h], [w], Substream([seed], "pp"), group_size)
-        assert (got.blocks[r], got.ok[r], got.decodable[r], got.pads[r]) == (
-            alone.blocks_total, alone.blocks_ok, alone.blocks_total - alone.blocks_discarded, len(alone.padding))
-        assert got.block_yield[r] == alone.block_yield
-        end = key + got.kept[r]
-        assert pair._keys[got.alice[key:end]].ravel().tolist() == list(alone.final_alice)
-        assert pair._keys[got.bob[key:end]].ravel().tolist() == list(alone.final_bob)
-        assert got.padding[fill:fill + got.pads[r]].tolist() == list(alone.padding)
-        key, fill = end, fill + got.pads[r]
-    assert (key, fill) == (len(got.alice), len(got.padding))
+    alone = [
+        row
+        for string, (size, seed) in zip(strings, rows)
+        for row in _each_row(pair, reconcile_blocks(pair, _padded_error(pair, [string]), [size],
+                                                    Substream([seed], "pp"), group_size))
+    ]
+    assert _each_row(pair, got) == alone
     # With a generator per row, each row's counts are those of the block-by-block reference.
     by_rows = reconcile_blocks(pair, error, lengths, [random.Random(seed) for _, seed in rows], group_size)
     want = [REFERENCES[name].stream(h, w, random.Random(seed), group_size) for h, w, (_, seed) in zip(held, noisy, rows)]
@@ -738,24 +755,10 @@ def test_distill_stream_shape_is_pinned():
     assert digest == "7c98c3823ac22e30304609032af92e44cf66a25a467b5079d558511fa3103740"
 
 
-def test_substream_batch_is_pinned():
-    """Five bytes rows, as a sweep reconciles them, with coins from a "pp"
-    substream; the longest row draws 137,157 coins."""
-    sizes = [120_003, 0, 9, 57_350, 4_001]
-    rows = [_planted(21 + r, size) for r, size in enumerate(sizes)]
-    got = reconcile_streams(
-        build_canonical_css(), [bytes(h) for h, _ in rows], [bytes(n) for _, n in rows],
-        Substream([31, 32, 33, 34, 35], "pp"), group_size=2,
-    )
-    assert [r.blocks_total for r in got] == [17144, 0, 2, 8193, 572]
-    digest = hashlib.sha256(repr(got).encode()).hexdigest()
-    assert digest == "74d3104638a5d2118daf4386f59cea4e878cd48be2c9c13ad30ae7d04e905087"
-
-
 def test_substream_kernel_batch_is_pinned():
-    """The five rows of the batch pin through the kernel: their error bits, each row's
-    padded with zeros, and coins from a "pp" substream; the sha256 of repr of the
-    ``Reconciled`` arrays as lists."""
+    """Five rows, as a sweep reconciles them, through the kernel: their error bits, each
+    row's padded with zeros, and coins from a "pp" substream, the longest row drawing
+    137,157 coins; the sha256 of repr of the ``Reconciled`` arrays as lists."""
     sizes = [120_003, 0, 9, 57_350, 4_001]
     rows = [_planted(21 + r, size) for r, size in enumerate(sizes)]
     error = np.array(
