@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import operator
-import statistics
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import NamedTuple
 
@@ -24,7 +23,7 @@ from .errors import ConfigError, KeyMaterialError
 from .config import ProtocolConfig, Variant, checked_block_count
 from .postprocessing import CssPair, Reconciled, bits_to_hex, build_canonical_css, key_rate, otp_send
 from .postprocessing import reconcile_blocks
-from .planes import UNUSABLE, Substream, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
+from .planes import UNUSABLE, check_tally, combined_basis, key_block_mask, receivers_xor, sift_mask
 from .planes import stream_keys, stream_words
 from .protocol import expanded_values, run_chunks, secret_lengths, trials_per_chunk
 
@@ -191,34 +190,36 @@ class RunReport:
 
 
 def _summary(samples: list[float]) -> MetricSummary:
-    if not samples:
-        return MetricSummary(0.0, 0.0, 0)
-    count = len(samples)
-    stderr = _stdev(samples) / count**0.5 if count > 1 else 0.0
-    return MetricSummary(statistics.fmean(samples), stderr, count)
+    """The mean and standard error of ``samples``: ``statistics.fmean`` and ``statistics.stdev`` over the root
+    of the count, to the bit, from exact integer sums instead of ``Fraction`` ones.
 
-
-def _stdev(samples: list[float]) -> float:
-    """``statistics.stdev`` of floats, from exact integer sums instead of ``Fraction`` ones.
-
-    Over the largest denominator, a power of two, the samples are integers and
-    the variance is num / den exactly; each distinct value, of the few a
-    metric takes, is summed once with its count. The square root is rounded
-    as ``statistics`` rounds it: to an integer root of 55 bits or more,
-    rounded to odd, then once to a float.
+    Over the largest denominator, a power of two, the samples are integers; each
+    distinct value, of the few a metric takes, is summed once with its count
+    (``np.unique``). The mean is their sum, rounded once to a float as
+    ``math.fsum`` rounds it, over the count. The variance is num / den exactly,
+    and its square root is rounded as ``statistics`` rounds it: to an integer
+    root of 55 bits or more, rounded to odd, then once to a float.
     """
-    counts = collections.Counter(samples)
-    nums, dens = zip(*map(float.as_integer_ratio, counts))
-    scale, count = max(dens), len(samples)
+    count = len(samples)
+    if not count:
+        return MetricSummary(0.0, 0.0, 0)
+    values, counts = np.unique(samples, return_counts=True)
+    nums, dens = zip(*map(float.as_integer_ratio, values.tolist()))
+    scale = max(dens)
     ints = list(map(operator.mul, nums, map(scale.__floordiv__, dens)))
-    weighted = list(map(operator.mul, ints, counts.values()))
-    num = count * sum(map(operator.mul, ints, weighted)) - sum(weighted) ** 2
+    weighted = list(map(operator.mul, ints, counts.tolist()))
+    total = sum(weighted)
+    mean = total / scale / count
+    if count == 1:
+        return MetricSummary(mean, 0.0, 1)
+    num = count * sum(map(operator.mul, ints, weighted)) - total**2
     den = count * (count - 1) * scale * scale
     q = (num.bit_length() - den.bit_length() - 109) // 2
     num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
     root = math.isqrt(num // den)
     root |= root * root * den != num
-    return (root << q) / 1 if q >= 0 else root / (1 << -q)
+    stdev = (root << q) / 1 if q >= 0 else root / (1 << -q)
+    return MetricSummary(mean, stdev / count**0.5, count)
 
 
 def _adversary_accuracy(chunk: Chunk, spec: ExperimentSpec) -> list[float]:
@@ -265,36 +266,38 @@ def recovered_raw_key(bits, positions, key_blocks, cfg: ProtocolConfig) -> tuple
     return tuple(key[list(key_blocks)].tolist())
 
 
-def _reconcile_keyed(pair: CssPair, chunk: Chunk, stop: int | None = None) -> Reconciled:
-    """The trials of ``chunk`` with a key bit, the first ``stop`` of them or all, reconciled in one pass.
+def _reconcile_keyed(pair: CssPair, chunk: Chunk) -> Reconciled:
+    """The trials of ``chunk`` with a key bit reconciled in one pass, in trial order.
 
     A trial's keys are its bits of the chunk's flat keys, a row of
     :func:`reconcile_blocks` with coins from the "pp" phase of its own seed.
     """
     sizes = np.diff(chunk.key_bounds)
-    keyed = np.flatnonzero(sizes)[:stop]
+    keyed = np.flatnonzero(sizes)
     lengths, ends = sizes[keyed], chunk.key_bounds[1:][keyed]
-    # Trials without a key bit hold none of the flat keys, so the first ``stop`` keyed trials' bits lead them.
-    error = (chunk.raw_key ^ chunk.reference_key)[:ends[-1] if len(ends) else 0]
-    padded = np.insert(error, np.repeat(ends, -lengths % pair.c1.length), 0)
-    return reconcile_blocks(pair, padded, lengths, Substream([chunk.seeds[t] for t in keyed.tolist()], "pp"))
+    padded = np.insert(chunk.raw_key ^ chunk.reference_key, np.repeat(ends, -lengths % pair.c1.length), 0)
+    return reconcile_blocks(pair, padded, lengths, chunk.stream.at("pp", keyed))
 
 
-def _block_yields(chunk: Chunk) -> list[float]:
-    """Each keyed trial's ``block_yield``, its raw keys reconciled with those of the chunk's other keyed trials."""
-    return [] if chunk.key_bounds is None else _reconcile_keyed(build_canonical_css(), chunk).block_yield.tolist()
+def _block_yields(chunk: Chunk, reconciled: Reconciled | None = None) -> list[float]:
+    """Each keyed trial's ``block_yield``, its raw keys reconciled with those of the chunk's other keyed trials;
+    ``reconciled`` is that pass if it has been run."""
+    if chunk.key_bounds is None:
+        return []
+    if reconciled is None:
+        reconciled = _reconcile_keyed(build_canonical_css(), chunk)
+    return reconciled.block_yield.tolist()
 
 
-def _key_extras(pair: CssPair, chunk: Chunk, otp_message: list | None) -> dict:
-    """The final key of ``chunk``'s first keyed trial, and the message sent under it, as report extras;
-    none if no trial has a key bit.
+def _key_extras(pair: CssPair, reconciled: Reconciled, otp_message: list | None) -> dict:
+    """The final key of the first keyed trial of a chunk, whose keyed trials are ``reconciled``, and the message
+    sent under it, as report extras; none if no trial has a key bit.
 
-    That trial is reconciled alone, which gives it the key it has among all of the chunk's keyed trials.
+    That trial's key is the labels of its kept blocks: the key it has when reconciled alone.
     """
-    if chunk.key_bounds is None or not chunk.key_bounds[-1]:
+    if not len(reconciled.kept):
         return {}
-    rec = _reconcile_keyed(pair, chunk, 1)
-    key = pair._keys[rec.alice].ravel().tolist()
+    key = pair._keys[reconciled.alice[:reconciled.kept[0]]].ravel().tolist()
     extras = {"final_key_hex": bits_to_hex(key), "final_key_bits": len(key)}
     if otp_message is not None:
         extras["ciphertext_hex"] = bits_to_hex(otp_send(otp_message, [key]))
@@ -309,7 +312,8 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
     distilled key and reported as ciphertext_hex; it needs the block_yield
     metric and refuses when the key runs short or no trial yields key bits.
     For block_yield the raw keys of each chunk's keyed trials are reconciled
-    in one pass, each with coins from the "pp" phase of the trial's seed.
+    in one pass, each with coins from the "pp" phase of the trial's seed,
+    which gives both the samples and the first keyed trial's key.
     """
     spec.validate()
     samples: dict[str, list[float]] = {name: [] for name in spec.metrics}
@@ -325,11 +329,13 @@ def run_experiment(spec: ExperimentSpec, otp_message: list | None = None) -> Run
     for chunk in run_chunks(spec.protocol, spec.channel, seeds):
         digests.extend(chunk.digests())
         aborted += int(np.count_nonzero(chunk.aborted))
+        reconciled = None if pair is None or chunk.key_bounds is None else _reconcile_keyed(pair, chunk)
         for name in spec.metrics:
-            samples[name].extend(METRICS[name](chunk, spec))
-        if pair is not None and not extras:
-            extras = _key_extras(pair, chunk, otp_message)
-        del chunk  # before the next chunk is run
+            sampled = _block_yields(chunk, reconciled) if name == "block_yield" else METRICS[name](chunk, spec)
+            samples[name].extend(sampled)
+        if reconciled is not None and not extras:
+            extras = _key_extras(pair, reconciled, otp_message)
+        del chunk, reconciled  # before the next chunk is run
     if otp_message is not None and "ciphertext_hex" not in extras:
         raise KeyMaterialError(f"need {len(otp_message)} key bits but no trial yielded key bits")
 

@@ -95,10 +95,13 @@ class Substream:
         """How many trials draw: one for a single seed."""
         return len(self._seeds)
 
-    def at(self, phase: str) -> "Substream":
-        """The same trials' draws in ``phase``."""
+    def at(self, phase: str, rows=None) -> "Substream":
+        """The same trials' draws in ``phase``, or those of the trials that the index array ``rows`` picks."""
         sub = object.__new__(Substream)
         sub.seeds, sub.phase, sub._seeds = self.seeds, phase, self._seeds
+        if rows is not None:  # seeds validated once, when this stream was made
+            sub._seeds = self._seeds[rows]
+            sub.seeds = sub._seeds.tolist()
         return sub
 
     def draw(self, *draws: tuple[int | Sequence[int], int]) -> list[np.ndarray]:

@@ -420,6 +420,9 @@ def reconcile_blocks(
         raise ValueError("need at least one party")
     code = pair.c1
     lengths = np.asarray(lengths, dtype=np.intp)
+    if (lengths < 0).any():
+        row = int(np.argmax(lengths < 0))
+        raise ValueError(f"row {row} has a negative length, {lengths[row]}")
     pads = -lengths % code.length
     if len(rngs) != len(lengths):
         raise ValueError(f"need one generator or substream seed per row: {len(rngs)} for {len(lengths)} rows")

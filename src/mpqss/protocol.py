@@ -413,14 +413,14 @@ def _record_losses(run: Chunk, party: str, lost: np.ndarray) -> None:
 
 # Trials run together as one stack of planes: as many as fit in this many
 # qubit positions, and at least one. Each numpy call then covers thousands of
-# positions, which amortises its fixed cost: about 1.4 ms of numpy and Python
-# calls per chunk (1.36 to 1.49 ms in three linear fits of a 1000-trial
-# sweep's best-of-15 time over budgets 2**12 to 2**17, on a 2-CPU VM). A chunk
+# positions, which amortises its fixed cost: about 2 ms of numpy and Python
+# calls per chunk against 13 us per trial (a linear fit of a 1000-trial
+# sweep's median time over budgets 2**12 to 2**17, on a 2-CPU VM). A chunk
 # and its records are alive until its last row goes, so the budget also
-# bounds that memory. At 2**15 a 1000-trial sweep at m=n=3, N=40 runs in four
-# chunks and peaks at about 1.9 MiB traced; each doubling halves the chunks
-# and doubles the peak.
-CHUNK_POSITIONS = 1 << 15
+# bounds that memory. At 2**16 a 1000-trial sweep at m=n=3, N=40 runs in two
+# chunks and peaks at about 2.4 MiB traced; 2**17 runs it in one, about 4%
+# faster, and peaks at 4.3 MiB.
+CHUNK_POSITIONS = 1 << 16
 
 
 def trials_per_chunk(cfg: ProtocolConfig) -> int:
@@ -499,8 +499,8 @@ def _run_chunk(
     "hop<i>" for the hop leaving sender i, "attack", "measure" and "check".
     A measurement coin does not depend on whether a guessed basis follows it.
     """
-    stream = Substream(seeds)
     run = Chunk(cfg.snapshot(), seeds)
+    stream = run.stream = Substream(seeds)
     m, size = cfg.senders, cfg.total_qubits
 
     senders = run.secrets = generate_secrets(cfg, stream) if secrets is None else secrets

@@ -273,8 +273,9 @@ class Chunk(Sequence["Transcript"]):
     the check mask; and arrays with an entry or a row per trial for the check
     tallies and rates, the key bits (row t's are ``key_bounds[t]:key_bounds[t + 1]``),
     the attack and the secrets. A row reads its fields on first use
-    (``field``), and ``texts`` renders every row's serialized text in one
-    pass, the one place an entry's payloads are rendered.
+    (``field``). ``_columns`` renders every row's serialized text in one pass,
+    as pieces that ``texts`` joins and ``digests`` hashes: the one place an
+    entry's payloads are rendered.
 
     ``config`` is a config snapshot. With ``seeds``, row t runs with
     ``seeds[t]`` as its seed; without, the chunk is one hand-built row, whose
@@ -283,6 +284,7 @@ class Chunk(Sequence["Transcript"]):
 
     def __init__(self, config: Mapping[str, str], seeds: Sequence[int] | None = None):
         self.config, self.seeds = dict(config), seeds
+        self.stream = None  # the rows' keyed draws, a ``planes.Substream`` of ``seeds``, once a run makes them
         self._records: list = []  # (events, rows, payloads), one entry per record call
         self.announced_bases: dict[int, np.ndarray] = {}  # sender -> (rows, length) plane
         self.secrets: list = []  # each sender's ``PartySecrets``, a row per trial
@@ -346,11 +348,26 @@ class Chunk(Sequence["Transcript"]):
 
     @functools.cached_property
     def texts(self) -> list[bytes]:
-        """Every row's serialized transcript in UTF-8; each entry's payloads are rendered once, for every row.
+        """Every row's serialized transcript in UTF-8; each entry's payloads are rendered once, for every row."""
+        return list(map(b"".join, zip(*self._columns())))
 
-        Events are numbered per row; a row that an entry's ``rows`` leaves out lacks its events. A row's text
-        joins pieces rendered for all rows at once. While every row stands at one event number, the entries that
-        every row holds at one width go into a ``_block_rows`` block; every other entry is ``_ragged`` columns.
+    def digests(self) -> list[str]:
+        """Every row's ``Transcript.digest()``: the SHA-256 of its text's bytes, in hex.
+
+        Unless ``texts`` is kept already, each row's text is hashed as soon as it is joined and then dropped,
+        so that no more than one row's text is alive at a time; nothing is kept.
+        """
+        texts = self.__dict__.get("texts")
+        if texts is None:
+            texts = map(b"".join, zip(*self._columns()))
+        return [sha.hexdigest() for sha in map(hashlib.sha256, texts)]
+
+    def _columns(self) -> list[list]:
+        """Columns of a piece per row, whose join along each row is that row's text.
+
+        Events are numbered per row; a row that an entry's ``rows`` leaves out lacks its events. Each piece is
+        rendered for all rows at once. While every row stands at one event number, the entries that every row
+        holds at one width go into a ``_block_rows`` block; every other entry is ``_ragged`` columns.
         """
         count = len(self)
         if not count:
@@ -388,11 +405,7 @@ class Chunk(Sequence["Transcript"]):
             columns += self.adversary.sections(self.adversary_bounds)
         parts.append(b"\n")
         close()
-        return list(map(b"".join, zip(*columns)))
-
-    def digests(self) -> list[str]:
-        """Every row's ``Transcript.digest()``: the SHA-256 of its text's bytes, in hex."""
-        return [sha.hexdigest() for sha in map(hashlib.sha256, self.texts)]
+        return columns
 
     def field(self, name: str, t: int):
         """Row ``t``'s value of the ``Transcript`` attribute ``name``; ``UNSET[name]`` if never reached."""

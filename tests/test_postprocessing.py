@@ -336,6 +336,10 @@ class TestRefusals:
                 reconcile_blocks(pair, error, [7, 7], rngs)
         with pytest.raises(ValueError, match="must hold 14 bits"):
             reconcile_blocks(pair, error[:10], [7, 7], [random.Random(0)] * 2)
+        # A negative row length is named, not left to fail inside the padding mask or the generator.
+        for lengths, bits, row in (([-3], 0, 0), ([-7, 21], 14, 0), ([7, -1], 7, 1)):
+            with pytest.raises(ValueError, match=f"row {row} has a negative length"):
+                reconcile_blocks(pair, error[:bits], lengths, [random.Random(0)] * len(lengths))
         with pytest.raises(ValueError, match="equal length"):
             xor_bits((0, 1), (0,))
 

@@ -333,6 +333,17 @@ class TestDeferredPayloads:
             # out in a block is not cut.
             assert cut.call_count == cut_once(chunk._records) + 4
 
+    def test_digests_hash_each_row_as_it_is_joined_and_keep_no_text(self):
+        # The chunk of the test above: sparse losses, aborts and an adversary section.
+        channel = ChannelModel(loss_prob=0.01, adversary=InterceptResend(fraction=0.3))
+        [chunk] = run_chunks(ProtocolConfig(2, 3, 20), channel, range(40))
+        with mock.patch.object(transcript, "_cut", wraps=transcript._cut) as cut:
+            digests = chunk.digests()
+            assert "texts" not in chunk.__dict__
+            assert cut.call_count == cut_once(chunk._records) + 4
+        assert digests == [tr.digest() for tr in chunk]
+        assert chunk.digests() == digests  # from the texts the rows' digests kept
+
     def test_copies_made_before_the_first_render_serialize_as_the_original(self):
         for make in (copy.copy, copy.deepcopy, lambda tr: pickle.loads(pickle.dumps(tr))):
             tr = run_protocol(*BULK)
